@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, distort_normalized
+from .camera import CameraIntrinsics, project_packed
 from .errors import (
     DegenerateConfigurationError,
     IllConditionedError,
@@ -29,6 +29,7 @@ from .geometry import (
     RigidTransform,
     axis_angle_from_rotation,
     nearest_rotation,
+    retract_poses,
     rotation_from_axis_angle,
 )
 from .grid import GridConfig
@@ -243,66 +244,6 @@ def pose_from_homography(K, H) -> RigidTransform:
 
 # --- joint refinement -----------------------------------------------------
 
-def _intrinsics_vector(K: CameraIntrinsics, fix_skew: bool) -> np.ndarray:
-    base = [K.fx, K.fy, K.cx, K.cy]
-    if not fix_skew:
-        base.append(K.skew)
-    return np.array(base + list(K.dist))
-
-
-def _intrinsics_from_vector(xi: np.ndarray, fix_skew: bool, image_size) -> CameraIntrinsics:
-    if fix_skew:
-        fx, fy, cx, cy = xi[:4]
-        skew = 0.0
-        dist = tuple(xi[4:9])
-    else:
-        fx, fy, cx, cy, skew = xi[:5]
-        dist = tuple(xi[5:10])
-    return CameraIntrinsics(
-        fx=float(fx), fy=float(fy), cx=float(cx), cy=float(cy),
-        skew=float(skew), dist=dist, image_size=tuple(image_size),
-    )
-
-
-def _n_intrinsic_params(fix_skew: bool) -> int:
-    return 9 if fix_skew else 10
-
-
-def _project_param(xi, fix_skew, rvecs, tvecs, view_idx, obj) -> np.ndarray:
-    """Vectorized projection of board points under packed parameters."""
-    if fix_skew:
-        fx, fy, cx, cy = xi[:4]
-        skew = 0.0
-        dist = xi[4:9]
-    else:
-        fx, fy, cx, cy, skew = xi[:5]
-        dist = xi[5:10]
-    R = rotation_from_axis_angle(rvecs)
-    Xc = np.einsum("nij,nj->ni", R[view_idx], obj) + tvecs[view_idx]
-    z = np.maximum(Xc[:, 2], 1e-9)  # behind-camera excursions blow up the residual instead of raising
-    xy = Xc[:, :2] / z[:, None]
-    xd = distort_normalized(xy, dist)
-    u = fx * xd[:, 0] + skew * xd[:, 1] + cx
-    v = fy * xd[:, 1] + cy
-    return np.stack([u, v], axis=1)
-
-
-def _pose_plus(n_intr: int, n_views: int):
-    """Additive update except rotations, which compose an increment on the left."""
-
-    def plus(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        out = x + dx
-        for v in range(n_views):
-            o = n_intr + 6 * v
-            db = dx[o:o + 3]
-            if db[0] != 0.0 or db[1] != 0.0 or db[2] != 0.0:
-                R = rotation_from_axis_angle(x[o:o + 3])
-                out[o:o + 3] = axis_angle_from_rotation(rotation_from_axis_angle(db) @ R)
-        return out
-
-    return plus
-
-
 def _observation_arrays(observations, grid: GridConfig, view_ids):
     """Per-observation view index / board point / pixel arrays."""
     order = {vid: k for k, vid in enumerate(view_ids)}
@@ -341,9 +282,10 @@ def refine_calibration(
         raise ValueError(f"initialization lacks poses for views: {missing}")
     view_idx, obj, pix = _observation_arrays(observations, grid, view_ids)
 
-    n_intr = _n_intrinsic_params(fix_skew)
+    xi0 = init.intrinsics.packed(with_skew=not fix_skew)
+    n_intr = xi0.size
     x0 = np.concatenate(
-        [_intrinsics_vector(init.intrinsics, fix_skew)]
+        [xi0]
         + [
             np.concatenate([
                 axis_angle_from_rotation(init.per_view_poses[v].rotation),
@@ -356,14 +298,23 @@ def refine_calibration(
     def residual(x: np.ndarray) -> np.ndarray:
         xi = x[:n_intr]
         pose = x[n_intr:].reshape(-1, 6)
-        uv = _project_param(xi, fix_skew, pose[:, :3], pose[:, 3:], view_idx, obj)
+        uv = project_packed(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
         return (uv - pix).ravel()
 
-    result = levenberg_marquardt(residual, x0, plus=_pose_plus(n_intr, len(view_ids)))
+    # a residual row depends on the intrinsics and on its own view's pose only,
+    # so pose parameter k of every view is perturbed at once
+    row_view = np.repeat(view_idx, 2)  # rows are (u, v) pairs
+    jac_groups = [[(j, slice(None))] for j in range(n_intr)] + [
+        [(n_intr + 6 * v + k, row_view == v) for v in range(len(view_ids))] for k in range(6)
+    ]
+    result = levenberg_marquardt(
+        residual, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr), jac_groups=jac_groups
+    )
+    logger.debug("intrinsics refinement: %s", result.summary())
 
     xi = result.x[:n_intr]
     pose = result.x[n_intr:].reshape(-1, 6)
-    intr = _intrinsics_from_vector(xi, fix_skew, init.intrinsics.image_size)
+    intr = CameraIntrinsics.from_packed(xi, init.intrinsics.image_size)
     poses = {
         v: RigidTransform(rotation_from_axis_angle(pose[k, :3]), pose[k, 3:])
         for k, v in enumerate(view_ids)
@@ -386,7 +337,9 @@ def calibrate_camera(
 ) -> CalibrationResult:
     """Full single-camera chain: homographies -> closed-form K -> poses -> refinement.
 
-    Views with fewer than 4 detected corners are dropped with a warning.
+    Views with fewer than 4 detected corners, or whose corners admit no
+    homography (e.g. all on one lattice row), are dropped with a warning.
+    Raises only when too few views remain to initialize the intrinsics.
     """
     by_view: dict[str, list[CornerObservation]] = {}
     for ob in observations:
@@ -406,10 +359,14 @@ def calibrate_camera(
 
     s = grid.square_size
     homographies = {}
-    for vid, obs in usable.items():
+    for vid, obs in list(usable.items()):
         plane_pts = np.array([(s * ob.grid_index[0], s * ob.grid_index[1]) for ob in obs])
         pixels = np.array([ob.pixel for ob in obs])
-        homographies[vid] = estimate_homography(plane_pts, pixels)
+        try:
+            homographies[vid] = estimate_homography(plane_pts, pixels)
+        except DegenerateConfigurationError as exc:
+            logger.warning("dropping view %r: %s", vid, exc)
+            del usable[vid]
 
     K0 = intrinsics_from_homographies(
         [homographies[v] for v in sorted(homographies)], image_size, fix_skew=fix_skew
@@ -417,13 +374,8 @@ def calibrate_camera(
     poses0 = {vid: pose_from_homography(K0, H) for vid, H in homographies.items()}
 
     flat_obs = [ob for vid in sorted(usable) for ob in usable[vid]]
-    view_idx, obj, pix = _observation_arrays(flat_obs, grid, sorted(usable))
-    xi0 = _intrinsics_vector(K0, fix_skew)
-    rvecs0 = np.array([axis_angle_from_rotation(poses0[v].rotation) for v in sorted(usable)])
-    tvecs0 = np.array([poses0[v].translation for v in sorted(usable)])
-    res0 = _project_param(xi0, fix_skew, rvecs0, tvecs0, view_idx, obj) - pix
-    rms0 = float(np.sqrt(np.mean(res0 ** 2)))
-    init = CalibrationResult(K0, poses0, rms0, {})
+    # refinement starts from K0 and the poses; it reads no initial rms
+    init = CalibrationResult(K0, poses0, float("nan"), {})
 
     return refine_calibration(flat_obs, grid, init, fix_skew=fix_skew)
 
@@ -473,7 +425,7 @@ def calibrate_stereo(
     view_idx, obj, pix = _observation_arrays(right_obs, grid, shared_views)
     left_R = np.array([left.per_view_poses[v].rotation for v in shared_views])
     left_t = np.array([left.per_view_poses[v].translation for v in shared_views])
-    xi = _intrinsics_vector(right.intrinsics, fix_skew=False)
+    xi = right.intrinsics.packed()
 
     def residual(x: np.ndarray) -> np.ndarray:
         R_rel = rotation_from_axis_angle(x[:3])
@@ -481,10 +433,11 @@ def calibrate_stereo(
         # compose the candidate rig transform onto each fixed left pose
         rv = np.array([axis_angle_from_rotation(R_rel @ Rl) for Rl in left_R])
         tv = (left_t @ R_rel.T) + t_rel
-        uv = _project_param(xi, False, rv, tv, view_idx, obj)
+        uv = project_packed(xi, rv, tv, view_idx, obj)
         return (uv - pix).ravel()
 
     x0 = np.concatenate([axis_angle_from_rotation(R0), t0])
-    result = levenberg_marquardt(residual, x0, plus=_pose_plus(0, 1))
+    result = levenberg_marquardt(residual, x0, plus=retract_poses)
+    logger.debug("stereo refinement: %s", result.summary())
     rel = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
     return StereoRig(left.intrinsics, right.intrinsics, rel)

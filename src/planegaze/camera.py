@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, NotInvertibleError
-from .geometry import RigidTransform, as_vec3
+from .geometry import RigidTransform, as_vec3, rotation_from_axis_angle
 
 UNDISTORT_TOL = 1e-10
 UNDISTORT_MAX_ITER = 50
@@ -62,6 +62,18 @@ class CameraIntrinsics:
             ]
         )
 
+    def packed(self, with_skew: bool = True) -> np.ndarray:
+        """(fx, fy, cx, cy, [skew,] k1, k2, p1, p2, k3): the layout of :func:`project_packed`."""
+        skew = [self.skew] if with_skew else []
+        return np.array([self.fx, self.fy, self.cx, self.cy, *skew, *self.dist])
+
+    @classmethod
+    def from_packed(cls, xi, image_size) -> "CameraIntrinsics":
+        """Inverse of :meth:`packed`; 9 entries mean zero skew."""
+        skew = xi[4] if len(xi) == 10 else 0.0
+        fx, fy, cx, cy = (float(v) for v in xi[:4])
+        return cls(fx, fy, cx, cy, float(skew), tuple(xi[-5:]), tuple(image_size))
+
 
 def distort_normalized(xy: np.ndarray, dist) -> np.ndarray:
     """Apply the distortion model to normalized coordinates, shape (..., 2)."""
@@ -84,10 +96,30 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     z = Xc[..., 2]
     if np.any(z <= 1e-9):
         raise BehindCameraError("point behind camera (z <= 0 after pose transform)")
-    xy = Xc[..., :2] / z[..., None]
-    xd = distort_normalized(xy, K.dist)
-    u = K.fx * xd[..., 0] + K.skew * xd[..., 1] + K.cx
-    v = K.fy * xd[..., 1] + K.cy
+    return _pixels(Xc[..., :2] / z[..., None], K.fx, K.fy, K.cx, K.cy, K.skew, K.dist)
+
+
+def project_packed(xi, rvecs, tvecs, view_idx, obj) -> np.ndarray:
+    """Project board points of many views under packed parameters, shape (N, 2).
+
+    ``xi`` is laid out as :meth:`CameraIntrinsics.packed`. Point n lies at
+    ``obj[n]`` on the board of view ``view_idx[n]``, posed by axis-angle
+    ``rvecs`` and ``tvecs`` (one row per view). Points behind the camera
+    are clamped to z = 1e-9 instead of raising, so a solver's excursions
+    show as large residuals.
+    """
+    fx, fy, cx, cy = xi[:4]
+    skew = xi[4] if len(xi) == 10 else 0.0
+    R = rotation_from_axis_angle(rvecs)
+    Xc = np.einsum("nij,nj->ni", R[view_idx], obj) + tvecs[view_idx]
+    z = np.maximum(Xc[:, 2], 1e-9)
+    return _pixels(Xc[:, :2] / z[:, None], fx, fy, cx, cy, skew, xi[-5:])
+
+
+def _pixels(xy: np.ndarray, fx, fy, cx, cy, skew, dist) -> np.ndarray:
+    xd = distort_normalized(xy, dist)
+    u = fx * xd[..., 0] + skew * xd[..., 1] + cx
+    v = fy * xd[..., 1] + cy
     return np.stack([u, v], axis=-1)
 
 

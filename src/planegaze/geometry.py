@@ -147,15 +147,9 @@ def rotation_from_axis_angle(rvec) -> np.ndarray:
     small = theta < 1e-8
     a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
     b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    zeros = np.zeros_like(theta)
-    K = np.stack(
-        [
-            np.stack([zeros, -r[:, 2], r[:, 1]], axis=1),
-            np.stack([r[:, 2], zeros, -r[:, 0]], axis=1),
-            np.stack([-r[:, 1], r[:, 0], zeros], axis=1),
-        ],
-        axis=1,
-    )
+    K = np.zeros((r.shape[0], 3, 3))  # skew matrix [r]x
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -r[:, 2], r[:, 1], -r[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = r[:, 2], -r[:, 1], r[:, 0]
     R = np.eye(3)[None] + a[:, None, None] * K + b[:, None, None] * (K @ K)
     return R[0] if single else R
 
@@ -180,6 +174,26 @@ def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:
             axis = -axis
         return theta * axis
     return theta / math.sin(theta) * vee
+
+
+def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Apply increment ``dx`` to packed poses: the solvers' retraction.
+
+    From index ``offset`` on, ``x`` holds poses as (rvec, t) blocks of 6.
+    Everything is added, except a pose whose rotation increment is nonzero:
+    its rvec becomes log(exp(d rvec) exp(rvec)), the increment composed on
+    the left.
+    """
+    out = x + dx
+    drot = dx[offset:].reshape(-1, 6)[:, :3]
+    moved = np.flatnonzero(np.any(drot != 0.0, axis=1))
+    if moved.size:
+        rot = x[offset:].reshape(-1, 6)[moved, :3]
+        R = rotation_from_axis_angle(drot[moved]) @ rotation_from_axis_angle(rot)
+        for k, v in enumerate(moved):
+            o = offset + 6 * v
+            out[o:o + 3] = axis_angle_from_rotation(R[k])
+    return out
 
 
 @dataclass(frozen=True)

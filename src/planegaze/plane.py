@@ -8,23 +8,26 @@ camera-from-plane pose, refine on pixel reprojection, then invert.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import estimate_homography, pose_from_homography
-from .camera import CameraIntrinsics, undistort_pixels
+from .camera import CameraIntrinsics, project_packed, undistort_pixels
 from .errors import DegenerateConfigurationError
 from .geometry import (
     FRAME_CAMERA,
     FRAME_PLANE,
     RigidTransform,
     axis_angle_from_rotation,
+    retract_poses,
     rotation_from_axis_angle,
 )
 from .grid import GridConfig
 from .optimize import levenberg_marquardt
-from .calibration import _project_param  # shared vectorized projector
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,17 @@ def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> Pla
 
     obj = np.column_stack([plane_pts, np.zeros(len(items))])
     view_idx = np.zeros(len(items), dtype=int)
-    xi = np.array([K.fx, K.fy, K.cx, K.cy, K.skew, *K.dist])
+    xi = K.packed()
 
     def residual(x: np.ndarray) -> np.ndarray:
-        uv = _project_param(xi, False, x[None, :3], x[None, 3:], view_idx, obj)
+        uv = project_packed(xi, x[None, :3], x[None, 3:], view_idx, obj)
         return (uv - pixels).ravel()
 
     x0 = np.concatenate(
         [axis_angle_from_rotation(cam_from_plane.rotation), cam_from_plane.translation]
     )
-    result = levenberg_marquardt(residual, x0, plus=_pose_plus_single)
+    result = levenberg_marquardt(residual, x0, plus=retract_poses)
+    logger.debug("plane pose refinement: %s", result.summary())
 
     refined = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
     res = residual(result.x).reshape(-1, 2)
@@ -89,11 +93,3 @@ def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> Pla
         FRAME_PLANE,
     )
     return PlanePose(camera_to_plane, rms)
-
-
-def _pose_plus_single(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    out = x + dx
-    if dx[0] != 0.0 or dx[1] != 0.0 or dx[2] != 0.0:
-        R = rotation_from_axis_angle(x[:3])
-        out[:3] = axis_angle_from_rotation(rotation_from_axis_angle(dx[:3]) @ R)
-    return out
