@@ -133,9 +133,11 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     """Invert distortion for pixels, returning normalized coordinates (..., 2).
 
     Fixed-point iteration on the distorted normalized coordinates,
-    tolerance 1e-10, at most 50 iterations. Raises NotInvertibleError when
-    the iteration fails to settle (pathological distortion or far outside
-    the calibrated field of view).
+    tolerance 1e-10, at most 50 iterations. Each pixel stops at its own
+    first step under the tolerance, so its result does not depend on the
+    other pixels passed with it. Raises NotInvertibleError when the
+    iteration fails to settle for any pixel (pathological distortion or
+    far outside the calibrated field of view).
     """
     px = np.asarray(pixels, dtype=float)
     if px.shape[-1] != 2:
@@ -144,6 +146,7 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     xd = (px[..., 0] - K.cx - K.skew * yd) / K.fx
     k1, k2, p1, p2, k3 = K.dist
     x, y = xd.copy(), yd.copy()
+    moving = np.ones(xd.shape, dtype=bool)
     for _ in range(UNDISTORT_MAX_ITER):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
@@ -151,9 +154,10 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
         dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
         x_new = (xd - dx) / radial
         y_new = (yd - dy) / radial
-        step = max(np.abs(x_new - x).max(initial=0.0), np.abs(y_new - y).max(initial=0.0))
-        x, y = x_new, y_new
-        if step < UNDISTORT_TOL:
+        settled = (np.abs(x_new - x) < UNDISTORT_TOL) & (np.abs(y_new - y) < UNDISTORT_TOL)
+        x, y = np.where(moving, x_new, x), np.where(moving, y_new, y)
+        moving &= ~settled
+        if not moving.any():
             return np.stack([x, y], axis=-1)
     raise NotInvertibleError(
         f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations"

@@ -82,7 +82,7 @@ def _add_globals(parser) -> None:
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for anything stochastic (default 0)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for per-frame work (default 1)")
+                        help="worker threads for synth (default 1); outputs never depend on it")
     parser.add_argument("--config", type=Path, default=argparse.SUPPRESS,
                         help="JSON config with defaults (thresholds_cm)")
 
@@ -240,7 +240,6 @@ def cmd_evaluate(args) -> int:
         tag_filters=tag_filters,
         thresholds_cm=thresholds,
         plane_override=args.plane,
-        threads=max(1, args.threads),
     )
     out = Path(args.out)
     input_hashes = bundle.provenance.get("inputs", {})

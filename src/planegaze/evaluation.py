@@ -13,15 +13,12 @@ distance.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .calibration import CAMERA_LEFT, CAMERA_RIGHT, StereoRig
-from .errors import (
-    DegenerateDataError,
-    EmptySelectionError,
-    FormatError,
-)
+from .errors import EmptySelectionError, FormatError
 from .formats import (
     DatasetManifest,
     provenance,
@@ -47,7 +44,7 @@ from .pipeline import (
     ground_truth_direction,
 )
 from .plane import PlanePose, estimate_plane_pose
-from .triangulation import head_point
+from .triangulation import FaceObservation, HeadPoint, head_point
 
 logger = logging.getLogger(__name__)
 
@@ -56,9 +53,9 @@ logger = logging.getLogger(__name__)
 class MethodReport:
     method: str
     records: list[EvalRecord]
-    skipped: list[tuple[str, str]]  # (frame_id, reason)
-    pred_directions: list
-    gt_directions: list
+    skipped: list[tuple[str, str]]  # (frame_id, reason) in manifest frame order
+    pred_directions: np.ndarray  # (len(records), 3), row k belongs to records[k]
+    gt_directions: np.ndarray
 
 
 @dataclass
@@ -73,10 +70,6 @@ class ReportBundle:
     methods: dict[str, MethodReport] = field(default_factory=dict)
 
 
-def load_rig(manifest: DatasetManifest) -> StereoRig:
-    return read_stereo(manifest.stereo)
-
-
 def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
                plane_override=None) -> PlanePose:
     """Plane pose from the manifest's pose file, an override, or the corners."""
@@ -88,28 +81,19 @@ def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
     return estimate_plane_pose(corners, grid, rig.left)
 
 
-def _evaluate_one(frame, faces_by_key, preds_by_frame, rig, plane, grid, source, method):
-    fid = frame.frame_id
-    pred = preds_by_frame.get(fid)
-    if pred is None:
-        return None, (fid, "missing_prediction"), None, None
-    left = faces_by_key.get((fid, CAMERA_LEFT))
-    right = faces_by_key.get((fid, CAMERA_RIGHT))
-    if left is None or right is None:
-        return None, (fid, "missing_face_observation"), None, None
-    try:
-        head = head_point(left, right, rig, source)
-        direction = correct_gaze_to_camera_frame(pred, head)
-        estimate = gaze_point_on_surface(head, direction, plane)
-        target = target_center(grid, frame.target_id)
-        gt_dir = ground_truth_direction(head, plane, target)
-    except DegenerateDataError as exc:
-        return None, (fid, type(exc).__name__), None, None
-    record = evaluate_frame(
-        direction, gt_dir, estimate, target,
-        frame_id=fid, method_id=method, tags=frame.tags, target_id=frame.target_id,
-    )
-    return record, None, direction, gt_dir
+def read_faces_by_key(manifest: DatasetManifest) -> dict[tuple[str, str], FaceObservation]:
+    """The manifest's face observations keyed by (frame_id, camera_id), one per key."""
+    faces = {}
+    for f in read_faces(manifest.faces):
+        key = (f.frame_id, f.camera_id)
+        if key in faces:
+            raise FormatError(
+                f"multiple face observations for frame {f.frame_id!r} camera {f.camera_id!r}; "
+                "expected exactly one face per frame per camera",
+                file=str(manifest.faces),
+            )
+        faces[key] = f
+    return faces
 
 
 def evaluate_method(
@@ -118,8 +102,15 @@ def evaluate_method(
     rig: StereoRig,
     plane: PlanePose,
     grid: GridConfig,
-    threads: int = 1,
+    faces: dict[tuple[str, str], FaceObservation],
 ) -> MethodReport:
+    """Score one method's predictions over every manifest frame, as one batch.
+
+    ``faces`` is :func:`read_faces_by_key` of the manifest. A frame without
+    a prediction or without a face in both cameras is skipped with that
+    reason; a frame whose head, target or ground truth cannot be built is
+    skipped with the name of the error a single-frame call would raise.
+    """
     ref = manifest.predictions[method]
     preds = read_predictions(ref.path)
     known = {f.frame_id for f in manifest.frames}
@@ -134,37 +125,47 @@ def evaluate_method(
                 file=str(ref.path),
             )
     preds_by_frame = {p.frame_id: p for p in preds}
-    faces_by_key = {}
-    for f in read_faces(manifest.faces):
-        key = (f.frame_id, f.camera_id)
-        if key in faces_by_key:
-            raise FormatError(
-                f"multiple face observations for frame {f.frame_id!r} camera {f.camera_id!r}; "
-                "expected exactly one face per frame per camera",
-                file=str(manifest.faces),
-            )
-        faces_by_key[key] = f
 
-    work = lambda frame: _evaluate_one(
-        frame, faces_by_key, preds_by_frame, rig, plane, grid, ref.head_source, method
-    )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, manifest.frames))
-    else:
-        results = [work(frame) for frame in manifest.frames]
-
-    records, skipped, pred_dirs, gt_dirs = [], [], [], []
-    for record, skip, pred_dir, gt in results:
-        if record is not None:
-            records.append(record)
-            pred_dirs.append(pred_dir)
-            gt_dirs.append(gt)
+    reasons = {}
+    rows = []
+    for frame in manifest.frames:
+        fid = frame.frame_id
+        if fid not in preds_by_frame:
+            reasons[fid] = "missing_prediction"
+        elif (fid, CAMERA_LEFT) not in faces or (fid, CAMERA_RIGHT) not in faces:
+            reasons[fid] = "missing_face_observation"
         else:
-            skipped.append(skip)
+            rows.append(frame)
+
+    head = head_point(
+        [faces[(f.frame_id, CAMERA_LEFT)] for f in rows],
+        [faces[(f.frame_id, CAMERA_RIGHT)] for f in rows],
+        rig, ref.head_source,
+    )
+    centers = {tid: target_center(grid, tid) for tid in grid.target_map}
+    targets = np.array([centers.get(f.target_id, (np.nan,) * 3) for f in rows]).reshape(-1, 3)
+    gt_dirs = ground_truth_direction(head, plane, targets)
+    failure = head.failure.astype(object)  # first failure wins, as in a per-frame loop
+    failure[(failure == "") & np.isnan(targets[:, 0])] = "UnknownTargetError"
+    failure[(failure == "") & np.isnan(gt_dirs[:, 0])] = "DegenerateGeometryError"
+    for frame, reason in zip(rows, failure):
+        if reason:
+            reasons[frame.frame_id] = reason
+
+    keep = failure == ""
+    rows = [f for f, k in zip(rows, keep) if k]
+    head = HeadPoint(head.position[keep], head.ray_gap[keep], head.source[keep], head.failure[keep])
+    pred_dirs = correct_gaze_to_camera_frame([preds_by_frame[f.frame_id] for f in rows], head)
+    estimate = gaze_point_on_surface(head, pred_dirs, plane)
+    records = evaluate_frame(
+        pred_dirs, gt_dirs[keep], estimate, targets[keep],
+        frame_id=[f.frame_id for f in rows], method_id=method,
+        tags=[f.tags for f in rows], target_id=[f.target_id for f in rows],
+    )
+    skipped = [(f.frame_id, reasons[f.frame_id]) for f in manifest.frames if f.frame_id in reasons]
     if skipped:
         logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(manifest.frames))
-    return MethodReport(method, records, skipped, pred_dirs, gt_dirs)
+    return MethodReport(method, records, skipped, pred_dirs, gt_dirs[keep])
 
 
 def evaluate_manifest(
@@ -174,7 +175,6 @@ def evaluate_manifest(
     tag_filters=None,
     thresholds_cm=DEFAULT_THRESHOLDS_CM,
     plane_override=None,
-    threads: int = 1,
 ) -> ReportBundle:
     """Run the full evaluation and assemble the report bundle.
 
@@ -183,7 +183,7 @@ def evaluate_manifest(
     sorted, thresholds ascending.
     """
     grid = read_grid_config(manifest.grid_config)
-    rig = load_rig(manifest)
+    rig = read_stereo(manifest.stereo)
     plane = load_plane(manifest, rig, grid, plane_override)
 
     selected = sorted(manifest.predictions) if methods is None else list(methods)
@@ -195,9 +195,8 @@ def evaluate_manifest(
         tag_filters = [None] + tags
     thresholds_cm = tuple(sorted(float(t) for t in thresholds_cm))
 
-    reports = {
-        m: evaluate_method(manifest, m, rig, plane, grid, threads=threads) for m in selected
-    }
+    faces = read_faces_by_key(manifest)
+    reports = {m: evaluate_method(manifest, m, rig, plane, grid, faces) for m in selected}
 
     frame_tags = {f.frame_id: f.tags for f in manifest.frames}
     summary_rows = []
@@ -210,10 +209,7 @@ def evaluate_manifest(
                 s = summarize(rep.records, tag, thresholds_cm)
             except EmptySelectionError:
                 continue
-            if tag is None:
-                n_skipped = len(rep.skipped)
-            else:
-                n_skipped = sum(1 for fid, _ in rep.skipped if tag in frame_tags.get(fid, ()))
+            n_skipped = sum(1 for fid, _ in rep.skipped if tag is None or tag in frame_tags[fid])
             summary_rows.append(
                 {
                     "method": m,
@@ -254,19 +250,9 @@ def evaluate_manifest(
 
 
 def _hist_rows(label: str, hist):
-    rows = []
-    ny, np_ = hist.counts.shape
-    for a in range(ny):
-        for b in range(np_):
-            c = int(hist.counts[a, b])
-            if c == 0:
-                continue
-            rows.append(
-                (
-                    label,
-                    float(hist.yaw_edges[a]), float(hist.yaw_edges[a + 1]),
-                    float(hist.pitch_edges[b]), float(hist.pitch_edges[b + 1]),
-                    c,
-                )
-            )
-    return rows
+    """One row per non-empty bin, yaw-major like the counts array."""
+    ye, pe = hist.yaw_edges, hist.pitch_edges
+    return [
+        (label, float(ye[a]), float(ye[a + 1]), float(pe[b]), float(pe[b + 1]), int(hist.counts[a, b]))
+        for a, b in zip(*np.nonzero(hist.counts))
+    ]

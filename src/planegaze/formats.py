@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,9 +142,12 @@ def _read_csv(path: Path, expected_header: list[str]):
 
 def _parse_float(cell: str, path: Path, lineno: int, name: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise FormatError(f"field {name!r} is not a number: {cell!r}", file=str(path), line=lineno) from None
+    if not math.isfinite(value):
+        raise FormatError(f"field {name!r} is not finite: {cell!r}", file=str(path), line=lineno)
+    return value
 
 
 def _parse_int(cell: str, path: Path, lineno: int, name: str) -> int:

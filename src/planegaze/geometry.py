@@ -96,12 +96,40 @@ def dir_to_yaw_pitch(d) -> YawPitch:
     return YawPitch(float(yp[..., 0]), float(yp[..., 1]))
 
 
-def angular_error_deg(d_est, d_gt) -> float:
-    """Angle between two unit directions, in degrees, in [0, 180]."""
+def angular_error_deg(d_est, d_gt):
+    """Angle between unit directions (..., 3), in degrees, in [0, 180], shape (...).
+
+    A pair of 3-vectors gives a float.
+    """
     a = as_vec3(d_est)
     b = as_vec3(d_gt)
-    dot = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    return math.degrees(math.acos(dot))
+    deg = np.degrees(np.arccos(np.clip(dot(a, b), -1.0, 1.0)))
+    return float(deg) if deg.ndim == 0 else deg
+
+
+def dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, shape (...).
+
+    Each row is its own (1, n) @ (n, 1) product, which rounds as ``np.dot``
+    does for a lone pair of vectors: a batch row matches the single-vector
+    result and never depends on the rows around it.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def norm(a) -> np.ndarray:
+    """Euclidean norms over the last axis, rounded as ``np.linalg.norm`` of one vector."""
+    return np.sqrt(dot(a, a))
+
+
+def unit(a) -> np.ndarray:
+    """``a`` divided by its :func:`norm` over the last axis; no zero check."""
+    return a / norm(a)[..., None]
+
+
+def vecmat(v, M) -> np.ndarray:
+    """``v @ M`` for every row of ``v`` (..., 3), each rounded as for one vector."""
+    return (v[..., None, :] @ M)[..., 0, :]
 
 
 # --- rotations ----------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySelectionError
-from .geometry import angular_error_deg, as_vec3, directions_to_yaw_pitch
+from .geometry import angular_error_deg, as_vec3, directions_to_yaw_pitch, norm
 from .pipeline import STATUS_OK, SurfaceGazeEstimate
 
 DEFAULT_THRESHOLDS_CM = (10.0, 20.0, 50.0)
@@ -65,24 +65,35 @@ def evaluate_frame(
     estimate: SurfaceGazeEstimate,
     target,
     *,
-    frame_id: str,
+    frame_id,
     method_id: str,
     tags=(),
-    target_id: int | None = None,
-) -> EvalRecord:
-    """Errors for one frame: angle between directions, distance on the surface.
+    target_id=None,
+):
+    """Errors per frame: angle between directions, distance on the surface.
 
-    The surface distance is infinite whenever the intersection status is
-    not ok; the angular error is always finite.
+    One frame gives an EvalRecord. A batch (directions and targets (N, 3),
+    an N-row estimate, and a list of N frame ids, with ``tags`` and
+    ``target_id`` per row when given) gives a list of N records. The
+    surface distance is infinite whenever the intersection status is not
+    ok; the angular error is always finite.
     """
-    angle = angular_error_deg(pred_direction, gt_direction)
-    if estimate.status == STATUS_OK:
-        p = as_vec3(estimate.point)
-        t = as_vec3(target)
-        distance = float(np.linalg.norm(p[:2] - t[:2]))
-    else:
-        distance = math.inf
-    return EvalRecord(frame_id, method_id, angle, distance, frozenset(tags), target_id)
+    single = isinstance(frame_id, str)
+    if single:
+        point = estimate.point if estimate.status == STATUS_OK else np.full(3, np.nan)
+        estimate = SurfaceGazeEstimate(np.reshape(point, (1, 3)), None, None, np.array([estimate.status]))
+        frame_id, tags, target_id = [frame_id], [tags], [target_id]
+    n = len(frame_id)
+    angles = angular_error_deg(np.reshape(pred_direction, (-1, 3)), np.reshape(gt_direction, (-1, 3)))
+    offset = np.asarray(estimate.point, dtype=float)[:, :2] - np.reshape(as_vec3(target), (-1, 3))[:, :2]
+    distances = np.where(estimate.status == STATUS_OK, norm(offset), math.inf)
+    records = [
+        EvalRecord(fid, method_id, float(a), float(d), frozenset(tg), tid)
+        for fid, a, d, tg, tid in zip(
+            frame_id, angles, distances, tags or [()] * n, [None] * n if target_id is None else target_id
+        )
+    ]
+    return records[0] if single else records
 
 
 def _select(records, tag_filter: str | None):

@@ -7,6 +7,10 @@ the head-to-camera yaw/pitch is added before the angles become a
 direction, as additive angle correction. This mirrors the evaluated
 pipeline exactly; the approximation degrades at large offsets, so offsets
 beyond 30 degrees are logged.
+
+Every stage function takes one frame or a batch: a HeadPoint batch, (N, 3)
+directions and targets, a list of predictions. One frame runs as a batch of
+one and comes back as the single-frame types.
 """
 
 from __future__ import annotations
@@ -17,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
-from .geometry import (
-    FRAME_CAMERA,
-    GazeRay,
-    dir_to_yaw_pitch,
-    normalized,
-    transform_ray,
-    yaw_pitch_to_dir,
-)
+from .errors import raise_row_failure
+from .geometry import directions_to_yaw_pitch, norm, normalized, unit, vecmat, yaw_pitch_to_dir
 from .plane import PlanePose
 from .triangulation import HeadPoint
 
@@ -61,45 +58,51 @@ class GazePrediction:
 
 @dataclass(frozen=True)
 class SurfaceGazeEstimate:
-    """Where a gaze ray meets the work surface, or why it does not."""
+    """Where a gaze ray meets the work surface, or why it does not.
+
+    One frame: ``point`` (3,) and float ``alpha``, both None unless the
+    status is ok. A batch holds (N, 3) and (N,) arrays, NaN on the rows
+    whose status is not ok.
+    """
 
     point: np.ndarray | None
-    alpha: float | None
+    alpha: float | np.ndarray | None
     direction_cc: np.ndarray
-    status: str
+    status: str | np.ndarray
 
 
-def camera_offset_angles(head: HeadPoint) -> tuple[float, float]:
+def camera_offset_angles(head: HeadPoint):
     """Yaw/pitch of the direction from the head to the camera center."""
-    to_camera = normalized(-head.position)
-    yp = dir_to_yaw_pitch(to_camera)
-    return yp.yaw, yp.pitch
+    yp = directions_to_yaw_pitch(normalized(-head.position))
+    return yp[..., 0], yp[..., 1]
 
 
-def correct_gaze_to_camera_frame(pred: GazePrediction, head: HeadPoint) -> np.ndarray:
-    """Camera-frame gaze direction for a prediction.
+def correct_gaze_to_camera_frame(pred, head: HeadPoint) -> np.ndarray:
+    """Camera-frame gaze direction(s) for one prediction or a list of them.
 
     Offset-convention angles get the head-to-camera yaw/pitch added;
-    absolute angles convert directly.
+    absolute angles convert directly. A list gives (N, 3) directions for
+    an N-row head batch.
     """
-    if head.position[2] <= 0:
+    single = isinstance(pred, GazePrediction)
+    preds = [pred] if single else pred
+    pos = np.reshape(head.position, (-1, 3))
+    if np.any(pos[:, 2] <= 0):
         raise ValueError("head point must lie in front of the camera")
-    if pred.convention == CONVENTION_ABSOLUTE:
-        return yaw_pitch_to_dir(pred.yaw, pred.pitch)
-    yaw_h, pitch_h = camera_offset_angles(head)
-    if abs(yaw_h) > LARGE_OFFSET_RAD or abs(pitch_h) > LARGE_OFFSET_RAD:
-        logger.warning(
-            "head offset angles (%.1f, %.1f) deg exceed 30 deg; additive correction degrades",
-            math.degrees(yaw_h),
-            math.degrees(pitch_h),
-        )
-    return yaw_pitch_to_dir(pred.yaw + yaw_h, pred.pitch + pitch_h)
+    yaw = np.array([p.yaw for p in preds], dtype=float)
+    pitch = np.array([p.pitch for p in preds], dtype=float)
+    offset = np.array([p.convention == CONVENTION_OFFSET for p in preds], dtype=bool)
+    yaw_h, pitch_h = np.reshape(camera_offset_angles(head), (2, -1))
+    large = offset & ((np.abs(yaw_h) > LARGE_OFFSET_RAD) | (np.abs(pitch_h) > LARGE_OFFSET_RAD))
+    if large.any():
+        logger.warning("%d of %d frames have head offset angles over 30 deg; additive correction "
+                       "degrades", np.count_nonzero(large), large.size)
+    d = yaw_pitch_to_dir(np.where(offset, yaw + yaw_h, yaw), np.where(offset, pitch + pitch_h, pitch))
+    return d[0] if single else d
 
 
-def gaze_point_on_surface(
-    head: HeadPoint, direction_cc, plane: PlanePose
-) -> SurfaceGazeEstimate:
-    """Intersect a camera-frame gaze ray with the work surface.
+def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> SurfaceGazeEstimate:
+    """Intersect camera-frame gaze ray(s) with the work surface.
 
     Failures are encoded in the status, never raised, so batch evaluation
     can keep going: ``no_intersection`` for rays parallel to the surface,
@@ -107,25 +110,42 @@ def gaze_point_on_surface(
     is on the wrong side of it). Status ``ok`` means the workspace-frame
     direction points down onto the surface from above.
     """
-    direction_cc = normalized(direction_cc)
-    ray = GazeRay(head.position, direction_cc, FRAME_CAMERA)
-    ray_pi = transform_ray(plane.transform, ray)
-    oz = float(ray_pi.origin[2])
-    dz = float(ray_pi.direction[2])
-    if abs(dz) < 1e-12:
-        return SurfaceGazeEstimate(None, None, direction_cc, STATUS_NO_INTERSECTION)
-    if dz > 0 or oz <= 0:
-        return SurfaceGazeEstimate(None, None, direction_cc, STATUS_AWAY)
-    alpha = -oz / dz
-    point = ray_pi.origin + alpha * ray_pi.direction
-    return SurfaceGazeEstimate(point, alpha, direction_cc, STATUS_OK)
+    single = np.ndim(direction_cc) == 1
+    d_cc = np.reshape(normalized(direction_cc), (-1, 3))
+    T = plane.transform
+    origin = vecmat(np.reshape(head.position, (-1, 3)), T.rotation.T) + T.translation
+    # renormalized around the rotation exactly as planegaze 0.1.0's per-ray
+    # path did, so surface points keep their bits
+    d = unit(unit(vecmat(unit(d_cc), T.rotation.T)))
+    oz, dz = origin[:, 2], d[:, 2]
+    parallel = np.abs(dz) < 1e-12
+    hit = ~parallel & (dz < 0) & (oz > 0)
+    status = np.where(parallel, STATUS_NO_INTERSECTION, np.where(hit, STATUS_OK, STATUS_AWAY))
+    alpha = np.divide(-oz, dz, out=np.full(dz.shape, np.nan), where=hit)
+    point = origin + alpha[:, None] * d
+    if not single:
+        return SurfaceGazeEstimate(point, alpha, d_cc, status)
+    if hit[0]:
+        return SurfaceGazeEstimate(point[0], float(alpha[0]), d_cc[0], STATUS_OK)
+    return SurfaceGazeEstimate(None, None, d_cc[0], str(status[0]))
 
 
 def ground_truth_direction(head: HeadPoint, plane: PlanePose, target) -> np.ndarray:
-    """Unit camera-frame direction from the head to an on-surface target."""
-    target = np.asarray(target, dtype=float).reshape(3)
-    target_cc = plane.transform.inverse().apply_point(target)
-    delta = target_cc - head.position
-    if np.linalg.norm(delta) < 1e-9:
-        raise DegenerateGeometryError("head position coincides with the target")
-    return delta / np.linalg.norm(delta)
+    """Unit camera-frame direction(s) from the head to on-surface target(s).
+
+    A head batch takes (N, 3) targets and gives (N, 3) directions; a row
+    whose head coincides with its target (DegenerateGeometryError for one
+    frame) or whose head or target is NaN comes back NaN.
+    """
+    single = np.ndim(head.position) == 1
+    T = plane.transform.inverse()
+    target_cc = vecmat(np.reshape(np.asarray(target, dtype=float), (-1, 3)), T.rotation.T) + T.translation
+    delta = target_cc - np.reshape(head.position, (-1, 3))
+    length = norm(delta)[:, None]
+    on_target = length < 1e-9
+    length[on_target] = np.nan
+    d = delta / length
+    if not single:
+        return d
+    raise_row_failure("DegenerateGeometryError" if on_target[0, 0] else "")
+    return d[0]

@@ -31,10 +31,10 @@ from .geometry import (
     rotation_from_axis_angle,
 )
 from .grid import GridConfig, corner_position, default_target_map, target_center
-from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET
+from .metrics import evaluate_frame, summarize
+from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, GazePrediction, gaze_point_on_surface
 from .plane import PlanePose
-from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation
-from .pipeline import GazePrediction
+from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, HeadPoint
 
 MAX_RESAMPLE = 100
 
@@ -366,9 +366,11 @@ def _perpendicular_axis(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
     return w / n
 
 
-def _rotate_about(d: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    # axis is perpendicular to d, so the Rodrigues formula loses its last term
-    return d * math.cos(angle) + np.cross(axis, d) * math.sin(angle)
+def _rotate_about(d: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
+    # axis is perpendicular to d, so the Rodrigues formula loses its last term;
+    # d and axis are (..., 3) and angle is (...)
+    angle = np.asarray(angle)[..., None]
+    return d * np.cos(angle) + np.cross(axis, d) * np.sin(angle)
 
 
 def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDataset:
@@ -458,37 +460,24 @@ def amplification_study(
     distances, and hence the medians, are non-decreasing in sigma.
     """
     ds = generate_scene(spec)
-    plane_T = spec.plane.transform
-    axes, units, heads_pi, targets = [], [], [], []
+    axes, units = [], []
     for i, t in enumerate(ds.truths):
         rng = _rng(spec.seed, _STREAM_AMPLIFY, i)
         axes.append(_perpendicular_axis(rng, t.direction_cc))
         units.append(abs(rng.normal()))
-        heads_pi.append(plane_T.apply_point(t.head_cc))
-        targets.append(target_center(spec.grid, t.target_id))
+    axes, units = np.array(axes).reshape(-1, 3), np.array(units)
+    dirs = np.array([t.direction_cc for t in ds.truths]).reshape(-1, 3)
+    heads = np.array([t.head_cc for t in ds.truths]).reshape(-1, 3)
+    heads = HeadPoint(heads, np.zeros(len(heads)), SOURCE_EYES)
+    targets = np.array([target_center(spec.grid, t.target_id) for t in ds.truths]).reshape(-1, 3)
+    frame_ids = [t.frame_id for t in ds.truths]
 
     rows = []
     for sigma in sigma_list:
-        sig_rad = math.radians(float(sigma))
-        dist_cm = []
-        for t, axis, unit, head_pi, target in zip(ds.truths, axes, units, heads_pi, targets):
-            d = _rotate_about(t.direction_cc, axis, sig_rad * unit)
-            d_pi = plane_T.apply_direction(d)
-            if d_pi[2] >= -1e-12 or head_pi[2] <= 0:
-                dist_cm.append(math.inf)
-                continue
-            alpha = -head_pi[2] / d_pi[2]
-            hit = head_pi + alpha * d_pi
-            dist_cm.append(100.0 * float(np.hypot(hit[0] - target[0], hit[1] - target[1])))
-        arr = np.array(dist_cm)
-        n = len(arr)
-        rows.append(
-            AmplificationRow(
-                sigma_deg=float(sigma),
-                median_distance_cm=float(np.median(arr)),
-                precision_at={
-                    float(x): float(100.0 * np.count_nonzero(arr <= x) / n) for x in thresholds_cm
-                },
-            )
-        )
+        d = _rotate_about(dirs, axes, math.radians(float(sigma)) * units)
+        estimate = gaze_point_on_surface(heads, d, spec.plane)
+        records = evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids,
+                                 method_id=f"sigma={float(sigma)}")
+        s = summarize(records, None, thresholds_cm)
+        rows.append(AmplificationRow(float(sigma), s.median_distance_cm, s.precision_at))
     return rows

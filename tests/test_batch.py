@@ -1,0 +1,275 @@
+"""The batch contract of the per-frame stage functions.
+
+Every stage function takes one frame or a batch of frames. A batch row
+equals the single-frame call on that row; a row the single-frame call would
+raise on is marked with the error's class name and carries NaN values,
+while the rest of the batch goes through.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from planegaze import errors
+from planegaze.calibration import StereoRig
+from planegaze.camera import CameraIntrinsics, project_point
+from planegaze.errors import DegenerateDataError, DegenerateGeometryError
+from planegaze.evaluation import evaluate_method, read_faces_by_key
+from planegaze.formats import (
+    read_faces,
+    read_grid_config,
+    read_manifest,
+    read_plane_pose,
+    read_predictions,
+    read_stereo,
+    write_dataset,
+)
+from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, angular_error_deg
+from planegaze.grid import target_center
+from planegaze.metrics import evaluate_frame
+from planegaze.pipeline import (
+    CONVENTION_ABSOLUTE,
+    CONVENTION_OFFSET,
+    STATUS_AWAY,
+    STATUS_NO_INTERSECTION,
+    STATUS_OK,
+    GazePrediction,
+    correct_gaze_to_camera_frame,
+    gaze_point_on_surface,
+    ground_truth_direction,
+)
+from planegaze.plane import PlanePose
+from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
+from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, HeadPoint, head_point
+
+from conftest import random_unit_vectors
+
+K_LEFT = CameraIntrinsics(
+    fx=350.0, fy=350.0, cx=640.0, cy=360.0,
+    dist=(-0.20, 0.04, 4e-4, -3e-4, 0.002), image_size=(1280, 720),
+)
+K_RIGHT = CameraIntrinsics(
+    fx=355.0, fy=354.0, cx=636.0, cy=363.0,
+    dist=(-0.21, 0.045, -2e-4, 3.5e-4, 0.002), image_size=(1280, 720),
+)
+# right camera 6 cm along the left camera's +X, no toe-in
+RIG = StereoRig(K_LEFT, K_RIGHT, RigidTransform(np.eye(3), [-0.06, 0.0, 0.0]))
+IDENTITY_PLANE = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
+
+
+def observed(frame_id, X, *, left_eyes=True, right_eyes=True, bbox=True):
+    """Face observations of a head at X (left-camera frame) in both cameras."""
+    identity = RigidTransform.identity()
+    out = []
+    for camera, K, pose, eyes in (
+        ("left", K_LEFT, identity, left_eyes),
+        ("right", K_RIGHT, RIG.right_from_left, right_eyes),
+    ):
+        u, v = project_point(K, pose, X)
+        box = (u - 30.0, v - 40.0, u + 30.0, v + 40.0) if bbox else None
+        out.append(FaceObservation(frame_id, camera, bbox=box, eye_midpoint=(u, v) if eyes else None))
+    return out
+
+
+def raises_marked(failure):
+    return pytest.raises(getattr(errors, failure))
+
+
+def test_head_point_batch_marks_exactly_the_failed_rows():
+    rng = np.random.default_rng(11)
+    lefts, rights, expected = [], [], []
+    for k in range(12):
+        X = rng.uniform([-0.2, -0.15, 0.4], [0.2, 0.15, 1.0])
+        left, right = observed(f"f{k:02d}", X, left_eyes=k % 4 != 1)  # every 4th row falls back to bboxes
+        lefts.append(left)
+        rights.append(right)
+        expected.append("")
+    # a head 1e9 m away: both rays point the same way
+    far = observed("far", np.array([0.3, -0.2, 1.0]) * 1e9, bbox=False)
+    # left ray along the optical axis, right ray turned outward: they meet behind the rig
+    behind = [
+        FaceObservation("behind", "left", eye_midpoint=(K_LEFT.cx, K_LEFT.cy)),
+        FaceObservation("behind", "right", eye_midpoint=(K_RIGHT.cx + 150.0, K_RIGHT.cy)),
+    ]
+    # bbox only on the left, eyes only on the right: no source in both cameras
+    unshared = [
+        FaceObservation("unshared", "left", bbox=(600.0, 300.0, 660.0, 380.0)),
+        FaceObservation("unshared", "right", eye_midpoint=(630.0, 340.0)),
+    ]
+    for at, (left, right), failure in (
+        (3, far, "ParallelRaysError"),
+        (7, behind, "BehindCameraError"),
+        (10, unshared, "MissingObservationError"),
+    ):
+        lefts.insert(at, left)
+        rights.insert(at, right)
+        expected.insert(at, failure)
+
+    batch = head_point(lefts, rights, RIG, SOURCE_EYES)
+    assert list(batch.failure) == expected
+    assert batch.position.shape == (len(expected), 3)
+    for k, (left, right, failure) in enumerate(zip(lefts, rights, expected)):
+        if failure:
+            assert np.all(np.isnan(batch.position[k])) and np.isnan(batch.ray_gap[k])
+            with raises_marked(failure):
+                head_point(left, right, RIG, SOURCE_EYES)
+            continue
+        one = head_point(left, right, RIG, SOURCE_EYES)
+        np.testing.assert_allclose(batch.position[k], one.position, rtol=0, atol=1e-12)
+        assert batch.ray_gap[k] == pytest.approx(one.ray_gap, abs=1e-12)
+        assert batch.source[k] == one.source
+    assert {str(s) for s, f in zip(batch.source, expected) if not f} == {SOURCE_EYES, SOURCE_BBOX}
+
+
+def test_empty_head_batch():
+    batch = head_point([], [], RIG)
+    assert batch.position.shape == (0, 3) and batch.failure.shape == (0,)
+
+
+def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
+    rng = np.random.default_rng(12)
+    n = 40
+    heads = rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.0], size=(n, 3))
+    heads[5] = [0.1, 0.2, -0.4]  # below the surface: away_from_plane
+    dirs = random_unit_vectors(rng, n)
+    dirs[7] = [1.0, 0.0, 0.0]  # parallel to the surface: no_intersection
+    targets = np.column_stack([rng.uniform(-0.3, 0.3, (n, 2)), np.zeros(n)])
+    targets[9] = heads[9] * [1.0, 1.0, 0.0]
+    heads[9, 2] = 1e-12  # head on its target
+    batch_head = HeadPoint(heads, np.zeros(n), np.full(n, SOURCE_BBOX))
+    singles = [HeadPoint(h, 0.0, SOURCE_BBOX) for h in heads]
+
+    estimate = gaze_point_on_surface(batch_head, dirs, IDENTITY_PLANE)
+    assert set(estimate.status) == {STATUS_OK, STATUS_AWAY, STATUS_NO_INTERSECTION}
+    gt = ground_truth_direction(batch_head, IDENTITY_PLANE, targets)
+    assert np.all(np.isnan(gt[9])) and np.isfinite(np.delete(gt, 9, axis=0)).all()
+    with pytest.raises(DegenerateGeometryError):
+        ground_truth_direction(singles[9], IDENTITY_PLANE, targets[9])
+
+    for k, head in enumerate(singles):
+        one = gaze_point_on_surface(head, dirs[k], IDENTITY_PLANE)
+        assert estimate.status[k] == one.status
+        np.testing.assert_allclose(estimate.direction_cc[k], one.direction_cc, rtol=0, atol=1e-12)
+        if one.status == STATUS_OK:
+            np.testing.assert_allclose(estimate.point[k], one.point, rtol=0, atol=1e-12)
+            assert estimate.alpha[k] == pytest.approx(one.alpha, abs=1e-12)
+        else:
+            assert one.point is None and one.alpha is None
+            assert np.isnan(estimate.alpha[k]) and np.all(np.isnan(estimate.point[k]))
+        if k != 9:
+            np.testing.assert_allclose(
+                gt[k], ground_truth_direction(head, IDENTITY_PLANE, targets[k]), rtol=0, atol=1e-12
+            )
+
+    front = heads[:, 2] > 0
+    preds = [
+        GazePrediction(f"f{k}", "m", *rng.uniform(-0.6, 0.6, 2),
+                       CONVENTION_OFFSET if k % 2 else CONVENTION_ABSOLUTE)
+        for k in range(n)
+    ]
+    front_preds = [p for p, f in zip(preds, front) if f]
+    corrected = correct_gaze_to_camera_frame(front_preds, HeadPoint(heads[front], np.zeros(front.sum()), ""))
+    for row, pred, head in zip(corrected, front_preds, [h for h, f in zip(singles, front) if f]):
+        np.testing.assert_allclose(row, correct_gaze_to_camera_frame(pred, head), rtol=0, atol=1e-12)
+
+    good = np.flatnonzero(np.isfinite(gt[:, 0]))
+    sub = replace(
+        estimate, point=estimate.point[good], alpha=estimate.alpha[good],
+        direction_cc=estimate.direction_cc[good], status=estimate.status[good],
+    )
+    records = evaluate_frame(
+        dirs[good], gt[good], sub, targets[good], frame_id=[f"f{k}" for k in good], method_id="m",
+        tags=[("a",)] * len(good), target_id=list(good),
+    )
+    angles = angular_error_deg(dirs[good], gt[good])
+    assert angles.shape == (len(good),)
+    for rec, k, angle in zip(records, good, angles):
+        one = evaluate_frame(
+            dirs[k], gt[k], gaze_point_on_surface(singles[k], dirs[k], IDENTITY_PLANE), targets[k],
+            frame_id=f"f{k}", method_id="m", tags=("a",), target_id=k,
+        )
+        assert rec.frame_id == one.frame_id
+        assert rec.angular_error_deg == pytest.approx(one.angular_error_deg, abs=1e-12)
+        assert rec.angular_error_deg == pytest.approx(float(angle), abs=1e-12)
+        if math.isinf(one.surface_distance_m):
+            assert math.isinf(rec.surface_distance_m)
+        else:
+            assert rec.surface_distance_m == pytest.approx(one.surface_distance_m, abs=1e-12)
+        assert (rec.tags, rec.target_id) == (one.tags, one.target_id)
+
+
+def _reference(manifest, method, rig, plane, grid):
+    """The single-frame functions composed frame by frame."""
+    ref = manifest.predictions[method]
+    preds = {p.frame_id: p for p in read_predictions(ref.path)}
+    faces = {(f.frame_id, f.camera_id): f for f in read_faces(manifest.faces)}
+    records, skipped, pred_dirs, gt_dirs = [], [], [], []
+    for frame in manifest.frames:
+        fid = frame.frame_id
+        if fid not in preds:
+            skipped.append((fid, "missing_prediction"))
+            continue
+        left, right = faces.get((fid, "left")), faces.get((fid, "right"))
+        if left is None or right is None:
+            skipped.append((fid, "missing_face_observation"))
+            continue
+        try:
+            head = head_point(left, right, rig, ref.head_source)
+            direction = correct_gaze_to_camera_frame(preds[fid], head)
+            estimate = gaze_point_on_surface(head, direction, plane)
+            target = target_center(grid, frame.target_id)
+            gt = ground_truth_direction(head, plane, target)
+        except DegenerateDataError as exc:
+            skipped.append((fid, type(exc).__name__))
+            continue
+        records.append(evaluate_frame(
+            direction, gt, estimate, target,
+            frame_id=fid, method_id=method, tags=frame.tags, target_id=frame.target_id,
+        ))
+        pred_dirs.append(direction)
+        gt_dirs.append(gt)
+    return records, skipped, pred_dirs, gt_dirs
+
+
+def test_evaluate_method_matches_single_frame_composition(tmp_path):
+    ds = generate_scene(default_scene(frames=16, seed=404, calib_views=2))
+    ds = perturb(ds, NoiseSpec(face_px_sigma=1.5, gaze_angle_sigma_deg=25.0), seed=404)
+    faces = []
+    for f in ds.faces:
+        if (f.frame_id, f.camera_id) == ("f00003", "right"):
+            continue  # missing right face
+        if (f.frame_id, f.camera_id) == ("f00005", "left"):
+            f = replace(f, eye_midpoint=None)  # bbox only: the eye-preferring method falls back
+        faces.append(f)
+    predictions = dict(ds.predictions)
+    predictions["oracle-offset"] = tuple(p for p in predictions["oracle-offset"] if p.frame_id != "f00007")
+    truths = tuple(replace(t, target_id=999) if t.frame_id == "f00009" else t for t in ds.truths)
+    ds = replace(ds, faces=tuple(faces), predictions=predictions, truths=truths)
+    manifest = read_manifest(write_dataset(ds, tmp_path / "data"))
+
+    rig = read_stereo(manifest.stereo)
+    plane = read_plane_pose(manifest.plane_pose)
+    grid = read_grid_config(manifest.grid_config)
+    by_key = read_faces_by_key(manifest)
+    fallback = head_point(by_key[("f00005", "left")], by_key[("f00005", "right")], rig, SOURCE_EYES)
+    assert fallback.source == SOURCE_BBOX
+
+    for method in sorted(manifest.predictions):
+        report = evaluate_method(manifest, method, rig, plane, grid, by_key)
+        records, skipped, pred_dirs, gt_dirs = _reference(manifest, method, rig, plane, grid)
+        assert report.skipped == skipped
+        assert [fid for fid, _ in skipped] == sorted(fid for fid, _ in skipped)
+        assert ("f00003", "missing_face_observation") in skipped
+        assert ("f00009", "UnknownTargetError") in skipped
+        assert (("f00007", "missing_prediction") in skipped) == (method == "oracle-offset")
+        assert len(report.records) == len(records) > 0
+        for got, want in zip(report.records, records):
+            assert (got.frame_id, got.method_id, got.tags, got.target_id) == (
+                want.frame_id, want.method_id, want.tags, want.target_id
+            )
+            assert got.angular_error_deg == pytest.approx(want.angular_error_deg, rel=1e-9, abs=1e-9)
+            assert got.surface_distance_m == pytest.approx(want.surface_distance_m, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(report.pred_directions, np.array(pred_dirs), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(report.gt_directions, np.array(gt_dirs), rtol=0, atol=1e-9)

@@ -350,3 +350,51 @@ class TestProvenance:
             assert any(l.startswith("# tool: planegaze") for l in head), name
             assert any(l.startswith("# manifest_sha256:") for l in head), name
             assert any("faces.csv=" in l for l in head if l.startswith("# inputs_sha256:")), name
+
+
+class TestNonFiniteInputs:
+    """A nan or inf number in an input CSV is a parse error naming file and line."""
+
+    @staticmethod
+    def _poison(path: Path, prefix: str, column: int, value: str) -> int:
+        lines = path.read_text().splitlines()
+        k = next(k for k, l in enumerate(lines) if l.startswith(prefix))
+        cells = lines[k].split(",")
+        cells[column] = value
+        lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return k + 1
+
+    def test_nan_prediction_angle(self, dataset_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lineno = self._poison(data / "pred_oracle-offset.csv", "f00000,", 2, "nan")
+        rc = main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"pred_oracle-offset.csv:{lineno}:" in err and "'yaw'" in err
+
+    def test_nan_eye_coordinate(self, dataset_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lineno = self._poison(data / "faces.csv", "f00000,left,", 6, "nan")
+        assert lineno == 6
+        rc = main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "faces.csv:6:" in err and "'eye_u'" in err
+
+    def test_infinite_corner_pixel(self, dataset_dir, tmp_path):
+        from planegaze.errors import FormatError
+        from planegaze.formats import read_corners
+
+        path = tmp_path / "corners.csv"
+        path.write_text((dataset_dir / "corners.csv").read_text())
+        lineno = self._poison(path, "calib000,left,", 4, "inf")
+        with pytest.raises(FormatError) as info:
+            read_corners(path)
+        assert info.value.line == lineno
