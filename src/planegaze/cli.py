@@ -58,12 +58,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _nonnegative_float(text: str, name: str) -> float:
+def _finite_float(text: str, name: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-    if not math.isfinite(value) or value < 0:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{name} must be finite, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str, name: str) -> float:
+    value = _finite_float(text, name)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {text}")
     return value
 
@@ -82,7 +89,7 @@ def _add_globals(parser) -> None:
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for anything stochastic (default 0)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for synth (default 1); outputs never depend on it")
+                        help="accepted and ignored; kept so existing command lines still run")
     parser.add_argument("--config", type=Path, default=argparse.SUPPRESS,
                         help="JSON config with defaults (thresholds_cm)")
 
@@ -135,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=0.0, help="face point pixel noise sigma")
     p.add_argument("--gaze-noise", type=lambda s: _nonnegative_float(s, "gaze-noise"),
                    default=0.0, help="gaze angular noise sigma, degrees")
-    p.add_argument("--gaze-bias", type=float, nargs=2, default=(0.0, 0.0),
+    p.add_argument("--gaze-bias", type=lambda s: _finite_float(s, "gaze-bias"), nargs=2, default=(0.0, 0.0),
                    metavar=("YAW_DEG", "PITCH_DEG"), help="fixed yaw/pitch bias, degrees")
     p.set_defaults(func=cmd_synth)
 
@@ -340,7 +347,7 @@ def cmd_synth(args) -> int:
         gaze_bias_yaw_deg=args.gaze_bias[0],
         gaze_bias_pitch_deg=args.gaze_bias[1],
     )
-    ds = generate_scene(spec, threads=max(1, args.threads))
+    ds = generate_scene(spec)
     ds = perturb(ds, noise, seed=spec.seed)
     manifest = write_dataset(ds, args.out)
     print(f"wrote dataset with {len(ds.truths)} frames to {manifest}")

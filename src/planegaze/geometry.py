@@ -253,6 +253,14 @@ class RigidTransform:
         p = as_vec3(p)
         return p @ self.rotation.T + self.translation
 
+    def apply_points(self, P) -> np.ndarray:
+        """:meth:`apply_point` for every row of ``P`` (..., 3), each rounded as for one point.
+
+        ``apply_point`` on a batch is one matrix product, whose rounding can
+        differ from the same points transformed one at a time.
+        """
+        return vecmat(np.asarray(P, dtype=float), self.rotation.T) + self.translation
+
     def apply_direction(self, d) -> np.ndarray:
         return as_vec3(d) @ self.rotation.T
 

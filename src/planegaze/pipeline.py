@@ -113,7 +113,7 @@ def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> Su
     single = np.ndim(direction_cc) == 1
     d_cc = np.reshape(normalized(direction_cc), (-1, 3))
     T = plane.transform
-    origin = vecmat(np.reshape(head.position, (-1, 3)), T.rotation.T) + T.translation
+    origin = T.apply_points(np.reshape(head.position, (-1, 3)))
     # renormalized around the rotation exactly as planegaze 0.1.0's per-ray
     # path did, so surface points keep their bits
     d = unit(unit(vecmat(unit(d_cc), T.rotation.T)))
@@ -139,7 +139,7 @@ def ground_truth_direction(head: HeadPoint, plane: PlanePose, target) -> np.ndar
     """
     single = np.ndim(head.position) == 1
     T = plane.transform.inverse()
-    target_cc = vecmat(np.reshape(np.asarray(target, dtype=float), (-1, 3)), T.rotation.T) + T.translation
+    target_cc = T.apply_points(np.reshape(target, (-1, 3)))
     delta = target_cc - np.reshape(head.position, (-1, 3))
     length = norm(delta)[:, None]
     on_target = length < 1e-9

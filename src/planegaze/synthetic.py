@@ -9,14 +9,15 @@ precision; the perturbation operator then adds calibrated amounts of pixel
 and angular noise on top.
 
 All randomness flows from explicit seeds. Per-frame generators are derived
-from (seed, stream, index) so parallel and serial runs agree byte for byte.
+from (seed, stream, index), so frame i of a dataset does not depend on how
+many frames come after it. Frames are synthesized and perturbed as arrays
+over a frame axis; only the random draws stay per frame.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +29,10 @@ from .geometry import (
     FRAME_PLANE,
     RigidTransform,
     directions_to_yaw_pitch,
+    dot,
+    norm,
     rotation_from_axis_angle,
+    unit,
 )
 from .grid import GridConfig, corner_position, default_target_map, target_center
 from .metrics import evaluate_frame, summarize
@@ -69,6 +73,10 @@ class NoiseSpec:
     gaze_bias_pitch_deg: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("corner_px_sigma", "face_px_sigma", "gaze_angle_sigma_deg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -186,14 +194,11 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
-def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> bool:
+def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> np.ndarray:
+    """Per-point mask, shape (...): pixel at least ``margin`` inside the image."""
     w, h = K.image_size
-    return bool(
-        np.all(uv[..., 0] >= margin)
-        and np.all(uv[..., 0] <= w - margin)
-        and np.all(uv[..., 1] >= margin)
-        and np.all(uv[..., 1] <= h - margin)
-    )
+    u, v = uv[..., 0], uv[..., 1]
+    return (u >= margin) & (u <= w - margin) & (v >= margin) & (v <= h - margin)
 
 
 def _board_points(grid: GridConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -227,7 +232,7 @@ def _sample_board_view(spec: SceneSpec, view: int) -> list[CornerObservation]:
             uv_right = project_points(rig.right, rig.right_from_left.compose(pose_left), pts)
         except BehindCameraError:
             continue
-        if not (_in_image(uv_left, rig.left, 12.0) and _in_image(uv_right, rig.right, 12.0)):
+        if not (_in_image(uv_left, rig.left, 12.0).all() and _in_image(uv_right, rig.right, 12.0).all()):
             continue
         vid = f"calib{view:03d}"
         obs = [
@@ -242,78 +247,75 @@ def _sample_board_view(spec: SceneSpec, view: int) -> list[CornerObservation]:
     raise ResampleExceededError(f"could not place calibration view {view} after {MAX_RESAMPLE} tries")
 
 
-def _bbox_around(uv: np.ndarray, K: CameraIntrinsics, z: float) -> tuple[float, float, float, float]:
-    # nominal 16 cm head width / 20 cm height at depth z
+def _bbox_around(uv: np.ndarray, K: CameraIntrinsics, z: np.ndarray) -> np.ndarray:
+    """Nominal 16 cm wide, 20 cm high head boxes at depths ``z`` (N,), shape (N, 4)."""
     half_u = K.fx * 0.08 / z
     half_v = K.fy * 0.10 / z
-    return (float(uv[0] - half_u), float(uv[1] - half_v), float(uv[0] + half_u), float(uv[1] + half_v))
+    u, v = uv[:, 0], uv[:, 1]
+    return np.stack([u - half_u, v - half_v, u + half_u, v + half_v], axis=1)
 
 
-def _generate_frame(spec: SceneSpec, index: int):
-    rng = _rng(spec.seed, _STREAM_FRAME, index)
-    frame_id = f"f{index:05d}"
-    cam_from_plane = spec.plane.transform.inverse()
+def _sample_heads(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Head of every frame in the left-camera frame (N, 3), and its target's index.
+
+    Frame i draws (box, head, target) candidates from its own generator
+    (seed, _STREAM_FRAME, i) until the head is more than 5 cm in front of
+    both cameras and 60 px inside both images. Each round tests the
+    candidates of every frame still pending at once; a frame's generator is
+    dropped once the frame is accepted.
+    """
     rig = spec.rig
-    target_ids = sorted(spec.grid.target_map)
+    cam_from_plane = spec.plane.transform.inverse()
+    identity = RigidTransform.identity()
+    boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in spec.participants]
+    n_targets = len(spec.grid.target_map)
 
+    heads = np.empty((spec.frames, 3))
+    targets = np.empty(spec.frames, dtype=int)
+    pending = np.arange(spec.frames)
+    rngs = [_rng(spec.seed, _STREAM_FRAME, i) for i in range(spec.frames)]
     for _ in range(MAX_RESAMPLE):
-        box = spec.participants[rng.integers(len(spec.participants))]
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-        head_plane = rng.uniform(lo, hi)
-        target_id = int(target_ids[rng.integers(len(target_ids))])
-
-        head_cc = cam_from_plane.apply_point(head_plane)
-        head_right = rig.right_from_left.apply_point(head_cc)
-        if head_cc[2] <= 0.05 or head_right[2] <= 0.05:
-            continue
-        identity = RigidTransform.identity()
-        try:
-            uv_left = project_points(rig.left, identity, head_cc)
-            uv_right = project_points(rig.right, rig.right_from_left, head_cc)
-        except BehindCameraError:
-            continue
-        if not (_in_image(uv_left, rig.left, 60.0) and _in_image(uv_right, rig.right, 60.0)):
-            continue
-
-        target_cc = cam_from_plane.apply_point(target_center(spec.grid, target_id))
-        direction = target_cc - head_cc
-        direction /= np.linalg.norm(direction)
-
-        tags = ("glasses",) if target_id >= GLASSES_TAG_MIN_TARGET else ("no_glasses",)
-        truth = FrameTruth(frame_id, target_id, tags, head_cc, direction)
-        faces = [
-            FaceObservation(
-                frame_id, CAMERA_LEFT,
-                bbox=_bbox_around(uv_left, rig.left, head_cc[2]),
-                eye_midpoint=(float(uv_left[0]), float(uv_left[1])),
-            ),
-            FaceObservation(
-                frame_id, CAMERA_RIGHT,
-                bbox=_bbox_around(uv_right, rig.right, head_right[2]),
-                eye_midpoint=(float(uv_right[0]), float(uv_right[1])),
-            ),
-        ]
-        preds = {m.name: _encode_prediction(m, frame_id, head_cc, direction) for m in spec.methods}
-        return truth, faces, preds
-    raise ResampleExceededError(
-        f"could not sample a visible head for frame {index} after {MAX_RESAMPLE} tries"
-    )
+        if not rngs:
+            break
+        head_plane = np.empty((len(rngs), 3))
+        target = np.empty(len(rngs), dtype=int)
+        for k, rng in enumerate(rngs):
+            lo, hi = boxes[rng.integers(len(boxes))]
+            head_plane[k] = rng.uniform(lo, hi)
+            target[k] = rng.integers(n_targets)
+        head = cam_from_plane.apply_points(head_plane)
+        right = rig.right_from_left.apply_points(head)
+        ok = (head[:, 2] > 0.05) & (right[:, 2] > 0.05)
+        ok[ok] = _in_image(project_points(rig.left, identity, head[ok]), rig.left, 60.0) & _in_image(
+            project_points(rig.right, identity, right[ok]), rig.right, 60.0
+        )
+        heads[pending[ok]] = head[ok]
+        targets[pending[ok]] = target[ok]
+        pending = pending[~ok]
+        rngs = [rng for rng, done in zip(rngs, ok) if not done]
+    if rngs:
+        raise ResampleExceededError(
+            f"could not sample a visible head for frame {pending[0]} after {MAX_RESAMPLE} tries"
+        )
+    return heads, targets
 
 
-def _encode_prediction(
-    method: MethodSpec, frame_id: str, head_cc: np.ndarray, direction_cc: np.ndarray
-) -> GazePrediction:
-    """Inverse of the evaluation-side correction: what an ideal network would emit."""
-    yaw, pitch = directions_to_yaw_pitch(direction_cc)
+def _encode_predictions(method: MethodSpec, head_cc: np.ndarray, direction_cc: np.ndarray) -> np.ndarray:
+    """(yaw, pitch) an ideal network would emit, shape (N, 2).
+
+    The inverse of the evaluation-side correction for the method's convention.
+    """
+    yaw_pitch = directions_to_yaw_pitch(direction_cc)
     if method.convention == CONVENTION_OFFSET:
-        to_cam = -head_cc / np.linalg.norm(head_cc)
-        yaw_h, pitch_h = directions_to_yaw_pitch(to_cam)
-        yaw, pitch = yaw - yaw_h, pitch - pitch_h
-    return GazePrediction(frame_id, method.name, float(yaw), float(pitch), method.convention)
+        yaw_pitch = yaw_pitch - directions_to_yaw_pitch(-head_cc / norm(head_cc)[:, None])
+    return yaw_pitch
 
 
 def generate_scene(spec: SceneSpec, threads: int = 1) -> SyntheticDataset:
-    """Emit the full synthetic dataset for a scene, deterministic under seed."""
+    """Emit the full synthetic dataset for a scene, deterministic under seed.
+
+    ``threads`` is accepted and ignored: every frame runs in one batch.
+    """
     calib = []
     for v in range(spec.calib_views):
         calib.extend(_sample_board_view(spec, v))
@@ -321,23 +323,41 @@ def generate_scene(spec: SceneSpec, threads: int = 1) -> SyntheticDataset:
     idx, pts = _board_points(spec.grid)
     cam_from_plane = spec.plane.transform.inverse()
     uv = project_points(spec.rig.left, cam_from_plane, pts)
-    if not _in_image(uv, spec.rig.left, 1.0):
+    if not _in_image(uv, spec.rig.left, 1.0).all():
         raise ResampleExceededError("display grid does not project inside the left image")
     plane_corners = tuple((ij, (float(u), float(v))) for ij, (u, v) in zip(idx, uv))
 
-    if spec.frames and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _generate_frame(spec, i), range(spec.frames)))
-    else:
-        results = [_generate_frame(spec, i) for i in range(spec.frames)]
+    rig = spec.rig
+    target_ids = np.array(sorted(spec.grid.target_map))
+    target_cc = np.array([cam_from_plane.apply_point(target_center(spec.grid, t)) for t in target_ids])
+    head, target = _sample_heads(spec)
+    right = rig.right_from_left.apply_points(head)
+    identity = RigidTransform.identity()
+    uv_left = project_points(rig.left, identity, head)
+    uv_right = project_points(rig.right, identity, right)
+    direction = unit(target_cc.reshape(-1, 3)[target] - head)
+    target_id = target_ids[target].tolist()
 
-    truths, faces = [], []
-    predictions: dict[str, list[GazePrediction]] = {m.name: [] for m in spec.methods}
-    for truth, frame_faces, preds in results:
-        truths.append(truth)
-        faces.extend(frame_faces)
-        for name, p in preds.items():
-            predictions[name].append(p)
+    frame_ids = [f"f{i:05d}" for i in range(spec.frames)]
+    truths = [
+        FrameTruth(fid, tid, ("glasses",) if tid >= GLASSES_TAG_MIN_TARGET else ("no_glasses",), h, d)
+        for fid, tid, h, d in zip(frame_ids, target_id, head, direction)
+    ]
+    faces = []
+    for fid, box_l, eye_l, box_r, eye_r in zip(
+        frame_ids,
+        _bbox_around(uv_left, rig.left, head[:, 2]).tolist(), uv_left.tolist(),
+        _bbox_around(uv_right, rig.right, right[:, 2]).tolist(), uv_right.tolist(),
+    ):
+        faces.append(FaceObservation(fid, CAMERA_LEFT, tuple(box_l), tuple(eye_l)))
+        faces.append(FaceObservation(fid, CAMERA_RIGHT, tuple(box_r), tuple(eye_r)))
+    predictions = {
+        m.name: tuple(
+            GazePrediction(fid, m.name, yaw, pitch, m.convention)
+            for fid, (yaw, pitch) in zip(frame_ids, _encode_predictions(m, head, direction).tolist())
+        )
+        for m in spec.methods
+    }
 
     return SyntheticDataset(
         spec=spec,
@@ -348,22 +368,28 @@ def generate_scene(spec: SceneSpec, threads: int = 1) -> SyntheticDataset:
         plane_corners=plane_corners,
         faces=tuple(faces),
         truths=tuple(truths),
-        predictions={k: tuple(v) for k, v in predictions.items()},
+        predictions=predictions,
     )
 
 
 # --- perturbation ---------------------------------------------------------
 
-def _perpendicular_axis(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
-    raw = rng.normal(size=3)
-    w = raw - (raw @ d) * d
-    n = np.linalg.norm(w)
-    if n < 1e-9:
-        # essentially impossible; fall back to a deterministic perpendicular
-        ref = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        w = np.cross(d, ref)
-        n = np.linalg.norm(w)
-    return w / n
+def _perpendicular_axes(raw: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Unit axes perpendicular to unit directions ``d`` (N, 3), from random draws ``raw`` (N, 3).
+
+    Each axis is its draw's component orthogonal to d, normalized. A draw
+    (essentially) parallel to d falls back to the deterministic d x e_x,
+    or d x e_y when d lies close to e_x.
+    """
+    w = raw - dot(raw, d)[:, None] * d
+    n = norm(w)
+    fallback = n < 1e-9
+    if fallback.any():
+        dd = d[fallback]
+        ref = np.where(np.abs(dd[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        w[fallback] = np.cross(dd, ref)
+        n[fallback] = norm(w[fallback])
+    return w / n[:, None]
 
 
 def _rotate_about(d: np.ndarray, axis: np.ndarray, angle) -> np.ndarray:
@@ -389,52 +415,50 @@ def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDatas
     plane_corners = ds.plane_corners
     if noise.corner_px_sigma > 0:
         rng = _rng(seed, _STREAM_PERTURB_CORNERS)
-        corners = tuple(
-            replace(ob, pixel=tuple(np.asarray(ob.pixel) + rng.normal(0.0, noise.corner_px_sigma, 2)))
-            for ob in ds.calib_corners
-        )
-        plane_corners = tuple(
-            (ij, tuple(np.asarray(uv) + rng.normal(0.0, noise.corner_px_sigma, 2)))
-            for ij, uv in ds.plane_corners
-        )
+        px = np.array([ob.pixel for ob in corners] + [uv for _, uv in plane_corners], dtype=float)
+        px = (px + rng.normal(0.0, noise.corner_px_sigma, (len(px), 2))).tolist()
+        corners = tuple(replace(ob, pixel=tuple(uv)) for ob, uv in zip(corners, px))
+        plane_corners = tuple((ij, tuple(uv)) for (ij, _), uv in zip(plane_corners, px[len(corners):]))
 
     faces = ds.faces
     if noise.face_px_sigma > 0:
         rng = _rng(seed, _STREAM_PERTURB_FACES)
+        pairs = sum((ob.bbox is not None) + (ob.eye_midpoint is not None) for ob in faces)
+        shifts = iter(rng.normal(0.0, noise.face_px_sigma, (pairs, 2)).tolist())
         shifted = []
-        for ob in ds.faces:
-            bbox = ob.bbox
+        for ob in faces:
+            bbox, eye = ob.bbox, ob.eye_midpoint
             if bbox is not None:
-                du, dv = rng.normal(0.0, noise.face_px_sigma, 2)
+                du, dv = next(shifts)
                 bbox = (bbox[0] + du, bbox[1] + dv, bbox[2] + du, bbox[3] + dv)
-            eye = ob.eye_midpoint
             if eye is not None:
-                de = rng.normal(0.0, noise.face_px_sigma, 2)
-                eye = (eye[0] + de[0], eye[1] + de[1])
-            shifted.append(replace(ob, bbox=bbox, eye_midpoint=eye))
+                du, dv = next(shifts)
+                eye = (eye[0] + du, eye[1] + dv)
+            shifted.append(FaceObservation(ob.frame_id, ob.camera_id, bbox, eye))
         faces = tuple(shifted)
 
-    truth_by_frame = {t.frame_id: t for t in ds.truths}
+    truth_row = {t.frame_id: k for k, t in enumerate(ds.truths)}
+    heads = np.array([t.head_cc for t in ds.truths]).reshape(-1, 3)
+    dirs = np.array([t.direction_cc for t in ds.truths]).reshape(-1, 3)
     sigma_rad = math.radians(noise.gaze_angle_sigma_deg)
-    bias_yaw = math.radians(noise.gaze_bias_yaw_deg)
-    bias_pitch = math.radians(noise.gaze_bias_pitch_deg)
+    bias = (math.radians(noise.gaze_bias_yaw_deg), math.radians(noise.gaze_bias_pitch_deg))
     methods = {m.name: m for m in ds.spec.methods}
 
     predictions = {}
     for k, (name, preds) in enumerate(sorted(ds.predictions.items())):
-        out = []
-        rng = _rng(seed, _STREAM_PERTURB_PRED, k)
-        for p in preds:
-            if sigma_rad > 0:
-                truth = truth_by_frame[p.frame_id]
-                axis = _perpendicular_axis(rng, truth.direction_cc)
-                angle = abs(rng.normal(0.0, sigma_rad))
-                noisy_dir = _rotate_about(truth.direction_cc, axis, angle)
-                p = _encode_prediction(methods[name], p.frame_id, truth.head_cc, noisy_dir)
-            if bias_yaw or bias_pitch:
-                p = replace(p, yaw=p.yaw + bias_yaw, pitch=p.pitch + bias_pitch)
-            out.append(p)
-        predictions[name] = tuple(out)
+        yaw_pitch = np.array([(p.yaw, p.pitch) for p in preds]).reshape(-1, 2)
+        if sigma_rad > 0:
+            rows = [truth_row[p.frame_id] for p in preds]
+            draws = _rng(seed, _STREAM_PERTURB_PRED, k).normal(size=(len(preds), 4))
+            d = dirs[rows]
+            noisy = _rotate_about(d, _perpendicular_axes(draws[:, :3], d), np.abs(sigma_rad * draws[:, 3]))
+            yaw_pitch = _encode_predictions(methods[name], heads[rows], noisy)
+        if any(bias):
+            yaw_pitch = yaw_pitch + bias
+        predictions[name] = tuple(
+            GazePrediction(p.frame_id, p.method_id, yaw, pitch, p.convention)
+            for p, (yaw, pitch) in zip(preds, yaw_pitch.tolist())
+        )
 
     return replace(
         ds, calib_corners=corners, plane_corners=plane_corners, faces=faces, predictions=predictions
@@ -460,13 +484,11 @@ def amplification_study(
     distances, and hence the medians, are non-decreasing in sigma.
     """
     ds = generate_scene(spec)
-    axes, units = [], []
-    for i, t in enumerate(ds.truths):
-        rng = _rng(spec.seed, _STREAM_AMPLIFY, i)
-        axes.append(_perpendicular_axis(rng, t.direction_cc))
-        units.append(abs(rng.normal()))
-    axes, units = np.array(axes).reshape(-1, 3), np.array(units)
+    # per frame: three draws for the axis, then one for the unit angle
+    draws = np.array([_rng(spec.seed, _STREAM_AMPLIFY, i).normal(size=4) for i in range(len(ds.truths))])
+    draws = draws.reshape(-1, 4)
     dirs = np.array([t.direction_cc for t in ds.truths]).reshape(-1, 3)
+    axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
     heads = np.array([t.head_cc for t in ds.truths]).reshape(-1, 3)
     heads = HeadPoint(heads, np.zeros(len(heads)), SOURCE_EYES)
     targets = np.array([target_center(spec.grid, t.target_id) for t in ds.truths]).reshape(-1, 3)

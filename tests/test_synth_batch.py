@@ -1,0 +1,115 @@
+"""The batched synthesis path: byte-identical datasets, per-index RNG streams, edge rows."""
+
+import hashlib
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planegaze.cli import main
+from planegaze.errors import ResampleExceededError
+from planegaze.synthetic import (
+    NoiseSpec,
+    _perpendicular_axes,
+    default_scene,
+    generate_scene,
+    perturb,
+)
+
+# sha256 of every file `synth` writes for SYNTH_ARGV, taken from the per-frame
+# implementation this batch path replaced. A change here is a change of the
+# dataset format and must be called out as one.
+SYNTH_ARGV = [
+    "--frames", "120", "--calib-views", "4", "--seed", "7919",
+    "--corner-noise", "0.2", "--face-noise", "1.0", "--gaze-noise", "10", "--gaze-bias", "2.0", "-1.0",
+]
+SYNTH_DIGESTS = {
+    "calib/intrinsics_left.json": "b14daac95b78caa2cb8659b53a12ec51bf3df95c458a2521b65bcc093f311d3e",
+    "calib/intrinsics_right.json": "8ccd81fb5cbd5564f010466fa8b757fc9a479f3245f1aac0a779d6dcbfa2a582",
+    "calib/plane.json": "3c8b547b44e44f05b6d350a655a89158e88984b08359b0625ff08febaffe6db7",
+    "calib/stereo.json": "85f248b5ae43b6f83e3dc803d494fbe2f10411e7de2dd1438ac1cf7237ea1af2",
+    "corners.csv": "077cb73e0bbb1a0eb6004190bac6a0f40b111bce6a569189dd7651225acda163",
+    "faces.csv": "ddbfce5e37403c38d84d6e32cc7f1dfc07756e78722ddab1b601710e2caf36d5",
+    "grid.json": "de1df207aef7b80d4de9d9979e3f0e987f9f5a51aa62fa31a3292ea14aed7bc1",
+    "manifest.json": "63538a55cee9595237ad11b7553c0f0688f62e486295ba31291047b5e1392109",
+    "plane_corners.csv": "baddd0db8f43d1213be9d4f9af80ecb6678d9ce1dbf564d5e7196fab60784584",
+    "pred_oracle-absolute.csv": "71a0e616c110eb2dfca7eb84e65145e7fa2ee0cb739354a04bedddb0e598ff55",
+    "pred_oracle-offset.csv": "d232dd21d47ea7cf4ab14a114aeb7c13866ee8941476352cb896ac37930fd1cd",
+    "truth.csv": "395ac38ba2dfd4aa42db02012762ecddadc7e6a0882ef4e7d2e28009d7fb9a7d",
+}
+
+ALL_NOISE = NoiseSpec(
+    corner_px_sigma=0.3, face_px_sigma=1.5, gaze_angle_sigma_deg=8.0,
+    gaze_bias_yaw_deg=1.0, gaze_bias_pitch_deg=-0.5,
+)
+
+
+def test_synth_tree_digests(tmp_path):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), *SYNTH_ARGV]) == 0
+    digests = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+    assert digests == SYNTH_DIGESTS
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(0, 40), st.integers(0, 40)))
+def test_frames_are_a_prefix_of_longer_runs(seed, sizes):
+    n, m = sorted(sizes)
+    short, long = (
+        perturb(generate_scene(default_scene(frames=k, seed=seed, calib_views=0)), ALL_NOISE, seed=seed)
+        for k in (n, m)
+    )
+    assert len(short.truths) == n
+    for a, b in zip(short.truths, long.truths):
+        assert (a.frame_id, a.target_id, a.tags) == (b.frame_id, b.target_id, b.tags)
+        np.testing.assert_array_equal(a.head_cc, b.head_cc)
+        np.testing.assert_array_equal(a.direction_cc, b.direction_cc)
+    assert short.faces == long.faces[: 2 * n]
+    for name, preds in short.predictions.items():
+        assert preds == long.predictions[name][:n]
+
+
+def test_perpendicular_axis_fallback_row():
+    d = np.array([[0.0, 0.6, -0.8], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    raw = np.array([2.5 * d[0], -1.5 * d[1], [0.3, -1.2, 0.7]])
+    axes = _perpendicular_axes(raw, d)
+    np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.sum(axes * d, axis=1), 0.0, rtol=0, atol=1e-15)
+    # rows 0 and 1 take the deterministic fallbacks d x e_x and (d near e_x) d x e_y
+    np.testing.assert_allclose(axes[0], np.cross(d[0], [1.0, 0.0, 0.0]), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(axes[1], np.cross(d[1], [0.0, 1.0, 0.0]), rtol=0, atol=1e-15)
+
+
+def test_invisible_participant_box_names_frame_zero():
+    # heads 3 m behind the cameras never land in either image
+    spec = replace(default_scene(frames=3, seed=5, calib_views=0),
+                   participants=(((0.1, -3.1, 0.3), (0.2, -3.0, 0.4)),))
+    with pytest.raises(ResampleExceededError, match=r"for frame 0 after"):
+        generate_scene(spec)
+
+
+class TestNonFiniteNoise:
+    """Noise magnitudes must be finite numbers, in the library and on the command line."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["corner_px_sigma", "face_px_sigma", "gaze_angle_sigma_deg", "gaze_bias_yaw_deg", "gaze_bias_pitch_deg"],
+    )
+    def test_noise_spec_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("bias", [["inf", "0"], ["0", "nan"], ["-inf", "-inf"]])
+    def test_gaze_bias_flag_rejects(self, bias, tmp_path, capsys):
+        out = tmp_path / "data"
+        rc = main(["synth", "--out", str(out), "--frames", "2", "--calib-views", "0", "--gaze-bias", *bias])
+        assert rc == 1
+        assert "--gaze-bias" in capsys.readouterr().err
+        assert not out.exists()
