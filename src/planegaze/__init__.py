@@ -35,13 +35,12 @@ from .geometry import (
     YawPitch,
     angular_error_deg,
     dir_to_yaw_pitch,
-    intersect_ray_plane_z0,
     transform_ray,
     yaw_pitch_to_dir,
 )
 from .grid import GridConfig, default_target_map, grid_points, target_center
 from .metrics import (
-    EvalRecord,
+    FrameErrors,
     Histogram2D,
     MetricsSummary,
     error_cdf,

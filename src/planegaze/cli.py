@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 def _finite_float(text: str, name: str) -> float:
     try:
         value = float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{name} must be finite, got {text}")
@@ -278,21 +278,34 @@ def cmd_evaluate(args) -> int:
 
 
 def _thresholds(args):
+    """Precision thresholds in cm: --thresholds, else the config's thresholds_cm, else the defaults.
+
+    Every value must be a finite number >= 0; duplicates are dropped later.
+    """
     thresholds = list(DEFAULT_THRESHOLDS_CM)
     if args.config is not None:
         try:
             cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"bad config file: {exc}", file=str(args.config)) from None
+        if not isinstance(cfg, dict):
+            raise FormatError("config must be a JSON object", file=str(args.config))
         extra = cfg.get("thresholds_cm")
         if extra is not None:
-            thresholds = [float(t) for t in extra]
+            if not isinstance(extra, list):
+                raise FormatError(f"thresholds_cm must be a list of numbers, got {extra!r}",
+                                  file=str(args.config))
+            thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
     if getattr(args, "thresholds", None):
-        try:
-            thresholds = [float(t) for t in args.thresholds.split(",")]
-        except ValueError:
-            raise FormatError(f"bad --thresholds value {args.thresholds!r}") from None
+        thresholds = _threshold_values(args.thresholds.split(","), "--thresholds")
     return thresholds
+
+
+def _threshold_values(values, name: str, file: str | None = None) -> list[float]:
+    try:
+        return [_nonnegative_float(v, name) for v in values]
+    except argparse.ArgumentTypeError as exc:
+        raise FormatError(f"bad threshold: {exc}", file=file) from None
 
 
 def _scene_from_config(path: Path, args) -> SceneSpec:

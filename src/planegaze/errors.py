@@ -93,14 +93,6 @@ class FrameMismatchError(DegenerateDataError):
     """A ray or point is expressed in a different frame than required."""
 
 
-class NoIntersectionError(DegenerateDataError):
-    """Ray is parallel to the plane."""
-
-
-class GazeAwayFromPlaneError(DegenerateDataError):
-    """Ray intersects the plane only behind its origin."""
-
-
 class ResampleExceededError(DegenerateDataError):
     """Scene sampling failed to produce a valid configuration."""
 

@@ -32,7 +32,7 @@ from .formats import (
 from .grid import GridConfig, target_center
 from .metrics import (
     DEFAULT_THRESHOLDS_CM,
-    EvalRecord,
+    FrameErrors,
     error_cdf,
     evaluate_frame,
     summarize,
@@ -52,9 +52,9 @@ logger = logging.getLogger(__name__)
 @dataclass
 class MethodReport:
     method: str
-    records: list[EvalRecord]
+    errors: FrameErrors  # one row per evaluated frame, in frame-id order
     skipped: list[tuple[str, str]]  # (frame_id, reason) in manifest frame order
-    pred_directions: np.ndarray  # (len(records), 3), row k belongs to records[k]
+    pred_directions: np.ndarray  # (n evaluated frames, 3), rows in manifest frame order
     gt_directions: np.ndarray
 
 
@@ -157,15 +157,14 @@ def evaluate_method(
     head = HeadPoint(head.position[keep], head.ray_gap[keep], head.source[keep], head.failure[keep])
     pred_dirs = correct_gaze_to_camera_frame([preds_by_frame[f.frame_id] for f in rows], head)
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
-    records = evaluate_frame(
+    errors = evaluate_frame(
         pred_dirs, gt_dirs[keep], estimate, targets[keep],
-        frame_id=[f.frame_id for f in rows], method_id=method,
-        tags=[f.tags for f in rows], target_id=[f.target_id for f in rows],
+        frame_id=[f.frame_id for f in rows], tags=[f.tags for f in rows],
     )
     skipped = [(f.frame_id, reasons[f.frame_id]) for f in manifest.frames if f.frame_id in reasons]
     if skipped:
         logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(manifest.frames))
-    return MethodReport(method, records, skipped, pred_dirs, gt_dirs[keep])
+    return MethodReport(method, errors, skipped, pred_dirs, gt_dirs[keep])
 
 
 def evaluate_manifest(
@@ -193,7 +192,7 @@ def evaluate_manifest(
     if tag_filters is None:
         tags = sorted({t for f in manifest.frames for t in f.tags})
         tag_filters = [None] + tags
-    thresholds_cm = tuple(sorted(float(t) for t in thresholds_cm))
+    thresholds_cm = tuple(sorted({float(t) for t in thresholds_cm}))
 
     faces = read_faces_by_key(manifest)
     reports = {m: evaluate_method(manifest, m, rig, plane, grid, faces) for m in selected}
@@ -206,7 +205,7 @@ def evaluate_manifest(
         rep = reports[m]
         for tag in tag_filters:
             try:
-                s = summarize(rep.records, tag, thresholds_cm)
+                s = summarize(rep.errors, tag, thresholds_cm)
             except EmptySelectionError:
                 continue
             n_skipped = sum(1 for fid, _ in rep.skipped if tag is None or tag in frame_tags[fid])
@@ -223,9 +222,9 @@ def evaluate_manifest(
                 }
             )
             for kind in ("angular", "distance"):
-                for threshold, fraction in error_cdf(rep.records, kind, tag):
+                for threshold, fraction in error_cdf(rep.errors, kind, tag):
                     cdf_rows.append((m, tag or "", kind, threshold, fraction))
-        if rep.records:
+        if rep.errors.frame_id.size:
             hist_rows.extend(_hist_rows(m, yaw_pitch_histogram(rep.pred_directions)))
             hist_rows.extend(
                 _hist_rows(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions))

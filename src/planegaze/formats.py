@@ -425,8 +425,13 @@ def read_predictions(path: Path) -> list[GazePrediction]:
         )
     scale = 1.0 if unit == "radians" else np.pi / 180.0
     out = []
+    seen = set()
     for lineno, cells in rows:
         fid, method, yaw, pitch = cells
+        if (fid, method) in seen:
+            raise FormatError(f"second prediction for frame {fid!r} method {method!r}",
+                              file=str(p), line=lineno)
+        seen.add((fid, method))
         out.append(
             GazePrediction(
                 fid, method,
@@ -559,11 +564,10 @@ def read_manifest(path: Path) -> DatasetManifest:
     seen = set()
     for k, entry in enumerate(payload.get("frames") or []):
         try:
-            fe = FrameEntry(
-                frame_id=str(entry["frame_id"]),
-                target_id=int(entry["target_id"]),
-                tags=tuple(entry.get("tags") or ()),
-            )
+            fid, tags = str(entry["frame_id"]), entry.get("tags")
+            if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+                raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
+            fe = FrameEntry(frame_id=fid, target_id=int(entry["target_id"]), tags=tuple(tags or ()))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
         if fe.frame_id in seen:

@@ -22,12 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    FrameMismatchError,
-    GazeAwayFromPlaneError,
-    NoIntersectionError,
-)
+from .errors import DegenerateGeometryError, FrameMismatchError
 
 FRAME_CAMERA = "camera"
 FRAME_PLANE = "plane"
@@ -330,20 +325,3 @@ def transform_ray(T: RigidTransform, ray: GazeRay) -> GazeRay:
         T.dst_frame if T.dst_frame is not None else ray.frame,
     )
 
-
-def intersect_ray_plane_z0(ray: GazeRay) -> tuple[np.ndarray, float]:
-    """Intersect a plane-frame ray with the workspace plane Z = 0.
-
-    Returns (point, alpha) with point = origin + alpha * direction and
-    alpha > 0. Raises NoIntersectionError for rays parallel to the plane
-    and GazeAwayFromPlaneError when the crossing lies behind the origin.
-    """
-    if ray.frame != FRAME_PLANE:
-        raise FrameMismatchError(f"ray must be in the plane frame, got {ray.frame!r}")
-    dz = float(ray.direction[2])
-    if abs(dz) < 1e-12:
-        raise NoIntersectionError("ray is parallel to the workspace plane")
-    alpha = -float(ray.origin[2]) / dz
-    if alpha <= 0:
-        raise GazeAwayFromPlaneError("ray points away from the workspace plane")
-    return ray.origin + alpha * ray.direction, alpha

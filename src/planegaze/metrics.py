@@ -10,7 +10,7 @@ the median infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +24,37 @@ DEFAULT_YAW_EDGES_DEG = np.arange(-90.0, 90.0 + 2.0, 2.0)
 DEFAULT_PITCH_EDGES_DEG = np.arange(-120.0, 30.0 + 2.0, 2.0)
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Per-frame, per-method errors."""
+@dataclass(frozen=True, eq=False)
+class FrameErrors:
+    """Per-frame errors of one method, as columns with one row per frame.
 
-    frame_id: str
-    method_id: str
-    angular_error_deg: float
-    surface_distance_m: float
-    tags: frozenset[str] = field(default_factory=frozenset)
-    target_id: int | None = None
+    ``frame_id`` (N,), ``angular_deg`` (N,), ``distance_m`` (N,), +inf
+    where the gaze ray missed the surface, and one tag tuple per row
+    (``tags`` may be empty for rows without tags). Rows are stored in
+    frame-id order whatever order they come in, so every aggregate has the
+    same bits for any frame order.
+    """
+
+    frame_id: np.ndarray
+    angular_deg: np.ndarray
+    distance_m: np.ndarray
+    tags: tuple = ()
 
     def __post_init__(self):
-        if not (0.0 <= self.angular_error_deg <= 180.0):
-            raise ValueError(f"angular error {self.angular_error_deg} outside [0, 180]")
-        if not (self.surface_distance_m >= 0.0 or math.isinf(self.surface_distance_m)):
-            raise ValueError(f"surface distance {self.surface_distance_m} invalid")
-        object.__setattr__(self, "tags", frozenset(self.tags))
+        frame_id = np.asarray(self.frame_id, dtype=str).reshape(-1)
+        angles = np.asarray(self.angular_deg, dtype=float).reshape(-1)
+        distances = np.asarray(self.distance_m, dtype=float).reshape(-1)
+        tags = list(self.tags) or [()] * len(frame_id)
+        if not len(frame_id) == len(angles) == len(distances) == len(tags):
+            raise ValueError("frame_id, angular_deg, distance_m and tags differ in length")
+        # NaN fails both tests; a distance may be +inf but never -inf
+        if not (np.all((angles >= 0.0) & (angles <= 180.0)) and np.all(distances >= 0.0)):
+            raise ValueError("angular errors must lie in [0, 180] and surface distances be >= 0 or +inf")
+        order = np.argsort(frame_id, kind="stable")
+        object.__setattr__(self, "frame_id", frame_id[order])
+        object.__setattr__(self, "angular_deg", angles[order])
+        object.__setattr__(self, "distance_m", distances[order])
+        object.__setattr__(self, "tags", tuple(tuple(tags[k]) for k in order))
 
 
 @dataclass(frozen=True)
@@ -59,66 +73,48 @@ class Histogram2D:
     counts: np.ndarray
 
 
-def evaluate_frame(
-    pred_direction,
-    gt_direction,
-    estimate: SurfaceGazeEstimate,
-    target,
-    *,
-    frame_id,
-    method_id: str,
-    tags=(),
-    target_id=None,
-):
+def evaluate_frame(pred_direction, gt_direction, estimate: SurfaceGazeEstimate, target, *,
+                   frame_id, tags=()) -> FrameErrors:
     """Errors per frame: angle between directions, distance on the surface.
 
-    One frame gives an EvalRecord. A batch (directions and targets (N, 3),
-    an N-row estimate, and a list of N frame ids, with ``tags`` and
-    ``target_id`` per row when given) gives a list of N records. The
-    surface distance is infinite whenever the intersection status is not
-    ok; the angular error is always finite.
+    One frame (a str ``frame_id``, one tag tuple) gives a one-row
+    FrameErrors. A batch (directions and targets (N, 3), an N-row estimate,
+    N frame ids and, when given, N tag tuples) gives N rows. The surface
+    distance is infinite whenever the intersection status is not ok; the
+    angular error is always finite.
     """
-    single = isinstance(frame_id, str)
-    if single:
+    if isinstance(frame_id, str):
         point = estimate.point if estimate.status == STATUS_OK else np.full(3, np.nan)
         estimate = SurfaceGazeEstimate(np.reshape(point, (1, 3)), None, None, np.array([estimate.status]))
-        frame_id, tags, target_id = [frame_id], [tags], [target_id]
-    n = len(frame_id)
+        frame_id, tags = [frame_id], [tags]
     angles = angular_error_deg(np.reshape(pred_direction, (-1, 3)), np.reshape(gt_direction, (-1, 3)))
     offset = np.asarray(estimate.point, dtype=float)[:, :2] - np.reshape(as_vec3(target), (-1, 3))[:, :2]
     distances = np.where(estimate.status == STATUS_OK, norm(offset), math.inf)
-    records = [
-        EvalRecord(fid, method_id, float(a), float(d), frozenset(tg), tid)
-        for fid, a, d, tg, tid in zip(
-            frame_id, angles, distances, tags or [()] * n, [None] * n if target_id is None else target_id
-        )
-    ]
-    return records[0] if single else records
+    return FrameErrors(frame_id, angles, distances, tags)
 
 
-def _select(records, tag_filter: str | None):
-    if tag_filter is None:
-        out = list(records)
-    else:
-        out = [r for r in records if tag_filter in r.tags]
-    if not out:
+def _select(errors: FrameErrors, tag_filter: str | None):
+    """The rows a tag filter keeps, as an index into the columns."""
+    keep = slice(None) if tag_filter is None else np.array([tag_filter in t for t in errors.tags], bool)
+    if not errors.frame_id[keep].size:
         raise EmptySelectionError(
             "no records" if tag_filter is None else f"no records with tag {tag_filter!r}"
         )
-    return sorted(out, key=lambda r: (r.frame_id, r.method_id))
+    return keep
 
 
-def summarize(records, tag_filter: str | None = None, thresholds_cm=DEFAULT_THRESHOLDS_CM) -> MetricsSummary:
-    """Aggregate records into the headline numbers.
+def summarize(errors: FrameErrors, tag_filter: str | None = None,
+              thresholds_cm=DEFAULT_THRESHOLDS_CM) -> MetricsSummary:
+    """Aggregate per-frame errors into the headline numbers.
 
     Mean over angular errors; median over distances with infinities
     participating as larger than any finite value; Precision@X = share of
     frames with distance <= X cm (boundary inclusive).
     """
-    sel = _select(records, tag_filter)
-    angles = np.array([r.angular_error_deg for r in sel])
-    dist_cm = np.array([r.surface_distance_m * 100.0 for r in sel])
-    n = len(sel)
+    keep = _select(errors, tag_filter)
+    angles = errors.angular_deg[keep]
+    dist_cm = errors.distance_m[keep] * 100.0
+    n = len(angles)
     precision = {
         float(x): float(100.0 * np.count_nonzero(dist_cm <= x) / n)
         for x in sorted(set(float(t) for t in thresholds_cm))
@@ -132,18 +128,18 @@ def summarize(records, tag_filter: str | None = None, thresholds_cm=DEFAULT_THRE
     )
 
 
-def error_cdf(records, which: str, tag_filter: str | None = None) -> list[tuple[float, float]]:
+def error_cdf(errors: FrameErrors, which: str, tag_filter: str | None = None) -> list[tuple[float, float]]:
     """Empirical CDF points (threshold, fraction), sorted and monotone.
 
     ``which`` is "angular" (degrees) or "distance" (centimeters). Infinite
     distances count in the denominator but never appear as thresholds, so
     the curve plateaus below 1 when failures exist.
     """
-    sel = _select(records, tag_filter)
+    keep = _select(errors, tag_filter)
     if which == "angular":
-        values = np.array([r.angular_error_deg for r in sel])
+        values = errors.angular_deg[keep]
     elif which == "distance":
-        values = np.array([r.surface_distance_m * 100.0 for r in sel])
+        values = errors.distance_m[keep] * 100.0
     else:
         raise ValueError(f"which must be 'angular' or 'distance', got {which!r}")
     n = len(values)

@@ -498,8 +498,6 @@ def amplification_study(
     for sigma in sigma_list:
         d = _rotate_about(dirs, axes, math.radians(float(sigma)) * units)
         estimate = gaze_point_on_surface(heads, d, spec.plane)
-        records = evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids,
-                                 method_id=f"sigma={float(sigma)}")
-        s = summarize(records, None, thresholds_cm)
+        s = summarize(evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids), None, thresholds_cm)
         rows.append(AmplificationRow(float(sigma), s.median_distance_cm, s.precision_at))
     return rows

@@ -180,24 +180,25 @@ def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
         direction_cc=estimate.direction_cc[good], status=estimate.status[good],
     )
     records = evaluate_frame(
-        dirs[good], gt[good], sub, targets[good], frame_id=[f"f{k}" for k in good], method_id="m",
-        tags=[("a",)] * len(good), target_id=list(good),
+        dirs[good], gt[good], sub, targets[good], frame_id=[f"f{k}" for k in good],
+        tags=[("a",)] * len(good),
     )
     angles = angular_error_deg(dirs[good], gt[good])
     assert angles.shape == (len(good),)
-    for rec, k, angle in zip(records, good, angles):
+    row_of = {fid: row for row, fid in enumerate(records.frame_id)}
+    for k, angle in zip(good, angles):
         one = evaluate_frame(
             dirs[k], gt[k], gaze_point_on_surface(singles[k], dirs[k], IDENTITY_PLANE), targets[k],
-            frame_id=f"f{k}", method_id="m", tags=("a",), target_id=k,
+            frame_id=f"f{k}", tags=("a",),
         )
-        assert rec.frame_id == one.frame_id
-        assert rec.angular_error_deg == pytest.approx(one.angular_error_deg, abs=1e-12)
-        assert rec.angular_error_deg == pytest.approx(float(angle), abs=1e-12)
-        if math.isinf(one.surface_distance_m):
-            assert math.isinf(rec.surface_distance_m)
+        row = row_of[one.frame_id[0]]
+        assert records.angular_deg[row] == pytest.approx(one.angular_deg[0], abs=1e-12)
+        assert records.angular_deg[row] == pytest.approx(float(angle), abs=1e-12)
+        if math.isinf(one.distance_m[0]):
+            assert math.isinf(records.distance_m[row])
         else:
-            assert rec.surface_distance_m == pytest.approx(one.surface_distance_m, abs=1e-12)
-        assert (rec.tags, rec.target_id) == (one.tags, one.target_id)
+            assert records.distance_m[row] == pytest.approx(one.distance_m[0], abs=1e-12)
+        assert records.tags[row] == one.tags[0]
 
 
 def _reference(manifest, method, rig, plane, grid):
@@ -224,10 +225,7 @@ def _reference(manifest, method, rig, plane, grid):
         except DegenerateDataError as exc:
             skipped.append((fid, type(exc).__name__))
             continue
-        records.append(evaluate_frame(
-            direction, gt, estimate, target,
-            frame_id=fid, method_id=method, tags=frame.tags, target_id=frame.target_id,
-        ))
+        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=fid, tags=frame.tags))
         pred_dirs.append(direction)
         gt_dirs.append(gt)
     return records, skipped, pred_dirs, gt_dirs
@@ -264,12 +262,11 @@ def test_evaluate_method_matches_single_frame_composition(tmp_path):
         assert ("f00003", "missing_face_observation") in skipped
         assert ("f00009", "UnknownTargetError") in skipped
         assert (("f00007", "missing_prediction") in skipped) == (method == "oracle-offset")
-        assert len(report.records) == len(records) > 0
-        for got, want in zip(report.records, records):
-            assert (got.frame_id, got.method_id, got.tags, got.target_id) == (
-                want.frame_id, want.method_id, want.tags, want.target_id
-            )
-            assert got.angular_error_deg == pytest.approx(want.angular_error_deg, rel=1e-9, abs=1e-9)
-            assert got.surface_distance_m == pytest.approx(want.surface_distance_m, rel=1e-9, abs=1e-9)
+        got = report.errors
+        assert len(got.frame_id) == len(records) > 0
+        for k, want in enumerate(records):
+            assert (got.frame_id[k], got.tags[k]) == (want.frame_id[0], want.tags[0])
+            assert got.angular_deg[k] == pytest.approx(want.angular_deg[0], rel=1e-9, abs=1e-9)
+            assert got.distance_m[k] == pytest.approx(want.distance_m[0], rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(report.pred_directions, np.array(pred_dirs), rtol=0, atol=1e-9)
         np.testing.assert_allclose(report.gt_directions, np.array(gt_dirs), rtol=0, atol=1e-9)

@@ -398,3 +398,65 @@ class TestNonFiniteInputs:
         with pytest.raises(FormatError) as info:
             read_corners(path)
         assert info.value.line == lineno
+
+
+class TestThresholdChecks:
+    """Precision thresholds: one column per distinct value, finite and >= 0, bad config named."""
+
+    def _evaluate(self, dataset_dir, tmp_path, *args):
+        return main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r"), *args])
+
+    def test_duplicate_thresholds_give_one_column(self, dataset_dir, tmp_path):
+        assert self._evaluate(dataset_dir, tmp_path, "--thresholds", "10,20,10") == 0
+        header = read_csv_rows(tmp_path / "r" / "summary.csv")[0]
+        assert [h for h in header if h.startswith("p_at_")] == ["p_at_10cm", "p_at_20cm"]
+        assert json.loads((tmp_path / "r" / "report.json").read_text())["thresholds_cm"] == [10.0, 20.0]
+
+    @pytest.mark.parametrize("value", ["nan,10", "10,inf", "-5", "10,,20", "ten"])
+    def test_bad_flag_value_rejected(self, dataset_dir, tmp_path, capsys, value):
+        assert self._evaluate(dataset_dir, tmp_path, "--thresholds", value) == 1
+        assert "--thresholds" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("payload", [{"thresholds_cm": 5}, {"thresholds_cm": ["abc"]},
+                                         {"thresholds_cm": [10, None]}, {"thresholds_cm": [-1]}, [10]])
+    def test_bad_config_names_the_file(self, dataset_dir, tmp_path, capsys, payload):
+        cfg = tmp_path / "thresholds.json"
+        cfg.write_text(json.dumps(payload))
+        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
+        assert f"{cfg}: " in capsys.readouterr().err
+
+
+class TestMalformedDatasetRows:
+    """Repeated prediction rows and non-list manifest tags are parse errors."""
+
+    def test_repeated_prediction_row(self, dataset_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        pred = data / "pred_oracle-absolute.csv"
+        lines = pred.read_text().splitlines()
+        first = next(k for k, l in enumerate(lines) if l.startswith("f00000,"))
+        lines.append(lines[first])
+        pred.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"pred_oracle-absolute.csv:{len(lines)}:" in err and "'f00000'" in err
+
+    @pytest.mark.parametrize("tags", ["glasses", [1], ["glasses", None], {"glasses": True}])
+    def test_tags_must_be_a_list_of_strings(self, dataset_dir, tmp_path, capsys, tags):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["frames"][3]["tags"] = tags
+        manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        rc = main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: bad frame entry #3" in err and "'f00003'" in err and "list of strings" in err

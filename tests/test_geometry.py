@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from planegaze.errors import (
-    FrameMismatchError,
-    GazeAwayFromPlaneError,
-    NoIntersectionError,
-)
+from planegaze.errors import FrameMismatchError
 from planegaze.geometry import (
     FRAME_CAMERA,
     FRAME_PLANE,
@@ -17,11 +13,18 @@ from planegaze.geometry import (
     axis_angle_from_rotation,
     dir_to_yaw_pitch,
     directions_to_yaw_pitch,
-    intersect_ray_plane_z0,
     rotation_from_axis_angle,
     transform_ray,
     yaw_pitch_to_dir,
 )
+from planegaze.pipeline import (
+    STATUS_AWAY,
+    STATUS_NO_INTERSECTION,
+    STATUS_OK,
+    gaze_point_on_surface,
+)
+from planegaze.plane import PlanePose
+from planegaze.triangulation import HeadPoint
 
 from conftest import random_rotation, random_unit_vectors
 
@@ -164,42 +167,28 @@ class TestTransformRay:
             np.testing.assert_allclose(once.direction, combined.direction, atol=1e-12)
 
 
-class TestRayPlaneIntersection:
-    def test_straight_down(self):
-        ray = GazeRay([0, 0, 1.0], [0, 0, -1.0], FRAME_PLANE)
-        point, alpha = intersect_ray_plane_z0(ray)
-        np.testing.assert_allclose(point, [0, 0, 0], atol=1e-15)
-        assert alpha == pytest.approx(1.0)
 
-    def test_closed_form_example(self):
-        ray = GazeRay([0.1, 0.2, 0.5], [0, 0.6, -0.8], FRAME_PLANE)
-        point, alpha = intersect_ray_plane_z0(ray)
-        assert alpha == pytest.approx(0.625, abs=1e-15)
-        np.testing.assert_allclose(point, [0.1, 0.575, 0.0], atol=1e-15)
+class TestRayPlaneIntersection:
+    """Ray/plane cases on the one remaining intersection, with the plane at z = 0."""
+
+    plane = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
+
+    def intersect(self, origin, direction):
+        head = HeadPoint(np.array(origin, dtype=float), 0.0, "bbox_center")
+        return gaze_point_on_surface(head, np.array(direction, dtype=float), self.plane)
+
+    def test_straight_down(self):
+        est = self.intersect([0, 0, 1.0], [0, 0, -1.0])
+        assert est.status == STATUS_OK
+        np.testing.assert_allclose(est.point, [0, 0, 0], atol=1e-15)
+        assert est.alpha == pytest.approx(1.0)
 
     def test_parallel_ray(self):
-        with pytest.raises(NoIntersectionError):
-            intersect_ray_plane_z0(GazeRay([0, 0, 1.0], [0, 1.0, 0], FRAME_PLANE))
+        est = self.intersect([0, 0, 1.0], [0, 1.0, 0])
+        assert est.status == STATUS_NO_INTERSECTION
+        assert est.point is None
 
     def test_away_from_plane(self):
-        with pytest.raises(GazeAwayFromPlaneError):
-            intersect_ray_plane_z0(GazeRay([0, 0, 1.0], [0, 0, 1.0], FRAME_PLANE))
-
-    def test_camera_frame_ray_rejected(self):
-        with pytest.raises(FrameMismatchError):
-            intersect_ray_plane_z0(GazeRay([0, 0, 1.0], [0, 0, -1.0], FRAME_CAMERA))
-
-    def test_point_on_ray_componentwise(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            origin = rng.uniform([-1, -1, 0.05], [1, 1, 2])
-            d = random_unit_vectors(rng, 1)[0]
-            if d[2] > -0.05:
-                d = d * np.array([1, 1, -1.0])
-                if abs(d[2]) < 0.05:
-                    continue
-                d /= np.linalg.norm(d)
-            ray = GazeRay(origin, d, FRAME_PLANE)
-            point, alpha = intersect_ray_plane_z0(ray)
-            np.testing.assert_allclose(point, origin + alpha * d, atol=1e-12)
-            assert abs(point[2]) < 1e-12
+        est = self.intersect([0, 0, 1.0], [0, 0, 1.0])
+        assert est.status == STATUS_AWAY
+        assert est.point is None

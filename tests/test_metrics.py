@@ -6,7 +6,7 @@ import pytest
 from planegaze.errors import EmptySelectionError
 from planegaze.geometry import yaw_pitch_to_dir
 from planegaze.metrics import (
-    EvalRecord,
+    FrameErrors,
     cdf_fraction_at,
     continued_yaw_pitch_deg,
     error_cdf,
@@ -19,35 +19,39 @@ from planegaze.pipeline import STATUS_NO_INTERSECTION, STATUS_OK, SurfaceGazeEst
 INF = math.inf
 
 
-def record(distance_m, angle=5.0, frame="f0", tags=(), method="m"):
-    return EvalRecord(frame, method, angle, distance_m, frozenset(tags))
+def record(distance_m, angle=5.0, frame="f0", tags=()):
+    return FrameErrors([frame], [angle], [distance_m], [tags])
 
 
-def records_cm(distances_cm, **kwargs):
-    return [
-        record(d / 100.0, frame=f"f{k:04d}", **kwargs) if math.isfinite(d) else record(INF, frame=f"f{k:04d}", **kwargs)
-        for k, d in enumerate(distances_cm)
-    ]
+def records_cm(distances_cm, tags=()):
+    """One row per distance; ``tags`` is one tag tuple for every row or a list of one per row."""
+    n = len(distances_cm)
+    return FrameErrors(
+        [f"f{k:04d}" for k in range(n)],
+        [5.0] * n,
+        [d / 100.0 if math.isfinite(d) else INF for d in distances_cm],
+        tags if isinstance(tags, list) else [tags] * n,
+    )
 
 
 class TestEvaluateFrame:
     def test_perfect_frame(self):
         est = SurfaceGazeEstimate(np.array([0.1, 0.25, 0.0]), 0.5, np.array([0, 0, -1.0]), STATUS_OK)
-        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.1, 0.25, 0.0], frame_id="f0", method_id="m")
-        assert rec.angular_error_deg == 0.0
-        assert rec.surface_distance_m == 0.0
+        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.1, 0.25, 0.0], frame_id="f0")
+        assert rec.angular_deg[0] == 0.0
+        assert rec.distance_m[0] == 0.0
 
     def test_plane_distance(self):
         est = SurfaceGazeEstimate(np.array([0.10, 0.15, 0.0]), 0.5, np.array([0, 0, -1.0]), STATUS_OK)
-        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.10, 0.25, 0.0], frame_id="f0", method_id="m")
-        assert rec.surface_distance_m == pytest.approx(0.10)
+        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.10, 0.25, 0.0], frame_id="f0")
+        assert rec.distance_m[0] == pytest.approx(0.10)
 
     def test_missed_plane_is_infinite_but_angle_finite(self):
         est = SurfaceGazeEstimate(None, None, np.array([1.0, 0, 0]), STATUS_NO_INTERSECTION)
         d = yaw_pitch_to_dir(0.0, math.radians(-10))
-        rec = evaluate_frame(d, [0, 0, -1.0], est, [0, 0, 0], frame_id="f0", method_id="m")
-        assert math.isinf(rec.surface_distance_m)
-        assert rec.angular_error_deg == pytest.approx(10.0, abs=1e-9)
+        rec = evaluate_frame(d, [0, 0, -1.0], est, [0, 0, 0], frame_id="f0")
+        assert math.isinf(rec.distance_m[0])
+        assert rec.angular_deg[0] == pytest.approx(10.0, abs=1e-9)
 
 
 class TestSummarize:
@@ -75,12 +79,12 @@ class TestSummarize:
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelectionError):
-            summarize([])
+            summarize(records_cm([]))
         with pytest.raises(EmptySelectionError):
             summarize(records_cm([5.0]), tag_filter="nope")
 
     def test_tag_filter(self):
-        recs = records_cm([5, 15], tags=("glasses",)) + records_cm([25, 60], tags=("no_glasses",))
+        recs = records_cm([5, 15, 25, 60], tags=[("glasses",)] * 2 + [("no_glasses",)] * 2)
         s = summarize(recs, "glasses")
         assert s.n_frames == 2
         assert s.median_distance_cm == pytest.approx(10.0)
@@ -89,8 +93,10 @@ class TestSummarize:
         rng = np.random.default_rng(1)
         recs = records_cm(list(rng.uniform(0, 80, 41)))
         a = summarize(recs)
-        shuffled = list(recs)
-        rng.shuffle(shuffled)
+        order = rng.permutation(41)
+        shuffled = FrameErrors(recs.frame_id[order], recs.angular_deg[order], recs.distance_m[order],
+                               [recs.tags[k] for k in order])
+        assert list(shuffled.distance_m) == list(recs.distance_m)  # rows come back in frame-id order
         b = summarize(shuffled)
         assert a == b
 
@@ -102,12 +108,11 @@ class TestSummarize:
 
     def test_tag_partition_weighted_mean(self):
         rng = np.random.default_rng(2)
-        recs = []
+        rows = []
         for k in range(120):
             tag = ("a",) if k % 3 else ("b",)
-            recs.append(
-                EvalRecord(f"f{k:03d}", "m", float(rng.uniform(0, 40)), float(rng.uniform(0, 1)), frozenset(tag))
-            )
+            rows.append((f"f{k:03d}", float(rng.uniform(0, 40)), float(rng.uniform(0, 1)), tag))
+        recs = FrameErrors(*zip(*rows))
         total = summarize(recs)
         sa, sb = summarize(recs, "a"), summarize(recs, "b")
         combined = (sa.mean_angular_deg * sa.n_frames + sb.mean_angular_deg * sb.n_frames) / total.n_frames
@@ -127,7 +132,7 @@ class TestErrorCdf:
         assert cdf == [(100.0, 1 / 3), (200.0, 2 / 3), (300.0, 1.0)]
 
     def test_single_record(self):
-        cdf = error_cdf([record(0.0, angle=4.5)], "angular")
+        cdf = error_cdf(record(0.0, angle=4.5), "angular")
         assert cdf == [(4.5, 1.0)]
 
     def test_failures_cap_the_curve(self):
@@ -191,3 +196,25 @@ class TestYawPitchHistogram:
     def test_empty_input(self):
         with pytest.raises(EmptySelectionError):
             yaw_pitch_histogram(np.zeros((0, 3)))
+
+
+class TestFrameErrors:
+    def test_rows_sorted_by_frame_id(self):
+        e = FrameErrors(["f2", "f10", "f1"], [1.0, 2.0, 3.0], [0.1, INF, 0.3], [("a",), (), ("b",)])
+        assert list(e.frame_id) == ["f1", "f10", "f2"]
+        assert list(e.angular_deg) == [3.0, 2.0, 1.0]
+        assert list(e.distance_m) == [0.3, INF, 0.1]
+        assert e.tags == (("b",), (), ("a",))
+
+    @pytest.mark.parametrize("angle, distance", [
+        (math.nan, 0.1), (-1.0, 0.1), (180.5, 0.1), (5.0, math.nan), (5.0, -0.01), (5.0, -INF),
+    ])
+    def test_out_of_range_rejected(self, angle, distance):
+        with pytest.raises(ValueError):
+            FrameErrors(["f0", "f1"], [5.0, angle], [0.2, distance])
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(ValueError):
+            FrameErrors(["f0", "f1"], [5.0], [0.2, 0.3])
+        with pytest.raises(ValueError):
+            FrameErrors(["f0", "f1"], [5.0, 6.0], [0.2, 0.3], [("a",)])

@@ -88,6 +88,25 @@ class TestGazePointOnSurface:
         est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([0, 0, 1.0]), IDENTITY_PLANE)
         assert est.status == STATUS_AWAY
 
+    def test_closed_form_example(self):
+        est = gaze_point_on_surface(head_at(0.1, 0.2, 0.5), np.array([0, 0.6, -0.8]), IDENTITY_PLANE)
+        assert est.alpha == pytest.approx(0.625, abs=1e-15)
+        np.testing.assert_allclose(est.point, [0.1, 0.575, 0.0], atol=1e-15)
+
+    def test_point_on_ray_componentwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            origin = rng.uniform([-1, -1, 0.05], [1, 1, 2])
+            d = random_unit_vectors(rng, 1)[0]
+            if d[2] > -0.05:
+                d = d * np.array([1, 1, -1.0])
+                if abs(d[2]) < 0.05:
+                    continue
+                d /= np.linalg.norm(d)
+            est = gaze_point_on_surface(HeadPoint(origin, 0.0, "bbox_center"), d, IDENTITY_PLANE)
+            np.testing.assert_allclose(est.point, origin + est.alpha * d, atol=1e-12)
+            assert abs(est.point[2]) < 1e-12
+
     def test_status_matches_geometry_predicate(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
