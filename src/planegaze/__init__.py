@@ -50,6 +50,7 @@ from .metrics import (
 )
 from .pipeline import (
     GazePrediction,
+    PredictionTable,
     SurfaceGazeEstimate,
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
@@ -69,6 +70,7 @@ from .synthetic import (
 )
 from .triangulation import (
     FaceObservation,
+    FaceTable,
     HeadPoint,
     head_point,
     pixel_ray,

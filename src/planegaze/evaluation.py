@@ -44,7 +44,7 @@ from .pipeline import (
     ground_truth_direction,
 )
 from .plane import PlanePose, estimate_plane_pose
-from .triangulation import FaceObservation, HeadPoint, head_point
+from .triangulation import FaceTable, HeadPoint, head_point
 
 logger = logging.getLogger(__name__)
 
@@ -81,19 +81,12 @@ def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
     return estimate_plane_pose(corners, grid, rig.left)
 
 
-def read_faces_by_key(manifest: DatasetManifest) -> dict[tuple[str, str], FaceObservation]:
-    """The manifest's face observations keyed by (frame_id, camera_id), one per key."""
-    faces = {}
-    for f in read_faces(manifest.faces):
-        key = (f.frame_id, f.camera_id)
-        if key in faces:
-            raise FormatError(
-                f"multiple face observations for frame {f.frame_id!r} camera {f.camera_id!r}; "
-                "expected exactly one face per frame per camera",
-                file=str(manifest.faces),
-            )
-        faces[key] = f
-    return faces
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of ``keys`` (unique) holding each wanted key, and whether it is there at all."""
+    _, at_key, at_wanted = np.intersect1d(keys, wanted, assume_unique=True, return_indices=True)
+    rows, found = np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
+    rows[at_wanted], found[at_wanted] = at_key, True
+    return rows, found
 
 
 def evaluate_method(
@@ -102,68 +95,56 @@ def evaluate_method(
     rig: StereoRig,
     plane: PlanePose,
     grid: GridConfig,
-    faces: dict[tuple[str, str], FaceObservation],
+    faces: FaceTable,
 ) -> MethodReport:
     """Score one method's predictions over every manifest frame, as one batch.
 
-    ``faces`` is :func:`read_faces_by_key` of the manifest. A frame without
-    a prediction or without a face in both cameras is skipped with that
+    ``faces`` is :func:`read_faces` of the manifest. A frame without a
+    prediction or without a face in both cameras is skipped with that
     reason; a frame whose head, target or ground truth cannot be built is
     skipped with the name of the error a single-frame call would raise.
     """
     ref = manifest.predictions[method]
     preds = read_predictions(ref.path)
-    known = {f.frame_id for f in manifest.frames}
-    for p in preds:
-        if p.frame_id not in known:
-            raise FormatError(
-                f"prediction frame {p.frame_id!r} not in manifest", file=str(ref.path)
-            )
-        if p.method_id != method:
-            raise FormatError(
-                f"prediction row for method {p.method_id!r} in file of {method!r}",
-                file=str(ref.path),
-            )
-    preds_by_frame = {p.frame_id: p for p in preds}
+    frames = manifest.frames
+    frame_ids = np.array([f.frame_id for f in frames], dtype=str)
+    known = np.isin(preds.frame_id, frame_ids)
+    wrong = np.flatnonzero(~known | (preds.method != method))
+    if wrong.size:
+        k = wrong[0]
+        message = (f"prediction frame {str(preds.frame_id[k])!r} not in manifest" if not known[k]
+                   else f"prediction row for method {str(preds.method[k])!r} in file of {method!r}")
+        raise FormatError(message, file=str(ref.path), line=int(preds.line[k]))
 
-    reasons = {}
-    rows = []
-    for frame in manifest.frames:
-        fid = frame.frame_id
-        if fid not in preds_by_frame:
-            reasons[fid] = "missing_prediction"
-        elif (fid, CAMERA_LEFT) not in faces or (fid, CAMERA_RIGHT) not in faces:
-            reasons[fid] = "missing_face_observation"
-        else:
-            rows.append(frame)
+    pred_row, has_pred = _lookup(preds.frame_id, frame_ids)
+    left, right = (faces.take(faces.camera == camera) for camera in (CAMERA_LEFT, CAMERA_RIGHT))
+    left_row, has_left = _lookup(left.frame_id, frame_ids)
+    right_row, has_right = _lookup(right.frame_id, frame_ids)
+    reasons = np.where(has_pred, np.where(has_left & has_right, "", "missing_face_observation"),
+                       "missing_prediction").astype(object)
+    rows = np.flatnonzero(reasons == "")
 
-    head = head_point(
-        [faces[(f.frame_id, CAMERA_LEFT)] for f in rows],
-        [faces[(f.frame_id, CAMERA_RIGHT)] for f in rows],
-        rig, ref.head_source,
-    )
+    head = head_point(left.take(left_row[rows]), right.take(right_row[rows]), rig, ref.head_source)
     centers = {tid: target_center(grid, tid) for tid in grid.target_map}
-    targets = np.array([centers.get(f.target_id, (np.nan,) * 3) for f in rows]).reshape(-1, 3)
+    targets = np.array([centers.get(frames[k].target_id, (np.nan,) * 3) for k in rows]).reshape(-1, 3)
     gt_dirs = ground_truth_direction(head, plane, targets)
     failure = head.failure.astype(object)  # first failure wins, as in a per-frame loop
     failure[(failure == "") & np.isnan(targets[:, 0])] = "UnknownTargetError"
     failure[(failure == "") & np.isnan(gt_dirs[:, 0])] = "DegenerateGeometryError"
-    for frame, reason in zip(rows, failure):
-        if reason:
-            reasons[frame.frame_id] = reason
+    reasons[rows] = failure
 
     keep = failure == ""
-    rows = [f for f, k in zip(rows, keep) if k]
+    rows = rows[keep]
     head = HeadPoint(head.position[keep], head.ray_gap[keep], head.source[keep], head.failure[keep])
-    pred_dirs = correct_gaze_to_camera_frame([preds_by_frame[f.frame_id] for f in rows], head)
+    pred_dirs = correct_gaze_to_camera_frame(preds.take(pred_row[rows]), head)
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
     errors = evaluate_frame(
         pred_dirs, gt_dirs[keep], estimate, targets[keep],
-        frame_id=[f.frame_id for f in rows], tags=[f.tags for f in rows],
+        frame_id=[frames[k].frame_id for k in rows], tags=[frames[k].tags for k in rows],
     )
-    skipped = [(f.frame_id, reasons[f.frame_id]) for f in manifest.frames if f.frame_id in reasons]
+    skipped = [(f.frame_id, reason) for f, reason in zip(frames, reasons) if reason]
     if skipped:
-        logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(manifest.frames))
+        logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(frames))
     return MethodReport(method, errors, skipped, pred_dirs, gt_dirs[keep])
 
 
@@ -194,7 +175,7 @@ def evaluate_manifest(
         tag_filters = [None] + tags
     thresholds_cm = tuple(sorted({float(t) for t in thresholds_cm}))
 
-    faces = read_faces_by_key(manifest)
+    faces = read_faces(manifest.faces)
     reports = {m: evaluate_method(manifest, m, rig, plane, grid, faces) for m in selected}
 
     frame_tags = {f.frame_id: f.tags for f in manifest.frames}
@@ -231,7 +212,7 @@ def evaluate_manifest(
             )
 
     prov = provenance(
-        inputs={p.name: p for p in [manifest.root / "manifest.json", *manifest.referenced_files()] if p.is_file()},
+        inputs={p.name: p for p in [manifest.path, *manifest.referenced_files()] if p.is_file()},
         config={
             "methods": selected,
             "tag_filters": [t or "" for t in tag_filters],

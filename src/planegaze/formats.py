@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,22 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CornerObservation, StereoRig
+from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerObservation, StereoRig
 from .camera import CameraIntrinsics
 from .errors import FormatError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
 from .grid import GridConfig
-from .pipeline import CONVENTIONS, GazePrediction
+from .pipeline import CONVENTIONS, PredictionTable
 from .plane import PlanePose
-from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation
+from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable
 
 TOOL_TAG = f"planegaze {__version__}"
 
 ANGLE_UNITS = ("radians", "degrees")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -88,73 +83,132 @@ def _load_json(path: Path, schema: str) -> dict:
     return payload
 
 
-# --- CSV plumbing ---------------------------------------------------------
+# --- CSV tables -----------------------------------------------------------
+#
+# A table schema maps each column name to its kind: "text", "int", "float"
+# (finite), or "float?" (finite, or blank for a missing value: NaN in
+# memory). A final "*" column accepts any further header columns, as text.
 
-def _write_csv(path: Path, header: list[str], rows, meta: dict[str, str] | None = None) -> None:
+
+@dataclass(frozen=True)
+class _Table:
+    """The data rows of one CSV file as typed columns, with their file lines."""
+
+    path: Path
+    meta: dict[str, str]
+    columns: dict[str, np.ndarray]
+    lines: np.ndarray
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """Raise FormatError at the first row flagged in ``bad``; ``message(row)`` says why."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise FormatError(message(row), file=str(self.path), line=int(self.lines[row]))
+
+
+def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]) -> None:
+    """Write one sequence per schema column below ``# key: value`` metadata lines.
+
+    Floats are written as their shortest round-trip repr, so reading the
+    file back gives every value bit for bit.
+    """
+    cells = []
+    for kind, col in zip(columns.values(), data):
+        if kind.startswith("float"):
+            values = np.asarray(col, dtype=float)
+            col = values.tolist()
+            if kind == "float?":
+                for k in np.flatnonzero(np.isnan(values)):
+                    col[k] = ""
+        cells.append(col.tolist() if isinstance(col, np.ndarray) else col)
     buf = io.StringIO()
-    for k, v in (meta or {}).items():
-        buf.write(f"# {k}: {v}\n")
+    buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerow(list(columns))
+    w.writerows(zip(*cells))
     atomic_write_text(path, buf.getvalue())
 
 
-def _read_csv(path: Path, expected_header: list[str]):
-    """Yield (line_number, row) pairs; returns the comment metadata dict."""
+def _read_table(path: Path, columns: dict[str, str]) -> _Table:
+    """Read a CSV table: header check, one tokenising pass, whole-column conversion.
+
+    Any malformed header, row or cell is a FormatError naming the file and
+    the line. Of several bad cells, the first in file order is named.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
-    meta: dict[str, str] = {}
-    rows = []
-    header_seen = False
+    meta, body, lines = {}, [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                k, v = body.split(":", 1)
-                meta[k.strip()] = v.strip()
+        if line.startswith("#") and not body:  # comments lead; a later "#" starts a data row
+            key, colon, value = line[1:].partition(":")
+            if colon:
+                meta[key.strip()] = value.strip()
             continue
-        cells = next(csv.reader([line]))
-        if not header_seen:
-            if cells != expected_header:
-                raise FormatError(
-                    f"bad header {cells!r}, expected {expected_header!r}",
-                    file=str(path), line=lineno,
-                )
-            header_seen = True
-            continue
-        if len(cells) != len(expected_header):
-            raise FormatError(
-                f"expected {len(expected_header)} fields, got {len(cells)}",
-                file=str(path), line=lineno,
-            )
-        rows.append((lineno, cells))
-    if not header_seen:
+        body.append(line)
+        lines.append(lineno)
+    if not body:
         raise FormatError("missing header row", file=str(path))
-    return meta, rows
+    reader, rows = csv.reader(body), []
+    for row in reader:
+        if reader.line_num != len(rows) + 1:
+            raise FormatError("quoted field runs past the end of the line",
+                              file=str(path), line=lines[len(rows)])
+        rows.append(row)
+
+    header, rows = rows[0], rows[1:]
+    names = [n for n in columns if n != "*"]
+    if header[:len(names)] != names or (len(header) != len(names) and "*" not in columns):
+        raise FormatError(f"bad header {header!r}, expected {names!r}", file=str(path), line=lines[0])
+    table = _Table(path, meta, {}, np.array(lines[1:], dtype=int))
+    counts = np.array([len(r) for r in rows], dtype=int)
+    table.check(counts != len(header), lambda k: f"expected {len(header)} fields, got {counts[k]}")
+
+    failures = []
+    for col, (name, cells) in enumerate(zip(header, zip(*rows) if rows else [()] * len(header))):
+        values, bad = _column(cells, columns.get(name, "text"))
+        table.columns[name] = values
+        if bad is not None:
+            failures.append((bad[0], col, f"field {name!r} {bad[1]}: {cells[bad[0]]!r}"))
+    if failures:
+        row, _, message = min(failures)
+        raise FormatError(message, file=str(path), line=int(table.lines[row]))
+    return table
 
 
-def _parse_float(cell: str, path: Path, lineno: int, name: str) -> float:
+def _column(cells: tuple[str, ...], kind: str):
+    """A column's values and (row, problem) of its first bad cell, or None when all are good."""
+    if kind == "text":
+        return np.array(cells, dtype=str), None
+    dtype = np.int64 if kind == "int" else float
+    blank = np.zeros(len(cells), dtype=bool)
+    if kind == "float?" and "" in cells:
+        blank = np.array([c == "" for c in cells])
+        cells = ["nan" if c == "" else c for c in cells]
     try:
-        value = float(cell)
-    except ValueError:
-        raise FormatError(f"field {name!r} is not a number: {cell!r}", file=str(path), line=lineno) from None
-    if not math.isfinite(value):
-        raise FormatError(f"field {name!r} is not finite: {cell!r}", file=str(path), line=lineno)
-    return value
+        values = np.array(cells, dtype=dtype)
+        if kind == "int" or np.all(np.isfinite(values) | blank):
+            return values, None
+    except (ValueError, OverflowError):
+        pass
+    # the same conversion cell by cell finds the first bad one
+    return None, next((row, problem) for row, cell in enumerate(cells)
+                      if not blank[row] and (problem := _cell_problem(cell, dtype)))
 
 
-def _parse_int(cell: str, path: Path, lineno: int, name: str) -> int:
+def _cell_problem(cell: str, dtype) -> str:
     try:
-        return int(cell)
-    except ValueError:
-        raise FormatError(f"field {name!r} is not an integer: {cell!r}", file=str(path), line=lineno) from None
+        value = np.array([cell], dtype=dtype)
+    except (ValueError, OverflowError):
+        return "is not an integer" if dtype is np.int64 else "is not a number"
+    return "" if dtype is np.int64 or np.isfinite(value[0]) else "is not finite"
 
 
 # --- grid config ------------------------------------------------------------
@@ -292,34 +346,26 @@ def read_plane_pose(path: Path) -> PlanePose:
 
 # --- corners ------------------------------------------------------------------
 
-CORNERS_HEADER = ["view_id", "camera", "i", "j", "u", "v"]
+CORNERS_COLUMNS = {"view_id": "text", "camera": "text", "i": "int", "j": "int", "u": "float", "v": "float"}
+
+
+def _check_cameras(table: _Table) -> None:
+    cams = table["camera"]
+    table.check(~np.isin(cams, (CAMERA_LEFT, CAMERA_RIGHT)),
+                lambda k: f"camera must be left or right, got {str(cams[k])!r}")
 
 
 def write_corners(path: Path, observations, meta: dict[str, str] | None = None) -> None:
-    rows = [
-        [ob.view_id, ob.camera_id, ob.grid_index[0], ob.grid_index[1], _fmt(ob.pixel[0]), _fmt(ob.pixel[1])]
-        for ob in observations
-    ]
+    rows = [(ob.view_id, ob.camera_id, *ob.grid_index, *ob.pixel) for ob in observations]
     base = {"schema": "planegaze-corners-v1", "tool": TOOL_TAG}
-    _write_csv(Path(path), CORNERS_HEADER, rows, {**base, **(meta or {})})
+    _write_table(Path(path), CORNERS_COLUMNS, list(zip(*rows)), {**base, **(meta or {})})
 
 
 def read_corners(path: Path) -> list[CornerObservation]:
-    p = Path(path)
-    _, rows = _read_csv(p, CORNERS_HEADER)
-    out = []
-    for lineno, cells in rows:
-        vid, cam, i, j, u, v = cells
-        if cam not in ("left", "right"):
-            raise FormatError(f"camera must be left or right, got {cam!r}", file=str(p), line=lineno)
-        out.append(
-            CornerObservation(
-                vid, cam,
-                (_parse_int(i, p, lineno, "i"), _parse_int(j, p, lineno, "j")),
-                (_parse_float(u, p, lineno, "u"), _parse_float(v, p, lineno, "v")),
-            )
-        )
-    return out
+    t = _read_table(path, CORNERS_COLUMNS)
+    _check_cameras(t)
+    columns = (t[name].tolist() for name in CORNERS_COLUMNS)
+    return [CornerObservation(vid, cam, (i, j), (u, v)) for vid, cam, i, j, u, v in zip(*columns)]
 
 
 def write_plane_corners(path: Path, corners, meta: dict[str, str] | None = None) -> None:
@@ -334,150 +380,126 @@ def read_plane_corners(path: Path) -> list[tuple[tuple[int, int], tuple[float, f
 
 # --- face observations ----------------------------------------------------------
 
-FACES_HEADER = ["frame_id", "camera", "u_min", "v_min", "u_max", "v_max", "eye_u", "eye_v"]
+FACES_COLUMNS = {
+    "frame_id": "text", "camera": "text",
+    "u_min": "float?", "v_min": "float?", "u_max": "float?", "v_max": "float?",
+    "eye_u": "float?", "eye_v": "float?",
+}
 
 
-def write_faces(path: Path, observations, meta: dict[str, str] | None = None) -> None:
-    rows = []
-    for ob in observations:
-        bbox = ["", "", "", ""] if ob.bbox is None else [_fmt(v) for v in ob.bbox]
-        eye = ["", ""] if ob.eye_midpoint is None else [_fmt(v) for v in ob.eye_midpoint]
-        rows.append([ob.frame_id, ob.camera_id, *bbox, *eye])
+def write_faces(path: Path, faces: FaceTable, meta: dict[str, str] | None = None) -> None:
     base = {"schema": "planegaze-faces-v1", "tool": TOOL_TAG}
-    _write_csv(Path(path), FACES_HEADER, rows, {**base, **(meta or {})})
+    data = [faces.frame_id, faces.camera, *faces.bbox.T, *faces.eye.T]
+    _write_table(Path(path), FACES_COLUMNS, data, {**base, **(meta or {})})
 
 
-def read_faces(path: Path) -> list[FaceObservation]:
-    p = Path(path)
-    _, rows = _read_csv(p, FACES_HEADER)
-    out = []
-    for lineno, cells in rows:
-        fid, cam, u0, v0, u1, v1, eu, ev = cells
-        bbox_cells = [u0, v0, u1, v1]
-        if any(c != "" for c in bbox_cells) and any(c == "" for c in bbox_cells):
-            raise FormatError("bbox must have all four fields or none", file=str(p), line=lineno)
-        bbox = None
-        if u0 != "":
-            bbox = tuple(_parse_float(c, p, lineno, n) for c, n in zip(bbox_cells, FACES_HEADER[2:6]))
-        if (eu == "") != (ev == ""):
-            raise FormatError("eye midpoint needs both eye_u and eye_v", file=str(p), line=lineno)
-        eye = None
-        if eu != "":
-            eye = (_parse_float(eu, p, lineno, "eye_u"), _parse_float(ev, p, lineno, "eye_v"))
-        try:
-            out.append(FaceObservation(fid, cam, bbox=bbox, eye_midpoint=eye))
-        except ValueError as exc:
-            raise FormatError(str(exc), file=str(p), line=lineno) from None
-    return out
+def read_faces(path: Path) -> FaceTable:
+    """Face observations, at most one per frame per camera; NaN marks a missing source."""
+    t = _read_table(path, FACES_COLUMNS)
+    _check_cameras(t)
+    fid, cam = t["frame_id"], t["camera"]
+    bbox = np.column_stack([t["u_min"], t["v_min"], t["u_max"], t["v_max"]])
+    eye = np.column_stack([t["eye_u"], t["eye_v"]])
+    has_bbox, has_eye = ~np.isnan(bbox), ~np.isnan(eye)
+    t.check(has_bbox.any(axis=1) & ~has_bbox.all(axis=1), lambda k: "bbox must have all four fields or none")
+    t.check(has_eye.any(axis=1) & ~has_eye.all(axis=1), lambda k: "eye midpoint needs both eye_u and eye_v")
+    t.check(~has_bbox[:, 0] & ~has_eye[:, 0], lambda k: "face observation needs a bbox or an eye midpoint")
+    t.check((bbox[:, 0] > bbox[:, 2]) | (bbox[:, 1] > bbox[:, 3]),
+            lambda k: f"bbox is not well-ordered: {tuple(bbox[k].tolist())}")
+    t.check(_repeats(fid, cam), lambda k: (
+        f"multiple face observations for frame {str(fid[k])!r} camera {str(cam[k])!r}; "
+        "expected exactly one face per frame per camera"
+    ))
+    return FaceTable(fid, cam, bbox, eye)
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose keys equal those of an earlier row."""
+    order = np.lexsort(keys[::-1])  # stable: equal rows stay in file order
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    mask = np.zeros(order.size, dtype=bool)
+    mask[order[1:][same]] = True
+    return mask
 
 
 # --- predictions -----------------------------------------------------------------
 
-PREDICTIONS_HEADER = ["frame_id", "method", "yaw", "pitch"]
+PREDICTIONS_COLUMNS = {"frame_id": "text", "method": "text", "yaw": "float", "pitch": "float"}
 
 
-def write_predictions(path: Path, predictions, *, unit: str = "radians",
+def write_predictions(path: Path, predictions: PredictionTable, *, unit: str = "radians",
                       meta: dict[str, str] | None = None) -> None:
     """Emit predictions with the mandatory unit and convention headers.
 
     Internal angles are radians; ``unit`` selects the on-disk unit.
-    All predictions in one file must share a convention.
     """
-    predictions = list(predictions)
     if unit not in ANGLE_UNITS:
         raise ValueError(f"unit must be one of {ANGLE_UNITS}, got {unit!r}")
-    conventions = {p.convention for p in predictions}
-    if len(conventions) > 1:
-        raise ValueError(f"predictions mix conventions: {sorted(conventions)}")
-    convention = conventions.pop() if conventions else "camera_offset"
     scale = 1.0 if unit == "radians" else 180.0 / np.pi
-    rows = [
-        [p.frame_id, p.method_id, _fmt(p.yaw * scale), _fmt(p.pitch * scale)]
-        for p in predictions
-    ]
     base = {
         "schema": "planegaze-predictions-v1",
         "tool": TOOL_TAG,
         "unit": unit,
-        "convention": convention,
+        "convention": predictions.convention,
     }
-    _write_csv(Path(path), PREDICTIONS_HEADER, rows, {**base, **(meta or {})})
+    data = [predictions.frame_id, predictions.method, predictions.yaw * scale, predictions.pitch * scale]
+    _write_table(Path(path), PREDICTIONS_COLUMNS, data, {**base, **(meta or {})})
 
 
-def read_predictions(path: Path) -> list[GazePrediction]:
+def read_predictions(path: Path) -> PredictionTable:
     """Parse a prediction file; angles come back in radians.
 
     The unit header is mandatory: files without it are rejected rather
     than guessed at.
     """
-    p = Path(path)
-    meta, rows = _read_csv(p, PREDICTIONS_HEADER)
-    unit = meta.get("unit")
+    t = _read_table(path, PREDICTIONS_COLUMNS)
+    unit = t.meta.get("unit")
     if unit not in ANGLE_UNITS:
         raise FormatError(
-            f"prediction file must declare '# unit: radians|degrees', found {unit!r}", file=str(p)
+            f"prediction file must declare '# unit: radians|degrees', found {unit!r}", file=str(t.path)
         )
-    convention = meta.get("convention")
+    convention = t.meta.get("convention")
     if convention not in CONVENTIONS:
         raise FormatError(
             f"prediction file must declare '# convention: {'|'.join(CONVENTIONS)}', found {convention!r}",
-            file=str(p),
+            file=str(t.path),
         )
+    fid, method = t["frame_id"], t["method"]
+    t.check(_repeats(fid, method),
+            lambda k: f"second prediction for frame {str(fid[k])!r} method {str(method[k])!r}")
     scale = 1.0 if unit == "radians" else np.pi / 180.0
-    out = []
-    seen = set()
-    for lineno, cells in rows:
-        fid, method, yaw, pitch = cells
-        if (fid, method) in seen:
-            raise FormatError(f"second prediction for frame {fid!r} method {method!r}",
-                              file=str(p), line=lineno)
-        seen.add((fid, method))
-        out.append(
-            GazePrediction(
-                fid, method,
-                _parse_float(yaw, p, lineno, "yaw") * scale,
-                _parse_float(pitch, p, lineno, "pitch") * scale,
-                convention,
-            )
-        )
-    return out
+    return PredictionTable(fid, method, t["yaw"] * scale, t["pitch"] * scale, convention, t.lines)
 
 
 # --- frame truth (synthetic datasets) ----------------------------------------------
 
-TRUTH_HEADER = ["frame_id", "target_id", "tags", "head_x", "head_y", "head_z", "dir_x", "dir_y", "dir_z"]
+TRUTH_COLUMNS = {
+    "frame_id": "text", "target_id": "int", "tags": "text",
+    "head_x": "float", "head_y": "float", "head_z": "float",
+    "dir_x": "float", "dir_y": "float", "dir_z": "float",
+}
 
 
 def write_truth(path: Path, truths, meta: dict[str, str] | None = None) -> None:
-    rows = [
-        [
-            t.frame_id, t.target_id, ";".join(t.tags),
-            *(_fmt(v) for v in t.head_cc), *(_fmt(v) for v in t.direction_cc),
-        ]
-        for t in truths
-    ]
+    rows = [(t.frame_id, t.target_id, ";".join(t.tags), *t.head_cc, *t.direction_cc) for t in truths]
     base = {"schema": "planegaze-truth-v1", "tool": TOOL_TAG}
-    _write_csv(Path(path), TRUTH_HEADER, rows, {**base, **(meta or {})})
+    _write_table(Path(path), TRUTH_COLUMNS, list(zip(*rows)), {**base, **(meta or {})})
 
 
 def read_truth(path: Path):
     from .synthetic import FrameTruth
 
-    p = Path(path)
-    _, rows = _read_csv(p, TRUTH_HEADER)
-    out = []
-    for lineno, cells in rows:
-        fid, tid, tags, hx, hy, hz, dx, dy, dz = cells
-        out.append(
-            FrameTruth(
-                fid,
-                _parse_int(tid, p, lineno, "target_id"),
-                tuple(t for t in tags.split(";") if t),
-                np.array([_parse_float(c, p, lineno, n) for c, n in ((hx, "head_x"), (hy, "head_y"), (hz, "head_z"))]),
-                np.array([_parse_float(c, p, lineno, n) for c, n in ((dx, "dir_x"), (dy, "dir_y"), (dz, "dir_z"))]),
-            )
-        )
-    return out
+    t = _read_table(path, TRUTH_COLUMNS)
+    head = np.column_stack([t["head_x"], t["head_y"], t["head_z"]])
+    direction = np.column_stack([t["dir_x"], t["dir_y"], t["dir_z"]])
+    return [
+        FrameTruth(fid, tid, tuple(tag for tag in tags.split(";") if tag), h, d)
+        for fid, tid, tags, h, d in zip(t["frame_id"].tolist(), t["target_id"].tolist(), t["tags"].tolist(),
+                                        head, direction)
+    ]
 
 
 # --- manifest -------------------------------------------------------------------
@@ -502,7 +524,7 @@ class FrameEntry:
 class DatasetManifest:
     """Resolved dataset description (all paths absolute)."""
 
-    root: Path
+    path: Path  # the manifest file itself
     grid_config: Path
     intrinsics_left: Path
     intrinsics_right: Path
@@ -576,7 +598,7 @@ def read_manifest(path: Path) -> DatasetManifest:
         frames.append(fe)
 
     manifest = DatasetManifest(
-        root=root,
+        path=path.resolve(),
         grid_config=resolve("grid_config"),
         intrinsics_left=resolve("left", parent=calib),
         intrinsics_right=resolve("right", parent=calib),
@@ -611,7 +633,7 @@ def write_dataset(ds, out_dir: Path) -> Path:
     write_grid_config(out / "grid.json", ds.grid)
     write_corners(out / "corners.csv", ds.calib_corners, truth_prov)
     write_plane_corners(out / "plane_corners.csv", ds.plane_corners, truth_prov)
-    write_faces(out / "faces.csv", ds.faces, truth_prov)
+    write_faces(out / "faces.csv", FaceTable.from_observations(ds.faces), truth_prov)
     write_truth(out / "truth.csv", ds.truths, truth_prov)
 
     prov = provenance(config=truth_prov)
@@ -624,7 +646,8 @@ def write_dataset(ds, out_dir: Path) -> Path:
     pred_entries = {}
     for name in sorted(ds.predictions):
         fname = f"pred_{name}.csv"
-        write_predictions(out / fname, ds.predictions[name], unit="radians", meta=truth_prov)
+        write_predictions(out / fname, PredictionTable.from_predictions(ds.predictions[name]),
+                          unit="radians", meta=truth_prov)
         pred_entries[name] = {"path": fname, "head_source": methods[name].head_source}
 
     manifest_path = out / "manifest.json"
@@ -655,65 +678,36 @@ def write_dataset(ds, out_dir: Path) -> Path:
 
 # --- report bundle ----------------------------------------------------------------
 
-SUMMARY_BASE_HEADER = ["method", "tag_filter", "n_frames", "n_skipped", "n_failures", "mean_angular_deg", "median_distance_cm"]
-CDF_HEADER = ["method", "tag_filter", "kind", "threshold", "fraction"]
-HIST_HEADER = ["method", "yaw_lo_deg", "yaw_hi_deg", "pitch_lo_deg", "pitch_hi_deg", "count"]
-
-
-def summary_header(thresholds_cm) -> list[str]:
-    return SUMMARY_BASE_HEADER + [f"p_at_{_threshold_tag(t)}cm" for t in thresholds_cm]
-
-
-def _threshold_tag(t: float) -> str:
-    return f"{t:g}"
+SUMMARY_COLUMNS = {
+    "method": "text", "tag_filter": "text", "n_frames": "int", "n_skipped": "int", "n_failures": "int",
+    "mean_angular_deg": "float", "median_distance_cm": "float",
+}
+CDF_COLUMNS = {"method": "text", "tag_filter": "text", "kind": "text", "threshold": "float", "fraction": "float"}
+HIST_COLUMNS = {
+    "method": "text", "yaw_lo_deg": "float", "yaw_hi_deg": "float", "pitch_lo_deg": "float",
+    "pitch_hi_deg": "float", "count": "int",
+}
 
 
 def write_summary_csv(path: Path, rows: list[dict], thresholds_cm, prov_meta: dict[str, str]) -> None:
-    header = summary_header(thresholds_cm)
-    table = []
-    for r in rows:
-        table.append(
-            [
-                r["method"], r["tag_filter"], r["n_frames"], r["n_skipped"], r["n_failures"],
-                _fmt(r["mean_angular_deg"]), _fmt(r["median_distance_cm"]),
-            ]
-            + [_fmt(r["precision_at"][float(t)]) for t in thresholds_cm]
-        )
+    columns = {**SUMMARY_COLUMNS, **{f"p_at_{t:g}cm": "float" for t in thresholds_cm}}
+    data = [[r[name] for r in rows] for name in SUMMARY_COLUMNS]
+    data += [[r["precision_at"][float(t)] for r in rows] for t in thresholds_cm]
     base = {"schema": "planegaze-summary-v1", "tool": TOOL_TAG}
-    _write_csv(Path(path), header, table, {**base, **prov_meta})
+    _write_table(Path(path), columns, data, {**base, **prov_meta})
 
 
 def read_summary_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError("file not found", file=str(p)) from None
-    header = None
-    rows = []
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        cells = next(csv.reader([line]))
-        if header is None:
-            header = cells
-        else:
-            rows.append(cells)
-    if header is None:
-        raise FormatError("missing header row", file=str(p))
-    return header, rows
+    """A summary file's header and rows, every cell as text."""
+    t = _read_table(path, {**dict.fromkeys(SUMMARY_COLUMNS, "text"), "*": "text"})
+    return list(t.columns), [list(row) for row in zip(*(c.tolist() for c in t.columns.values()))]
 
 
 def write_cdf_csv(path: Path, rows, prov_meta: dict[str, str]) -> None:
     base = {"schema": "planegaze-cdf-v1", "tool": TOOL_TAG}
-    table = [[m, tag, kind, _fmt(t), _fmt(f)] for m, tag, kind, t, f in rows]
-    _write_csv(Path(path), CDF_HEADER, table, {**base, **prov_meta})
+    _write_table(Path(path), CDF_COLUMNS, list(zip(*rows)), {**base, **prov_meta})
 
 
 def write_hist_csv(path: Path, rows, prov_meta: dict[str, str]) -> None:
     base = {"schema": "planegaze-histogram-v1", "tool": TOOL_TAG}
-    table = [
-        [m, _fmt(ylo), _fmt(yhi), _fmt(plo), _fmt(phi), int(c)]
-        for m, ylo, yhi, plo, phi, c in rows
-    ]
-    _write_csv(Path(path), HIST_HEADER, table, {**base, **prov_meta})
+    _write_table(Path(path), HIST_COLUMNS, list(zip(*rows)), {**base, **prov_meta})

@@ -9,7 +9,7 @@ pipeline exactly; the approximation degrades at large offsets, so offsets
 beyond 30 degrees are logged.
 
 Every stage function takes one frame or a batch: a HeadPoint batch, (N, 3)
-directions and targets, a list of predictions. One frame runs as a batch of
+directions and targets, a PredictionTable. One frame runs as a batch of
 one and comes back as the single-frame types.
 """
 
@@ -57,6 +57,44 @@ class GazePrediction:
 
 
 @dataclass(frozen=True)
+class PredictionTable:
+    """Predictions as columns, one row per frame. Angles are radians.
+
+    A table holds one convention, as a prediction file does. ``line`` is
+    each row's line in the file it was read from, None for a table built
+    in memory.
+    """
+
+    frame_id: np.ndarray
+    method: np.ndarray
+    yaw: np.ndarray
+    pitch: np.ndarray
+    convention: str
+    line: np.ndarray | None
+
+    @classmethod
+    def from_predictions(cls, predictions) -> PredictionTable:
+        preds = list(predictions)
+        conventions = {p.convention for p in preds}
+        if len(conventions) > 1:
+            raise ValueError(f"predictions mix conventions: {sorted(conventions)}")
+        return cls(
+            np.array([p.frame_id for p in preds], dtype=str),
+            np.array([p.method_id for p in preds], dtype=str),
+            np.array([p.yaw for p in preds], dtype=float),
+            np.array([p.pitch for p in preds], dtype=float),
+            conventions.pop() if conventions else CONVENTION_OFFSET,
+            None,
+        )
+
+    def take(self, rows) -> PredictionTable:
+        """The rows at ``rows`` (indices or a mask), in that order."""
+        line = None if self.line is None else self.line[rows]
+        return PredictionTable(self.frame_id[rows], self.method[rows], self.yaw[rows], self.pitch[rows],
+                               self.convention, line)
+
+
+@dataclass(frozen=True)
 class SurfaceGazeEstimate:
     """Where a gaze ray meets the work surface, or why it does not.
 
@@ -78,26 +116,26 @@ def camera_offset_angles(head: HeadPoint):
 
 
 def correct_gaze_to_camera_frame(pred, head: HeadPoint) -> np.ndarray:
-    """Camera-frame gaze direction(s) for one prediction or a list of them.
+    """Camera-frame gaze direction(s) for one prediction or a PredictionTable.
 
     Offset-convention angles get the head-to-camera yaw/pitch added;
-    absolute angles convert directly. A list gives (N, 3) directions for
+    absolute angles convert directly. A table gives (N, 3) directions for
     an N-row head batch.
     """
     single = isinstance(pred, GazePrediction)
-    preds = [pred] if single else pred
+    table = PredictionTable.from_predictions([pred]) if single else pred
     pos = np.reshape(head.position, (-1, 3))
     if np.any(pos[:, 2] <= 0):
         raise ValueError("head point must lie in front of the camera")
-    yaw = np.array([p.yaw for p in preds], dtype=float)
-    pitch = np.array([p.pitch for p in preds], dtype=float)
-    offset = np.array([p.convention == CONVENTION_OFFSET for p in preds], dtype=bool)
-    yaw_h, pitch_h = np.reshape(camera_offset_angles(head), (2, -1))
-    large = offset & ((np.abs(yaw_h) > LARGE_OFFSET_RAD) | (np.abs(pitch_h) > LARGE_OFFSET_RAD))
-    if large.any():
-        logger.warning("%d of %d frames have head offset angles over 30 deg; additive correction "
-                       "degrades", np.count_nonzero(large), large.size)
-    d = yaw_pitch_to_dir(np.where(offset, yaw + yaw_h, yaw), np.where(offset, pitch + pitch_h, pitch))
+    yaw, pitch = table.yaw, table.pitch
+    if table.convention == CONVENTION_OFFSET:
+        yaw_h, pitch_h = np.reshape(camera_offset_angles(head), (2, -1))
+        large = (np.abs(yaw_h) > LARGE_OFFSET_RAD) | (np.abs(pitch_h) > LARGE_OFFSET_RAD)
+        if large.any():
+            logger.warning("%d of %d frames have head offset angles over 30 deg; additive correction "
+                           "degrades", np.count_nonzero(large), large.size)
+        yaw, pitch = yaw + yaw_h, pitch + pitch_h
+    d = yaw_pitch_to_dir(yaw, pitch)
     return d[0] if single else d
 
 

@@ -52,14 +52,42 @@ class FaceObservation:
             if not (u0 <= u1 and v0 <= v1):
                 raise ValueError(f"bbox is not well-ordered: {self.bbox}")
 
-    def point(self, source: str) -> tuple[float, float] | None:
+
+@dataclass(frozen=True)
+class FaceTable:
+    """Face observations as columns, one row per (frame, camera).
+
+    ``bbox`` is (N, 4) and ``eye`` (N, 2), NaN where the observation lacks
+    that source.
+    """
+
+    frame_id: np.ndarray
+    camera: np.ndarray
+    bbox: np.ndarray
+    eye: np.ndarray
+
+    @classmethod
+    def from_observations(cls, observations) -> FaceTable:
+        obs = list(observations)
+        missing = (np.nan,) * 4
+        return cls(
+            np.array([o.frame_id for o in obs], dtype=str),
+            np.array([o.camera_id for o in obs], dtype=str),
+            np.array([missing if o.bbox is None else o.bbox for o in obs], dtype=float).reshape(-1, 4),
+            np.array([missing[:2] if o.eye_midpoint is None else o.eye_midpoint for o in obs],
+                     dtype=float).reshape(-1, 2),
+        )
+
+    def take(self, rows) -> FaceTable:
+        """The rows at ``rows`` (indices or a mask), in that order."""
+        return FaceTable(self.frame_id[rows], self.camera[rows], self.bbox[rows], self.eye[rows])
+
+    def pixels(self, source: str) -> np.ndarray:
+        """(N, 2) head pixels from one source, NaN where a row lacks it."""
         if source == SOURCE_EYES:
-            return self.eye_midpoint
+            return self.eye
         if source == SOURCE_BBOX:
-            if self.bbox is None:
-                return None
-            u0, v0, u1, v1 = self.bbox
-            return ((u0 + u1) / 2.0, (v0 + v1) / 2.0)
+            return (self.bbox[:, :2] + self.bbox[:, 2:]) / 2.0
         raise ValueError(f"unknown head-point source {source!r}")
 
 
@@ -134,16 +162,6 @@ def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:
     return _single(hp) if np.ndim(pixel_left) == 1 else hp
 
 
-def _shared_source(left, right, preference: str) -> str:
-    """The first of ``preference``, bbox, eyes that both observations give, or ""."""
-    if left is None or right is None:
-        return ""
-    if left.frame_id != right.frame_id:
-        raise ValueError(f"frame mismatch: {left.frame_id!r} vs {right.frame_id!r}")
-    return next((s for s in (preference, SOURCE_BBOX, SOURCE_EYES)
-                 if left.point(s) is not None and right.point(s) is not None), "")
-
-
 def head_point(
     left_obs,
     right_obs,
@@ -152,18 +170,29 @@ def head_point(
 ) -> HeadPoint:
     """Triangulate the head from paired face observations.
 
-    Takes one left/right pair, or two equally long lists of them for a
-    batch. Uses the preferred source when both cameras provide it,
-    otherwise falls back to bounding-box centers. The source actually used
-    is recorded on the result; a frame that lacks an observation, or has
-    no source in both cameras, fails with MissingObservationError.
+    Takes one left/right pair of FaceObservations, or two FaceTables whose
+    rows are paired for a batch. Uses the preferred source when both
+    cameras provide it, otherwise falls back to the other one. The source
+    actually used is recorded on the result; a frame that lacks an
+    observation, or has no source in both cameras, fails with
+    MissingObservationError.
     """
-    single = not isinstance(left_obs, (list, tuple))
-    pairs = list(zip([left_obs], [right_obs]) if single else zip(left_obs, right_obs, strict=True))
-    sources = np.array([_shared_source(a, b, source_preference) for a, b in pairs], dtype=str)
-    found = sources != ""
-    px = np.reshape([(*a.point(s), *b.point(s)) for (a, b), s in zip(pairs, sources) if s], (-1, 4))
-    tri = triangulate_midpoint(rig, px[:, :2], px[:, 2:])
+    single = not isinstance(left_obs, FaceTable)
+    if single:
+        if left_obs is None or right_obs is None:
+            raise_row_failure("MissingObservationError")
+        left_obs, right_obs = (FaceTable.from_observations([o]) for o in (left_obs, right_obs))
+    if not np.array_equal(left_obs.frame_id, right_obs.frame_id):
+        raise ValueError("left and right observations must pair up frame by frame")
+    fallback = SOURCE_BBOX if source_preference == SOURCE_EYES else SOURCE_EYES
+    preferred, other = (
+        np.hstack([left_obs.pixels(s), right_obs.pixels(s)]) for s in (source_preference, fallback)
+    )
+    use_preferred = ~np.isnan(preferred).any(axis=1)
+    px = np.where(use_preferred[:, None], preferred, other)
+    found = ~np.isnan(px).any(axis=1)
+    sources = np.where(found, np.where(use_preferred, source_preference, fallback), "")
+    tri = triangulate_midpoint(rig, px[found, :2], px[found, 2:])
 
     position, gap = np.full((found.size, 3), np.nan), np.full(found.size, np.nan)
     failure = np.full(found.size, "MissingObservationError")

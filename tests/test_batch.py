@@ -16,7 +16,7 @@ from planegaze import errors
 from planegaze.calibration import StereoRig
 from planegaze.camera import CameraIntrinsics, project_point
 from planegaze.errors import DegenerateDataError, DegenerateGeometryError
-from planegaze.evaluation import evaluate_method, read_faces_by_key
+from planegaze.evaluation import evaluate_method
 from planegaze.formats import (
     read_faces,
     read_grid_config,
@@ -36,13 +36,14 @@ from planegaze.pipeline import (
     STATUS_NO_INTERSECTION,
     STATUS_OK,
     GazePrediction,
+    PredictionTable,
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
     ground_truth_direction,
 )
 from planegaze.plane import PlanePose
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
-from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, HeadPoint, head_point
+from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, FaceTable, HeadPoint, head_point
 
 from conftest import random_unit_vectors
 
@@ -107,7 +108,7 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
         rights.insert(at, right)
         expected.insert(at, failure)
 
-    batch = head_point(lefts, rights, RIG, SOURCE_EYES)
+    batch = head_point(FaceTable.from_observations(lefts), FaceTable.from_observations(rights), RIG, SOURCE_EYES)
     assert list(batch.failure) == expected
     assert batch.position.shape == (len(expected), 3)
     for k, (left, right, failure) in enumerate(zip(lefts, rights, expected)):
@@ -124,7 +125,7 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
 
 
 def test_empty_head_batch():
-    batch = head_point([], [], RIG)
+    batch = head_point(FaceTable.from_observations([]), FaceTable.from_observations([]), RIG)
     assert batch.position.shape == (0, 3) and batch.failure.shape == (0,)
 
 
@@ -169,10 +170,12 @@ def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
                        CONVENTION_OFFSET if k % 2 else CONVENTION_ABSOLUTE)
         for k in range(n)
     ]
-    front_preds = [p for p, f in zip(preds, front) if f]
-    corrected = correct_gaze_to_camera_frame(front_preds, HeadPoint(heads[front], np.zeros(front.sum()), ""))
-    for row, pred, head in zip(corrected, front_preds, [h for h, f in zip(singles, front) if f]):
-        np.testing.assert_allclose(row, correct_gaze_to_camera_frame(pred, head), rtol=0, atol=1e-12)
+    for convention in (CONVENTION_OFFSET, CONVENTION_ABSOLUTE):  # a table holds one convention
+        rows = [k for k, p in enumerate(preds) if front[k] and p.convention == convention]
+        table = PredictionTable.from_predictions([preds[k] for k in rows])
+        corrected = correct_gaze_to_camera_frame(table, HeadPoint(heads[rows], np.zeros(len(rows)), ""))
+        for row, k in zip(corrected, rows):
+            np.testing.assert_allclose(row, correct_gaze_to_camera_frame(preds[k], singles[k]), rtol=0, atol=1e-12)
 
     good = np.flatnonzero(np.isfinite(gt[:, 0]))
     sub = replace(
@@ -201,11 +204,25 @@ def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
         assert records.tags[row] == one.tags[0]
 
 
+def _observations(faces):
+    """The rows of a FaceTable as FaceObservations keyed by (frame_id, camera)."""
+    out = {}
+    for fid, cam, bbox, eye in zip(faces.frame_id.tolist(), faces.camera.tolist(), faces.bbox, faces.eye):
+        out[(fid, cam)] = FaceObservation(fid, cam, bbox=None if np.isnan(bbox[0]) else tuple(bbox.tolist()),
+                                          eye_midpoint=None if np.isnan(eye[0]) else tuple(eye.tolist()))
+    return out
+
+
 def _reference(manifest, method, rig, plane, grid):
     """The single-frame functions composed frame by frame."""
     ref = manifest.predictions[method]
-    preds = {p.frame_id: p for p in read_predictions(ref.path)}
-    faces = {(f.frame_id, f.camera_id): f for f in read_faces(manifest.faces)}
+    table = read_predictions(ref.path)
+    preds = {
+        fid: GazePrediction(fid, m, yaw, pitch, table.convention)
+        for fid, m, yaw, pitch in zip(table.frame_id.tolist(), table.method.tolist(),
+                                      table.yaw.tolist(), table.pitch.tolist())
+    }
+    faces = _observations(read_faces(manifest.faces))
     records, skipped, pred_dirs, gt_dirs = [], [], [], []
     for frame in manifest.frames:
         fid = frame.frame_id
@@ -250,12 +267,13 @@ def test_evaluate_method_matches_single_frame_composition(tmp_path):
     rig = read_stereo(manifest.stereo)
     plane = read_plane_pose(manifest.plane_pose)
     grid = read_grid_config(manifest.grid_config)
-    by_key = read_faces_by_key(manifest)
+    faces = read_faces(manifest.faces)
+    by_key = _observations(faces)
     fallback = head_point(by_key[("f00005", "left")], by_key[("f00005", "right")], rig, SOURCE_EYES)
     assert fallback.source == SOURCE_BBOX
 
     for method in sorted(manifest.predictions):
-        report = evaluate_method(manifest, method, rig, plane, grid, by_key)
+        report = evaluate_method(manifest, method, rig, plane, grid, faces)
         records, skipped, pred_dirs, gt_dirs = _reference(manifest, method, rig, plane, grid)
         assert report.skipped == skipped
         assert [fid for fid, _ in skipped] == sorted(fid for fid, _ in skipped)

@@ -223,7 +223,9 @@ class TestMultipleFacesRejected:
         faces.write_text("\n".join(lines) + "\n")
         rc = main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")])
         assert rc == 1
-        assert "exactly one face" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exactly one face" in err
+        assert f"faces.csv:{len(lines)}:" in err
 
 
 class TestOrderIndependence:
@@ -352,6 +354,35 @@ class TestProvenance:
             assert any("faces.csv=" in l for l in head if l.startswith("# inputs_sha256:")), name
 
 
+class TestReportInputs:
+    def test_report_on_a_non_summary_csv_is_a_parse_error(self, dataset_dir, tmp_path, capsys):
+        report = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(report)]) == 0
+        capsys.readouterr()
+        header_line = next(k for k, l in enumerate((report / "cdf.csv").read_text().splitlines(), 1)
+                           if not l.startswith("#"))
+        assert main(["report", "--report", str(report / "cdf.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"cdf.csv:{header_line}: bad header" in err
+
+    def test_report_json_hashes_the_manifest_given(self, dataset_dir, tmp_path):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        payload = json.loads((data / "manifest.json").read_text())
+        payload["frames"].reverse()
+        other = data / "manifest_reversed.json"
+        other.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        report = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(other), "--out", str(report)]) == 0
+        inputs = json.loads((report / "report.json").read_text())["provenance"]["inputs"]
+        meta = dict(l[2:].split(": ", 1) for l in (report / "summary.csv").read_text().splitlines()
+                    if l.startswith("# "))
+        assert "manifest.json" not in inputs
+        assert inputs["manifest_reversed.json"] == meta["manifest_sha256"]
+
+
 class TestNonFiniteInputs:
     """A nan or inf number in an input CSV is a parse error naming file and line."""
 
@@ -445,6 +476,46 @@ class TestMalformedDatasetRows:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"pred_oracle-absolute.csv:{len(lines)}:" in err and "'f00000'" in err
+
+    @staticmethod
+    def _edit_row(path: Path, prefix: str, edit) -> int:
+        """Apply ``edit`` to the first line starting with ``prefix``; returns its line number."""
+        lines = path.read_text().splitlines()
+        k = next(k for k, l in enumerate(lines) if l.startswith(prefix))
+        lines[k] = edit(lines[k])
+        path.write_text("\n".join(lines) + "\n")
+        return k + 1
+
+    def _evaluate_copy(self, dataset_dir, tmp_path, file: str, prefix: str, edit):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        lineno = self._edit_row(data / file, prefix, edit)
+        rc = main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")])
+        return rc, lineno
+
+    def test_face_camera_must_be_left_or_right(self, dataset_dir, tmp_path, capsys):
+        rc, lineno = self._evaluate_copy(dataset_dir, tmp_path, "faces.csv", "f00002,right,",
+                                         lambda l: l.replace(",right,", ",Right,"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"faces.csv:{lineno}:" in err and "camera must be left or right, got 'Right'" in err
+
+    def test_prediction_frame_not_in_manifest(self, dataset_dir, tmp_path, capsys):
+        rc, lineno = self._evaluate_copy(dataset_dir, tmp_path, "pred_oracle-offset.csv", "f00004,",
+                                         lambda l: l.replace("f00004,", "f99999,", 1))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"pred_oracle-offset.csv:{lineno}:" in err and "prediction frame 'f99999' not in manifest" in err
+
+    def test_prediction_row_for_another_method(self, dataset_dir, tmp_path, capsys):
+        rc, lineno = self._evaluate_copy(dataset_dir, tmp_path, "pred_oracle-absolute.csv", "f00006,",
+                                         lambda l: l.replace(",oracle-absolute,", ",oracle-offset,"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"pred_oracle-absolute.csv:{lineno}:" in err
+        assert "prediction row for method 'oracle-offset' in file of 'oracle-absolute'" in err
 
     @pytest.mark.parametrize("tags", ["glasses", [1], ["glasses", None], {"glasses": True}])
     def test_tags_must_be_a_list_of_strings(self, dataset_dir, tmp_path, capsys, tags):

@@ -1,8 +1,13 @@
+import csv
+import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.calibration import CornerObservation, StereoRig
 from planegaze.camera import CameraIntrinsics
@@ -29,10 +34,23 @@ from planegaze.formats import (
 )
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, default_target_map
-from planegaze.pipeline import GazePrediction
+from planegaze.pipeline import GazePrediction, PredictionTable
 from planegaze.plane import PlanePose
 from planegaze.synthetic import default_scene, generate_scene
-from planegaze.triangulation import FaceObservation
+from planegaze.triangulation import FaceObservation, FaceTable
+
+
+def assert_same_table(got, want):
+    """Every column equal, floats bit for bit; a file's line numbers are not compared."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "line":
+            continue
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.dtype.kind == b.dtype.kind, f.name
+            assert a.tobytes() == b.tobytes() if b.dtype.kind == "f" else a.tolist() == b.tolist(), f.name
+        else:
+            assert a == b, f.name
 
 
 @pytest.fixture()
@@ -109,8 +127,8 @@ class TestCsvRoundTrips:
             FaceObservation("f1", "left", eye_midpoint=(9.0, 8.0)),
         ]
         path = tmp_path / "faces.csv"
-        write_faces(path, obs)
-        assert read_faces(path) == obs
+        write_faces(path, FaceTable.from_observations(obs))
+        assert_same_table(read_faces(path), FaceTable.from_observations(obs))
 
     def test_predictions_radians(self, tmp_path):
         preds = [
@@ -118,18 +136,18 @@ class TestCsvRoundTrips:
             GazePrediction("f1", "m", -1.0 / 3.0, 0.7, "camera_offset"),
         ]
         path = tmp_path / "pred.csv"
-        write_predictions(path, preds, unit="radians")
-        assert read_predictions(path) == preds
+        write_predictions(path, PredictionTable.from_predictions(preds), unit="radians")
+        assert_same_table(read_predictions(path), PredictionTable.from_predictions(preds))
 
     def test_predictions_degrees_unit_conversion(self, tmp_path):
         preds = [GazePrediction("f0", "m", math.radians(30.0), math.radians(-10.0), "absolute")]
         path = tmp_path / "pred.csv"
-        write_predictions(path, preds, unit="degrees")
+        write_predictions(path, PredictionTable.from_predictions(preds), unit="degrees")
         text = path.read_text()
         assert "# unit: degrees" in text
         back = read_predictions(path)
-        assert back[0].yaw == pytest.approx(math.radians(30.0), rel=1e-15)
-        assert back[0].convention == "absolute"
+        assert back.yaw[0] == pytest.approx(math.radians(30.0), rel=1e-15)
+        assert back.convention == "absolute"
 
     def test_prediction_unit_header_mandatory(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -178,11 +196,11 @@ class TestDatasetAndManifest:
         assert [f.frame_id for f in manifest.frames] == [t.frame_id for t in ds.truths]
         assert set(manifest.predictions) == set(ds.predictions)
         assert read_corners(manifest.calibration_corners) == list(ds.calib_corners)
-        assert read_faces(manifest.faces) == list(ds.faces)
+        assert_same_table(read_faces(manifest.faces), FaceTable.from_observations(ds.faces))
         rig = read_stereo(manifest.stereo)
         assert rig.left == ds.rig.left
         for name, ref in manifest.predictions.items():
-            assert read_predictions(ref.path) == list(ds.predictions[name])
+            assert_same_table(read_predictions(ref.path), PredictionTable.from_predictions(ds.predictions[name]))
 
     def test_manifest_missing_file_rejected(self, tmp_path):
         ds = generate_scene(default_scene(frames=2, seed=8, calib_views=2))
@@ -217,3 +235,90 @@ class TestDatasetAndManifest:
             if fa.is_file():
                 fb = tmp_path / "b" / fa.relative_to(tmp_path / "a")
                 assert fa.read_bytes() == fb.read_bytes()
+
+
+# --- round trips of random tables -----------------------------------------------
+
+IDS = st.text(alphabet=st.sampled_from(list("abfXZ07 ,\"';#_-é")), max_size=6)
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+CAMERAS = st.sampled_from(["left", "right"])
+
+
+@st.composite
+def face_tables(draw):
+    keys = draw(st.lists(st.tuples(IDS, CAMERAS), unique=True, max_size=6))
+    obs = []
+    for frame_id, camera in keys:
+        (u0, u1), (v0, v1) = sorted(draw(st.tuples(FLOATS, FLOATS))), sorted(draw(st.tuples(FLOATS, FLOATS)))
+        bbox = draw(st.sampled_from([None, (u0, v0, u1, v1)]))
+        eye = draw(st.tuples(FLOATS, FLOATS)) if bbox is None else draw(st.none() | st.tuples(FLOATS, FLOATS))
+        obs.append(FaceObservation(frame_id, camera, bbox=bbox, eye_midpoint=eye))
+    return FaceTable.from_observations(obs)
+
+
+@st.composite
+def prediction_tables(draw):
+    keys = draw(st.lists(st.tuples(IDS, IDS), unique=True, max_size=6))
+    convention = draw(st.sampled_from(["camera_offset", "absolute"]))
+    return PredictionTable.from_predictions(
+        [GazePrediction(frame_id, method, draw(FLOATS), draw(FLOATS), convention) for frame_id, method in keys]
+    )
+
+
+@st.composite
+def corner_lists(draw):
+    ints = st.integers(-(2**63), 2**63 - 1)
+    return draw(st.lists(st.builds(
+        CornerObservation, IDS, CAMERAS, st.tuples(ints, ints), st.tuples(FLOATS, FLOATS)
+    ), max_size=6))
+
+
+def _pixel_bits(corners):
+    return np.array([ob.pixel for ob in corners], dtype=float).reshape(-1, 2).tobytes()
+
+
+def _write_tables(d, faces, preds, corners):
+    write_faces(d / "faces.csv", faces)
+    write_predictions(d / "pred.csv", preds, unit="radians")
+    write_corners(d / "corners.csv", corners)
+
+
+@settings(max_examples=40, deadline=None)
+@given(faces=face_tables(), preds=prediction_tables(), corners=corner_lists())
+def test_random_tables_round_trip_bit_for_bit(tmp_path_factory, faces, preds, corners):
+    d = tmp_path_factory.mktemp("tables")
+    _write_tables(d, faces, preds, corners)
+    assert_same_table(read_faces(d / "faces.csv"), faces)
+    assert_same_table(read_predictions(d / "pred.csv"), preds)
+    back = read_corners(d / "corners.csv")
+    assert back == corners and _pixel_bits(back) == _pixel_bits(corners)
+
+
+@settings(max_examples=40, deadline=None)
+@given(faces=face_tables(), preds=prediction_tables(), corners=corner_lists(), data=st.data())
+def test_one_corrupted_numeric_cell_names_its_line(tmp_path_factory, faces, preds, corners, data):
+    d = tmp_path_factory.mktemp("corrupt")
+    _write_tables(d, faces, preds, corners)
+    name, read, numeric = data.draw(st.sampled_from([
+        ("faces.csv", read_faces, range(2, 8)),
+        ("pred.csv", read_predictions, range(2, 4)),
+        ("corners.csv", read_corners, range(2, 6)),
+    ]))
+    path = d / name
+    lines = path.read_text().splitlines()
+    header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    if header == len(lines) - 1:
+        return  # an empty table has no cell to corrupt
+    k = data.draw(st.integers(header + 1, len(lines) - 1))
+    cells = next(csv.reader([lines[k]]))
+    cells[data.draw(st.sampled_from(numeric))] = data.draw(st.sampled_from(["x1", "nan", "-inf", "1.5.2"]))
+    row = io.StringIO()
+    csv.writer(row, lineterminator="").writerow(cells)
+    lines[k] = row.getvalue()
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"field '\w+' is not") as err:
+        read(path)
+    assert (err.value.file, err.value.line) == (str(path), k + 1)
