@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project_packed
+from .camera import CameraIntrinsics, project_packed, project_packed_jacobian
 from .errors import (
     DegenerateConfigurationError,
     IllConditionedError,
@@ -301,14 +301,21 @@ def refine_calibration(
         uv = project_packed(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
         return (uv - pix).ravel()
 
-    # a residual row depends on the intrinsics and on its own view's pose only,
-    # so pose parameter k of every view is perturbed at once
-    row_view = np.repeat(view_idx, 2)  # rows are (u, v) pairs
-    jac_groups = [[(j, slice(None))] for j in range(n_intr)] + [
-        [(n_intr + 6 * v + k, row_view == v) for v in range(len(view_ids))] for k in range(6)
-    ]
+    # a residual row depends on the intrinsics and on its own view's 6 pose columns only
+    rows = np.arange(len(view_idx))[:, None]
+    pose_cols = n_intr + 6 * view_idx[:, None] + np.arange(6)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        xi = x[:n_intr]
+        pose = x[n_intr:].reshape(-1, 6)
+        _, d_xi, d_pose = project_packed_jacobian(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
+        J = np.zeros((len(view_idx), 2, x.size))
+        J[:, :, :n_intr] = d_xi
+        J[rows, :, pose_cols] = d_pose.transpose(0, 2, 1)
+        return J.reshape(-1, x.size)
+
     result = levenberg_marquardt(
-        residual, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr), jac_groups=jac_groups
+        residual, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr), jacobian=jacobian
     )
     logger.debug("intrinsics refinement: %s", result.summary())
 
@@ -380,6 +387,28 @@ def calibrate_camera(
     return refine_calibration(flat_obs, grid, init, fix_skew=fix_skew)
 
 
+def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
+    """Refine the one rigid pose that maps ``points`` (N, 3) onto ``pixels`` (N, 2).
+
+    The camera has packed intrinsics ``xi`` (:meth:`CameraIntrinsics.packed`),
+    held fixed. Returns the refined pose and its per-point residuals (N, 2).
+    Raises NoConvergenceError (carrying the best iterate) on divergence.
+    """
+    view_idx = np.zeros(len(points), dtype=int)
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        return (project_packed(xi, x[None, :3], x[None, 3:], view_idx, points) - pixels).ravel()
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)[2].reshape(-1, 6)
+
+    x0 = np.concatenate([axis_angle_from_rotation(pose0.rotation), pose0.translation])
+    result = levenberg_marquardt(residual, x0, plus=retract_poses, jacobian=jacobian)
+    logger.debug("%s refinement: %s", label, result.summary())
+    pose = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
+    return pose, residual(result.x).reshape(-1, 2)
+
+
 # --- stereo ---------------------------------------------------------------
 
 def calibrate_stereo(
@@ -415,29 +444,15 @@ def calibrate_stereo(
     R0 = nearest_rotation(np.mean(rotations, axis=0))
     t0 = np.mean(translations, axis=0)
 
-    right_obs = [
-        ob for ob in observations
-        if ob.camera_id == CAMERA_RIGHT and ob.view_id in set(shared_views)
-    ]
+    shared = set(shared_views)
+    right_obs = [ob for ob in observations if ob.camera_id == CAMERA_RIGHT and ob.view_id in shared]
     if not right_obs:
         return StereoRig(left.intrinsics, right.intrinsics, RigidTransform(R0, t0))
 
+    # the right corners' board points in the left camera frame, fixed by the left poses
     view_idx, obj, pix = _observation_arrays(right_obs, grid, shared_views)
     left_R = np.array([left.per_view_poses[v].rotation for v in shared_views])
     left_t = np.array([left.per_view_poses[v].translation for v in shared_views])
-    xi = right.intrinsics.packed()
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        R_rel = rotation_from_axis_angle(x[:3])
-        t_rel = x[3:]
-        # compose the candidate rig transform onto each fixed left pose
-        rv = np.array([axis_angle_from_rotation(R_rel @ Rl) for Rl in left_R])
-        tv = (left_t @ R_rel.T) + t_rel
-        uv = project_packed(xi, rv, tv, view_idx, obj)
-        return (uv - pix).ravel()
-
-    x0 = np.concatenate([axis_angle_from_rotation(R0), t0])
-    result = levenberg_marquardt(residual, x0, plus=retract_poses)
-    logger.debug("stereo refinement: %s", result.summary())
-    rel = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
+    points = np.einsum("nij,nj->ni", left_R[view_idx], obj) + left_t[view_idx]
+    rel, _ = refine_pose(right.intrinsics.packed(), points, pix, RigidTransform(R0, t0), "stereo")
     return StereoRig(left.intrinsics, right.intrinsics, rel)

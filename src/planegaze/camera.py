@@ -96,7 +96,8 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     z = Xc[..., 2]
     if np.any(z <= 1e-9):
         raise BehindCameraError("point behind camera (z <= 0 after pose transform)")
-    return _pixels(Xc[..., :2] / z[..., None], K.fx, K.fy, K.cx, K.cy, K.skew, K.dist)
+    xd = distort_normalized(Xc[..., :2] / z[..., None], K.dist)
+    return _pixels(xd, K.fx, K.fy, K.cx, K.cy, K.skew)
 
 
 def project_packed(xi, rvecs, tvecs, view_idx, obj) -> np.ndarray:
@@ -108,16 +109,77 @@ def project_packed(xi, rvecs, tvecs, view_idx, obj) -> np.ndarray:
     are clamped to z = 1e-9 instead of raising, so a solver's excursions
     show as large residuals.
     """
-    fx, fy, cx, cy = xi[:4]
-    skew = xi[4] if len(xi) == 10 else 0.0
-    R = rotation_from_axis_angle(rvecs)
-    Xc = np.einsum("nij,nj->ni", R[view_idx], obj) + tvecs[view_idx]
+    _, Xc = _posed_points(rvecs, tvecs, view_idx, obj)
+    fx, fy, cx, cy, skew, dist = _unpack(xi)
+    xd = distort_normalized(Xc[:, :2] / np.maximum(Xc[:, 2:], 1e-9), dist)
+    return _pixels(xd, fx, fy, cx, cy, skew)
+
+
+def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
+    """:func:`project_packed` with its derivatives, for the solvers.
+
+    Returns ``(uv, d_xi, d_pose)``: the pixels (N, 2), bit for bit those of
+    :func:`project_packed`; d uv / d xi, (N, 2, len(xi)); and d uv / d the
+    increment of each point's own view pose, (N, 2, 6). The increment
+    (d rvec, d t) is the one :func:`~planegaze.geometry.retract_poses`
+    applies, R <- exp(d rvec) R and t <- t + d t, under which the
+    camera-frame point moves by d rvec x (R X) + d t (Gallego & Yezzi 2015).
+    """
+    p, Xc = _posed_points(rvecs, tvecs, view_idx, obj)
+    fx, fy, cx, cy, skew, (k1, k2, p1, p2, k3) = _unpack(xi)
     z = np.maximum(Xc[:, 2], 1e-9)
-    return _pixels(Xc[:, :2] / z[:, None], fx, fy, cx, cy, skew, xi[-5:])
+    xy = Xc[:, :2] / z[:, None]
+    xd = distort_normalized(xy, (k1, k2, p1, p2, k3))
+    uv = _pixels(xd, fx, fy, cx, cy, skew)
+
+    x, y = xy[:, 0], xy[:, 1]
+    r2 = x * x + y * y
+    xy2 = 2.0 * x * y
+    # d (xd, yd) / d (k1, k2, p1, p2, k3)
+    D_dist = np.stack([
+        np.stack([x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x, x * r2 ** 3], axis=-1),
+        np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2, y * r2 ** 3], axis=-1),
+    ], axis=1)
+    # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
+    cross = dr * x * y + 2.0 * (p1 * x + p2 * y)
+    D_xy = np.stack([
+        np.stack([radial + dr * x * x + 2.0 * p1 * y + 6.0 * p2 * x, cross], axis=-1),
+        np.stack([cross, radial + dr * y * y + 6.0 * p1 * y + 2.0 * p2 * x], axis=-1),
+    ], axis=1)
+    A = np.array([[fx, skew], [0.0, fy]])  # d (u, v) / d (xd, yd)
+
+    d_xi = np.zeros((len(xy), 2, len(xi)))
+    d_xi[:, 0, 0] = xd[:, 0]
+    d_xi[:, 1, 1] = xd[:, 1]
+    d_xi[:, 0, 2] = d_xi[:, 1, 3] = 1.0
+    if len(xi) == 10:
+        d_xi[:, 0, 4] = xd[:, 1]
+    d_xi[:, :, -5:] = A @ D_dist
+
+    # d uv / d Xc: d (x, y) / d Xc is [I | -(x, y)] / z
+    AD = A @ D_xy
+    M = np.concatenate([AD, -(AD @ xy[:, :, None])], axis=2) / z[:, None, None]
+    d_pose = np.concatenate([np.cross(p[:, None, :], M), M], axis=2)
+    return uv, d_xi, d_pose
 
 
-def _pixels(xy: np.ndarray, fx, fy, cx, cy, skew, dist) -> np.ndarray:
-    xd = distort_normalized(xy, dist)
+def _posed_points(rvecs, tvecs, view_idx, obj) -> tuple[np.ndarray, np.ndarray]:
+    """Rotated board points R X and camera-frame points R X + t, each (N, 3)."""
+    R = rotation_from_axis_angle(rvecs)
+    p = np.einsum("nij,nj->ni", R[view_idx], obj)
+    return p, p + tvecs[view_idx]
+
+
+def _unpack(xi):
+    """(fx, fy, cx, cy, skew, dist) of a 9- or 10-entry packed vector."""
+    skew = xi[4] if len(xi) == 10 else 0.0
+    return xi[0], xi[1], xi[2], xi[3], skew, xi[-5:]
+
+
+def _pixels(xd: np.ndarray, fx, fy, cx, cy, skew) -> np.ndarray:
+    """Pixels of distorted normalized coordinates (..., 2)."""
     u = fx * xd[..., 0] + skew * xd[..., 1] + cx
     v = fy * xd[..., 1] + cy
     return np.stack([u, v], axis=-1)

@@ -160,7 +160,9 @@ def rotation_from_axis_angle(rvec) -> np.ndarray:
     """Rodrigues map. ``rvec`` may be (3,) or (N, 3); result (3,3) or (N,3,3).
 
     Uses series expansions of sin(t)/t and (1-cos t)/t^2 below 1e-8 so the
-    map is smooth through zero (needed for finite-difference Jacobians).
+    map is smooth through zero. The solvers differentiate it in closed form
+    (:func:`~planegaze.camera.project_packed_jacobian`); smoothness keeps
+    ``optimize.fd_jacobian``, their test oracle, accurate near zero.
     """
     r = np.asarray(rvec, dtype=float)
     single = r.ndim == 1
@@ -178,25 +180,30 @@ def rotation_from_axis_angle(rvec) -> np.ndarray:
 
 
 def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues map; rvec with norm in [0, pi]."""
+    """Inverse Rodrigues map; ``R`` may be (3, 3) or (N, 3, 3), rvecs with norm in [0, pi].
+
+    The angle is atan2(sin, cos), which stays accurate near pi, where
+    arccos of the trace loses half the digits.
+    """
     R = np.asarray(R, dtype=float)
-    cos_t = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = math.acos(cos_t)
-    vee = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-8:
-        return vee
-    if math.pi - theta < 1e-6:
-        # near pi the skew part vanishes; recover axis from R + I
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        k = int(np.argmax(axis))
-        if axis[k] > 0:
-            axis = A[:, k] / axis[k]
-            axis /= np.linalg.norm(axis)
-        if np.dot(axis, vee) < 0:
-            axis = -axis
-        return theta * axis
-    return theta / math.sin(theta) * vee
+    single = R.ndim == 2
+    R = R.reshape(-1, 3, 3)
+    vee = 0.5 * np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    sin_t = norm(vee)
+    theta = np.arctan2(sin_t, (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0)
+    near_pi = math.pi - theta < 1e-6
+    plain = (theta >= 1e-8) & ~near_pi
+    out = vee.copy()  # below 1e-8 rad, vee is the rvec
+    out[plain] *= (theta[plain] / sin_t[plain])[:, None]
+    if near_pi.any():
+        # near pi the skew part vanishes; (R + R^T + 2 I) / 4 is a a^T up to (pi - theta)^2
+        A = (R[near_pi] + R[near_pi].transpose(0, 2, 1) + 2.0 * np.eye(3)) / 4.0
+        k = np.argmax(np.diagonal(A, axis1=1, axis2=2), axis=1)
+        axis = A[np.arange(len(A)), :, k]  # a_k a, for the largest axis component a_k
+        axis /= np.maximum(norm(axis), 1e-300)[:, None]
+        axis[dot(axis, vee[near_pi]) < 0] *= -1.0
+        out[near_pi] = theta[near_pi, None] * axis
+    return out[0] if single else out
 
 
 def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -213,9 +220,7 @@ def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
     if moved.size:
         rot = x[offset:].reshape(-1, 6)[moved, :3]
         R = rotation_from_axis_angle(drot[moved]) @ rotation_from_axis_angle(rot)
-        for k, v in enumerate(moved):
-            o = offset + 6 * v
-            out[o:o + 3] = axis_angle_from_rotation(R[k])
+        out[offset:].reshape(-1, 6)[moved, :3] = axis_angle_from_rotation(R)
     return out
 
 

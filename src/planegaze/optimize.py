@@ -1,28 +1,26 @@
-"""Damped least squares with finite-difference Jacobians.
+"""Damped least squares with analytic Jacobians.
 
 Shared by the intrinsics refinement, the stereo relative-pose refinement
-and the plane-pose refinement. Jacobians are central differences with a
-relative step of 1e-6; damping starts at 1e-3, multiplies by 10 on a
-rejected step, divides by 10 on an accepted one, clamped to [1e-12, 1e12].
-
-Differences are taken over groups of columns (Curtis, Powell & Reid
-1974). ``jac_groups`` lists groups of ``(column, rows)`` pairs, ``rows``
-(index array, mask or slice) being the residual rows that column can
-change. The columns of a group touch disjoint rows, so one +/- pair of
-residual evaluations perturbs them all, and each column reads its own
-rows; every other entry is 0.0, as in a dense difference, so a correct
-structure gives the dense Jacobian bit for bit. By default every column
-is its own group over all rows.
+and the plane-pose refinement. Each passes ``jacobian(x)``, the closed-form
+derivative of its residual (built on
+:func:`~planegaze.camera.project_packed_jacobian`), so one LM iteration
+costs one residual evaluation per trial step and none for the Jacobian.
+:func:`fd_jacobian`, central differences with a relative step of 1e-6, is
+the default for a caller that passes no Jacobian and the oracle the
+analytic ones are tested against. Damping starts at 1e-3, multiplies by
+10 on a rejected step, divides by 10 on an accepted one, clamped to
+[1e-12, 1e12].
 
 Rotation blocks are handled through an optional ``plus`` retraction so the
 solver steps in local increments composed onto the current estimate
-instead of in a global singular parameterization.
+instead of in a global singular parameterization; a Jacobian is taken
+with respect to that increment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,41 +54,19 @@ class LMResult:
         )
 
 
-def column_groups(jac_groups: Sequence | None, n_residuals: int, n_params: int) -> list:
-    """``jac_groups`` after checking it, or one dense group per column when None."""
-    if jac_groups is None:
-        return [[(j, slice(None))] for j in range(n_params)]
-    groups = [list(group) for group in jac_groups]
+def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable) -> np.ndarray:
+    """Dense central-difference Jacobian of ``residual`` at ``x`` under ``plus``: 2 evaluations per column."""
     cols = []
-    for group in groups:
-        taken = np.zeros(n_residuals, dtype=bool)
-        for j, rows in group:
-            if taken[rows].any():
-                raise ValueError(f"column {j} shares residual rows within its group")
-            taken[rows] = True
-            cols.append(j)
-    if sorted(cols) != list(range(n_params)):
-        raise ValueError(f"jac_groups must cover each of the {n_params} columns exactly once")
-    return groups
-
-
-def fd_jacobian(
-    residual: Callable, x: np.ndarray, plus: Callable, groups: list, n_residuals: int
-) -> np.ndarray:
-    """Central-difference Jacobian over checked ``column_groups``: 2 evaluations per group."""
-    J = np.zeros((n_residuals, x.size))
     dx = np.zeros(x.size)
-    for group in groups:
-        cols = [j for j, _ in group]
-        h = FD_REL_STEP * np.maximum(np.abs(x[cols]), 1.0)
-        dx[cols] = h
+    for j in range(x.size):
+        h = FD_REL_STEP * max(abs(x[j]), 1.0)
+        dx[j] = h
         rp = residual(plus(x, dx))
-        dx[cols] = -h
+        dx[j] = -h
         rm = residual(plus(x, dx))
-        dx[cols] = 0.0
-        for (j, rows), hj in zip(group, h):
-            J[rows, j] = (rp[rows] - rm[rows]) / (2.0 * hj)
-    return J
+        dx[j] = 0.0
+        cols.append((rp - rm) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def levenberg_marquardt(
@@ -98,25 +74,25 @@ def levenberg_marquardt(
     x0: np.ndarray,
     *,
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
-    jac_groups: Sequence | None = None,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
     ``plus(x, dx)`` applies a local increment; defaults to addition.
-    ``jac_groups`` describes the Jacobian's row structure (module
-    docstring); by default every column is dense.
+    ``jacobian(x)`` returns d residual / d increment at ``x``, shape
+    (residuals, parameters); without it each iteration takes
+    :func:`fd_jacobian`, 2 residual evaluations per parameter.
     Convergence: relative cost change below 1e-12, gradient norm below
     1e-10, or ``max_iter`` sweeps. If the cost still increases with the
     damping clamped at its maximum, raises NoConvergenceError carrying the
     best iterate seen.
     """
     if plus is None:
-        plus = lambda x, dx: x + dx
+        plus = _add
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
     evals = 1
-    groups = column_groups(jac_groups, r.size, x.size)
     cost = float(r @ r)
     lam = DAMPING_INIT
     n_iter = 0
@@ -127,8 +103,11 @@ def levenberg_marquardt(
         return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals)
 
     for n_iter in range(1, max_iter + 1):
-        J = fd_jacobian(residual, x, plus, groups, r.size)
-        evals += 2 * len(groups)
+        if jacobian is None:
+            J = fd_jacobian(residual, x, plus)
+            evals += 2 * x.size
+        else:
+            J = jacobian(x)
         g = J.T @ r
         if np.linalg.norm(g) < GRAD_TOL:
             reason = "gradient"
@@ -181,3 +160,7 @@ def levenberg_marquardt(
 
 def _rms(cost: float, n_residuals: int) -> float:
     return float(np.sqrt(cost / max(n_residuals, 1)))
+
+
+def _add(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    return x + dx

@@ -8,26 +8,15 @@ camera-from-plane pose, refine on pixel reprojection, then invert.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import estimate_homography, pose_from_homography
-from .camera import CameraIntrinsics, project_packed, undistort_pixels
+from .calibration import estimate_homography, pose_from_homography, refine_pose
+from .camera import CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError
-from .geometry import (
-    FRAME_CAMERA,
-    FRAME_PLANE,
-    RigidTransform,
-    axis_angle_from_rotation,
-    retract_poses,
-    rotation_from_axis_angle,
-)
+from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
 from .grid import GridConfig
-from .optimize import levenberg_marquardt
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -70,21 +59,7 @@ def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> Pla
     cam_from_plane = pose_from_homography(np.eye(3), H)
 
     obj = np.column_stack([plane_pts, np.zeros(len(items))])
-    view_idx = np.zeros(len(items), dtype=int)
-    xi = K.packed()
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        uv = project_packed(xi, x[None, :3], x[None, 3:], view_idx, obj)
-        return (uv - pixels).ravel()
-
-    x0 = np.concatenate(
-        [axis_angle_from_rotation(cam_from_plane.rotation), cam_from_plane.translation]
-    )
-    result = levenberg_marquardt(residual, x0, plus=retract_poses)
-    logger.debug("plane pose refinement: %s", result.summary())
-
-    refined = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    res = residual(result.x).reshape(-1, 2)
+    refined, res = refine_pose(K.packed(), obj, pixels, cam_from_plane, "plane pose")
     rms = float(np.sqrt(np.mean(res ** 2)))
     camera_to_plane = RigidTransform(
         refined.rotation.T,

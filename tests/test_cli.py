@@ -58,6 +58,19 @@ class TestCalibrate(object):
         assert abs(payload["fx"] - 350.0) / 350.0 < 1e-6
         assert payload["rms_px"] < 1e-8
 
+    def test_release_skew(self, dataset_dir, tmp_path):
+        rc = main([
+            "calibrate", "--corners", str(dataset_dir / "corners.csv"),
+            "--grid", str(dataset_dir / "grid.json"), "--image-size", "1280x720",
+            "--out", str(tmp_path / "calib"), "--release-skew",
+        ])
+        assert rc == 0
+        for camera, fx in (("left", 350.0), ("right", 355.0)):
+            payload = json.loads((tmp_path / "calib" / f"intrinsics_{camera}.json").read_text())
+            assert "skew" in payload
+            assert abs(payload["skew"]) < 1e-6 * fx
+            assert abs(payload["fx"] - fx) / fx < 1e-6
+
     def test_single_view_ill_conditioned(self, dataset_dir, tmp_path):
         rows = read_csv_rows(dataset_dir / "corners.csv")
         header, body = rows[0], rows[1:]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.errors import FrameMismatchError
 from planegaze.geometry import (
@@ -123,6 +125,36 @@ class TestRigidTransform:
             R = rotation_from_axis_angle(rvec)
             back = axis_angle_from_rotation(R)
             np.testing.assert_allclose(back, rvec, atol=1e-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    angle=st.one_of(
+        st.floats(0.0, math.pi), st.floats(math.pi - 1e-6, math.pi), st.floats(0.0, 1e-7)
+    ),
+)
+def test_axis_angle_inverts_rotation_up_to_pi(axis, angle):
+    rvec = np.array(axis) / np.linalg.norm(axis) * angle
+    R = rotation_from_axis_angle(rvec)
+    back = axis_angle_from_rotation(R)
+    assert np.linalg.norm(back) <= math.pi + 1e-12
+    np.testing.assert_allclose(rotation_from_axis_angle(back), R, rtol=0, atol=1e-9)
+    if math.pi - angle > 1e-6:
+        np.testing.assert_allclose(back, rvec, rtol=0, atol=1e-9)
+    else:  # near a half turn only R's vanishing skew part fixes the sign; R is checked above
+        assert min(np.abs(back - rvec).max(), np.abs(back + rvec).max()) < 1e-9
+
+
+def test_axis_angle_batch_rows_equal_single_calls():
+    rng = np.random.default_rng(8)
+    axes = random_unit_vectors(rng, 8)
+    angles = [0.0, 1e-10, 1e-8, 0.4, 2.0, math.pi - 1e-6, math.pi - 1e-9, math.pi]
+    Rs = rotation_from_axis_angle(axes * np.array(angles)[:, None])
+    batch = axis_angle_from_rotation(Rs)
+    assert batch.shape == (8, 3)
+    for R, row in zip(Rs, batch):
+        assert np.array_equal(axis_angle_from_rotation(R), row)
 
 
 class TestTransformRay:

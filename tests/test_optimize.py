@@ -1,109 +1,190 @@
-"""Grouped finite-difference Jacobians in the LM solver."""
+"""Analytic Jacobians in the LM solver, held to dense finite differences."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planegaze import calibration, optimize
-from planegaze.calibration import calibrate_camera
-from planegaze.optimize import column_groups, fd_jacobian, levenberg_marquardt
+from planegaze import calibration
+from planegaze.calibration import (
+    CalibrationResult,
+    CornerObservation,
+    calibrate_camera,
+    calibrate_stereo,
+    refine_calibration,
+)
+from planegaze.camera import CameraIntrinsics, project_packed, project_packed_jacobian, project_points
+from planegaze.geometry import RigidTransform, axis_angle_from_rotation, rotation_from_axis_angle
+from planegaze.grid import GridConfig
+from planegaze.optimize import FD_REL_STEP, fd_jacobian, levenberg_marquardt
+from planegaze.plane import estimate_plane_pose
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
+
+GRID = GridConfig(square_size=0.03, rows=5, cols=7)
 
 
 @pytest.fixture(scope="module")
-def rig_left():
-    """Left-camera corners of a synthesized 15-view rig with 0.2 px noise."""
+def rig():
+    """A synthesized 15-view rig with 0.2 px corner noise."""
     spec = default_scene(frames=0, seed=3000, calib_views=15)
-    ds = perturb(generate_scene(spec), NoiseSpec(corner_px_sigma=0.2), seed=4000)
-    return [o for o in ds.calib_corners if o.camera_id == "left"], ds.grid
+    return perturb(generate_scene(spec), NoiseSpec(corner_px_sigma=0.2), seed=4000)
 
 
-def spy_lm(monkeypatch, *, drop_groups=False):
-    """Record every LM call made by calibration; optionally strip its row structure."""
+class Captured(Exception):
+    """Raised by :func:`capture_problem` in place of solving."""
+
+    def __init__(self, residual, x0, plus, jacobian):
+        super().__init__("captured")
+        self.problem = (residual, x0, plus, jacobian)
+
+
+def capture_problem(solve):
+    """The (residual, x0, plus, jacobian) that ``solve()`` hands to the LM solver first."""
+
+    def capture(residual, x0, *, plus=None, jacobian=None, **kwargs):
+        raise Captured(residual, x0, plus, jacobian)
+
+    with mock.patch.object(calibration, "levenberg_marquardt", capture):
+        with pytest.raises(Captured) as info:
+            solve()
+    return info.value.problem
+
+
+def assert_jacobian_matches_fd(residual, x0, plus, jacobian):
+    """Analytic equals central differences to 1e-6 of each column's largest
+    entry, plus the differences' own rounding noise, eps |r| / step."""
+    J = jacobian(x0)
+    J_fd = fd_jacobian(residual, x0, plus)
+    r = residual(x0)
+    assert J.shape == J_fd.shape == (r.size, x0.size)
+    step = FD_REL_STEP * np.maximum(np.abs(x0), 1.0)
+    tol = 1e-6 * np.abs(J_fd).max(axis=0) + 10 * np.finfo(float).eps * np.abs(r).max() / step
+    assert np.all(np.abs(J - J_fd) <= tol)
+
+
+def random_intrinsics(rng, skew=0.0, k1=(-0.4, 0.4)):
+    return CameraIntrinsics(
+        fx=rng.uniform(300, 1500), fy=rng.uniform(300, 1500),
+        cx=rng.uniform(560, 720), cy=rng.uniform(300, 420), skew=skew,
+        dist=(rng.uniform(*k1), rng.uniform(-0.2, 0.2), rng.uniform(-0.01, 0.01),
+              rng.uniform(-0.01, 0.01), rng.uniform(-0.1, 0.1)),
+        image_size=(1280, 720),
+    )
+
+
+def random_pose(rng, max_angle=3.0, z=(0.6, 1.5)):
+    axis = rng.normal(size=3)
+    R = rotation_from_axis_angle(axis / np.linalg.norm(axis) * rng.uniform(0, max_angle))
+    return RigidTransform(R, [rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), rng.uniform(*z)])
+
+
+def random_corners(rng, view_id, camera_id):
+    """A random subset of at least 4 lattice corners, at arbitrary pixels (a
+    residual's Jacobian does not depend on the observed pixels)."""
+    lattice = GRID.corner_indices()
+    keep = rng.choice(len(lattice), size=rng.integers(4, len(lattice) + 1), replace=False)
+    return [
+        CornerObservation(view_id, camera_id, lattice[k], tuple(rng.uniform(0, 700, 2)))
+        for k in sorted(keep)
+    ]
+
+
+@pytest.mark.parametrize("fix_skew", [True, False], ids=["9-entry", "10-entry"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(1, 4))
+def test_calibration_jacobian_equals_fd(fix_skew, seed, n_views):
+    rng = np.random.default_rng(seed)
+    K = random_intrinsics(rng, skew=0.0 if fix_skew else rng.uniform(-3, 3))
+    views = [f"v{k}" for k in range(n_views)]
+    obs = [ob for v in views for ob in random_corners(rng, v, "left")]
+    init = CalibrationResult(K, {v: random_pose(rng) for v in views}, float("nan"), {})
+    residual, x0, plus, jacobian = capture_problem(
+        lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew)
+    )
+    assert x0.size == (9 if fix_skew else 10) + 6 * n_views
+    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(1, 4))
+def test_stereo_jacobian_equals_fd(seed, n_views):
+    rng = np.random.default_rng(seed)
+    rel = random_pose(rng, max_angle=0.3, z=(-0.1, 0.1))
+    views = [f"v{k}" for k in range(n_views)]
+    left_poses = {v: random_pose(rng, max_angle=1.0) for v in views}
+    left = CalibrationResult(random_intrinsics(rng), left_poses, 0.0, {})
+    right = CalibrationResult(
+        random_intrinsics(rng, skew=rng.uniform(-3, 3)),
+        {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0, {},
+    )
+    obs = [ob for v in views for ob in random_corners(rng, v, "right")]
+    residual, x0, plus, jacobian = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
+    assert x0.size == 6
+    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_plane_jacobian_equals_fd(seed):
+    rng = np.random.default_rng(seed)
+    K = random_intrinsics(rng, skew=rng.uniform(-3, 3), k1=(-0.1, 0.1))
+    pose = random_pose(rng, max_angle=0.8)
+    corners = [
+        (ij, tuple(project_points(K, pose, [GRID.square_size * ij[0], GRID.square_size * ij[1], 0.0])))
+        for ij in GRID.corner_indices()
+    ]
+    residual, x0, plus, jacobian = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
+    assert x0.size == 6
+    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+
+
+def test_kernel_pixels_equal_project_packed():
+    rng = np.random.default_rng(9)
+    poses = [random_pose(rng) for _ in range(3)]
+    rvecs = np.array([axis_angle_from_rotation(T.rotation) for T in poses])
+    tvecs = np.array([T.translation for T in poses])
+    view_idx = rng.integers(0, 3, 40)
+    obj = np.column_stack([rng.uniform(0, 0.2, (40, 2)), np.zeros(40)])
+    for xi in (random_intrinsics(rng).packed(with_skew=False), random_intrinsics(rng, skew=2.0).packed()):
+        uv, d_xi, d_pose = project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj)
+        assert np.array_equal(uv, project_packed(xi, rvecs, tvecs, view_idx, obj))
+        assert d_xi.shape == (40, 2, xi.size) and d_pose.shape == (40, 2, 6)
+
+
+def test_jacobian_costs_no_residual_evaluations(rig):
+    """Every solve of a rig: residual evaluations are the start plus one per trial step."""
     calls = []
     real = calibration.levenberg_marquardt
 
-    def spy(residual, x0, *, plus=None, **kwargs):
-        if drop_groups:
-            kwargs.pop("jac_groups", None)
-        evals = [0]
+    def spy(residual, x0, *, plus, jacobian, **kwargs):
+        n = {"residual": 0, "plus": 0, "jacobian": 0}
 
-        def counted(x):
-            evals[0] += 1
-            return residual(x)
+        def counted(name, fn):
+            def call(*args):
+                n[name] += 1
+                return fn(*args)
+            return call
 
-        result = real(counted, x0, plus=plus, **kwargs)
-        calls.append({"residual": residual, "x0": x0, "plus": plus, "kwargs": kwargs,
-                      "result": result, "evals": evals[0]})
+        result = real(counted("residual", residual), x0, plus=counted("plus", plus),
+                      jacobian=counted("jacobian", jacobian), **kwargs)
+        calls.append((result, n))
         return result
 
-    monkeypatch.setattr(calibration, "levenberg_marquardt", spy)
-    return calls
+    with mock.patch.object(calibration, "levenberg_marquardt", spy):
+        cams = [
+            calibrate_camera([o for o in rig.calib_corners if o.camera_id == cam], rig.grid, (1280, 720))
+            for cam in ("left", "right")
+        ]
+        calibrate_stereo(*cams, rig.calib_corners, rig.grid)
+        estimate_plane_pose(rig.plane_corners, rig.grid, cams[0].intrinsics)
 
-
-def test_grouped_jacobian_equals_dense(monkeypatch, rig_left):
-    obs, grid = rig_left
-    calls = spy_lm(monkeypatch)
-    calibrate_camera(obs, grid, (1280, 720))
-    (call,) = calls
-    residual, x0, plus = call["residual"], call["x0"], call["plus"]
-    groups = call["kwargs"]["jac_groups"]
-    assert x0.size == 9 + 6 * 15 and len(groups) == 9 + 6
-
-    m, n = residual(x0).size, x0.size
-    dense = column_groups(None, m, n)
-    grouped = column_groups(groups, m, n)
-    J0 = fd_jacobian(residual, x0, plus, dense, m)
-    assert np.array_equal(fd_jacobian(residual, x0, plus, grouped, m), J0)
-
-    step = levenberg_marquardt(residual, x0, plus=plus, jac_groups=groups, max_iter=1)
-    r0 = residual(x0)
-    assert step.iterations == 1 and step.cost < float(r0 @ r0)
-    J1 = fd_jacobian(residual, step.x, plus, dense, m)
-    assert np.array_equal(fd_jacobian(residual, step.x, plus, grouped, m), J1)
-    assert not np.array_equal(J0, J1)
-
-
-def test_calibration_identical_without_structure(monkeypatch, rig_left):
-    obs, grid = rig_left
-    grouped = calibrate_camera(obs, grid, (1280, 720))
-    spy_lm(monkeypatch, drop_groups=True)
-    dense = calibrate_camera(obs, grid, (1280, 720))
-    assert grouped.intrinsics == dense.intrinsics
-    assert grouped.rms_reprojection == dense.rms_reprojection
-    assert grouped.per_view_rms == dense.per_view_rms
-    assert grouped.per_view_poses.keys() == dense.per_view_poses.keys()
-    for vid, pose in grouped.per_view_poses.items():
-        assert np.array_equal(pose.rotation, dense.per_view_poses[vid].rotation)
-        assert np.array_equal(pose.translation, dense.per_view_poses[vid].translation)
-
-
-def test_residual_evals_per_iteration(monkeypatch, rig_left):
-    obs, grid = rig_left
-    per_jacobian = []
-    real_fd = optimize.fd_jacobian
-
-    def counting_fd(residual, *args):
-        n = [0]
-
-        def counted(x):
-            n[0] += 1
-            return residual(x)
-
-        J = real_fd(counted, *args)
-        per_jacobian.append(n[0])
-        return J
-
-    monkeypatch.setattr(optimize, "fd_jacobian", counting_fd)
-    calls = spy_lm(monkeypatch)
-    calibrate_camera(obs, grid, (1280, 720))
-    (call,) = calls
-    result = call["result"]
-    assert result.residual_evals == call["evals"]
-    assert len(per_jacobian) == result.iterations >= 1
-    assert all(k <= 2 * (9 + 6) for k in per_jacobian)
-    trial_steps = result.residual_evals - 1 - sum(per_jacobian)
-    assert trial_steps >= 1
-    assert result.residual_evals <= 1 + result.iterations * 2 * (9 + 6) + trial_steps
+    assert len(calls) == 4
+    for result, n in calls:
+        assert result.iterations >= 1
+        assert result.residual_evals == n["residual"] == 1 + n["plus"]
+        assert n["jacobian"] == result.iterations
 
 
 def test_residual_evals_counted_on_dense_problem():
@@ -116,12 +197,3 @@ def test_residual_evals_counted_on_dense_problem():
     result = levenberg_marquardt(residual, np.array([-1.2, 1.0]))
     assert result.reason != "max_iter"
     assert result.residual_evals == evals[0]
-
-
-def test_column_groups_reject_bad_structure():
-    with pytest.raises(ValueError, match="shares residual rows"):
-        column_groups([[(0, [0, 1]), (1, [1, 2])]], 3, 2)
-    with pytest.raises(ValueError, match="exactly once"):
-        column_groups([[(0, slice(None))]], 3, 2)
-    with pytest.raises(ValueError, match="exactly once"):
-        column_groups([[(0, slice(None))], [(0, slice(None))], [(1, slice(None))]], 3, 2)
