@@ -35,7 +35,6 @@ from .geometry import (
     YawPitch,
     angular_error_deg,
     dir_to_yaw_pitch,
-    transform_ray,
     yaw_pitch_to_dir,
 )
 from .grid import GridConfig, default_target_map, grid_points, target_center
@@ -73,8 +72,6 @@ from .triangulation import (
     FaceTable,
     HeadPoint,
     head_point,
-    pixel_ray,
-    triangulate_midpoint,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -128,7 +128,8 @@ def estimate_homography(plane_pts, pixels) -> np.ndarray:
     A[1::2, 7] = v * Y
     A[1::2, 8] = v
 
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    # the null vector is the last row of Vt; a thin Vt has it only once A has 9 rows or more
+    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < 9)
     # a unique solution needs rank 8; s[7] ~ 0 means a degenerate layout
     if s[7] < 1e-8 * s[0]:
         raise DegenerateConfigurationError("correspondence layout is rank-deficient (collinear points?)")

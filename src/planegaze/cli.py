@@ -256,8 +256,8 @@ def cmd_evaluate(args) -> int:
         "inputs_sha256": ";".join(f"{k}={v}" for k, v in sorted(input_hashes.items())),
     }
     write_summary_csv(out / "summary.csv", bundle.summary_rows, bundle.thresholds_cm, prov_meta)
-    write_cdf_csv(out / "cdf.csv", bundle.cdf_rows, prov_meta)
-    write_hist_csv(out / "histogram.csv", bundle.hist_rows, prov_meta)
+    write_cdf_csv(out / "cdf.csv", bundle.cdf, prov_meta)
+    write_hist_csv(out / "histogram.csv", bundle.histogram, prov_meta)
     write_json(
         out / "report.json",
         {

@@ -20,6 +20,8 @@ import numpy as np
 from .calibration import CAMERA_LEFT, CAMERA_RIGHT, StereoRig
 from .errors import EmptySelectionError, FormatError
 from .formats import (
+    CDF_COLUMNS,
+    HIST_COLUMNS,
     DatasetManifest,
     provenance,
     read_faces,
@@ -60,11 +62,11 @@ class MethodReport:
 
 @dataclass
 class ReportBundle:
-    """Everything cmd_evaluate writes: summary rows, curves, histograms."""
+    """Everything cmd_evaluate writes: summary rows, and the curves and histograms as column tables."""
 
     summary_rows: list[dict]
-    cdf_rows: list[tuple]
-    hist_rows: list[tuple]
+    cdf: dict[str, np.ndarray]  # the columns of cdf.csv
+    histogram: dict[str, np.ndarray]  # the columns of histogram.csv
     thresholds_cm: tuple[float, ...]
     provenance: dict
     methods: dict[str, MethodReport] = field(default_factory=dict)
@@ -180,8 +182,7 @@ def evaluate_manifest(
 
     frame_tags = {f.frame_id: f.tags for f in manifest.frames}
     summary_rows = []
-    cdf_rows = []
-    hist_rows = []
+    cdf_parts, hist_parts = [], []
     for m in selected:
         rep = reports[m]
         for tag in tag_filters:
@@ -203,13 +204,12 @@ def evaluate_manifest(
                 }
             )
             for kind in ("angular", "distance"):
-                for threshold, fraction in error_cdf(rep.errors, kind, tag):
-                    cdf_rows.append((m, tag or "", kind, threshold, fraction))
+                thresholds, fractions = error_cdf(rep.errors, kind, tag)
+                labels = (np.full(thresholds.size, label) for label in (m, tag or "", kind))
+                cdf_parts.append((*labels, thresholds, fractions))
         if rep.errors.frame_id.size:
-            hist_rows.extend(_hist_rows(m, yaw_pitch_histogram(rep.pred_directions)))
-            hist_rows.extend(
-                _hist_rows(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions))
-            )
+            hist_parts.append(_hist_columns(m, yaw_pitch_histogram(rep.pred_directions)))
+            hist_parts.append(_hist_columns(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions)))
 
     prov = provenance(
         inputs={p.name: p for p in [manifest.path, *manifest.referenced_files()] if p.is_file()},
@@ -221,18 +221,21 @@ def evaluate_manifest(
     )
     return ReportBundle(
         summary_rows=summary_rows,
-        cdf_rows=cdf_rows,
-        hist_rows=hist_rows,
+        cdf=_concat(CDF_COLUMNS, cdf_parts),
+        histogram=_concat(HIST_COLUMNS, hist_parts),
         thresholds_cm=thresholds_cm,
         provenance=prov,
         methods=reports,
     )
 
 
-def _hist_rows(label: str, hist):
-    """One row per non-empty bin, yaw-major like the counts array."""
+def _hist_columns(label: str, hist) -> tuple[np.ndarray, ...]:
+    """The histogram.csv columns of one histogram: a row per non-empty bin, yaw-major like the counts."""
+    a, b = np.nonzero(hist.counts)
     ye, pe = hist.yaw_edges, hist.pitch_edges
-    return [
-        (label, float(ye[a]), float(ye[a + 1]), float(pe[b]), float(pe[b + 1]), int(hist.counts[a, b]))
-        for a, b in zip(*np.nonzero(hist.counts))
-    ]
+    return np.full(a.size, label), ye[a], ye[a + 1], pe[b], pe[b + 1], hist.counts[a, b]
+
+
+def _concat(columns: dict[str, str], parts) -> dict[str, np.ndarray]:
+    """One column table from parts that each hold every column, in schema order."""
+    return {name: np.concatenate([part[k] for part in parts] or [[]]) for k, name in enumerate(columns)}

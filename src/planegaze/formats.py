@@ -112,24 +112,41 @@ class _Table:
 def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]) -> None:
     """Write one sequence per schema column below ``# key: value`` metadata lines.
 
-    Floats are written as their shortest round-trip repr, so reading the
-    file back gives every value bit for bit.
+    The bytes are csv.writer's (lineterminator "\\n"), with a missing
+    "float?" value as a blank cell; each distinct value is formatted once.
     """
-    cells = []
-    for kind, col in zip(columns.values(), data):
-        if kind.startswith("float"):
-            values = np.asarray(col, dtype=float)
-            col = values.tolist()
-            if kind == "float?":
-                for k in np.flatnonzero(np.isnan(values)):
-                    col[k] = ""
-        cells.append(col.tolist() if isinstance(col, np.ndarray) else col)
+    cells = [_cells(kind, col) for kind, col in zip(columns.values(), data)]
+    if len(cells) == 1:  # csv.writer quotes a lone empty field, so no row is blank
+        cells[0] = [c or '""' for c in cells[0]]
+    lines = [*(f"# {k}: {v}" for k, v in meta.items()), ",".join(map(_quote, columns)),
+             *map(",".join, zip(*cells)), ""]
+    del cells  # so the cells and the joined text are never held at once
+    atomic_write_text(path, "\n".join(lines))
+
+
+def _cells(kind: str, col) -> list[str]:
+    """One column's cells as text: its distinct values formatted once, then gathered."""
+    if kind == "text":
+        distinct, inverse = np.unique(np.asarray(col, dtype=str), return_inverse=True)
+        text = [_quote(v) for v in distinct.tolist()]
+    else:
+        values = np.asarray(col, dtype=np.int64 if kind == "int" else float).reshape(-1)
+        # distinct on the bit pattern, so -0.0 keeps its sign apart from 0.0
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = list(map(repr, bits.view(values.dtype).tolist()))
+        if kind == "float?":
+            text = ["" if t == "nan" else t for t in text]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _quote(text: str) -> str:
+    """One text cell as csv.writer writes it. A value it may quote goes to csv.writer
+    itself, as whether a bare CR is quoted differs between Python versions."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
     buf = io.StringIO()
-    buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(list(columns))
-    w.writerows(zip(*cells))
-    atomic_write_text(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _read_table(path: Path, columns: dict[str, str]) -> _Table:
@@ -703,11 +720,11 @@ def read_summary_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return list(t.columns), [list(row) for row in zip(*(c.tolist() for c in t.columns.values()))]
 
 
-def write_cdf_csv(path: Path, rows, prov_meta: dict[str, str]) -> None:
+def write_cdf_csv(path: Path, cdf: dict[str, np.ndarray], prov_meta: dict[str, str]) -> None:
     base = {"schema": "planegaze-cdf-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), CDF_COLUMNS, list(zip(*rows)), {**base, **prov_meta})
+    _write_table(Path(path), CDF_COLUMNS, [cdf[name] for name in CDF_COLUMNS], {**base, **prov_meta})
 
 
-def write_hist_csv(path: Path, rows, prov_meta: dict[str, str]) -> None:
+def write_hist_csv(path: Path, histogram: dict[str, np.ndarray], prov_meta: dict[str, str]) -> None:
     base = {"schema": "planegaze-histogram-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), HIST_COLUMNS, list(zip(*rows)), {**base, **prov_meta})
+    _write_table(Path(path), HIST_COLUMNS, [histogram[name] for name in HIST_COLUMNS], {**base, **prov_meta})

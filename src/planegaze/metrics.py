@@ -128,8 +128,9 @@ def summarize(errors: FrameErrors, tag_filter: str | None = None,
     )
 
 
-def error_cdf(errors: FrameErrors, which: str, tag_filter: str | None = None) -> list[tuple[float, float]]:
-    """Empirical CDF points (threshold, fraction), sorted and monotone.
+def error_cdf(errors: FrameErrors, which: str,
+              tag_filter: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical CDF as columns: distinct thresholds ascending, and the fraction at each.
 
     ``which`` is "angular" (degrees) or "distance" (centimeters). Infinite
     distances count in the denominator but never appear as thresholds, so
@@ -142,24 +143,15 @@ def error_cdf(errors: FrameErrors, which: str, tag_filter: str | None = None) ->
         values = errors.distance_m[keep] * 100.0
     else:
         raise ValueError(f"which must be 'angular' or 'distance', got {which!r}")
-    n = len(values)
-    finite = np.sort(values[np.isfinite(values)])
-    if finite.size == 0:
-        return []
-    uniq, counts = np.unique(finite, return_counts=True)
-    cum = np.cumsum(counts)
-    return [(float(v), float(c) / n) for v, c in zip(uniq, cum)]
+    thresholds, counts = np.unique(values[np.isfinite(values)], return_counts=True)
+    return thresholds, np.cumsum(counts) / len(values)
 
 
-def cdf_fraction_at(cdf: list[tuple[float, float]], threshold: float) -> float:
+def cdf_fraction_at(cdf: tuple[np.ndarray, np.ndarray], threshold: float) -> float:
     """Value of a step CDF at ``threshold`` (0 before the first point)."""
-    frac = 0.0
-    for v, f in cdf:
-        if v <= threshold:
-            frac = f
-        else:
-            break
-    return frac
+    thresholds, fractions = cdf
+    k = np.searchsorted(thresholds, threshold, side="right")
+    return float(fractions[k - 1]) if k else 0.0
 
 
 def continued_yaw_pitch_deg(directions) -> np.ndarray:

@@ -6,10 +6,9 @@ derivative of its residual (built on
 :func:`~planegaze.camera.project_packed_jacobian`), so one LM iteration
 costs one residual evaluation per trial step and none for the Jacobian.
 :func:`fd_jacobian`, central differences with a relative step of 1e-6, is
-the default for a caller that passes no Jacobian and the oracle the
-analytic ones are tested against. Damping starts at 1e-3, multiplies by
-10 on a rejected step, divides by 10 on an accepted one, clamped to
-[1e-12, 1e12].
+the oracle the analytic ones are tested against. Damping starts at 1e-3,
+multiplies by 10 on a rejected step, divides by 10 on an accepted one,
+clamped to [1e-12, 1e12].
 
 Rotation blocks are handled through an optional ``plus`` retraction so the
 solver steps in local increments composed onto the current estimate
@@ -73,16 +72,16 @@ def levenberg_marquardt(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
+    jacobian: Callable[[np.ndarray], np.ndarray],
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
     ``plus(x, dx)`` applies a local increment; defaults to addition.
     ``jacobian(x)`` returns d residual / d increment at ``x``, shape
-    (residuals, parameters); without it each iteration takes
-    :func:`fd_jacobian`, 2 residual evaluations per parameter.
+    (residuals, parameters); ``residual_evals`` counts only LM's own calls
+    of ``residual``.
     Convergence: relative cost change below 1e-12, gradient norm below
     1e-10, or ``max_iter`` sweeps. If the cost still increases with the
     damping clamped at its maximum, raises NoConvergenceError carrying the
@@ -103,11 +102,7 @@ def levenberg_marquardt(
         return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals)
 
     for n_iter in range(1, max_iter + 1):
-        if jacobian is None:
-            J = fd_jacobian(residual, x, plus)
-            evals += 2 * x.size
-        else:
-            J = jacobian(x)
+        J = jacobian(x)
         g = J.T @ r
         if np.linalg.norm(g) < GRAD_TOL:
             reason = "gradient"

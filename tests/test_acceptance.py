@@ -117,8 +117,7 @@ def test_criterion_3_metric_oracle_fixtures():
                 values += [math.inf] * int(rng.integers(1, 4))
             recs = records_cm(values)
             cdf = error_cdf(recs, "distance")
-            fractions = [f for _, f in cdf]
-            thresholds = [t for t, _ in cdf]
+            thresholds, fractions = (c.tolist() for c in cdf)
             assert thresholds == sorted(thresholds)
             assert all(a <= b for a, b in zip(fractions, fractions[1:]))
             s = summarize(recs)

@@ -83,6 +83,17 @@ class TestHomography:
         err = np.linalg.norm(H / H[2, 2] - H_true) / np.linalg.norm(H_true)
         assert err < 1e-8
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_recovers_homography_from_few_points(self, n):
+        # 4 points give an 8 x 9 system: its null vector is only in a full SVD's Vt
+        rng = np.random.default_rng(13)
+        H_true = np.eye(3) + rng.normal(0, 0.2, (3, 3))
+        H_true[2, 2] = 1.0
+        src = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1], [0.2, -0.3]])[:n] + rng.uniform(-0.1, 0.1, (n, 2))
+        h = np.column_stack([src, np.ones(n)]) @ H_true.T
+        H = estimate_homography(src, h[:, :2] / h[:, 2:])
+        assert np.linalg.norm(H / H[2, 2] - H_true) / np.linalg.norm(H_true) < 1e-8
+
     def test_collinear_points_degenerate(self):
         src = np.array([[0, 0], [1, 1], [2, 2], [3, 3]], dtype=float)
         dst = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
@@ -219,7 +230,7 @@ class TestRefineCalibration:
             assert abs(got.fy - K.fy) / K.fy < 0.01
 
     def test_optimal_init_is_a_fixed_point(self):
-        from planegaze.optimize import levenberg_marquardt
+        from planegaze.optimize import fd_jacobian, levenberg_marquardt
 
         poses, obs = calibration_problem(seed=52)
         init = CalibrationResult(DIST_K, poses, 0.0, {})
@@ -227,7 +238,10 @@ class TestRefineCalibration:
         assert result.rms_reprojection < 1e-10
         assert result.intrinsics.fx == pytest.approx(DIST_K.fx, rel=1e-10)
         # engine-level: already-optimal start stops within two sweeps
-        lm = levenberg_marquardt(lambda x: x - 1.0, np.ones(3))
+        def f(x):
+            return x - 1.0
+
+        lm = levenberg_marquardt(f, np.ones(3), jacobian=lambda x: fd_jacobian(f, x, lambda x, dx: x + dx))
         assert lm.iterations <= 2
         assert lm.cost == 0.0
 

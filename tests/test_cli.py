@@ -544,3 +544,24 @@ class TestMalformedDatasetRows:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{manifest}: bad frame entry #3" in err and "'f00003'" in err and "list of strings" in err
+
+
+def test_method_name_with_delimiter_and_quotes_round_trips(tmp_path, capsys):
+    name = 'off,"set"'
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "schema": "planegaze-scene-v1",
+        "methods": [{"name": name, "convention": "camera_offset", "head_source": "eye_midpoint"}],
+    }))
+    data, report = tmp_path / "data", tmp_path / "report"
+    assert main(["synth", "--out", str(data), "--frames", "12", "--calib-views", "4", "--scene", str(scene)]) == 0
+    assert main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(report)]) == 0
+    for fname, labels in (("summary.csv", {name}), ("cdf.csv", {name}),
+                          ("histogram.csv", {name, f"{name}:ground_truth"})):
+        header, *rows = read_csv_rows(report / fname)
+        assert header[0] == "method" and rows
+        assert {row[0] for row in rows} == labels, fname
+        assert all(len(row) == len(header) for row in rows), fname
+    capsys.readouterr()
+    assert main(["report", "--report", str(report)]) == 0
+    assert name in capsys.readouterr().out

@@ -13,6 +13,8 @@ from planegaze.calibration import CornerObservation, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
+    _read_table,
+    _write_table,
     read_corners,
     read_faces,
     read_grid_config,
@@ -322,3 +324,65 @@ def test_one_corrupted_numeric_cell_names_its_line(tmp_path_factory, faces, pred
     with pytest.raises(FormatError, match=r"field '\w+' is not") as err:
         read(path)
     assert (err.value.file, err.value.line) == (str(path), k + 1)
+
+
+# --- the CSV writer against csv.writer --------------------------------------------
+
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,  # subnormals
+    1e16, 9999999999999998.0, -1e16, 1e-05, 9.999999999999999e-06, 0.0001,  # repr switches notation
+]
+NON_FINITE = [math.nan, -math.nan, math.inf, -math.inf]
+
+
+def _oracle_csv(columns, data, meta):
+    """The bytes of a plain csv.writer, with a missing "float?" value as a blank cell."""
+    buf = io.StringIO()
+    buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(list(columns))
+    w.writerows(zip(*(
+        ["" if kind == "float?" and math.isnan(v) else v for v in col]
+        for kind, col in zip(columns.values(), data)
+    )))
+    return buf.getvalue().encode()
+
+
+@st.composite
+def csv_tables(draw, readable):
+    """A schema and its columns; an unreadable one also holds what the reader rejects:
+    non-finite numbers, and text with line breaks or only blanks."""
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    chars = list("az#,\"é0.") + ([] if readable else list(" \r\n"))
+    kinds = draw(st.lists(st.sampled_from(["text", "int", "float", "float?"]), min_size=1, max_size=5))
+    n_rows = draw(st.integers(0, 6))
+    cells = {
+        "text": st.sampled_from(["", "#lead", 'say "hi", twice']) | st.text(st.sampled_from(chars), max_size=5),
+        "int": st.integers(-(2**63), 2**63 - 1),
+        "float": floats if readable else floats | st.sampled_from(NON_FINITE),
+        "float?": floats | st.sampled_from([math.nan] if readable else NON_FINITE),
+    }
+    data = [draw(st.lists(cells[kind], min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return {f"c{k}": kind for k, kind in enumerate(kinds)}, data
+
+
+@settings(max_examples=150, deadline=None)
+@given(readable=st.booleans(), data=st.data())
+def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, readable, data):
+    columns, cols = data.draw(csv_tables(readable))
+    meta = {"schema": "planegaze-test-v1", "note": 'a, "quoted" note'}
+    path = tmp_path_factory.mktemp("writer") / "t.csv"
+    _write_table(path, columns, cols, meta)
+    assert path.read_bytes() == _oracle_csv(columns, cols, meta)
+    if not readable:
+        return
+    table = _read_table(path, columns)
+    assert table.meta == meta
+    for (name, kind), col in zip(columns.items(), cols):
+        got = table[name]
+        if kind.startswith("float"):
+            want = np.array(col, dtype=float)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+        else:
+            assert got.tolist() == col

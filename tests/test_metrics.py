@@ -128,22 +128,22 @@ class TestSummarize:
 
 class TestErrorCdf:
     def test_three_values(self):
-        cdf = error_cdf(records_cm([100, 200, 300]), "distance")
-        assert cdf == [(100.0, 1 / 3), (200.0, 2 / 3), (300.0, 1.0)]
+        thresholds, fractions = error_cdf(records_cm([100, 200, 300]), "distance")
+        assert thresholds.tolist() == [100.0, 200.0, 300.0]
+        assert fractions.tolist() == [1 / 3, 2 / 3, 1.0]
 
     def test_single_record(self):
-        cdf = error_cdf(record(0.0, angle=4.5), "angular")
-        assert cdf == [(4.5, 1.0)]
+        thresholds, fractions = error_cdf(record(0.0, angle=4.5), "angular")
+        assert thresholds.tolist() == [4.5] and fractions.tolist() == [1.0]
 
     def test_failures_cap_the_curve(self):
-        cdf = error_cdf(records_cm([100, 200, INF]), "distance")
-        assert cdf[-1][1] == pytest.approx(2 / 3)
+        thresholds, fractions = error_cdf(records_cm([100, 200, INF]), "distance")
+        assert thresholds.tolist() == [100.0, 200.0]
+        assert fractions[-1] == pytest.approx(2 / 3)
 
     def test_sorted_and_monotone(self):
         rng = np.random.default_rng(5)
-        cdf = error_cdf(records_cm(list(rng.uniform(0, 50, 100))), "distance")
-        ts = [t for t, _ in cdf]
-        fs = [f for _, f in cdf]
+        ts, fs = (c.tolist() for c in error_cdf(records_cm(list(rng.uniform(0, 50, 100))), "distance"))
         assert ts == sorted(ts)
         assert all(a <= b for a, b in zip(fs, fs[1:]))
 

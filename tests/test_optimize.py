@@ -190,10 +190,14 @@ def test_jacobian_costs_no_residual_evaluations(rig):
 def test_residual_evals_counted_on_dense_problem():
     evals = [0]
 
-    def residual(x):
-        evals[0] += 1
+    def f(x):
         return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
 
-    result = levenberg_marquardt(residual, np.array([-1.2, 1.0]))
+    def residual(x):
+        evals[0] += 1
+        return f(x)
+
+    result = levenberg_marquardt(residual, np.array([-1.2, 1.0]),
+                                 jacobian=lambda x: fd_jacobian(f, x, lambda x, dx: x + dx))
     assert result.reason != "max_iter"
     assert result.residual_evals == evals[0]
