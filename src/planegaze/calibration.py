@@ -33,7 +33,7 @@ from .geometry import (
     rotation_from_axis_angle,
 )
 from .grid import GridConfig
-from .optimize import levenberg_marquardt
+from .optimize import BlockJacobian, levenberg_marquardt
 
 logger = logging.getLogger(__name__)
 
@@ -302,18 +302,11 @@ def refine_calibration(
         uv = project_packed(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
         return (uv - pix).ravel()
 
-    # a residual row depends on the intrinsics and on its own view's 6 pose columns only
-    rows = np.arange(len(view_idx))[:, None]
-    pose_cols = n_intr + 6 * view_idx[:, None] + np.arange(6)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def jacobian(x: np.ndarray) -> BlockJacobian:
         xi = x[:n_intr]
         pose = x[n_intr:].reshape(-1, 6)
         _, d_xi, d_pose = project_packed_jacobian(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
-        J = np.zeros((len(view_idx), 2, x.size))
-        J[:, :, :n_intr] = d_xi
-        J[rows, :, pose_cols] = d_pose.transpose(0, 2, 1)
-        return J.reshape(-1, x.size)
+        return BlockJacobian(d_xi, d_pose, view_idx)
 
     result = levenberg_marquardt(
         residual, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr), jacobian=jacobian
@@ -323,15 +316,11 @@ def refine_calibration(
     xi = result.x[:n_intr]
     pose = result.x[n_intr:].reshape(-1, 6)
     intr = CameraIntrinsics.from_packed(xi, init.intrinsics.image_size)
-    poses = {
-        v: RigidTransform(rotation_from_axis_angle(pose[k, :3]), pose[k, 3:])
-        for k, v in enumerate(view_ids)
-    }
+    rotations = rotation_from_axis_angle(pose[:, :3])
+    poses = {v: RigidTransform(rotations[k], pose[k, 3:]) for k, v in enumerate(view_ids)}
     res = residual(result.x).reshape(-1, 2)
-    per_view_rms = {}
-    for k, v in enumerate(view_ids):
-        sel = view_idx == k
-        per_view_rms[v] = float(np.sqrt(np.mean(res[sel] ** 2)))
+    view_rms = np.sqrt(np.bincount(view_idx, (res ** 2).sum(axis=1)) / (2 * np.bincount(view_idx)))
+    per_view_rms = {v: float(view_rms[k]) for k, v in enumerate(view_ids)}
     rms = float(np.sqrt(np.mean(res ** 2)))
     return CalibrationResult(intr, poses, rms, per_view_rms)
 

@@ -161,7 +161,9 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
     meta, body, lines = {}, [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text folded CR and CRLF to "\n"; splitlines would also break at form feeds,
+    # \x1c-\x1e, \x85, \u2028 and \u2029, which csv.writer writes unquoted inside a cell
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#") and not body:  # comments lead; a later "#" starts a data row

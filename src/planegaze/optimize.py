@@ -1,4 +1,4 @@
-"""Damped least squares with analytic Jacobians.
+"""Damped least squares with analytic Jacobians, solved in block form.
 
 Shared by the intrinsics refinement, the stereo relative-pose refinement
 and the plane-pose refinement. Each passes ``jacobian(x)``, the closed-form
@@ -10,6 +10,37 @@ the oracle the analytic ones are tested against. Damping starts at 1e-3,
 multiplies by 10 on a rejected step, divides by 10 on an accepted one,
 clamped to [1e-12, 1e12].
 
+Block normal equations. The intrinsics refinement has m shared parameters
+(the intrinsics) and one 6-entry pose block per view, and each residual
+row depends on the shared ones and its own view's block only. Its
+Jacobian comes as a :class:`BlockJacobian`, and JᵀJ is block-arrow:
+
+    [ U   W_1 ... W_V ]
+    [ W_1ᵀ V_1        ]      U = Σ_v A_vᵀA_v,  W_v = A_vᵀB_v,  V_v = B_vᵀB_v
+    [  ⋮       ⋱      ]
+    [ W_Vᵀ        V_V ]
+
+where A_v, B_v are view v's rows of the shared and own columns. Rows are
+grouped by view once per solve (a stable argsort, so input order does not
+matter); each iteration stacks every view's rows [B_v A_v r_v], zero-padded
+to the longest view, and one batched product [B_v A_v r_v]ᵀ[B_v A_v r_v]
+gives each view's blocks and gradient pieces. A trial step adds the
+Marquardt diagonal λ·diag(JᵀJ) (floored at 1e-15 of its largest entry),
+eliminates the pose blocks by Schur complement (Triggs et al. 2000,
+"Bundle Adjustment — A Modern Synthesis", §6), solves the m × m system
+S = U − Σ_v W_v V_v⁻¹ W_vᵀ for the shared step, and back-substitutes the
+pose steps, with the V_v solved as one batch. A plain (residuals,
+parameters) array is the degenerate case, every column shared and no pose
+blocks, so S is the damped JᵀJ itself.
+
+Stop reasons: ``gradient`` (‖Jᵀr‖ below 1e-10), ``cost_floor`` (rms below
+1e-12), ``cost_plateau`` (a step changes the cost by less than 1e-12 of
+itself), ``step_floor`` (a step no longer than 1e-12 (‖x‖ + 1e-12), as
+MINPACK's xtol: at a tiny residual rounding noise swamps relative cost
+changes, and only the step size tells convergence from divergence) and
+``max_iter``. A rejected step with the damping at its cap raises
+NoConvergenceError.
+
 Rotation blocks are handled through an optional ``plus`` retraction so the
 solver steps in local increments composed onto the current estimate
 instead of in a global singular parameterization; a Jacobian is taken
@@ -19,7 +50,7 @@ with respect to that increment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +62,7 @@ DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e12
 DAMPING_FACTOR = 10.0
 COST_REL_TOL = 1e-12
+STEP_REL_TOL = 1e-12
 GRAD_TOL = 1e-10
 MAX_ITER = 200
 # below this rms the cost is floating-point noise and relative tests are meaningless
@@ -53,6 +85,19 @@ class LMResult:
         )
 
 
+class BlockJacobian(NamedTuple):
+    """d residual / d increment when the parameters are m shared entries, then one p-entry block per view.
+
+    The residual is N groups of k rows. Group n depends only on the shared
+    entries, by ``shared`` (N, k, m), and on the block of view ``view[n]``,
+    by ``own`` (N, k, p).
+    """
+
+    shared: np.ndarray
+    own: np.ndarray
+    view: np.ndarray
+
+
 def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable) -> np.ndarray:
     """Dense central-difference Jacobian of ``residual`` at ``x`` under ``plus``: 2 evaluations per column."""
     cols = []
@@ -72,20 +117,21 @@ def levenberg_marquardt(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray | BlockJacobian],
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     max_iter: int = MAX_ITER,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
     ``plus(x, dx)`` applies a local increment; defaults to addition.
-    ``jacobian(x)`` returns d residual / d increment at ``x``, shape
-    (residuals, parameters); ``residual_evals`` counts only LM's own calls
-    of ``residual``.
-    Convergence: relative cost change below 1e-12, gradient norm below
-    1e-10, or ``max_iter`` sweeps. If the cost still increases with the
-    damping clamped at its maximum, raises NoConvergenceError carrying the
-    best iterate seen.
+    ``jacobian(x)`` returns d residual / d increment at ``x``: a dense
+    (residuals, parameters) array, or a :class:`BlockJacobian`, whose view
+    index must not change between calls. ``residual_evals`` counts only
+    LM's own calls of ``residual``.
+    Stops on a gradient norm below 1e-10, a relative cost change below
+    1e-12, a step below 1e-12 of ‖x‖, or after ``max_iter`` sweeps. If the
+    cost still increases with the damping clamped at its maximum, raises
+    NoConvergenceError carrying the best iterate seen.
     """
     if plus is None:
         plus = _add
@@ -97,33 +143,33 @@ def levenberg_marquardt(
     n_iter = 0
     reason = "max_iter"
     floor = r.size * RMS_FLOOR * RMS_FLOOR
+    slots = None
 
     if cost <= floor:
         return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals)
 
     for n_iter in range(1, max_iter + 1):
-        J = jacobian(x)
-        g = J.T @ r
-        if np.linalg.norm(g) < GRAD_TOL:
+        jac = jacobian(x)
+        if not isinstance(jac, BlockJacobian):
+            # every column shared: one view whose own block is empty
+            jac = BlockJacobian(jac[:, None, :], jac[:, None, :0], np.zeros(len(jac), dtype=int))
+        if slots is None:
+            slots = _view_slots(jac, x.size)
+        system = _BlockSystem(jac, r, slots)
+        if np.linalg.norm(system.gradient) < GRAD_TOL:
             reason = "gradient"
             break
-        JtJ = J.T @ J
-        diag = np.diag(JtJ).copy()
-        diag_floor = max(diag.max(), 1.0) * 1e-15
-        diag[diag < diag_floor] = diag_floor
 
         accepted = False
         while True:
-            try:
-                dx = np.linalg.solve(JtJ + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                dx = None
+            dx = system.step(lam)
             if dx is not None:
                 x_try = plus(x, dx)
                 r_try = residual(x_try)
                 evals += 1
                 cost_try = float(r_try @ r_try)
                 rel_change = abs(cost - cost_try) / max(cost, 1e-300)
+                small_step = np.linalg.norm(dx) <= STEP_REL_TOL * (np.linalg.norm(x) + STEP_REL_TOL)
                 if cost_try < cost:
                     x, r, cost = x_try, r_try, cost_try
                     lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
@@ -132,10 +178,16 @@ def levenberg_marquardt(
                         reason = "cost_floor"
                     elif rel_change < COST_REL_TOL:
                         reason = "cost_plateau"
+                    elif small_step:
+                        reason = "step_floor"
                     break
                 if rel_change < COST_REL_TOL:
                     # step no longer changes the cost: converged at a plateau
                     reason = "cost_plateau"
+                    break
+                if small_step:
+                    # x no longer moves; what the cost does is rounding noise
+                    reason = "step_floor"
                     break
             if lam >= DAMPING_MAX:
                 best = LMResult(x, cost, _rms(cost, r.size), n_iter, "diverged", evals)
@@ -145,12 +197,68 @@ def levenberg_marquardt(
                 )
             lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
 
-        if reason in ("cost_plateau", "cost_floor"):
+        if reason in ("cost_plateau", "cost_floor", "step_floor"):
             break
         if not accepted:
             break
 
     return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals)
+
+
+def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray]:
+    """Views, the longest view's group count, and each group's row in the views' zero-padded stack.
+
+    A stable sort keeps each view's groups in input order.
+    """
+    m, p = jac.shared.shape[2], jac.own.shape[2]
+    counts = np.bincount(jac.view, minlength=(n_params - m) // max(p, 1))
+    if m + p * counts.size != n_params:
+        raise ValueError(f"{m} shared + {counts.size} blocks of {p} is not {n_params} parameters")
+    order = np.argsort(jac.view, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    longest = counts.max(initial=0)
+    return counts.size, longest, jac.view * longest + slot
+
+
+class _BlockSystem:
+    """The block-arrow normal equations JᵀJ dx = -Jᵀr of one LM iteration."""
+
+    def __init__(self, jac: BlockJacobian, r: np.ndarray, slots: tuple[int, int, np.ndarray]):
+        n, k, m = jac.shared.shape
+        p = jac.own.shape[2]
+        n_views, longest, row = slots
+        # view v's rows [B_v A_v r_v], zero-padded to the longest view
+        rows = np.zeros((n_views * longest, k, p + m + 1))
+        rows[row, :, :p] = jac.own
+        rows[row, :, p:-1] = jac.shared
+        rows[row, :, -1] = r.reshape(n, k)
+        rows = rows.reshape(n_views, -1, p + m + 1)
+        M = rows.transpose(0, 2, 1) @ rows
+        self.m, self.p = m, p
+        self.V = M[:, :p, :p]
+        self.Wt_g = M[:, :p, p:]  # [W_vᵀ g_v], the right-hand sides of the pose solves
+        self.Wt = self.Wt_g[:, :, :m].reshape(n_views * p, m)
+        self.U = M[:, p:-1, p:-1].sum(axis=0)
+        self.g_shared = M[:, p:-1, -1].sum(axis=0)
+        self.gradient = np.concatenate([self.g_shared, M[:, :p, -1].ravel()])
+        diag = np.concatenate([np.diag(self.U), np.diagonal(self.V, axis1=1, axis2=2).ravel()])
+        self.diag = np.maximum(diag, max(diag.max(), 1.0) * 1e-15)
+
+    def step(self, lam: float) -> np.ndarray | None:
+        """The step solving (JᵀJ + lam diag) dx = -Jᵀr, or None if the system is singular."""
+        m, p = self.m, self.p
+        damp = lam * self.diag
+        V = self.V + damp[m:].reshape(len(self.V), p, 1) * np.eye(p)
+        try:
+            Y = np.linalg.solve(V, self.Wt_g)  # V_v⁻¹ [W_vᵀ g_v]
+            WY = self.Wt.T @ Y.reshape(-1, m + 1)  # Σ_v W_v V_v⁻¹ [W_vᵀ g_v]
+            S = self.U + np.diag(damp[:m]) - WY[:, :m]
+            d_shared = np.linalg.solve(S, WY[:, m] - self.g_shared)
+        except np.linalg.LinAlgError:
+            return None
+        d_own = -Y[:, :, m] - Y[:, :, :m] @ d_shared
+        return np.concatenate([d_shared, d_own.ravel()])
 
 
 def _rms(cost: float, n_residuals: int) -> float:

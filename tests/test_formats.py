@@ -386,3 +386,18 @@ def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, 
             assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
         else:
             assert got.tolist() == col
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.lists(st.text(st.sampled_from(list("f1,\"") + list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")),
+                             max_size=4), min_size=1, max_size=5))
+def test_text_with_unicode_line_separators_round_trips(tmp_path_factory, text):
+    """A cell may hold the characters str.splitlines breaks at but csv.writer
+    leaves unquoted; rows keep the line numbers an editor shows."""
+    columns = {"frame_id": "text", "n": "int"}
+    meta = {"schema": "planegaze-test-v1"}
+    path = tmp_path_factory.mktemp("separators") / "t.csv"
+    _write_table(path, columns, [text, list(range(len(text)))], meta)
+    table = _read_table(path, columns)
+    assert table["frame_id"].tolist() == text
+    assert table.lines.tolist() == [3 + k for k in range(len(text))]
