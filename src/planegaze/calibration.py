@@ -32,7 +32,7 @@ from .geometry import (
     retract_poses,
     rotation_from_axis_angle,
 )
-from .grid import GridConfig
+from .grid import GridConfig, corner_position
 from .optimize import BlockJacobian, levenberg_marquardt
 
 logger = logging.getLogger(__name__)
@@ -245,23 +245,22 @@ def pose_from_homography(K, H) -> RigidTransform:
 
 # --- joint refinement -----------------------------------------------------
 
-def _observation_arrays(observations, grid: GridConfig, view_ids):
-    """Per-observation view index / board point / pixel arrays."""
-    order = {vid: k for k, vid in enumerate(view_ids)}
-    s = grid.square_size
-    view_idx, obj, pix = [], [], []
-    for ob in observations:
-        if ob.view_id not in order:
-            continue
-        i, j = ob.grid_index
-        view_idx.append(order[ob.view_id])
-        obj.append((s * i, s * j, 0.0))
-        pix.append(ob.pixel)
-    return (
-        np.asarray(view_idx, dtype=int),
-        np.asarray(obj, dtype=float),
-        np.asarray(pix, dtype=float),
-    )
+def _corner_arrays(observations, grid: GridConfig):
+    """View ids (N,), board points (N, 3) and pixels (N, 2) of corner observations, in input order.
+
+    Raises ValueError naming the first corner, in input order, outside the grid lattice.
+    """
+    columns = list(zip(*[(ob.view_id, *ob.grid_index, *ob.pixel) for ob in observations]))
+    views, i, j, u, v = columns or [()] * 5
+    i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+    outside = ~grid.in_bounds(i, j)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"corner index {(int(i[k]), int(j[k]))} outside grid lattice "
+            f"({grid.rows + 1}x{grid.cols + 1}) in view {views[k]!r}"
+        )
+    return np.array(views, dtype=str), corner_position(grid, i, j), np.column_stack([u, v]).astype(float)
 
 
 def refine_calibration(
@@ -277,11 +276,12 @@ def refine_calibration(
     least squares; never returns a result worse than the initialization.
     Raises NoConvergenceError (carrying the best iterate) on divergence.
     """
-    view_ids = sorted({ob.view_id for ob in observations})
+    views, obj, pix = _corner_arrays(observations, grid)
+    view_ids, view_idx = np.unique(views, return_inverse=True)
+    view_ids = view_ids.tolist()
     missing = [v for v in view_ids if v not in init.per_view_poses]
     if missing:
         raise ValueError(f"initialization lacks poses for views: {missing}")
-    view_idx, obj, pix = _observation_arrays(observations, grid, view_ids)
 
     xi0 = init.intrinsics.packed(with_skew=not fix_skew)
     n_intr = xi0.size
@@ -338,43 +338,32 @@ def calibrate_camera(
     homography (e.g. all on one lattice row), are dropped with a warning.
     Raises only when too few views remain to initialize the intrinsics.
     """
-    by_view: dict[str, list[CornerObservation]] = {}
-    for ob in observations:
-        if not grid.in_bounds(*ob.grid_index):
-            raise ValueError(
-                f"corner index {ob.grid_index} outside grid lattice "
-                f"({grid.rows + 1}x{grid.cols + 1}) in view {ob.view_id!r}"
-            )
-        by_view.setdefault(ob.view_id, []).append(ob)
-
-    usable = {}
-    for vid in sorted(by_view):
-        if len(by_view[vid]) < MIN_CORNERS_PER_VIEW:
-            logger.warning("dropping view %r: only %d corners detected", vid, len(by_view[vid]))
-            continue
-        usable[vid] = by_view[vid]
-
-    s = grid.square_size
+    views, obj, pix = _corner_arrays(observations, grid)
+    view_ids, view_idx = np.unique(views, return_inverse=True)
     homographies = {}
-    for vid, obs in list(usable.items()):
-        plane_pts = np.array([(s * ob.grid_index[0], s * ob.grid_index[1]) for ob in obs])
-        pixels = np.array([ob.pixel for ob in obs])
+    kept = np.zeros(len(views), dtype=bool)
+    for k, vid in enumerate(view_ids.tolist()):
+        rows = view_idx == k
+        count = int(rows.sum())
+        if count < MIN_CORNERS_PER_VIEW:
+            logger.warning("dropping view %r: only %d corners detected", vid, count)
+            continue
         try:
-            homographies[vid] = estimate_homography(plane_pts, pixels)
+            homographies[vid] = estimate_homography(obj[rows, :2], pix[rows])
         except DegenerateConfigurationError as exc:
             logger.warning("dropping view %r: %s", vid, exc)
-            del usable[vid]
+            continue
+        kept |= rows
 
-    K0 = intrinsics_from_homographies(
-        [homographies[v] for v in sorted(homographies)], image_size, fix_skew=fix_skew
-    )
+    K0 = intrinsics_from_homographies(list(homographies.values()), image_size, fix_skew=fix_skew)
     poses0 = {vid: pose_from_homography(K0, H) for vid, H in homographies.items()}
-
-    flat_obs = [ob for vid in sorted(usable) for ob in usable[vid]]
     # refinement starts from K0 and the poses; it reads no initial rms
     init = CalibrationResult(K0, poses0, float("nan"), {})
-
-    return refine_calibration(flat_obs, grid, init, fix_skew=fix_skew)
+    # the kept corners by view, in input order within a view: this fixes the residual row order
+    order = np.argsort(view_idx, kind="stable")
+    return refine_calibration(
+        [observations[k] for k in order[kept[order]]], grid, init, fix_skew=fix_skew
+    )
 
 
 def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
@@ -406,7 +395,6 @@ def calibrate_stereo(
     right: CalibrationResult,
     observations,
     grid: GridConfig,
-    shared_views=None,
 ) -> StereoRig:
     """Relative pose of the rig from views seen by both cameras.
 
@@ -415,13 +403,7 @@ def calibrate_stereo(
     relative pose is then refined against the right-camera corners of all
     shared views, with the left poses held fixed.
     """
-    if shared_views is None:
-        shared_views = sorted(set(left.per_view_poses) & set(right.per_view_poses))
-    else:
-        shared_views = sorted(shared_views)
-        for v in shared_views:
-            if v not in left.per_view_poses or v not in right.per_view_poses:
-                raise NoSharedViewsError(f"view {v!r} lacks a pose in one of the cameras")
+    shared_views = sorted(set(left.per_view_poses) & set(right.per_view_poses))
     if not shared_views:
         raise NoSharedViewsError("no views were seen by both cameras")
 
@@ -434,13 +416,15 @@ def calibrate_stereo(
     R0 = nearest_rotation(np.mean(rotations, axis=0))
     t0 = np.mean(translations, axis=0)
 
-    shared = set(shared_views)
-    right_obs = [ob for ob in observations if ob.camera_id == CAMERA_RIGHT and ob.view_id in shared]
-    if not right_obs:
+    views, obj, pix = _corner_arrays(observations, grid)
+    right_camera = np.array([ob.camera_id == CAMERA_RIGHT for ob in observations], dtype=bool)
+    rows = right_camera & np.isin(views, shared_views)
+    if not rows.any():
         return StereoRig(left.intrinsics, right.intrinsics, RigidTransform(R0, t0))
 
     # the right corners' board points in the left camera frame, fixed by the left poses
-    view_idx, obj, pix = _observation_arrays(right_obs, grid, shared_views)
+    view_idx = np.searchsorted(shared_views, views[rows])
+    obj, pix = obj[rows], pix[rows]
     left_R = np.array([left.per_view_poses[v].rotation for v in shared_views])
     left_t = np.array([left.per_view_poses[v].translation for v in shared_views])
     points = np.einsum("nij,nj->ni", left_R[view_idx], obj) + left_t[view_idx]

@@ -27,6 +27,7 @@ from .formats import (
     read_intrinsics,
     read_manifest,
     read_plane_corners,
+    read_scene_config,
     read_summary_csv,
     sha256_file,
     write_cdf_csv,
@@ -38,10 +39,9 @@ from .formats import (
     write_stereo,
     write_summary_csv,
 )
-from .grid import GridConfig
 from .metrics import DEFAULT_THRESHOLDS_CM
 from .plane import estimate_plane_pose
-from .synthetic import MethodSpec, NoiseSpec, SceneSpec, default_scene, generate_scene, perturb
+from .synthetic import NoiseSpec, default_scene, generate_scene, perturb
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,49 +308,9 @@ def _threshold_values(values, name: str, file: str | None = None) -> list[float]
         raise FormatError(f"bad threshold: {exc}", file=file) from None
 
 
-def _scene_from_config(path: Path, args) -> SceneSpec:
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad scene config: {exc}", file=str(path)) from None
-    if cfg.get("schema") != "planegaze-scene-v1":
-        raise FormatError("scene config must declare schema planegaze-scene-v1", file=str(path))
-    base = default_scene(
-        frames=int(cfg.get("frames", args.frames)),
-        seed=int(cfg.get("seed", args.seed)),
-        calib_views=int(cfg.get("calib_views", args.calib_views)),
-    )
-    kwargs = {}
-    if "grid" in cfg:
-        g = cfg["grid"]
-        kwargs["grid"] = GridConfig(
-            square_size=float(g["square_size_m"]),
-            rows=int(g["rows"]),
-            cols=int(g["cols"]),
-            target_map={int(k): tuple(v) for k, v in g.get("targets", {}).items()},
-        )
-    if "participants" in cfg:
-        kwargs["participants"] = tuple(
-            (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in cfg["participants"]
-        )
-    if "methods" in cfg:
-        kwargs["methods"] = tuple(
-            MethodSpec(m["name"], m.get("convention", "camera_offset"),
-                       m.get("head_source", "bbox_center"))
-            for m in cfg["methods"]
-        )
-    if kwargs:
-        from dataclasses import replace
-        try:
-            base = replace(base, **kwargs)
-        except ValueError as exc:
-            raise FormatError(f"invalid scene config: {exc}", file=str(path)) from None
-    return base
-
-
 def cmd_synth(args) -> int:
     if args.scene is not None:
-        spec = _scene_from_config(args.scene, args)
+        spec = read_scene_config(args.scene, frames=args.frames, seed=args.seed, calib_views=args.calib_views)
     else:
         spec = default_scene(frames=args.frames, seed=args.seed, calib_views=args.calib_views)
     noise = NoiseSpec(

@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ from .camera import CameraIntrinsics
 from .errors import FormatError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
 from .grid import GridConfig
-from .pipeline import CONVENTIONS, PredictionTable
+from .pipeline import CONVENTION_OFFSET, CONVENTIONS, PredictionTable
 from .plane import PlanePose
+from .synthetic import MethodSpec, SceneSpec, default_scene
 from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable
 
 TOOL_TAG = f"planegaze {__version__}"
@@ -74,8 +75,12 @@ def _load_json(path: Path, schema: str) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
+    except OSError as exc:
+        raise FormatError(f"cannot read file: {exc.strerror}", file=str(path)) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"expected a JSON object, found {type(payload).__name__}", file=str(path))
     if payload.get("schema") != schema:
         raise FormatError(
             f"expected schema {schema!r}, found {payload.get('schema')!r}", file=str(path)
@@ -250,18 +255,25 @@ def write_grid_config(path: Path, grid: GridConfig) -> None:
     )
 
 
+def _grid_from_payload(p, path: Path, **extra) -> GridConfig:
+    """The grid-config fields of ``p`` as a GridConfig; ``extra`` holds further GridConfig fields."""
+    try:
+        if not isinstance(p, dict) or not isinstance(p.get("targets", {}), dict):
+            raise TypeError("a grid and its targets must be JSON objects")
+        return GridConfig(
+            square_size=float(p["square_size_m"]),
+            rows=int(p["rows"]),
+            cols=int(p["cols"]),
+            target_map={int(k): tuple(v) for k, v in p.get("targets", {}).items()},
+            **extra,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad grid config: {exc}", file=str(path)) from None
+
+
 def read_grid_config(path: Path) -> GridConfig:
     payload = _load_json(path, GRID_SCHEMA)
-    try:
-        return GridConfig(
-            square_size=float(payload["square_size_m"]),
-            rows=int(payload["rows"]),
-            cols=int(payload["cols"]),
-            target_map={int(k): tuple(v) for k, v in payload.get("targets", {}).items()},
-            origin_note=str(payload.get("origin_note", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad grid config: {exc}", file=str(path)) from None
+    return _grid_from_payload(payload, path, origin_note=str(payload.get("origin_note", "")))
 
 
 # --- intrinsics / stereo / plane pose ----------------------------------------
@@ -360,7 +372,10 @@ def write_plane_pose(path: Path, pose: PlanePose, *, prov: dict | None = None) -
 def read_plane_pose(path: Path) -> PlanePose:
     payload = _load_json(path, PLANE_SCHEMA)
     T = _transform_from_payload(payload, Path(path), FRAME_CAMERA, FRAME_PLANE)
-    return PlanePose(T, float(payload.get("rms_px", 0.0)))
+    try:
+        return PlanePose(T, float(payload.get("rms_px", 0.0)))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad rms_px: {exc}", file=str(path)) from None
 
 
 # --- corners ------------------------------------------------------------------
@@ -587,12 +602,20 @@ def read_manifest(path: Path) -> DatasetManifest:
             if required:
                 raise FormatError(f"manifest missing {key!r}", file=str(path))
             return None
+        if not isinstance(value, str):
+            raise FormatError(f"manifest {key!r} must be a path string, got {value!r}", file=str(path))
         return (root / value).resolve()
 
-    calib = payload.get("calibration") or {}
+    def block(key, kind):
+        value = payload.get(key) or kind()
+        if not isinstance(value, kind):
+            raise FormatError(f"manifest {key!r} must be a JSON {kind.__name__}, got {value!r}", file=str(path))
+        return value
+
+    calib = block("calibration", dict)
     preds = {}
-    for name, entry in sorted((payload.get("predictions") or {}).items()):
-        if not isinstance(entry, dict) or "path" not in entry:
+    for name, entry in sorted(block("predictions", dict).items()):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise FormatError(f"prediction entry {name!r} needs a 'path'", file=str(path))
         source = entry.get("head_source", SOURCE_BBOX)
         if source not in (SOURCE_BBOX, SOURCE_EYES):
@@ -603,7 +626,7 @@ def read_manifest(path: Path) -> DatasetManifest:
 
     frames = []
     seen = set()
-    for k, entry in enumerate(payload.get("frames") or []):
+    for k, entry in enumerate(block("frames", list)):
         try:
             fid, tags = str(entry["frame_id"]), entry.get("tags")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
@@ -637,6 +660,39 @@ def read_manifest(path: Path) -> DatasetManifest:
 
 
 # --- synthetic dataset layout -----------------------------------------------------
+
+SCENE_SCHEMA = "planegaze-scene-v1"
+
+
+def read_scene_config(path: Path, *, frames: int, seed: int, calib_views: int) -> SceneSpec:
+    """The default scene with a scene config's overrides; the keywords stand in for absent keys.
+
+    A ``grid`` block keeps GridConfig's default origin note. A malformed
+    field is a FormatError naming the file.
+    """
+    payload = _load_json(path, SCENE_SCHEMA)
+    overrides = {}
+    if "grid" in payload:
+        overrides["grid"] = _grid_from_payload(payload["grid"], path)
+    try:
+        if "participants" in payload:
+            overrides["participants"] = tuple(
+                (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in payload["participants"]
+            )
+        if "methods" in payload:
+            overrides["methods"] = tuple(
+                MethodSpec(m["name"], m.get("convention", CONVENTION_OFFSET), m.get("head_source", SOURCE_BBOX))
+                for m in payload["methods"]
+            )
+        spec = default_scene(
+            frames=int(payload.get("frames", frames)),
+            seed=int(payload.get("seed", seed)),
+            calib_views=int(payload.get("calib_views", calib_views)),
+        )
+        return replace(spec, **overrides)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"invalid scene config: {exc}", file=str(path)) from None
+
 
 def write_dataset(ds, out_dir: Path) -> Path:
     """Write a synthetic dataset directory; returns the manifest path.

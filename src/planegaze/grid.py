@@ -50,21 +50,24 @@ class GridConfig:
         """All lattice corner indices, row-major."""
         return [(i, j) for i in range(self.rows + 1) for j in range(self.cols + 1)]
 
-    def in_bounds(self, i: int, j: int) -> bool:
-        return 0 <= i <= self.rows and 0 <= j <= self.cols
+    def in_bounds(self, i, j):
+        """Whether lattice corner (i, j) exists; index arrays give a mask."""
+        return (0 <= i) & (i <= self.rows) & (0 <= j) & (j <= self.cols)
 
 
 def grid_points(config: GridConfig) -> dict[tuple[int, int], np.ndarray]:
     """Workspace-frame position of every lattice corner: (i,j) -> (s*i, s*j, 0)."""
+    return {ij: corner_position(config, *ij) for ij in config.corner_indices()}
+
+
+def corner_position(config: GridConfig, i, j) -> np.ndarray:
+    """Workspace-frame position (s*i, s*j, 0) of lattice corner (i, j).
+
+    Index arrays broadcast and give (..., 3); scalars give (3,).
+    """
+    i, j = np.broadcast_arrays(i, j)
     s = config.square_size
-    return {
-        (i, j): np.array([s * i, s * j, 0.0])
-        for i, j in config.corner_indices()
-    }
-
-
-def corner_position(config: GridConfig, i: int, j: int) -> np.ndarray:
-    return np.array([config.square_size * i, config.square_size * j, 0.0])
+    return np.stack([s * i, s * j, np.zeros(i.shape)], axis=-1)
 
 
 def target_center(config: GridConfig, target_id: int) -> np.ndarray:

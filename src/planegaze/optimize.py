@@ -119,7 +119,6 @@ def levenberg_marquardt(
     *,
     jacobian: Callable[[np.ndarray], np.ndarray | BlockJacobian],
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    max_iter: int = MAX_ITER,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
@@ -129,7 +128,7 @@ def levenberg_marquardt(
     index must not change between calls. ``residual_evals`` counts only
     LM's own calls of ``residual``.
     Stops on a gradient norm below 1e-10, a relative cost change below
-    1e-12, a step below 1e-12 of ‖x‖, or after ``max_iter`` sweeps. If the
+    1e-12, a step below 1e-12 of ‖x‖, or after ``MAX_ITER`` sweeps. If the
     cost still increases with the damping clamped at its maximum, raises
     NoConvergenceError carrying the best iterate seen.
     """
@@ -148,7 +147,7 @@ def levenberg_marquardt(
     if cost <= floor:
         return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals)
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         jac = jacobian(x)
         if not isinstance(jac, BlockJacobian):
             # every column shared: one view whose own block is empty
@@ -160,7 +159,6 @@ def levenberg_marquardt(
             reason = "gradient"
             break
 
-        accepted = False
         while True:
             dx = system.step(lam)
             if dx is not None:
@@ -173,7 +171,6 @@ def levenberg_marquardt(
                 if cost_try < cost:
                     x, r, cost = x_try, r_try, cost_try
                     lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
-                    accepted = True
                     if cost <= floor:
                         reason = "cost_floor"
                     elif rel_change < COST_REL_TOL:
@@ -197,9 +194,8 @@ def levenberg_marquardt(
                 )
             lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
 
+        # the inner loop ends without an accepted step only on cost_plateau or step_floor
         if reason in ("cost_plateau", "cost_floor", "step_floor"):
-            break
-        if not accepted:
             break
 
     return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals)

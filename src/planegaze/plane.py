@@ -16,7 +16,7 @@ from .calibration import estimate_homography, pose_from_homography, refine_pose
 from .camera import CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
-from .grid import GridConfig
+from .grid import GridConfig, corner_position
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,21 @@ def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> Pla
     corners in general position. The result is invariant under permutation
     of the corner list.
     """
-    items = sorted(corners, key=lambda c: (c[0][0], c[0][1], c[1][0], c[1][1]))
-    if len(items) < 4:
-        raise DegenerateConfigurationError(f"plane pose needs >= 4 corners, got {len(items)}")
-    for (i, j), _ in items:
-        if not config.in_bounds(i, j):
-            raise ValueError(f"corner index ({i}, {j}) outside grid lattice")
+    ij = np.array([index for index, _ in corners], dtype=int).reshape(-1, 2)
+    pixels = np.array([pixel for _, pixel in corners], dtype=float).reshape(-1, 2)
+    if len(ij) < 4:
+        raise DegenerateConfigurationError(f"plane pose needs >= 4 corners, got {len(ij)}")
+    order = np.lexsort((pixels[:, 1], pixels[:, 0], ij[:, 1], ij[:, 0]))
+    (i, j), pixels = ij[order].T, pixels[order]
+    outside = ~config.in_bounds(i, j)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"corner index ({i[k]}, {j[k]}) outside grid lattice")
 
-    s = config.square_size
-    plane_pts = np.array([(s * i, s * j) for (i, j), _ in items])
-    pixels = np.array([uv for _, uv in items], dtype=float)
-
+    obj = corner_position(config, i, j)
     normalized = undistort_pixels(K, pixels)
-    H = estimate_homography(plane_pts, normalized)
+    H = estimate_homography(obj[:, :2], normalized)
     cam_from_plane = pose_from_homography(np.eye(3), H)
-
-    obj = np.column_stack([plane_pts, np.zeros(len(items))])
     refined, res = refine_pose(K.packed(), obj, pixels, cam_from_plane, "plane pose")
     rms = float(np.sqrt(np.mean(res ** 2)))
     camera_to_plane = RigidTransform(

@@ -36,7 +36,7 @@ from .geometry import (
 )
 from .grid import GridConfig, corner_position, default_target_map, target_center
 from .metrics import evaluate_frame, summarize
-from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, GazePrediction, gaze_point_on_surface
+from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, GazePrediction, gaze_point_on_surface
 from .plane import PlanePose
 from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, HeadPoint
 
@@ -60,6 +60,12 @@ class MethodSpec:
     name: str
     convention: str = CONVENTION_OFFSET
     head_source: str = SOURCE_EYES
+
+    def __post_init__(self):
+        if self.convention not in CONVENTIONS:
+            raise ValueError(f"method {self.name!r}: unknown convention {self.convention!r}")
+        if self.head_source not in (SOURCE_BBOX, SOURCE_EYES):
+            raise ValueError(f"method {self.name!r}: unknown head_source {self.head_source!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,8 @@ class SceneSpec:
     )
 
     def __post_init__(self):
-        if self.frames < 0 or self.calib_views < 0:
-            raise ValueError("frames and calib_views must be >= 0")
+        if self.frames < 0 or self.calib_views < 0 or self.seed < 0:
+            raise ValueError("frames, calib_views and seed must be >= 0")
         if not self.participants:
             raise ValueError("at least one head sampling box is required")
         for lo, hi in self.participants:
@@ -203,8 +209,7 @@ def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> np.ndarray:
 
 def _board_points(grid: GridConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
     idx = grid.corner_indices()
-    pts = np.array([corner_position(grid, i, j) for i, j in idx])
-    return idx, pts
+    return idx, corner_position(grid, *np.array(idx).T)
 
 
 def _sample_board_view(spec: SceneSpec, view: int) -> list[CornerObservation]:
@@ -311,11 +316,8 @@ def _encode_predictions(method: MethodSpec, head_cc: np.ndarray, direction_cc: n
     return yaw_pitch
 
 
-def generate_scene(spec: SceneSpec, threads: int = 1) -> SyntheticDataset:
-    """Emit the full synthetic dataset for a scene, deterministic under seed.
-
-    ``threads`` is accepted and ignored: every frame runs in one batch.
-    """
+def generate_scene(spec: SceneSpec) -> SyntheticDataset:
+    """Emit the full synthetic dataset for a scene, deterministic under seed."""
     calib = []
     for v in range(spec.calib_views):
         calib.extend(_sample_board_view(spec, v))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,32 @@ class TestCalibrateStereo:
                 n += 2
         rms_through_rig = np.sqrt(sq_sum / n)
         assert rms_through_rig <= 2.0 * max(right.rms_reprojection, 0.15)
+
+
+class TestLatticeCheck:
+    """Every calibration entry rejects a corner outside the grid lattice and names its index."""
+
+    @pytest.mark.parametrize("bad", [(TEST_GRID.rows + 1, 0), (0, -1)])
+    @pytest.mark.parametrize(
+        "entry", ["calibrate_camera", "refine_calibration", "calibrate_stereo", "estimate_plane_pose"]
+    )
+    def test_out_of_lattice_corner_named(self, entry, bad):
+        from planegaze.plane import estimate_plane_pose
+
+        poses, obs = calibration_problem(seed=41, n_views=4)
+        ob = obs[5]
+        obs[5] = CornerObservation(ob.view_id, ob.camera_id, bad, ob.pixel)
+        fitted = CalibrationResult(DIST_K, poses, 0.0, {})
+        calls = {
+            "calibrate_camera": lambda: calibrate_camera(obs, TEST_GRID, (640, 480)),
+            "refine_calibration": lambda: refine_calibration(obs, TEST_GRID, fitted),
+            "calibrate_stereo": lambda: calibrate_stereo(fitted, fitted, obs, TEST_GRID),
+            "estimate_plane_pose": lambda: estimate_plane_pose(
+                [(o.grid_index, o.pixel) for o in obs if o.view_id == ob.view_id], TEST_GRID, DIST_K
+            ),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"corner index {bad} outside grid lattice")):
+            calls[entry]()
 
 
 class TestFullChainZeroNoise:

@@ -355,6 +355,64 @@ class TestSceneConfig:
         err = capsys.readouterr().err
         assert "above the plane" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema": "planegaze-scene-v1", "grid": {"rows": 5}},
+            {"schema": "planegaze-scene-v1", "frames": [3]},
+            {"schema": "planegaze-scene-v1", "methods": [{"convention": "absolute"}]},
+            {"schema": "planegaze-scene-v1", "participants": [[1, 2]]},
+            [1, 2],
+            {"schema": "planegaze-scene-v1", "methods": [{"name": "m", "head_source": "nose"}]},
+            {"schema": "planegaze-scene-v1", "methods": [{"name": "m", "convention": "sideways"}]},
+            {"schema": "planegaze-scene-v1", "seed": -1},
+        ],
+        ids=[
+            "grid-fields", "frames-list", "method-name", "participant-box", "array", "head-source", "convention",
+            "negative-seed",
+        ],
+    )
+    def test_malformed_scene_named(self, tmp_path, capsys, payload):
+        scene, out = tmp_path / "scene.json", tmp_path / "d"
+        scene.write_text(json.dumps(payload))
+        assert main(["synth", "--out", str(out), "--scene", str(scene)]) == 1
+        assert f"{scene}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestJsonShape:
+    """Valid JSON of the wrong shape is a parse error naming the file, not a traceback."""
+
+    CASES = {
+        "manifest-array": ("evaluate", "manifest.json", lambda p: [1, 2]),
+        "manifest-predictions-list": ("evaluate", "manifest.json", lambda p: {**p, "predictions": [1]}),
+        "manifest-calibration-list": ("evaluate", "manifest.json", lambda p: {**p, "calibration": [1]}),
+        "manifest-grid-config-number": ("evaluate", "manifest.json", lambda p: {**p, "grid_config": 5}),
+        "grid-array": ("plane-pose", "grid.json", lambda p: [1, 2]),
+        "grid-targets-list": ("plane-pose", "grid.json", lambda p: {**p, "targets": [1]}),
+        "intrinsics-string": ("plane-pose", "calib/intrinsics_left.json", lambda p: "a string"),
+        "plane-rms-list": ("evaluate", "calib/plane.json", lambda p: {**p, "rms_px": [1]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wrong_shape_named(self, dataset_dir, tmp_path, capsys, case):
+        import shutil
+
+        command, name, edit = self.CASES[case]
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        target = data / name
+        target.write_text(json.dumps(edit(json.loads(target.read_text()))))
+        if command == "evaluate":
+            argv = ["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r")]
+        else:
+            argv = [
+                "plane-pose", "--corners", str(data / "plane_corners.csv"), "--grid", str(data / "grid.json"),
+                "--intrinsics", str(data / "calib" / "intrinsics_left.json"), "--out", str(tmp_path / "p.json"),
+            ]
+        assert main(argv) == 1
+        assert f"{target}: " in capsys.readouterr().err
+
 
 class TestProvenance:
     def test_report_csvs_embed_tool_and_hashes(self, dataset_dir, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.errors import DegenerateConfigurationError, UnknownTargetError
@@ -26,6 +28,23 @@ class TestGrid:
         pts = grid_points(cfg)
         assert len(pts) == 6 * 9
         assert all(p[2] == 0.0 for p in pts.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        square=st.floats(1e-4, 10.0),
+        ij=st.lists(st.tuples(st.integers(-3, 60), st.integers(-3, 60)), max_size=30),
+    )
+    def test_corner_position_arrays_match_scalars(self, square, ij):
+        cfg = GridConfig(square_size=square, rows=4, cols=4)
+        i, j = np.array(ij, dtype=int).reshape(-1, 2).T
+        scalars = np.array([corner_position(cfg, a, b) for a, b in ij]).reshape(-1, 3)
+        formula = np.array([(square * a, square * b, 0.0) for a, b in ij]).reshape(-1, 3)
+        batch = corner_position(cfg, i, j)
+        assert batch.shape == (len(ij), 3)
+        assert batch.tobytes() == scalars.tobytes() == formula.tobytes()
+        table = corner_position(cfg, i[:, None], j[None, :])
+        assert table.shape == (len(ij), len(ij), 3)
+        assert table[np.arange(len(ij)), np.arange(len(ij))].tobytes() == batch.tobytes()
 
     def test_target_center_cells(self):
         cfg = GridConfig(square_size=0.05, rows=4, cols=4, target_map={1: (0, 0), 2: (2, 3)})

@@ -30,14 +30,9 @@ class TestGenerateScene:
             np.testing.assert_array_equal(a.head_cc, b.head_cc)
             np.testing.assert_array_equal(a.direction_cc, b.direction_cc)
         assert again.calib_corners == small_dataset.calib_corners
+        assert again.faces == small_dataset.faces
         for m in again.predictions:
             assert again.predictions[m] == small_dataset.predictions[m]
-
-    def test_thread_count_does_not_change_output(self, small_scene, small_dataset):
-        threaded = generate_scene(small_scene, threads=4)
-        for a, b in zip(threaded.truths, small_dataset.truths):
-            np.testing.assert_array_equal(a.head_cc, b.head_cc)
-        assert threaded.faces == small_dataset.faces
 
     def test_zero_frames_still_emits_calibration(self):
         ds = generate_scene(default_scene(frames=0, seed=3, calib_views=4))
