@@ -19,9 +19,10 @@ def run(noise_sigma: float, seed: int):
     if noise_sigma > 0:
         ds = perturb(ds, NoiseSpec(corner_px_sigma=noise_sigma), seed=seed + 1)
 
-    left = calibrate_camera([o for o in ds.calib_corners if o.camera_id == "left"], ds.grid, (1280, 720))
-    right = calibrate_camera([o for o in ds.calib_corners if o.camera_id == "right"], ds.grid, (1280, 720))
-    rig = calibrate_stereo(left, right, ds.calib_corners, ds.grid)
+    corners = ds.calib_corners
+    left = calibrate_camera(corners.take(corners.camera == "left"), ds.grid, (1280, 720))
+    right = calibrate_camera(corners.take(corners.camera == "right"), ds.grid, (1280, 720))
+    rig = calibrate_stereo(left, right, corners, ds.grid)
 
     truth = spec.rig
     print(f"\n== corner noise sigma = {noise_sigma} px ==")

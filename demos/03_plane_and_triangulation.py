@@ -10,7 +10,6 @@ generator's ground truth.
 import numpy as np
 
 from planegaze import estimate_plane_pose, head_point
-from planegaze.calibration import CAMERA_LEFT, CAMERA_RIGHT
 from planegaze.geometry import axis_angle_from_rotation
 from planegaze.synthetic import default_scene, generate_scene
 
@@ -31,17 +30,15 @@ def main():
           f"({cam_in_plane[2]*100:.1f} cm above the surface)")
 
     print("\n-- head triangulation --")
-    faces = {(f.frame_id, f.camera_id): f for f in ds.faces}
-    for truth in ds.truths:
-        hp = head_point(
-            faces[(truth.frame_id, CAMERA_LEFT)],
-            faces[(truth.frame_id, CAMERA_RIGHT)],
-            ds.rig,
-            "eye_midpoint",
-        )
-        err_mm = np.linalg.norm(hp.position - truth.head_cc) * 1000
-        print(f"{truth.frame_id}: head at {np.round(hp.position, 4)} m  "
-              f"error {err_mm:.2e} mm  ray gap {hp.ray_gap*1000:.2e} mm  source {hp.source}")
+    # faces hold a left and a right row per frame; one call triangulates every frame
+    faces = ds.faces
+    heads = head_point(faces.take(faces.camera == "left"), faces.take(faces.camera == "right"),
+                       ds.rig, "eye_midpoint")
+    for fid, position, gap, source, truth in zip(ds.frames.frame_id, heads.position, heads.ray_gap,
+                                                 heads.source, ds.head_cc):
+        err_mm = np.linalg.norm(position - truth) * 1000
+        print(f"{fid}: head at {np.round(position, 4)} m  "
+              f"error {err_mm:.2e} mm  ray gap {gap*1000:.2e} mm  source {source}")
 
 
 if __name__ == "__main__":

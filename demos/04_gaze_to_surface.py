@@ -25,22 +25,22 @@ from planegaze.triangulation import HeadPoint
 
 def main():
     ds = generate_scene(default_scene(frames=1, seed=7, calib_views=2))
-    truth = ds.truths[0]
-    head = HeadPoint(truth.head_cc, 0.0, "eye_midpoint")
-    target = target_center(ds.grid, truth.target_id)
+    frame_id, target_id = str(ds.frames.frame_id[0]), int(ds.frames.target_id[0])
+    head = HeadPoint(ds.head_cc[0], 0.0, "eye_midpoint")
+    target = target_center(ds.grid, target_id)
 
-    print(f"frame {truth.frame_id}: participant looks at target {truth.target_id} "
+    print(f"frame {frame_id}: participant looks at target {target_id} "
           f"(center {np.round(target, 3)} in workspace coords)")
     print(f"triangulated head (camera frame): {np.round(head.position, 4)} m")
 
     yaw_h, pitch_h = camera_offset_angles(head)
     print(f"head-to-camera angles: yaw {math.degrees(yaw_h):+.2f} deg, pitch {math.degrees(pitch_h):+.2f} deg")
 
-    pred = ds.predictions["oracle-offset"][0]
-    print(f"network output (offset convention): yaw {math.degrees(pred.yaw):+.2f} deg, "
-          f"pitch {math.degrees(pred.pitch):+.2f} deg")
+    pred = ds.predictions["oracle-offset"].take([0])
+    print(f"network output (offset convention): yaw {math.degrees(pred.yaw[0]):+.2f} deg, "
+          f"pitch {math.degrees(pred.pitch[0]):+.2f} deg")
 
-    direction = correct_gaze_to_camera_frame(pred, head)
+    direction = correct_gaze_to_camera_frame(pred, head)[0]
     print(f"corrected camera-frame direction: {np.round(direction, 4)}")
 
     est = gaze_point_on_surface(head, direction, ds.plane)
@@ -52,7 +52,7 @@ def main():
     print(f"ground-truth direction from the same head: {np.round(gt, 4)}")
 
     print("\n-- what a zero prediction means --")
-    zero = GazePrediction(truth.frame_id, "demo", 0.0, 0.0, "camera_offset")
+    zero = GazePrediction(frame_id, "demo", 0.0, 0.0, "camera_offset")
     d0 = correct_gaze_to_camera_frame(zero, head)
     miss = np.linalg.norm(np.cross(head.position, d0))
     print(f"zero-output ray passes {miss:.2e} m from the camera center (looking at the lens)")

@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .calibration import (
     CalibrationResult,
     CornerObservation,
+    CornerTable,
     StereoRig,
     calibrate_camera,
     calibrate_stereo,
@@ -40,6 +41,7 @@ from .geometry import (
 from .grid import GridConfig, default_target_map, grid_points, target_center
 from .metrics import (
     FrameErrors,
+    FrameTable,
     Histogram2D,
     MetricsSummary,
     error_cdf,

@@ -14,7 +14,7 @@ initialization from only two views.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,48 @@ class CornerObservation:
     camera_id: str
     grid_index: tuple[int, int]
     pixel: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class CornerTable:
+    """Checkerboard corners as columns, one row per detection.
+
+    ``view_id`` and ``camera`` are (N,) text, ``ij`` the (N, 2) lattice
+    indices and ``uv`` the (N, 2) pixels.
+    """
+
+    view_id: np.ndarray
+    camera: np.ndarray
+    ij: np.ndarray
+    uv: np.ndarray
+
+    @classmethod
+    def from_observations(cls, observations) -> CornerTable:
+        obs = list(observations)
+        return cls(
+            np.array([o.view_id for o in obs], dtype=str),
+            np.array([o.camera_id for o in obs], dtype=str),
+            np.array([o.grid_index for o in obs], dtype=int).reshape(-1, 2),
+            np.array([o.pixel for o in obs], dtype=float).reshape(-1, 2),
+        )
+
+    @classmethod
+    def concat(cls, tables) -> CornerTable:
+        """The rows of every table, in order."""
+        parts = [cls.from_observations(()), *tables]
+        return cls(*(np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(cls)))
+
+    def take(self, rows) -> CornerTable:
+        """The rows at ``rows`` (indices or a mask), in that order."""
+        return CornerTable(self.view_id[rows], self.camera[rows], self.ij[rows], self.uv[rows])
+
+    def __len__(self) -> int:
+        return len(self.view_id)
+
+
+def _corner_table(corners) -> CornerTable:
+    """A CornerTable as it is; a sequence of CornerObservations converted once."""
+    return corners if isinstance(corners, CornerTable) else CornerTable.from_observations(corners)
 
 
 @dataclass(frozen=True)
@@ -245,26 +287,24 @@ def pose_from_homography(K, H) -> RigidTransform:
 
 # --- joint refinement -----------------------------------------------------
 
-def _corner_arrays(observations, grid: GridConfig):
-    """View ids (N,), board points (N, 3) and pixels (N, 2) of corner observations, in input order.
+def _corner_arrays(corners: CornerTable, grid: GridConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Board points (N, 3) and pixels (N, 2) of a corner table, in row order.
 
-    Raises ValueError naming the first corner, in input order, outside the grid lattice.
+    Raises ValueError naming the first corner, in row order, outside the grid lattice.
     """
-    columns = list(zip(*[(ob.view_id, *ob.grid_index, *ob.pixel) for ob in observations]))
-    views, i, j, u, v = columns or [()] * 5
-    i, j = np.array(i, dtype=int), np.array(j, dtype=int)
+    i, j = corners.ij.T
     outside = ~grid.in_bounds(i, j)
     if outside.any():
         k = int(np.argmax(outside))
         raise ValueError(
             f"corner index {(int(i[k]), int(j[k]))} outside grid lattice "
-            f"({grid.rows + 1}x{grid.cols + 1}) in view {views[k]!r}"
+            f"({grid.rows + 1}x{grid.cols + 1}) in view {str(corners.view_id[k])!r}"
         )
-    return np.array(views, dtype=str), corner_position(grid, i, j), np.column_stack([u, v]).astype(float)
+    return corner_position(grid, i, j), corners.uv
 
 
 def refine_calibration(
-    observations,
+    corners,
     grid: GridConfig,
     init: CalibrationResult,
     *,
@@ -272,12 +312,14 @@ def refine_calibration(
 ) -> CalibrationResult:
     """Jointly refine intrinsics, distortion and all per-view poses.
 
+    ``corners`` is a CornerTable or a sequence of CornerObservations.
     Minimizes the sum of squared pixel reprojection residuals with damped
     least squares; never returns a result worse than the initialization.
     Raises NoConvergenceError (carrying the best iterate) on divergence.
     """
-    views, obj, pix = _corner_arrays(observations, grid)
-    view_ids, view_idx = np.unique(views, return_inverse=True)
+    corners = _corner_table(corners)
+    obj, pix = _corner_arrays(corners, grid)
+    view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
     view_ids = view_ids.tolist()
     missing = [v for v in view_ids if v not in init.per_view_poses]
     if missing:
@@ -326,7 +368,7 @@ def refine_calibration(
 
 
 def calibrate_camera(
-    observations,
+    corners,
     grid: GridConfig,
     image_size: tuple[int, int],
     *,
@@ -334,14 +376,16 @@ def calibrate_camera(
 ) -> CalibrationResult:
     """Full single-camera chain: homographies -> closed-form K -> poses -> refinement.
 
-    Views with fewer than 4 detected corners, or whose corners admit no
+    ``corners`` is a CornerTable or a sequence of CornerObservations. Views
+    with fewer than 4 detected corners, or whose corners admit no
     homography (e.g. all on one lattice row), are dropped with a warning.
     Raises only when too few views remain to initialize the intrinsics.
     """
-    views, obj, pix = _corner_arrays(observations, grid)
-    view_ids, view_idx = np.unique(views, return_inverse=True)
+    corners = _corner_table(corners)
+    obj, pix = _corner_arrays(corners, grid)
+    view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
     homographies = {}
-    kept = np.zeros(len(views), dtype=bool)
+    kept = np.zeros(len(corners), dtype=bool)
     for k, vid in enumerate(view_ids.tolist()):
         rows = view_idx == k
         count = int(rows.sum())
@@ -361,9 +405,7 @@ def calibrate_camera(
     init = CalibrationResult(K0, poses0, float("nan"), {})
     # the kept corners by view, in input order within a view: this fixes the residual row order
     order = np.argsort(view_idx, kind="stable")
-    return refine_calibration(
-        [observations[k] for k in order[kept[order]]], grid, init, fix_skew=fix_skew
-    )
+    return refine_calibration(corners.take(order[kept[order]]), grid, init, fix_skew=fix_skew)
 
 
 def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
@@ -393,11 +435,12 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
 def calibrate_stereo(
     left: CalibrationResult,
     right: CalibrationResult,
-    observations,
+    corners,
     grid: GridConfig,
 ) -> StereoRig:
     """Relative pose of the rig from views seen by both cameras.
 
+    ``corners`` is a CornerTable or a sequence of CornerObservations.
     Per shared view the candidate is pose_right o pose_left^-1; candidates
     are averaged (chordal rotation mean, translation mean) and the single
     relative pose is then refined against the right-camera corners of all
@@ -416,14 +459,14 @@ def calibrate_stereo(
     R0 = nearest_rotation(np.mean(rotations, axis=0))
     t0 = np.mean(translations, axis=0)
 
-    views, obj, pix = _corner_arrays(observations, grid)
-    right_camera = np.array([ob.camera_id == CAMERA_RIGHT for ob in observations], dtype=bool)
-    rows = right_camera & np.isin(views, shared_views)
+    corners = _corner_table(corners)
+    obj, pix = _corner_arrays(corners, grid)
+    rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared_views)
     if not rows.any():
         return StereoRig(left.intrinsics, right.intrinsics, RigidTransform(R0, t0))
 
     # the right corners' board points in the left camera frame, fixed by the left poses
-    view_idx = np.searchsorted(shared_views, views[rows])
+    view_idx = np.searchsorted(shared_views, corners.view_id[rows])
     obj, pix = obj[rows], pix[rows]
     left_R = np.array([left.per_view_poses[v].rotation for v in shared_views])
     left_t = np.array([left.per_view_poses[v].translation for v in shared_views])

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import CAMERA_LEFT, CAMERA_RIGHT, calibrate_camera, calibrate_stereo
+from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, calibrate_camera, calibrate_stereo
 from .errors import (
     DegenerateDataError,
     FormatError,
@@ -180,22 +180,16 @@ def main(argv=None) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    observations = []
-    for path in args.corners:
-        observations.extend(read_corners(path))
+    corners = CornerTable.concat(read_corners(path) for path in args.corners)
     grid = read_grid_config(args.grid)
     inputs = {p.name: p for p in [*args.corners, args.grid]}
 
-    by_camera = {CAMERA_LEFT: [], CAMERA_RIGHT: []}
-    for ob in observations:
-        by_camera[ob.camera_id].append(ob)
-
     results = {}
     for camera in (CAMERA_LEFT, CAMERA_RIGHT):
-        obs = by_camera[camera]
-        if not obs:
+        rows = corners.camera == camera
+        if not rows.any():
             continue
-        result = calibrate_camera(obs, grid, args.image_size, fix_skew=not args.release_skew)
+        result = calibrate_camera(corners.take(rows), grid, args.image_size, fix_skew=not args.release_skew)
         results[camera] = result
         print(f"{camera}: rms {result.rms_reprojection:.6g} px over {len(result.per_view_poses)} views")
         for vid in sorted(result.per_view_rms):
@@ -210,7 +204,7 @@ def cmd_calibrate(args) -> int:
         )
 
     if len(results) == 2:
-        rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], observations, grid)
+        rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], corners, grid)
         write_stereo(args.out / "stereo.json", rig,
                      prov=provenance(inputs=inputs, config={"origin": "estimated"}))
         print(f"stereo: baseline {rig.baseline:.6g} m")
@@ -323,7 +317,7 @@ def cmd_synth(args) -> int:
     ds = generate_scene(spec)
     ds = perturb(ds, noise, seed=spec.seed)
     manifest = write_dataset(ds, args.out)
-    print(f"wrote dataset with {len(ds.truths)} frames to {manifest}")
+    print(f"wrote dataset with {len(ds.frames)} frames to {manifest}")
     return EXIT_OK
 
 

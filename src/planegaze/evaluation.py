@@ -79,8 +79,7 @@ def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
         return read_plane_pose(plane_override)
     if manifest.plane_pose is not None:
         return read_plane_pose(manifest.plane_pose)
-    corners = read_plane_corners(manifest.plane_corners)
-    return estimate_plane_pose(corners, grid, rig.left)
+    return estimate_plane_pose(read_plane_corners(manifest.plane_corners), grid, rig.left)
 
 
 def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +108,7 @@ def evaluate_method(
     ref = manifest.predictions[method]
     preds = read_predictions(ref.path)
     frames = manifest.frames
-    frame_ids = np.array([f.frame_id for f in frames], dtype=str)
+    frame_ids = frames.frame_id
     known = np.isin(preds.frame_id, frame_ids)
     wrong = np.flatnonzero(~known | (preds.method != method))
     if wrong.size:
@@ -128,7 +127,7 @@ def evaluate_method(
 
     head = head_point(left.take(left_row[rows]), right.take(right_row[rows]), rig, ref.head_source)
     centers = {tid: target_center(grid, tid) for tid in grid.target_map}
-    targets = np.array([centers.get(frames[k].target_id, (np.nan,) * 3) for k in rows]).reshape(-1, 3)
+    targets = np.array([centers.get(t, (np.nan,) * 3) for t in frames.target_id[rows].tolist()]).reshape(-1, 3)
     gt_dirs = ground_truth_direction(head, plane, targets)
     failure = head.failure.astype(object)  # first failure wins, as in a per-frame loop
     failure[(failure == "") & np.isnan(targets[:, 0])] = "UnknownTargetError"
@@ -142,9 +141,9 @@ def evaluate_method(
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
     errors = evaluate_frame(
         pred_dirs, gt_dirs[keep], estimate, targets[keep],
-        frame_id=[frames[k].frame_id for k in rows], tags=[frames[k].tags for k in rows],
+        frame_id=frame_ids[rows], tags=[frames.tags[k] for k in rows],
     )
-    skipped = [(f.frame_id, reason) for f, reason in zip(frames, reasons) if reason]
+    skipped = [(fid, reason) for fid, reason in zip(frame_ids.tolist(), reasons) if reason]
     if skipped:
         logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(frames))
     return MethodReport(method, errors, skipped, pred_dirs, gt_dirs[keep])
@@ -173,14 +172,14 @@ def evaluate_manifest(
         if m not in manifest.predictions:
             raise FormatError(f"method {m!r} not in manifest predictions")
     if tag_filters is None:
-        tags = sorted({t for f in manifest.frames for t in f.tags})
+        tags = sorted({t for tags in manifest.frames.tags for t in tags})
         tag_filters = [None] + tags
     thresholds_cm = tuple(sorted({float(t) for t in thresholds_cm}))
 
     faces = read_faces(manifest.faces)
     reports = {m: evaluate_method(manifest, m, rig, plane, grid, faces) for m in selected}
 
-    frame_tags = {f.frame_id: f.tags for f in manifest.frames}
+    frame_tags = dict(zip(manifest.frames.frame_id.tolist(), manifest.frames.tags))
     summary_rows = []
     cdf_parts, hist_parts = [], []
     for m in selected:

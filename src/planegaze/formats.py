@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerObservation, StereoRig
+from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, StereoRig
 from .camera import CameraIntrinsics
 from .errors import FormatError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
 from .grid import GridConfig
+from .metrics import FrameTable
 from .pipeline import CONVENTION_OFFSET, CONVENTIONS, PredictionTable
 from .plane import PlanePose
 from .synthetic import MethodSpec, SceneSpec, default_scene
@@ -389,27 +390,31 @@ def _check_cameras(table: _Table) -> None:
                 lambda k: f"camera must be left or right, got {str(cams[k])!r}")
 
 
-def write_corners(path: Path, observations, meta: dict[str, str] | None = None) -> None:
-    rows = [(ob.view_id, ob.camera_id, *ob.grid_index, *ob.pixel) for ob in observations]
+def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None = None) -> None:
     base = {"schema": "planegaze-corners-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), CORNERS_COLUMNS, list(zip(*rows)), {**base, **(meta or {})})
+    data = [corners.view_id, corners.camera, *corners.ij.T, *corners.uv.T]
+    _write_table(Path(path), CORNERS_COLUMNS, data, {**base, **(meta or {})})
 
 
-def read_corners(path: Path) -> list[CornerObservation]:
+def _read_corner_table(path: Path) -> tuple[_Table, CornerTable]:
     t = _read_table(path, CORNERS_COLUMNS)
     _check_cameras(t)
-    columns = (t[name].tolist() for name in CORNERS_COLUMNS)
-    return [CornerObservation(vid, cam, (i, j), (u, v)) for vid, cam, i, j, u, v in zip(*columns)]
+    ij, uv = np.column_stack([t["i"], t["j"]]), np.column_stack([t["u"], t["v"]])
+    return t, CornerTable(t["view_id"], t["camera"], ij, uv)
 
 
-def write_plane_corners(path: Path, corners, meta: dict[str, str] | None = None) -> None:
-    """Plane corners reuse the corner schema with view_id 'plane', camera 'left'."""
-    obs = [CornerObservation("plane", "left", ij, uv) for ij, uv in corners]
-    write_corners(path, obs, meta)
+def read_corners(path: Path) -> CornerTable:
+    return _read_corner_table(path)[1]
 
 
-def read_plane_corners(path: Path) -> list[tuple[tuple[int, int], tuple[float, float]]]:
-    return [(ob.grid_index, ob.pixel) for ob in read_corners(path)]
+def read_plane_corners(path: Path) -> CornerTable:
+    """Display-grid corners: the corner schema, with one view seen by the left camera."""
+    t, corners = _read_corner_table(path)
+    cams, views = corners.camera, corners.view_id
+    t.check(cams != CAMERA_LEFT, lambda k: f"plane corners must be seen by the left camera, got {str(cams[k])!r}")
+    t.check(views != views[:1],
+            lambda k: f"plane corners must share one view_id, got {str(views[k])!r} after {str(views[0])!r}")
+    return corners
 
 
 # --- face observations ----------------------------------------------------------
@@ -517,23 +522,21 @@ TRUTH_COLUMNS = {
 }
 
 
-def write_truth(path: Path, truths, meta: dict[str, str] | None = None) -> None:
-    rows = [(t.frame_id, t.target_id, ";".join(t.tags), *t.head_cc, *t.direction_cc) for t in truths]
+def write_truth(path: Path, frames: FrameTable, head_cc, direction_cc, meta: dict[str, str] | None = None) -> None:
+    """Each frame's annotation with its exact head and gaze direction, (N, 3) each."""
+    data = [frames.frame_id, frames.target_id, [";".join(t) for t in frames.tags],
+            *np.reshape(head_cc, (-1, 3)).T, *np.reshape(direction_cc, (-1, 3)).T]
     base = {"schema": "planegaze-truth-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), TRUTH_COLUMNS, list(zip(*rows)), {**base, **(meta or {})})
+    _write_table(Path(path), TRUTH_COLUMNS, data, {**base, **(meta or {})})
 
 
-def read_truth(path: Path):
-    from .synthetic import FrameTruth
-
+def read_truth(path: Path) -> tuple[FrameTable, np.ndarray, np.ndarray]:
+    """The frames, heads (N, 3) and gaze directions (N, 3) of a truth file."""
     t = _read_table(path, TRUTH_COLUMNS)
+    tags = tuple(tuple(tag for tag in cell.split(";") if tag) for cell in t["tags"].tolist())
     head = np.column_stack([t["head_x"], t["head_y"], t["head_z"]])
     direction = np.column_stack([t["dir_x"], t["dir_y"], t["dir_z"]])
-    return [
-        FrameTruth(fid, tid, tuple(tag for tag in tags.split(";") if tag), h, d)
-        for fid, tid, tags, h, d in zip(t["frame_id"].tolist(), t["target_id"].tolist(), t["tags"].tolist(),
-                                        head, direction)
-    ]
+    return FrameTable(t["frame_id"], t["target_id"], tags), head, direction
 
 
 # --- manifest -------------------------------------------------------------------
@@ -545,13 +548,6 @@ MANIFEST_SCHEMA = "planegaze-manifest-v1"
 class PredictionRef:
     path: Path
     head_source: str = SOURCE_BBOX
-
-
-@dataclass(frozen=True)
-class FrameEntry:
-    frame_id: str
-    target_id: int
-    tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -567,7 +563,7 @@ class DatasetManifest:
     plane_pose: Path | None
     faces: Path
     predictions: dict[str, PredictionRef]
-    frames: tuple[FrameEntry, ...]
+    frames: FrameTable
     calibration_corners: Path | None = None
     truth: Path | None = None
 
@@ -624,20 +620,21 @@ def read_manifest(path: Path) -> DatasetManifest:
             )
         preds[name] = PredictionRef(path=(root / entry["path"]).resolve(), head_source=source)
 
-    frames = []
+    frame_ids, target_ids, frame_tags = [], [], []
     seen = set()
     for k, entry in enumerate(block("frames", list)):
         try:
             fid, tags = str(entry["frame_id"]), entry.get("tags")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
                 raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
-            fe = FrameEntry(frame_id=fid, target_id=int(entry["target_id"]), tags=tuple(tags or ()))
-        except (KeyError, TypeError, ValueError) as exc:
+            target_ids.append(np.int64(int(entry["target_id"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
-        if fe.frame_id in seen:
-            raise FormatError(f"duplicate frame_id {fe.frame_id!r}", file=str(path))
-        seen.add(fe.frame_id)
-        frames.append(fe)
+        if fid in seen:
+            raise FormatError(f"duplicate frame_id {fid!r}", file=str(path))
+        seen.add(fid)
+        frame_ids.append(fid)
+        frame_tags.append(tuple(tags or ()))
 
     manifest = DatasetManifest(
         path=path.resolve(),
@@ -649,7 +646,7 @@ def read_manifest(path: Path) -> DatasetManifest:
         plane_pose=resolve("plane_pose", required=False),
         faces=resolve("faces"),
         predictions=preds,
-        frames=tuple(frames),
+        frames=FrameTable(np.array(frame_ids, dtype=str), np.array(target_ids, dtype=np.int64), tuple(frame_tags)),
         calibration_corners=resolve("calibration_corners", required=False),
         truth=resolve("truth", required=False),
     )
@@ -707,9 +704,9 @@ def write_dataset(ds, out_dir: Path) -> Path:
 
     write_grid_config(out / "grid.json", ds.grid)
     write_corners(out / "corners.csv", ds.calib_corners, truth_prov)
-    write_plane_corners(out / "plane_corners.csv", ds.plane_corners, truth_prov)
-    write_faces(out / "faces.csv", FaceTable.from_observations(ds.faces), truth_prov)
-    write_truth(out / "truth.csv", ds.truths, truth_prov)
+    write_corners(out / "plane_corners.csv", ds.plane_corners, truth_prov)
+    write_faces(out / "faces.csv", ds.faces, truth_prov)
+    write_truth(out / "truth.csv", ds.frames, ds.head_cc, ds.direction_cc, truth_prov)
 
     prov = provenance(config=truth_prov)
     write_intrinsics(out / "calib" / "intrinsics_left.json", ds.rig.left, camera="left", prov=prov)
@@ -721,8 +718,7 @@ def write_dataset(ds, out_dir: Path) -> Path:
     pred_entries = {}
     for name in sorted(ds.predictions):
         fname = f"pred_{name}.csv"
-        write_predictions(out / fname, PredictionTable.from_predictions(ds.predictions[name]),
-                          unit="radians", meta=truth_prov)
+        write_predictions(out / fname, ds.predictions[name], unit="radians", meta=truth_prov)
         pred_entries[name] = {"path": fname, "head_source": methods[name].head_source}
 
     manifest_path = out / "manifest.json"
@@ -742,8 +738,8 @@ def write_dataset(ds, out_dir: Path) -> Path:
             "truth": "truth.csv",
             "predictions": pred_entries,
             "frames": [
-                {"frame_id": t.frame_id, "target_id": t.target_id, "tags": list(t.tags)}
-                for t in ds.truths
+                {"frame_id": fid, "target_id": tid, "tags": list(tags)}
+                for fid, tid, tags in zip(ds.frames.frame_id.tolist(), ds.frames.target_id.tolist(), ds.frames.tags)
             ],
             "provenance": provenance(config=truth_prov),
         },

@@ -58,6 +58,18 @@ class FrameErrors:
 
 
 @dataclass(frozen=True)
+class FrameTable:
+    """Annotated frames as columns: ``frame_id`` (N,), ``target_id`` (N,) and one tag tuple per row."""
+
+    frame_id: np.ndarray
+    target_id: np.ndarray
+    tags: tuple
+
+    def __len__(self) -> int:
+        return len(self.frame_id)
+
+
+@dataclass(frozen=True)
 class MetricsSummary:
     mean_angular_deg: float
     median_distance_cm: float

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import estimate_homography, pose_from_homography, refine_pose
+from .calibration import CornerTable, estimate_homography, pose_from_homography, refine_pose
 from .camera import CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
@@ -39,12 +39,15 @@ class PlanePose:
 def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> PlanePose:
     """Estimate the camera-to-workspace transform from detected grid corners.
 
-    ``corners`` is a sequence of ((i, j), (u, v)) pairs. Needs at least 4
-    corners in general position. The result is invariant under permutation
-    of the corner list.
+    ``corners`` is a CornerTable, or a sequence of ((i, j), (u, v)) pairs.
+    Needs at least 4 corners in general position. The result is invariant
+    under permutation of the corners.
     """
-    ij = np.array([index for index, _ in corners], dtype=int).reshape(-1, 2)
-    pixels = np.array([pixel for _, pixel in corners], dtype=float).reshape(-1, 2)
+    if isinstance(corners, CornerTable):
+        ij, pixels = corners.ij, corners.uv
+    else:
+        ij = np.array([index for index, _ in corners], dtype=int).reshape(-1, 2)
+        pixels = np.array([pixel for _, pixel in corners], dtype=float).reshape(-1, 2)
     if len(ij) < 4:
         raise DegenerateConfigurationError(f"plane pose needs >= 4 corners, got {len(ij)}")
     order = np.lexsort((pixels[:, 1], pixels[:, 0], ij[:, 1], ij[:, 0]))

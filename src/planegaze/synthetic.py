@@ -3,7 +3,8 @@
 Everything downstream is validated against these: the true rig, plane and
 grid are chosen, heads and targets are sampled, and every observation the
 real pipeline would ingest (checkerboard corners, face detections, gaze
-predictions) is emitted by exact forward projection. A zero-noise dataset
+predictions) is emitted by exact forward projection, as the column tables
+the dataset files hold. A zero-noise dataset
 pushed through the full pipeline must reproduce its targets to numerical
 precision; the perturbation operator then adds calibrated amounts of pixel
 and angular noise on top.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerObservation, StereoRig
+from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, StereoRig
 from .camera import CameraIntrinsics, project_points
 from .errors import BehindCameraError, ResampleExceededError
 from .geometry import (
@@ -35,10 +36,10 @@ from .geometry import (
     unit,
 )
 from .grid import GridConfig, corner_position, default_target_map, target_center
-from .metrics import evaluate_frame, summarize
-from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, GazePrediction, gaze_point_on_surface
+from .metrics import FrameTable, evaluate_frame, summarize
+from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable, gaze_point_on_surface
 from .plane import PlanePose
-from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, HeadPoint
+from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable, HeadPoint
 
 MAX_RESAMPLE = 100
 
@@ -55,13 +56,19 @@ GLASSES_TAG_MIN_TARGET = 11
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A simulated gaze method: its output convention and head-point source."""
+    """A simulated gaze method: its output convention and head-point source.
+
+    The name becomes part of a file name, so it must be a non-empty string
+    without a path separator or NUL.
+    """
 
     name: str
     convention: str = CONVENTION_OFFSET
     head_source: str = SOURCE_EYES
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"method name must be a non-empty file-name stem, got {self.name!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"method {self.name!r}: unknown convention {self.convention!r}")
         if self.head_source not in (SOURCE_BBOX, SOURCE_EYES):
@@ -130,29 +137,25 @@ class SceneSpec:
 
 
 @dataclass(frozen=True)
-class FrameTruth:
-    """Exact per-frame ground truth in the left-camera frame."""
-
-    frame_id: str
-    target_id: int
-    tags: tuple[str, ...]
-    head_cc: np.ndarray
-    direction_cc: np.ndarray
-
-
-@dataclass(frozen=True)
 class SyntheticDataset:
-    """Everything a dataset directory holds, in memory."""
+    """Everything a dataset directory holds, in memory, as its files' column tables.
+
+    ``faces`` holds a left and a right row per frame, in frame order;
+    ``head_cc`` and ``direction_cc`` (N, 3) are each frame's exact head
+    and gaze direction in the left-camera frame.
+    """
 
     spec: SceneSpec
     grid: GridConfig
     rig: StereoRig
     plane: PlanePose
-    calib_corners: tuple[CornerObservation, ...]
-    plane_corners: tuple[tuple[tuple[int, int], tuple[float, float]], ...]
-    faces: tuple[FaceObservation, ...]
-    truths: tuple[FrameTruth, ...]
-    predictions: dict[str, tuple[GazePrediction, ...]]
+    calib_corners: CornerTable
+    plane_corners: CornerTable
+    faces: FaceTable
+    frames: FrameTable
+    head_cc: np.ndarray
+    direction_cc: np.ndarray
+    predictions: dict[str, PredictionTable]
 
 
 def default_scene(frames: int = 200, seed: int = 0, calib_views: int = 15) -> SceneSpec:
@@ -212,7 +215,7 @@ def _board_points(grid: GridConfig) -> tuple[list[tuple[int, int]], np.ndarray]:
     return idx, corner_position(grid, *np.array(idx).T)
 
 
-def _sample_board_view(spec: SceneSpec, view: int) -> list[CornerObservation]:
+def _sample_board_view(spec: SceneSpec, view: int) -> CornerTable:
     """One checkerboard view seen by both cameras, corners fully in-image."""
     rng = _rng(spec.seed, _STREAM_CALIB, view)
     grid = spec.grid
@@ -239,16 +242,9 @@ def _sample_board_view(spec: SceneSpec, view: int) -> list[CornerObservation]:
             continue
         if not (_in_image(uv_left, rig.left, 12.0).all() and _in_image(uv_right, rig.right, 12.0).all()):
             continue
-        vid = f"calib{view:03d}"
-        obs = [
-            CornerObservation(vid, CAMERA_LEFT, ij, (float(u), float(v)))
-            for ij, (u, v) in zip(idx, uv_left)
-        ]
-        obs += [
-            CornerObservation(vid, CAMERA_RIGHT, ij, (float(u), float(v)))
-            for ij, (u, v) in zip(idx, uv_right)
-        ]
-        return obs
+        n = len(idx)
+        return CornerTable(np.full(2 * n, f"calib{view:03d}"), np.repeat([CAMERA_LEFT, CAMERA_RIGHT], n),
+                           np.tile(idx, (2, 1)), np.vstack([uv_left, uv_right]))
     raise ResampleExceededError(f"could not place calibration view {view} after {MAX_RESAMPLE} tries")
 
 
@@ -318,16 +314,14 @@ def _encode_predictions(method: MethodSpec, head_cc: np.ndarray, direction_cc: n
 
 def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     """Emit the full synthetic dataset for a scene, deterministic under seed."""
-    calib = []
-    for v in range(spec.calib_views):
-        calib.extend(_sample_board_view(spec, v))
+    calib = CornerTable.concat(_sample_board_view(spec, v) for v in range(spec.calib_views))
 
     idx, pts = _board_points(spec.grid)
     cam_from_plane = spec.plane.transform.inverse()
     uv = project_points(spec.rig.left, cam_from_plane, pts)
     if not _in_image(uv, spec.rig.left, 1.0).all():
         raise ResampleExceededError("display grid does not project inside the left image")
-    plane_corners = tuple((ij, (float(u), float(v))) for ij, (u, v) in zip(idx, uv))
+    plane_corners = CornerTable(np.full(len(idx), "plane"), np.full(len(idx), CAMERA_LEFT), np.array(idx), uv)
 
     rig = spec.rig
     target_ids = np.array(sorted(spec.grid.target_map))
@@ -338,26 +332,21 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
     uv_left = project_points(rig.left, identity, head)
     uv_right = project_points(rig.right, identity, right)
     direction = unit(target_cc.reshape(-1, 3)[target] - head)
-    target_id = target_ids[target].tolist()
+    target_id = target_ids[target]
 
-    frame_ids = [f"f{i:05d}" for i in range(spec.frames)]
-    truths = [
-        FrameTruth(fid, tid, ("glasses",) if tid >= GLASSES_TAG_MIN_TARGET else ("no_glasses",), h, d)
-        for fid, tid, h, d in zip(frame_ids, target_id, head, direction)
-    ]
-    faces = []
-    for fid, box_l, eye_l, box_r, eye_r in zip(
-        frame_ids,
-        _bbox_around(uv_left, rig.left, head[:, 2]).tolist(), uv_left.tolist(),
-        _bbox_around(uv_right, rig.right, right[:, 2]).tolist(), uv_right.tolist(),
-    ):
-        faces.append(FaceObservation(fid, CAMERA_LEFT, tuple(box_l), tuple(eye_l)))
-        faces.append(FaceObservation(fid, CAMERA_RIGHT, tuple(box_r), tuple(eye_r)))
+    frame_id = np.array([f"f{i:05d}" for i in range(spec.frames)], dtype=str)
+    tags = tuple(("glasses",) if tid >= GLASSES_TAG_MIN_TARGET else ("no_glasses",) for tid in target_id.tolist())
+    # a left and a right row per frame, as faces.csv holds them
+    faces = FaceTable(
+        np.repeat(frame_id, 2),
+        np.tile([CAMERA_LEFT, CAMERA_RIGHT], spec.frames),
+        np.stack([_bbox_around(uv_left, rig.left, head[:, 2]),
+                  _bbox_around(uv_right, rig.right, right[:, 2])], axis=1).reshape(-1, 4),
+        np.stack([uv_left, uv_right], axis=1).reshape(-1, 2),
+    )
     predictions = {
-        m.name: tuple(
-            GazePrediction(fid, m.name, yaw, pitch, m.convention)
-            for fid, (yaw, pitch) in zip(frame_ids, _encode_predictions(m, head, direction).tolist())
-        )
+        m.name: PredictionTable(frame_id, np.full(spec.frames, m.name), *_encode_predictions(m, head, direction).T,
+                                m.convention, None)
         for m in spec.methods
     }
 
@@ -366,10 +355,12 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
         grid=spec.grid,
         rig=spec.rig,
         plane=spec.plane,
-        calib_corners=tuple(calib),
+        calib_corners=calib,
         plane_corners=plane_corners,
-        faces=tuple(faces),
-        truths=tuple(truths),
+        faces=faces,
+        frames=FrameTable(frame_id, target_id, tags),
+        head_cc=head,
+        direction_cc=direction,
         predictions=predictions,
     )
 
@@ -413,54 +404,38 @@ def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDatas
     if noise.is_zero:
         return ds
 
-    corners = ds.calib_corners
-    plane_corners = ds.plane_corners
+    corners, plane_corners = ds.calib_corners, ds.plane_corners
     if noise.corner_px_sigma > 0:
         rng = _rng(seed, _STREAM_PERTURB_CORNERS)
-        px = np.array([ob.pixel for ob in corners] + [uv for _, uv in plane_corners], dtype=float)
-        px = (px + rng.normal(0.0, noise.corner_px_sigma, (len(px), 2))).tolist()
-        corners = tuple(replace(ob, pixel=tuple(uv)) for ob, uv in zip(corners, px))
-        plane_corners = tuple((ij, tuple(uv)) for (ij, _), uv in zip(plane_corners, px[len(corners):]))
+        px = np.vstack([corners.uv, plane_corners.uv])
+        px = px + rng.normal(0.0, noise.corner_px_sigma, px.shape)
+        corners, plane_corners = replace(corners, uv=px[:len(corners)]), replace(plane_corners, uv=px[len(corners):])
 
     faces = ds.faces
     if noise.face_px_sigma > 0:
-        rng = _rng(seed, _STREAM_PERTURB_FACES)
-        pairs = sum((ob.bbox is not None) + (ob.eye_midpoint is not None) for ob in faces)
-        shifts = iter(rng.normal(0.0, noise.face_px_sigma, (pairs, 2)).tolist())
-        shifted = []
-        for ob in faces:
-            bbox, eye = ob.bbox, ob.eye_midpoint
-            if bbox is not None:
-                du, dv = next(shifts)
-                bbox = (bbox[0] + du, bbox[1] + dv, bbox[2] + du, bbox[3] + dv)
-            if eye is not None:
-                du, dv = next(shifts)
-                eye = (eye[0] + du, eye[1] + dv)
-            shifted.append(FaceObservation(ob.frame_id, ob.camera_id, bbox, eye))
-        faces = tuple(shifted)
+        # one (du, dv) per present source, row by row, the bbox's before the eye's
+        present = ~np.isnan(np.column_stack([faces.bbox[:, 0], faces.eye[:, 0]]))
+        shifts = np.zeros((len(present), 2, 2))
+        shifts[present] = _rng(seed, _STREAM_PERTURB_FACES).normal(0.0, noise.face_px_sigma, (present.sum(), 2))
+        faces = replace(faces, bbox=faces.bbox + np.tile(shifts[:, 0], 2), eye=faces.eye + shifts[:, 1])
 
-    truth_row = {t.frame_id: k for k, t in enumerate(ds.truths)}
-    heads = np.array([t.head_cc for t in ds.truths]).reshape(-1, 3)
-    dirs = np.array([t.direction_cc for t in ds.truths]).reshape(-1, 3)
+    frame_row = {fid: k for k, fid in enumerate(ds.frames.frame_id.tolist())}
     sigma_rad = math.radians(noise.gaze_angle_sigma_deg)
     bias = (math.radians(noise.gaze_bias_yaw_deg), math.radians(noise.gaze_bias_pitch_deg))
     methods = {m.name: m for m in ds.spec.methods}
 
     predictions = {}
     for k, (name, preds) in enumerate(sorted(ds.predictions.items())):
-        yaw_pitch = np.array([(p.yaw, p.pitch) for p in preds]).reshape(-1, 2)
+        yaw_pitch = np.column_stack([preds.yaw, preds.pitch])
         if sigma_rad > 0:
-            rows = [truth_row[p.frame_id] for p in preds]
-            draws = _rng(seed, _STREAM_PERTURB_PRED, k).normal(size=(len(preds), 4))
-            d = dirs[rows]
+            rows = [frame_row[fid] for fid in preds.frame_id.tolist()]
+            draws = _rng(seed, _STREAM_PERTURB_PRED, k).normal(size=(len(rows), 4))
+            d = ds.direction_cc[rows]
             noisy = _rotate_about(d, _perpendicular_axes(draws[:, :3], d), np.abs(sigma_rad * draws[:, 3]))
-            yaw_pitch = _encode_predictions(methods[name], heads[rows], noisy)
+            yaw_pitch = _encode_predictions(methods[name], ds.head_cc[rows], noisy)
         if any(bias):
             yaw_pitch = yaw_pitch + bias
-        predictions[name] = tuple(
-            GazePrediction(p.frame_id, p.method_id, yaw, pitch, p.convention)
-            for p, (yaw, pitch) in zip(preds, yaw_pitch.tolist())
-        )
+        predictions[name] = replace(preds, yaw=yaw_pitch[:, 0], pitch=yaw_pitch[:, 1])
 
     return replace(
         ds, calib_corners=corners, plane_corners=plane_corners, faces=faces, predictions=predictions
@@ -487,14 +462,13 @@ def amplification_study(
     """
     ds = generate_scene(spec)
     # per frame: three draws for the axis, then one for the unit angle
-    draws = np.array([_rng(spec.seed, _STREAM_AMPLIFY, i).normal(size=4) for i in range(len(ds.truths))])
+    draws = np.array([_rng(spec.seed, _STREAM_AMPLIFY, i).normal(size=4) for i in range(len(ds.frames))])
     draws = draws.reshape(-1, 4)
-    dirs = np.array([t.direction_cc for t in ds.truths]).reshape(-1, 3)
+    dirs = ds.direction_cc
     axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
-    heads = np.array([t.head_cc for t in ds.truths]).reshape(-1, 3)
-    heads = HeadPoint(heads, np.zeros(len(heads)), SOURCE_EYES)
-    targets = np.array([target_center(spec.grid, t.target_id) for t in ds.truths]).reshape(-1, 3)
-    frame_ids = [t.frame_id for t in ds.truths]
+    heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), SOURCE_EYES)
+    targets = np.array([target_center(spec.grid, t) for t in ds.frames.target_id.tolist()]).reshape(-1, 3)
+    frame_ids = ds.frames.frame_id
 
     rows = []
     for sigma in sigma_list:

@@ -80,13 +80,10 @@ def test_criterion_2_noisy_calibration_recovery():
         for seed in range(10):
             spec = default_scene(frames=0, seed=3000 + seed, calib_views=15)
             ds = perturb(generate_scene(spec), NoiseSpec(corner_px_sigma=0.2), seed=4000 + seed)
-            left = calibrate_camera(
-                [o for o in ds.calib_corners if o.camera_id == "left"], ds.grid, (1280, 720)
-            )
-            right = calibrate_camera(
-                [o for o in ds.calib_corners if o.camera_id == "right"], ds.grid, (1280, 720)
-            )
-            rig = calibrate_stereo(left, right, ds.calib_corners, ds.grid)
+            corners = ds.calib_corners
+            left = calibrate_camera(corners.take(corners.camera == "left"), ds.grid, (1280, 720))
+            right = calibrate_camera(corners.take(corners.camera == "right"), ds.grid, (1280, 720))
+            rig = calibrate_stereo(left, right, corners, ds.grid)
             fx_errs.append(abs(left.intrinsics.fx - spec.rig.left.fx) / spec.rig.left.fx)
             fy_errs.append(abs(left.intrinsics.fy - spec.rig.left.fy) / spec.rig.left.fy)
             rmss.append(left.rms_reprojection)

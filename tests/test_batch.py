@@ -45,7 +45,7 @@ from planegaze.plane import PlanePose
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
 from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, FaceTable, HeadPoint, head_point
 
-from conftest import random_unit_vectors
+from conftest import face_observations, random_unit_vectors
 
 K_LEFT = CameraIntrinsics(
     fx=350.0, fy=350.0, cx=640.0, cy=360.0,
@@ -204,15 +204,6 @@ def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
         assert records.tags[row] == one.tags[0]
 
 
-def _observations(faces):
-    """The rows of a FaceTable as FaceObservations keyed by (frame_id, camera)."""
-    out = {}
-    for fid, cam, bbox, eye in zip(faces.frame_id.tolist(), faces.camera.tolist(), faces.bbox, faces.eye):
-        out[(fid, cam)] = FaceObservation(fid, cam, bbox=None if np.isnan(bbox[0]) else tuple(bbox.tolist()),
-                                          eye_midpoint=None if np.isnan(eye[0]) else tuple(eye.tolist()))
-    return out
-
-
 def _reference(manifest, method, rig, plane, grid):
     """The single-frame functions composed frame by frame."""
     ref = manifest.predictions[method]
@@ -222,10 +213,10 @@ def _reference(manifest, method, rig, plane, grid):
         for fid, m, yaw, pitch in zip(table.frame_id.tolist(), table.method.tolist(),
                                       table.yaw.tolist(), table.pitch.tolist())
     }
-    faces = _observations(read_faces(manifest.faces))
+    faces = face_observations(read_faces(manifest.faces))
     records, skipped, pred_dirs, gt_dirs = [], [], [], []
-    for frame in manifest.frames:
-        fid = frame.frame_id
+    frames = manifest.frames
+    for fid, target_id, tags in zip(frames.frame_id.tolist(), frames.target_id.tolist(), frames.tags):
         if fid not in preds:
             skipped.append((fid, "missing_prediction"))
             continue
@@ -237,12 +228,12 @@ def _reference(manifest, method, rig, plane, grid):
             head = head_point(left, right, rig, ref.head_source)
             direction = correct_gaze_to_camera_frame(preds[fid], head)
             estimate = gaze_point_on_surface(head, direction, plane)
-            target = target_center(grid, frame.target_id)
+            target = target_center(grid, target_id)
             gt = ground_truth_direction(head, plane, target)
         except DegenerateDataError as exc:
             skipped.append((fid, type(exc).__name__))
             continue
-        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=fid, tags=frame.tags))
+        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=fid, tags=tags))
         pred_dirs.append(direction)
         gt_dirs.append(gt)
     return records, skipped, pred_dirs, gt_dirs
@@ -251,24 +242,22 @@ def _reference(manifest, method, rig, plane, grid):
 def test_evaluate_method_matches_single_frame_composition(tmp_path):
     ds = generate_scene(default_scene(frames=16, seed=404, calib_views=2))
     ds = perturb(ds, NoiseSpec(face_px_sigma=1.5, gaze_angle_sigma_deg=25.0), seed=404)
-    faces = []
-    for f in ds.faces:
-        if (f.frame_id, f.camera_id) == ("f00003", "right"):
-            continue  # missing right face
-        if (f.frame_id, f.camera_id) == ("f00005", "left"):
-            f = replace(f, eye_midpoint=None)  # bbox only: the eye-preferring method falls back
-        faces.append(f)
+    faces, eye = ds.faces, ds.faces.eye.copy()
+    missing = (faces.frame_id == "f00003") & (faces.camera == "right")  # missing right face
+    eye[(faces.frame_id == "f00005") & (faces.camera == "left")] = np.nan  # bbox only: eyes fall back
+    faces = replace(faces, eye=eye).take(~missing)
     predictions = dict(ds.predictions)
-    predictions["oracle-offset"] = tuple(p for p in predictions["oracle-offset"] if p.frame_id != "f00007")
-    truths = tuple(replace(t, target_id=999) if t.frame_id == "f00009" else t for t in ds.truths)
-    ds = replace(ds, faces=tuple(faces), predictions=predictions, truths=truths)
+    offset = predictions["oracle-offset"]
+    predictions["oracle-offset"] = offset.take(offset.frame_id != "f00007")
+    frames = replace(ds.frames, target_id=np.where(ds.frames.frame_id == "f00009", 999, ds.frames.target_id))
+    ds = replace(ds, faces=faces, predictions=predictions, frames=frames)
     manifest = read_manifest(write_dataset(ds, tmp_path / "data"))
 
     rig = read_stereo(manifest.stereo)
     plane = read_plane_pose(manifest.plane_pose)
     grid = read_grid_config(manifest.grid_config)
     faces = read_faces(manifest.faces)
-    by_key = _observations(faces)
+    by_key = face_observations(faces)
     fallback = head_point(by_key[("f00005", "left")], by_key[("f00005", "right")], rig, SOURCE_EYES)
     assert fallback.source == SOURCE_BBOX
 

@@ -224,7 +224,7 @@ class TestRefineCalibration:
         spec = default_scene(frames=0, seed=3000, calib_views=15)
         ds = perturb(generate_scene(spec), NoiseSpec(corner_px_sigma=0.2), seed=4000)
         for cam, K in (("left", spec.rig.left), ("right", spec.rig.right)):
-            obs = [o for o in ds.calib_corners if o.camera_id == cam]
+            obs = ds.calib_corners.take(ds.calib_corners.camera == cam)
             got = calibrate_camera(obs, ds.grid, (1280, 720), fix_skew=False).intrinsics
             assert K.skew == 0.0 and got.skew != 0.0
             assert abs(got.skew) < 0.5

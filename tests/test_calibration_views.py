@@ -1,11 +1,12 @@
 """A calibration view whose corners admit no homography is dropped, not fatal."""
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from planegaze.calibration import CornerObservation, calibrate_camera
+from planegaze.calibration import CornerTable, calibrate_camera
 from planegaze.errors import IllConditionedError
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
 
@@ -14,21 +15,21 @@ from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, pertur
 def rig_left():
     spec = default_scene(frames=0, seed=3001, calib_views=15)
     ds = perturb(generate_scene(spec), NoiseSpec(corner_px_sigma=0.2), seed=4001)
-    return [o for o in ds.calib_corners if o.camera_id == "left"], ds.grid
+    return ds.calib_corners.take(ds.calib_corners.camera == "left"), ds.grid
 
 
 def collinear_view(obs, view_id="calib999"):
     """Six corners of one lattice row, relabelled as an extra view."""
-    row = [o for o in obs if o.view_id == "calib000" and o.grid_index[0] == 0][:6]
+    row = obs.take(np.flatnonzero((obs.view_id == "calib000") & (obs.ij[:, 0] == 0))[:6])
     assert len(row) == 6
-    return [CornerObservation(view_id, o.camera_id, o.grid_index, o.pixel) for o in row]
+    return replace(row, view_id=np.full(len(row), view_id))
 
 
 def test_collinear_view_is_dropped_with_warning(rig_left, caplog):
     obs, grid = rig_left
     clean = calibrate_camera(obs, grid, (1280, 720))
     with caplog.at_level(logging.WARNING, logger="planegaze.calibration"):
-        result = calibrate_camera(obs + collinear_view(obs), grid, (1280, 720))
+        result = calibrate_camera(CornerTable.concat([obs, collinear_view(obs)]), grid, (1280, 720))
     assert "calib999" not in result.per_view_poses
     assert len(result.per_view_poses) == 15
     assert any("calib999" in rec.getMessage() and "collinear" in rec.getMessage()
@@ -41,6 +42,6 @@ def test_collinear_view_is_dropped_with_warning(rig_left, caplog):
 
 def test_too_few_views_left_still_raises(rig_left):
     obs, grid = rig_left
-    one_view = [o for o in obs if o.view_id == "calib000"]
+    one_view = obs.take(obs.view_id == "calib000")
     with pytest.raises(IllConditionedError):
-        calibrate_camera(one_view + collinear_view(obs), grid, (1280, 720))
+        calibrate_camera(CornerTable.concat([one_view, collinear_view(obs)]), grid, (1280, 720))

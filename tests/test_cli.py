@@ -38,6 +38,16 @@ class TestSynth:
         assert manifest["frames"] == []
         assert (out / "corners.csv").exists()
 
+    @pytest.mark.parametrize("name", ["../../../escaped", "a/b"])
+    def test_method_name_cannot_leave_out_dir(self, tmp_path, capsys, name):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"schema": "planegaze-scene-v1", "methods": [{"name": name}]}))
+        out = tmp_path / "out" / "a" / "data"
+        rc = main(["synth", "--out", str(out), "--frames", "2", "--calib-views", "0", "--scene", str(scene)])
+        assert rc == 1
+        assert f"{scene}: invalid scene config: method name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["scene.json"]
+
     def test_negative_sigma_rejected_with_field_name(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--gaze-noise", "-1"])
         assert rc == 1
@@ -120,6 +130,31 @@ class TestPlanePose:
             "--out", str(tmp_path / "plane.json"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("case", ["calibration_file", "right_camera", "second_view"])
+    def test_corners_must_be_one_left_view(self, dataset_dir, tmp_path, capsys, case):
+        """Plane corners are one view seen by the left camera; the first row that is not is named."""
+        source = dataset_dir / ("corners.csv" if case == "calibration_file" else "plane_corners.csv")
+        lines = source.read_text().splitlines()
+        header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        if case == "calibration_file":  # a two-camera, many-view calibration file
+            bad = next(k for k in range(header + 1, len(lines)) if ",right," in lines[k])
+        elif case == "right_camera":
+            lines = [line.replace(",left,", ",right,") for line in lines]
+            bad = header + 1
+        else:
+            bad = len(lines) - 1
+            lines[bad] = lines[bad].replace("plane,", "plane2,", 1)
+        path = tmp_path / "corners.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "plane.json"
+        rc = main([
+            "plane-pose", "--corners", str(path), "--grid", str(dataset_dir / "grid.json"),
+            "--intrinsics", str(dataset_dir / "calib" / "intrinsics_left.json"), "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"{path}:{bad + 1}: plane corners must" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_grid_argument_is_usage_error(self, dataset_dir, capsys):
         rc = main([

@@ -2,14 +2,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planegaze.calibration import CornerObservation, StereoRig
+from planegaze.calibration import CornerObservation, CornerTable, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
@@ -20,6 +19,7 @@ from planegaze.formats import (
     read_grid_config,
     read_intrinsics,
     read_manifest,
+    read_plane_corners,
     read_plane_pose,
     read_predictions,
     read_stereo,
@@ -41,18 +41,7 @@ from planegaze.plane import PlanePose
 from planegaze.synthetic import default_scene, generate_scene
 from planegaze.triangulation import FaceObservation, FaceTable
 
-
-def assert_same_table(got, want):
-    """Every column equal, floats bit for bit; a file's line numbers are not compared."""
-    for f in fields(want):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "line":
-            continue
-        if isinstance(b, np.ndarray):
-            assert a.shape == b.shape and a.dtype.kind == b.dtype.kind, f.name
-            assert a.tobytes() == b.tobytes() if b.dtype.kind == "f" else a.tolist() == b.tolist(), f.name
-        else:
-            assert a == b, f.name
+from conftest import assert_same_table
 
 
 @pytest.fixture()
@@ -114,13 +103,13 @@ class TestJsonRoundTrips:
 
 class TestCsvRoundTrips:
     def test_corners(self, tmp_path):
-        obs = [
+        obs = CornerTable.from_observations([
             CornerObservation("v00", "left", (0, 0), (12.125, 700.5)),
             CornerObservation("v00", "right", (3, 5), (640.0078125, 0.1)),
-        ]
+        ])
         path = tmp_path / "corners.csv"
         write_corners(path, obs)
-        assert read_corners(path) == obs
+        assert_same_table(read_corners(path), obs)
 
     def test_faces_with_missing_fields(self, tmp_path):
         obs = [
@@ -180,14 +169,13 @@ class TestCsvRoundTrips:
     def test_truth(self, tmp_path):
         ds = generate_scene(default_scene(frames=4, seed=2, calib_views=2))
         path = tmp_path / "truth.csv"
-        write_truth(path, ds.truths)
-        back = read_truth(path)
-        for a, b in zip(back, ds.truths):
-            assert a.frame_id == b.frame_id
-            assert a.target_id == b.target_id
-            assert a.tags == b.tags
-            np.testing.assert_array_equal(a.head_cc, b.head_cc)
-            np.testing.assert_array_equal(a.direction_cc, b.direction_cc)
+        write_truth(path, ds.frames, ds.head_cc, ds.direction_cc)
+        frames, head_cc, direction_cc = read_truth(path)
+        assert frames.frame_id.tolist() == ds.frames.frame_id.tolist()
+        assert frames.target_id.tolist() == ds.frames.target_id.tolist()
+        assert frames.tags == ds.frames.tags
+        np.testing.assert_array_equal(head_cc, ds.head_cc)
+        np.testing.assert_array_equal(direction_cc, ds.direction_cc)
 
 
 class TestDatasetAndManifest:
@@ -195,14 +183,19 @@ class TestDatasetAndManifest:
         ds = generate_scene(default_scene(frames=6, seed=8, calib_views=3))
         manifest_path = write_dataset(ds, tmp_path / "data")
         manifest = read_manifest(manifest_path)
-        assert [f.frame_id for f in manifest.frames] == [t.frame_id for t in ds.truths]
+        assert_same_table(manifest.frames, ds.frames)
         assert set(manifest.predictions) == set(ds.predictions)
-        assert read_corners(manifest.calibration_corners) == list(ds.calib_corners)
-        assert_same_table(read_faces(manifest.faces), FaceTable.from_observations(ds.faces))
+        assert_same_table(read_corners(manifest.calibration_corners), ds.calib_corners)
+        assert_same_table(read_plane_corners(manifest.plane_corners), ds.plane_corners)
+        assert_same_table(read_faces(manifest.faces), ds.faces)
+        frames, head_cc, direction_cc = read_truth(manifest.truth)
+        assert_same_table(frames, ds.frames)
+        assert head_cc.tobytes() == ds.head_cc.tobytes() and head_cc.shape == ds.head_cc.shape
+        assert direction_cc.tobytes() == ds.direction_cc.tobytes() and direction_cc.shape == ds.direction_cc.shape
         rig = read_stereo(manifest.stereo)
         assert rig.left == ds.rig.left
         for name, ref in manifest.predictions.items():
-            assert_same_table(read_predictions(ref.path), PredictionTable.from_predictions(ds.predictions[name]))
+            assert_same_table(read_predictions(ref.path), ds.predictions[name])
 
     def test_manifest_missing_file_rejected(self, tmp_path):
         ds = generate_scene(default_scene(frames=2, seed=8, calib_views=2))
@@ -271,15 +264,11 @@ def prediction_tables(draw):
 
 
 @st.composite
-def corner_lists(draw):
+def corner_tables(draw):
     ints = st.integers(-(2**63), 2**63 - 1)
-    return draw(st.lists(st.builds(
+    return CornerTable.from_observations(draw(st.lists(st.builds(
         CornerObservation, IDS, CAMERAS, st.tuples(ints, ints), st.tuples(FLOATS, FLOATS)
-    ), max_size=6))
-
-
-def _pixel_bits(corners):
-    return np.array([ob.pixel for ob in corners], dtype=float).reshape(-1, 2).tobytes()
+    ), max_size=6)))
 
 
 def _write_tables(d, faces, preds, corners):
@@ -289,18 +278,17 @@ def _write_tables(d, faces, preds, corners):
 
 
 @settings(max_examples=40, deadline=None)
-@given(faces=face_tables(), preds=prediction_tables(), corners=corner_lists())
+@given(faces=face_tables(), preds=prediction_tables(), corners=corner_tables())
 def test_random_tables_round_trip_bit_for_bit(tmp_path_factory, faces, preds, corners):
     d = tmp_path_factory.mktemp("tables")
     _write_tables(d, faces, preds, corners)
     assert_same_table(read_faces(d / "faces.csv"), faces)
     assert_same_table(read_predictions(d / "pred.csv"), preds)
-    back = read_corners(d / "corners.csv")
-    assert back == corners and _pixel_bits(back) == _pixel_bits(corners)
+    assert_same_table(read_corners(d / "corners.csv"), corners)
 
 
 @settings(max_examples=40, deadline=None)
-@given(faces=face_tables(), preds=prediction_tables(), corners=corner_lists(), data=st.data())
+@given(faces=face_tables(), preds=prediction_tables(), corners=corner_tables(), data=st.data())
 def test_one_corrupted_numeric_cell_names_its_line(tmp_path_factory, faces, preds, corners, data):
     d = tmp_path_factory.mktemp("corrupt")
     _write_tables(d, faces, preds, corners)

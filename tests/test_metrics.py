@@ -187,7 +187,7 @@ class TestYawPitchHistogram:
         assert yp[1] == pytest.approx(-100.0, abs=1e-9)
 
     def test_tabletop_truth_concentrates_at_negative_pitch(self, small_dataset):
-        dirs = np.array([t.direction_cc for t in small_dataset.truths])
+        dirs = small_dataset.direction_cc
         hist = yaw_pitch_histogram(dirs)
         pitch_centers = (hist.pitch_edges[:-1] + hist.pitch_edges[1:]) / 2
         below = hist.counts[:, pitch_centers < 0].sum()

@@ -194,7 +194,7 @@ def test_jacobian_costs_no_residual_evaluations(rig):
 
     with mock.patch.object(calibration, "levenberg_marquardt", spy):
         cams = [
-            calibrate_camera([o for o in rig.calib_corners if o.camera_id == cam], rig.grid, (1280, 720))
+            calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == cam), rig.grid, (1280, 720))
             for cam in ("left", "right")
         ]
         calibrate_stereo(*cams, rig.calib_corners, rig.grid)
@@ -251,14 +251,14 @@ def test_schur_step_equals_dense_step(m, counts, log_lam, seed):
 
 
 def test_calibration_is_independent_of_observation_order(rig):
-    left = [o for o in rig.calib_corners if o.camera_id == "left"]
+    left = rig.calib_corners.take(rig.calib_corners.camera == "left")
     fit = calibrate_camera(left, rig.grid, (1280, 720))
     K = fit.intrinsics
     init = CalibrationResult(
         CameraIntrinsics.from_packed(K.packed() * 1.01, K.image_size), fit.per_view_poses, float("nan"), {}
     )
-    shuffled = [left[k] for k in np.random.default_rng(5).permutation(len(left))]
-    a = refine_calibration(sorted(left, key=lambda o: o.view_id), rig.grid, init)
+    shuffled = left.take(np.random.default_rng(5).permutation(len(left)))
+    a = refine_calibration(left.take(np.argsort(left.view_id, kind="stable")), rig.grid, init)
     b = refine_calibration(shuffled, rig.grid, init)
     assert np.allclose(b.intrinsics.packed(), a.intrinsics.packed(), rtol=1e-9, atol=1e-12)
     for v, pose in a.per_view_poses.items():

@@ -125,11 +125,12 @@ class TestGazePointOnSurface:
         from planegaze.grid import target_center
 
         ds = small_dataset
-        for truth in ds.truths[:20]:
-            head = HeadPoint(truth.head_cc, 0.0, "bbox_center")
-            est = gaze_point_on_surface(head, truth.direction_cc, ds.plane)
+        for head_cc, direction_cc, target_id in zip(ds.head_cc[:20], ds.direction_cc[:20],
+                                                    ds.frames.target_id[:20].tolist()):
+            head = HeadPoint(head_cc, 0.0, "bbox_center")
+            est = gaze_point_on_surface(head, direction_cc, ds.plane)
             assert est.status == STATUS_OK
-            target = target_center(ds.grid, truth.target_id)
+            target = target_center(ds.grid, target_id)
             assert np.linalg.norm(est.point - target) < 1e-8
 
 

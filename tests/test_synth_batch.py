@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 from planegaze.cli import main
 from planegaze.errors import ResampleExceededError
 from planegaze.synthetic import (
+    _STREAM_PERTURB_FACES,
     NoiseSpec,
     _perpendicular_axes,
+    _rng,
     default_scene,
     generate_scene,
     perturb,
 )
+
+from conftest import assert_same_table
 
 # sha256 of every file `synth` writes for SYNTH_ARGV, taken from the per-frame
 # implementation this batch path replaced. A change here is a change of the
@@ -65,14 +69,43 @@ def test_frames_are_a_prefix_of_longer_runs(seed, sizes):
         perturb(generate_scene(default_scene(frames=k, seed=seed, calib_views=0)), ALL_NOISE, seed=seed)
         for k in (n, m)
     )
-    assert len(short.truths) == n
-    for a, b in zip(short.truths, long.truths):
-        assert (a.frame_id, a.target_id, a.tags) == (b.frame_id, b.target_id, b.tags)
-        np.testing.assert_array_equal(a.head_cc, b.head_cc)
-        np.testing.assert_array_equal(a.direction_cc, b.direction_cc)
-    assert short.faces == long.faces[: 2 * n]
+    assert len(short.frames) == n
+    a, b = short.frames, long.frames
+    assert (a.frame_id.tolist(), a.target_id.tolist(), a.tags) == (
+        b.frame_id[:n].tolist(), b.target_id[:n].tolist(), b.tags[:n])
+    np.testing.assert_array_equal(short.head_cc, long.head_cc[:n])
+    np.testing.assert_array_equal(short.direction_cc, long.direction_cc[:n])
+    assert_same_table(short.faces, long.faces.take(slice(0, 2 * n)))
     for name, preds in short.predictions.items():
-        assert preds == long.predictions[name][:n]
+        assert_same_table(preds, long.predictions[name].take(slice(0, n)))
+
+
+def test_face_noise_draws_one_shift_per_present_source():
+    """Face noise on rows with a bbox only, an eye only, or both equals a per-row
+    loop over the same draws: one (du, dv) per present source, the bbox's first."""
+    ds = generate_scene(default_scene(frames=6, seed=11, calib_views=0))
+    bbox, eye = ds.faces.bbox.copy(), ds.faces.eye.copy()
+    eye[[0, 5, 9]] = np.nan
+    bbox[[1, 6, 10]] = np.nan
+    ds = replace(ds, faces=replace(ds.faces, bbox=bbox, eye=eye))
+    sigma, seed = 1.5, 77
+    got = perturb(ds, NoiseSpec(face_px_sigma=sigma), seed=seed).faces
+
+    has_bbox, has_eye = ~np.isnan(bbox[:, 0]), ~np.isnan(eye[:, 0])
+    draws = _rng(seed, _STREAM_PERTURB_FACES).normal(0.0, sigma, (int(has_bbox.sum() + has_eye.sum()), 2))
+    shifts = iter(draws.tolist())
+    want_bbox, want_eye = bbox.copy(), eye.copy()
+    for k in range(len(bbox)):
+        if has_bbox[k]:
+            du, dv = next(shifts)
+            want_bbox[k] = (bbox[k, 0] + du, bbox[k, 1] + dv, bbox[k, 2] + du, bbox[k, 3] + dv)
+        if has_eye[k]:
+            du, dv = next(shifts)
+            want_eye[k] = (eye[k, 0] + du, eye[k, 1] + dv)
+    assert next(shifts, None) is None
+    assert got.bbox.tobytes() == want_bbox.tobytes()
+    assert got.eye.tobytes() == want_eye.tobytes()
+    assert got.frame_id.tolist() == ds.faces.frame_id.tolist() and got.camera.tolist() == ds.faces.camera.tolist()
 
 
 def test_perpendicular_axis_fallback_row():

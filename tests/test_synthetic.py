@@ -13,6 +13,7 @@ from planegaze.pipeline import (
     ground_truth_direction,
 )
 from planegaze.synthetic import (
+    MethodSpec,
     NoiseSpec,
     amplification_study,
     default_scene,
@@ -21,53 +22,56 @@ from planegaze.synthetic import (
 )
 from planegaze.triangulation import head_point
 
+from conftest import assert_same_table, face_observations, gaze_predictions
+
 
 class TestGenerateScene:
     def test_deterministic_under_seed(self, small_scene, small_dataset):
         again = generate_scene(small_scene)
-        assert [t.frame_id for t in again.truths] == [t.frame_id for t in small_dataset.truths]
-        for a, b in zip(again.truths, small_dataset.truths):
-            np.testing.assert_array_equal(a.head_cc, b.head_cc)
-            np.testing.assert_array_equal(a.direction_cc, b.direction_cc)
-        assert again.calib_corners == small_dataset.calib_corners
-        assert again.faces == small_dataset.faces
+        assert again.frames.frame_id.tolist() == small_dataset.frames.frame_id.tolist()
+        np.testing.assert_array_equal(again.head_cc, small_dataset.head_cc)
+        np.testing.assert_array_equal(again.direction_cc, small_dataset.direction_cc)
+        assert_same_table(again.calib_corners, small_dataset.calib_corners)
+        assert_same_table(again.faces, small_dataset.faces)
         for m in again.predictions:
-            assert again.predictions[m] == small_dataset.predictions[m]
+            assert_same_table(again.predictions[m], small_dataset.predictions[m])
 
     def test_zero_frames_still_emits_calibration(self):
         ds = generate_scene(default_scene(frames=0, seed=3, calib_views=4))
-        assert len(ds.truths) == 0
-        assert len(ds.faces) == 0
+        assert len(ds.frames) == 0
+        assert len(ds.faces.frame_id) == 0
         assert len(ds.calib_corners) > 0
         assert len(ds.plane_corners) > 0
 
     def test_heads_sampled_inside_boxes(self, small_scene, small_dataset):
         (lo, hi), = small_scene.participants
-        for t in small_dataset.truths:
-            head_plane = small_scene.plane.transform.apply_point(t.head_cc)
+        for head_cc in small_dataset.head_cc:
+            head_plane = small_scene.plane.transform.apply_point(head_cc)
             assert np.all(head_plane >= np.asarray(lo) - 1e-9)
             assert np.all(head_plane <= np.asarray(hi) + 1e-9)
 
     def test_tags_follow_target_split(self, small_dataset):
-        for t in small_dataset.truths:
-            expected = ("glasses",) if t.target_id >= 11 else ("no_glasses",)
-            assert t.tags == expected
+        frames = small_dataset.frames
+        for target_id, tags in zip(frames.target_id.tolist(), frames.tags):
+            expected = ("glasses",) if target_id >= 11 else ("no_glasses",)
+            assert tags == expected
 
     def test_zero_noise_pipeline_identity(self, small_dataset):
         ds = small_dataset
-        faces = {(f.frame_id, f.camera_id): f for f in ds.faces}
+        faces = face_observations(ds.faces)
         methods = {m.name: m for m in ds.spec.methods}
         worst_dist, worst_ang = 0.0, 0.0
         for name, preds in ds.predictions.items():
             source = methods[name].head_source
-            for pred, truth in zip(preds, ds.truths):
+            for pred, frame_id, target_id in zip(gaze_predictions(preds), ds.frames.frame_id.tolist(),
+                                                 ds.frames.target_id.tolist()):
                 head = head_point(
-                    faces[(truth.frame_id, CAMERA_LEFT)], faces[(truth.frame_id, CAMERA_RIGHT)],
+                    faces[(frame_id, CAMERA_LEFT)], faces[(frame_id, CAMERA_RIGHT)],
                     ds.rig, source,
                 )
                 d = correct_gaze_to_camera_frame(pred, head)
                 est = gaze_point_on_surface(head, d, ds.plane)
-                target = target_center(ds.grid, truth.target_id)
+                target = target_center(ds.grid, target_id)
                 gt = ground_truth_direction(head, ds.plane, target)
                 worst_dist = max(worst_dist, float(np.linalg.norm(est.point - target)))
                 worst_ang = max(worst_ang, angular_error_deg(d, gt))
@@ -87,23 +91,23 @@ class TestPerturb:
         noise = NoiseSpec(corner_px_sigma=0.3, face_px_sigma=0.4, gaze_angle_sigma_deg=5.0)
         a = perturb(small_dataset, noise, seed=9)
         b = perturb(small_dataset, noise, seed=9)
-        assert a.calib_corners == b.calib_corners
-        assert a.faces == b.faces
+        assert_same_table(a.calib_corners, b.calib_corners)
+        assert_same_table(a.faces, b.faces)
         for m in a.predictions:
-            assert a.predictions[m] == b.predictions[m]
+            assert_same_table(a.predictions[m], b.predictions[m])
 
     def test_corner_noise_leaves_predictions_untouched(self, small_dataset):
         out = perturb(small_dataset, NoiseSpec(corner_px_sigma=0.2), seed=4)
-        assert out.predictions == small_dataset.predictions
-        assert out.faces == small_dataset.faces
-        assert out.calib_corners != small_dataset.calib_corners
+        assert out.predictions.keys() == small_dataset.predictions.keys()
+        for m in out.predictions:
+            assert_same_table(out.predictions[m], small_dataset.predictions[m])
+        assert_same_table(out.faces, small_dataset.faces)
+        assert not np.array_equal(out.calib_corners.uv, small_dataset.calib_corners.uv)
 
     def test_corner_noise_magnitude(self, small_dataset):
         sigma = 0.5
         out = perturb(small_dataset, NoiseSpec(corner_px_sigma=sigma), seed=5)
-        deltas = np.array(
-            [np.subtract(a.pixel, b.pixel) for a, b in zip(out.calib_corners, small_dataset.calib_corners)]
-        ).ravel()
+        deltas = (out.calib_corners.uv - small_dataset.calib_corners.uv).ravel()
         assert abs(deltas.std() - sigma) < 0.05
         assert abs(deltas.mean()) < 0.05
 
@@ -112,17 +116,16 @@ class TestPerturb:
         ds = generate_scene(default_scene(frames=1200, seed=21, calib_views=2))
         sigma = 10.0
         out = perturb(ds, NoiseSpec(gaze_angle_sigma_deg=sigma), seed=22)
-        truths = {t.frame_id: t for t in ds.truths}
-        faces = {(f.frame_id, f.camera_id): f for f in ds.faces}
+        directions = dict(zip(ds.frames.frame_id.tolist(), ds.direction_cc))
+        faces = face_observations(ds.faces)
         angles = []
-        for pred in out.predictions["oracle-offset"]:
-            truth = truths[pred.frame_id]
+        for pred in gaze_predictions(out.predictions["oracle-offset"]):
             head = head_point(
                 faces[(pred.frame_id, CAMERA_LEFT)], faces[(pred.frame_id, CAMERA_RIGHT)],
                 ds.rig, "eye_midpoint",
             )
             d = correct_gaze_to_camera_frame(pred, head)
-            angles.append(angular_error_deg(d, truth.direction_cc))
+            angles.append(angular_error_deg(d, directions[pred.frame_id]))
         mean = float(np.mean(angles))
         expected = sigma * math.sqrt(2 / math.pi)
         assert 7.0 <= mean <= 9.0
@@ -130,7 +133,8 @@ class TestPerturb:
 
     def test_bias_shifts_prediction_angles(self, small_dataset):
         out = perturb(small_dataset, NoiseSpec(gaze_bias_yaw_deg=3.0, gaze_bias_pitch_deg=-2.0), seed=6)
-        for a, b in zip(out.predictions["oracle-offset"], small_dataset.predictions["oracle-offset"]):
+        for a, b in zip(gaze_predictions(out.predictions["oracle-offset"]),
+                        gaze_predictions(small_dataset.predictions["oracle-offset"])):
             assert a.yaw - b.yaw == pytest.approx(math.radians(3.0))
             assert a.pitch - b.pitch == pytest.approx(math.radians(-2.0))
 
@@ -166,6 +170,15 @@ class TestSceneSpecValidation:
         spec = default_scene(frames=1, seed=0)
         with pytest.raises(ValueError):
             replace(spec, methods=(spec.methods[0], spec.methods[0]))
+
+    @pytest.mark.parametrize("name", ["", "a/b", "a\\b", "a\0b", "../x"])
+    def test_rejects_method_names_that_are_not_file_name_stems(self, name):
+        with pytest.raises(ValueError, match="method name"):
+            MethodSpec(name)
+
+    @pytest.mark.parametrize("name", ["offset-eyes", "absolute-bbox", 'off,"set"', ".."])
+    def test_accepts_plain_method_names(self, name):
+        assert MethodSpec(name).name == name
 
     def test_rejects_negative_frames(self):
         spec = default_scene(frames=1, seed=0)
