@@ -1,7 +1,8 @@
 """Batch evaluation of prediction files against a dataset manifest.
 
-For each method and frame: triangulate the head from the stereo face
-observations, turn the predicted angles into a camera-frame direction,
+Each head source the methods use is triangulated once, from the stereo
+face observations of the frames those methods predict. Then, for each
+method and frame: turn the predicted angles into a camera-frame direction,
 intersect with the work surface, build the ground-truth direction from the
 same head point and the target center, and record both error measures.
 Frames that cannot be evaluated (missing prediction, missing face,
@@ -41,6 +42,7 @@ from .metrics import (
     yaw_pitch_histogram,
 )
 from .pipeline import (
+    PredictionTable,
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
     ground_truth_direction,
@@ -90,54 +92,76 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rows, found
 
 
-def evaluate_method(
-    manifest: DatasetManifest,
-    method: str,
-    rig: StereoRig,
-    plane: PlanePose,
-    grid: GridConfig,
-    faces: FaceTable,
-) -> MethodReport:
-    """Score one method's predictions over every manifest frame, as one batch.
-
-    ``faces`` is :func:`read_faces` of the manifest. A frame without a
-    prediction or without a face in both cameras is skipped with that
-    reason; a frame whose head, target or ground truth cannot be built is
-    skipped with the name of the error a single-frame call would raise.
-    """
+def read_method_predictions(manifest: DatasetManifest, method: str) -> PredictionTable:
+    """A method's prediction file; a row for another method or frame is a FormatError."""
     ref = manifest.predictions[method]
     preds = read_predictions(ref.path)
-    frames = manifest.frames
-    frame_ids = frames.frame_id
-    known = np.isin(preds.frame_id, frame_ids)
+    known = np.isin(preds.frame_id, manifest.frames.frame_id)
     wrong = np.flatnonzero(~known | (preds.method != method))
     if wrong.size:
         k = wrong[0]
         message = (f"prediction frame {str(preds.frame_id[k])!r} not in manifest" if not known[k]
                    else f"prediction row for method {str(preds.method[k])!r} in file of {method!r}")
         raise FormatError(message, file=str(ref.path), line=int(preds.line[k]))
+    return preds
 
-    pred_row, has_pred = _lookup(preds.frame_id, frame_ids)
+
+def frame_heads(manifest: DatasetManifest, faces: FaceTable, rig: StereoRig,
+                predictions: dict[str, PredictionTable]) -> dict[str, HeadPoint]:
+    """One head row per manifest frame for each head source the methods use.
+
+    Each source is triangulated once, over the frames that both cameras see
+    and that one of its methods has a prediction for. Every other frame
+    fails with its skip reason: "missing_face_observation", or else
+    "missing_prediction" (no method of that source predicts it).
+    """
+    frame_ids = manifest.frames.frame_id
     left, right = (faces.take(faces.camera == camera) for camera in (CAMERA_LEFT, CAMERA_RIGHT))
-    left_row, has_left = _lookup(left.frame_id, frame_ids)
-    right_row, has_right = _lookup(right.frame_id, frame_ids)
-    reasons = np.where(has_pred, np.where(has_left & has_right, "", "missing_face_observation"),
-                       "missing_prediction").astype(object)
+    (left_row, has_left), (right_row, has_right) = (_lookup(side.frame_id, frame_ids) for side in (left, right))
+    unseen = np.where(has_left & has_right, "missing_prediction", "missing_face_observation")
+    heads = {}
+    for source in sorted({manifest.predictions[m].head_source for m in predictions}):
+        ids = [p.frame_id for m, p in predictions.items() if manifest.predictions[m].head_source == source]
+        rows = np.flatnonzero(np.isin(frame_ids, np.concatenate(ids)) & has_left & has_right)
+        head = head_point(left.take(left_row[rows]), right.take(right_row[rows]), rig, source)
+        heads[source] = head.scatter(rows, frame_ids.size, unseen)
+    return heads
+
+
+def evaluate_method(
+    manifest: DatasetManifest,
+    method: str,
+    predictions: PredictionTable,
+    heads: dict[str, HeadPoint],
+    plane: PlanePose,
+    grid: GridConfig,
+) -> MethodReport:
+    """Score one method's predictions over every manifest frame, as one batch.
+
+    ``predictions`` is :func:`read_method_predictions` of the method and
+    ``heads`` is :func:`frame_heads` of the manifest's methods. A frame
+    without a prediction or without a face in both cameras is skipped with
+    that reason; a frame whose head, target or ground truth cannot be built
+    is skipped with the name of the error a single-frame call would raise.
+    """
+    frames, frame_ids = manifest.frames, manifest.frames.frame_id
+    frame_head = heads[manifest.predictions[method].head_source]
+    pred_row, has_pred = _lookup(predictions.frame_id, frame_ids)
+    reasons = np.where(has_pred, frame_head.failure, "missing_prediction").astype(object)
     rows = np.flatnonzero(reasons == "")
 
-    head = head_point(left.take(left_row[rows]), right.take(right_row[rows]), rig, ref.head_source)
+    head = frame_head.take(rows)
     centers = {tid: target_center(grid, tid) for tid in grid.target_map}
     targets = np.array([centers.get(t, (np.nan,) * 3) for t in frames.target_id[rows].tolist()]).reshape(-1, 3)
     gt_dirs = ground_truth_direction(head, plane, targets)
-    failure = head.failure.astype(object)  # first failure wins, as in a per-frame loop
-    failure[(failure == "") & np.isnan(targets[:, 0])] = "UnknownTargetError"
-    failure[(failure == "") & np.isnan(gt_dirs[:, 0])] = "DegenerateGeometryError"
+    # the first failure wins, as in a per-frame loop
+    failure = np.where(np.isnan(targets[:, 0]), "UnknownTargetError",
+                       np.where(np.isnan(gt_dirs[:, 0]), "DegenerateGeometryError", ""))
     reasons[rows] = failure
 
     keep = failure == ""
-    rows = rows[keep]
-    head = HeadPoint(head.position[keep], head.ray_gap[keep], head.source[keep], head.failure[keep])
-    pred_dirs = correct_gaze_to_camera_frame(preds.take(pred_row[rows]), head)
+    rows, head = rows[keep], head.take(keep)
+    pred_dirs = correct_gaze_to_camera_frame(predictions.take(pred_row[rows]), head)
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
     errors = evaluate_frame(
         pred_dirs, gt_dirs[keep], estimate, targets[keep],
@@ -177,7 +201,10 @@ def evaluate_manifest(
     thresholds_cm = tuple(sorted({float(t) for t in thresholds_cm}))
 
     faces = read_faces(manifest.faces)
-    reports = {m: evaluate_method(manifest, m, rig, plane, grid, faces) for m in selected}
+    predictions = {m: read_method_predictions(manifest, m) for m in selected}
+    heads = frame_heads(manifest, faces, rig, predictions)
+    reports = {m: evaluate_method(manifest, m, predictions[m], heads, plane, grid) for m in selected}
+    del faces, predictions, heads  # the report tables below need none of them: a lower peak
 
     frame_tags = dict(zip(manifest.frames.frame_id.tolist(), manifest.frames.tags))
     summary_rows = []

@@ -131,10 +131,14 @@ def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]
 
 
 def _cells(kind: str, col) -> list[str]:
-    """One column's cells as text: its distinct values formatted once, then gathered."""
+    """One column's cells as text: each run of equal text values, or each distinct
+    number, formatted once, then gathered."""
     if kind == "text":
-        distinct, inverse = np.unique(np.asarray(col, dtype=str), return_inverse=True)
-        text = [_quote(v) for v in distinct.tolist()]
+        values = np.asarray(col, dtype=str)
+        starts = np.r_[True, values[1:] != values[:-1]][:values.size]  # where each run starts
+        text, inverse = values[starts].tolist(), np.cumsum(starts) - 1
+        if any(map("".join(text).__contains__, ',"\r\n')):  # one check over all the runs
+            text = list(map(_quote, text))
     else:
         values = np.asarray(col, dtype=np.int64 if kind == "int" else float).reshape(-1)
         # distinct on the bit pattern, so -0.0 keeps its sign apart from 0.0
@@ -166,33 +170,36 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
-    meta, body, lines = {}, [], []
     # read_text folded CR and CRLF to "\n"; splitlines would also break at form feeds,
     # \x1c-\x1e, \x85, \u2028 and \u2029, which csv.writer writes unquoted inside a cell
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#") and not body:  # comments lead; a later "#" starts a data row
+    text_lines, meta = text.removesuffix("\n").split("\n"), {}
+    for start, line in enumerate(text_lines):  # blank lines and "#" comments lead the header
+        if line.startswith("#"):
             key, colon, value = line[1:].partition(":")
             if colon:
                 meta[key.strip()] = value.strip()
-            continue
-        body.append(line)
-        lines.append(lineno)
-    if not body:
+        elif line.strip():
+            break
+    else:
         raise FormatError("missing header row", file=str(path))
-    reader, rows = csv.reader(body), []
-    for row in reader:
-        if reader.line_num != len(rows) + 1:
-            raise FormatError("quoted field runs past the end of the line",
-                              file=str(path), line=lines[len(rows)])
-        rows.append(row)
+    body, lines = text_lines[start:], np.arange(start + 1, len(text_lines) + 1)
+    if "" in body:  # an empty line is no row; a whitespace-only one after the header is
+        body, lines = [line for line in body if line], lines[[line != "" for line in body]]
+    if '"' not in text:  # without quotes, csv.reader splits each line at its commas
+        rows = [line.split(",") for line in body]
+    else:
+        reader, rows = csv.reader(body), []
+        for row in reader:
+            if reader.line_num != len(rows) + 1:
+                raise FormatError("quoted field runs past the end of the line",
+                                  file=str(path), line=int(lines[len(rows)]))
+            rows.append(row)
 
     header, rows = rows[0], rows[1:]
     names = [n for n in columns if n != "*"]
     if header[:len(names)] != names or (len(header) != len(names) and "*" not in columns):
-        raise FormatError(f"bad header {header!r}, expected {names!r}", file=str(path), line=lines[0])
-    table = _Table(path, meta, {}, np.array(lines[1:], dtype=int))
+        raise FormatError(f"bad header {header!r}, expected {names!r}", file=str(path), line=int(lines[0]))
+    table = _Table(path, meta, {}, lines[1:])
     counts = np.array([len(r) for r in rows], dtype=int)
     table.check(counts != len(header), lambda k: f"expected {len(header)} fields, got {counts[k]}")
 
@@ -568,16 +575,9 @@ class DatasetManifest:
     truth: Path | None = None
 
     def referenced_files(self) -> list[Path]:
-        out = [self.grid_config, self.intrinsics_left, self.intrinsics_right,
-               self.stereo, self.plane_corners, self.faces]
-        if self.plane_pose is not None:
-            out.append(self.plane_pose)
-        if self.calibration_corners is not None:
-            out.append(self.calibration_corners)
-        if self.truth is not None:
-            out.append(self.truth)
-        out.extend(ref.path for ref in self.predictions.values())
-        return out
+        optional = (self.plane_pose, self.calibration_corners, self.truth)
+        return [self.grid_config, self.intrinsics_left, self.intrinsics_right, self.stereo, self.plane_corners,
+                self.faces, *(p for p in optional if p is not None), *(ref.path for ref in self.predictions.values())]
 
 
 def write_manifest(path: Path, manifest_payload: dict) -> None:
@@ -627,7 +627,9 @@ def read_manifest(path: Path) -> DatasetManifest:
             fid, tags = str(entry["frame_id"]), entry.get("tags")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
                 raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
-            target_ids.append(np.int64(int(entry["target_id"])))
+            if type(tid := entry["target_id"]) is not int:  # not 3.7, "12", true or Infinity
+                raise TypeError(f"target_id of frame {fid!r} must be an integer, got {tid!r}")
+            target_ids.append(np.int64(tid))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
         if fid in seen:

@@ -268,7 +268,9 @@ def _sample_heads(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     rig = spec.rig
     cam_from_plane = spec.plane.transform.inverse()
     identity = RigidTransform.identity()
-    boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in spec.participants]
+    # (lo, hi - lo) per box: lo + (hi - lo) * rng.random(3) draws rng.uniform(lo, hi)'s bits
+    # at about a tenth of its cost with array bounds
+    boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float) - lo) for lo, hi in spec.participants]
     n_targets = len(spec.grid.target_map)
 
     heads = np.empty((spec.frames, 3))
@@ -281,8 +283,8 @@ def _sample_heads(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
         head_plane = np.empty((len(rngs), 3))
         target = np.empty(len(rngs), dtype=int)
         for k, rng in enumerate(rngs):
-            lo, hi = boxes[rng.integers(len(boxes))]
-            head_plane[k] = rng.uniform(lo, hi)
+            lo, span = boxes[rng.integers(len(boxes))]
+            head_plane[k] = lo + span * rng.random(3)
             target[k] = rng.integers(n_targets)
         head = cam_from_plane.apply_points(head_plane)
         right = rig.right_from_left.apply_points(head)

@@ -14,7 +14,7 @@ single-frame call would raise, and its values are NaN.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,6 +111,18 @@ class HeadPoint:
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
 
+    def take(self, rows) -> HeadPoint:
+        """The rows of a batch at ``rows`` (indices or a mask), in that order."""
+        return HeadPoint(self.position[rows], self.ray_gap[rows], self.source[rows], self.failure[rows])
+
+    def scatter(self, rows, size: int, failure) -> HeadPoint:
+        """A batch of ``size`` rows with this batch's rows at ``rows`` (indices or a mask).
+        Every other row is NaN, has no source and fails with ``failure`` (one name, or one per row)."""
+        position, gap = np.full((size, 3), np.nan), np.full(size, np.nan)
+        source, failures = np.full(size, "", dtype=object), np.full(size, failure, dtype=object)
+        position[rows], gap[rows], source[rows], failures[rows] = self.position, self.ray_gap, self.source, self.failure
+        return HeadPoint(position, gap, source, failures)
+
 
 def _single(hp: HeadPoint) -> HeadPoint:
     """The one row of a batch as a single-frame result, or its failure raised."""
@@ -193,9 +205,5 @@ def head_point(
     found = ~np.isnan(px).any(axis=1)
     sources = np.where(found, np.where(use_preferred, source_preference, fallback), "")
     tri = triangulate_midpoint(rig, px[found, :2], px[found, 2:])
-
-    position, gap = np.full((found.size, 3), np.nan), np.full(found.size, np.nan)
-    failure = np.full(found.size, "MissingObservationError")
-    position[found], gap[found], failure[found] = tri.position, tri.ray_gap, tri.failure
-    hp = HeadPoint(position, gap, sources, failure)
+    hp = replace(tri, source=sources[found]).scatter(found, found.size, "MissingObservationError")
     return _single(hp) if single else hp

@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from planegaze import errors
+from planegaze import errors, evaluation
 from planegaze.calibration import StereoRig
 from planegaze.camera import CameraIntrinsics, project_point
 from planegaze.errors import DegenerateDataError, DegenerateGeometryError
-from planegaze.evaluation import evaluate_method
+from planegaze.evaluation import evaluate_manifest, evaluate_method, frame_heads, read_method_predictions
 from planegaze.formats import (
     read_faces,
     read_grid_config,
@@ -42,7 +42,7 @@ from planegaze.pipeline import (
     ground_truth_direction,
 )
 from planegaze.plane import PlanePose
-from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
+from planegaze.synthetic import MethodSpec, NoiseSpec, default_scene, generate_scene, perturb
 from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, FaceTable, HeadPoint, head_point
 
 from conftest import face_observations, random_unit_vectors
@@ -261,8 +261,10 @@ def test_evaluate_method_matches_single_frame_composition(tmp_path):
     fallback = head_point(by_key[("f00005", "left")], by_key[("f00005", "right")], rig, SOURCE_EYES)
     assert fallback.source == SOURCE_BBOX
 
+    predictions = {m: read_method_predictions(manifest, m) for m in manifest.predictions}
+    heads = frame_heads(manifest, faces, rig, predictions)
     for method in sorted(manifest.predictions):
-        report = evaluate_method(manifest, method, rig, plane, grid, faces)
+        report = evaluate_method(manifest, method, predictions[method], heads, plane, grid)
         records, skipped, pred_dirs, gt_dirs = _reference(manifest, method, rig, plane, grid)
         assert report.skipped == skipped
         assert [fid for fid, _ in skipped] == sorted(fid for fid, _ in skipped)
@@ -277,3 +279,43 @@ def test_evaluate_method_matches_single_frame_composition(tmp_path):
             assert got.distance_m[k] == pytest.approx(want.distance_m[0], rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(report.pred_directions, np.array(pred_dirs), rtol=0, atol=1e-9)
         np.testing.assert_allclose(report.gt_directions, np.array(gt_dirs), rtol=0, atol=1e-9)
+
+
+def test_shared_triangulation_matches_per_method_evaluation(tmp_path, monkeypatch):
+    """Methods that share a head source share one triangulation, over the union of
+    the frames they predict; each report equals its method's report evaluated alone."""
+    spec = replace(default_scene(frames=24, seed=505, calib_views=2), methods=(
+        MethodSpec("eyes-offset", CONVENTION_OFFSET, SOURCE_EYES),
+        MethodSpec("eyes-absolute", CONVENTION_ABSOLUTE, SOURCE_EYES),
+        MethodSpec("bbox-offset", CONVENTION_OFFSET, SOURCE_BBOX),
+    ))
+    ds = perturb(generate_scene(spec), NoiseSpec(face_px_sigma=1.5, gaze_angle_sigma_deg=10.0), seed=505)
+    predictions = dict(ds.predictions)
+    for name, gap in (("eyes-offset", 3), ("eyes-absolute", 4)):  # each misses a different subset
+        table = predictions[name]
+        predictions[name] = table.take(np.arange(table.frame_id.size) % gap != 0)
+    faces = ds.faces.take(~((ds.faces.frame_id == "f00005") & (ds.faces.camera == "left")))
+    manifest = read_manifest(write_dataset(replace(ds, predictions=predictions, faces=faces), tmp_path / "data"))
+
+    calls = []
+
+    def counted(left, right, rig, source):
+        calls.append((source, left.frame_id.tolist()))
+        return head_point(left, right, rig, source)
+
+    monkeypatch.setattr(evaluation, "head_point", counted)
+    together = evaluate_manifest(manifest).methods
+    predicted = set(predictions["eyes-offset"].frame_id.tolist()) | set(predictions["eyes-absolute"].frame_id.tolist())
+    assert dict(calls) == {
+        SOURCE_BBOX: [f for f in ds.frames.frame_id.tolist() if f != "f00005"],
+        SOURCE_EYES: sorted(predicted - {"f00005"}),
+    }
+    for method in sorted(manifest.predictions):
+        alone = evaluate_manifest(manifest, methods=[method]).methods[method]
+        got = together[method]
+        assert got.skipped == alone.skipped and ("f00005", "missing_face_observation") in got.skipped
+        assert got.errors.frame_id.tolist() == alone.errors.frame_id.tolist() and got.errors.tags == alone.errors.tags
+        for a, b in ((got.errors.angular_deg, alone.errors.angular_deg), (got.errors.distance_m, alone.errors.distance_m),
+                     (got.pred_directions, alone.pred_directions), (got.gt_directions, alone.gt_directions)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+    assert len(calls) == 2 + 3  # one per head source, then one per method evaluated alone

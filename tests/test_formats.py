@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planegaze.calibration import CornerObservation, CornerTable, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
+    _cells,
     _read_table,
     _write_table,
     read_corners,
@@ -178,6 +179,28 @@ class TestCsvRoundTrips:
         np.testing.assert_array_equal(direction_cc, ds.direction_cc)
 
 
+class TestBlankLines:
+    def test_whitespace_only_text_cell_is_a_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, {"name": "text"}, [["a", "\x0c", "b"]], {})
+        table = _read_table(path, {"name": "text"})
+        assert table["name"].tolist() == ["a", "\x0c", "b"] and table.lines.tolist() == [2, 3, 4]
+
+    def test_whitespace_only_line_of_a_wider_table_is_a_short_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# schema: x\na,b\n1,2\n \n3,4\n")
+        with pytest.raises(FormatError, match="expected 2 fields, got 1") as err:
+            _read_table(path, {"a": "int", "b": "int"})
+        assert (err.value.file, err.value.line) == (str(path), 4)
+
+    def test_empty_lines_and_blanks_before_the_header_are_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" \n# schema: x\n\t\n\na,b\n1,2\n\n3,4\n\n")
+        table = _read_table(path, {"a": "int", "b": "int"})
+        assert table.meta == {"schema": "x"}
+        assert table["a"].tolist() == [1, 3] and table.lines.tolist() == [6, 8]
+
+
 class TestDatasetAndManifest:
     def test_dataset_round_trip(self, tmp_path):
         ds = generate_scene(default_scene(frames=6, seed=8, calib_views=3))
@@ -212,6 +235,19 @@ class TestDatasetAndManifest:
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="duplicate"):
             read_manifest(manifest_path)
+
+    @pytest.mark.parametrize("target_id", [3.7, "12", True, math.inf, 2**63])
+    def test_manifest_target_id_must_be_an_integer(self, tmp_path, target_id):
+        ds = generate_scene(default_scene(frames=3, seed=8, calib_views=2))
+        manifest_path = write_dataset(ds, tmp_path / "data")
+        payload = json.loads(manifest_path.read_text())
+        payload["frames"][1]["target_id"] = target_id  # inf is written as JSON Infinity
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=r"bad frame entry #1: ") as err:
+            read_manifest(manifest_path)
+        assert err.value.file == str(manifest_path)
+        if type(target_id) is not int:
+            assert f"target_id of frame 'f00001' must be an integer, got {target_id!r}" in str(err.value)
 
     def test_manifest_bad_head_source_rejected(self, tmp_path):
         ds = generate_scene(default_scene(frames=2, seed=8, calib_views=2))
@@ -337,15 +373,17 @@ def _oracle_csv(columns, data, meta):
 
 
 @st.composite
-def csv_tables(draw, readable):
+def csv_tables(draw, readable, chars="az#,\"é0. \x0c", specials=("", "#lead", 'say "hi", twice')):
     """A schema and its columns; an unreadable one also holds what the reader rejects:
-    non-finite numbers, and text with line breaks or only blanks."""
+    non-finite numbers, and text with line breaks. Text of only blanks is
+    readable: after the header a whitespace-only line is a row, and only an
+    empty line is skipped."""
     floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-    chars = list("az#,\"é0.") + ([] if readable else list(" \r\n"))
+    chars = list(chars) + ([] if readable else list("\r\n"))
     kinds = draw(st.lists(st.sampled_from(["text", "int", "float", "float?"]), min_size=1, max_size=5))
     n_rows = draw(st.integers(0, 6))
     cells = {
-        "text": st.sampled_from(["", "#lead", 'say "hi", twice']) | st.text(st.sampled_from(chars), max_size=5),
+        "text": st.sampled_from(specials) | st.text(st.sampled_from(chars), max_size=5),
         "int": st.integers(-(2**63), 2**63 - 1),
         "float": floats if readable else floats | st.sampled_from(NON_FINITE),
         "float?": floats | st.sampled_from([math.nan] if readable else NON_FINITE),
@@ -389,3 +427,45 @@ def test_text_with_unicode_line_separators_round_trips(tmp_path_factory, text):
     table = _read_table(path, columns)
     assert table["frame_id"].tolist() == text
     assert table.lines.tolist() == [3 + k for k in range(len(text))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quote_free_split_matches_csv_reader(tmp_path_factory, data):
+    """A file without a quote is split at its commas. A quoted metadata line sends
+    the same rows through csv.reader: the columns, the line numbers and the error
+    for a damaged row are the same."""
+    columns, cols = data.draw(csv_tables(True, chars="az#é0. \x0c", specials=("", "#lead")))
+    d = tmp_path_factory.mktemp("split")
+    plain, quoted = d / "plain" / "t.csv", d / "quoted" / "t.csv"
+    _write_table(plain, columns, cols, {"schema": "planegaze-test-v1", "note": "plain"})
+    lines = plain.read_text(encoding="utf-8").split("\n")
+    assume(not any('"' in line for line in lines))  # a lone empty cell is written quoted
+    if len(lines) > 4:  # damage one data row; lines 0-2 are the metadata and the header
+        k = data.draw(st.integers(3, len(lines) - 2))
+        cells = lines[k].split(",")
+        damage = data.draw(st.sampled_from(["cell", "short", "blank", "empty line"]))
+        if damage == "cell":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(["x1", "nan", "-inf", " "]))
+        lines[k] = {"cell": ",".join(cells), "short": ",".join(cells[:-1]), "blank": " "}.get(damage, lines[k])
+        if damage == "empty line":
+            lines.insert(k, "")
+    plain.write_text("\n".join(lines), encoding="utf-8")
+    lines[1] = '# note: a "quoted" note'
+    quoted.parent.mkdir()
+    quoted.write_text("\n".join(lines), encoding="utf-8")
+
+    def read(path):
+        try:
+            table = _read_table(path, columns)
+        except FormatError as err:
+            return err.line, str(err).removeprefix(f"{path}:{err.line}: ")
+        return [(c.dtype.str, c.tobytes()) for c in table.columns.values()], table.lines.tolist()
+
+    assert read(plain) == read(quoted)
+
+
+def test_text_cells_share_one_object_per_run():
+    values = np.repeat(["oracle-offset", "offset-eyes", "absolute-bbox"], [6000, 5000, 5000])
+    cells = _cells("text", values)
+    assert cells == values.tolist() and len({id(c) for c in cells}) == 3

@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs: a base commit against the working tree.
+
+    python tools/bench_pairs.py --base HEAD --pairs 10 --seed 7919 --seconds 30
+
+The base commit is exported with ``git archive`` into a temporary directory.
+For each workload, ``perfbench/run.py`` then runs ``--pairs`` times on that
+tree and as often on the working tree, one pair after the other; which side
+runs first alternates from pair to pair, so a host that drifts in speed
+favours neither side. For every end-to-end metric of ``BENCHMARK.json`` it
+prints each side's median and quartiles, the change of the medians, and in
+how many pairs the working tree was better. The failed share of each side
+is printed too.
+
+Nothing is written inside the repository except perfbench's own run
+directory (``.perfbench-run/``, ignored by git), which perfbench removes
+again apart from traces.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("eval-shared-faces", "calib-rig", "synth-write")
+
+
+def export(ref: str, dest: Path) -> Path:
+    """The tree of commit ``ref``, unpacked under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        archive.extractall(dest, **safe)
+    return dest
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The final JSON object of one untraced perfbench run on ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench failed on {tree} ({workload}), exit {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def report(workload: str, base: list[dict], change: list[dict], better: dict[str, str]) -> None:
+    print(f"\n{workload}: {len(base)} pairs")
+    for side, runs in (("base", base), ("change", change)):
+        failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        print(f"  {side:6s} failed {failed}/{attempted} ops, correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs")
+    print(f"  {'metric':12s} {'base median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
+    for name, direction in better.items():
+        a = [r["metrics"][name]["value"] for r in base]
+        b = [r["metrics"][name]["value"] for r in change]
+        wins = sum((y > x) if direction == "higher" else (y < x) for x, y in zip(a, b))
+        (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
+        delta = (mb - ma) / ma * 100 if ma else float("nan")
+        print(f"  {name:12s} {ma:12.6g} [{qa1:9.6g}, {qa3:9.6g}] {mb:12.6g} [{qb1:9.6g}, {qb3:9.6g}]"
+              f" {delta:+7.1f}% {wins:3d}/{len(a)}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="paired perfbench runs, base commit against working tree")
+    p.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=7919)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="repeat for several; default every workload")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base_tree = export(args.base, Path(tmp))
+        for workload in args.workload or WORKLOADS:
+            runs = {"base": [], "change": []}
+            for k in range(args.pairs):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                for side in order:
+                    tree = base_tree if side == "base" else ROOT
+                    runs[side].append(run(tree, workload, args.seed, args.seconds))
+                values = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in order}
+                print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): ops_per_s "
+                      f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
+            report(workload, runs["base"], runs["change"], better)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
