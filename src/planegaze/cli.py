@@ -21,6 +21,7 @@ from .errors import (
     PlanegazeError,
 )
 from .formats import (
+    precision_thresholds,
     provenance,
     read_corners,
     read_grid_config,
@@ -228,12 +229,12 @@ def cmd_plane_pose(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluation import evaluate_manifest
 
+    thresholds = _thresholds(args)
     manifest = read_manifest(args.manifest)
     methods = args.methods.split(",") if args.methods else None
     tag_filters = None
     if args.tags is not None:
         tag_filters = [t if t else None for t in args.tags.split(",")]
-    thresholds = _thresholds(args)
 
     bundle = evaluate_manifest(
         manifest,
@@ -274,7 +275,8 @@ def cmd_evaluate(args) -> int:
 def _thresholds(args):
     """Precision thresholds in cm: --thresholds, else the config's thresholds_cm, else the defaults.
 
-    Every value must be a finite number >= 0; duplicates are dropped later.
+    Every value must be a finite number >= 0, and no two may share a summary
+    column; duplicates are dropped.
     """
     thresholds = list(DEFAULT_THRESHOLDS_CM)
     if args.config is not None:
@@ -292,7 +294,7 @@ def _thresholds(args):
             thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
     if getattr(args, "thresholds", None):
         thresholds = _threshold_values(args.thresholds.split(","), "--thresholds")
-    return thresholds
+    return precision_thresholds(thresholds)
 
 
 def _threshold_values(values, name: str, file: str | None = None) -> list[float]:

@@ -24,6 +24,7 @@ from .formats import (
     CDF_COLUMNS,
     HIST_COLUMNS,
     DatasetManifest,
+    precision_thresholds,
     provenance,
     read_faces,
     read_grid_config,
@@ -185,20 +186,23 @@ def evaluate_manifest(
 
     ``tag_filters`` defaults to the overall split plus one per distinct tag
     in the manifest. Output ordering is deterministic: methods and tags
-    sorted, thresholds ascending.
+    sorted unless given, thresholds ascending. A repeated method, tag filter
+    or threshold counts once, at its first place; thresholds that share a
+    summary column name are a ValueError.
     """
+    thresholds_cm = precision_thresholds(thresholds_cm)
     grid = read_grid_config(manifest.grid_config)
     rig = read_stereo(manifest.stereo)
     plane = load_plane(manifest, rig, grid, plane_override)
 
-    selected = sorted(manifest.predictions) if methods is None else list(methods)
+    selected = sorted(manifest.predictions) if methods is None else list(dict.fromkeys(methods))
     for m in selected:
         if m not in manifest.predictions:
             raise FormatError(f"method {m!r} not in manifest predictions")
     if tag_filters is None:
         tags = sorted({t for tags in manifest.frames.tags for t in tags})
         tag_filters = [None] + tags
-    thresholds_cm = tuple(sorted({float(t) for t in thresholds_cm}))
+    tag_filters = list(dict.fromkeys(tag_filters))
 
     faces = read_faces(manifest.faces)
     predictions = {m: read_method_predictions(manifest, m) for m in selected}

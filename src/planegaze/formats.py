@@ -17,6 +17,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps's own C string encoder
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,11 @@ def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]
              *map(",".join, zip(*cells)), ""]
     del cells  # so the cells and the joined text are never held at once
     atomic_write_text(path, "\n".join(lines))
+
+
+def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
+    """A table's metadata lines: its schema and the tool first, then ``meta``."""
+    return {"schema": schema, "tool": TOOL_TAG, **(meta or {})}
 
 
 def _cells(kind: str, col) -> list[str]:
@@ -398,9 +404,8 @@ def _check_cameras(table: _Table) -> None:
 
 
 def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None = None) -> None:
-    base = {"schema": "planegaze-corners-v1", "tool": TOOL_TAG}
     data = [corners.view_id, corners.camera, *corners.ij.T, *corners.uv.T]
-    _write_table(Path(path), CORNERS_COLUMNS, data, {**base, **(meta or {})})
+    _write_table(Path(path), CORNERS_COLUMNS, data, _header("planegaze-corners-v1", meta))
 
 
 def _read_corner_table(path: Path) -> tuple[_Table, CornerTable]:
@@ -434,9 +439,8 @@ FACES_COLUMNS = {
 
 
 def write_faces(path: Path, faces: FaceTable, meta: dict[str, str] | None = None) -> None:
-    base = {"schema": "planegaze-faces-v1", "tool": TOOL_TAG}
     data = [faces.frame_id, faces.camera, *faces.bbox.T, *faces.eye.T]
-    _write_table(Path(path), FACES_COLUMNS, data, {**base, **(meta or {})})
+    _write_table(Path(path), FACES_COLUMNS, data, _header("planegaze-faces-v1", meta))
 
 
 def read_faces(path: Path) -> FaceTable:
@@ -485,14 +489,9 @@ def write_predictions(path: Path, predictions: PredictionTable, *, unit: str = "
     if unit not in ANGLE_UNITS:
         raise ValueError(f"unit must be one of {ANGLE_UNITS}, got {unit!r}")
     scale = 1.0 if unit == "radians" else 180.0 / np.pi
-    base = {
-        "schema": "planegaze-predictions-v1",
-        "tool": TOOL_TAG,
-        "unit": unit,
-        "convention": predictions.convention,
-    }
     data = [predictions.frame_id, predictions.method, predictions.yaw * scale, predictions.pitch * scale]
-    _write_table(Path(path), PREDICTIONS_COLUMNS, data, {**base, **(meta or {})})
+    _write_table(Path(path), PREDICTIONS_COLUMNS, data, _header(
+        "planegaze-predictions-v1", {"unit": unit, "convention": predictions.convention, **(meta or {})}))
 
 
 def read_predictions(path: Path) -> PredictionTable:
@@ -533,8 +532,7 @@ def write_truth(path: Path, frames: FrameTable, head_cc, direction_cc, meta: dic
     """Each frame's annotation with its exact head and gaze direction, (N, 3) each."""
     data = [frames.frame_id, frames.target_id, [";".join(t) for t in frames.tags],
             *np.reshape(head_cc, (-1, 3)).T, *np.reshape(direction_cc, (-1, 3)).T]
-    base = {"schema": "planegaze-truth-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), TRUTH_COLUMNS, data, {**base, **(meta or {})})
+    _write_table(Path(path), TRUTH_COLUMNS, data, _header("planegaze-truth-v1", meta))
 
 
 def read_truth(path: Path) -> tuple[FrameTable, np.ndarray, np.ndarray]:
@@ -580,10 +578,29 @@ class DatasetManifest:
                 self.faces, *(p for p in optional if p is not None), *(ref.path for ref in self.predictions.values())]
 
 
-def write_manifest(path: Path, manifest_payload: dict) -> None:
-    payload = {"schema": MANIFEST_SCHEMA, **manifest_payload}
+def write_manifest(path: Path, manifest_payload: dict, frames: FrameTable) -> None:
+    """``write_json``'s bytes for the payload with a "frames" array of one entry per frame.
+
+    The array is written from the frame columns and spliced in at its
+    top-level key. json.dumps writes no newline inside a string, so the
+    only line that starts with two spaces and "frames" is that key's.
+    """
+    payload = {"schema": MANIFEST_SCHEMA, **manifest_payload, "frames": []}
     payload.setdefault("provenance", provenance())
-    write_json(Path(path), payload)
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition('\n  "frames": []')
+    atomic_write_text(Path(path), f'{head}\n  "frames": {_frames_json(frames)}{tail}\n')
+
+
+def _frames_json(frames: FrameTable) -> str:
+    """The frames as json.dumps(indent=2, sort_keys=True) writes their entries at depth 1,
+    in one fixed layout per entry; each distinct tag tuple is encoded once."""
+    if not len(frames):
+        return "[]"
+    tag_lists = {tags: json.dumps(list(tags), indent=2).replace("\n", "\n      ") for tags in set(frames.tags)}
+    entries = zip(map(_json_str, frames.frame_id.tolist()), frames.tags, frames.target_id.tolist())
+    return "[\n    " + ",\n    ".join(
+        f'{{\n      "frame_id": {fid},\n      "tags": {tag_lists[tags]},\n      "target_id": {tid}\n    }}'
+        for fid, tags, tid in entries) + "\n  ]"
 
 
 def read_manifest(path: Path) -> DatasetManifest:
@@ -620,24 +637,7 @@ def read_manifest(path: Path) -> DatasetManifest:
             )
         preds[name] = PredictionRef(path=(root / entry["path"]).resolve(), head_source=source)
 
-    frame_ids, target_ids, frame_tags = [], [], []
-    seen = set()
-    for k, entry in enumerate(block("frames", list)):
-        try:
-            fid, tags = str(entry["frame_id"]), entry.get("tags")
-            if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-                raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
-            if type(tid := entry["target_id"]) is not int:  # not 3.7, "12", true or Infinity
-                raise TypeError(f"target_id of frame {fid!r} must be an integer, got {tid!r}")
-            target_ids.append(np.int64(tid))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
-        if fid in seen:
-            raise FormatError(f"duplicate frame_id {fid!r}", file=str(path))
-        seen.add(fid)
-        frame_ids.append(fid)
-        frame_tags.append(tuple(tags or ()))
-
+    frames = _frame_table(block("frames", list), path)  # the frames' errors before those of the paths
     manifest = DatasetManifest(
         path=path.resolve(),
         grid_config=resolve("grid_config"),
@@ -648,7 +648,7 @@ def read_manifest(path: Path) -> DatasetManifest:
         plane_pose=resolve("plane_pose", required=False),
         faces=resolve("faces"),
         predictions=preds,
-        frames=FrameTable(np.array(frame_ids, dtype=str), np.array(target_ids, dtype=np.int64), tuple(frame_tags)),
+        frames=frames,
         calibration_corners=resolve("calibration_corners", required=False),
         truth=resolve("truth", required=False),
     )
@@ -656,6 +656,38 @@ def read_manifest(path: Path) -> DatasetManifest:
     if missing:
         raise FormatError(f"manifest references missing files: {missing}", file=str(path))
     return manifest
+
+
+def _frame_table(entries: list, path: Path) -> FrameTable:
+    """A manifest's frame entries as a FrameTable, checked a column at a time.
+
+    Only when a check fails are the entries walked one by one, to name the
+    first bad entry (#k) or the first repeated frame_id.
+    """
+    try:
+        frame_ids = [str(e["frame_id"]) for e in entries]
+        target_ids, tags = [e["target_id"] for e in entries], [e.get("tags") for e in entries]
+        if ({type(t) for t in target_ids} <= {int} and {type(t) for t in tags} <= {list, type(None)}
+                and {type(t) for ts in tags if ts for t in ts} <= {str} and len(set(frame_ids)) == len(frame_ids)):
+            return FrameTable(np.array(frame_ids, dtype=str), np.array(target_ids, dtype=np.int64),
+                              tuple(tuple(t or ()) for t in tags))
+    except (KeyError, TypeError, OverflowError):
+        pass
+    seen = set()
+    for k, entry in enumerate(entries):
+        try:
+            fid, tags = str(entry["frame_id"]), entry.get("tags")
+            if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+                raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
+            if type(tid := entry["target_id"]) is not int:  # not 3.7, "12", true or Infinity
+                raise TypeError(f"target_id of frame {fid!r} must be an integer, got {tid!r}")
+            np.int64(tid)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
+        if fid in seen:
+            raise FormatError(f"duplicate frame_id {fid!r}", file=str(path))
+        seen.add(fid)
+    raise AssertionError("the column checks failed on entries that pass one by one")
 
 
 # --- synthetic dataset layout -----------------------------------------------------
@@ -739,12 +771,9 @@ def write_dataset(ds, out_dir: Path) -> Path:
             "faces": "faces.csv",
             "truth": "truth.csv",
             "predictions": pred_entries,
-            "frames": [
-                {"frame_id": fid, "target_id": tid, "tags": list(tags)}
-                for fid, tid, tags in zip(ds.frames.frame_id.tolist(), ds.frames.target_id.tolist(), ds.frames.tags)
-            ],
             "provenance": provenance(config=truth_prov),
         },
+        ds.frames,
     )
     return manifest_path
 
@@ -762,12 +791,20 @@ HIST_COLUMNS = {
 }
 
 
+def precision_thresholds(thresholds_cm) -> tuple[float, ...]:
+    """The distinct thresholds, ascending; two that would share a summary column are a ValueError."""
+    thresholds = tuple(sorted({float(t) for t in thresholds_cm}))
+    for a, b in zip(thresholds, thresholds[1:]):  # {:g} rounds monotonically, so equal names are neighbours
+        if f"{a:g}" == f"{b:g}":
+            raise ValueError(f"thresholds {a!r} and {b!r} cm share the summary column 'p_at_{b:g}cm'")
+    return thresholds
+
+
 def write_summary_csv(path: Path, rows: list[dict], thresholds_cm, prov_meta: dict[str, str]) -> None:
     columns = {**SUMMARY_COLUMNS, **{f"p_at_{t:g}cm": "float" for t in thresholds_cm}}
     data = [[r[name] for r in rows] for name in SUMMARY_COLUMNS]
     data += [[r["precision_at"][float(t)] for r in rows] for t in thresholds_cm]
-    base = {"schema": "planegaze-summary-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), columns, data, {**base, **prov_meta})
+    _write_table(Path(path), columns, data, _header("planegaze-summary-v1", prov_meta))
 
 
 def read_summary_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -777,10 +814,10 @@ def read_summary_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def write_cdf_csv(path: Path, cdf: dict[str, np.ndarray], prov_meta: dict[str, str]) -> None:
-    base = {"schema": "planegaze-cdf-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), CDF_COLUMNS, [cdf[name] for name in CDF_COLUMNS], {**base, **prov_meta})
+    data = [cdf[name] for name in CDF_COLUMNS]
+    _write_table(Path(path), CDF_COLUMNS, data, _header("planegaze-cdf-v1", prov_meta))
 
 
 def write_hist_csv(path: Path, histogram: dict[str, np.ndarray], prov_meta: dict[str, str]) -> None:
-    base = {"schema": "planegaze-histogram-v1", "tool": TOOL_TAG}
-    _write_table(Path(path), HIST_COLUMNS, [histogram[name] for name in HIST_COLUMNS], {**base, **prov_meta})
+    data = [histogram[name] for name in HIST_COLUMNS]
+    _write_table(Path(path), HIST_COLUMNS, data, _header("planegaze-histogram-v1", prov_meta))

@@ -96,13 +96,7 @@ class NoiseSpec:
 
     @property
     def is_zero(self) -> bool:
-        return (
-            self.corner_px_sigma == 0.0
-            and self.face_px_sigma == 0.0
-            and self.gaze_angle_sigma_deg == 0.0
-            and self.gaze_bias_yaw_deg == 0.0
-            and self.gaze_bias_pitch_deg == 0.0
-        )
+        return all(getattr(self, f.name) == 0.0 for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -203,6 +197,20 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+def _frame_rngs(seed: int, stream: int, n: int) -> list[np.random.Generator]:
+    """``_rng(seed, stream, i)`` for each frame i < n, seeded from the rows of one uint32 entropy table.
+
+    A row holds the words SeedSequence splits a list of ints into: the seed's
+    32-bit words, low first (one word for 0), then the stream, then i. A row
+    is copied where a list would be converted int by int.
+    """
+    seed = int(seed)
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    table = np.empty((n, len(words) + 2), dtype=np.uint32)
+    table[:, :-1], table[:, -1] = [*words, stream], np.arange(n)
+    return [np.random.default_rng(np.random.SeedSequence(row)) for row in table]
+
+
 def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> np.ndarray:
     """Per-point mask, shape (...): pixel at least ``margin`` inside the image."""
     w, h = K.image_size
@@ -268,25 +276,21 @@ def _sample_heads(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     rig = spec.rig
     cam_from_plane = spec.plane.transform.inverse()
     identity = RigidTransform.identity()
-    # (lo, hi - lo) per box: lo + (hi - lo) * rng.random(3) draws rng.uniform(lo, hi)'s bits
-    # at about a tenth of its cost with array bounds
-    boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float) - lo) for lo, hi in spec.participants]
-    n_targets = len(spec.grid.target_map)
+    # lo + (hi - lo) * rng.random(3) draws rng.uniform(lo, hi)'s bits at about a tenth of its cost
+    lo, hi = np.array(spec.participants, dtype=float).transpose(1, 0, 2)
+    span, n_targets = hi - lo, len(spec.grid.target_map)
 
     heads = np.empty((spec.frames, 3))
     targets = np.empty(spec.frames, dtype=int)
     pending = np.arange(spec.frames)
-    rngs = [_rng(spec.seed, _STREAM_FRAME, i) for i in range(spec.frames)]
+    rngs = _frame_rngs(spec.seed, _STREAM_FRAME, spec.frames)
     for _ in range(MAX_RESAMPLE):
         if not rngs:
             break
-        head_plane = np.empty((len(rngs), 3))
-        target = np.empty(len(rngs), dtype=int)
-        for k, rng in enumerate(rngs):
-            lo, span = boxes[rng.integers(len(boxes))]
-            head_plane[k] = lo + span * rng.random(3)
-            target[k] = rng.integers(n_targets)
-        head = cam_from_plane.apply_points(head_plane)
+        # each frame's draws in the order a per-frame loop makes them; the arithmetic once per round
+        draws = [(rng.integers(len(lo)), rng.random(3), rng.integers(n_targets)) for rng in rngs]
+        box, u, target = (np.array(column) for column in zip(*draws))
+        head = cam_from_plane.apply_points(lo[box] + span[box] * u)
         right = rig.right_from_left.apply_points(head)
         ok = (head[:, 2] > 0.05) & (right[:, 2] > 0.05)
         ok[ok] = _in_image(project_points(rig.left, identity, head[ok]), rig.left, 60.0) & _in_image(
@@ -464,8 +468,8 @@ def amplification_study(
     """
     ds = generate_scene(spec)
     # per frame: three draws for the axis, then one for the unit angle
-    draws = np.array([_rng(spec.seed, _STREAM_AMPLIFY, i).normal(size=4) for i in range(len(ds.frames))])
-    draws = draws.reshape(-1, 4)
+    rngs = _frame_rngs(spec.seed, _STREAM_AMPLIFY, len(ds.frames))
+    draws = np.array([rng.normal(size=4) for rng in rngs]).reshape(-1, 4)
     dirs = ds.direction_cc
     axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
     heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), SOURCE_EYES)

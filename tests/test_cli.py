@@ -248,6 +248,35 @@ class TestEvaluateAndReport:
         header = read_csv_rows(report / "summary.csv")[0]
         assert "p_at_5cm" in header and "p_at_25cm" in header
 
+    def test_repeated_methods_and_tags_count_once(self, dataset_dir, tmp_path, capsys):
+        manifest = str(dataset_dir / "manifest.json")
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main(["evaluate", "--manifest", manifest, "--methods", "oracle-offset",
+                     "--tags", "glasses", "--out", str(once)]) == 0
+        assert main(["evaluate", "--manifest", manifest, "--methods", "oracle-offset,oracle-offset",
+                     "--tags", "glasses,glasses", "--out", str(twice)]) == 0
+        assert "evaluated 1 methods, wrote 1 summary rows" in capsys.readouterr().out
+        for name in ("summary.csv", "cdf.csv", "histogram.csv"):
+            assert read_csv_rows(once / name) == read_csv_rows(twice / name)
+        config = json.loads((twice / "report.json").read_text())["provenance"]["config"]
+        assert config["methods"] == ["oracle-offset"] and config["tag_filters"] == ["glasses"]
+
+    @pytest.mark.parametrize("values", ["12.5,12.500001", "0.1,1e-7,0.10000001", "1e6,1000000.4"])
+    def test_thresholds_sharing_a_column_are_a_usage_error(self, dataset_dir, tmp_path, capsys, values):
+        report = tmp_path / "report"
+        rc = main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                   "--thresholds", values, "--out", str(report)])
+        assert rc == 1
+        first, second = sorted(float(v) for v in values.split(","))[-2:]
+        err = capsys.readouterr().err
+        assert f"thresholds {first!r} and {second!r} cm share the summary column" in err
+        assert not report.exists()
+
+    def test_colliding_thresholds_rejected_before_the_manifest_is_read(self, tmp_path, capsys):
+        rc = main(["evaluate", "--manifest", str(tmp_path / "absent.json"), "--thresholds", "12.5,12.500001",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1 and "share the summary column" in capsys.readouterr().err
+
 
 class TestVersionAndUsage:
     def test_version_flag(self, capsys):

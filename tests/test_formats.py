@@ -13,6 +13,7 @@ from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
     _cells,
+    _frames_json,
     _read_table,
     _write_table,
     read_corners,
@@ -30,6 +31,7 @@ from planegaze.formats import (
     write_faces,
     write_grid_config,
     write_intrinsics,
+    write_manifest,
     write_plane_pose,
     write_predictions,
     write_stereo,
@@ -37,6 +39,7 @@ from planegaze.formats import (
 )
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, default_target_map
+from planegaze.metrics import FrameTable
 from planegaze.pipeline import GazePrediction, PredictionTable
 from planegaze.plane import PlanePose
 from planegaze.synthetic import default_scene, generate_scene
@@ -248,6 +251,54 @@ class TestDatasetAndManifest:
         assert err.value.file == str(manifest_path)
         if type(target_id) is not int:
             assert f"target_id of frame 'f00001' must be an integer, got {target_id!r}" in str(err.value)
+
+    @pytest.mark.parametrize("edits, message", [
+        ({2: {"frame_id": "f00000"}, 4: {"tags": "glasses"}}, "duplicate frame_id 'f00000'"),
+        ({4: {"frame_id": "f00000"}, 2: {"tags": "glasses"}}, "bad frame entry #2: tags of frame 'f00002'"),
+        ({3: {"target_id": 2**63}, 5: {"frame_id": "f00001"}}, "bad frame entry #3: "),
+        ({1: None}, "bad frame entry #1: "),
+        ({0: {"target_id": None}, 1: {"frame_id": "f00000"}}, "bad frame entry #0: target_id of frame 'f00000'"),
+    ])
+    def test_manifest_names_the_first_bad_entry_or_duplicate(self, tmp_path, edits, message):
+        ds = generate_scene(default_scene(frames=6, seed=8, calib_views=2))
+        manifest_path = write_dataset(ds, tmp_path / "data")
+        payload = json.loads(manifest_path.read_text())
+        for k, fields in edits.items():
+            payload["frames"][k] = None if fields is None else {**payload["frames"][k], **fields}
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError) as err:
+            read_manifest(manifest_path)
+        assert message in str(err.value) and err.value.file == str(manifest_path)
+
+    def test_manifest_frame_errors_come_before_path_errors(self, tmp_path):
+        ds = generate_scene(default_scene(frames=3, seed=8, calib_views=2))
+        manifest_path = write_dataset(ds, tmp_path / "data")
+        payload = json.loads(manifest_path.read_text())
+        del payload["grid_config"]
+        payload["frames"][2]["tags"] = "glasses"
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="bad frame entry #2: tags of frame 'f00002'"):
+            read_manifest(manifest_path)
+
+    def test_manifest_frame_ids_that_are_numbers_read_as_text(self, tmp_path):
+        ds = generate_scene(default_scene(frames=3, seed=8, calib_views=2))
+        manifest_path = write_dataset(ds, tmp_path / "data")
+        payload = json.loads(manifest_path.read_text())
+        payload["frames"][1]["frame_id"], payload["frames"][2]["tags"] = 7, []
+        del payload["frames"][0]["tags"]
+        manifest_path.write_text(json.dumps(payload))
+        frames = read_manifest(manifest_path).frames
+        assert frames.frame_id.tolist() == ["f00000", "7", "f00002"]
+        assert frames.tags == ((), ds.frames.tags[1], ()) and frames.target_id.dtype == np.int64
+
+    def test_manifest_frames_are_spliced_at_their_top_level_key(self, tmp_path):
+        """A string that looks like the frames key, nested deeper, leaves the splice where json.dumps puts it."""
+        frames = FrameTable(np.array(["a", "b"]), np.array([1, -2]), (("x", "y"), ()))
+        payload = {"notes": {"frames": []}, "zzz": '\n  "frames": []', "provenance": {"tool": "t"}}
+        write_manifest(tmp_path / "m.json", payload, frames)
+        entries = [{"frame_id": "a", "target_id": 1, "tags": ["x", "y"]}, {"frame_id": "b", "target_id": -2, "tags": []}]
+        want = {"schema": "planegaze-manifest-v1", **payload, "frames": entries}
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_manifest_bad_head_source_rejected(self, tmp_path):
         ds = generate_scene(default_scene(frames=2, seed=8, calib_views=2))
@@ -469,3 +520,21 @@ def test_text_cells_share_one_object_per_run():
     values = np.repeat(["oracle-offset", "offset-eyes", "absolute-bbox"], [6000, 5000, 5000])
     cells = _cells("text", values)
     assert cells == values.tolist() and len({id(c) for c in cells}) == 3
+
+
+FRAME_TEXT = st.text(alphabet=st.sampled_from(list('ab"\\/\x00\x01\x1f\x7f\n\t\u2028é€\U0001f600 ')), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(
+    FRAME_TEXT,
+    st.one_of(st.sampled_from([-2**63, 2**63 - 1, 0]), st.integers(-2**63, 2**63 - 1)),
+    st.lists(FRAME_TEXT, max_size=3).map(tuple),
+), max_size=6))
+def test_frames_writer_equals_json_dumps(entries):
+    """The column frames writer writes what json.dumps(indent=2, sort_keys=True) writes at depth 1."""
+    frames = FrameTable(np.array([e[0] for e in entries], dtype=str), np.array([e[1] for e in entries], dtype=np.int64),
+                        tuple(e[2] for e in entries))
+    want = [{"frame_id": fid, "target_id": tid, "tags": list(tags)}
+            for fid, tid, tags in zip(frames.frame_id.tolist(), frames.target_id.tolist(), frames.tags)]
+    assert "{\n  \"frames\": " + _frames_json(frames) + "\n}" == json.dumps({"frames": want}, indent=2, sort_keys=True)

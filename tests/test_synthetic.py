@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.calibration import CAMERA_LEFT, CAMERA_RIGHT
-from planegaze.geometry import angular_error_deg
+from planegaze.camera import project_points
+from planegaze.geometry import RigidTransform, angular_error_deg
 from planegaze.grid import target_center
 from planegaze.pipeline import (
     correct_gaze_to_camera_frame,
@@ -13,8 +16,14 @@ from planegaze.pipeline import (
     ground_truth_direction,
 )
 from planegaze.synthetic import (
+    _STREAM_FRAME,
+    MAX_RESAMPLE,
     MethodSpec,
     NoiseSpec,
+    _frame_rngs,
+    _in_image,
+    _rng,
+    _sample_heads,
     amplification_study,
     default_scene,
     generate_scene,
@@ -197,3 +206,49 @@ def test_head_draw_equals_uniform_bit_for_bit():
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(4):
                 assert (lo + (hi - lo) * b.random(3)).tobytes() == a.uniform(lo, hi).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]), st.integers(0, 2**80)),
+       stream=st.integers(0, 5), n=st.integers(0, 12))
+def test_entropy_table_generators_equal_per_frame_generators(seed, stream, n):
+    """Frame i's generator from the entropy table is _rng(seed, stream, i): same state, same draws."""
+    table = _frame_rngs(seed, stream, n)
+    assert len(table) == n
+    for i, rng in enumerate(table):
+        want = _rng(seed, stream, i)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.integers(2**63, size=3).tolist() == want.integers(2**63, size=3).tolist()
+        assert rng.random(2).tobytes() == want.random(2).tobytes()
+
+
+def _per_frame_heads(spec):
+    """_sample_heads as a per-frame loop: each frame redraws from its own generator until visible."""
+    rig, cam_from_plane = spec.rig, spec.plane.transform.inverse()
+    heads, targets = [], []
+    for i in range(spec.frames):
+        rng = _rng(spec.seed, _STREAM_FRAME, i)
+        for _ in range(MAX_RESAMPLE):
+            lo, hi = (np.asarray(b, dtype=float) for b in spec.participants[rng.integers(len(spec.participants))])
+            head = cam_from_plane.apply_points(rng.uniform(lo, hi)[None])
+            target = rng.integers(len(spec.grid.target_map))
+            right = rig.right_from_left.apply_points(head)
+            if head[0, 2] > 0.05 and right[0, 2] > 0.05 and _in_image(
+                    project_points(rig.left, RigidTransform.identity(), head), rig.left, 60.0).all() and _in_image(
+                    project_points(rig.right, RigidTransform.identity(), right), rig.right, 60.0).all():
+                break
+        heads.append(head[0])
+        targets.append(target)
+    return np.array(heads).reshape(-1, 3), np.array(targets, dtype=int)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**40), frames=st.integers(0, 30))
+def test_batched_head_draws_equal_a_per_frame_loop(seed, frames):
+    # the second box lies partly out of view, so frames take several rounds; the third is a point
+    boxes = default_scene().participants + (((-1.5, 0.4, 0.1), (1.8, 1.0, 1.2)), ((0.1, 0.7, 0.3), (0.1, 0.7, 0.3)))
+    spec = replace(default_scene(frames=frames, seed=seed, calib_views=0), participants=boxes)
+    heads, targets = _sample_heads(spec)
+    want_heads, want_targets = _per_frame_heads(spec)
+    assert heads.tobytes() == want_heads.tobytes() and heads.shape == want_heads.shape
+    assert targets.tolist() == want_targets.tolist()

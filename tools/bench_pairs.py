@@ -10,7 +10,9 @@ runs first alternates from pair to pair, so a host that drifts in speed
 favours neither side. For every end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the change of the medians, and in
 how many pairs the working tree was better. The failed share of each side
-is printed too.
+is printed too. The exit status is 1, with the reason printed, when any run
+of the working tree is not ``correct`` or its failed share of operations
+exceeds the base's: either rejects a change whatever its speed.
 
 Nothing is written inside the repository except perfbench's own run
 directory (``.perfbench-run/``, ignored by git), which perfbench removes
@@ -62,11 +64,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, base: list[dict], change: list[dict], better: dict[str, str]) -> None:
+def report(workload: str, base: list[dict], change: list[dict], better: dict[str, str]) -> list[str]:
+    """Print the workload's table; return the reasons, if any, that the change must not land."""
     print(f"\n{workload}: {len(base)} pairs")
+    share = {}
     for side, runs in (("base", base), ("change", change)):
         failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+        share[side] = failed / attempted if attempted else 0.0
         print(f"  {side:6s} failed {failed}/{attempted} ops, correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs")
+    reasons = []
+    if not all(r["correct"] for r in change):
+        reasons.append(f"{workload}: {sum(not r['correct'] for r in change)} change-side runs are not correct")
+    if share["change"] > share["base"]:
+        reasons.append(f"{workload}: the change fails {share['change']:.2%} of its ops, the base {share['base']:.2%}")
     print(f"  {'metric':12s} {'base median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
     for name, direction in better.items():
         a = [r["metrics"][name]["value"] for r in base]
@@ -76,6 +86,7 @@ def report(workload: str, base: list[dict], change: list[dict], better: dict[str
         delta = (mb - ma) / ma * 100 if ma else float("nan")
         print(f"  {name:12s} {ma:12.6g} [{qa1:9.6g}, {qa3:9.6g}] {mb:12.6g} [{qb1:9.6g}, {qb3:9.6g}]"
               f" {delta:+7.1f}% {wins:3d}/{len(a)}")
+    return reasons
 
 
 def main(argv=None) -> int:
@@ -92,6 +103,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    reasons = []
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         base_tree = export(args.base, Path(tmp))
         for workload in args.workload or WORKLOADS:
@@ -104,8 +116,10 @@ def main(argv=None) -> int:
                 values = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in order}
                 print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): ops_per_s "
                       f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
-            report(workload, runs["base"], runs["change"], better)
-    return 0
+            reasons += report(workload, runs["base"], runs["change"], better)
+    for reason in reasons:
+        print(f"rejected: {reason}")
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
