@@ -163,18 +163,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # the readers raise FormatError for theirs, so this one came from writing
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalError as exc:
+    except (ValueError, PlanegazeError) as exc:  # FormatError among them
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValueError, PlanegazeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_NUMERICAL if isinstance(exc, NumericalError)
+                else EXIT_DEGENERATE if isinstance(exc, DegenerateDataError) else EXIT_USAGE)
 
 
 # --- commands ---------------------------------------------------------------

@@ -71,14 +71,20 @@ def write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path, schema: str) -> dict:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """A file's text; a file that cannot be read is a FormatError naming it."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
     except OSError as exc:
         raise FormatError(f"cannot read file: {exc.strerror}", file=str(path)) from None
+
+
+def _load_json(path: Path, schema: str) -> dict:
+    path = Path(path)
+    try:
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
     if not isinstance(payload, dict):
@@ -172,10 +178,9 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     the line. Of several bad cells, the first in file order is named.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError("file not found", file=str(path)) from None
+    text = _read_text(path)
+    if "\0" in text:  # np.array(..., dtype=str) would drop it from the end of a cell
+        raise FormatError("NUL character", file=str(path), line=text.count("\n", 0, text.index("\0")) + 1)
     # read_text folded CR and CRLF to "\n"; splitlines would also break at form feeds,
     # \x1c-\x1e, \x85, \u2028 and \u2029, which csv.writer writes unquoted inside a cell
     text_lines, meta = text.removesuffix("\n").split("\n"), {}
@@ -668,7 +673,8 @@ def _frame_table(entries: list, path: Path) -> FrameTable:
         frame_ids = [str(e["frame_id"]) for e in entries]
         target_ids, tags = [e["target_id"] for e in entries], [e.get("tags") for e in entries]
         if ({type(t) for t in target_ids} <= {int} and {type(t) for t in tags} <= {list, type(None)}
-                and {type(t) for ts in tags if ts for t in ts} <= {str} and len(set(frame_ids)) == len(frame_ids)):
+                and {type(t) for ts in tags if ts for t in ts} <= {str} and len(set(frame_ids)) == len(frame_ids)
+                and "\0" not in "".join(frame_ids)):
             return FrameTable(np.array(frame_ids, dtype=str), np.array(target_ids, dtype=np.int64),
                               tuple(tuple(t or ()) for t in tags))
     except (KeyError, TypeError, OverflowError):
@@ -677,6 +683,8 @@ def _frame_table(entries: list, path: Path) -> FrameTable:
     for k, entry in enumerate(entries):
         try:
             fid, tags = str(entry["frame_id"]), entry.get("tags")
+            if "\0" in fid:  # np.array(..., dtype=str) would drop it from the end of the id
+                raise ValueError(f"frame_id {fid!r} holds a NUL character")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
                 raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
             if type(tid := entry["target_id"]) is not int:  # not 3.7, "12", true or Infinity

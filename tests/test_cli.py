@@ -687,3 +687,28 @@ def test_method_name_with_delimiter_and_quotes_round_trips(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--report", str(report)]) == 0
     assert name in capsys.readouterr().out
+
+
+class TestOsErrors:
+    def test_corners_that_are_a_directory(self, dataset_dir, tmp_path, capsys):
+        rc = main(["calibrate", "--corners", str(tmp_path), "--grid", str(dataset_dir / "grid.json"),
+                   "--image-size", "1280x720", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {tmp_path}: cannot read file: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        (["synth", "--frames", "2", "--calib-views", "0"], "data"),
+        (["evaluate", "--manifest", "{data}/manifest.json"], "report"),
+        (["calibrate", "--corners", "{data}/corners.csv", "--grid", "{data}/grid.json", "--image-size", "1280x720"],
+         "calib"),
+        (["plane-pose", "--corners", "{data}/plane_corners.csv", "--grid", "{data}/grid.json",
+          "--intrinsics", "{data}/calib/intrinsics_left.json"], "plane.json"),
+    ])
+    def test_out_under_an_existing_file(self, dataset_dir, tmp_path, capsys, command, out):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        argv = [arg.format(data=dataset_dir) for arg in command] + ["--out", str(blocker / out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
+        assert blocker.read_text() == "a file, not a directory\n"

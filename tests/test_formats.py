@@ -182,6 +182,21 @@ class TestCsvRoundTrips:
         np.testing.assert_array_equal(direction_cc, ds.direction_cc)
 
 
+class TestUnreadableTables:
+    def test_nul_in_a_text_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("# unit: radians\n# convention: offset\nframe_id,method,yaw,pitch\n"
+                        "f00000,m,0.1,0.2\nf00001\0,m,0.1,0.2\n")
+        with pytest.raises(FormatError, match="NUL character") as err:
+            read_predictions(path)
+        assert (err.value.file, err.value.line) == (str(path), 5)
+
+    def test_a_directory_is_a_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read file") as err:
+            read_corners(tmp_path)
+        assert err.value.file == str(tmp_path)
+
+
 class TestBlankLines:
     def test_whitespace_only_text_cell_is_a_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -278,6 +293,18 @@ class TestDatasetAndManifest:
         payload["frames"][2]["tags"] = "glasses"
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="bad frame entry #2: tags of frame 'f00002'"):
+            read_manifest(manifest_path)
+
+    @pytest.mark.parametrize("k, frame_id", [(3, "f00000\0"), (1, "f0\x0001"), (4, "\0")])
+    def test_manifest_frame_id_with_a_nul_rejected(self, tmp_path, k, frame_id):
+        """A NUL would be dropped from the end of an id by np.array(..., dtype=str), making
+        "f00000" and "f00000\\0" one frame."""
+        ds = generate_scene(default_scene(frames=6, seed=8, calib_views=2))
+        manifest_path = write_dataset(ds, tmp_path / "data")
+        payload = json.loads(manifest_path.read_text())
+        payload["frames"][k]["frame_id"] = frame_id
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"bad frame entry #{k}: frame_id .* holds a NUL character"):
             read_manifest(manifest_path)
 
     def test_manifest_frame_ids_that_are_numbers_read_as_text(self, tmp_path):

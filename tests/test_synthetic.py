@@ -20,7 +20,7 @@ from planegaze.synthetic import (
     MAX_RESAMPLE,
     MethodSpec,
     NoiseSpec,
-    _frame_rngs,
+    _FrameStreams,
     _in_image,
     _rng,
     _sample_heads,
@@ -208,18 +208,77 @@ def test_head_draw_equals_uniform_bit_for_bit():
                 assert (lo + (hi - lo) * b.random(3)).tobytes() == a.uniform(lo, hi).tobytes()
 
 
+SEEDS = st.one_of(st.sampled_from([0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 5]), st.integers(0, 2**80))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]), st.integers(0, 2**80)),
        stream=st.integers(0, 5), n=st.integers(0, 12))
 def test_entropy_table_generators_equal_per_frame_generators(seed, stream, n):
-    """Frame i's generator from the entropy table is _rng(seed, stream, i): same state, same draws."""
-    table = _frame_rngs(seed, stream, n)
-    assert len(table) == n
-    for i, rng in enumerate(table):
+    """Row i of the batched streams is _rng(seed, stream, i): the same PCG64 state, increment
+    and buffered word, and a generator restored from it draws what _rng's draws."""
+    count = 0
+    for i, gen in enumerate(_FrameStreams(seed, stream, n).generators()):  # each drawn from before the next
+        count += 1
         want = _rng(seed, stream, i)
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert rng.integers(2**63, size=3).tolist() == want.integers(2**63, size=3).tolist()
-        assert rng.random(2).tobytes() == want.random(2).tobytes()
+        assert gen.bit_generator.state == want.bit_generator.state
+        assert gen.normal(size=4).tobytes() == want.normal(size=4).tobytes()
+        assert gen.integers(2**63, size=3).tolist() == want.integers(2**63, size=3).tolist()
+        assert gen.random(2).tobytes() == want.random(2).tobytes()
+    assert count == n
+
+
+# k = 2**31 + 1 rejects about half of all draws; at k = 2**31 half of the leftovers equal the threshold (0)
+BOUNDS = [1, 2, 3, 20, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+def _restored(streams: _FrameStreams) -> list[np.random.Generator]:
+    """Independent numpy generators at the rows' current states."""
+    gens = []
+    for gen in streams.generators():
+        gens.append(np.random.Generator(np.random.PCG64(0)))
+        gens[-1].bit_generator.state = gen.bit_generator.state
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 8), data=st.data())
+def test_batched_draws_equal_numpy_generators_call_for_call(seed, n, data):
+    """Any interleaving of integers(k) and random(m), on every row or on some, draws what numpy's
+    Generator draws on each row; the buffered upper half of a 64-bit output carries across calls."""
+    streams, gens = _FrameStreams(seed, _STREAM_FRAME, n), [_rng(seed, _STREAM_FRAME, i) for i in range(n)]
+    call = st.tuples(st.just("integers"), st.sampled_from(BOUNDS)) | st.tuples(st.just("random"), st.integers(0, 3))
+    subsets = st.just(list(range(n))) | st.lists(st.integers(0, n - 1), unique=True).map(sorted)
+    for (kind, arg), picked in data.draw(st.lists(st.tuples(call, subsets), max_size=12)):
+        rows = np.array(picked, dtype=int)
+        got = getattr(streams, kind)(arg, rows)
+        want = np.array([getattr(gens[i], kind)(arg) for i in picked], dtype=got.dtype).reshape(got.shape)
+        assert got.shape == ((len(rows),) if kind == "integers" else (len(rows), arg))
+        assert got.tobytes() == want.tobytes()
+    assert [g.bit_generator.state for g in _restored(streams)] == [g.bit_generator.state for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([3, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**31 - 1).map(lambda j: 2 * j + 1),
+       offset=st.sampled_from([-1, 0]), seed=SEEDS)
+def test_lemire_rejection_boundary(k, offset, seed):
+    """A buffered word whose leftover is the threshold is kept, one below it is redrawn, as numpy does.
+    For odd k every leftover has exactly one word, so the word is planted in the buffer."""
+    threshold = (2**32 - k) % k
+    streams = _FrameStreams(seed, _STREAM_FRAME, 1)
+    streams.has_uint32[:] = True
+    streams.uinteger[:] = (threshold + offset) % 2**32 * pow(k, -1, 2**32) % 2**32
+    assert streams.uinteger[0] * k % 2**32 == (threshold + offset) % 2**32
+    (want,) = _restored(streams)
+    assert streams.integers(k, np.arange(1)).tolist() == [want.integers(k)]
+    assert [g.bit_generator.state for g in _restored(streams)] == [want.bit_generator.state]
+
+
+@pytest.mark.parametrize("k", [0, -3, 2**32 + 1, 2**40])
+def test_batched_integers_reject_bounds_outside_one_to_two_to_the_32(k):
+    streams = _FrameStreams(0, _STREAM_FRAME, 2)
+    with pytest.raises(ValueError, match="k must be in"):
+        streams.integers(k, np.arange(2))
 
 
 def _per_frame_heads(spec):

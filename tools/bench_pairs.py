@@ -9,10 +9,15 @@ tree and as often on the working tree, one pair after the other; which side
 runs first alternates from pair to pair, so a host that drifts in speed
 favours neither side. For every end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the change of the medians, and in
-how many pairs the working tree was better. The failed share of each side
-is printed too. The exit status is 1, with the reason printed, when any run
-of the working tree is not ``correct`` or its failed share of operations
-exceeds the base's: either rejects a change whatever its speed.
+how many pairs the working tree was better (a tie counts for neither side).
+A metric is marked ``claimable`` when at least ten pairs ran, the working
+tree won 9 of 10 of them, and its median is better than the base's by
+more than the base's interquartile range. The failed share of each side
+is printed too. The exit status is 1, with a ``rejected:`` line per
+reason, when any run of the working tree is not ``correct``, its failed
+share of operations exceeds the base's, or the median of an end-to-end
+metric is worse than the base's by more than that metric's ``bound`` in
+``BENCHMARK.json``: each rejects a change whatever its other gains.
 
 Nothing is written inside the repository except perfbench's own run
 directory (``.perfbench-run/``, ignored by git), which perfbench removes
@@ -64,8 +69,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, base: list[dict], change: list[dict], better: dict[str, str]) -> list[str]:
-    """Print the workload's table; return the reasons, if any, that the change must not land."""
+def verdict(a: list[float], b: list[float], better: str, bound: float) -> tuple[int, float, bool, bool]:
+    """For paired base runs ``a`` and change runs ``b`` of one metric: the pairs the change
+    wins (a tie wins for neither side), the relative change of the medians, whether the
+    change is worse than the base by more than ``bound``, and whether a gain is claimable:
+    at least ten pairs run, 9 of 10 of them won, with the medians further apart than the
+    base's interquartile range."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    (qa1, ma, qa3), (_, mb, _) = quartiles(a), quartiles(b)
+    delta = (mb - ma) / ma if ma else float("nan")
+    claimable = len(a) >= 10 and wins >= 0.9 * len(a) and sign * (mb - ma) > qa3 - qa1
+    return wins, delta, sign * delta < -bound, claimable
+
+
+def report(workload: str, base: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
+    """Print the workload's table; return the reasons, if any, that the change must not land.
+
+    ``metrics`` are the end-to-end metrics of BENCHMARK.json, each with its
+    direction (``better``) and the relative ``bound`` its median may worsen by.
+    """
     print(f"\n{workload}: {len(base)} pairs")
     share = {}
     for side, runs in (("base", base), ("change", change)):
@@ -78,14 +101,17 @@ def report(workload: str, base: list[dict], change: list[dict], better: dict[str
     if share["change"] > share["base"]:
         reasons.append(f"{workload}: the change fails {share['change']:.2%} of its ops, the base {share['base']:.2%}")
     print(f"  {'metric':12s} {'base median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         a = [r["metrics"][name]["value"] for r in base]
         b = [r["metrics"][name]["value"] for r in change]
-        wins = sum((y > x) if direction == "higher" else (y < x) for x, y in zip(a, b))
+        wins, delta, regressed, claimable = verdict(a, b, metric["better"], metric["bound"])
         (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
-        delta = (mb - ma) / ma * 100 if ma else float("nan")
         print(f"  {name:12s} {ma:12.6g} [{qa1:9.6g}, {qa3:9.6g}] {mb:12.6g} [{qb1:9.6g}, {qb3:9.6g}]"
-              f" {delta:+7.1f}% {wins:3d}/{len(a)}")
+              f" {delta:+8.1%} {wins:3d}/{len(a)}{'  claimable' if claimable else ''}")
+        if regressed:
+            reasons.append(f"{workload}: {name} median {mb:.6g} is {abs(delta):.1%} worse than the base's {ma:.6g},"
+                           f" beyond its bound {metric['bound']:.0%}")
     return reasons
 
 
@@ -101,7 +127,6 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     reasons = []
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
@@ -116,7 +141,7 @@ def main(argv=None) -> int:
                 values = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in order}
                 print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): ops_per_s "
                       f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
-            reasons += report(workload, runs["base"], runs["change"], better)
+            reasons += report(workload, runs["base"], runs["change"], spec["end_to_end"])
     for reason in reasons:
         print(f"rejected: {reason}")
     return 1 if reasons else 0
