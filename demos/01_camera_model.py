@@ -10,8 +10,7 @@ undistorted viewing direction from a pixel.
 
 import numpy as np
 
-from planegaze import CameraIntrinsics, RigidTransform, project_point, undistort_pixel
-from planegaze.camera import project_points, undistort_pixels
+from planegaze import CameraIntrinsics, RigidTransform, project_points, undistort_pixels
 
 K = CameraIntrinsics(
     fx=350.0, fy=350.0, cx=640.0, cy=360.0,
@@ -24,19 +23,20 @@ def main():
     print("camera:", K)
 
     print("\n-- projection --")
-    on_axis = project_point(K, IDENTITY, [0.0, 0.0, 1.0])
-    print(f"point on the optical axis projects to the principal point: {on_axis}")
+    # every function takes a batch of points, (N, 3) or (N, 2); these are batches of one
+    (on_axis,) = project_points(K, IDENTITY, [[0.0, 0.0, 1.0]])
+    print(f"point on the optical axis projects to the principal point: {tuple(on_axis.tolist())}")
 
     off_axis = np.array([0.45, 0.30, 0.60])
-    with_dist = project_point(K, IDENTITY, off_axis)
+    (with_dist,) = project_points(K, IDENTITY, [off_axis])
     K_ideal = CameraIntrinsics(fx=350.0, fy=350.0, cx=640.0, cy=360.0, image_size=(1280, 720))
-    without_dist = project_point(K_ideal, IDENTITY, off_axis)
-    pull = np.linalg.norm(np.subtract(without_dist, with_dist))
+    (without_dist,) = project_points(K_ideal, IDENTITY, [off_axis])
+    pull = np.linalg.norm(without_dist - with_dist)
     print(f"off-axis point {off_axis} -> {np.round(with_dist, 2)}")
     print(f"barrel distortion pulled it {pull:.1f} px toward the center")
 
     print("\n-- undistortion (fixed-point inversion) --")
-    x, y = undistort_pixel(K, with_dist)
+    ((x, y),) = undistort_pixels(K, [with_dist])
     print(f"undistorted normalized coordinates: ({x:.6f}, {y:.6f})")
     print(f"true direction x/z, y/z:            ({off_axis[0]/off_axis[2]:.6f}, {off_axis[1]/off_axis[2]:.6f})")
 

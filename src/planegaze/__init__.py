@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .calibration import (
     CalibrationResult,
-    CornerObservation,
     CornerTable,
     StereoRig,
     calibrate_camera,
@@ -23,19 +22,14 @@ from .calibration import (
 )
 from .camera import (
     CameraIntrinsics,
-    project_point,
     project_points,
-    undistort_pixel,
     undistort_pixels,
 )
 from .geometry import (
     FRAME_CAMERA,
     FRAME_PLANE,
-    GazeRay,
     RigidTransform,
-    YawPitch,
     angular_error_deg,
-    dir_to_yaw_pitch,
     yaw_pitch_to_dir,
 )
 from .grid import GridConfig, default_target_map, grid_points, target_center
@@ -50,7 +44,6 @@ from .metrics import (
     yaw_pitch_histogram,
 )
 from .pipeline import (
-    GazePrediction,
     PredictionTable,
     SurfaceGazeEstimate,
     correct_gaze_to_camera_frame,
@@ -69,11 +62,6 @@ from .synthetic import (
     generate_scene,
     perturb,
 )
-from .triangulation import (
-    FaceObservation,
-    FaceTable,
-    HeadPoint,
-    head_point,
-)
+from .triangulation import FaceTable, HeadPoint, head_point
 
 __all__ = [name for name in dir() if not name.startswith("_")]

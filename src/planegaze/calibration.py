@@ -45,16 +45,6 @@ CAMERA_RIGHT = "right"
 
 
 @dataclass(frozen=True)
-class CornerObservation:
-    """One detected checkerboard corner: lattice index (i, j) seen at (u, v)."""
-
-    view_id: str
-    camera_id: str
-    grid_index: tuple[int, int]
-    pixel: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class CornerTable:
     """Checkerboard corners as columns, one row per detection.
 
@@ -68,19 +58,10 @@ class CornerTable:
     uv: np.ndarray
 
     @classmethod
-    def from_observations(cls, observations) -> CornerTable:
-        obs = list(observations)
-        return cls(
-            np.array([o.view_id for o in obs], dtype=str),
-            np.array([o.camera_id for o in obs], dtype=str),
-            np.array([o.grid_index for o in obs], dtype=int).reshape(-1, 2),
-            np.array([o.pixel for o in obs], dtype=float).reshape(-1, 2),
-        )
-
-    @classmethod
     def concat(cls, tables) -> CornerTable:
         """The rows of every table, in order."""
-        parts = [cls.from_observations(()), *tables]
+        empty = cls(np.array([], dtype=str), np.array([], dtype=str), np.zeros((0, 2), dtype=int), np.zeros((0, 2)))
+        parts = [empty, *tables]
         return cls(*(np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(cls)))
 
     def take(self, rows) -> CornerTable:
@@ -89,11 +70,6 @@ class CornerTable:
 
     def __len__(self) -> int:
         return len(self.view_id)
-
-
-def _corner_table(corners) -> CornerTable:
-    """A CornerTable as it is; a sequence of CornerObservations converted once."""
-    return corners if isinstance(corners, CornerTable) else CornerTable.from_observations(corners)
 
 
 @dataclass(frozen=True)
@@ -304,7 +280,7 @@ def _corner_arrays(corners: CornerTable, grid: GridConfig) -> tuple[np.ndarray, 
 
 
 def refine_calibration(
-    corners,
+    corners: CornerTable,
     grid: GridConfig,
     init: CalibrationResult,
     *,
@@ -312,12 +288,10 @@ def refine_calibration(
 ) -> CalibrationResult:
     """Jointly refine intrinsics, distortion and all per-view poses.
 
-    ``corners`` is a CornerTable or a sequence of CornerObservations.
     Minimizes the sum of squared pixel reprojection residuals with damped
     least squares; never returns a result worse than the initialization.
     Raises NoConvergenceError (carrying the best iterate) on divergence.
     """
-    corners = _corner_table(corners)
     obj, pix = _corner_arrays(corners, grid)
     view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
     view_ids = view_ids.tolist()
@@ -368,7 +342,7 @@ def refine_calibration(
 
 
 def calibrate_camera(
-    corners,
+    corners: CornerTable,
     grid: GridConfig,
     image_size: tuple[int, int],
     *,
@@ -376,12 +350,10 @@ def calibrate_camera(
 ) -> CalibrationResult:
     """Full single-camera chain: homographies -> closed-form K -> poses -> refinement.
 
-    ``corners`` is a CornerTable or a sequence of CornerObservations. Views
-    with fewer than 4 detected corners, or whose corners admit no
+    Views with fewer than 4 detected corners, or whose corners admit no
     homography (e.g. all on one lattice row), are dropped with a warning.
     Raises only when too few views remain to initialize the intrinsics.
     """
-    corners = _corner_table(corners)
     obj, pix = _corner_arrays(corners, grid)
     view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
     homographies = {}
@@ -435,12 +407,11 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
 def calibrate_stereo(
     left: CalibrationResult,
     right: CalibrationResult,
-    corners,
+    corners: CornerTable,
     grid: GridConfig,
 ) -> StereoRig:
     """Relative pose of the rig from views seen by both cameras.
 
-    ``corners`` is a CornerTable or a sequence of CornerObservations.
     Per shared view the candidate is pose_right o pose_left^-1; candidates
     are averaged (chordal rotation mean, translation mean) and the single
     relative pose is then refined against the right-camera corners of all
@@ -459,7 +430,6 @@ def calibrate_stereo(
     R0 = nearest_rotation(np.mean(rotations, axis=0))
     t0 = np.mean(translations, axis=0)
 
-    corners = _corner_table(corners)
     obj, pix = _corner_arrays(corners, grid)
     rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared_views)
     if not rows.any():

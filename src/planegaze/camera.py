@@ -185,12 +185,6 @@ def _pixels(xd: np.ndarray, fx, fy, cx, cy, skew) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def project_point(K: CameraIntrinsics, pose: RigidTransform, X) -> tuple[float, float]:
-    """Single-point convenience wrapper around :func:`project_points`."""
-    uv = project_points(K, pose, np.asarray(X, dtype=float).reshape(3))
-    return float(uv[0]), float(uv[1])
-
-
 def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     """Invert distortion for pixels, returning normalized coordinates (..., 2).
 
@@ -225,8 +219,3 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
         f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations"
     )
 
-
-def undistort_pixel(K: CameraIntrinsics, pixel) -> tuple[float, float]:
-    """Single-pixel convenience wrapper around :func:`undistort_pixels`."""
-    xy = undistort_pixels(K, np.asarray(pixel, dtype=float).reshape(2))
-    return float(xy[0]), float(xy[1])

@@ -277,7 +277,7 @@ def _thresholds(args):
     if args.config is not None:
         try:
             cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"bad config file: {exc}", file=str(args.config)) from None
         if not isinstance(cfg, dict):
             raise FormatError("config must be a JSON object", file=str(args.config))
@@ -287,7 +287,7 @@ def _thresholds(args):
                 raise FormatError(f"thresholds_cm must be a list of numbers, got {extra!r}",
                                   file=str(args.config))
             thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
-    if getattr(args, "thresholds", None):
+    if getattr(args, "thresholds", None) is not None:  # "" too: an empty list is a bad value, not "unset"
         thresholds = _threshold_values(args.thresholds.split(","), "--thresholds")
     return precision_thresholds(thresholds)
 

@@ -96,14 +96,3 @@ class FrameMismatchError(DegenerateDataError):
 class ResampleExceededError(DegenerateDataError):
     """Scene sampling failed to produce a valid configuration."""
 
-
-def raise_row_failure(failure: str) -> None:
-    """Raise the error a batch row is marked with ("" marks a good row).
-
-    The per-frame stage functions mark a row of a batch with an error's
-    class name where a single-frame call raises that error; the class
-    docstring is the message.
-    """
-    if failure:
-        cls = globals()[failure]
-        raise cls(cls.__doc__)

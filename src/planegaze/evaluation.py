@@ -143,7 +143,7 @@ def evaluate_method(
     ``heads`` is :func:`frame_heads` of the manifest's methods. A frame
     without a prediction or without a face in both cameras is skipped with
     that reason; a frame whose head, target or ground truth cannot be built
-    is skipped with the name of the error a single-frame call would raise.
+    is skipped with the name of the error class its row is marked with.
     """
     frames, frame_ids = manifest.frames, manifest.frames.frame_id
     frame_head = heads[manifest.predictions[method].head_source]
@@ -155,7 +155,7 @@ def evaluate_method(
     centers = {tid: target_center(grid, tid) for tid in grid.target_map}
     targets = np.array([centers.get(t, (np.nan,) * 3) for t in frames.target_id[rows].tolist()]).reshape(-1, 3)
     gt_dirs = ground_truth_direction(head, plane, targets)
-    # the first failure wins, as in a per-frame loop
+    # a row keeps the first failure it meets: an unknown target before a degenerate direction
     failure = np.where(np.isnan(targets[:, 0]), "UnknownTargetError",
                        np.where(np.isnan(gt_dirs[:, 0]), "DegenerateGeometryError", ""))
     reasons[rows] = failure

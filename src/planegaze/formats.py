@@ -72,13 +72,23 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _read_text(path: Path) -> str:
-    """A file's text; a file that cannot be read is a FormatError naming it."""
+    """A file's text; a file that cannot be read, or is not UTF-8, is a FormatError naming it."""
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FormatError("file not found", file=str(path)) from None
     except OSError as exc:
         raise FormatError(f"cannot read file: {exc.strerror}", file=str(path)) from None
+    except UnicodeDecodeError as exc:  # its object is the file's bytes; lines end as read_text ends them
+        line = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", file=str(path), line=line) from None
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not 2.5, "7" or true), else a TypeError naming ``name``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _load_json(path: Path, schema: str) -> dict:
@@ -281,9 +291,10 @@ def _grid_from_payload(p, path: Path, **extra) -> GridConfig:
             raise TypeError("a grid and its targets must be JSON objects")
         return GridConfig(
             square_size=float(p["square_size_m"]),
-            rows=int(p["rows"]),
-            cols=int(p["cols"]),
-            target_map={int(k): tuple(v) for k, v in p.get("targets", {}).items()},
+            rows=_json_int(p["rows"], "rows"),
+            cols=_json_int(p["cols"], "cols"),
+            target_map={int(k): tuple(_json_int(c, f"target {k} cell") for c in v)
+                        for k, v in p.get("targets", {}).items()},
             **extra,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -687,9 +698,7 @@ def _frame_table(entries: list, path: Path) -> FrameTable:
                 raise ValueError(f"frame_id {fid!r} holds a NUL character")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
                 raise ValueError(f"tags of frame {fid!r} must be a list of strings, got {tags!r}")
-            if type(tid := entry["target_id"]) is not int:  # not 3.7, "12", true or Infinity
-                raise TypeError(f"target_id of frame {fid!r} must be an integer, got {tid!r}")
-            np.int64(tid)
+            np.int64(_json_int(entry["target_id"], f"target_id of frame {fid!r}"))  # not 3.7, "12", true or Infinity
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None
         if fid in seen:
@@ -724,9 +733,9 @@ def read_scene_config(path: Path, *, frames: int, seed: int, calib_views: int) -
                 for m in payload["methods"]
             )
         spec = default_scene(
-            frames=int(payload.get("frames", frames)),
-            seed=int(payload.get("seed", seed)),
-            calib_views=int(payload.get("calib_views", calib_views)),
+            frames=_json_int(payload.get("frames", frames), "frames"),
+            seed=_json_int(payload.get("seed", seed), "seed"),
+            calib_views=_json_int(payload.get("calib_views", calib_views), "calib_views"),
         )
         return replace(spec, **overrides)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

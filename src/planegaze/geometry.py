@@ -1,4 +1,4 @@
-"""Shared geometric substrate: rotations, rigid transforms, gaze angles, rays.
+"""Shared geometric substrate: rotations, rigid transforms, gaze angles.
 
 Conventions used throughout the package:
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +46,6 @@ def normalized(v) -> np.ndarray:
     if np.any(n < 1e-12):
         raise DegenerateGeometryError("cannot normalize a zero-length vector")
     return a / n
-
-
-class YawPitch(NamedTuple):
-    """Gaze angles in radians. (0, 0) points straight at the camera."""
-
-    yaw: float
-    pitch: float
 
 
 def yaw_pitch_to_dir(yaw, pitch) -> np.ndarray:
@@ -85,21 +77,9 @@ def directions_to_yaw_pitch(dirs) -> np.ndarray:
     return np.stack([yaw, pitch], axis=-1)
 
 
-def dir_to_yaw_pitch(d) -> YawPitch:
-    """Canonical yaw/pitch of a single unit direction."""
-    yp = directions_to_yaw_pitch(d)
-    return YawPitch(float(yp[..., 0]), float(yp[..., 1]))
-
-
-def angular_error_deg(d_est, d_gt):
-    """Angle between unit directions (..., 3), in degrees, in [0, 180], shape (...).
-
-    A pair of 3-vectors gives a float.
-    """
-    a = as_vec3(d_est)
-    b = as_vec3(d_gt)
-    deg = np.degrees(np.arccos(np.clip(dot(a, b), -1.0, 1.0)))
-    return float(deg) if deg.ndim == 0 else deg
+def angular_error_deg(d_est, d_gt) -> np.ndarray:
+    """Angle between unit directions (N, 3), in degrees, in [0, 180], shape (N,)."""
+    return np.degrees(np.arccos(np.clip(dot(as_vec3(d_est), as_vec3(d_gt)), -1.0, 1.0)))
 
 
 def dot(a, b) -> np.ndarray:
@@ -228,8 +208,8 @@ def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
 class RigidTransform:
     """Rigid motion x -> R x + t, optionally labeled with frame names.
 
-    When ``src_frame``/``dst_frame`` are set, ``transform_ray`` checks and
-    rewrites the ray's frame label; unlabeled transforms skip the check.
+    When both are labeled, :meth:`compose` checks that the inner transform
+    maps into this one's source frame; unlabeled transforms skip the check.
     """
 
     rotation: np.ndarray
@@ -261,9 +241,6 @@ class RigidTransform:
         """
         return vecmat(np.asarray(P, dtype=float), self.rotation.T) + self.translation
 
-    def apply_direction(self, d) -> np.ndarray:
-        return as_vec3(d) @ self.rotation.T
-
     def compose(self, inner: "RigidTransform") -> "RigidTransform":
         """Transform equivalent to applying ``inner`` first, then ``self``."""
         if self.src_frame is not None and inner.dst_frame is not None:
@@ -287,46 +264,3 @@ class RigidTransform:
             self.dst_frame,
             self.src_frame,
         )
-
-
-@dataclass(frozen=True)
-class GazeRay:
-    """Half-line {origin + a * direction, a >= 0} in a named frame."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    frame: str = FRAME_CAMERA
-
-    def __post_init__(self):
-        o = as_vec3(self.origin).reshape(3).copy()
-        d = as_vec3(self.direction).reshape(3)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"ray direction must be unit length, |d| = {n:.9g}")
-        d = (d / n).copy()
-        o.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-        if not self.frame:
-            raise ValueError("ray frame label must be set")
-
-
-def transform_ray(T: RigidTransform, ray: GazeRay) -> GazeRay:
-    """Re-express a ray through a rigid transform; direction stays unit.
-
-    Raises FrameMismatchError when the transform is labeled and the ray is
-    not expressed in its source frame.
-    """
-    if T.src_frame is not None and ray.frame != T.src_frame:
-        raise FrameMismatchError(
-            f"ray is in frame {ray.frame!r}, transform expects {T.src_frame!r}"
-        )
-    d = T.apply_direction(ray.direction)
-    d = d / np.linalg.norm(d)
-    return GazeRay(
-        T.apply_point(ray.origin),
-        d,
-        T.dst_frame if T.dst_frame is not None else ray.frame,
-    )
-

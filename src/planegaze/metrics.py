@@ -85,22 +85,17 @@ class Histogram2D:
     counts: np.ndarray
 
 
-def evaluate_frame(pred_direction, gt_direction, estimate: SurfaceGazeEstimate, target, *,
+def evaluate_frame(pred_directions, gt_directions, estimate: SurfaceGazeEstimate, targets, *,
                    frame_id, tags=()) -> FrameErrors:
     """Errors per frame: angle between directions, distance on the surface.
 
-    One frame (a str ``frame_id``, one tag tuple) gives a one-row
-    FrameErrors. A batch (directions and targets (N, 3), an N-row estimate,
-    N frame ids and, when given, N tag tuples) gives N rows. The surface
-    distance is infinite whenever the intersection status is not ok; the
-    angular error is always finite.
+    Directions and targets are (N, 3), ``estimate`` has N rows, and
+    ``frame_id`` and ``tags`` (when given) hold one entry per row. The
+    surface distance is infinite whenever the intersection status is not
+    ok; the angular error is always finite.
     """
-    if isinstance(frame_id, str):
-        point = estimate.point if estimate.status == STATUS_OK else np.full(3, np.nan)
-        estimate = SurfaceGazeEstimate(np.reshape(point, (1, 3)), None, None, np.array([estimate.status]))
-        frame_id, tags = [frame_id], [tags]
-    angles = angular_error_deg(np.reshape(pred_direction, (-1, 3)), np.reshape(gt_direction, (-1, 3)))
-    offset = np.asarray(estimate.point, dtype=float)[:, :2] - np.reshape(as_vec3(target), (-1, 3))[:, :2]
+    angles = angular_error_deg(pred_directions, gt_directions)
+    offset = estimate.point[:, :2] - as_vec3(targets)[:, :2]
     distances = np.where(estimate.status == STATUS_OK, norm(offset), math.inf)
     return FrameErrors(frame_id, angles, distances, tags)
 

@@ -36,18 +36,13 @@ class PlanePose:
             )
 
 
-def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> PlanePose:
+def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntrinsics) -> PlanePose:
     """Estimate the camera-to-workspace transform from detected grid corners.
 
-    ``corners`` is a CornerTable, or a sequence of ((i, j), (u, v)) pairs.
     Needs at least 4 corners in general position. The result is invariant
     under permutation of the corners.
     """
-    if isinstance(corners, CornerTable):
-        ij, pixels = corners.ij, corners.uv
-    else:
-        ij = np.array([index for index, _ in corners], dtype=int).reshape(-1, 2)
-        pixels = np.array([pixel for _, pixel in corners], dtype=float).reshape(-1, 2)
+    ij, pixels = corners.ij, corners.uv
     if len(ij) < 4:
         raise DegenerateConfigurationError(f"plane pose needs >= 4 corners, got {len(ij)}")
     order = np.lexsort((pixels[:, 1], pixels[:, 0], ij[:, 1], ij[:, 0]))
@@ -62,11 +57,4 @@ def estimate_plane_pose(corners, config: GridConfig, K: CameraIntrinsics) -> Pla
     H = estimate_homography(obj[:, :2], normalized)
     cam_from_plane = pose_from_homography(np.eye(3), H)
     refined, res = refine_pose(K.packed(), obj, pixels, cam_from_plane, "plane pose")
-    rms = float(np.sqrt(np.mean(res ** 2)))
-    camera_to_plane = RigidTransform(
-        refined.rotation.T,
-        -(refined.rotation.T @ refined.translation),
-        FRAME_CAMERA,
-        FRAME_PLANE,
-    )
-    return PlanePose(camera_to_plane, rms)
+    return PlanePose(refined.inverse(), float(np.sqrt(np.mean(res ** 2))))

@@ -571,7 +571,7 @@ def amplification_study(
     draws = np.array([gen.normal(size=4) for gen in gens]).reshape(-1, 4)
     dirs = ds.direction_cc
     axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
-    heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), SOURCE_EYES)
+    heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), np.full(len(dirs), SOURCE_EYES), np.full(len(dirs), ""))
     targets = np.array([target_center(spec.grid, t) for t in ds.frames.target_id.tolist()]).reshape(-1, 3)
     frame_ids = ds.frames.frame_id
 

@@ -6,9 +6,9 @@ midpoint of the shortest segment between the two back-projected rays
 is kept as ``ray_gap``, a direct diagnostic of how consistent the two
 observations are.
 
-Both stage functions take one frame or a batch of frames. A batch never
-raises for a bad frame: the row is marked with the name of the error a
-single-frame call would raise, and its values are NaN.
+Both stage functions take a batch of frames. A bad frame never raises: its
+row is marked with the name of the error class that says what went wrong,
+and its values are NaN.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import numpy as np
 
 from .calibration import StereoRig
 from .camera import CameraIntrinsics, undistort_pixels
-from .errors import raise_row_failure
-from .geometry import FRAME_CAMERA, GazeRay, dot, norm, unit
+from .geometry import dot, norm, unit
 
 logger = logging.getLogger(__name__)
 
@@ -29,28 +28,6 @@ SOURCE_BBOX = "bbox_center"
 SOURCE_EYES = "eye_midpoint"
 
 RAY_GAP_WARN_M = 0.03
-
-
-@dataclass(frozen=True)
-class FaceObservation:
-    """Detection output for one camera in one frame.
-
-    At least one of ``bbox`` (u_min, v_min, u_max, v_max) and
-    ``eye_midpoint`` (u, v) must be present.
-    """
-
-    frame_id: str
-    camera_id: str
-    bbox: tuple[float, float, float, float] | None = None
-    eye_midpoint: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.bbox is None and self.eye_midpoint is None:
-            raise ValueError("face observation needs a bbox or an eye midpoint")
-        if self.bbox is not None:
-            u0, v0, u1, v1 = self.bbox
-            if not (u0 <= u1 and v0 <= v1):
-                raise ValueError(f"bbox is not well-ordered: {self.bbox}")
 
 
 @dataclass(frozen=True)
@@ -65,18 +42,6 @@ class FaceTable:
     camera: np.ndarray
     bbox: np.ndarray
     eye: np.ndarray
-
-    @classmethod
-    def from_observations(cls, observations) -> FaceTable:
-        obs = list(observations)
-        missing = (np.nan,) * 4
-        return cls(
-            np.array([o.frame_id for o in obs], dtype=str),
-            np.array([o.camera_id for o in obs], dtype=str),
-            np.array([missing if o.bbox is None else o.bbox for o in obs], dtype=float).reshape(-1, 4),
-            np.array([missing[:2] if o.eye_midpoint is None else o.eye_midpoint for o in obs],
-                     dtype=float).reshape(-1, 2),
-        )
 
     def take(self, rows) -> FaceTable:
         """The rows at ``rows`` (indices or a mask), in that order."""
@@ -95,16 +60,15 @@ class FaceTable:
 class HeadPoint:
     """Triangulated head position in the left-camera frame.
 
-    One frame: ``position`` (3,), float ``ray_gap``, str ``source``. A batch
-    holds (N, 3) and (N,) arrays, plus ``failure``: "" on a good row, else
-    the name of the error that frame raises on its own (its position and
-    gap are NaN).
+    ``position`` is (N, 3); ``ray_gap``, ``source`` and ``failure`` are
+    (N,). ``failure`` is "" on a good row, else the name of the error class
+    the row is marked with (its position and gap are NaN).
     """
 
     position: np.ndarray
-    ray_gap: float | np.ndarray
-    source: str | np.ndarray
-    failure: str | np.ndarray = ""
+    ray_gap: np.ndarray
+    source: np.ndarray
+    failure: np.ndarray
 
     def __post_init__(self):
         p = np.array(self.position, dtype=float)
@@ -112,7 +76,7 @@ class HeadPoint:
         object.__setattr__(self, "position", p)
 
     def take(self, rows) -> HeadPoint:
-        """The rows of a batch at ``rows`` (indices or a mask), in that order."""
+        """The rows at ``rows`` (indices or a mask), in that order."""
         return HeadPoint(self.position[rows], self.ray_gap[rows], self.source[rows], self.failure[rows])
 
     def scatter(self, rows, size: int, failure) -> HeadPoint:
@@ -124,31 +88,19 @@ class HeadPoint:
         return HeadPoint(position, gap, source, failures)
 
 
-def _single(hp: HeadPoint) -> HeadPoint:
-    """The one row of a batch as a single-frame result, or its failure raised."""
-    raise_row_failure(hp.failure[0])
-    return HeadPoint(hp.position[0], float(hp.ray_gap[0]), str(hp.source[0]))
-
-
 def _pixel_directions(K: CameraIntrinsics, pixels) -> np.ndarray:
-    xy = undistort_pixels(K, np.reshape(np.asarray(pixels, dtype=float), (-1, 2)))
+    xy = undistort_pixels(K, pixels)
     # normalized twice: the rounding of planegaze 0.1.0's per-pixel rays,
     # which keeps every head point, and so every report, bit-identical
     return unit(unit(np.concatenate([xy, np.ones((len(xy), 1))], axis=-1)))
 
 
-def pixel_ray(K: CameraIntrinsics, pixel) -> GazeRay:
-    """Back-project a pixel to a camera-frame ray from the camera center."""
-    return GazeRay(np.zeros(3), _pixel_directions(K, pixel)[0], FRAME_CAMERA)
-
-
 def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:
     """Closest-point midpoint between the two back-projected rays.
 
-    Pixels are (2,) for one frame or (N, 2) for a batch; the result is
-    expressed in the left-camera frame. (Near-)parallel rays fail with
-    ParallelRaysError, a midpoint behind either camera with
-    BehindCameraError: raised for one frame, marked per row in a batch.
+    Pixels are (N, 2); the result is expressed in the left-camera frame.
+    A row whose rays are (near-)parallel is marked ParallelRaysError, one
+    whose midpoint lies behind either camera BehindCameraError.
     """
     d1 = _pixel_directions(rig.left, pixel_left)
     T = rig.right_from_left
@@ -170,30 +122,22 @@ def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:
     if wide:
         logger.warning("%d of %d triangulations have a ray gap over %.2f m", wide, gap.size, RAY_GAP_WARN_M)
     failure = np.where(parallel, "ParallelRaysError", np.where(behind, "BehindCameraError", ""))
-    hp = HeadPoint(mid, gap, np.full(gap.shape, "pixel"), failure)
-    return _single(hp) if np.ndim(pixel_left) == 1 else hp
+    return HeadPoint(mid, gap, np.full(gap.shape, "pixel"), failure)
 
 
 def head_point(
-    left_obs,
-    right_obs,
+    left_obs: FaceTable,
+    right_obs: FaceTable,
     rig: StereoRig,
     source_preference: str = SOURCE_EYES,
 ) -> HeadPoint:
     """Triangulate the head from paired face observations.
 
-    Takes one left/right pair of FaceObservations, or two FaceTables whose
-    rows are paired for a batch. Uses the preferred source when both
-    cameras provide it, otherwise falls back to the other one. The source
-    actually used is recorded on the result; a frame that lacks an
-    observation, or has no source in both cameras, fails with
-    MissingObservationError.
+    Takes two FaceTables whose rows pair up frame by frame. Uses the
+    preferred source when both cameras provide it, otherwise falls back to
+    the other one. The source actually used is recorded on the result; a
+    frame with no source in both cameras is marked MissingObservationError.
     """
-    single = not isinstance(left_obs, FaceTable)
-    if single:
-        if left_obs is None or right_obs is None:
-            raise_row_failure("MissingObservationError")
-        left_obs, right_obs = (FaceTable.from_observations([o]) for o in (left_obs, right_obs))
     if not np.array_equal(left_obs.frame_id, right_obs.frame_id):
         raise ValueError("left and right observations must pair up frame by frame")
     fallback = SOURCE_BBOX if source_preference == SOURCE_EYES else SOURCE_EYES
@@ -205,5 +149,4 @@ def head_point(
     found = ~np.isnan(px).any(axis=1)
     sources = np.where(found, np.where(use_preferred, source_preference, fallback), "")
     tri = triangulate_midpoint(rig, px[found, :2], px[found, 2:])
-    hp = replace(tri, source=sources[found]).scatter(found, found.size, "MissingObservationError")
-    return _single(hp) if single else hp
+    return replace(tri, source=sources[found]).scatter(found, found.size, "MissingObservationError")

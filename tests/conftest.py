@@ -7,9 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from planegaze.pipeline import GazePrediction
+from planegaze.pipeline import CONVENTION_OFFSET, PredictionTable
 from planegaze.synthetic import default_scene, generate_scene
-from planegaze.triangulation import FaceObservation
+from planegaze.triangulation import FaceTable, HeadPoint
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -38,20 +38,24 @@ def assert_same_table(got, want):
             assert a == b, f.name
 
 
-def face_observations(faces):
-    """The rows of a FaceTable as FaceObservations keyed by (frame_id, camera)."""
-    out = {}
-    for fid, cam, bbox, eye in zip(faces.frame_id.tolist(), faces.camera.tolist(), faces.bbox, faces.eye):
-        out[(fid, cam)] = FaceObservation(fid, cam, bbox=None if np.isnan(bbox[0]) else tuple(bbox.tolist()),
-                                          eye_midpoint=None if np.isnan(eye[0]) else tuple(eye.tolist()))
-    return out
+def face_table(rows) -> FaceTable:
+    """A FaceTable of (frame_id, camera, bbox, eye midpoint) rows; a None source is NaN."""
+    return FaceTable(np.array([r[0] for r in rows], dtype=str), np.array([r[1] for r in rows], dtype=str),
+                     np.array([(np.nan,) * 4 if r[2] is None else r[2] for r in rows], dtype=float).reshape(-1, 4),
+                     np.array([(np.nan,) * 2 if r[3] is None else r[3] for r in rows], dtype=float).reshape(-1, 2))
 
 
-def gaze_predictions(table):
-    """The rows of a PredictionTable as GazePredictions, in row order."""
-    return [GazePrediction(fid, m, yaw, pitch, table.convention)
-            for fid, m, yaw, pitch in zip(table.frame_id.tolist(), table.method.tolist(),
-                                          table.yaw.tolist(), table.pitch.tolist())]
+def heads_at(positions, source="bbox_center"):
+    """A HeadPoint batch of good rows at ``positions`` (N, 3), or one row at a (3,) position."""
+    p = np.reshape(np.asarray(positions, dtype=float), (-1, 3))
+    return HeadPoint(p, np.zeros(len(p)), np.full(len(p), source), np.full(len(p), ""))
+
+
+def prediction_table(yaw, pitch, convention=CONVENTION_OFFSET):
+    """A PredictionTable of rows f0, f1, ... of method "m" with these angles (scalars make one row)."""
+    yaw, pitch = np.atleast_1d(np.asarray(yaw, dtype=float)), np.atleast_1d(np.asarray(pitch, dtype=float))
+    ids = np.array([f"f{k}" for k in range(len(yaw))], dtype=str)
+    return PredictionTable(ids, np.full(len(yaw), "m"), yaw, pitch, convention, None)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import pytest
 from planegaze.calibration import calibrate_camera, calibrate_stereo
 from planegaze.cli import main
 from planegaze.metrics import cdf_fraction_at, error_cdf, summarize
-from planegaze.pipeline import GazePrediction, correct_gaze_to_camera_frame
+from planegaze.pipeline import PredictionTable, correct_gaze_to_camera_frame
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
 from planegaze.triangulation import HeadPoint
 
@@ -125,12 +125,11 @@ def test_criterion_3_metric_oracle_fixtures():
 def test_criterion_4_correction_exactness():
     with criterion(4, "zero-prediction rays contain the camera center"):
         rng = np.random.default_rng(652)
-        zero = GazePrediction("f", "m", 0.0, 0.0, "camera_offset")
-        for _ in range(100):
-            pos = rng.uniform([-0.5, -0.5, 0.15], [0.5, 0.5, 1.5])
-            head = HeadPoint(pos, 0.0, "bbox_center")
-            d = correct_gaze_to_camera_frame(zero, head)
-            assert np.linalg.norm(np.cross(head.position, d)) < 1e-9
+        pos = rng.uniform([-0.5, -0.5, 0.15], [0.5, 0.5, 1.5], size=(100, 3))
+        head = HeadPoint(pos, np.zeros(100), np.full(100, "bbox_center"), np.full(100, ""))
+        zero = PredictionTable(np.full(100, "f"), np.full(100, "m"), np.zeros(100), np.zeros(100), "camera_offset", None)
+        d = correct_gaze_to_camera_frame(zero, head)
+        assert np.all(np.linalg.norm(np.cross(head.position, d), axis=1) < 1e-9)
 
 
 def test_criterion_5_noise_consistency(tmp_path):

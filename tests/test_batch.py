@@ -1,21 +1,21 @@
-"""The batch contract of the per-frame stage functions.
+"""The batch contract of the stage functions.
 
-Every stage function takes one frame or a batch of frames. A batch row
-equals the single-frame call on that row; a row the single-frame call would
-raise on is marked with the error's class name and carries NaN values,
-while the rest of the batch goes through.
+Every stage function takes a batch of frames, and a row never depends on
+the rows around it: an N-row batch equals, bit for bit, the one-row
+batches of its rows. A row that has no answer is marked with an error
+class name (or an intersection status) and carries NaN values, while the
+rest of the batch goes through.
 """
 
-import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from planegaze import errors, evaluation
+from planegaze import evaluation
 from planegaze.calibration import StereoRig
-from planegaze.camera import CameraIntrinsics, project_point
-from planegaze.errors import DegenerateDataError, DegenerateGeometryError
+from planegaze.camera import CameraIntrinsics, project_points
+from planegaze.errors import UnknownTargetError
 from planegaze.evaluation import evaluate_manifest, evaluate_method, frame_heads, read_method_predictions
 from planegaze.formats import (
     read_faces,
@@ -35,17 +35,17 @@ from planegaze.pipeline import (
     STATUS_AWAY,
     STATUS_NO_INTERSECTION,
     STATUS_OK,
-    GazePrediction,
     PredictionTable,
+    SurfaceGazeEstimate,
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
     ground_truth_direction,
 )
 from planegaze.plane import PlanePose
 from planegaze.synthetic import MethodSpec, NoiseSpec, default_scene, generate_scene, perturb
-from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, FaceObservation, FaceTable, HeadPoint, head_point
+from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, head_point
 
-from conftest import face_observations, random_unit_vectors
+from conftest import face_table, heads_at, random_unit_vectors
 
 K_LEFT = CameraIntrinsics(
     fx=350.0, fy=350.0, cx=640.0, cy=360.0,
@@ -61,21 +61,28 @@ IDENTITY_PLANE = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
 
 
 def observed(frame_id, X, *, left_eyes=True, right_eyes=True, bbox=True):
-    """Face observations of a head at X (left-camera frame) in both cameras."""
-    identity = RigidTransform.identity()
+    """Left and right face rows of a head at X (left-camera frame); None leaves a source out."""
     out = []
     for camera, K, pose, eyes in (
-        ("left", K_LEFT, identity, left_eyes),
+        ("left", K_LEFT, RigidTransform.identity(), left_eyes),
         ("right", K_RIGHT, RIG.right_from_left, right_eyes),
     ):
-        u, v = project_point(K, pose, X)
+        (u, v), = project_points(K, pose, [X])
         box = (u - 30.0, v - 40.0, u + 30.0, v + 40.0) if bbox else None
-        out.append(FaceObservation(frame_id, camera, bbox=box, eye_midpoint=(u, v) if eyes else None))
+        out.append((frame_id, camera, box, (u, v) if eyes else None))
     return out
 
 
-def raises_marked(failure):
-    return pytest.raises(getattr(errors, failure))
+def assert_same_rows(batch, rows, one):
+    """The fields of ``batch`` at ``rows`` equal those of ``one``, floats bit for bit."""
+    for f in fields(one):
+        got, want = np.asarray(getattr(batch, f.name))[rows], np.asarray(getattr(one, f.name))
+        assert got.shape == want.shape, f.name
+        assert got.tobytes() == want.tobytes() if want.dtype.kind == "f" else got.tolist() == want.tolist(), f.name
+
+
+def take_estimate(est: SurfaceGazeEstimate, rows) -> SurfaceGazeEstimate:
+    return SurfaceGazeEstimate(est.point[rows], est.alpha[rows], est.direction_cc[rows], est.status[rows])
 
 
 def test_head_point_batch_marks_exactly_the_failed_rows():
@@ -91,13 +98,13 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
     far = observed("far", np.array([0.3, -0.2, 1.0]) * 1e9, bbox=False)
     # left ray along the optical axis, right ray turned outward: they meet behind the rig
     behind = [
-        FaceObservation("behind", "left", eye_midpoint=(K_LEFT.cx, K_LEFT.cy)),
-        FaceObservation("behind", "right", eye_midpoint=(K_RIGHT.cx + 150.0, K_RIGHT.cy)),
+        ("behind", "left", None, (K_LEFT.cx, K_LEFT.cy)),
+        ("behind", "right", None, (K_RIGHT.cx + 150.0, K_RIGHT.cy)),
     ]
     # bbox only on the left, eyes only on the right: no source in both cameras
     unshared = [
-        FaceObservation("unshared", "left", bbox=(600.0, 300.0, 660.0, 380.0)),
-        FaceObservation("unshared", "right", eye_midpoint=(630.0, 340.0)),
+        ("unshared", "left", (600.0, 300.0, 660.0, 380.0), None),
+        ("unshared", "right", None, (630.0, 340.0)),
     ]
     for at, (left, right), failure in (
         (3, far, "ParallelRaysError"),
@@ -108,28 +115,23 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
         rights.insert(at, right)
         expected.insert(at, failure)
 
-    batch = head_point(FaceTable.from_observations(lefts), FaceTable.from_observations(rights), RIG, SOURCE_EYES)
+    left, right = face_table(lefts), face_table(rights)
+    batch = head_point(left, right, RIG, SOURCE_EYES)
     assert list(batch.failure) == expected
     assert batch.position.shape == (len(expected), 3)
-    for k, (left, right, failure) in enumerate(zip(lefts, rights, expected)):
+    for k, failure in enumerate(expected):
         if failure:
             assert np.all(np.isnan(batch.position[k])) and np.isnan(batch.ray_gap[k])
-            with raises_marked(failure):
-                head_point(left, right, RIG, SOURCE_EYES)
-            continue
-        one = head_point(left, right, RIG, SOURCE_EYES)
-        np.testing.assert_allclose(batch.position[k], one.position, rtol=0, atol=1e-12)
-        assert batch.ray_gap[k] == pytest.approx(one.ray_gap, abs=1e-12)
-        assert batch.source[k] == one.source
+        assert_same_rows(batch, [k], head_point(left.take([k]), right.take([k]), RIG, SOURCE_EYES))
     assert {str(s) for s, f in zip(batch.source, expected) if not f} == {SOURCE_EYES, SOURCE_BBOX}
 
 
 def test_empty_head_batch():
-    batch = head_point(FaceTable.from_observations([]), FaceTable.from_observations([]), RIG)
+    batch = head_point(face_table([]), face_table([]), RIG)
     assert batch.position.shape == (0, 3) and batch.failure.shape == (0,)
 
 
-def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
+def test_pipeline_and_metrics_batch_rows_equal_one_row_batches():
     rng = np.random.default_rng(12)
     n = 40
     heads = rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.0], size=(n, 3))
@@ -139,107 +141,87 @@ def test_pipeline_and_metrics_batch_rows_equal_single_frame_calls():
     targets = np.column_stack([rng.uniform(-0.3, 0.3, (n, 2)), np.zeros(n)])
     targets[9] = heads[9] * [1.0, 1.0, 0.0]
     heads[9, 2] = 1e-12  # head on its target
-    batch_head = HeadPoint(heads, np.zeros(n), np.full(n, SOURCE_BBOX))
-    singles = [HeadPoint(h, 0.0, SOURCE_BBOX) for h in heads]
+    batch_head = heads_at(heads, SOURCE_BBOX)
 
     estimate = gaze_point_on_surface(batch_head, dirs, IDENTITY_PLANE)
     assert set(estimate.status) == {STATUS_OK, STATUS_AWAY, STATUS_NO_INTERSECTION}
     gt = ground_truth_direction(batch_head, IDENTITY_PLANE, targets)
     assert np.all(np.isnan(gt[9])) and np.isfinite(np.delete(gt, 9, axis=0)).all()
-    with pytest.raises(DegenerateGeometryError):
-        ground_truth_direction(singles[9], IDENTITY_PLANE, targets[9])
 
-    for k, head in enumerate(singles):
-        one = gaze_point_on_surface(head, dirs[k], IDENTITY_PLANE)
-        assert estimate.status[k] == one.status
-        np.testing.assert_allclose(estimate.direction_cc[k], one.direction_cc, rtol=0, atol=1e-12)
-        if one.status == STATUS_OK:
-            np.testing.assert_allclose(estimate.point[k], one.point, rtol=0, atol=1e-12)
-            assert estimate.alpha[k] == pytest.approx(one.alpha, abs=1e-12)
-        else:
-            assert one.point is None and one.alpha is None
-            assert np.isnan(estimate.alpha[k]) and np.all(np.isnan(estimate.point[k]))
-        if k != 9:
-            np.testing.assert_allclose(
-                gt[k], ground_truth_direction(head, IDENTITY_PLANE, targets[k]), rtol=0, atol=1e-12
-            )
+    for k in range(n):
+        head = batch_head.take([k])
+        one = gaze_point_on_surface(head, dirs[[k]], IDENTITY_PLANE)
+        assert_same_rows(estimate, [k], one)
+        if one.status[0] != STATUS_OK:
+            assert np.isnan(one.alpha[0]) and np.all(np.isnan(one.point[0]))
+        assert gt[[k]].tobytes() == ground_truth_direction(head, IDENTITY_PLANE, targets[[k]]).tobytes()
 
     front = heads[:, 2] > 0
-    preds = [
-        GazePrediction(f"f{k}", "m", *rng.uniform(-0.6, 0.6, 2),
-                       CONVENTION_OFFSET if k % 2 else CONVENTION_ABSOLUTE)
-        for k in range(n)
-    ]
+    angles = rng.uniform(-0.6, 0.6, (n, 2))
+    conventions = np.where(np.arange(n) % 2, CONVENTION_OFFSET, CONVENTION_ABSOLUTE)
     for convention in (CONVENTION_OFFSET, CONVENTION_ABSOLUTE):  # a table holds one convention
-        rows = [k for k, p in enumerate(preds) if front[k] and p.convention == convention]
-        table = PredictionTable.from_predictions([preds[k] for k in rows])
-        corrected = correct_gaze_to_camera_frame(table, HeadPoint(heads[rows], np.zeros(len(rows)), ""))
-        for row, k in zip(corrected, rows):
-            np.testing.assert_allclose(row, correct_gaze_to_camera_frame(preds[k], singles[k]), rtol=0, atol=1e-12)
+        rows = np.flatnonzero(front & (conventions == convention))
+        table = PredictionTable(np.array([f"f{k}" for k in rows]), np.full(rows.size, "m"),
+                                angles[rows, 0], angles[rows, 1], convention, None)
+        corrected = correct_gaze_to_camera_frame(table, batch_head.take(rows))
+        for i, k in enumerate(rows):
+            one = correct_gaze_to_camera_frame(table.take([i]), batch_head.take([k]))
+            assert corrected[[i]].tobytes() == one.tobytes()
 
     good = np.flatnonzero(np.isfinite(gt[:, 0]))
-    sub = replace(
-        estimate, point=estimate.point[good], alpha=estimate.alpha[good],
-        direction_cc=estimate.direction_cc[good], status=estimate.status[good],
-    )
-    records = evaluate_frame(
-        dirs[good], gt[good], sub, targets[good], frame_id=[f"f{k}" for k in good],
-        tags=[("a",)] * len(good),
-    )
+    frame_ids = [f"f{k}" for k in good]
+    records = evaluate_frame(dirs[good], gt[good], take_estimate(estimate, good), targets[good],
+                             frame_id=frame_ids, tags=[("a",)] * len(good))
     angles = angular_error_deg(dirs[good], gt[good])
     assert angles.shape == (len(good),)
     row_of = {fid: row for row, fid in enumerate(records.frame_id)}
-    for k, angle in zip(good, angles):
-        one = evaluate_frame(
-            dirs[k], gt[k], gaze_point_on_surface(singles[k], dirs[k], IDENTITY_PLANE), targets[k],
-            frame_id=f"f{k}", tags=("a",),
-        )
-        row = row_of[one.frame_id[0]]
-        assert records.angular_deg[row] == pytest.approx(one.angular_deg[0], abs=1e-12)
-        assert records.angular_deg[row] == pytest.approx(float(angle), abs=1e-12)
-        if math.isinf(one.distance_m[0]):
-            assert math.isinf(records.distance_m[row])
-        else:
-            assert records.distance_m[row] == pytest.approx(one.distance_m[0], abs=1e-12)
-        assert records.tags[row] == one.tags[0]
+    for i, k in enumerate(good):
+        assert angular_error_deg(dirs[[k]], gt[[k]]).tobytes() == angles[[i]].tobytes()
+        one = evaluate_frame(dirs[[k]], gt[[k]], take_estimate(estimate, [k]), targets[[k]],
+                             frame_id=[f"f{k}"], tags=[("a",)])
+        assert_same_rows(records, [row_of[f"f{k}"]], one)
+        assert records.angular_deg[row_of[f"f{k}"]] == angles[i]
 
 
 def _reference(manifest, method, rig, plane, grid):
-    """The single-frame functions composed frame by frame."""
+    """The stage functions composed frame by frame, as one-row batches."""
     ref = manifest.predictions[method]
     table = read_predictions(ref.path)
-    preds = {
-        fid: GazePrediction(fid, m, yaw, pitch, table.convention)
-        for fid, m, yaw, pitch in zip(table.frame_id.tolist(), table.method.tolist(),
-                                      table.yaw.tolist(), table.pitch.tolist())
-    }
-    faces = face_observations(read_faces(manifest.faces))
+    pred_row = {fid: k for k, fid in enumerate(table.frame_id.tolist())}
+    faces = read_faces(manifest.faces)
+    face_row = {key: k for k, key in enumerate(zip(faces.frame_id.tolist(), faces.camera.tolist()))}
     records, skipped, pred_dirs, gt_dirs = [], [], [], []
     frames = manifest.frames
     for fid, target_id, tags in zip(frames.frame_id.tolist(), frames.target_id.tolist(), frames.tags):
-        if fid not in preds:
+        if fid not in pred_row:
             skipped.append((fid, "missing_prediction"))
             continue
-        left, right = faces.get((fid, "left")), faces.get((fid, "right"))
+        left, right = face_row.get((fid, "left")), face_row.get((fid, "right"))
         if left is None or right is None:
             skipped.append((fid, "missing_face_observation"))
             continue
-        try:
-            head = head_point(left, right, rig, ref.head_source)
-            direction = correct_gaze_to_camera_frame(preds[fid], head)
-            estimate = gaze_point_on_surface(head, direction, plane)
-            target = target_center(grid, target_id)
-            gt = ground_truth_direction(head, plane, target)
-        except DegenerateDataError as exc:
-            skipped.append((fid, type(exc).__name__))
+        head = head_point(faces.take([left]), faces.take([right]), rig, ref.head_source)
+        if head.failure[0]:
+            skipped.append((fid, head.failure[0]))
             continue
-        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=fid, tags=tags))
-        pred_dirs.append(direction)
-        gt_dirs.append(gt)
+        try:
+            target = target_center(grid, target_id)[None]
+        except UnknownTargetError:
+            skipped.append((fid, "UnknownTargetError"))
+            continue
+        gt = ground_truth_direction(head, plane, target)
+        if np.isnan(gt[0, 0]):
+            skipped.append((fid, "DegenerateGeometryError"))
+            continue
+        direction = correct_gaze_to_camera_frame(table.take([pred_row[fid]]), head)
+        estimate = gaze_point_on_surface(head, direction, plane)
+        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=[fid], tags=[tags]))
+        pred_dirs.append(direction[0])
+        gt_dirs.append(gt[0])
     return records, skipped, pred_dirs, gt_dirs
 
 
-def test_evaluate_method_matches_single_frame_composition(tmp_path):
+def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
     ds = generate_scene(default_scene(frames=16, seed=404, calib_views=2))
     ds = perturb(ds, NoiseSpec(face_px_sigma=1.5, gaze_angle_sigma_deg=25.0), seed=404)
     faces, eye = ds.faces, ds.faces.eye.copy()
@@ -257,9 +239,9 @@ def test_evaluate_method_matches_single_frame_composition(tmp_path):
     plane = read_plane_pose(manifest.plane_pose)
     grid = read_grid_config(manifest.grid_config)
     faces = read_faces(manifest.faces)
-    by_key = face_observations(faces)
-    fallback = head_point(by_key[("f00005", "left")], by_key[("f00005", "right")], rig, SOURCE_EYES)
-    assert fallback.source == SOURCE_BBOX
+    fallback = head_point(faces.take((faces.frame_id == "f00005") & (faces.camera == "left")),
+                          faces.take((faces.frame_id == "f00005") & (faces.camera == "right")), rig, SOURCE_EYES)
+    assert fallback.source.tolist() == [SOURCE_BBOX]
 
     predictions = {m: read_method_predictions(manifest, m) for m in manifest.predictions}
     heads = frame_heads(manifest, faces, rig, predictions)

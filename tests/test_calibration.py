@@ -1,11 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from planegaze.calibration import (
     CalibrationResult,
-    CornerObservation,
+    CornerTable,
     calibrate_camera,
     calibrate_stereo,
     estimate_homography,
@@ -46,16 +47,25 @@ def sample_pose(rng, z_range=(0.5, 1.0)) -> RigidTransform:
 def synth_observations(K, poses, camera_id="left", sigma=0.0, rng=None, grid=TEST_GRID):
     """Exact (optionally noisy) projections of the board through known poses."""
     pts = board_points(grid)
-    obs = []
+    ij = np.array(list(grid.corner_indices()))
+    views = []
     for vid, pose in sorted(poses.items()):
         uv = project_points(K, pose, pts)
         if sigma > 0:
             uv = uv + rng.normal(0.0, sigma, uv.shape)
-        obs.extend(
-            CornerObservation(vid, camera_id, ij, (float(u), float(v)))
-            for ij, (u, v) in zip(grid.corner_indices(), uv)
-        )
-    return obs
+        views.append(CornerTable(np.full(len(ij), vid), np.full(len(ij), camera_id), ij, uv))
+    return CornerTable.concat(views)
+
+
+def residuals(K, poses, corners, grid=TEST_GRID):
+    """Reprojection residuals (N, 2) of a corner table's views through known poses."""
+    lookup = {ij: k for k, ij in enumerate(grid.corner_indices())}
+    pts = board_points(grid)[[lookup[tuple(ij)] for ij in corners.ij.tolist()]]
+    res = np.zeros(corners.uv.shape)
+    for vid in np.unique(corners.view_id).tolist():
+        rows = corners.view_id == vid
+        res[rows] = project_points(K, poses[vid], pts[rows]) - corners.uv[rows]
+    return res
 
 
 def rotation_angle(Ra, Rb) -> float:
@@ -248,21 +258,13 @@ class TestRefineCalibration:
         assert lm.cost == 0.0
 
     def test_never_worse_than_init(self):
-        pts = board_points()
-        lookup = {ij: k for k, ij in enumerate(TEST_GRID.corner_indices())}
         for seed in range(3):
             poses, obs = calibration_problem(seed=60 + seed, sigma=0.4)
             init_K = CameraIntrinsics(
                 fx=DIST_K.fx * 1.02, fy=DIST_K.fy * 0.98, cx=DIST_K.cx + 3, cy=DIST_K.cy - 2,
                 dist=(0.0,) * 5, image_size=DIST_K.image_size,
             )
-            sq, n = 0.0, 0
-            for ob in obs:
-                uv = project_points(init_K, poses[ob.view_id], pts[lookup[ob.grid_index]])
-                res = uv - np.asarray(ob.pixel)
-                sq += float(res @ res)
-                n += 2
-            init_rms = np.sqrt(sq / n)
+            init_rms = np.sqrt(np.mean(residuals(init_K, poses, obs) ** 2))
             result = refine_calibration(obs, TEST_GRID, CalibrationResult(init_K, poses, init_rms, {}))
             assert result.rms_reprojection <= init_rms
 
@@ -292,15 +294,14 @@ def stereo_problem(seed, rel: RigidTransform, sigma=0.0, n_views=15):
     left_poses = {f"v{k:02d}": sample_pose(rng) for k in range(n_views)}
     right_poses = {vid: rel @ pose for vid, pose in left_poses.items()}
     obs = synth_observations(DIST_K, left_poses, "left", sigma, rng)
-    obs += synth_observations(RIGHT_K, right_poses, "right", sigma, rng)
-    return obs
+    return CornerTable.concat([obs, synth_observations(RIGHT_K, right_poses, "right", sigma, rng)])
 
 
 class TestCalibrateStereo:
     def test_zero_baseline_gives_identity(self):
         obs = stereo_problem(70, RigidTransform.identity())
-        left = calibrate_camera([o for o in obs if o.camera_id == "left"], TEST_GRID, (640, 480))
-        right = calibrate_camera([o for o in obs if o.camera_id == "right"], TEST_GRID, (640, 480))
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
         assert np.abs(rig.right_from_left.rotation - np.eye(3)).max() < 1e-9
         assert np.linalg.norm(rig.right_from_left.translation) < 1e-9
@@ -308,8 +309,8 @@ class TestCalibrateStereo:
     def test_recovers_axis_baseline(self):
         rel = RigidTransform(np.eye(3), np.array([0.06, 0.0, 0.0]))
         obs = stereo_problem(71, rel)
-        left = calibrate_camera([o for o in obs if o.camera_id == "left"], TEST_GRID, (640, 480))
-        right = calibrate_camera([o for o in obs if o.camera_id == "right"], TEST_GRID, (640, 480))
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
         assert np.linalg.norm(rig.right_from_left.translation - [0.06, 0, 0]) < 1e-6
         assert rotation_angle(rig.right_from_left.rotation, np.eye(3)) < 1e-7
@@ -318,15 +319,15 @@ class TestCalibrateStereo:
         rel = RigidTransform(rotation_from_axis_angle([0, -0.03, 0]), np.array([-0.0599, 0.001, 0.002]))
         true_baseline = np.linalg.norm(rel.translation)
         obs = stereo_problem(72, rel, sigma=0.2)
-        left = calibrate_camera([o for o in obs if o.camera_id == "left"], TEST_GRID, (640, 480))
-        right = calibrate_camera([o for o in obs if o.camera_id == "right"], TEST_GRID, (640, 480))
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
         assert abs(rig.baseline - true_baseline) / true_baseline < 0.01
 
     def test_no_shared_views(self):
         obs = stereo_problem(73, RigidTransform.identity(), n_views=4)
-        left = calibrate_camera([o for o in obs if o.camera_id == "left"], TEST_GRID, (640, 480))
-        right = calibrate_camera([o for o in obs if o.camera_id == "right"], TEST_GRID, (640, 480))
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         renamed = CalibrationResult(
             right.intrinsics,
             {f"other_{v}": p for v, p in right.per_view_poses.items()},
@@ -341,24 +342,11 @@ class TestCalibrateStereo:
         # well as the right camera's own fit
         rel = RigidTransform(rotation_from_axis_angle([0.01, -0.04, 0.005]), np.array([-0.06, 0.002, -0.001]))
         obs = stereo_problem(74, rel, sigma=0.2)
-        left = calibrate_camera([o for o in obs if o.camera_id == "left"], TEST_GRID, (640, 480))
-        right = calibrate_camera([o for o in obs if o.camera_id == "right"], TEST_GRID, (640, 480))
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
-        pts = board_points()
-        sq_sum, n = 0.0, 0
-        right_obs = [o for o in obs if o.camera_id == "right"]
-        by_view = {}
-        for ob in right_obs:
-            by_view.setdefault(ob.view_id, []).append(ob)
-        for vid, view_obs in by_view.items():
-            pose = rig.right_from_left @ left.per_view_poses[vid]
-            uv = project_points(rig.right, pose, pts)
-            lookup = {ij: k for k, ij in enumerate(TEST_GRID.corner_indices())}
-            for ob in view_obs:
-                res = uv[lookup[ob.grid_index]] - np.asarray(ob.pixel)
-                sq_sum += float(res @ res)
-                n += 2
-        rms_through_rig = np.sqrt(sq_sum / n)
+        through_rig = {vid: rig.right_from_left @ pose for vid, pose in left.per_view_poses.items()}
+        rms_through_rig = np.sqrt(np.mean(residuals(rig.right, through_rig, obs.take(obs.camera == "right")) ** 2))
         assert rms_through_rig <= 2.0 * max(right.rms_reprojection, 0.15)
 
 
@@ -373,15 +361,16 @@ class TestLatticeCheck:
         from planegaze.plane import estimate_plane_pose
 
         poses, obs = calibration_problem(seed=41, n_views=4)
-        ob = obs[5]
-        obs[5] = CornerObservation(ob.view_id, ob.camera_id, bad, ob.pixel)
+        ij = obs.ij.copy()
+        ij[5] = bad
+        obs = replace(obs, ij=ij)
         fitted = CalibrationResult(DIST_K, poses, 0.0, {})
         calls = {
             "calibrate_camera": lambda: calibrate_camera(obs, TEST_GRID, (640, 480)),
             "refine_calibration": lambda: refine_calibration(obs, TEST_GRID, fitted),
             "calibrate_stereo": lambda: calibrate_stereo(fitted, fitted, obs, TEST_GRID),
             "estimate_plane_pose": lambda: estimate_plane_pose(
-                [(o.grid_index, o.pixel) for o in obs if o.view_id == ob.view_id], TEST_GRID, DIST_K
+                obs.take(obs.view_id == obs.view_id[5]), TEST_GRID, DIST_K
             ),
         }
         with pytest.raises(ValueError, match=re.escape(f"corner index {bad} outside grid lattice")):
@@ -401,8 +390,8 @@ class TestFullChainZeroNoise:
 
     def test_view_with_few_corners_dropped(self, caplog):
         poses, obs = calibration_problem(seed=90, n_views=6)
-        keep_first = [o for o in obs if o.view_id != "v00"]
-        keep_first += [o for o in obs if o.view_id == "v00"][:3]
+        keep_first = CornerTable.concat([obs.take(obs.view_id != "v00"),
+                                         obs.take(np.flatnonzero(obs.view_id == "v00")[:3])])
         result = calibrate_camera(keep_first, TEST_GRID, (640, 480))
         assert "v00" not in result.per_view_poses
         assert result.rms_reprojection < 1e-8

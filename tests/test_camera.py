@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from planegaze.camera import (
-    CameraIntrinsics,
-    project_point,
-    project_points,
-    undistort_pixel,
-    undistort_pixels,
-)
+from planegaze.camera import CameraIntrinsics, project_points, undistort_pixels
 from planegaze.errors import BehindCameraError, NotInvertibleError
 from planegaze.geometry import RigidTransform
 
@@ -24,36 +18,36 @@ IDENTITY = RigidTransform.identity()
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
         K = plain_camera()
-        assert project_point(K, IDENTITY, [0, 0, 1.0]) == pytest.approx((640.0, 360.0))
+        assert project_points(K, IDENTITY, [[0, 0, 1.0]]).tolist() == [pytest.approx((640.0, 360.0))]
 
     def test_plain_pinhole_example(self):
         K = plain_camera()
-        assert project_point(K, IDENTITY, [0.1, 0, 1.0]) == pytest.approx((740.0, 360.0))
+        assert project_points(K, IDENTITY, [[0.1, 0, 1.0]]).tolist() == [pytest.approx((740.0, 360.0))]
 
     def test_radial_distortion_example(self):
         # r2 = 0.01, radial factor 1 - 0.2 * 0.01 = 0.998
         K = plain_camera(dist=(-0.2, 0, 0, 0, 0))
-        u, v = project_point(K, IDENTITY, [0.1, 0, 1.0])
+        (u, v), = project_points(K, IDENTITY, [[0.1, 0, 1.0]])
         assert u == pytest.approx(640.0 + 1000.0 * 0.1 * 0.998, abs=1e-12)
         assert v == pytest.approx(360.0)
 
     def test_point_behind_camera(self):
         with pytest.raises(BehindCameraError):
-            project_point(plain_camera(), IDENTITY, [0, 0, -1.0])
+            project_points(plain_camera(), IDENTITY, [[0, 0, -1.0]])
 
     def test_scale_invariance_without_distortion(self):
         K = plain_camera()
         rng = np.random.default_rng(0)
+        X, c = [], []
         for _ in range(50):
-            X = rng.uniform([-0.4, -0.3, 0.5], [0.4, 0.3, 2.0])
-            c = rng.uniform(0.1, 10.0)
-            np.testing.assert_allclose(
-                project_point(K, IDENTITY, X), project_point(K, IDENTITY, c * X), atol=1e-9
-            )
+            X.append(rng.uniform([-0.4, -0.3, 0.5], [0.4, 0.3, 2.0]))
+            c.append(rng.uniform(0.1, 10.0))
+        X, c = np.array(X), np.array(c)
+        np.testing.assert_allclose(project_points(K, IDENTITY, X), project_points(K, IDENTITY, c[:, None] * X), atol=1e-9)
 
     def test_skew_term(self):
         K = plain_camera(skew=20.0)
-        u, v = project_point(K, IDENTITY, [0.0, 0.1, 1.0])
+        (u, v), = project_points(K, IDENTITY, [[0.0, 0.1, 1.0]])
         assert u == pytest.approx(640.0 + 20.0 * 0.1)
         assert v == pytest.approx(460.0)
 
@@ -67,14 +61,14 @@ class TestProjection:
 class TestUndistortion:
     def test_zero_distortion_is_affine_inverse(self):
         K = plain_camera()
-        x, y = undistort_pixel(K, (740.0, 410.0))
+        (x, y), = undistort_pixels(K, [(740.0, 410.0)])
         assert x == pytest.approx((740.0 - 640.0) / 1000.0)
         assert y == pytest.approx((410.0 - 360.0) / 1000.0)
 
     def test_principal_point_maps_to_origin_for_any_distortion(self):
         for dist in [(0, 0, 0, 0, 0), (-0.3, 0.1, 1e-3, -2e-3, 0.01), (0.2, -0.05, 0, 0, 0)]:
             K = plain_camera(dist=dist)
-            assert undistort_pixel(K, (640.0, 360.0)) == pytest.approx((0.0, 0.0), abs=1e-12)
+            assert undistort_pixels(K, [(640.0, 360.0)]).tolist() == [pytest.approx((0.0, 0.0), abs=1e-12)]
 
     def test_round_trip_1000_random_pixels(self):
         # project-then-undistort oracle on a strongly distorted camera
@@ -92,4 +86,4 @@ class TestUndistortion:
         # fixed point iteration cannot settle out there
         K = plain_camera(fx=200.0, fy=200.0, dist=(2.5, 0, 0, 0, 0))
         with pytest.raises(NotInvertibleError):
-            undistort_pixel(K, (1280.0, 720.0))
+            undistort_pixels(K, [(1280.0, 720.0)])

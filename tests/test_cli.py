@@ -443,6 +443,27 @@ class TestSceneConfig:
         assert f"{scene}: " in capsys.readouterr().err
         assert not out.exists()
 
+    GRID = {"square_size_m": 0.05, "rows": 4, "cols": 6, "targets": {"1": [0, 1]}}
+
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 2.5), ("frames", True), ("seed", "7"), ("calib_views", 2.0),
+        ("grid.rows", 4.7), ("grid.cols", True), ("grid.target", [0.0, 1]), ("grid.target", [0, "1"]),
+    ])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, capsys, field, value):
+        payload = {"schema": "planegaze-scene-v1", "grid": dict(self.GRID)}
+        if field == "grid.target":
+            payload["grid"]["targets"] = {"1": value}
+        elif field.startswith("grid."):
+            payload["grid"][field[5:]] = value
+        else:
+            payload[field] = value
+        scene, out = tmp_path / "scene.json", tmp_path / "d"
+        scene.write_text(json.dumps(payload))
+        assert main(["synth", "--out", str(out), "--scene", str(scene)]) == 1
+        err = capsys.readouterr().err
+        assert f"{scene}: " in err and "must be an integer" in err
+        assert not out.exists()
+
 
 class TestJsonShape:
     """Valid JSON of the wrong shape is a parse error naming the file, not a traceback."""
@@ -454,6 +475,7 @@ class TestJsonShape:
         "manifest-grid-config-number": ("evaluate", "manifest.json", lambda p: {**p, "grid_config": 5}),
         "grid-array": ("plane-pose", "grid.json", lambda p: [1, 2]),
         "grid-targets-list": ("plane-pose", "grid.json", lambda p: {**p, "targets": [1]}),
+        "grid-rows-float": ("plane-pose", "grid.json", lambda p: {**p, "rows": 4.0}),
         "intrinsics-string": ("plane-pose", "calib/intrinsics_left.json", lambda p: "a string"),
         "plane-rms-list": ("evaluate", "calib/plane.json", lambda p: {**p, "rms_px": [1]}),
     }
@@ -579,7 +601,7 @@ class TestThresholdChecks:
         assert [h for h in header if h.startswith("p_at_")] == ["p_at_10cm", "p_at_20cm"]
         assert json.loads((tmp_path / "r" / "report.json").read_text())["thresholds_cm"] == [10.0, 20.0]
 
-    @pytest.mark.parametrize("value", ["nan,10", "10,inf", "-5", "10,,20", "ten"])
+    @pytest.mark.parametrize("value", ["nan,10", "10,inf", "-5", "10,,20", "ten", ""])
     def test_bad_flag_value_rejected(self, dataset_dir, tmp_path, capsys, value):
         assert self._evaluate(dataset_dir, tmp_path, "--thresholds", value) == 1
         assert "--thresholds" in capsys.readouterr().err
@@ -687,6 +709,38 @@ def test_method_name_with_delimiter_and_quotes_round_trips(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--report", str(report)]) == 0
     assert name in capsys.readouterr().out
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is a parse error that names it, not a bare codec error."""
+
+    def test_corner_table(self, dataset_dir, tmp_path, capsys):
+        corners = tmp_path / "corners.csv"
+        lines = (dataset_dir / "corners.csv").read_bytes().split(b"\n")
+        k = 1 + next(k for k, line in enumerate(lines) if not line.startswith(b"#"))  # the first data row
+        lines[k] = lines[k].replace(b",left,", b",le\xfft,", 1)
+        corners.write_bytes(b"\n".join(lines))
+        rc = main(["calibrate", "--corners", str(corners), "--grid", str(dataset_dir / "grid.json"),
+                   "--image-size", "1280x720", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {corners}:{k + 1}: not UTF-8 text: " in capsys.readouterr().err
+
+    def test_json_file(self, dataset_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_bytes((dataset_dir / "grid.json").read_bytes().replace(b"{", b"{\xff", 1))
+        rc = main(["calibrate", "--corners", str(dataset_dir / "corners.csv"), "--grid", str(grid),
+                   "--image-size", "1280x720", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {grid}:1: not UTF-8 text: " in capsys.readouterr().err
+
+    def test_evaluate_config(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "thresholds.json"
+        cfg.write_bytes(b'{"thresholds_cm": [10, 20]}\xff\n')
+        rc = main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--config", str(cfg),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"error: {cfg}: bad config file: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestOsErrors:

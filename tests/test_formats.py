@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planegaze.calibration import CornerObservation, CornerTable, StereoRig
+from planegaze.calibration import CornerTable, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
@@ -40,12 +41,25 @@ from planegaze.formats import (
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, default_target_map
 from planegaze.metrics import FrameTable
-from planegaze.pipeline import GazePrediction, PredictionTable
+from planegaze.pipeline import PredictionTable
 from planegaze.plane import PlanePose
 from planegaze.synthetic import default_scene, generate_scene
-from planegaze.triangulation import FaceObservation, FaceTable
 
-from conftest import assert_same_table
+from conftest import assert_same_table, face_table
+
+
+def corner_table(rows) -> CornerTable:
+    """A CornerTable of (view_id, camera, (i, j), (u, v)) rows."""
+    return CornerTable(np.array([r[0] for r in rows], dtype=str), np.array([r[1] for r in rows], dtype=str),
+                       np.array([r[2] for r in rows], dtype=int).reshape(-1, 2),
+                       np.array([r[3] for r in rows], dtype=float).reshape(-1, 2))
+
+
+def prediction_rows(rows, convention) -> PredictionTable:
+    """A PredictionTable of (frame_id, method, yaw, pitch) rows."""
+    return PredictionTable(np.array([r[0] for r in rows], dtype=str), np.array([r[1] for r in rows], dtype=str),
+                           np.array([r[2] for r in rows], dtype=float), np.array([r[3] for r in rows], dtype=float),
+                           convention, None)
 
 
 @pytest.fixture()
@@ -107,37 +121,45 @@ class TestJsonRoundTrips:
 
 class TestCsvRoundTrips:
     def test_corners(self, tmp_path):
-        obs = CornerTable.from_observations([
-            CornerObservation("v00", "left", (0, 0), (12.125, 700.5)),
-            CornerObservation("v00", "right", (3, 5), (640.0078125, 0.1)),
+        obs = corner_table([
+            ("v00", "left", (0, 0), (12.125, 700.5)),
+            ("v00", "right", (3, 5), (640.0078125, 0.1)),
         ])
         path = tmp_path / "corners.csv"
         write_corners(path, obs)
         assert_same_table(read_corners(path), obs)
 
     def test_faces_with_missing_fields(self, tmp_path):
-        obs = [
-            FaceObservation("f0", "left", bbox=(1.5, 2.5, 3.5, 4.5), eye_midpoint=(2.25, 3.125)),
-            FaceObservation("f0", "right", bbox=(1.0, 2.0, 3.0, 4.0)),
-            FaceObservation("f1", "left", eye_midpoint=(9.0, 8.0)),
-        ]
+        obs = face_table([
+            ("f0", "left", (1.5, 2.5, 3.5, 4.5), (2.25, 3.125)),
+            ("f0", "right", (1.0, 2.0, 3.0, 4.0), None),
+            ("f1", "left", None, (9.0, 8.0)),
+        ])
         path = tmp_path / "faces.csv"
-        write_faces(path, FaceTable.from_observations(obs))
-        assert_same_table(read_faces(path), FaceTable.from_observations(obs))
+        write_faces(path, obs)
+        assert_same_table(read_faces(path), obs)
+
+    @pytest.mark.parametrize("row, message", [
+        ("f0,left,,,,,,", "face observation needs a bbox or an eye midpoint"),
+        ("f0,left,10.0,0.0,0.0,10.0,,", "bbox is not well-ordered: (10.0, 0.0, 0.0, 10.0)"),
+    ])
+    def test_face_row_without_a_usable_source_rejected(self, tmp_path, row, message):
+        path = tmp_path / "faces.csv"
+        path.write_text(f"frame_id,camera,u_min,v_min,u_max,v_max,eye_u,eye_v\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape(message)) as err:
+            read_faces(path)
+        assert (err.value.file, err.value.line) == (str(path), 2)
 
     def test_predictions_radians(self, tmp_path):
-        preds = [
-            GazePrediction("f0", "m", 0.125, -0.5, "camera_offset"),
-            GazePrediction("f1", "m", -1.0 / 3.0, 0.7, "camera_offset"),
-        ]
+        preds = prediction_rows([("f0", "m", 0.125, -0.5), ("f1", "m", -1.0 / 3.0, 0.7)], "camera_offset")
         path = tmp_path / "pred.csv"
-        write_predictions(path, PredictionTable.from_predictions(preds), unit="radians")
-        assert_same_table(read_predictions(path), PredictionTable.from_predictions(preds))
+        write_predictions(path, preds, unit="radians")
+        assert_same_table(read_predictions(path), preds)
 
     def test_predictions_degrees_unit_conversion(self, tmp_path):
-        preds = [GazePrediction("f0", "m", math.radians(30.0), math.radians(-10.0), "absolute")]
+        preds = prediction_rows([("f0", "m", math.radians(30.0), math.radians(-10.0))], "absolute")
         path = tmp_path / "pred.csv"
-        write_predictions(path, PredictionTable.from_predictions(preds), unit="degrees")
+        write_predictions(path, preds, unit="degrees")
         text = path.read_text()
         assert "# unit: degrees" in text
         back = read_predictions(path)
@@ -150,9 +172,10 @@ class TestCsvRoundTrips:
         with pytest.raises(FormatError, match="unit"):
             read_predictions(path)
 
-    def test_prediction_convention_header_mandatory(self, tmp_path):
+    @pytest.mark.parametrize("header", ["", "# convention: sideways\n"])
+    def test_prediction_convention_header_mandatory(self, tmp_path, header):
         path = tmp_path / "pred.csv"
-        path.write_text("# unit: radians\nframe_id,method,yaw,pitch\nf0,m,0.1,0.2\n")
+        path.write_text(f"# unit: radians\n{header}frame_id,method,yaw,pitch\nf0,m,0.1,0.2\n")
         with pytest.raises(FormatError, match="convention"):
             read_predictions(path)
 
@@ -359,29 +382,27 @@ CAMERAS = st.sampled_from(["left", "right"])
 @st.composite
 def face_tables(draw):
     keys = draw(st.lists(st.tuples(IDS, CAMERAS), unique=True, max_size=6))
-    obs = []
+    rows = []
     for frame_id, camera in keys:
         (u0, u1), (v0, v1) = sorted(draw(st.tuples(FLOATS, FLOATS))), sorted(draw(st.tuples(FLOATS, FLOATS)))
         bbox = draw(st.sampled_from([None, (u0, v0, u1, v1)]))
         eye = draw(st.tuples(FLOATS, FLOATS)) if bbox is None else draw(st.none() | st.tuples(FLOATS, FLOATS))
-        obs.append(FaceObservation(frame_id, camera, bbox=bbox, eye_midpoint=eye))
-    return FaceTable.from_observations(obs)
+        rows.append((frame_id, camera, bbox, eye))
+    return face_table(rows)
 
 
 @st.composite
 def prediction_tables(draw):
     keys = draw(st.lists(st.tuples(IDS, IDS), unique=True, max_size=6))
     convention = draw(st.sampled_from(["camera_offset", "absolute"]))
-    return PredictionTable.from_predictions(
-        [GazePrediction(frame_id, method, draw(FLOATS), draw(FLOATS), convention) for frame_id, method in keys]
-    )
+    return prediction_rows([(frame_id, method, draw(FLOATS), draw(FLOATS)) for frame_id, method in keys], convention)
 
 
 @st.composite
 def corner_tables(draw):
     ints = st.integers(-(2**63), 2**63 - 1)
-    return CornerTable.from_observations(draw(st.lists(st.builds(
-        CornerObservation, IDS, CAMERAS, st.tuples(ints, ints), st.tuples(FLOATS, FLOATS)
+    return corner_table(draw(st.lists(st.tuples(
+        IDS, CAMERAS, st.tuples(ints, ints), st.tuples(FLOATS, FLOATS)
     ), max_size=6)))
 
 

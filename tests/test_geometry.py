@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planegaze.errors import FrameMismatchError
 from planegaze.geometry import (
     FRAME_CAMERA,
     FRAME_PLANE,
-    GazeRay,
     RigidTransform,
     angular_error_deg,
     axis_angle_from_rotation,
-    dir_to_yaw_pitch,
     directions_to_yaw_pitch,
     rotation_from_axis_angle,
-    transform_ray,
     yaw_pitch_to_dir,
 )
 from planegaze.pipeline import (
@@ -26,12 +22,11 @@ from planegaze.pipeline import (
     gaze_point_on_surface,
 )
 from planegaze.plane import PlanePose
-from planegaze.triangulation import HeadPoint
 
-from conftest import random_rotation, random_unit_vectors
+from conftest import heads_at, random_rotation, random_unit_vectors
 
 
-class TestYawPitch:
+class TestGazeAngles:
     def test_zero_angles_point_at_camera(self):
         np.testing.assert_allclose(yaw_pitch_to_dir(0.0, 0.0), [0, 0, -1], atol=1e-15)
 
@@ -42,13 +37,13 @@ class TestYawPitch:
         np.testing.assert_allclose(yaw_pitch_to_dir(0.0, math.pi / 2), [0, -1, 0], atol=1e-15)
 
     def test_inverse_trivial_cases(self):
-        assert dir_to_yaw_pitch(np.array([0, 0, -1.0])) == pytest.approx((0.0, 0.0))
-        yaw, pitch = dir_to_yaw_pitch(np.array([-1.0, 0, 0]))
+        (yp0, (yaw, pitch)) = directions_to_yaw_pitch(np.array([[0, 0, -1.0], [-1.0, 0, 0]]))
+        assert yp0 == pytest.approx((0.0, 0.0))
         assert yaw == pytest.approx(math.pi / 2)
         assert pitch == pytest.approx(0.0)
 
     def test_gimbal_pole_gets_zero_yaw(self):
-        yaw, pitch = dir_to_yaw_pitch(np.array([0, -1.0, 0]))
+        (yaw, pitch), = directions_to_yaw_pitch(np.array([[0, -1.0, 0]]))
         assert yaw == 0.0
         assert pitch == pytest.approx(math.pi / 2)
 
@@ -68,31 +63,37 @@ class TestYawPitch:
 
 class TestAngularError:
     def test_identical_directions(self):
-        assert angular_error_deg([0, 0, -1], [0, 0, -1]) == 0.0
+        assert angular_error_deg([[0, 0, -1]], [[0, 0, -1]]).tolist() == [0.0]
 
     def test_ten_degrees(self):
         d = [0, -math.sin(math.radians(10)), -math.cos(math.radians(10))]
-        assert angular_error_deg([0, 0, -1], d) == pytest.approx(10.0, abs=1e-9)
+        assert angular_error_deg([[0, 0, -1]], [d])[0] == pytest.approx(10.0, abs=1e-9)
 
     def test_opposite_directions(self):
-        assert angular_error_deg([0, 0, -1], [0, 0, 1]) == pytest.approx(180.0)
+        assert angular_error_deg([[0, 0, -1]], [[0, 0, 1]])[0] == pytest.approx(180.0)
 
     def test_symmetric_nonnegative_and_rotation_invariant(self):
         rng = np.random.default_rng(3)
+        a, b, R = [], [], []
         for _ in range(50):
-            a, b = random_unit_vectors(rng, 2)
-            e = angular_error_deg(a, b)
-            assert e >= 0.0
-            assert e == pytest.approx(angular_error_deg(b, a), abs=1e-12)
-            R = random_rotation(rng)
-            assert angular_error_deg(R @ a, R @ b) == pytest.approx(e, abs=1e-7)
+            pair = random_unit_vectors(rng, 2)
+            a.append(pair[0])
+            b.append(pair[1])
+            R.append(random_rotation(rng))
+        a, b, R = np.array(a), np.array(b), np.array(R)
+        e = angular_error_deg(a, b)
+        assert e.shape == (50,) and np.all(e >= 0.0)
+        np.testing.assert_allclose(angular_error_deg(b, a), e, rtol=0, atol=1e-12)
+        rotated = angular_error_deg((R @ a[:, :, None])[:, :, 0], (R @ b[:, :, None])[:, :, 0])
+        np.testing.assert_allclose(rotated, e, rtol=0, atol=1e-7)
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(8)
         a, b = random_unit_vectors(rng, 2)
         # arccos near 1 amplifies float noise to ~sqrt(eps) radians
-        assert angular_error_deg(a, a) == pytest.approx(0.0, abs=5e-6)
-        assert angular_error_deg(a, b) > 1e-3
+        same, different = angular_error_deg([a, a], [a, b])
+        assert same == pytest.approx(0.0, abs=5e-6)
+        assert different > 1e-3
 
 
 class TestRigidTransform:
@@ -157,70 +158,26 @@ def test_axis_angle_batch_rows_equal_single_calls():
         assert np.array_equal(axis_angle_from_rotation(R), row)
 
 
-class TestTransformRay:
-    def test_identity_leaves_ray_unchanged(self):
-        ray = GazeRay([0.1, 0.2, 0.3], [0, 0, -1.0], FRAME_CAMERA)
-        out = transform_ray(RigidTransform.identity(), ray)
-        np.testing.assert_allclose(out.origin, ray.origin)
-        np.testing.assert_allclose(out.direction, ray.direction)
-        assert out.frame == FRAME_CAMERA
-
-    def test_translation_moves_origin_only(self):
-        T = RigidTransform(np.eye(3), [1.0, 0, 0])
-        out = transform_ray(T, GazeRay([0, 0, 0], [0, 0, 1.0]))
-        np.testing.assert_allclose(out.origin, [1, 0, 0])
-        np.testing.assert_allclose(out.direction, [0, 0, 1])
-
-    def test_rotation_about_z(self):
-        Rz = rotation_from_axis_angle([0, 0, math.pi / 2])
-        out = transform_ray(RigidTransform(Rz, np.zeros(3)), GazeRay([0, 0, 0], [1.0, 0, 0]))
-        np.testing.assert_allclose(out.direction, [0, 1, 0], atol=1e-15)
-
-    def test_frame_mismatch_raises(self):
-        T = RigidTransform(np.eye(3), np.zeros(3), FRAME_PLANE, FRAME_CAMERA)
-        with pytest.raises(FrameMismatchError):
-            transform_ray(T, GazeRay([0, 0, 0], [0, 0, 1.0], FRAME_CAMERA))
-
-    def test_frame_label_updated(self):
-        T = RigidTransform(np.eye(3), np.zeros(3), FRAME_CAMERA, FRAME_PLANE)
-        out = transform_ray(T, GazeRay([0, 0, 0], [0, 0, 1.0], FRAME_CAMERA))
-        assert out.frame == FRAME_PLANE
-
-    def test_direction_stays_unit_and_composes(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            T1 = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            T2 = RigidTransform(random_rotation(rng), rng.normal(size=3))
-            ray = GazeRay(rng.normal(size=3), random_unit_vectors(rng, 1)[0])
-            once = transform_ray(T2, transform_ray(T1, ray))
-            combined = transform_ray(T2 @ T1, ray)
-            assert abs(np.linalg.norm(once.direction) - 1.0) < 1e-12
-            np.testing.assert_allclose(once.origin, combined.origin, atol=1e-12)
-            np.testing.assert_allclose(once.direction, combined.direction, atol=1e-12)
-
-
-
 class TestRayPlaneIntersection:
     """Ray/plane cases on the one remaining intersection, with the plane at z = 0."""
 
     plane = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
 
     def intersect(self, origin, direction):
-        head = HeadPoint(np.array(origin, dtype=float), 0.0, "bbox_center")
-        return gaze_point_on_surface(head, np.array(direction, dtype=float), self.plane)
+        return gaze_point_on_surface(heads_at(origin), np.array([direction], dtype=float), self.plane)
 
     def test_straight_down(self):
         est = self.intersect([0, 0, 1.0], [0, 0, -1.0])
-        assert est.status == STATUS_OK
-        np.testing.assert_allclose(est.point, [0, 0, 0], atol=1e-15)
-        assert est.alpha == pytest.approx(1.0)
+        assert est.status.tolist() == [STATUS_OK]
+        np.testing.assert_allclose(est.point, [[0, 0, 0]], atol=1e-15)
+        assert est.alpha[0] == pytest.approx(1.0)
 
     def test_parallel_ray(self):
         est = self.intersect([0, 0, 1.0], [0, 1.0, 0])
-        assert est.status == STATUS_NO_INTERSECTION
-        assert est.point is None
+        assert est.status.tolist() == [STATUS_NO_INTERSECTION]
+        assert np.all(np.isnan(est.point))
 
     def test_away_from_plane(self):
         est = self.intersect([0, 0, 1.0], [0, 0, 1.0])
-        assert est.status == STATUS_AWAY
-        assert est.point is None
+        assert est.status.tolist() == [STATUS_AWAY]
+        assert np.all(np.isnan(est.point))

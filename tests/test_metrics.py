@@ -34,22 +34,28 @@ def records_cm(distances_cm, tags=()):
     )
 
 
+def estimate(point, alpha, direction, status):
+    """A one-row SurfaceGazeEstimate."""
+    return SurfaceGazeEstimate(np.array([point], dtype=float), np.array([alpha]), np.array([direction]),
+                               np.array([status]))
+
+
 class TestEvaluateFrame:
     def test_perfect_frame(self):
-        est = SurfaceGazeEstimate(np.array([0.1, 0.25, 0.0]), 0.5, np.array([0, 0, -1.0]), STATUS_OK)
-        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.1, 0.25, 0.0], frame_id="f0")
+        est = estimate([0.1, 0.25, 0.0], 0.5, [0, 0, -1.0], STATUS_OK)
+        rec = evaluate_frame([[0, 0, -1.0]], [[0, 0, -1.0]], est, [[0.1, 0.25, 0.0]], frame_id=["f0"])
         assert rec.angular_deg[0] == 0.0
         assert rec.distance_m[0] == 0.0
 
     def test_plane_distance(self):
-        est = SurfaceGazeEstimate(np.array([0.10, 0.15, 0.0]), 0.5, np.array([0, 0, -1.0]), STATUS_OK)
-        rec = evaluate_frame([0, 0, -1.0], [0, 0, -1.0], est, [0.10, 0.25, 0.0], frame_id="f0")
+        est = estimate([0.10, 0.15, 0.0], 0.5, [0, 0, -1.0], STATUS_OK)
+        rec = evaluate_frame([[0, 0, -1.0]], [[0, 0, -1.0]], est, [[0.10, 0.25, 0.0]], frame_id=["f0"])
         assert rec.distance_m[0] == pytest.approx(0.10)
 
     def test_missed_plane_is_infinite_but_angle_finite(self):
-        est = SurfaceGazeEstimate(None, None, np.array([1.0, 0, 0]), STATUS_NO_INTERSECTION)
+        est = estimate([np.nan] * 3, np.nan, [1.0, 0, 0], STATUS_NO_INTERSECTION)
         d = yaw_pitch_to_dir(0.0, math.radians(-10))
-        rec = evaluate_frame(d, [0, 0, -1.0], est, [0, 0, 0], frame_id="f0")
+        rec = evaluate_frame([d], [[0, 0, -1.0]], est, [[0, 0, 0]], frame_id=["f0"])
         assert math.isinf(rec.distance_m[0])
         assert rec.angular_deg[0] == pytest.approx(10.0, abs=1e-9)
 
@@ -165,7 +171,7 @@ class TestErrorCdf:
             error_cdf(records_cm([1.0]), "sideways")
 
 
-class TestYawPitchHistogram:
+class TestGazeHistogram:
     def test_single_direction_single_bin(self):
         hist = yaw_pitch_histogram([np.array([0, 0, -1.0])] * 7)
         assert hist.counts.sum() == 7

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from planegaze import calibration
 from planegaze.calibration import (
     CalibrationResult,
-    CornerObservation,
+    CornerTable,
     calibrate_camera,
     calibrate_stereo,
     refine_calibration,
@@ -103,12 +103,10 @@ def random_pose(rng, max_angle=3.0, z=(0.6, 1.5)):
 def random_corners(rng, view_id, camera_id):
     """A random subset of at least 4 lattice corners, at arbitrary pixels (a
     residual's Jacobian does not depend on the observed pixels)."""
-    lattice = GRID.corner_indices()
-    keep = rng.choice(len(lattice), size=rng.integers(4, len(lattice) + 1), replace=False)
-    return [
-        CornerObservation(view_id, camera_id, lattice[k], tuple(rng.uniform(0, 700, 2)))
-        for k in sorted(keep)
-    ]
+    lattice = np.array(GRID.corner_indices())
+    keep = np.sort(rng.choice(len(lattice), size=rng.integers(4, len(lattice) + 1), replace=False))
+    n = len(keep)
+    return CornerTable(np.full(n, view_id), np.full(n, camera_id), lattice[keep], rng.uniform(0, 700, (n, 2)))
 
 
 @pytest.mark.parametrize("fix_skew", [True, False], ids=["9-entry", "10-entry"])
@@ -118,7 +116,7 @@ def test_calibration_jacobian_equals_fd(fix_skew, seed, n_views):
     rng = np.random.default_rng(seed)
     K = random_intrinsics(rng, skew=0.0 if fix_skew else rng.uniform(-3, 3))
     views = [f"v{k}" for k in range(n_views)]
-    obs = [ob for v in views for ob in random_corners(rng, v, "left")]
+    obs = CornerTable.concat([random_corners(rng, v, "left") for v in views])
     init = CalibrationResult(K, {v: random_pose(rng) for v in views}, float("nan"), {})
     residual, x0, plus, jacobian = capture_problem(
         lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew)
@@ -139,7 +137,7 @@ def test_stereo_jacobian_equals_fd(seed, n_views):
         random_intrinsics(rng, skew=rng.uniform(-3, 3)),
         {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0, {},
     )
-    obs = [ob for v in views for ob in random_corners(rng, v, "right")]
+    obs = CornerTable.concat([random_corners(rng, v, "right") for v in views])
     residual, x0, plus, jacobian = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
     assert x0.size == 6
     assert_jacobian_matches_fd(residual, x0, plus, jacobian)
@@ -151,10 +149,9 @@ def test_plane_jacobian_equals_fd(seed):
     rng = np.random.default_rng(seed)
     K = random_intrinsics(rng, skew=rng.uniform(-3, 3), k1=(-0.1, 0.1))
     pose = random_pose(rng, max_angle=0.8)
-    corners = [
-        (ij, tuple(project_points(K, pose, [GRID.square_size * ij[0], GRID.square_size * ij[1], 0.0])))
-        for ij in GRID.corner_indices()
-    ]
+    ij = np.array(GRID.corner_indices())
+    uv = project_points(K, pose, np.column_stack([GRID.square_size * ij, np.zeros(len(ij))]))
+    corners = CornerTable(np.full(len(ij), "plane"), np.full(len(ij), "left"), ij, uv)
     residual, x0, plus, jacobian = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
     assert x0.size == 6
     assert_jacobian_matches_fd(residual, x0, plus, jacobian)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from planegaze.errors import DegenerateGeometryError
 from planegaze.geometry import (
     FRAME_CAMERA,
     FRAME_PLANE,
@@ -13,88 +12,79 @@ from planegaze.geometry import (
 )
 from planegaze.pipeline import (
     CONVENTION_ABSOLUTE,
-    CONVENTION_OFFSET,
     STATUS_AWAY,
     STATUS_NO_INTERSECTION,
     STATUS_OK,
-    GazePrediction,
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
     ground_truth_direction,
 )
 from planegaze.plane import PlanePose
-from planegaze.triangulation import HeadPoint
 
-from conftest import random_rotation, random_unit_vectors
+from conftest import heads_at, prediction_table, random_rotation, random_unit_vectors
 
 IDENTITY_PLANE = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
 
 
-def head_at(x, y, z) -> HeadPoint:
-    return HeadPoint(np.array([x, y, z]), 0.0, "bbox_center")
-
-
-def offset_pred(yaw, pitch, frame="f0") -> GazePrediction:
-    return GazePrediction(frame, "m", yaw, pitch, CONVENTION_OFFSET)
+def head_at(x, y, z):
+    return heads_at([x, y, z])
 
 
 class TestCorrection:
     def test_head_on_axis_needs_no_correction(self):
-        head = head_at(0, 0, 0.6)
-        for yaw, pitch in [(0.0, 0.0), (0.2, -0.4), (-0.7, 0.1)]:
-            got = correct_gaze_to_camera_frame(offset_pred(yaw, pitch), head)
-            np.testing.assert_allclose(got, yaw_pitch_to_dir(yaw, pitch), atol=1e-12)
+        yaw, pitch = np.array([0.0, 0.2, -0.7]), np.array([0.0, -0.4, 0.1])
+        got = correct_gaze_to_camera_frame(prediction_table(yaw, pitch), heads_at([[0, 0, 0.6]] * 3))
+        np.testing.assert_allclose(got, yaw_pitch_to_dir(yaw, pitch), atol=1e-12)
 
     def test_zero_prediction_points_at_camera(self):
         s, c = math.sin(math.radians(20)), math.cos(math.radians(20))
         head = head_at(0.6 * s, 0.0, 0.6 * c)
-        got = correct_gaze_to_camera_frame(offset_pred(0.0, 0.0), head)
-        np.testing.assert_allclose(got, [-s, 0.0, -c], atol=1e-12)
+        got = correct_gaze_to_camera_frame(prediction_table(0.0, 0.0), head)
+        np.testing.assert_allclose(got, [[-s, 0.0, -c]], atol=1e-12)
 
     def test_zero_prediction_ray_contains_camera_center_100_heads(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            pos = rng.uniform([-0.4, -0.4, 0.2], [0.4, 0.4, 1.2])
-            head = head_at(*pos)
-            d = correct_gaze_to_camera_frame(offset_pred(0.0, 0.0), head)
-            # distance from the origin to the line head + t*d
-            assert np.linalg.norm(np.cross(head.position, d)) < 1e-9
+        heads = heads_at(rng.uniform([-0.4, -0.4, 0.2], [0.4, 0.4, 1.2], size=(100, 3)))
+        d = correct_gaze_to_camera_frame(prediction_table(np.zeros(100), np.zeros(100)), heads)
+        # distance from the origin to the line head + t*d
+        assert np.all(np.linalg.norm(np.cross(heads.position, d), axis=1) < 1e-9)
 
     def test_absolute_convention_passthrough(self):
         head = head_at(0.3, -0.2, 0.5)
-        pred = GazePrediction("f0", "m", 0.3, -0.25, CONVENTION_ABSOLUTE)
+        pred = prediction_table(0.3, -0.25, CONVENTION_ABSOLUTE)
         np.testing.assert_allclose(
-            correct_gaze_to_camera_frame(pred, head), yaw_pitch_to_dir(0.3, -0.25), atol=1e-15
+            correct_gaze_to_camera_frame(pred, head), [yaw_pitch_to_dir(0.3, -0.25)], atol=1e-15
         )
 
     def test_head_behind_camera_rejected(self):
         with pytest.raises(ValueError):
-            correct_gaze_to_camera_frame(offset_pred(0, 0), head_at(0, 0, -0.5))
+            correct_gaze_to_camera_frame(prediction_table(0.0, 0.0), head_at(0, 0, -0.5))
 
 
 class TestGazePointOnSurface:
     def test_straight_down_hit(self):
-        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([0, 0, -1.0]), IDENTITY_PLANE)
-        assert est.status == STATUS_OK
-        np.testing.assert_allclose(est.point, [0, 0, 0], atol=1e-15)
-        assert est.alpha == pytest.approx(0.4)
+        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([[0, 0, -1.0]]), IDENTITY_PLANE)
+        assert est.status.tolist() == [STATUS_OK]
+        np.testing.assert_allclose(est.point, [[0, 0, 0]], atol=1e-15)
+        assert est.alpha[0] == pytest.approx(0.4)
 
     def test_parallel_direction(self):
-        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([1.0, 0, 0]), IDENTITY_PLANE)
-        assert est.status == STATUS_NO_INTERSECTION
-        assert est.point is None
+        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([[1.0, 0, 0]]), IDENTITY_PLANE)
+        assert est.status.tolist() == [STATUS_NO_INTERSECTION]
+        assert np.all(np.isnan(est.point)) and np.isnan(est.alpha[0])
 
     def test_upward_direction_away(self):
-        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([0, 0, 1.0]), IDENTITY_PLANE)
-        assert est.status == STATUS_AWAY
+        est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([[0, 0, 1.0]]), IDENTITY_PLANE)
+        assert est.status.tolist() == [STATUS_AWAY]
 
     def test_closed_form_example(self):
-        est = gaze_point_on_surface(head_at(0.1, 0.2, 0.5), np.array([0, 0.6, -0.8]), IDENTITY_PLANE)
-        assert est.alpha == pytest.approx(0.625, abs=1e-15)
-        np.testing.assert_allclose(est.point, [0.1, 0.575, 0.0], atol=1e-15)
+        est = gaze_point_on_surface(head_at(0.1, 0.2, 0.5), np.array([[0, 0.6, -0.8]]), IDENTITY_PLANE)
+        assert est.alpha[0] == pytest.approx(0.625, abs=1e-15)
+        np.testing.assert_allclose(est.point, [[0.1, 0.575, 0.0]], atol=1e-15)
 
     def test_point_on_ray_componentwise(self):
         rng = np.random.default_rng(17)
+        origins, dirs = [], []
         for _ in range(200):
             origin = rng.uniform([-1, -1, 0.05], [1, 1, 2])
             d = random_unit_vectors(rng, 1)[0]
@@ -103,49 +93,51 @@ class TestGazePointOnSurface:
                 if abs(d[2]) < 0.05:
                     continue
                 d /= np.linalg.norm(d)
-            est = gaze_point_on_surface(HeadPoint(origin, 0.0, "bbox_center"), d, IDENTITY_PLANE)
-            np.testing.assert_allclose(est.point, origin + est.alpha * d, atol=1e-12)
-            assert abs(est.point[2]) < 1e-12
+            origins.append(origin)
+            dirs.append(d)
+        origins, dirs = np.array(origins), np.array(dirs)
+        est = gaze_point_on_surface(heads_at(origins), dirs, IDENTITY_PLANE)
+        np.testing.assert_allclose(est.point, origins + est.alpha[:, None] * dirs, atol=1e-12)
+        assert np.all(np.abs(est.point[:, 2]) < 1e-12)
 
     def test_status_matches_geometry_predicate(self):
         rng = np.random.default_rng(6)
+        origins, dirs = [], []
         for _ in range(300):
-            origin = rng.uniform([-1, -1, -0.5], [1, 1, 1.0])
-            d = random_unit_vectors(rng, 1)[0]
-            est = gaze_point_on_surface(
-                HeadPoint(origin, 0.0, "bbox_center"), d, IDENTITY_PLANE
-            )
-            should_be_ok = d[2] < -1e-12 and origin[2] > 0
-            assert (est.status == STATUS_OK) == should_be_ok
-            if est.status == STATUS_OK:
-                assert est.alpha > 0
-                assert abs(est.point[2]) < 1e-9
+            origins.append(rng.uniform([-1, -1, -0.5], [1, 1, 1.0]))
+            dirs.append(random_unit_vectors(rng, 1)[0])
+        origins, dirs = np.array(origins), np.array(dirs)
+        est = gaze_point_on_surface(heads_at(origins), dirs, IDENTITY_PLANE)
+        should_be_ok = (dirs[:, 2] < -1e-12) & (origins[:, 2] > 0)
+        ok = est.status == STATUS_OK
+        np.testing.assert_array_equal(ok, should_be_ok)
+        assert np.all(est.alpha[ok] > 0)
+        assert np.all(np.abs(est.point[ok, 2]) < 1e-9)
 
     def test_hits_target_with_exact_direction(self, small_dataset):
         from planegaze.grid import target_center
 
         ds = small_dataset
-        for head_cc, direction_cc, target_id in zip(ds.head_cc[:20], ds.direction_cc[:20],
-                                                    ds.frames.target_id[:20].tolist()):
-            head = HeadPoint(head_cc, 0.0, "bbox_center")
-            est = gaze_point_on_surface(head, direction_cc, ds.plane)
-            assert est.status == STATUS_OK
-            target = target_center(ds.grid, target_id)
-            assert np.linalg.norm(est.point - target) < 1e-8
+        est = gaze_point_on_surface(heads_at(ds.head_cc[:20]), ds.direction_cc[:20], ds.plane)
+        assert est.status.tolist() == [STATUS_OK] * 20
+        targets = np.array([target_center(ds.grid, t) for t in ds.frames.target_id[:20].tolist()])
+        assert np.all(np.linalg.norm(est.point - targets, axis=1) < 1e-8)
 
 
 class TestGroundTruthDirection:
     def test_straight_down(self):
-        d = ground_truth_direction(head_at(0, 0, 0.5), IDENTITY_PLANE, [0, 0, 0])
-        np.testing.assert_allclose(d, [0, 0, -1.0], atol=1e-15)
+        d = ground_truth_direction(head_at(0, 0, 0.5), IDENTITY_PLANE, [[0, 0, 0]])
+        np.testing.assert_allclose(d, [[0, 0, -1.0]], atol=1e-15)
 
     def test_three_four_five(self):
-        d = ground_truth_direction(head_at(0.3, 0, 0.4), IDENTITY_PLANE, [0, 0, 0])
-        np.testing.assert_allclose(d, [-0.6, 0, -0.8], atol=1e-15)
+        d = ground_truth_direction(head_at(0.3, 0, 0.4), IDENTITY_PLANE, [[0, 0, 0]])
+        np.testing.assert_allclose(d, [[-0.6, 0, -0.8]], atol=1e-15)
 
-    def test_degenerate_when_head_on_target(self):
-        with pytest.raises(DegenerateGeometryError):
-            ground_truth_direction(head_at(0.1, 0.2, 1e-12), IDENTITY_PLANE, [0.1, 0.2, 0])
+    def test_head_on_target_row_is_nan(self):
+        d = ground_truth_direction(heads_at([[0.1, 0.2, 1e-12], [0.0, 0.0, 0.5]]), IDENTITY_PLANE,
+                                   [[0.1, 0.2, 0], [0, 0, 0]])
+        assert np.all(np.isnan(d[0]))
+        np.testing.assert_allclose(d[1], [0, 0, -1.0], atol=1e-15)
 
     def test_round_trip_recovers_target(self):
         rng = np.random.default_rng(9)
@@ -158,28 +150,17 @@ class TestGroundTruthDirection:
             plane = PlanePose(
                 RigidTransform(R, rng.normal(0, 0.3, 3), FRAME_CAMERA, FRAME_PLANE)
             )
-            target = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0])
+            target = np.array([[rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0]])
             head_plane = rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.0])
-            head = HeadPoint(plane.transform.inverse().apply_point(head_plane), 0.0, "bbox_center")
+            head = heads_at(plane.transform.inverse().apply_point(head_plane))
             d = ground_truth_direction(head, plane, target)
             est = gaze_point_on_surface(head, d, plane)
-            assert est.status == STATUS_OK
+            assert est.status.tolist() == [STATUS_OK]
             assert np.linalg.norm(est.point - target) < 1e-9
 
     def test_angular_error_frame_invariant(self):
         rng = np.random.default_rng(10)
         a, b = random_unit_vectors(rng, 2)
-        base = angular_error_deg(a, b)
-        for _ in range(20):
-            R = random_rotation(rng)
-            assert angular_error_deg(R @ a, R @ b) == pytest.approx(base, abs=1e-7)
-
-
-class TestPrediction:
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            GazePrediction("f0", "m", 0.0, 0.0, "sideways")
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            GazePrediction("f0", "m", float("nan"), 0.0)
+        base = angular_error_deg(a[None], b[None])
+        R = np.array([random_rotation(rng) for _ in range(20)])
+        np.testing.assert_allclose(angular_error_deg(R @ a, R @ b), np.full(20, base[0]), rtol=0, atol=1e-7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planegaze.calibration import CornerTable
 from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.errors import DegenerateConfigurationError, UnknownTargetError
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
@@ -85,12 +86,12 @@ K = CameraIntrinsics(
 
 
 def observed_corners(cam_from_plane: RigidTransform, sigma=0.0, rng=None):
-    idx = GRID.corner_indices()
-    pts = np.array([corner_position(GRID, i, j) for i, j in idx])
-    uv = project_points(K, cam_from_plane, pts)
+    """The grid's corners seen from ``cam_from_plane``, as one left-camera view."""
+    idx = np.array(list(GRID.corner_indices()))
+    uv = project_points(K, cam_from_plane, corner_position(GRID, idx[:, 0], idx[:, 1]))
     if sigma > 0:
         uv = uv + rng.normal(0, sigma, uv.shape)
-    return [(ij, (float(u), float(v))) for ij, (u, v) in zip(idx, uv)]
+    return CornerTable(np.full(len(idx), "plane"), np.full(len(idx), "left"), idx, uv)
 
 
 def straight_down_pose() -> RigidTransform:
@@ -138,21 +139,22 @@ class TestEstimatePlanePose:
 
     def test_single_row_degenerate(self):
         cam_from_plane = straight_down_pose()
-        corners = [c for c in observed_corners(cam_from_plane) if c[0][0] == 2]
+        corners = observed_corners(cam_from_plane)
+        corners = corners.take(corners.ij[:, 0] == 2)
         with pytest.raises(DegenerateConfigurationError):
             estimate_plane_pose(corners, GRID, K)
 
     def test_too_few_corners(self):
         cam_from_plane = straight_down_pose()
         with pytest.raises(DegenerateConfigurationError):
-            estimate_plane_pose(observed_corners(cam_from_plane)[:3], GRID, K)
+            estimate_plane_pose(observed_corners(cam_from_plane).take(slice(3)), GRID, K)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(55)
         corners = observed_corners(straight_down_pose(), 0.3, rng)
         a = estimate_plane_pose(corners, GRID, K)
-        shuffled = list(corners)
-        rng.shuffle(shuffled)
-        b = estimate_plane_pose(shuffled, GRID, K)
+        order = np.arange(len(corners))
+        rng.shuffle(order)
+        b = estimate_plane_pose(corners.take(order), GRID, K)
         assert np.abs(a.transform.rotation - b.transform.rotation).max() < 1e-9
         assert np.abs(a.transform.translation - b.transform.translation).max() < 1e-9

@@ -31,7 +31,7 @@ from planegaze.synthetic import (
 )
 from planegaze.triangulation import head_point
 
-from conftest import assert_same_table, face_observations, gaze_predictions
+from conftest import assert_same_table
 
 
 class TestGenerateScene:
@@ -67,23 +67,19 @@ class TestGenerateScene:
 
     def test_zero_noise_pipeline_identity(self, small_dataset):
         ds = small_dataset
-        faces = face_observations(ds.faces)
+        left, right = (ds.faces.take(ds.faces.camera == c) for c in (CAMERA_LEFT, CAMERA_RIGHT))
+        assert left.frame_id.tolist() == right.frame_id.tolist() == ds.frames.frame_id.tolist()
+        targets = np.array([target_center(ds.grid, t) for t in ds.frames.target_id.tolist()])
         methods = {m.name: m for m in ds.spec.methods}
         worst_dist, worst_ang = 0.0, 0.0
         for name, preds in ds.predictions.items():
-            source = methods[name].head_source
-            for pred, frame_id, target_id in zip(gaze_predictions(preds), ds.frames.frame_id.tolist(),
-                                                 ds.frames.target_id.tolist()):
-                head = head_point(
-                    faces[(frame_id, CAMERA_LEFT)], faces[(frame_id, CAMERA_RIGHT)],
-                    ds.rig, source,
-                )
-                d = correct_gaze_to_camera_frame(pred, head)
-                est = gaze_point_on_surface(head, d, ds.plane)
-                target = target_center(ds.grid, target_id)
-                gt = ground_truth_direction(head, ds.plane, target)
-                worst_dist = max(worst_dist, float(np.linalg.norm(est.point - target)))
-                worst_ang = max(worst_ang, angular_error_deg(d, gt))
+            assert preds.frame_id.tolist() == ds.frames.frame_id.tolist()
+            head = head_point(left, right, ds.rig, methods[name].head_source)
+            d = correct_gaze_to_camera_frame(preds, head)
+            est = gaze_point_on_surface(head, d, ds.plane)
+            gt = ground_truth_direction(head, ds.plane, targets)
+            worst_dist = max(worst_dist, float(np.linalg.norm(est.point - targets, axis=1).max()))
+            worst_ang = max(worst_ang, float(angular_error_deg(d, gt).max()))
         assert worst_dist < 1e-6
         assert worst_ang < 1e-5
 
@@ -125,16 +121,11 @@ class TestPerturb:
         ds = generate_scene(default_scene(frames=1200, seed=21, calib_views=2))
         sigma = 10.0
         out = perturb(ds, NoiseSpec(gaze_angle_sigma_deg=sigma), seed=22)
-        directions = dict(zip(ds.frames.frame_id.tolist(), ds.direction_cc))
-        faces = face_observations(ds.faces)
-        angles = []
-        for pred in gaze_predictions(out.predictions["oracle-offset"]):
-            head = head_point(
-                faces[(pred.frame_id, CAMERA_LEFT)], faces[(pred.frame_id, CAMERA_RIGHT)],
-                ds.rig, "eye_midpoint",
-            )
-            d = correct_gaze_to_camera_frame(pred, head)
-            angles.append(angular_error_deg(d, directions[pred.frame_id]))
+        preds = out.predictions["oracle-offset"]
+        left, right = (ds.faces.take(ds.faces.camera == c) for c in (CAMERA_LEFT, CAMERA_RIGHT))
+        assert left.frame_id.tolist() == right.frame_id.tolist() == preds.frame_id.tolist()
+        head = head_point(left, right, ds.rig, "eye_midpoint")
+        angles = angular_error_deg(correct_gaze_to_camera_frame(preds, head), ds.direction_cc)
         mean = float(np.mean(angles))
         expected = sigma * math.sqrt(2 / math.pi)
         assert 7.0 <= mean <= 9.0
@@ -142,10 +133,10 @@ class TestPerturb:
 
     def test_bias_shifts_prediction_angles(self, small_dataset):
         out = perturb(small_dataset, NoiseSpec(gaze_bias_yaw_deg=3.0, gaze_bias_pitch_deg=-2.0), seed=6)
-        for a, b in zip(gaze_predictions(out.predictions["oracle-offset"]),
-                        gaze_predictions(small_dataset.predictions["oracle-offset"])):
-            assert a.yaw - b.yaw == pytest.approx(math.radians(3.0))
-            assert a.pitch - b.pitch == pytest.approx(math.radians(-2.0))
+        a, b = out.predictions["oracle-offset"], small_dataset.predictions["oracle-offset"]
+        assert a.frame_id.tolist() == b.frame_id.tolist()
+        assert (a.yaw - b.yaw).tolist() == pytest.approx([math.radians(3.0)] * len(b.yaw))
+        assert (a.pitch - b.pitch).tolist() == pytest.approx([math.radians(-2.0)] * len(b.pitch))
 
 
 class TestAmplification:

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from planegaze.calibration import StereoRig
-from planegaze.camera import CameraIntrinsics, project_point
-from planegaze.errors import BehindCameraError, MissingObservationError, ParallelRaysError
+from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.triangulation import (
     SOURCE_BBOX,
     SOURCE_EYES,
-    FaceObservation,
+    _pixel_directions,
     head_point,
-    pixel_ray,
     triangulate_midpoint,
 )
+
+from conftest import face_table
 
 K_LEFT = CameraIntrinsics(
     fx=1000.0, fy=1000.0, cx=640.0, cy=360.0,
@@ -30,36 +30,30 @@ def make_rig(baseline=0.06, toe_in=0.0) -> StereoRig:
 
 
 def project_pair(rig: StereoRig, X):
-    identity = RigidTransform.identity()
-    return (
-        project_point(rig.left, identity, X),
-        project_point(rig.right, rig.right_from_left, X),
-    )
+    """Left and right pixels (N, 2) of points X (N, 3), or (1, 2) of one point (3,)."""
+    X = np.reshape(X, (-1, 3))
+    return project_points(rig.left, RigidTransform.identity(), X), project_points(rig.right, rig.right_from_left, X)
 
 
-class TestPixelRay:
+class TestPixelDirections:
+    """Back-projection: the ray from the camera center through each pixel."""
+
     def test_principal_point_gives_optical_axis(self):
         K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0, image_size=(1280, 720))
-        ray = pixel_ray(K, (640.0, 360.0))
-        np.testing.assert_allclose(ray.origin, [0, 0, 0])
-        np.testing.assert_allclose(ray.direction, [0, 0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(_pixel_directions(K, [(640.0, 360.0)]), [[0, 0, 1.0]], atol=1e-12)
 
     def test_known_offset_pixel(self):
         K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0, image_size=(1280, 720))
-        ray = pixel_ray(K, (740.0, 360.0))
         expected = np.array([0.1, 0, 1.0])
-        np.testing.assert_allclose(ray.direction, expected / np.linalg.norm(expected), atol=1e-12)
+        np.testing.assert_allclose(_pixel_directions(K, [(740.0, 360.0)]), [expected / np.linalg.norm(expected)],
+                                   atol=1e-12)
 
     def test_back_projected_ray_passes_through_source_point(self):
         rng = np.random.default_rng(4)
-        identity = RigidTransform.identity()
-        for _ in range(100):
-            X = rng.uniform([-0.3, -0.2, 0.4], [0.3, 0.2, 1.2])
-            uv = project_point(K_LEFT, identity, X)
-            ray = pixel_ray(K_LEFT, uv)
-            # distance from X to the ray through the origin
-            dist = np.linalg.norm(np.cross(X, ray.direction))
-            assert dist < 1e-9
+        X = rng.uniform([-0.3, -0.2, 0.4], [0.3, 0.2, 1.2], size=(100, 3))
+        d = _pixel_directions(K_LEFT, project_points(K_LEFT, RigidTransform.identity(), X))
+        # distance from X to the ray through the origin
+        assert np.all(np.linalg.norm(np.cross(X, d), axis=1) < 1e-9)
 
 
 class TestTriangulateMidpoint:
@@ -68,59 +62,59 @@ class TestTriangulateMidpoint:
         X = np.array([0.1, -0.05, 0.6])
         pl, pr = project_pair(rig, X)
         hp = triangulate_midpoint(rig, pl, pr)
-        assert np.linalg.norm(hp.position - X) < 1e-8
-        assert hp.ray_gap < 1e-9
+        assert hp.failure.tolist() == [""]
+        assert np.linalg.norm(hp.position[0] - X) < 1e-8
+        assert hp.ray_gap[0] < 1e-9
 
     def test_noise_under_one_centimeter_at_depth(self):
         rig = make_rig()
         X = np.array([0.05, -0.02, 0.6])
         pl, pr = project_pair(rig, X)
         rng = np.random.default_rng(77)
-        errs = []
-        for _ in range(100):
-            nl = np.asarray(pl) + rng.normal(0, 0.5, 2)
-            nr = np.asarray(pr) + rng.normal(0, 0.5, 2)
-            hp = triangulate_midpoint(rig, nl, nr)
-            errs.append(np.linalg.norm(hp.position - X))
+        noise = rng.normal(0, 0.5, (100, 2, 2))  # per trial: left (u, v), then right (u, v)
+        hp = triangulate_midpoint(rig, pl + noise[:, 0], pr + noise[:, 1])
+        errs = np.linalg.norm(hp.position - X, axis=1)
         assert np.median(errs) < 0.01
 
     def test_zero_baseline_parallel_rays(self):
         rig = StereoRig(K_LEFT, K_LEFT, RigidTransform.identity())
-        with pytest.raises(ParallelRaysError):
-            triangulate_midpoint(rig, (640.0, 360.0), (640.0, 360.0))
+        hp = triangulate_midpoint(rig, [(640.0, 360.0)], [(640.0, 360.0)])
+        assert hp.failure.tolist() == ["ParallelRaysError"]
+        assert np.all(np.isnan(hp.position)) and np.isnan(hp.ray_gap[0])
 
     def test_crossing_behind_cameras(self):
         K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0, image_size=(1280, 720))
         rig = StereoRig(K, K, RigidTransform(np.eye(3), [-0.06, 0, 0]))
         # left ray along the axis, right ray tilted outward: they diverge in
         # front, so the closest approach sits behind the cameras
-        with pytest.raises(BehindCameraError):
-            triangulate_midpoint(rig, (640.0, 360.0), (640.0 + 1000.0 * 0.75, 360.0))
+        hp = triangulate_midpoint(rig, [(640.0, 360.0)], [(640.0 + 1000.0 * 0.75, 360.0)])
+        assert hp.failure.tolist() == ["BehindCameraError"]
+        assert np.all(np.isnan(hp.position)) and np.isnan(hp.ray_gap[0])
 
     def test_swap_symmetry(self):
         rig = make_rig(toe_in=-0.02)
         swapped = StereoRig(rig.right, rig.left, rig.right_from_left.inverse())
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            X = rng.uniform([-0.1, -0.1, 0.4], [0.2, 0.1, 1.0])
-            pl, pr = project_pair(rig, X)
-            a = triangulate_midpoint(rig, pl, pr).position
-            b_right_frame = triangulate_midpoint(swapped, pr, pl).position
-            b = rig.right_from_left.inverse().apply_point(b_right_frame)
-            assert np.linalg.norm(a - b) < 1e-9
+        X = rng.uniform([-0.1, -0.1, 0.4], [0.2, 0.1, 1.0], size=(20, 3))
+        pl, pr = project_pair(rig, X)
+        a = triangulate_midpoint(rig, pl, pr).position
+        b_right_frame = triangulate_midpoint(swapped, pr, pl).position
+        b = rig.right_from_left.inverse().apply_point(b_right_frame)
+        assert np.all(np.linalg.norm(a - b, axis=1) < 1e-9)
 
     def test_depth_decreases_with_disparity(self):
         K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=640.0, cy=360.0, image_size=(1280, 720))
         rig = StereoRig(K, K, RigidTransform(np.eye(3), [-0.06, 0, 0]))
-        depths = []
-        for disparity in np.linspace(20.0, 200.0, 12):
-            hp = triangulate_midpoint(rig, (640.0, 360.0), (640.0 - disparity, 360.0))
-            depths.append(hp.position[2])
-        assert all(a > b for a, b in zip(depths, depths[1:]))
+        disparity = np.linspace(20.0, 200.0, 12)
+        hp = triangulate_midpoint(rig, np.tile([640.0, 360.0], (12, 1)),
+                                  np.column_stack([640.0 - disparity, np.full(12, 360.0)]))
+        depths = hp.position[:, 2]
+        assert np.all(depths[:-1] > depths[1:])
 
 
-def face(frame="f0", camera="left", bbox=(600.0, 300.0, 700.0, 420.0), eyes=(650.0, 340.0)):
-    return FaceObservation(frame, camera, bbox=bbox, eye_midpoint=eyes)
+def faces(frame="f0", camera="left", bbox=(600.0, 300.0, 700.0, 420.0), eyes=(650.0, 340.0)):
+    """A one-row FaceTable; None leaves a source out (NaN)."""
+    return face_table([(frame, camera, bbox, eyes)])
 
 
 class TestHeadPoint:
@@ -128,36 +122,29 @@ class TestHeadPoint:
         rig = make_rig()
         X = np.array([0.02, -0.03, 0.55])
         pl, pr = project_pair(rig, X)
-        left = FaceObservation("f0", "left", bbox=(0.0, 0.0, 10.0, 10.0), eye_midpoint=pl)
-        right = FaceObservation("f0", "right", bbox=(0.0, 0.0, 10.0, 10.0), eye_midpoint=pr)
+        left = faces("f0", "left", bbox=(0.0, 0.0, 10.0, 10.0), eyes=pl[0])
+        right = faces("f0", "right", bbox=(0.0, 0.0, 10.0, 10.0), eyes=pr[0])
         hp = head_point(left, right, rig, SOURCE_EYES)
-        assert hp.source == SOURCE_EYES
-        assert np.linalg.norm(hp.position - X) < 1e-8
+        assert hp.source.tolist() == [SOURCE_EYES]
+        assert np.linalg.norm(hp.position[0] - X) < 1e-8
 
     def test_falls_back_to_bbox_center(self):
         rig = make_rig()
         X = np.array([0.02, -0.03, 0.55])
-        pl, pr = project_pair(rig, X)
-        left = FaceObservation("f0", "left", bbox=(pl[0] - 40, pl[1] - 50, pl[0] + 40, pl[1] + 50))
-        right = FaceObservation("f0", "right", bbox=(pr[0] - 40, pr[1] - 50, pr[0] + 40, pr[1] + 50))
+        (pl,), (pr,) = project_pair(rig, X)
+        left = faces("f0", "left", bbox=(pl[0] - 40, pl[1] - 50, pl[0] + 40, pl[1] + 50), eyes=None)
+        right = faces("f0", "right", bbox=(pr[0] - 40, pr[1] - 50, pr[0] + 40, pr[1] + 50), eyes=None)
         hp = head_point(left, right, rig, SOURCE_EYES)
-        assert hp.source == SOURCE_BBOX
-        assert np.linalg.norm(hp.position - X) < 1e-8
+        assert hp.source.tolist() == [SOURCE_BBOX]
+        assert np.linalg.norm(hp.position[0] - X) < 1e-8
 
-    def test_missing_observation(self):
+    def test_no_shared_source_row_is_marked(self):
         rig = make_rig()
-        with pytest.raises(MissingObservationError):
-            head_point(face(), None, rig)
+        hp = head_point(faces(eyes=None), faces(camera="right", bbox=None), rig)
+        assert hp.failure.tolist() == ["MissingObservationError"]
+        assert np.all(np.isnan(hp.position)) and np.isnan(hp.ray_gap[0])
 
     def test_frame_mismatch(self):
         rig = make_rig()
         with pytest.raises(ValueError):
-            head_point(face(frame="f0"), face(frame="f1", camera="right"), rig)
-
-    def test_observation_needs_some_source(self):
-        with pytest.raises(ValueError):
-            FaceObservation("f0", "left")
-
-    def test_bbox_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            FaceObservation("f0", "left", bbox=(10.0, 0.0, 0.0, 10.0))
+            head_point(faces(frame="f0"), faces(frame="f1", camera="right"), rig)
