@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import CameraIntrinsics, project_packed, project_packed_jacobian
+from .camera import CameraIntrinsics, project_packed_jacobian
 from .errors import (
     DegenerateConfigurationError,
     IllConditionedError,
@@ -102,16 +102,48 @@ class StereoRig:
 
 # --- homography ----------------------------------------------------------
 
-def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic normalization: centroid to origin, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    d = np.linalg.norm(pts - centroid, axis=1).mean()
-    if d < 1e-12:
-        raise DegenerateConfigurationError("all points coincide")
-    s = np.sqrt(2.0) / d
-    T = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
-    npts = (pts - centroid) * s
-    return npts, T
+def _normalize_points(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isotropic normalization of each view's points (V, n, 2): centroid to origin, mean distance sqrt(2).
+
+    Returns the points, the (V, 3, 3) transforms, and which views' points do not all coincide.
+    """
+    centroid = pts.mean(axis=1)
+    d = np.linalg.norm(pts - centroid[:, None], axis=2).mean(axis=1)
+    apart = ~(d < 1e-12)
+    s = np.sqrt(2.0) / np.where(apart, d, 1.0)
+    T = np.zeros((len(pts), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return (pts - centroid[:, None]) * s[:, None, None], T, apart
+
+
+def _homographies(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized-DLT homographies of V views of n >= 4 correspondences each, ``P`` and ``Q`` (V, n, 2).
+
+    Returns H (V, 3, 3) and each view's reason, "" for none, why its layout
+    admits no homography; such a view's H is meaningless. A view's H does
+    not depend on the other views passed with it.
+    """
+    Pn, Tp, p_apart = _normalize_points(P)
+    Qn, Tq, q_apart = _normalize_points(Q)
+    n = P.shape[1]
+    # rows 2i and 2i + 1 of view v: (-X, -Y, -1, 0, 0, 0, uX, uY, u) and (0, 0, 0, -X, -Y, -1, vX, vY, v)
+    XY1 = np.concatenate([Pn, np.ones((len(P), n, 1))], axis=2)
+    A = np.zeros((len(P), n, 2, 9))
+    A[:, :, 0, :3] = A[:, :, 1, 3:6] = -XY1
+    A[:, :, :, 6:] = Qn[..., None] * XY1[:, :, None, :]
+    A = A.reshape(len(P), 2 * n, 9)
+
+    # the null vector is the last row of Vt; a thin Vt has it only once A has 9 rows or more
+    _, s, Vt = np.linalg.svd(A, full_matrices=2 * n < 9)
+    # a unique solution needs rank 8; s[7] ~ 0 means a degenerate layout
+    rank_8 = ~(s[:, 7] < 1e-8 * s[:, 0])
+    H = np.linalg.inv(Tq) @ Vt[:, -1].reshape(-1, 3, 3) @ Tp
+    scaled = np.abs(H[:, 2, 2]) > 1e-12
+    H[scaled] = H[scaled] / H[scaled, 2, 2, None, None]
+    reason = np.where(rank_8, "", "correspondence layout is rank-deficient (collinear points?)")
+    return H, np.where(p_apart & q_apart, reason, "all points coincide")
 
 
 def estimate_homography(plane_pts, pixels) -> np.ndarray:
@@ -127,35 +159,10 @@ def estimate_homography(plane_pts, pixels) -> np.ndarray:
     n = P.shape[0]
     if n < 4:
         raise DegenerateConfigurationError(f"homography needs >= 4 correspondences, got {n}")
-    Pn, Tp = _normalize_points(P)
-    Qn, Tq = _normalize_points(Q)
-
-    A = np.zeros((2 * n, 9))
-    X, Y = Pn[:, 0], Pn[:, 1]
-    u, v = Qn[:, 0], Qn[:, 1]
-    A[0::2, 0] = -X
-    A[0::2, 1] = -Y
-    A[0::2, 2] = -1.0
-    A[0::2, 6] = u * X
-    A[0::2, 7] = u * Y
-    A[0::2, 8] = u
-    A[1::2, 3] = -X
-    A[1::2, 4] = -Y
-    A[1::2, 5] = -1.0
-    A[1::2, 6] = v * X
-    A[1::2, 7] = v * Y
-    A[1::2, 8] = v
-
-    # the null vector is the last row of Vt; a thin Vt has it only once A has 9 rows or more
-    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < 9)
-    # a unique solution needs rank 8; s[7] ~ 0 means a degenerate layout
-    if s[7] < 1e-8 * s[0]:
-        raise DegenerateConfigurationError("correspondence layout is rank-deficient (collinear points?)")
-    H = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Tq) @ H @ Tp
-    if abs(H[2, 2]) > 1e-12:
-        H = H / H[2, 2]
-    return H
+    H, reason = _homographies(P[None], Q[None])
+    if reason[0]:
+        raise DegenerateConfigurationError(reason[0])
+    return H[0]
 
 
 # --- closed-form intrinsics (absolute-conic constraints) -----------------
@@ -301,32 +308,16 @@ def refine_calibration(
 
     xi0 = init.intrinsics.packed(with_skew=not fix_skew)
     n_intr = xi0.size
-    x0 = np.concatenate(
-        [xi0]
-        + [
-            np.concatenate([
-                axis_angle_from_rotation(init.per_view_poses[v].rotation),
-                init.per_view_poses[v].translation,
-            ])
-            for v in view_ids
-        ]
-    )
+    rotations = np.array([init.per_view_poses[v].rotation for v in view_ids])
+    translations = np.array([init.per_view_poses[v].translation for v in view_ids])
+    x0 = np.concatenate([xi0, np.hstack([axis_angle_from_rotation(rotations), translations]).ravel()])
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        xi = x[:n_intr]
+    def model(x: np.ndarray) -> tuple[np.ndarray, BlockJacobian]:
         pose = x[n_intr:].reshape(-1, 6)
-        uv = project_packed(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
-        return (uv - pix).ravel()
+        uv, d_xi, d_pose = project_packed_jacobian(x[:n_intr], pose[:, :3], pose[:, 3:], view_idx, obj)
+        return (uv - pix).ravel(), BlockJacobian(d_xi, d_pose, view_idx)
 
-    def jacobian(x: np.ndarray) -> BlockJacobian:
-        xi = x[:n_intr]
-        pose = x[n_intr:].reshape(-1, 6)
-        _, d_xi, d_pose = project_packed_jacobian(xi, pose[:, :3], pose[:, 3:], view_idx, obj)
-        return BlockJacobian(d_xi, d_pose, view_idx)
-
-    result = levenberg_marquardt(
-        residual, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr), jacobian=jacobian
-    )
+    result = levenberg_marquardt(model, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr))
     logger.debug("intrinsics refinement: %s", result.summary())
 
     xi = result.x[:n_intr]
@@ -334,7 +325,7 @@ def refine_calibration(
     intr = CameraIntrinsics.from_packed(xi, init.intrinsics.image_size)
     rotations = rotation_from_axis_angle(pose[:, :3])
     poses = {v: RigidTransform(rotations[k], pose[k, 3:]) for k, v in enumerate(view_ids)}
-    res = residual(result.x).reshape(-1, 2)
+    res = result.residual.reshape(-1, 2)
     view_rms = np.sqrt(np.bincount(view_idx, (res ** 2).sum(axis=1)) / (2 * np.bincount(view_idx)))
     per_view_rms = {v: float(view_rms[k]) for k, v in enumerate(view_ids)}
     rms = float(np.sqrt(np.mean(res ** 2)))
@@ -355,29 +346,33 @@ def calibrate_camera(
     Raises only when too few views remain to initialize the intrinsics.
     """
     obj, pix = _corner_arrays(corners, grid)
-    view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
-    homographies = {}
-    kept = np.zeros(len(corners), dtype=bool)
-    for k, vid in enumerate(view_ids.tolist()):
-        rows = view_idx == k
-        count = int(rows.sum())
-        if count < MIN_CORNERS_PER_VIEW:
-            logger.warning("dropping view %r: only %d corners detected", vid, count)
-            continue
-        try:
-            homographies[vid] = estimate_homography(obj[rows, :2], pix[rows])
-        except DegenerateConfigurationError as exc:
-            logger.warning("dropping view %r: %s", vid, exc)
-            continue
-        kept |= rows
+    view_ids, view_idx, counts = np.unique(corners.view_id, return_inverse=True, return_counts=True)
+    # each view's rows in input order: this fixes the residual row order
+    order = np.argsort(view_idx, kind="stable")
+    start = np.cumsum(counts) - counts
+    H = np.empty((len(view_ids), 3, 3))
+    reason = np.empty(len(view_ids), dtype=object)
+    # one batched DLT per corner count (a set: np.unique would import numpy.ma, about 1 MB)
+    for n in set(counts[counts >= MIN_CORNERS_PER_VIEW].tolist()):
+        group = np.flatnonzero(counts == n)
+        rows = order[start[group, None] + np.arange(n)]
+        H[group], reason[group] = _homographies(obj[rows, :2], pix[rows])
+    view_ids = view_ids.tolist()
+    kept = []
+    for k, vid in enumerate(view_ids):
+        if counts[k] < MIN_CORNERS_PER_VIEW:
+            logger.warning("dropping view %r: only %d corners detected", vid, counts[k])
+        elif reason[k]:
+            logger.warning("dropping view %r: %s", vid, reason[k])
+        else:
+            kept.append(k)
 
-    K0 = intrinsics_from_homographies(list(homographies.values()), image_size, fix_skew=fix_skew)
-    poses0 = {vid: pose_from_homography(K0, H) for vid, H in homographies.items()}
+    K0 = intrinsics_from_homographies(H[kept], image_size, fix_skew=fix_skew)
+    poses0 = {view_ids[k]: pose_from_homography(K0, H[k]) for k in kept}
     # refinement starts from K0 and the poses; it reads no initial rms
     init = CalibrationResult(K0, poses0, float("nan"), {})
-    # the kept corners by view, in input order within a view: this fixes the residual row order
-    order = np.argsort(view_idx, kind="stable")
-    return refine_calibration(corners.take(order[kept[order]]), grid, init, fix_skew=fix_skew)
+    rows = order[np.isin(view_idx[order], kept)]
+    return refine_calibration(corners.take(rows), grid, init, fix_skew=fix_skew)
 
 
 def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
@@ -389,17 +384,15 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
     """
     view_idx = np.zeros(len(points), dtype=int)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return (project_packed(xi, x[None, :3], x[None, 3:], view_idx, points) - pixels).ravel()
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        return project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)[2].reshape(-1, 6)
+    def model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        uv, _, d_pose = project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)
+        return (uv - pixels).ravel(), d_pose.reshape(-1, 6)
 
     x0 = np.concatenate([axis_angle_from_rotation(pose0.rotation), pose0.translation])
-    result = levenberg_marquardt(residual, x0, plus=retract_poses, jacobian=jacobian)
+    result = levenberg_marquardt(model, x0, plus=retract_poses)
     logger.debug("%s refinement: %s", label, result.summary())
     pose = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    return pose, residual(result.x).reshape(-1, 2)
+    return pose, result.residual.reshape(-1, 2)
 
 
 # --- stereo ---------------------------------------------------------------

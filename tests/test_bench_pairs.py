@@ -2,6 +2,7 @@
 slower beyond a metric's bound, and marks the gains it may claim."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,50 @@ def test_claimable_needs_ten_pairs_nine_tenths_won_and_a_gap_beyond_the_base_iqr
     bench_pairs.report("eval-shared-faces", runs("m", base), runs("m", change),
                        [{"name": "m", "better": better, "bound": 0.25}])
     assert ("claimable" in capsys.readouterr().out) == claimable
+
+
+def git(root, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root, check=True,
+                   capture_output=True)
+
+
+def tree_files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def test_both_sides_are_fresh_copies_without_bytecode(tmp_path):
+    """The working tree's compiled bytecode is not copied, so its side imports from the
+    same cold state as the base export; edits and new unignored files are."""
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "pkg" / "new.py").write_text("Y = 1\n")
+    for where in ("pkg", "."):
+        cache = repo / where / "__pycache__"
+        cache.mkdir()
+        (cache / "mod.cpython-311.pyc").write_bytes(b"\0" * 16)
+
+    base = bench_pairs.export("HEAD", tmp_path / "base", root=repo)
+    change = bench_pairs.export_worktree(tmp_path / "change", root=repo)
+    assert tree_files(base) == {"pkg/mod.py"}
+    assert tree_files(change) == {"pkg/mod.py", "pkg/new.py"}
+    assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
+
+
+def test_main_runs_neither_side_in_the_repository(monkeypatch, capsys):
+    trees = []
+
+    def fake_run(tree, workload, seed, seconds):
+        trees.append(tree)
+        assert not list(tree.rglob("__pycache__"))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m: {"value": 1.0} for m in ("ops_per_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(["--pairs", "2", "--workload", "calib-rig", "--seconds", "1"]) == 0
+    assert len(trees) == 4 and len(set(trees)) == 2
+    assert bench_pairs.ROOT not in trees and trees[0].parent == trees[1].parent

@@ -253,7 +253,7 @@ class TestRefineCalibration:
         def f(x):
             return x - 1.0
 
-        lm = levenberg_marquardt(f, np.ones(3), jacobian=lambda x: fd_jacobian(f, x, lambda x, dx: x + dx))
+        lm = levenberg_marquardt(lambda x: (f(x), fd_jacobian(f, x, lambda x, dx: x + dx)), np.ones(3))
         assert lm.iterations <= 2
         assert lm.cost == 0.0
 

@@ -17,6 +17,7 @@ from planegaze.calibration import (
     refine_calibration,
 )
 from planegaze.camera import CameraIntrinsics, project_packed, project_packed_jacobian, project_points
+from planegaze.errors import NoConvergenceError
 from planegaze.geometry import RigidTransform, axis_angle_from_rotation, rotation_from_axis_angle
 from planegaze.grid import GridConfig
 from planegaze.optimize import (
@@ -43,16 +44,16 @@ def rig():
 class Captured(Exception):
     """Raised by :func:`capture_problem` in place of solving."""
 
-    def __init__(self, residual, x0, plus, jacobian):
+    def __init__(self, model, x0, plus):
         super().__init__("captured")
-        self.problem = (residual, x0, plus, jacobian)
+        self.problem = (model, x0, plus)
 
 
 def capture_problem(solve):
-    """The (residual, x0, plus, jacobian) that ``solve()`` hands to the LM solver first."""
+    """The (model, x0, plus) that ``solve()`` hands to the LM solver first."""
 
-    def capture(residual, x0, *, plus=None, jacobian=None, **kwargs):
-        raise Captured(residual, x0, plus, jacobian)
+    def capture(model, x0, *, plus=None, **kwargs):
+        raise Captured(model, x0, plus)
 
     with mock.patch.object(calibration, "levenberg_marquardt", capture):
         with pytest.raises(Captured) as info:
@@ -72,12 +73,13 @@ def densify(jac, n_params):
     return J.reshape(n * k, n_params)
 
 
-def assert_jacobian_matches_fd(residual, x0, plus, jacobian):
-    """Analytic equals central differences to 1e-6 of each column's largest
-    entry, plus the differences' own rounding noise, eps |r| / step."""
-    J = densify(jacobian(x0), x0.size)
-    J_fd = fd_jacobian(residual, x0, plus)
-    r = residual(x0)
+def assert_jacobian_matches_fd(model, x0, plus):
+    """The model's analytic J equals central differences of its r to 1e-6 of
+    each column's largest entry, plus the differences' own rounding noise,
+    eps |r| / step."""
+    r, jac = model(x0)
+    J = densify(jac, x0.size)
+    J_fd = fd_jacobian(lambda x: model(x)[0], x0, plus)
     assert J.shape == J_fd.shape == (r.size, x0.size)
     step = FD_REL_STEP * np.maximum(np.abs(x0), 1.0)
     tol = 1e-6 * np.abs(J_fd).max(axis=0) + 10 * np.finfo(float).eps * np.abs(r).max() / step
@@ -118,11 +120,9 @@ def test_calibration_jacobian_equals_fd(fix_skew, seed, n_views):
     views = [f"v{k}" for k in range(n_views)]
     obs = CornerTable.concat([random_corners(rng, v, "left") for v in views])
     init = CalibrationResult(K, {v: random_pose(rng) for v in views}, float("nan"), {})
-    residual, x0, plus, jacobian = capture_problem(
-        lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew)
-    )
+    model, x0, plus = capture_problem(lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew))
     assert x0.size == (9 if fix_skew else 10) + 6 * n_views
-    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+    assert_jacobian_matches_fd(model, x0, plus)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,9 +138,9 @@ def test_stereo_jacobian_equals_fd(seed, n_views):
         {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0, {},
     )
     obs = CornerTable.concat([random_corners(rng, v, "right") for v in views])
-    residual, x0, plus, jacobian = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
+    model, x0, plus = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
     assert x0.size == 6
-    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+    assert_jacobian_matches_fd(model, x0, plus)
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,9 +152,9 @@ def test_plane_jacobian_equals_fd(seed):
     ij = np.array(GRID.corner_indices())
     uv = project_points(K, pose, np.column_stack([GRID.square_size * ij, np.zeros(len(ij))]))
     corners = CornerTable(np.full(len(ij), "plane"), np.full(len(ij), "left"), ij, uv)
-    residual, x0, plus, jacobian = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
+    model, x0, plus = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
     assert x0.size == 6
-    assert_jacobian_matches_fd(residual, x0, plus, jacobian)
+    assert_jacobian_matches_fd(model, x0, plus)
 
 
 def test_kernel_pixels_equal_project_packed():
@@ -171,12 +171,18 @@ def test_kernel_pixels_equal_project_packed():
 
 
 def test_jacobian_costs_no_residual_evaluations(rig):
-    """Every solve of a rig: residual evaluations are the start plus one per trial step."""
+    """Every solve of a rig calls its model once at the start and once per trial
+    step, and nothing projects the corners apart from those calls."""
     calls = []
-    real = calibration.levenberg_marquardt
+    projections = [0]
+    real, real_project = calibration.levenberg_marquardt, calibration.project_packed_jacobian
 
-    def spy(residual, x0, *, plus, jacobian, **kwargs):
-        n = {"residual": 0, "plus": 0, "jacobian": 0}
+    def project(*args):
+        projections[0] += 1
+        return real_project(*args)
+
+    def spy(model, x0, *, plus, **kwargs):
+        n = {"model": 0, "plus": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -184,12 +190,12 @@ def test_jacobian_costs_no_residual_evaluations(rig):
                 return fn(*args)
             return call
 
-        result = real(counted("residual", residual), x0, plus=counted("plus", plus),
-                      jacobian=counted("jacobian", jacobian), **kwargs)
+        result = real(counted("model", model), x0, plus=counted("plus", plus), **kwargs)
         calls.append((result, n))
         return result
 
-    with mock.patch.object(calibration, "levenberg_marquardt", spy):
+    with mock.patch.object(calibration, "levenberg_marquardt", spy), \
+            mock.patch.object(calibration, "project_packed_jacobian", project):
         cams = [
             calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == cam), rig.grid, (1280, 720))
             for cam in ("left", "right")
@@ -200,24 +206,46 @@ def test_jacobian_costs_no_residual_evaluations(rig):
     assert len(calls) == 4
     for result, n in calls:
         assert result.iterations >= 1
-        assert result.residual_evals == n["residual"] == 1 + n["plus"]
-        assert n["jacobian"] == result.iterations
+        assert result.residual_evals == n["model"] == 1 + n["plus"]
+    assert projections[0] == sum(n["model"] for _, n in calls)
+
+
+def rosenbrock(x):
+    return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
 
 
 def test_residual_evals_counted_on_dense_problem():
     evals = [0]
 
-    def f(x):
-        return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
-
-    def residual(x):
+    def model(x):
         evals[0] += 1
-        return f(x)
+        return rosenbrock(x), fd_jacobian(rosenbrock, x, lambda x, dx: x + dx)
 
-    result = levenberg_marquardt(residual, np.array([-1.2, 1.0]),
-                                 jacobian=lambda x: fd_jacobian(f, x, lambda x, dx: x + dx))
+    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
     assert result.reason != "max_iter"
     assert result.residual_evals == evals[0]
+
+
+def test_result_residual_is_the_model_residual_at_x():
+    """``LMResult.residual`` is the model's r at the returned x, bit for bit, both
+    for a normal stop and for the best iterate a NoConvergenceError carries."""
+
+    def model(x):
+        return rosenbrock(x), fd_jacobian(rosenbrock, x, lambda x, dx: x + dx)
+
+    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
+    assert result.reason != "diverged"
+    assert np.array_equal(result.residual, model(result.x)[0])
+
+    def wrong_sign(x):
+        # a Jacobian of the wrong sign makes every step uphill, down to the damping cap
+        return x - 1.0, -1e-3 * np.eye(3)
+
+    with pytest.raises(NoConvergenceError) as info:
+        levenberg_marquardt(wrong_sign, np.array([0.0, 2.0, 5.0]))
+    best = info.value.best
+    assert best.reason == "diverged"
+    assert np.array_equal(best.residual, wrong_sign(best.x)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,4 +317,4 @@ def test_block_layout_must_cover_every_parameter():
     """Two views of 3 own entries after 2 shared ones make 8 parameters, not 9."""
     jac = BlockJacobian(np.ones((4, 2, 2)), np.ones((4, 2, 3)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="is not 9 parameters"):
-        levenberg_marquardt(lambda x: x[:8] - 1.0, np.zeros(9), jacobian=lambda x: jac)
+        levenberg_marquardt(lambda x: (x[:8] - 1.0, jac), np.zeros(9))

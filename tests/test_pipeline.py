@@ -12,7 +12,9 @@ from planegaze.geometry import (
 )
 from planegaze.pipeline import (
     CONVENTION_ABSOLUTE,
+    CONVENTIONS,
     STATUS_AWAY,
+    STATUS_NO_DIRECTION,
     STATUS_NO_INTERSECTION,
     STATUS_OK,
     correct_gaze_to_camera_frame,
@@ -56,9 +58,17 @@ class TestCorrection:
             correct_gaze_to_camera_frame(pred, head), [yaw_pitch_to_dir(0.3, -0.25)], atol=1e-15
         )
 
-    def test_head_behind_camera_rejected(self):
-        with pytest.raises(ValueError):
-            correct_gaze_to_camera_frame(prediction_table(0.0, 0.0), head_at(0, 0, -0.5))
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_head_behind_camera_rejected(self, convention):
+        """A head at z <= 0 (or NaN) gets a NaN row; every other row keeps the clean batch's bits."""
+        yaw, pitch = np.array([0.1, -0.2, 0.3, 0.0, -0.4]), np.array([0.05, 0.0, -0.1, 0.2, 0.3])
+        clean = [[0.1, 0.0, 0.6], [0.0, 0.1, 0.5], [-0.1, 0.0, 0.7], [0.2, 0.2, 0.4], [0.0, -0.1, 0.8]]
+        bad = [clean[0], [0.0, 0.0, -0.5], clean[2], [0.0, 0.0, 0.0], [np.nan] * 3]
+        table = prediction_table(yaw, pitch, convention)
+        want = correct_gaze_to_camera_frame(table, heads_at(clean))
+        got = correct_gaze_to_camera_frame(table, heads_at(bad))
+        assert np.isnan(got[[1, 3, 4]]).all()
+        assert np.array_equal(got[[0, 2]], want[[0, 2]])
 
 
 class TestGazePointOnSurface:
@@ -72,6 +82,21 @@ class TestGazePointOnSurface:
         est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([[1.0, 0, 0]]), IDENTITY_PLANE)
         assert est.status.tolist() == [STATUS_NO_INTERSECTION]
         assert np.all(np.isnan(est.point)) and np.isnan(est.alpha[0])
+
+    def test_zero_or_nan_direction_is_marked(self):
+        """A zero or non-finite direction row gets its own status and NaN values;
+        every other row keeps the clean batch's bits."""
+        heads = heads_at([[0, 0, 0.4], [0.1, 0.2, 0.5], [0.2, 0.0, 0.3], [0.0, 0.1, 0.6]])
+        dirs = np.array([[0, 0, -1.0], [0, 0.6, -0.8], [0.1, 0.2, -0.9], [0.3, 0.0, -0.7]])
+        clean = gaze_point_on_surface(heads, dirs, IDENTITY_PLANE)
+        bad = dirs.copy()
+        bad[1], bad[3] = 0.0, [np.nan, 0.0, -1.0]
+        est = gaze_point_on_surface(heads, bad, IDENTITY_PLANE)
+        assert est.status.tolist() == [STATUS_OK, STATUS_NO_DIRECTION, STATUS_OK, STATUS_NO_DIRECTION]
+        assert np.isnan(est.point[[1, 3]]).all() and np.isnan(est.alpha[[1, 3]]).all()
+        assert np.isnan(est.direction_cc[[1, 3]]).all()
+        for field in ("point", "alpha", "direction_cc"):
+            assert np.array_equal(getattr(est, field)[[0, 2]], getattr(clean, field)[[0, 2]])
 
     def test_upward_direction_away(self):
         est = gaze_point_on_surface(head_at(0, 0, 0.4), np.array([[0, 0, 1.0]]), IDENTITY_PLANE)

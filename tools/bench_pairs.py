@@ -3,9 +3,14 @@
 
     python tools/bench_pairs.py --base HEAD --pairs 10 --seed 7919 --seconds 30
 
-The base commit is exported with ``git archive`` into a temporary directory.
-For each workload, ``perfbench/run.py`` then runs ``--pairs`` times on that
-tree and as often on the working tree, one pair after the other; which side
+The base commit is exported with ``git archive`` into a temporary directory,
+and the working tree's files (tracked, or untracked and not ignored) are
+copied next to it. Neither copy holds a ``__pycache__``, so both sides start
+from the same bytecode conditions: a working tree whose bytecode is already
+compiled would otherwise import faster than a fresh export, and read a
+better ``setup_s`` with no change to the code. For each workload,
+``perfbench/run.py`` then runs ``--pairs`` times on the base tree and as
+often on the working tree's copy, one pair after the other; which side
 runs first alternates from pair to pair, so a host that drifts in speed
 favours neither side. For every end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the change of the medians, and in
@@ -19,9 +24,8 @@ share of operations exceeds the base's, or the median of an end-to-end
 metric is worse than the base's by more than that metric's ``bound`` in
 ``BENCHMARK.json``: each rejects a change whatever its other gains.
 
-Nothing is written inside the repository except perfbench's own run
-directory (``.perfbench-run/``, ignored by git), which perfbench removes
-again apart from traces.
+Nothing is written inside the repository: perfbench's run directories and
+traces stay in the temporary copies, which are removed at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,13 +45,27 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("eval-shared-faces", "calib-rig", "synth-write")
 
 
-def export(ref: str, dest: Path) -> Path:
-    """The tree of commit ``ref``, unpacked under ``dest``."""
-    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
+def export(ref: str, dest: Path, root: Path = ROOT) -> Path:
+    """The tree of commit ``ref`` of the repository at ``root``, unpacked under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=root, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         archive.extractall(dest, **safe)
+    return dest
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> Path:
+    """The working tree at ``root``, copied under ``dest``: every file git tracks or would
+    add (untracked and not ignored) that exists, and nothing under a ``__pycache__``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True, text=True).stdout
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        src, out = root / name, dest / name
+        if "__pycache__" in Path(name).parts or not src.is_file():
+            continue
+        out.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, out)
     return dest
 
 
@@ -129,15 +148,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     reasons = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_tree = export(args.base, Path(tmp))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": export(args.base, Path(tmp) / "base"), "change": export_worktree(Path(tmp) / "change")}
         for workload in args.workload or WORKLOADS:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
-                    tree = base_tree if side == "base" else ROOT
-                    runs[side].append(run(tree, workload, args.seed, args.seconds))
+                    runs[side].append(run(trees[side], workload, args.seed, args.seconds))
                 values = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in order}
                 print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): ops_per_s "
                       f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
