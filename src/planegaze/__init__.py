@@ -32,7 +32,7 @@ from .geometry import (
     angular_error_deg,
     yaw_pitch_to_dir,
 )
-from .grid import GridConfig, default_target_map, grid_points, target_center
+from .grid import GridConfig, default_target_map, target_center
 from .metrics import (
     FrameErrors,
     FrameTable,

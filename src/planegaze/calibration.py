@@ -29,6 +29,7 @@ from .geometry import (
     RigidTransform,
     axis_angle_from_rotation,
     nearest_rotation,
+    norm,
     retract_poses,
     rotation_from_axis_angle,
 )
@@ -74,12 +75,20 @@ class CornerTable:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """RMS values are per residual coordinate: sqrt(cost / (2 * corners))."""
+    """One camera's fit, with its views as columns.
+
+    ``view_id`` (V,) names the views, sorted in a fit's result; ``rotation``
+    (V, 3, 3) and ``translation`` (V, 3) are their board-to-camera poses and
+    ``view_rms`` (V,) their reprojection RMS. RMS values are per residual
+    coordinate: sqrt(cost / (2 * corners)).
+    """
 
     intrinsics: CameraIntrinsics
-    per_view_poses: dict[str, RigidTransform]
+    view_id: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
     rms_reprojection: float
-    per_view_rms: dict[str, float]
+    view_rms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,20 +176,6 @@ def estimate_homography(plane_pts, pixels) -> np.ndarray:
 
 # --- closed-form intrinsics (absolute-conic constraints) -----------------
 
-def _conic_row(H: np.ndarray, i: int, j: int) -> np.ndarray:
-    h_i, h_j = H[:, i], H[:, j]
-    return np.array(
-        [
-            h_i[0] * h_j[0],
-            h_i[0] * h_j[1] + h_i[1] * h_j[0],
-            h_i[1] * h_j[1],
-            h_i[2] * h_j[0] + h_i[0] * h_j[2],
-            h_i[2] * h_j[1] + h_i[1] * h_j[2],
-            h_i[2] * h_j[2],
-        ]
-    )
-
-
 def intrinsics_from_homographies(
     homographies,
     image_size: tuple[int, int],
@@ -194,20 +189,18 @@ def intrinsics_from_homographies(
     when the constraint system is too close to rank-deficient (parallel
     board orientations) to invert reliably.
     """
-    hs = [np.asarray(H, dtype=float) for H in homographies]
+    H = np.asarray(homographies, dtype=float).reshape(-1, 3, 3)
     min_views = 2 if fix_skew else 3
-    if len(hs) < min_views:
+    if len(H) < min_views:
         raise IllConditionedError(
-            f"need >= {min_views} views for intrinsics initialization, got {len(hs)}"
+            f"need >= {min_views} views for intrinsics initialization, got {len(H)}"
         )
-    rows = []
-    for H in hs:
-        v12 = _conic_row(H, 0, 1)
-        v11 = _conic_row(H, 0, 0)
-        v22 = _conic_row(H, 1, 1)
-        rows.append(v12)
-        rows.append(v11 - v22)
-    V = np.asarray(rows)
+    # v_ij of columns (h_i, h_j) = (1, 2), (1, 1), (2, 2); each view gives rows v_12 and v_11 - v_22
+    a, b = H[:, :, [0, 0, 1]], H[:, :, [1, 0, 1]]
+    v = np.stack([a[:, 0] * b[:, 0], a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0], a[:, 1] * b[:, 1],
+                  a[:, 2] * b[:, 0] + a[:, 0] * b[:, 2], a[:, 2] * b[:, 1] + a[:, 1] * b[:, 2],
+                  a[:, 2] * b[:, 2]], axis=2)
+    V = np.stack([v[:, 0], v[:, 1] - v[:, 2]], axis=1).reshape(-1, 6)
     if fix_skew:
         V = V[:, [0, 2, 3, 4, 5]]  # drop the B12 column
 
@@ -242,30 +235,29 @@ def intrinsics_from_homographies(
     )
 
 
-def pose_from_homography(K, H) -> RigidTransform:
-    """Board pose (board frame -> camera frame) from a plane homography.
+def pose_from_homography(K, H) -> tuple[np.ndarray, np.ndarray]:
+    """Board poses (board frame -> camera frame) from V plane homographies ``H`` (V, 3, 3).
 
-    ``K`` may be a CameraIntrinsics or a raw 3x3 matrix. The scale is fixed
-    by the first rotation column; sign is chosen so the board lies in front
-    of the camera. Raises InvalidPoseError when t.z <= 0 survives the sign
-    choice (degenerate homography, e.g. H proportional to K).
+    Returns the rotations R (V, 3, 3) and translations t (V, 3). ``K`` may
+    be a CameraIntrinsics or a raw 3x3 matrix. The scale is fixed by the
+    first rotation column; sign is chosen so the board lies in front of the
+    camera. Raises InvalidPoseError for the first view whose t.z <= 0
+    survives the sign choice (degenerate homography, e.g. H proportional to K).
     """
     Kmat = K.matrix() if isinstance(K, CameraIntrinsics) else np.asarray(K, dtype=float)
-    H = np.asarray(H, dtype=float)
-    A = np.linalg.solve(Kmat, H)
-    n1 = np.linalg.norm(A[:, 0])
-    if n1 < 1e-12:
-        raise InvalidPoseError("homography first column vanishes under K^-1")
-    lam = 1.0 / n1
-    if lam * A[2, 2] < 0:
-        lam = -lam
-    r1 = lam * A[:, 0]
-    r2 = lam * A[:, 1]
-    t = lam * A[:, 2]
-    if t[2] <= 0:
-        raise InvalidPoseError(f"recovered board pose has t.z = {t[2]:.3g} <= 0")
-    R = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return RigidTransform(R, t)
+    A = np.linalg.solve(Kmat, np.asarray(H, dtype=float))
+    n1 = norm(A[:, :, 0])
+    vanishes = n1 < 1e-12
+    lam = 1.0 / np.where(vanishes, 1.0, n1)
+    lam = np.where(lam * A[:, 2, 2] < 0, -lam, lam)[:, None]
+    r1, r2, t = lam * A[:, :, 0], lam * A[:, :, 1], lam * A[:, :, 2]
+    bad = vanishes | (t[:, 2] <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if vanishes[k]:
+            raise InvalidPoseError("homography first column vanishes under K^-1")
+        raise InvalidPoseError(f"recovered board pose has t.z = {t[k, 2]:.3g} <= 0")
+    return nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=2)), t
 
 
 # --- joint refinement -----------------------------------------------------
@@ -301,16 +293,15 @@ def refine_calibration(
     """
     obj, pix = _corner_arrays(corners, grid)
     view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
-    view_ids = view_ids.tolist()
-    missing = [v for v in view_ids if v not in init.per_view_poses]
-    if missing:
+    # not np.isin: on arrays this small it calls np.unique, which imports numpy.ma (about 1 MB)
+    found, _, k = np.intersect1d(view_ids, init.view_id, assume_unique=True, return_indices=True)
+    if len(found) < len(view_ids):
+        missing = sorted(set(view_ids.tolist()) - set(found.tolist()))
         raise ValueError(f"initialization lacks poses for views: {missing}")
 
     xi0 = init.intrinsics.packed(with_skew=not fix_skew)
     n_intr = xi0.size
-    rotations = np.array([init.per_view_poses[v].rotation for v in view_ids])
-    translations = np.array([init.per_view_poses[v].translation for v in view_ids])
-    x0 = np.concatenate([xi0, np.hstack([axis_angle_from_rotation(rotations), translations]).ravel()])
+    x0 = np.concatenate([xi0, np.hstack([axis_angle_from_rotation(init.rotation[k]), init.translation[k]]).ravel()])
 
     def model(x: np.ndarray) -> tuple[np.ndarray, BlockJacobian]:
         pose = x[n_intr:].reshape(-1, 6)
@@ -323,13 +314,10 @@ def refine_calibration(
     xi = result.x[:n_intr]
     pose = result.x[n_intr:].reshape(-1, 6)
     intr = CameraIntrinsics.from_packed(xi, init.intrinsics.image_size)
-    rotations = rotation_from_axis_angle(pose[:, :3])
-    poses = {v: RigidTransform(rotations[k], pose[k, 3:]) for k, v in enumerate(view_ids)}
     res = result.residual.reshape(-1, 2)
     view_rms = np.sqrt(np.bincount(view_idx, (res ** 2).sum(axis=1)) / (2 * np.bincount(view_idx)))
-    per_view_rms = {v: float(view_rms[k]) for k, v in enumerate(view_ids)}
     rms = float(np.sqrt(np.mean(res ** 2)))
-    return CalibrationResult(intr, poses, rms, per_view_rms)
+    return CalibrationResult(intr, view_ids, rotation_from_axis_angle(pose[:, :3]), pose[:, 3:], rms, view_rms)
 
 
 def calibrate_camera(
@@ -357,9 +345,8 @@ def calibrate_camera(
         group = np.flatnonzero(counts == n)
         rows = order[start[group, None] + np.arange(n)]
         H[group], reason[group] = _homographies(obj[rows, :2], pix[rows])
-    view_ids = view_ids.tolist()
     kept = []
-    for k, vid in enumerate(view_ids):
+    for k, vid in enumerate(view_ids.tolist()):
         if counts[k] < MIN_CORNERS_PER_VIEW:
             logger.warning("dropping view %r: only %d corners detected", vid, counts[k])
         elif reason[k]:
@@ -368,9 +355,9 @@ def calibrate_camera(
             kept.append(k)
 
     K0 = intrinsics_from_homographies(H[kept], image_size, fix_skew=fix_skew)
-    poses0 = {view_ids[k]: pose_from_homography(K0, H[k]) for k in kept}
     # refinement starts from K0 and the poses; it reads no initial rms
-    init = CalibrationResult(K0, poses0, float("nan"), {})
+    R0, t0 = pose_from_homography(K0, H[kept])
+    init = CalibrationResult(K0, view_ids[kept], R0, t0, float("nan"), np.full(len(kept), np.nan))
     rows = order[np.isin(view_idx[order], kept)]
     return refine_calibration(corners.take(rows), grid, init, fix_skew=fix_skew)
 
@@ -408,31 +395,27 @@ def calibrate_stereo(
     Per shared view the candidate is pose_right o pose_left^-1; candidates
     are averaged (chordal rotation mean, translation mean) and the single
     relative pose is then refined against the right-camera corners of all
-    shared views, with the left poses held fixed.
+    shared views, with the left poses held fixed. The views may come in any
+    order in either result.
     """
-    shared_views = sorted(set(left.per_view_poses) & set(right.per_view_poses))
-    if not shared_views:
+    shared, il, ir = np.intersect1d(left.view_id, right.view_id, assume_unique=True, return_indices=True)
+    if not len(shared):
         raise NoSharedViewsError("no views were seen by both cameras")
 
-    rotations = []
-    translations = []
-    for v in shared_views:
-        T = right.per_view_poses[v].compose(left.per_view_poses[v].inverse())
-        rotations.append(T.rotation)
-        translations.append(T.translation)
-    R0 = nearest_rotation(np.mean(rotations, axis=0))
-    t0 = np.mean(translations, axis=0)
+    # stacked @ rounds each view as the one-view product; R_l^T stays a strided view for that
+    R_l, t_l, R_r = left.rotation[il], left.translation[il, :, None], right.rotation[ir]
+    R_lt = R_l.transpose(0, 2, 1)
+    R0 = nearest_rotation(np.mean(R_r @ R_lt, axis=0))
+    t0 = np.mean((R_r @ -(R_lt @ t_l))[:, :, 0] + right.translation[ir], axis=0)
 
     obj, pix = _corner_arrays(corners, grid)
-    rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared_views)
+    rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared)
     if not rows.any():
         return StereoRig(left.intrinsics, right.intrinsics, RigidTransform(R0, t0))
 
     # the right corners' board points in the left camera frame, fixed by the left poses
-    view_idx = np.searchsorted(shared_views, corners.view_id[rows])
+    view_idx = np.searchsorted(shared, corners.view_id[rows])
     obj, pix = obj[rows], pix[rows]
-    left_R = np.array([left.per_view_poses[v].rotation for v in shared_views])
-    left_t = np.array([left.per_view_poses[v].translation for v in shared_views])
-    points = np.einsum("nij,nj->ni", left_R[view_idx], obj) + left_t[view_idx]
+    points = np.einsum("nij,nj->ni", R_l[view_idx], obj) + t_l[view_idx, :, 0]
     rel, _ = refine_pose(right.intrinsics.packed(), points, pix, RigidTransform(R0, t0), "stereo")
     return StereoRig(left.intrinsics, right.intrinsics, rel)

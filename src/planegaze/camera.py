@@ -63,7 +63,7 @@ class CameraIntrinsics:
         )
 
     def packed(self, with_skew: bool = True) -> np.ndarray:
-        """(fx, fy, cx, cy, [skew,] k1, k2, p1, p2, k3): the layout of :func:`project_packed`."""
+        """(fx, fy, cx, cy, [skew,] k1, k2, p1, p2, k3): the layout of :func:`project_packed_jacobian`."""
         skew = [self.skew] if with_skew else []
         return np.array([self.fx, self.fy, self.cx, self.cy, *skew, *self.dist])
 
@@ -100,33 +100,27 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     return _pixels(xd, K.fx, K.fy, K.cx, K.cy, K.skew)
 
 
-def project_packed(xi, rvecs, tvecs, view_idx, obj) -> np.ndarray:
-    """Project board points of many views under packed parameters, shape (N, 2).
+def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
+    """Project board points of many views under packed parameters, with derivatives, for the solvers.
 
     ``xi`` is laid out as :meth:`CameraIntrinsics.packed`. Point n lies at
     ``obj[n]`` on the board of view ``view_idx[n]``, posed by axis-angle
     ``rvecs`` and ``tvecs`` (one row per view). Points behind the camera
     are clamped to z = 1e-9 instead of raising, so a solver's excursions
     show as large residuals.
+
+    Returns ``(uv, d_xi, d_pose)``: the pixels (N, 2); d uv / d xi,
+    (N, 2, len(xi)); and d uv / d the increment of each point's own view
+    pose, (N, 2, 6). The increment (d rvec, d t) is the one
+    :func:`~planegaze.geometry.retract_poses` applies, R <- exp(d rvec) R
+    and t <- t + d t, under which the camera-frame point moves by
+    d rvec x (R X) + d t (Gallego & Yezzi 2015).
     """
-    _, Xc = _posed_points(rvecs, tvecs, view_idx, obj)
-    fx, fy, cx, cy, skew, dist = _unpack(xi)
-    xd = distort_normalized(Xc[:, :2] / np.maximum(Xc[:, 2:], 1e-9), dist)
-    return _pixels(xd, fx, fy, cx, cy, skew)
-
-
-def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
-    """:func:`project_packed` with its derivatives, for the solvers.
-
-    Returns ``(uv, d_xi, d_pose)``: the pixels (N, 2), bit for bit those of
-    :func:`project_packed`; d uv / d xi, (N, 2, len(xi)); and d uv / d the
-    increment of each point's own view pose, (N, 2, 6). The increment
-    (d rvec, d t) is the one :func:`~planegaze.geometry.retract_poses`
-    applies, R <- exp(d rvec) R and t <- t + d t, under which the
-    camera-frame point moves by d rvec x (R X) + d t (Gallego & Yezzi 2015).
-    """
-    p, Xc = _posed_points(rvecs, tvecs, view_idx, obj)
-    fx, fy, cx, cy, skew, (k1, k2, p1, p2, k3) = _unpack(xi)
+    p = np.einsum("nij,nj->ni", rotation_from_axis_angle(rvecs)[view_idx], obj)  # R X
+    Xc = p + tvecs[view_idx]
+    fx, fy, cx, cy = xi[:4]
+    k1, k2, p1, p2, k3 = xi[-5:]
+    skew = xi[4] if len(xi) == 10 else 0.0
     z = np.maximum(Xc[:, 2], 1e-9)
     xy = Xc[:, :2] / z[:, None]
     xd = distort_normalized(xy, (k1, k2, p1, p2, k3))
@@ -177,19 +171,6 @@ def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
     d_pose[:, :, 1] = pz * mx - px * mz
     d_pose[:, :, 2] = px * my - py * mx
     return uv, d_xi, d_pose
-
-
-def _posed_points(rvecs, tvecs, view_idx, obj) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated board points R X and camera-frame points R X + t, each (N, 3)."""
-    R = rotation_from_axis_angle(rvecs)
-    p = np.einsum("nij,nj->ni", R[view_idx], obj)
-    return p, p + tvecs[view_idx]
-
-
-def _unpack(xi):
-    """(fx, fy, cx, cy, skew, dist) of a 9- or 10-entry packed vector."""
-    skew = xi[4] if len(xi) == 10 else 0.0
-    return xi[0], xi[1], xi[2], xi[3], skew, xi[-5:]
 
 
 def _pixels(xd: np.ndarray, fx, fy, cx, cy, skew) -> np.ndarray:

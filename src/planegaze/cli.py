@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or parse error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .errors import (
 from .formats import (
     precision_thresholds,
     provenance,
+    read_config_thresholds,
     read_corners,
     read_grid_config,
     read_intrinsics,
@@ -187,15 +187,16 @@ def cmd_calibrate(args) -> int:
             continue
         result = calibrate_camera(corners.take(rows), grid, args.image_size, fix_skew=not args.release_skew)
         results[camera] = result
-        print(f"{camera}: rms {result.rms_reprojection:.6g} px over {len(result.per_view_poses)} views")
-        for vid in sorted(result.per_view_rms):
-            print(f"  view {vid}: rms {result.per_view_rms[vid]:.6g} px")
+        per_view_rms = dict(zip(result.view_id.tolist(), result.view_rms.tolist()))
+        print(f"{camera}: rms {result.rms_reprojection:.6g} px over {len(per_view_rms)} views")
+        for vid, rms in per_view_rms.items():
+            print(f"  view {vid}: rms {rms:.6g} px")
         write_intrinsics(
             args.out / f"intrinsics_{camera}.json",
             result.intrinsics,
             camera=camera,
             rms_px=result.rms_reprojection,
-            per_view_rms=result.per_view_rms,
+            per_view_rms=per_view_rms,
             prov=provenance(inputs=inputs, config={"origin": "estimated"}),
         )
 
@@ -274,19 +275,8 @@ def _thresholds(args):
     column; duplicates are dropped.
     """
     thresholds = list(DEFAULT_THRESHOLDS_CM)
-    if args.config is not None:
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad config file: {exc}", file=str(args.config)) from None
-        if not isinstance(cfg, dict):
-            raise FormatError("config must be a JSON object", file=str(args.config))
-        extra = cfg.get("thresholds_cm")
-        if extra is not None:
-            if not isinstance(extra, list):
-                raise FormatError(f"thresholds_cm must be a list of numbers, got {extra!r}",
-                                  file=str(args.config))
-            thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
+    if args.config is not None and (extra := read_config_thresholds(args.config)) is not None:
+        thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
     if getattr(args, "thresholds", None) is not None:  # "" too: an empty list is a bad value, not "unset"
         thresholds = _threshold_values(args.thresholds.split(","), "--thresholds")
     return precision_thresholds(thresholds)

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps's own C string encoder
 from pathlib import Path
@@ -89,6 +90,19 @@ def _json_int(value, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number, an int or a float (not true, "0.06",
+    NaN or Infinity), else a TypeError naming ``name``."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> tuple[float, ...]:
+    """:func:`_json_number` of each entry of a JSON list."""
+    return tuple(_json_number(v, name) for v in values)
 
 
 def _load_json(path: Path, schema: str) -> dict:
@@ -290,7 +304,7 @@ def _grid_from_payload(p, path: Path, **extra) -> GridConfig:
         if not isinstance(p, dict) or not isinstance(p.get("targets", {}), dict):
             raise TypeError("a grid and its targets must be JSON objects")
         return GridConfig(
-            square_size=float(p["square_size_m"]),
+            square_size=_json_number(p["square_size_m"], "square_size_m"),
             rows=_json_int(p["rows"], "rows"),
             cols=_json_int(p["cols"], "cols"),
             target_map={int(k): tuple(_json_int(c, f"target {k} cell") for c in v)
@@ -323,9 +337,10 @@ def _intrinsics_payload(K: CameraIntrinsics) -> dict:
 def _intrinsics_from_payload(p: dict, path: Path) -> CameraIntrinsics:
     try:
         return CameraIntrinsics(
-            fx=float(p["fx"]), fy=float(p["fy"]), cx=float(p["cx"]), cy=float(p["cy"]),
-            skew=float(p.get("skew", 0.0)), dist=tuple(p["dist"]),
-            image_size=tuple(int(v) for v in p["image_size"]),
+            fx=_json_number(p["fx"], "fx"), fy=_json_number(p["fy"], "fy"),
+            cx=_json_number(p["cx"], "cx"), cy=_json_number(p["cy"], "cy"),
+            skew=_json_number(p.get("skew", 0.0), "skew"), dist=_json_numbers(p["dist"], "dist"),
+            image_size=tuple(_json_int(v, "image_size") for v in p["image_size"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad intrinsics block: {exc}", file=str(path)) from None
@@ -356,8 +371,8 @@ def _transform_payload(T: RigidTransform) -> dict:
 
 def _transform_from_payload(p: dict, path: Path, src=None, dst=None) -> RigidTransform:
     try:
-        return RigidTransform(np.asarray(p["rotation"], dtype=float),
-                              np.asarray(p["translation_m"], dtype=float), src, dst)
+        return RigidTransform(np.array([_json_numbers(row, "rotation") for row in p["rotation"]]),
+                              np.array(_json_numbers(p["translation_m"], "translation_m")), src, dst)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad rigid transform block: {exc}", file=str(path)) from None
 
@@ -403,7 +418,7 @@ def read_plane_pose(path: Path) -> PlanePose:
     payload = _load_json(path, PLANE_SCHEMA)
     T = _transform_from_payload(payload, Path(path), FRAME_CAMERA, FRAME_PLANE)
     try:
-        return PlanePose(T, float(payload.get("rms_px", 0.0)))
+        return PlanePose(T, _json_number(payload.get("rms_px", 0.0), "rms_px"))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad rms_px: {exc}", file=str(path)) from None
 
@@ -725,7 +740,8 @@ def read_scene_config(path: Path, *, frames: int, seed: int, calib_views: int) -
     try:
         if "participants" in payload:
             overrides["participants"] = tuple(
-                (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in payload["participants"]
+                (_json_numbers(lo, "participant box"), _json_numbers(hi, "participant box"))
+                for lo, hi in payload["participants"]
             )
         if "methods" in payload:
             overrides["methods"] = tuple(
@@ -806,6 +822,27 @@ HIST_COLUMNS = {
     "method": "text", "yaw_lo_deg": "float", "yaw_hi_deg": "float", "pitch_lo_deg": "float",
     "pitch_hi_deg": "float", "count": "int",
 }
+
+
+def read_config_thresholds(path: Path) -> list[float] | None:
+    """The ``thresholds_cm`` of a tool config (``--config``), or None when it sets none.
+
+    A file that is not a UTF-8 JSON object, or thresholds that are not a
+    list of finite JSON numbers, is a FormatError naming the file.
+    """
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"bad config file: {exc}", file=str(path)) from None
+    if not isinstance(cfg, dict):
+        raise FormatError("config must be a JSON object", file=str(path))
+    values = cfg.get("thresholds_cm")
+    if values is not None and not isinstance(values, list):
+        raise FormatError(f"thresholds_cm must be a list of numbers, got {values!r}", file=str(path))
+    try:
+        return None if values is None else list(_json_numbers(values, "thresholds_cm"))
+    except TypeError as exc:
+        raise FormatError(f"bad threshold: {exc}", file=str(path)) from None
 
 
 def precision_thresholds(thresholds_cm) -> tuple[float, ...]:

@@ -126,13 +126,15 @@ def require_rotation(R: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
-    """Closest rotation to ``M`` in Frobenius norm (SVD projection)."""
+    """Closest rotation to each matrix of ``M`` (..., 3, 3) in Frobenius norm (SVD projection).
+
+    A matrix whose projection U Vt is a reflection has U's last column flipped.
+    """
     U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
     R = U @ Vt
-    if np.linalg.det(R) < 0:
-        U = U.copy()
-        U[:, -1] *= -1
-        R = U @ Vt
+    flip = np.linalg.det(R) < 0
+    U[flip, :, -1] *= -1
+    R[flip] = U[flip] @ Vt[flip]
     return R
 
 

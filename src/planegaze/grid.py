@@ -55,11 +55,6 @@ class GridConfig:
         return (0 <= i) & (i <= self.rows) & (0 <= j) & (j <= self.cols)
 
 
-def grid_points(config: GridConfig) -> dict[tuple[int, int], np.ndarray]:
-    """Workspace-frame position of every lattice corner: (i,j) -> (s*i, s*j, 0)."""
-    return {ij: corner_position(config, *ij) for ij in config.corner_indices()}
-
-
 def corner_position(config: GridConfig, i, j) -> np.ndarray:
     """Workspace-frame position (s*i, s*j, 0) of lattice corner (i, j).
 

@@ -54,7 +54,6 @@ def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntri
 
     obj = corner_position(config, i, j)
     normalized = undistort_pixels(K, pixels)
-    H = estimate_homography(obj[:, :2], normalized)
-    cam_from_plane = pose_from_homography(np.eye(3), H)
-    refined, res = refine_pose(K.packed(), obj, pixels, cam_from_plane, "plane pose")
+    R, t = pose_from_homography(np.eye(3), estimate_homography(obj[:, :2], normalized)[None])
+    refined, res = refine_pose(K.packed(), obj, pixels, RigidTransform(R[0], t[0]), "plane pose")
     return PlanePose(refined.inverse(), float(np.sqrt(np.mean(res ** 2))))

@@ -7,6 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from planegaze.calibration import CalibrationResult
+from planegaze.geometry import RigidTransform
 from planegaze.pipeline import CONVENTION_OFFSET, PredictionTable
 from planegaze.synthetic import default_scene, generate_scene
 from planegaze.triangulation import FaceTable, HeadPoint
@@ -36,6 +38,18 @@ def assert_same_table(got, want):
             assert a.tobytes() == b.tobytes() if b.dtype.kind == "f" else a.tolist() == b.tolist(), f.name
         else:
             assert a == b, f.name
+
+
+def calibration_result(K, poses, rms=float("nan")) -> CalibrationResult:
+    """A CalibrationResult of known view poses {view_id: RigidTransform}, views sorted, each view's rms NaN."""
+    ids = sorted(poses)
+    return CalibrationResult(K, np.array(ids, dtype=str), np.array([poses[v].rotation for v in ids]),
+                             np.array([poses[v].translation for v in ids]), rms, np.full(len(ids), np.nan))
+
+
+def view_poses(result: CalibrationResult) -> dict:
+    """A CalibrationResult's view poses as {view_id: RigidTransform}."""
+    return {v: RigidTransform(R, t) for v, R, t in zip(result.view_id.tolist(), result.rotation, result.translation)}
 
 
 def face_table(rows) -> FaceTable:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from planegaze.calibration import (
-    CalibrationResult,
     CornerTable,
     calibrate_camera,
     calibrate_stereo,
@@ -24,6 +23,8 @@ from planegaze.errors import (
 from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, corner_position
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
+
+from conftest import calibration_result, view_poses
 
 
 # --- forward synthesis oracle -------------------------------------------------
@@ -171,27 +172,27 @@ class TestPoseFromHomography:
         for _ in range(10):
             pose = sample_pose(rng)
             H = homographies_for(TRUE_K, [pose])[0]
-            got = pose_from_homography(TRUE_K, H)
-            assert rotation_angle(got.rotation, pose.rotation) < 1e-8
-            assert np.linalg.norm(got.translation - pose.translation) < 1e-8
+            (R,), (t,) = pose_from_homography(TRUE_K, H[None])
+            assert rotation_angle(R, pose.rotation) < 1e-8
+            assert np.linalg.norm(t - pose.translation) < 1e-8
 
     def test_frontal_plane_at_one_meter(self):
         pose = RigidTransform(np.eye(3), np.array([-0.1, -0.2, 1.0]))
-        got = pose_from_homography(TRUE_K, homographies_for(TRUE_K, [pose])[0])
-        np.testing.assert_allclose(got.translation, [-0.1, -0.2, 1.0], atol=1e-9)
-        assert rotation_angle(got.rotation, np.eye(3)) < 1e-9
+        (R,), (t,) = pose_from_homography(TRUE_K, homographies_for(TRUE_K, [pose])[0][None])
+        np.testing.assert_allclose(t, [-0.1, -0.2, 1.0], atol=1e-9)
+        assert rotation_angle(R, np.eye(3)) < 1e-9
 
     def test_homography_equal_to_k_is_frontal_board_at_unit_depth(self):
         # K^-1 H = I decomposes to the identity rotation with the board one
         # unit along the axis, the zero-offset case of the frontal example
-        got = pose_from_homography(TRUE_K, TRUE_K.matrix())
-        np.testing.assert_allclose(got.translation, [0, 0, 1.0], atol=1e-12)
-        assert rotation_angle(got.rotation, np.eye(3)) < 1e-12
+        (R,), (t,) = pose_from_homography(TRUE_K, TRUE_K.matrix()[None])
+        np.testing.assert_allclose(t, [0, 0, 1.0], atol=1e-12)
+        assert rotation_angle(R, np.eye(3)) < 1e-12
 
     def test_board_plane_through_camera_center_invalid(self):
         H = TRUE_K.matrix() @ np.column_stack([[1, 0, 0], [0, 1, 0], [0.3, 0.2, 0.0]])
         with pytest.raises(InvalidPoseError):
-            pose_from_homography(TRUE_K, H)
+            pose_from_homography(TRUE_K, H[None])
 
 
 DIST_K = CameraIntrinsics(
@@ -214,7 +215,7 @@ class TestRefineCalibration:
             fx=DIST_K.fx * 1.01, fy=DIST_K.fy * 0.99, cx=DIST_K.cx, cy=DIST_K.cy,
             dist=(0.0,) * 5, image_size=DIST_K.image_size,
         )
-        init = CalibrationResult(init_K, poses, float("nan"), {})
+        init = calibration_result(init_K, poses)
         result = refine_calibration(obs, TEST_GRID, init)
         assert result.rms_reprojection < 1e-8
         assert abs(result.intrinsics.fx - DIST_K.fx) / DIST_K.fx < 1e-6
@@ -245,7 +246,7 @@ class TestRefineCalibration:
         from planegaze.optimize import fd_jacobian, levenberg_marquardt
 
         poses, obs = calibration_problem(seed=52)
-        init = CalibrationResult(DIST_K, poses, 0.0, {})
+        init = calibration_result(DIST_K, poses, 0.0)
         result = refine_calibration(obs, TEST_GRID, init)
         assert result.rms_reprojection < 1e-10
         assert result.intrinsics.fx == pytest.approx(DIST_K.fx, rel=1e-10)
@@ -265,13 +266,13 @@ class TestRefineCalibration:
                 dist=(0.0,) * 5, image_size=DIST_K.image_size,
             )
             init_rms = np.sqrt(np.mean(residuals(init_K, poses, obs) ** 2))
-            result = refine_calibration(obs, TEST_GRID, CalibrationResult(init_K, poses, init_rms, {}))
+            result = refine_calibration(obs, TEST_GRID, calibration_result(init_K, poses, init_rms))
             assert result.rms_reprojection <= init_rms
 
     def test_missing_init_pose_rejected(self):
         poses, obs = calibration_problem(seed=53, n_views=3)
         incomplete = dict(list(poses.items())[:2])
-        init = CalibrationResult(DIST_K, incomplete, 0.0, {})
+        init = calibration_result(DIST_K, incomplete, 0.0)
         with pytest.raises(ValueError):
             refine_calibration(obs, TEST_GRID, init)
 
@@ -328,12 +329,7 @@ class TestCalibrateStereo:
         obs = stereo_problem(73, RigidTransform.identity(), n_views=4)
         left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
         right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
-        renamed = CalibrationResult(
-            right.intrinsics,
-            {f"other_{v}": p for v, p in right.per_view_poses.items()},
-            right.rms_reprojection,
-            {},
-        )
+        renamed = replace(right, view_id=np.char.add("other_", right.view_id))
         with pytest.raises(NoSharedViewsError):
             calibrate_stereo(left, renamed, obs, TEST_GRID)
 
@@ -345,7 +341,7 @@ class TestCalibrateStereo:
         left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
         right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
-        through_rig = {vid: rig.right_from_left @ pose for vid, pose in left.per_view_poses.items()}
+        through_rig = {vid: rig.right_from_left @ pose for vid, pose in view_poses(left).items()}
         rms_through_rig = np.sqrt(np.mean(residuals(rig.right, through_rig, obs.take(obs.camera == "right")) ** 2))
         assert rms_through_rig <= 2.0 * max(right.rms_reprojection, 0.15)
 
@@ -364,7 +360,7 @@ class TestLatticeCheck:
         ij = obs.ij.copy()
         ij[5] = bad
         obs = replace(obs, ij=ij)
-        fitted = CalibrationResult(DIST_K, poses, 0.0, {})
+        fitted = calibration_result(DIST_K, poses, 0.0)
         calls = {
             "calibrate_camera": lambda: calibrate_camera(obs, TEST_GRID, (640, 480)),
             "refine_calibration": lambda: refine_calibration(obs, TEST_GRID, fitted),
@@ -393,5 +389,5 @@ class TestFullChainZeroNoise:
         keep_first = CornerTable.concat([obs.take(obs.view_id != "v00"),
                                          obs.take(np.flatnonzero(obs.view_id == "v00")[:3])])
         result = calibrate_camera(keep_first, TEST_GRID, (640, 480))
-        assert "v00" not in result.per_view_poses
+        assert "v00" not in result.view_id
         assert result.rms_reprojection < 1e-8

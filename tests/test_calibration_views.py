@@ -30,14 +30,14 @@ def test_collinear_view_is_dropped_with_warning(rig_left, caplog):
     clean = calibrate_camera(obs, grid, (1280, 720))
     with caplog.at_level(logging.WARNING, logger="planegaze.calibration"):
         result = calibrate_camera(CornerTable.concat([obs, collinear_view(obs)]), grid, (1280, 720))
-    assert "calib999" not in result.per_view_poses
-    assert len(result.per_view_poses) == 15
+    assert "calib999" not in result.view_id
+    assert len(result.view_id) == 15
     assert any("calib999" in rec.getMessage() and "collinear" in rec.getMessage()
                for rec in caplog.records)
     assert result.intrinsics == clean.intrinsics
     assert result.rms_reprojection == clean.rms_reprojection
-    assert np.array_equal(result.per_view_poses["calib003"].rotation,
-                          clean.per_view_poses["calib003"].rotation)
+    assert np.array_equal(result.rotation[result.view_id == "calib003"],
+                          clean.rotation[clean.view_id == "calib003"])
 
 
 def test_too_few_views_left_still_raises(rig_left):

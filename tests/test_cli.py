@@ -500,6 +500,98 @@ class TestJsonShape:
         assert f"{target}: " in capsys.readouterr().err
 
 
+def _set(path: str, value):
+    """An edit of a JSON object that sets the entry at ``path`` (keys and list indices, dot-separated)
+    to ``value``, or to ``value(old entry)`` for a callable such as ``str``."""
+    *outer, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+
+    def edit(payload):
+        node = payload
+        for key in outer:
+            node = node[key]
+        node[last] = value(node[last]) if callable(value) else value
+        return payload
+
+    return edit
+
+
+class TestJsonNumbers:
+    """A number read from JSON must be a finite JSON number: true, a string such as "0.06",
+    NaN or Infinity is a parse error naming the file, while an integer such as 350 stays valid."""
+
+    @staticmethod
+    def _copy_with(dataset_dir, tmp_path, name, edit):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        target = data / name
+        target.write_text(json.dumps(edit(json.loads(target.read_text()))))
+        return data, target
+
+    @staticmethod
+    def _plane_pose(data, tmp_path):
+        return main(["plane-pose", "--corners", str(data / "plane_corners.csv"), "--grid", str(data / "grid.json"),
+                     "--intrinsics", str(data / "calib" / "intrinsics_left.json"), "--out", str(tmp_path / "p.json")])
+
+    @staticmethod
+    def _evaluate(data, tmp_path, *args):
+        return main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "r"), *args])
+
+    @pytest.mark.parametrize("value", [True, "0.06", float("nan"), float("inf")])
+    def test_grid(self, dataset_dir, tmp_path, capsys, value):
+        data, target = self._copy_with(dataset_dir, tmp_path, "grid.json", _set("square_size_m", value))
+        assert self._plane_pose(data, tmp_path) == 1
+        assert f"{target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("fx", str), ("cy", True), ("skew", "0"), ("dist.0", float("nan")), ("dist.4", float("-inf")),
+        ("image_size.0", 1280.0),
+    ])
+    def test_intrinsics(self, dataset_dir, tmp_path, capsys, field, value):
+        data, target = self._copy_with(dataset_dir, tmp_path, "calib/intrinsics_left.json", _set(field, value))
+        assert self._plane_pose(data, tmp_path) == 1
+        assert f"{target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("right_from_left.translation_m.0", True), ("right_from_left.rotation.0.0", str), ("left.fy", str),
+    ])
+    def test_stereo(self, dataset_dir, tmp_path, capsys, field, value):
+        data, target = self._copy_with(dataset_dir, tmp_path, "calib/stereo.json", _set(field, value))
+        assert self._evaluate(data, tmp_path) == 1
+        assert f"{target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("rms_px", "0.5"), ("rotation.2.2", str), ("translation_m.1", True)])
+    def test_plane_pose(self, dataset_dir, tmp_path, capsys, field, value):
+        data, target = self._copy_with(dataset_dir, tmp_path, "calib/plane.json", _set(field, value))
+        assert self._evaluate(data, tmp_path) == 1
+        assert f"{target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", [[["0.05", 0.65, 0.28], [0.25, 0.85, 0.45]],
+                                     [[0.05, 0.65, 0.28], [0.25, True, 0.45]]])
+    def test_scene(self, tmp_path, capsys, box):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"schema": "planegaze-scene-v1", "participants": [box]}))
+        assert main(["synth", "--out", str(tmp_path / "d"), "--scene", str(scene)]) == 1
+        assert f"{scene}: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("thresholds", [[True], ["10"], [10, "20"]])
+    def test_tool_config(self, dataset_dir, tmp_path, capsys, thresholds):
+        cfg = tmp_path / "thresholds.json"
+        cfg.write_text(json.dumps({"thresholds_cm": thresholds}))
+        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
+        assert f"{cfg}: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_integer_values_stay_valid(self, dataset_dir, tmp_path):
+        def round_k(p):
+            return {**p, "fx": round(p["fx"]), "fy": round(p["fy"]), "skew": 0}
+
+        data, _ = self._copy_with(dataset_dir, tmp_path, "calib/intrinsics_left.json", round_k)
+        assert self._plane_pose(data, tmp_path) == 0
+
+
 class TestProvenance:
     def test_report_csvs_embed_tool_and_hashes(self, dataset_dir, tmp_path):
         report = tmp_path / "report"

@@ -9,7 +9,7 @@ from planegaze.calibration import CornerTable
 from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.errors import DegenerateConfigurationError, UnknownTargetError
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
-from planegaze.grid import GridConfig, corner_position, default_target_map, grid_points, target_center
+from planegaze.grid import GridConfig, corner_position, default_target_map, target_center
 from planegaze.plane import estimate_plane_pose
 
 from test_calibration import rotation_angle
@@ -18,17 +18,17 @@ from test_calibration import rotation_angle
 class TestGrid:
     def test_origin_corner(self):
         cfg = GridConfig(square_size=0.05, rows=4, cols=4)
-        np.testing.assert_allclose(grid_points(cfg)[(0, 0)], [0, 0, 0])
+        np.testing.assert_allclose(corner_position(cfg, 0, 0), [0, 0, 0])
 
     def test_corner_formula(self):
         cfg = GridConfig(square_size=0.05, rows=4, cols=4)
-        np.testing.assert_allclose(grid_points(cfg)[(2, 3)], [0.10, 0.15, 0.0])
+        np.testing.assert_allclose(corner_position(cfg, 2, 3), [0.10, 0.15, 0.0])
 
     def test_all_corners_on_plane(self):
         cfg = GridConfig(square_size=0.03, rows=5, cols=8)
-        pts = grid_points(cfg)
-        assert len(pts) == 6 * 9
-        assert all(p[2] == 0.0 for p in pts.values())
+        pts = corner_position(cfg, *np.array(cfg.corner_indices()).T)
+        assert pts.shape == (6 * 9, 3)
+        assert np.all(pts[:, 2] == 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
