@@ -9,19 +9,19 @@ pushed through the full pipeline must reproduce its targets to numerical
 precision; the perturbation operator then adds calibrated amounts of pixel
 and angular noise on top.
 
-All randomness flows from explicit seeds. Per-frame generators are derived
-from (seed, stream, index), so frame i of a dataset does not depend on how
-many frames come after it. Frames are synthesized and perturbed as arrays
-over a frame axis, and so are their random draws: every frame's generator
-is a row of ``_FrameStreams``, seeded and drawn from as numpy would, with
-the same bits.
+All randomness flows from explicit seeds. A frame's draws are Philox4x32-10
+blocks (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011) keyed by the seed at counter (frame index, attempt, stream, block):
+a pure function of those numbers, so frame i of a dataset does not depend
+on how many frames come after it, and all frames draw at once as arrays
+over a frame axis. Calibration views and the perturbations draw from
+numpy generators seeded by (seed, stream[, index]).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, pairwise, permutations, repeat
 
 import numpy as np
 
@@ -121,6 +121,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.frames < 0 or self.calib_views < 0 or self.seed < 0:
             raise ValueError("frames, calib_views and seed must be >= 0")
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
+        if self.frames and not self.grid.target_map:
+            raise ValueError(f"{self.frames} frames need at least one target, and the grid has none")
         if not self.participants:
             raise ValueError("at least one head sampling box is required")
         for lo, hi in self.participants:
@@ -200,115 +204,43 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
-_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_M32 = 0xFFFFFFFF
 
 
-def _hashes(const: int, mult: int):
-    """SeedSequence's hash constants: each hash xors its value with one and multiplies by the next."""
-    return pairwise(accumulate(repeat(mult), lambda c, m: c * m & _M32, initial=const))
+def _philox(key: tuple[int, int], counter) -> np.ndarray:
+    """Philox4x32-10 (Salmon et al., SC 2011) of four counter words (each shape (...)) under a
+    two-word key; the output block, shape (4, ...). Words are held in uint64 arrays, so each
+    32 x 32-bit product keeps its high and low halves."""
+    k0, k1 = key
+    c0, c1, c2, c3 = counter
+    for _ in range(10):
+        p0, p1 = c0 * 0xD2511F53, c2 * 0xCD9E8D57
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _M32, (p0 >> 32) ^ c3 ^ k1, p0 & _M32
+        k0, k1 = (k0 + 0x9E3779B9) & _M32, (k1 + 0xBB67AE85) & _M32
+    return np.stack([c0, c1, c2, c3])
 
 
-def _hashmix(consts, value: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of uint32 words, with the next of its constants ``consts``."""
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult
-    return value ^ value >> 16
+def _uniforms(seed: int, stream: int, index: np.ndarray, attempt: int, m: int) -> np.ndarray:
+    """m uniforms in [0, 1) for each frame index (N,), shape (N, m).
 
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of uint32 words."""
-    result = x * 0xCA01F9DD - y * 0x4973F715
-    return result ^ result >> 16
-
-
-def _mul_add128(hi, lo, b: int, c_hi, c_lo):
-    """(a * b + c) mod 2**128 on uint64 limb arrays (hi, lo) of a and c; b a Python int."""
-    # the high word of lo * (b mod 2**64), from 32-bit halves
-    l0, l1, r0, r1 = lo & _M32, lo >> 32, b & _M32, b >> 32 & _M32
-    cross = (l0 * r0 >> 32) + (l1 * r0 & _M32) + l0 * r1
-    carry = (l1 * r0 >> 32) + (cross >> 32) + l1 * r1
-    new_lo = lo * (b & _M64) + c_lo
-    return carry + lo * (b >> 64) + hi * (b & _M64) + c_hi + (new_lo < c_lo), new_lo
-
-
-class _FrameStreams:
-    """The PCG64 streams of ``_rng(seed, stream, i)`` for every frame i < n, as arrays.
-
-    Each frame's generator state (128-bit state and increment as uint64
-    limbs, and the buffered upper half of its last 64-bit output) is one
-    row. SeedSequence's hash and PCG64's seeding (O'Neill 2014) run once
-    over all rows; the hash constants are the same for every row, so the
-    loops run over entropy words, not frames. The draws step only the rows
-    asked for and equal numpy ``Generator`` calls on each row's generator.
+    Block b of frame i is Philox under the seed's two 32-bit words, at
+    counter (i, attempt, stream, b); each of its two word pairs gives one
+    uniform of 53 bits. A frame's draws depend on nothing but these numbers.
     """
+    index = np.asarray(index, dtype=np.uint64)
+    blocks = np.arange(-(-m // 2), dtype=np.uint64)
+    words = _philox((seed & _M32, seed >> 32), np.broadcast_arrays(
+        index[:, None], np.uint64(attempt), np.uint64(stream), blocks))
+    bits = (words[0::2] << 32 | words[1::2]) >> 11
+    return (bits.transpose(1, 2, 0) * 2.0**-53).reshape(len(index), 2 * len(blocks))[:, :m]
 
-    def __init__(self, seed: int, stream: int, n: int):
-        # SeedSequence's entropy words of [seed, stream, i]: the seed's 32-bit words, low
-        # first (one word for 0), then stream and i; zero words pad them to the pool's 4,
-        # as SeedSequence hashes a pool word that has no entropy word
-        seed = int(seed)
-        words = [(seed >> shift) & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)] + [stream]
-        entropy = np.zeros((max(len(words) + 1, 4), n), dtype=np.uint32)
-        entropy[:len(words)], entropy[len(words)] = np.array(words, dtype=np.uint32)[:, None], np.arange(n)
-        consts = _hashes(0x43B0D7E5, 0x931E8875)
-        pool = [_hashmix(consts, word) for word in entropy[:4]]
-        for src, dst in permutations(range(4), 2):
-            pool[dst] = _mix(pool[dst], _hashmix(consts, pool[src]))
-        for word in entropy[4:]:
-            pool = [_mix(p, _hashmix(consts, word)) for p in pool]
-        consts = _hashes(0x8B51F9DD, 0x58F38DED)
-        w = [_hashmix(consts, pool[k % 4]).astype(np.uint64) for k in range(8)]
-        # generate_state(4, uint64) -> initstate (w0, w1 high word first), initseq (w2, w3)
-        state_hi, state_lo, seq_hi, seq_lo = (w[2 * k] | w[2 * k + 1] << 32 for k in range(4))
-        self.inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-        # srandom: from state 0 one step gives inc; add initstate, step once more
-        self.hi, self.lo = _mul_add128(*_mul_add128(state_hi, state_lo, 1, *self.inc), _PCG_MULT, *self.inc)
-        self.has_uint32, self.uinteger = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint64)
 
-    def _next64(self, rows: np.ndarray) -> np.ndarray:
-        """Step the rows' states; their XSL-RR outputs."""
-        hi, lo = self.hi[rows], self.lo[rows] = _mul_add128(
-            self.hi[rows], self.lo[rows], _PCG_MULT, self.inc[0][rows], self.inc[1][rows])
-        x, rot = hi ^ lo, hi >> 58
-        return (x >> rot) | (x << ((64 - rot) & 63))
-
-    def _next32(self, rows: np.ndarray) -> np.ndarray:
-        """numpy's next_uint32: a row's buffered upper half, else the lower half of a fresh output."""
-        out, buffered = self.uinteger[rows], self.has_uint32[rows]
-        fresh = self._next64(rows[~buffered])
-        out[~buffered], self.uinteger[rows[~buffered]] = fresh & _M32, fresh >> 32
-        self.has_uint32[rows] = ~buffered
-        return out
-
-    def integers(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """``Generator.integers(k)`` of each row: nothing drawn for k = 1, else Lemire's
-        multiply on a 32-bit word with rejection (Lemire 2019), which for k = 2**32 is
-        the word itself."""
-        if not 1 <= k <= 2**32:
-            raise ValueError(f"k must be in [1, 2**32], got {k}")
-        if k == 1:
-            return np.zeros(len(rows), dtype=np.int64)
-        m, threshold = self._next32(rows) * k, (2**32 - k) % k
-        redo = np.flatnonzero((m & _M32) < threshold)
-        while redo.size:
-            m[redo] = self._next32(rows[redo]) * k
-            redo = redo[(m[redo] & _M32) < threshold]
-        return (m >> 32).astype(np.int64)
-
-    def random(self, m: int, rows: np.ndarray) -> np.ndarray:
-        """``Generator.random(m)`` of each row, shape (len(rows), m)."""
-        return np.array([(self._next64(rows) >> 11) * 2.0**-53 for _ in range(m)]).reshape(m, len(rows)).T
-
-    def generators(self):
-        """A numpy Generator at each row's state in turn: one PCG64, re-stated per row, so each
-        must be drawn from before the next is taken. The rows' arrays do not advance."""
-        gen = np.random.Generator(np.random.PCG64(0))
-        for hi, lo, inc_hi, inc_lo, has, u in np.column_stack(
-                [self.hi, self.lo, *self.inc, self.has_uint32, self.uinteger]).tolist():
-            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": has, "uinteger": u,
-                                       "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
-            yield gen
+def _normals(seed: int, stream: int, index: np.ndarray, m: int) -> np.ndarray:
+    """m standard normals for each frame index, shape (N, m), m even: Box-Muller on attempt 0's
+    uniforms, a pair of normals from each pair of uniforms (1 - u keeps the log finite)."""
+    u = _uniforms(seed, stream, index, 0, m)
+    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2])), 2.0 * math.pi * u[:, 1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(len(u), m)
 
 
 def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> np.ndarray:
@@ -367,30 +299,27 @@ def _bbox_around(uv: np.ndarray, K: CameraIntrinsics, z: np.ndarray) -> np.ndarr
 def _sample_heads(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
     """Head of every frame in the left-camera frame (N, 3), and its target's index.
 
-    Frame i draws (box, head, target) candidates from its own stream
-    (seed, _STREAM_FRAME, i) until the head is more than 5 cm in front of
-    both cameras and 60 px inside both images. Each round draws and tests
-    the candidates of every frame still pending at once, on those rows of
-    one ``_FrameStreams``; an accepted frame's stream is stepped no further.
+    Attempt r of frame i takes 5 uniforms of (seed, _STREAM_FRAME, i, r):
+    a sampling box, a head inside it and a target. Frames redraw until the
+    head is more than 5 cm in front of both cameras and 60 px inside both
+    images; each attempt draws and tests every frame still pending at once.
     """
     rig = spec.rig
     cam_from_plane = spec.plane.transform.inverse()
     identity = RigidTransform.identity()
-    # lo + (hi - lo) * random(3) is rng.uniform(lo, hi) bit for bit
     lo, hi = np.array(spec.participants, dtype=float).transpose(1, 0, 2)
     span, n_targets = hi - lo, len(spec.grid.target_map)
 
     heads = np.empty((spec.frames, 3))
     targets = np.empty(spec.frames, dtype=int)
     pending = np.arange(spec.frames)
-    streams = _FrameStreams(spec.seed, _STREAM_FRAME, spec.frames)
-    for _ in range(MAX_RESAMPLE):
+    for attempt in range(MAX_RESAMPLE):
         if not pending.size:
             break
-        # each frame's draws in the order a per-frame loop makes them
-        box, u, target = (streams.integers(len(lo), pending), streams.random(3, pending),
-                          streams.integers(n_targets, pending))
-        head = cam_from_plane.apply_points(lo[box] + span[box] * u)
+        # floor(u * k) < k for u < 1 and every k < 2**53
+        u = _uniforms(spec.seed, _STREAM_FRAME, pending, attempt, 5)
+        box, target = (u[:, 0] * len(lo)).astype(int), (u[:, 4] * n_targets).astype(int)
+        head = cam_from_plane.apply_points(lo[box] + span[box] * u[:, 1:4])
         right = rig.right_from_left.apply_points(head)
         ok = (head[:, 2] > 0.05) & (right[:, 2] > 0.05)
         ok[ok] = _in_image(project_points(rig.left, identity, head[ok]), rig.left, 60.0) & _in_image(
@@ -566,9 +495,8 @@ def amplification_study(
     distances, and hence the medians, are non-decreasing in sigma.
     """
     ds = generate_scene(spec)
-    # per frame: three draws for the axis, then one for the unit angle
-    gens = _FrameStreams(spec.seed, _STREAM_AMPLIFY, len(ds.frames)).generators()
-    draws = np.array([gen.normal(size=4) for gen in gens]).reshape(-1, 4)
+    # per frame: three normals for the axis, then one for the unit angle
+    draws = _normals(spec.seed, _STREAM_AMPLIFY, np.arange(len(ds.frames)), 4)
     dirs = ds.direction_cc
     axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
     heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), np.full(len(dirs), SOURCE_EYES), np.full(len(dirs), ""))

@@ -119,3 +119,17 @@ def test_main_runs_neither_side_in_the_repository(monkeypatch, capsys):
     assert bench_pairs.main(["--pairs", "2", "--workload", "calib-rig", "--seconds", "1"]) == 0
     assert len(trees) == 4 and len(set(trees)) == 2
     assert bench_pairs.ROOT not in trees and trees[0].parent == trees[1].parent
+
+
+def test_both_trees_run_from_paths_of_equal_length(monkeypatch, capsys):
+    """The length of the path a tree runs from moves its peak RSS, so neither side gets a longer one."""
+    trees = set()
+
+    def fake_run(tree, workload, seed, seconds):
+        trees.add(tree)
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m: {"value": 1.0} for m in ("ops_per_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "1"]) == 0
+    assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1

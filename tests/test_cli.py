@@ -430,10 +430,11 @@ class TestSceneConfig:
             {"schema": "planegaze-scene-v1", "methods": [{"name": "m", "head_source": "nose"}]},
             {"schema": "planegaze-scene-v1", "methods": [{"name": "m", "convention": "sideways"}]},
             {"schema": "planegaze-scene-v1", "seed": -1},
+            {"schema": "planegaze-scene-v1", "seed": 2**64},
         ],
         ids=[
             "grid-fields", "frames-list", "method-name", "participant-box", "array", "head-source", "convention",
-            "negative-seed",
+            "negative-seed", "seed-past-64-bits",
         ],
     )
     def test_malformed_scene_named(self, tmp_path, capsys, payload):
@@ -444,6 +445,22 @@ class TestSceneConfig:
         assert not out.exists()
 
     GRID = {"square_size_m": 0.05, "rows": 4, "cols": 6, "targets": {"1": [0, 1]}}
+
+    def test_frames_without_targets_named(self, tmp_path, capsys):
+        scene, out = tmp_path / "scene.json", tmp_path / "d"
+        scene.write_text(json.dumps({"schema": "planegaze-scene-v1", "grid": dict(self.GRID, targets={})}))
+        assert main(["synth", "--out", str(out), "--scene", str(scene), "--frames", "3"]) == 1
+        err = capsys.readouterr().err
+        assert f"{scene}: " in err and "at least one target" in err
+        assert not out.exists()
+        assert main(["synth", "--out", str(out), "--scene", str(scene), "--frames", "0", "--calib-views", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["frames"] == []
+
+    def test_seed_flag_past_64_bits_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--frames", "1", "--seed", "18446744073709551616"]) == 1
+        assert "seed must be < 2**64" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("frames", 2.5), ("frames", True), ("seed", "7"), ("calib_views", 2.0),

@@ -1,7 +1,9 @@
 """Byte identity of `evaluate` reports: pinned sha256 of every report file.
 
-The digests were taken before per-frame errors became columns. A change
-here is a change of the report format and must be called out as one.
+The digests were taken when the frame draws became Philox streams, with
+the `evaluate` of the commit before that switch, run on the new synth
+tree, so evaluation itself did not move them. A change here is a change
+of the report format and must be called out as one.
 `evaluate` runs from the dataset's parent directory with a relative
 ``--manifest``, because summary.csv records the manifest path as given.
 """
@@ -21,16 +23,16 @@ SYNTH_ARGV = [
 REPORT_FILES = ("summary.csv", "cdf.csv", "histogram.csv", "report.json")
 REPORT_DIGESTS = {
     "data": {
-        "summary.csv": "9d33b4b37b2dd6d0859261bc64b56c1dda8bc6b58ce9adce34a59daaf4999911",
-        "cdf.csv": "ca923f127c3408d9346a40a46f4f73bac6871b92679e284082ad0b5921ae056d",
-        "histogram.csv": "0d5438fd2dea670ec0f41ee088683918fdaf1865cba1ca243093be390f377d17",
-        "report.json": "f1f9111e4da4d7676f34e9fbdbd7832f3d80ef5c51e634017b2788a6a2506229",
+        "summary.csv": "1132ff46048d9734c5ff6046b46ced26e1184096624ce4bd616b874a52f94e11",
+        "cdf.csv": "38f44928684061140255a413efb877ef8e8a2909198c3746359c7d767164aed8",
+        "histogram.csv": "7862fe3602677cc1635f7f9e6526d42735edf27dc244278da4dd9863f2ec4abe",
+        "report.json": "c84f54e6d6adb67b838500cf09fc3c36d7ac8729050b4db9425274e342d95083",
     },
     "data_shuffled": {
-        "summary.csv": "e7f89c76498fb4217f59b20057ae9800e90dc7b8beddee664b96e6efb4ecd0bc",
-        "cdf.csv": "4b0e6d564fb3bcdd6ed51cccc0ce353a4724e334d9a36c32f8bd453729f49f7a",
-        "histogram.csv": "7eb78c2a8afb29be07658c40b3a949ea625c782f0368301aaa6e1773a1e10559",
-        "report.json": "319f30a53f14ad24e9ddd3790f136fb66b9ddb79a67d405d6805f0f89075a3c0",
+        "summary.csv": "9f85abba541d96961935892d0bfd1391bca574e7318a8749390d1f6f9c4cf69c",
+        "cdf.csv": "649a005401e87192d1a9647cbf202010c602e734a59907728fe4da60f0b09e38",
+        "histogram.csv": "ce1c14190c8d1c07db82d7bcd2ac15373fd3a4d3149c2a51b7b8eadcd58f3729",
+        "report.json": "65e0d6f2d789c3ca5242436f8f2a69ee20ad1264a6884a73983eeeaeae777b72",
     },
 }
 

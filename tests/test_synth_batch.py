@@ -23,9 +23,11 @@ from planegaze.synthetic import (
 
 from conftest import assert_same_table
 
-# sha256 of every file `synth` writes for SYNTH_ARGV, taken from the per-frame
-# implementation this batch path replaced. A change here is a change of the
-# dataset format and must be called out as one.
+# sha256 of every file `synth` writes for SYNTH_ARGV. The calibration, corner
+# and grid files keep the bytes of the per-frame implementation this batch path
+# replaced; the frame files (faces, truth, predictions and the manifest that
+# hashes them) were re-taken when the frame draws became Philox streams. A
+# change here is a change of the dataset format and must be called out as one.
 SYNTH_ARGV = [
     "--frames", "120", "--calib-views", "4", "--seed", "7919",
     "--corner-noise", "0.2", "--face-noise", "1.0", "--gaze-noise", "10", "--gaze-bias", "2.0", "-1.0",
@@ -36,13 +38,13 @@ SYNTH_DIGESTS = {
     "calib/plane.json": "3c8b547b44e44f05b6d350a655a89158e88984b08359b0625ff08febaffe6db7",
     "calib/stereo.json": "85f248b5ae43b6f83e3dc803d494fbe2f10411e7de2dd1438ac1cf7237ea1af2",
     "corners.csv": "077cb73e0bbb1a0eb6004190bac6a0f40b111bce6a569189dd7651225acda163",
-    "faces.csv": "ddbfce5e37403c38d84d6e32cc7f1dfc07756e78722ddab1b601710e2caf36d5",
+    "faces.csv": "47a45eb8cab2af3340cc94be45b3cfbc30b3bdce75c277aade8af1763311655d",
     "grid.json": "de1df207aef7b80d4de9d9979e3f0e987f9f5a51aa62fa31a3292ea14aed7bc1",
-    "manifest.json": "63538a55cee9595237ad11b7553c0f0688f62e486295ba31291047b5e1392109",
+    "manifest.json": "2f02672f043e925e81c03a84cd1b36e5c0453f8973837e82a9f83e85edbdfcba",
     "plane_corners.csv": "baddd0db8f43d1213be9d4f9af80ecb6678d9ce1dbf564d5e7196fab60784584",
-    "pred_oracle-absolute.csv": "71a0e616c110eb2dfca7eb84e65145e7fa2ee0cb739354a04bedddb0e598ff55",
-    "pred_oracle-offset.csv": "d232dd21d47ea7cf4ab14a114aeb7c13866ee8941476352cb896ac37930fd1cd",
-    "truth.csv": "395ac38ba2dfd4aa42db02012762ecddadc7e6a0882ef4e7d2e28009d7fb9a7d",
+    "pred_oracle-absolute.csv": "d9bf9ae9fef354b64dfe6bb497933838f0f72e10891de00c6ec591c63edc3882",
+    "pred_oracle-offset.csv": "350e4a9d2d4a87536184accfa4b6455815e51d24db8850e3a6a31cdb13979a24",
+    "truth.csv": "a8fcaa66d1b828f935cb9735cce27b75a3944d32187d0d41fa1ca1516db139df",
 }
 
 ALL_NOISE = NoiseSpec(
