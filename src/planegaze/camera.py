@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, NotInvertibleError
+from .errors import BehindCameraError
 from .geometry import RigidTransform, as_vec3, rotation_from_axis_angle
 
 UNDISTORT_TOL = 1e-10
@@ -186,9 +186,9 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     Fixed-point iteration on the distorted normalized coordinates,
     tolerance 1e-10, at most 50 iterations. Each pixel stops at its own
     first step under the tolerance, so its result does not depend on the
-    other pixels passed with it. Raises NotInvertibleError when the
-    iteration fails to settle for any pixel (pathological distortion or
-    far outside the calibrated field of view).
+    other pixels passed with it. A pixel that does not settle (pathological
+    distortion, far outside the calibrated field of view, or not finite)
+    gets a NaN row; the others go through.
     """
     px = np.asarray(pixels, dtype=float)
     if px.shape[-1] != 2:
@@ -197,8 +197,11 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     xd = (px[..., 0] - K.cx - K.skew * yd) / K.fx
     k1, k2, p1, p2, k3 = K.dist
     x, y = xd.copy(), yd.copy()
-    moving = np.ones(xd.shape, dtype=bool)
+    finite = np.isfinite(xd) & np.isfinite(yd)
+    moving = finite.copy()
     for _ in range(UNDISTORT_MAX_ITER):
+        if not moving.any():
+            break
         r2 = x * x + y * y
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
@@ -208,9 +211,7 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
         settled = (np.abs(x_new - x) < UNDISTORT_TOL) & (np.abs(y_new - y) < UNDISTORT_TOL)
         x, y = np.where(moving, x_new, x), np.where(moving, y_new, y)
         moving &= ~settled
-        if not moving.any():
-            return np.stack([x, y], axis=-1)
-    raise NotInvertibleError(
-        f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations"
-    )
+    xy = np.stack([x, y], axis=-1)
+    xy[moving | ~finite] = np.nan
+    return xy
 

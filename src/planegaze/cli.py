@@ -76,6 +76,17 @@ def _nonnegative_float(text: str, name: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), the range of the frame streams' key."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be {'>= 0' if value < 0 else '< 2**64'}, got {text}")
+    return value
+
+
 def _image_size(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -87,7 +98,7 @@ def _image_size(text: str) -> tuple[int, int]:
 def _add_globals(parser) -> None:
     # accepted before or after the subcommand; SUPPRESS keeps the subparser
     # from clobbering a value given at the top level
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    parser.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for anything stochastic (default 0)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted and ignored; kept so existing command lines still run")

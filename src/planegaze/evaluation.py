@@ -33,13 +33,14 @@ from .formats import (
     read_predictions,
     read_stereo,
 )
-from .grid import GridConfig, target_center
+from .grid import GridConfig, target_centers
 from .metrics import (
     DEFAULT_THRESHOLDS_CM,
     FrameErrors,
     error_cdf,
     evaluate_frame,
     summarize,
+    tag_masks,
     yaw_pitch_histogram,
 )
 from .pipeline import (
@@ -59,8 +60,9 @@ class MethodReport:
     method: str
     errors: FrameErrors  # one row per evaluated frame, in frame-id order
     skipped: list[tuple[str, str]]  # (frame_id, reason) in manifest frame order
-    pred_directions: np.ndarray  # (n evaluated frames, 3), rows in manifest frame order
+    pred_directions: np.ndarray  # (n evaluated frames, 3), rows as in errors
     gt_directions: np.ndarray
+    rows: np.ndarray  # the manifest frame row of each errors row
 
 
 @dataclass
@@ -85,47 +87,49 @@ def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
     return estimate_plane_pose(read_plane_corners(manifest.plane_corners), grid, rig.left)
 
 
-def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row of ``keys`` (unique) holding each wanted key, and whether it is there at all."""
-    _, at_key, at_wanted = np.intersect1d(keys, wanted, assume_unique=True, return_indices=True)
-    rows, found = np.zeros(wanted.size, dtype=int), np.zeros(wanted.size, dtype=bool)
-    rows[at_wanted], found[at_wanted] = at_key, True
-    return rows, found
-
-
 def read_method_predictions(manifest: DatasetManifest, method: str) -> PredictionTable:
-    """A method's prediction file; a row for another method or frame is a FormatError."""
+    """A method's predictions with one row per manifest frame, in manifest order; a frame the
+    file has no row for has NaN angles and line 0. A row for another method or frame is a FormatError."""
     ref = manifest.predictions[method]
     preds = read_predictions(ref.path)
-    known = np.isin(preds.frame_id, manifest.frames.frame_id)
+    rows, known = manifest.frames.rows_of(preds.frame_id)
     wrong = np.flatnonzero(~known | (preds.method != method))
     if wrong.size:
         k = wrong[0]
         message = (f"prediction frame {str(preds.frame_id[k])!r} not in manifest" if not known[k]
                    else f"prediction row for method {str(preds.method[k])!r} in file of {method!r}")
         raise FormatError(message, file=str(ref.path), line=int(preds.line[k]))
-    return preds
+    n = len(manifest.frames)
+    yaw, pitch, line = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=int)
+    yaw[rows], pitch[rows], line[rows] = preds.yaw, preds.pitch, preds.line
+    return PredictionTable(manifest.frames.frame_id, np.full(n, method), yaw, pitch, preds.convention, line)
 
 
 def frame_heads(manifest: DatasetManifest, faces: FaceTable, rig: StereoRig,
                 predictions: dict[str, PredictionTable]) -> dict[str, HeadPoint]:
     """One head row per manifest frame for each head source the methods use.
 
-    Each source is triangulated once, over the frames that both cameras see
-    and that one of its methods has a prediction for. Every other frame
-    fails with its skip reason: "missing_face_observation", or else
+    ``predictions`` are :func:`read_method_predictions` tables. Each source
+    is triangulated once, over the frames that both cameras see and that
+    one of its methods has a prediction for. Every other frame fails with
+    its skip reason: "missing_face_observation", or else
     "missing_prediction" (no method of that source predicts it).
     """
-    frame_ids = manifest.frames.frame_id
-    left, right = (faces.take(faces.camera == camera) for camera in (CAMERA_LEFT, CAMERA_RIGHT))
-    (left_row, has_left), (right_row, has_right) = (_lookup(side.frame_id, frame_ids) for side in (left, right))
-    unseen = np.where(has_left & has_right, "missing_prediction", "missing_face_observation")
+    n = len(manifest.frames)
+    rows, known = manifest.frames.rows_of(faces.frame_id)
+    face_row = np.full((2, n), -1)  # each frame's left and right face row
+    for side, camera in enumerate((CAMERA_LEFT, CAMERA_RIGHT)):
+        mine = np.flatnonzero(known & (faces.camera == camera))
+        face_row[side, rows[mine]] = mine
+    seen = (face_row >= 0).all(axis=0)
+    unseen = np.where(seen, "missing_prediction", "missing_face_observation")
     heads = {}
     for source in sorted({manifest.predictions[m].head_source for m in predictions}):
-        ids = [p.frame_id for m, p in predictions.items() if manifest.predictions[m].head_source == source]
-        rows = np.flatnonzero(np.isin(frame_ids, np.concatenate(ids)) & has_left & has_right)
-        head = head_point(left.take(left_row[rows]), right.take(right_row[rows]), rig, source)
-        heads[source] = head.scatter(rows, frame_ids.size, unseen)
+        predicted = np.logical_or.reduce(
+            [~np.isnan(p.yaw) for m, p in predictions.items() if manifest.predictions[m].head_source == source])
+        rows = np.flatnonzero(predicted & seen)
+        head = head_point(faces.take(face_row[0, rows]), faces.take(face_row[1, rows]), rig, source)
+        heads[source] = head.scatter(rows, n, unseen)
     return heads
 
 
@@ -144,16 +148,15 @@ def evaluate_method(
     without a prediction or without a face in both cameras is skipped with
     that reason; a frame whose head, target or ground truth cannot be built
     is skipped with the name of the error class its row is marked with.
+    The frames are scored in frame-id order, the order of the errors.
     """
-    frames, frame_ids = manifest.frames, manifest.frames.frame_id
+    frames = manifest.frames
     frame_head = heads[manifest.predictions[method].head_source]
-    pred_row, has_pred = _lookup(predictions.frame_id, frame_ids)
-    reasons = np.where(has_pred, frame_head.failure, "missing_prediction").astype(object)
-    rows = np.flatnonzero(reasons == "")
+    reasons = np.where(np.isnan(predictions.yaw), "missing_prediction", frame_head.failure).astype(object)
+    rows = frames.id_order[reasons[frames.id_order] == ""]
 
     head = frame_head.take(rows)
-    centers = {tid: target_center(grid, tid) for tid in grid.target_map}
-    targets = np.array([centers.get(t, (np.nan,) * 3) for t in frames.target_id[rows].tolist()]).reshape(-1, 3)
+    targets = target_centers(grid, frames.target_id[rows])
     gt_dirs = ground_truth_direction(head, plane, targets)
     # a row keeps the first failure it meets: an unknown target before a degenerate direction
     failure = np.where(np.isnan(targets[:, 0]), "UnknownTargetError",
@@ -162,16 +165,17 @@ def evaluate_method(
 
     keep = failure == ""
     rows, head = rows[keep], head.take(keep)
-    pred_dirs = correct_gaze_to_camera_frame(predictions.take(pred_row[rows]), head)
+    pred_dirs = correct_gaze_to_camera_frame(predictions.take(rows), head)
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
     errors = evaluate_frame(
         pred_dirs, gt_dirs[keep], estimate, targets[keep],
-        frame_id=frame_ids[rows], tags=[frames.tags[k] for k in rows],
+        frame_id=frames.frame_id[rows], tags=[frames.tags[k] for k in rows.tolist()],
     )
-    skipped = [(fid, reason) for fid, reason in zip(frame_ids.tolist(), reasons) if reason]
+    bad = np.flatnonzero(reasons != "")
+    skipped = list(zip(frames.frame_id[bad].tolist(), reasons[bad].tolist()))
     if skipped:
         logger.warning("method %s: skipped %d of %d frames", method, len(skipped), len(frames))
-    return MethodReport(method, errors, skipped, pred_dirs, gt_dirs[keep])
+    return MethodReport(method, errors, skipped, pred_dirs, gt_dirs[keep], rows)
 
 
 def evaluate_manifest(
@@ -210,23 +214,25 @@ def evaluate_manifest(
     reports = {m: evaluate_method(manifest, m, predictions[m], heads, plane, grid) for m in selected}
     del faces, predictions, heads  # the report tables below need none of them: a lower peak
 
-    frame_tags = dict(zip(manifest.frames.frame_id.tolist(), manifest.frames.tags))
+    frames = manifest.frames
+    masks = tag_masks(frames.tags, [t for t in tag_filters if t is not None])
+    masks[None] = np.ones(len(frames), dtype=bool)
     summary_rows = []
     cdf_parts, hist_parts = [], []
     for m in selected:
         rep = reports[m]
         for tag in tag_filters:
+            kept = masks[tag][rep.rows]
             try:
-                s = summarize(rep.errors, tag, thresholds_cm)
+                s = summarize(rep.errors, tag, thresholds_cm, mask=kept)
             except EmptySelectionError:
                 continue
-            n_skipped = sum(1 for fid, _ in rep.skipped if tag is None or tag in frame_tags[fid])
             summary_rows.append(
                 {
                     "method": m,
                     "tag_filter": tag or "",
                     "n_frames": s.n_frames,
-                    "n_skipped": n_skipped,
+                    "n_skipped": int(np.count_nonzero(masks[tag])) - s.n_frames,  # the frames not evaluated
                     "n_failures": s.n_failures,
                     "mean_angular_deg": s.mean_angular_deg,
                     "median_distance_cm": s.median_distance_cm,
@@ -234,9 +240,7 @@ def evaluate_manifest(
                 }
             )
             for kind in ("angular", "distance"):
-                thresholds, fractions = error_cdf(rep.errors, kind, tag)
-                labels = (np.full(thresholds.size, label) for label in (m, tag or "", kind))
-                cdf_parts.append((*labels, thresholds, fractions))
+                cdf_parts.append((m, tag or "", kind, *error_cdf(rep.errors, kind, tag, mask=kept)))
         if rep.errors.frame_id.size:
             hist_parts.append(_hist_columns(m, yaw_pitch_histogram(rep.pred_directions)))
             hist_parts.append(_hist_columns(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions)))
@@ -259,13 +263,17 @@ def evaluate_manifest(
     )
 
 
-def _hist_columns(label: str, hist) -> tuple[np.ndarray, ...]:
+def _hist_columns(label: str, hist) -> tuple:
     """The histogram.csv columns of one histogram: a row per non-empty bin, yaw-major like the counts."""
     a, b = np.nonzero(hist.counts)
     ye, pe = hist.yaw_edges, hist.pitch_edges
-    return np.full(a.size, label), ye[a], ye[a + 1], pe[b], pe[b + 1], hist.counts[a, b]
+    return label, ye[a], ye[a + 1], pe[b], pe[b + 1], hist.counts[a, b]
 
 
 def _concat(columns: dict[str, str], parts) -> dict[str, np.ndarray]:
-    """One column table from parts that each hold every column, in schema order."""
-    return {name: np.concatenate([part[k] for part in parts] or [[]]) for k, name in enumerate(columns)}
+    """One column table from parts that each hold every column, in schema order. A part holds
+    each text column as one label, which becomes a run of that label as long as the part."""
+    sizes = [len(part[-1]) for part in parts]
+    return {name: np.repeat(np.array([part[k] for part in parts], dtype=object), sizes) if kind == "text"
+            else np.concatenate([part[k] for part in parts] or [[]])
+            for k, (name, kind) in enumerate(columns.items())}

@@ -168,9 +168,10 @@ def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
 
 def _cells(kind: str, col) -> list[str]:
     """One column's cells as text: each run of equal text values, or each distinct
-    number, formatted once, then gathered."""
+    number, formatted once, then gathered. A text column given as an object array
+    of str is taken as it is."""
     if kind == "text":
-        values = np.asarray(col, dtype=str)
+        values = col if isinstance(col, np.ndarray) and col.dtype == object else np.asarray(col, dtype=str)
         starts = np.r_[True, values[1:] != values[:-1]][:values.size]  # where each run starts
         text, inverse = values[starts].tolist(), np.cumsum(starts) - 1
         if any(map("".join(text).__contains__, ',"\r\n')):  # one check over all the runs

@@ -75,6 +75,19 @@ def target_center(config: GridConfig, target_id: int) -> np.ndarray:
     return np.array([s * (i + 0.5), s * (j + 0.5), 0.0])
 
 
+def target_centers(config: GridConfig, target_ids) -> np.ndarray:
+    """Centers (N, 3) of the numbered target squares; NaN rows for ids not in the grid config."""
+    ids = np.array(sorted(config.target_map), dtype=np.int64)
+    table = np.array([target_center(config, t) for t in ids.tolist()]).reshape(-1, 3)
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    centers = np.full((target_ids.size, 3), np.nan)
+    if ids.size:
+        at = np.minimum(np.searchsorted(ids, target_ids), ids.size - 1)
+        known = ids[at] == target_ids
+        centers[known] = table[at[known]]
+    return centers
+
+
 def default_target_map(rows: int, cols: int, count: int = 20) -> dict[int, tuple[int, int]]:
     """Number the light squares of a checkerboard 1..count in row-major order.
 

@@ -10,7 +10,7 @@ the median infinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,14 +59,32 @@ class FrameErrors:
 
 @dataclass(frozen=True)
 class FrameTable:
-    """Annotated frames as columns: ``frame_id`` (N,), ``target_id`` (N,) and one tag tuple per row."""
+    """Annotated frames as columns: ``frame_id`` (N,), ``target_id`` (N,) and one tag tuple per row.
+
+    ``id_order`` holds the rows in frame-id order. It is sorted once, when
+    the table is built, so :meth:`rows_of` is one binary search.
+    """
 
     frame_id: np.ndarray
     target_id: np.ndarray
     tags: tuple
+    id_order: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "id_order", np.argsort(self.frame_id, kind="stable"))
 
     def __len__(self) -> int:
         return len(self.frame_id)
+
+    def rows_of(self, frame_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each of ``frame_ids``, and whether the table has that frame at all (row 0 if not)."""
+        frame_ids = np.asarray(frame_ids, dtype=str)
+        if not len(self):
+            return np.zeros(frame_ids.shape, dtype=int), np.zeros(frame_ids.shape, dtype=bool)
+        at = np.searchsorted(self.frame_id, frame_ids, sorter=self.id_order)
+        rows = self.id_order[np.minimum(at, len(self) - 1)]
+        found = self.frame_id[rows] == frame_ids
+        return np.where(found, rows, 0), found
 
 
 @dataclass(frozen=True)
@@ -100,25 +118,40 @@ def evaluate_frame(pred_directions, gt_directions, estimate: SurfaceGazeEstimate
     return FrameErrors(frame_id, angles, distances, tags)
 
 
-def _select(errors: FrameErrors, tag_filter: str | None):
-    """The rows a tag filter keeps, as an index into the columns."""
-    keep = slice(None) if tag_filter is None else np.array([tag_filter in t for t in errors.tags], bool)
-    if not errors.frame_id[keep].size:
+def tag_masks(tags, names) -> dict[str, np.ndarray]:
+    """Which rows carry each tag of ``names``, as boolean masks, from one pass over ``tags``
+    (one tag tuple per row)."""
+    owner = np.repeat(np.arange(len(tags)), [len(row) for row in tags])
+    flat = np.array([tag for row in tags for tag in row], dtype=str)
+    masks = {}
+    for name in names:
+        masks[name] = np.zeros(len(tags), dtype=bool)
+        masks[name][owner[flat == name]] = True
+    return masks
+
+
+def _select(errors: FrameErrors, tag_filter: str | None, mask):
+    """The rows a tag filter keeps, as an index into the columns: ``mask`` when the caller
+    already has the filter's rows, else computed here."""
+    if mask is None:
+        mask = slice(None) if tag_filter is None else tag_masks(errors.tags, [tag_filter])[tag_filter]
+    if not errors.angular_deg[mask].size:
         raise EmptySelectionError(
             "no records" if tag_filter is None else f"no records with tag {tag_filter!r}"
         )
-    return keep
+    return mask
 
 
 def summarize(errors: FrameErrors, tag_filter: str | None = None,
-              thresholds_cm=DEFAULT_THRESHOLDS_CM) -> MetricsSummary:
+              thresholds_cm=DEFAULT_THRESHOLDS_CM, *, mask=None) -> MetricsSummary:
     """Aggregate per-frame errors into the headline numbers.
 
     Mean over angular errors; median over distances with infinities
     participating as larger than any finite value; Precision@X = share of
-    frames with distance <= X cm (boundary inclusive).
+    frames with distance <= X cm (boundary inclusive). ``mask`` (a boolean
+    array over the rows), when given, is the rows ``tag_filter`` keeps.
     """
-    keep = _select(errors, tag_filter)
+    keep = _select(errors, tag_filter, mask)
     angles = errors.angular_deg[keep]
     dist_cm = errors.distance_m[keep] * 100.0
     n = len(angles)
@@ -136,14 +169,15 @@ def summarize(errors: FrameErrors, tag_filter: str | None = None,
 
 
 def error_cdf(errors: FrameErrors, which: str,
-              tag_filter: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+              tag_filter: str | None = None, *, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF as columns: distinct thresholds ascending, and the fraction at each.
 
     ``which`` is "angular" (degrees) or "distance" (centimeters). Infinite
     distances count in the denominator but never appear as thresholds, so
-    the curve plateaus below 1 when failures exist.
+    the curve plateaus below 1 when failures exist. ``mask`` is as in
+    :func:`summarize`.
     """
-    keep = _select(errors, tag_filter)
+    keep = _select(errors, tag_filter, mask)
     if which == "angular":
         values = errors.angular_deg[keep]
     elif which == "distance":
@@ -186,7 +220,8 @@ def yaw_pitch_histogram(
     """2D histogram of gaze directions over yaw/pitch bins in degrees.
 
     Every input lands in a bin: angles outside the edge range are clipped
-    into the boundary bins, so the counts always total the input size.
+    into the boundary bins, so the counts always total the input size. The
+    counts are those of ``np.histogram2d`` on the same edges.
     """
     d = np.atleast_2d(as_vec3(directions))
     if d.shape[0] == 0:
@@ -194,7 +229,18 @@ def yaw_pitch_histogram(
     yp = continued_yaw_pitch_deg(d)
     yaw_edges = np.asarray(yaw_edges_deg, dtype=float)
     pitch_edges = np.asarray(pitch_edges_deg, dtype=float)
-    yaw = np.clip(yp[:, 0], yaw_edges[0], yaw_edges[-1])
-    pitch = np.clip(yp[:, 1], pitch_edges[0], pitch_edges[-1])
-    counts, _, _ = np.histogram2d(yaw, pitch, bins=(yaw_edges, pitch_edges))
-    return Histogram2D(yaw_edges, pitch_edges, counts.astype(int))
+    yaw, pitch = (_bins(np.clip(yp[:, k], e[0], e[-1]), e) for k, e in enumerate((yaw_edges, pitch_edges)))
+    shape = (yaw_edges.size - 1, pitch_edges.size - 1)
+    inside = (yaw < shape[0]) & (pitch < shape[1])  # a NaN angle lands in no bin
+    counts = np.bincount(yaw[inside] * shape[1] + pitch[inside], minlength=shape[0] * shape[1])
+    return Histogram2D(yaw_edges, pitch_edges, counts.reshape(shape))
+
+
+def _bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The bin of each value in [edges[0], edges[-1]], or len(edges) - 1 for NaN. Bins are
+    half-open but the last, which is closed, as in ``np.histogram2d``."""
+    if np.any(edges[1:] < edges[:-1]):
+        raise ValueError("histogram edges must increase monotonically")
+    k = np.searchsorted(edges, values, side="right") - 1
+    k[values == edges[-1]] -= 1
+    return k

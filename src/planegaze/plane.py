@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CornerTable, estimate_homography, pose_from_homography, refine_pose
-from .camera import CameraIntrinsics, undistort_pixels
-from .errors import DegenerateConfigurationError
+from .camera import UNDISTORT_MAX_ITER, CameraIntrinsics, undistort_pixels
+from .errors import DegenerateConfigurationError, NotInvertibleError
 from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
 from .grid import GridConfig, corner_position
 
@@ -39,8 +39,9 @@ class PlanePose:
 def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntrinsics) -> PlanePose:
     """Estimate the camera-to-workspace transform from detected grid corners.
 
-    Needs at least 4 corners in general position. The result is invariant
-    under permutation of the corners.
+    Needs at least 4 corners in general position, each of which can be
+    undistorted (else NotInvertibleError). The result is invariant under
+    permutation of the corners.
     """
     ij, pixels = corners.ij, corners.uv
     if len(ij) < 4:
@@ -54,6 +55,8 @@ def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntri
 
     obj = corner_position(config, i, j)
     normalized = undistort_pixels(K, pixels)
+    if np.isnan(normalized).any():
+        raise NotInvertibleError(f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations")
     R, t = pose_from_homography(np.eye(3), estimate_homography(obj[:, :2], normalized)[None])
     refined, res = refine_pose(K.packed(), obj, pixels, RigidTransform(R[0], t[0]), "plane pose")
     return PlanePose(refined.inverse(), float(np.sqrt(np.mean(res ** 2))))

@@ -99,8 +99,10 @@ def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:
     """Closest-point midpoint between the two back-projected rays.
 
     Pixels are (N, 2); the result is expressed in the left-camera frame.
-    A row whose rays are (near-)parallel is marked ParallelRaysError, one
-    whose midpoint lies behind either camera BehindCameraError.
+    A row with a pixel that cannot be undistorted is marked
+    NotInvertibleError, one whose rays are (near-)parallel
+    ParallelRaysError, one whose midpoint lies behind either camera
+    BehindCameraError.
     """
     d1 = _pixel_directions(rig.left, pixel_left)
     T = rig.right_from_left
@@ -121,7 +123,9 @@ def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:
     wide = np.count_nonzero(gap > RAY_GAP_WARN_M)
     if wide:
         logger.warning("%d of %d triangulations have a ray gap over %.2f m", wide, gap.size, RAY_GAP_WARN_M)
-    failure = np.where(parallel, "ParallelRaysError", np.where(behind, "BehindCameraError", ""))
+    # a pixel undistort_pixels could not invert has a NaN ray, so a NaN cosine b
+    failure = np.where(np.isnan(b), "NotInvertibleError",
+                       np.where(parallel, "ParallelRaysError", np.where(behind, "BehindCameraError", "")))
     return HeadPoint(mid, gap, np.full(gap.shape, "pixel"), failure)
 
 

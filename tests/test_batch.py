@@ -11,6 +11,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze import evaluation
 from planegaze.calibration import StereoRig
@@ -43,7 +45,7 @@ from planegaze.pipeline import (
 )
 from planegaze.plane import PlanePose
 from planegaze.synthetic import MethodSpec, NoiseSpec, default_scene, generate_scene, perturb
-from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, head_point
+from planegaze.triangulation import SOURCE_BBOX, SOURCE_EYES, head_point, triangulate_midpoint
 
 from conftest import face_table, heads_at, random_unit_vectors
 
@@ -124,6 +126,54 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
             assert np.all(np.isnan(batch.position[k])) and np.isnan(batch.ray_gap[k])
         assert_same_rows(batch, [k], head_point(left.take([k]), right.take([k]), RIG, SOURCE_EYES))
     assert {str(s) for s, f in zip(batch.source, expected) if not f} == {SOURCE_EYES, SOURCE_BBOX}
+
+
+# lenses whose radial map r (1 - 0.5 r^2) folds over at r_d ~ 0.544 (0.544 * 350 px from the center)
+FOLD = replace(K_LEFT, dist=(-0.5, 0.0, 0.0, 0.0, 0.0))
+FOLD_RIG = StereoRig(FOLD, replace(K_RIGHT, dist=FOLD.dist), RIG.right_from_left)
+POISON = {
+    "nan": ((np.nan, 360.0), None, "NotInvertibleError"),
+    "fold": ((FOLD.cx + 0.7 * FOLD.fx, FOLD.cy), None, "NotInvertibleError"),  # no preimage past the fold
+    # left ray along the optical axis, right ray turned outward: they meet behind the rig
+    "behind": ((FOLD.cx, FOLD.cy), (K_RIGHT.cx + 150.0, K_RIGHT.cy), "BehindCameraError"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    heads=st.lists(st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15), st.floats(0.6, 1.5)),
+                   min_size=1, max_size=12),
+    poison=st.lists(st.sampled_from([None, "nan", "fold", "behind"]), min_size=12, max_size=12),
+)
+def test_poisoned_rows_leave_every_other_row_bit_identical(heads, poison):
+    """Rows poisoned with a NaN pixel, a pixel past the lens fold or a head behind the
+    cameras are marked; every other row equals the clean batch's, bit for bit, through
+    triangulation, the surface intersection and the ground-truth direction."""
+    X = np.array(heads)
+    left = project_points(FOLD_RIG.left, RigidTransform.identity(), X)
+    right = project_points(FOLD_RIG.right, FOLD_RIG.right_from_left, X)
+    bad_left, bad_right = left.copy(), right.copy()
+    for k, kind in enumerate(poison[:len(X)]):
+        if kind is not None:
+            pixel_left, pixel_right, _ = POISON[kind]
+            bad_left[k] = pixel_left
+            bad_right[k] = right[k] if pixel_right is None else pixel_right
+    clean, dirty = (triangulate_midpoint(FOLD_RIG, lp, rp) for lp, rp in ((left, right), (bad_left, bad_right)))
+    assert (clean.failure == "").all()
+    hit = [k for k, kind in enumerate(poison[:len(X)]) if kind is not None]
+    assert dirty.failure[hit].tolist() == [POISON[poison[k]][2] for k in hit]
+    assert np.isnan(dirty.position[hit]).all() and np.isnan(dirty.ray_gap[hit]).all()
+    rest = np.setdiff1d(np.arange(len(X)), hit)
+    assert_same_rows(dirty, rest, clean.take(rest))
+
+    dirs, targets = np.tile([0.1, 0.0, -1.0], (len(X), 1)), np.zeros((len(X), 3))
+    plane = PlanePose(RigidTransform(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 2.0], FRAME_CAMERA, FRAME_PLANE))
+    for f in (lambda h: gaze_point_on_surface(h, dirs, plane), lambda h: ground_truth_direction(h, plane, targets)):
+        got, want = f(dirty), f(clean)
+        if isinstance(want, np.ndarray):
+            assert got[rest].tobytes() == want[rest].tobytes() and np.isnan(got[hit]).all()
+        else:
+            assert_same_rows(take_estimate(got, rest), slice(None), take_estimate(want, rest))
 
 
 def test_empty_head_batch():

@@ -2,6 +2,8 @@
 slower beyond a metric's bound, and marks the gains it may claim."""
 
 import importlib.util
+import json
+import re
 import subprocess
 from pathlib import Path
 
@@ -28,7 +30,7 @@ def run(ops: float, failed: int = 0, correct: bool = True) -> dict:
 ])
 def test_report_returns_the_reasons_to_reject(capsys, change, reason):
     base = [run(10.0, failed=1), run(10.0)]
-    reasons = bench_pairs.report("calib-rig", base, change, OPS)
+    reasons, _ = bench_pairs.report("calib-rig", base, change, OPS)
     assert reasons == ([] if reason is None else [reason])
     assert "calib-rig: 2 pairs" in capsys.readouterr().out
 
@@ -46,10 +48,18 @@ def runs(metric: str, values: list[float]) -> list[dict]:
 ])
 def test_a_median_worse_than_the_bound_rejects(capsys, better, base, change, rejected):
     metric = [{"name": "m", "better": better, "bound": 0.25}]
-    reasons = bench_pairs.report("synth-write", runs("m", base), runs("m", change), metric)
+    reasons, _ = bench_pairs.report("synth-write", runs("m", base), runs("m", change), metric)
     assert len(reasons) == rejected
     if rejected:
-        assert reasons[0].startswith("synth-write: m median ") and "beyond its bound 25%" in reasons[0]
+        assert reasons[0] == (f"synth-write: m median {change[0]:.6g} is {abs(change[0] / base[0] - 1):.1%} worse"
+                              f" than the base's {base[0]:.6g}, beyond its bound 25%")
+
+
+def test_report_prints_each_side_its_own_median(capsys):
+    bench_pairs.report("synth-write", runs("m", [1.0, 2.0, 3.0]), runs("m", [7.0, 8.0, 9.0]),
+                       [{"name": "m", "better": "higher", "bound": 0.25}])
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:1] == ["m"])
+    assert re.match(r"\s*m\s+2 \[.*\]\s+8 \[", row)  # base median, then change median
 
 
 @pytest.mark.parametrize("better, base, change, wins, claimable", [
@@ -133,3 +143,53 @@ def test_both_trees_run_from_paths_of_equal_length(monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     assert bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "1"]) == 0
     assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1
+
+
+RECORD_METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
+
+
+def check_record(record: dict) -> None:
+    """The schema of a BENCH_<pr>.json record."""
+    assert set(record) == {"base", "change", "seed", "seconds", "workloads"}
+    assert set(record["base"]) == {"ref", "sha"} and len(record["base"]["sha"]) == 40
+    assert set(record["change"]) == {"head", "code_sha256"} and len(record["change"]["code_sha256"]) == 64
+    assert isinstance(record["seed"], int) and isinstance(record["seconds"], float)
+    assert record["workloads"] and set(record["workloads"]) <= set(bench_pairs.WORKLOADS)
+    for entry in record["workloads"].values():
+        assert set(entry) == {"pairs", "failed_share", "host", "metrics"} and entry["pairs"] >= 1
+        assert set(entry["failed_share"]) == set(entry["host"]) == {"base", "change"}
+        assert all(0.0 <= share <= 1.0 for share in entry["failed_share"].values())
+        assert set(entry["metrics"]) == set(RECORD_METRICS)
+        for m in entry["metrics"].values():
+            assert set(m) == {"base", "change", "better", "median_change", "wins", "regressed", "claimable"}
+            for side in ("base", "change"):
+                assert set(m[side]) == {"q1", "median", "q3"} and m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
+            assert 0 <= m["wins"] <= entry["pairs"] and isinstance(m["claimable"], bool)
+
+
+def test_record_schema_sorted_keys_repr_floats_and_merge(tmp_path, monkeypatch, capsys):
+    """--record writes the pairs as JSON with sorted keys and repr floats; a second
+    invocation for another workload merges into the same record. No perfbench run starts."""
+    def fake_run(tree, workload, seed, seconds):
+        return {"correct": True, "attempted": 10, "failed": 1 if workload == "calib-rig" else 0,
+                "environment": {"nproc": 2, "blas_threads": "1"},
+                "metrics": {m: {"value": 1.0 / 3.0} for m in RECORD_METRICS}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    path = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--pairs", "2", "--workload", "calib-rig", "--seconds", "1", "--record", str(path)]) == 0
+    assert bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "1", "--record", str(path)]) == 0
+    text = path.read_text()
+    record = json.loads(text)
+    check_record(record)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert repr(1.0 / 3.0) in text  # floats as repr writes them
+    assert set(record["workloads"]) == {"calib-rig", "synth-write"}
+    assert record["workloads"]["calib-rig"]["pairs"] == 2 and record["workloads"]["calib-rig"]["failed_share"]["base"] == 0.1
+    with pytest.raises(SystemExit, match="not merged"):
+        bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "2", "--record", str(path)])
+
+
+@pytest.mark.parametrize("path", sorted(bench_pairs.ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_records_follow_the_schema(path):
+    check_record(json.loads(path.read_text(encoding="utf-8")))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from planegaze.camera import CameraIntrinsics, project_points, undistort_pixels
-from planegaze.errors import BehindCameraError, NotInvertibleError
+from planegaze.errors import BehindCameraError
 from planegaze.geometry import RigidTransform
 
 
@@ -82,8 +82,11 @@ class TestUndistortion:
         assert np.abs(back - pixels).max() < 1e-6
 
     def test_not_invertible_far_outside_model(self):
-        # strong positive radial distortion folds far-field pixels back; the
-        # fixed point iteration cannot settle out there
-        K = plain_camera(fx=200.0, fy=200.0, dist=(2.5, 0, 0, 0, 0))
-        with pytest.raises(NotInvertibleError):
-            undistort_pixels(K, [(1280.0, 720.0)])
+        # r_d = r (1 - 0.5 r^2) peaks at about 0.544, so a pixel at r_d = 3.7 has no
+        # preimage: its row is NaN, and the pixel passed with it still goes through
+        K = plain_camera(fx=200.0, fy=200.0, dist=(-0.5, 0, 0, 0, 0))
+        good = (660.0, 370.0)
+        both = undistort_pixels(K, [(1280.0, 720.0), good])
+        assert both.shape == (2, 2) and np.isnan(both[0]).all()
+        assert both[1].tobytes() == undistort_pixels(K, [good])[0].tobytes()
+        assert np.isnan(undistort_pixels(K, [(np.nan, 360.0)])).all()

@@ -462,6 +462,23 @@ class TestSceneConfig:
         assert "seed must be < 2**64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, message", [("18446744073709551616", "< 2**64"), ("-1", ">= 0"), ("x", "an integer")])
+    def test_bad_seed_flag_names_the_flag_not_the_scene(self, tmp_path, capsys, seed, message):
+        scene, out = tmp_path / "s.json", tmp_path / "d"
+        scene.write_text(json.dumps({"schema": "planegaze-scene-v1"}))
+        assert main(["synth", "--out", str(out), "--scene", str(scene), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed must be {message}" in err and str(scene) not in err
+        assert not out.exists()
+
+    def test_bad_seed_key_names_the_scene(self, tmp_path, capsys):
+        scene, out = tmp_path / "s.json", tmp_path / "d"
+        scene.write_text(json.dumps({"schema": "planegaze-scene-v1", "seed": 2**64}))
+        assert main(["synth", "--out", str(out), "--scene", str(scene), "--seed", "5"]) == 1
+        err = capsys.readouterr().err
+        assert f"{scene}: invalid scene config: seed must be < 2**64" in err and "--seed" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("frames", 2.5), ("frames", True), ("seed", "7"), ("calib_views", 2.0),
         ("grid.rows", 4.7), ("grid.cols", True), ("grid.target", [0.0, 1]), ("grid.target", [0, "1"]),

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.errors import EmptySelectionError
 from planegaze.geometry import yaw_pitch_to_dir
 from planegaze.metrics import (
+    DEFAULT_PITCH_EDGES_DEG,
+    DEFAULT_YAW_EDGES_DEG,
     FrameErrors,
+    FrameTable,
     cdf_fraction_at,
     continued_yaw_pitch_deg,
     error_cdf,
     evaluate_frame,
     summarize,
+    tag_masks,
     yaw_pitch_histogram,
 )
 from planegaze.pipeline import STATUS_NO_INTERSECTION, STATUS_OK, SurfaceGazeEstimate
@@ -132,6 +138,44 @@ class TestSummarize:
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    tags=st.lists(st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=3).map(tuple), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tag_selection_equals_row_by_row_selection(tags, seed):
+    """Per-tag summaries and CDFs, from the tag masks or from the tag name, equal those of
+    the rows picked one by one with ``tag in tags``: frames with several tags or none."""
+    rng = np.random.default_rng(seed)
+    n = len(tags)
+    distances = np.where(rng.random(n) < 0.2, INF, rng.uniform(0, 1, n))
+    errors = FrameErrors(rng.permutation([f"f{k:03d}" for k in range(n)]), rng.uniform(0, 90, n), distances, tags)
+    masks = tag_masks(errors.tags, ["a", "b", "c", "ab", "zz"])
+    for tag, mask in masks.items():
+        picked = [k for k, row in enumerate(errors.tags) if tag in row]
+        assert np.flatnonzero(mask).tolist() == picked
+        if not picked:
+            for kwargs in ({}, {"mask": mask}):
+                with pytest.raises(EmptySelectionError):
+                    summarize(errors, tag, **kwargs)
+            continue
+        alone = FrameErrors(errors.frame_id[picked], errors.angular_deg[picked], errors.distance_m[picked],
+                            [errors.tags[k] for k in picked])
+        assert summarize(errors, tag) == summarize(errors, tag, mask=mask) == summarize(alone)
+        for kind in ("angular", "distance"):
+            want = error_cdf(alone, kind)
+            for got in (error_cdf(errors, kind, tag), error_cdf(errors, kind, tag, mask=mask)):
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_frame_table_rows_of():
+    frames = FrameTable(np.array(["f2", "f0", "f10"]), np.array([1, 2, 3]), ((), (), ()))
+    rows, found = frames.rows_of(["f10", "nope", "f2", "f0", ""])
+    assert rows.tolist() == [2, 0, 0, 1, 0] and found.tolist() == [True, False, True, True, False]
+    empty = FrameTable(np.array([], dtype=str), np.array([], dtype=int), ())
+    assert [a.tolist() for a in empty.rows_of(["f0"])] == [[0], [False]]
+
+
 class TestErrorCdf:
     def test_three_values(self):
         thresholds, fractions = error_cdf(records_cm([100, 200, 300]), "distance")
@@ -202,6 +246,42 @@ class TestGazeHistogram:
     def test_empty_input(self):
         with pytest.raises(EmptySelectionError):
             yaw_pitch_histogram(np.zeros((0, 3)))
+
+
+def histogram2d_counts(directions, yaw_edges, pitch_edges):
+    """The counts as np.histogram2d gives them on the clipped angles."""
+    yp = continued_yaw_pitch_deg(np.reshape(directions, (-1, 3)))
+    yaw, pitch = (np.clip(yp[:, k], e[0], e[-1]) for k, e in enumerate((yaw_edges, pitch_edges)))
+    return np.histogram2d(yaw, pitch, bins=(yaw_edges, pitch_edges))[0].astype(int)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    vectors=st.lists(st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-6),
+                     min_size=1, max_size=30),
+    picks=st.lists(st.integers(0, 59), min_size=2, max_size=8),
+    axis_aligned=st.booleans(),
+)
+def test_histogram_counts_equal_histogram2d(vectors, picks, axis_aligned):
+    """On edges taken from the directions' own angles (so angles land exactly on bin edges,
+    on the last edge, and outside the range, clipped in), and on the default edges."""
+    dirs = np.array(vectors) / np.linalg.norm(vectors, axis=1, keepdims=True)
+    if axis_aligned:  # yaw and pitch of 0, +-90 and 180 degrees
+        dirs = np.vstack([dirs, np.eye(3), -np.eye(3)])
+    yp = continued_yaw_pitch_deg(dirs)
+    values = np.concatenate([yp[:, 0], yp[:, 1]])
+    edges = np.unique(values[np.array(picks) % values.size])
+    if edges.size < 2:
+        edges = np.array([edges[0], edges[0] + 1.0])
+    for yaw_edges, pitch_edges in ((edges, edges), (DEFAULT_YAW_EDGES_DEG, DEFAULT_PITCH_EDGES_DEG)):
+        hist = yaw_pitch_histogram(dirs, yaw_edges, pitch_edges)
+        assert hist.counts.dtype == int and hist.counts.sum() == len(dirs)
+        assert np.array_equal(hist.counts, histogram2d_counts(dirs, yaw_edges, pitch_edges))
+
+
+def test_histogram_edges_must_increase():
+    with pytest.raises(ValueError):
+        yaw_pitch_histogram([[0.0, 0.0, 1.0]], [1.0, 0.0], DEFAULT_PITCH_EDGES_DEG)
 
 
 class TestFrameErrors:

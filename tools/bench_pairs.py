@@ -25,13 +25,20 @@ share of operations exceeds the base's, or the median of an end-to-end
 metric is worse than the base's by more than that metric's ``bound`` in
 ``BENCHMARK.json``: each rejects a change whatever its other gains.
 
-Nothing is written inside the repository: perfbench's run directories and
-traces stay in the temporary copies, which are removed at the end.
+Nothing is written inside the repository, apart from the file that
+``--record PATH`` names: perfbench's run directories and traces stay in the
+temporary copies, which are removed at the end. ``--record`` writes the
+pairs' results as JSON (see :func:`record_entry`), with sorted keys and
+floats as ``repr`` writes them, so that one ``BENCH_<pr>.json`` per change
+diffs cleanly. A record that already exists at PATH for the same commits,
+seed and ``--seconds`` keeps its other workloads, so workloads that need
+different ``--pairs`` can share one file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import shutil
@@ -70,8 +77,22 @@ def export_worktree(dest: Path, root: Path = ROOT) -> Path:
     return dest
 
 
+CODE = ("src", "perfbench", "BENCHMARK.json")  # what a perfbench run reads of a tree
+
+
+def code_digest(tree: Path) -> str:
+    """SHA-256 over the relative paths and bytes of the files of ``CODE`` under ``tree``, in path order."""
+    digest = hashlib.sha256()
+    files = [p for name in CODE for p in ([tree / name] if (tree / name).is_file() else (tree / name).rglob("*"))]
+    for path in sorted(p for p in files if p.is_file()):
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{path.stat().st_size}\0".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON object of one untraced perfbench run on ``tree``."""
+    """The final JSON object of one untraced perfbench run on ``tree``, with the host
+    settings (``environment``) of the detail line before it."""
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -79,7 +100,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed on {tree} ({workload}), exit {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, detail, final = proc.stdout.strip().splitlines()
+    return {**json.loads(final), "environment": json.loads(detail)["detail"]["environment"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,17 +125,63 @@ def verdict(a: list[float], b: list[float], better: str, bound: float) -> tuple[
     return wins, delta, sign * delta < -bound, claimable
 
 
-def report(workload: str, base: list[dict], change: list[dict], metrics: list[dict]) -> list[str]:
-    """Print the workload's table; return the reasons, if any, that the change must not land.
+def failed_share(runs: list[dict]) -> float:
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def record_entry(base: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """One workload's pairs as a record: the pair count, each side's failed share and host
+    settings, and per end-to-end metric each side's median and quartiles, the relative
+    change of the medians, the pairs the change won, and whether it regressed beyond the
+    metric's bound or may claim a gain (the rules of :func:`verdict`)."""
+    entry = {
+        "pairs": len(base),
+        "failed_share": {"base": failed_share(base), "change": failed_share(change)},
+        "host": {side: runs[0].get("environment") for side, runs in (("base", base), ("change", change))},
+        "metrics": {},
+    }
+    for metric in metrics:
+        name = metric["name"]
+        a = [r["metrics"][name]["value"] for r in base]
+        b = [r["metrics"][name]["value"] for r in change]
+        wins, delta, regressed, claimable = verdict(a, b, metric["better"], metric["bound"])
+        entry["metrics"][name] = {
+            **{side: dict(zip(("q1", "median", "q3"), quartiles(v))) for side, v in (("base", a), ("change", b))},
+            "better": metric["better"], "median_change": delta, "wins": wins, "regressed": regressed,
+            "claimable": claimable,
+        }
+    return entry
+
+
+def write_record(path: Path, record: dict) -> None:
+    """Write ``record``; an existing record for the same commits, seed and seconds keeps its
+    other workloads."""
+    if path.exists():
+        old = json.loads(path.read_text(encoding="utf-8"))
+        if {k: v for k, v in old.items() if k != "workloads"} != {k: v for k, v in record.items() if k != "workloads"}:
+            raise SystemExit(f"{path} records other commits, seed or seconds; not merged")
+        record = {**record, "workloads": {**old["workloads"], **record["workloads"]}}
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def git_sha(ref: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=root, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def report(workload: str, base: list[dict], change: list[dict], metrics: list[dict]) -> tuple[list[str], dict]:
+    """Print the workload's table; return the reasons, if any, that the change must not land,
+    and the workload's :func:`record_entry`.
 
     ``metrics`` are the end-to-end metrics of BENCHMARK.json, each with its
     direction (``better``) and the relative ``bound`` its median may worsen by.
     """
+    entry = record_entry(base, change, metrics)
+    share = entry["failed_share"]
     print(f"\n{workload}: {len(base)} pairs")
-    share = {}
     for side, runs in (("base", base), ("change", change)):
         failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
-        share[side] = failed / attempted if attempted else 0.0
         print(f"  {side:6s} failed {failed}/{attempted} ops, correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs")
     reasons = []
     if not all(r["correct"] for r in change):
@@ -123,16 +191,14 @@ def report(workload: str, base: list[dict], change: list[dict], metrics: list[di
     print(f"  {'metric':12s} {'base median [q1, q3]':>34s} {'change median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
     for metric in metrics:
         name = metric["name"]
-        a = [r["metrics"][name]["value"] for r in base]
-        b = [r["metrics"][name]["value"] for r in change]
-        wins, delta, regressed, claimable = verdict(a, b, metric["better"], metric["bound"])
-        (qa1, ma, qa3), (qb1, mb, qb3) = quartiles(a), quartiles(b)
+        m = entry["metrics"][name]
+        (qa1, ma, qa3), (qb1, mb, qb3) = ([m[side][k] for k in ("q1", "median", "q3")] for side in ("base", "change"))
         print(f"  {name:12s} {ma:12.6g} [{qa1:9.6g}, {qa3:9.6g}] {mb:12.6g} [{qb1:9.6g}, {qb3:9.6g}]"
-              f" {delta:+8.1%} {wins:3d}/{len(a)}{'  claimable' if claimable else ''}")
-        if regressed:
-            reasons.append(f"{workload}: {name} median {mb:.6g} is {abs(delta):.1%} worse than the base's {ma:.6g},"
-                           f" beyond its bound {metric['bound']:.0%}")
-    return reasons
+              f" {m['median_change']:+8.1%} {m['wins']:3d}/{len(base)}{'  claimable' if m['claimable'] else ''}")
+        if m["regressed"]:
+            reasons.append(f"{workload}: {name} median {mb:.6g} is {abs(m['median_change']):.1%} worse than the"
+                           f" base's {ma:.6g}, beyond its bound {metric['bound']:.0%}")
+    return reasons, entry
 
 
 def main(argv=None) -> int:
@@ -143,16 +209,20 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="repeat for several; default every workload")
+    p.add_argument("--record", type=Path, default=None, metavar="PATH",
+                   help="also write the results as JSON, e.g. BENCH_<pr>.json")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-    reasons = []
+    reasons, entries = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         # directory names of equal length: the length of the path a tree runs from moves peak RSS
         # by about 0.6 MiB, as much as the differences in peak_rss_mb a pair is meant to show
         trees = {"base": export(args.base, Path(tmp) / "base"), "change": export_worktree(Path(tmp) / "work")}
+        sides = {"base": {"ref": args.base, "sha": git_sha(args.base)},
+                 "change": {"head": git_sha("HEAD"), "code_sha256": code_digest(trees["change"])}}
         for workload in args.workload or WORKLOADS:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
@@ -162,7 +232,10 @@ def main(argv=None) -> int:
                 values = {side: runs[side][-1]["metrics"]["ops_per_s"]["value"] for side in order}
                 print(f"{workload} pair {k + 1}/{args.pairs} ({order[0]} first): ops_per_s "
                       f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
-            reasons += report(workload, runs["base"], runs["change"], spec["end_to_end"])
+            workload_reasons, entries[workload] = report(workload, runs["base"], runs["change"], spec["end_to_end"])
+            reasons += workload_reasons
+    if args.record is not None:
+        write_record(args.record, {**sides, "seed": args.seed, "seconds": args.seconds, "workloads": entries})
     for reason in reasons:
         print(f"rejected: {reason}")
     return 1 if reasons else 0
