@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from planegaze import PredictionTable, ground_truth_direction
-from planegaze.grid import target_center
+from planegaze.grid import target_centers
 from planegaze.pipeline import (
     camera_offset_angles,
     correct_gaze_to_camera_frame,
@@ -28,7 +28,7 @@ def main():
     ds = generate_scene(default_scene(frames=1, seed=7, calib_views=2))
     frame_id, target_id = str(ds.frames.frame_id[0]), int(ds.frames.target_id[0])
     head = HeadPoint(ds.head_cc[:1], np.zeros(1), np.array(["eye_midpoint"]), np.array([""]))
-    target = target_center(ds.grid, target_id)[None]
+    target = target_centers(ds.grid, [target_id])
 
     print(f"frame {frame_id}: participant looks at target {target_id} "
           f"(center {np.round(target[0], 3)} in workspace coords)")

@@ -32,7 +32,7 @@ from .geometry import (
     angular_error_deg,
     yaw_pitch_to_dir,
 )
-from .grid import GridConfig, default_target_map, target_center
+from .grid import GridConfig, default_target_map, target_centers
 from .metrics import (
     FrameErrors,
     FrameTable,
@@ -41,6 +41,7 @@ from .metrics import (
     error_cdf,
     evaluate_frame,
     summarize,
+    tag_masks,
     yaw_pitch_histogram,
 )
 from .pipeline import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CAMERA_LEFT, CAMERA_RIGHT, StereoRig
-from .errors import EmptySelectionError, FormatError
+from .errors import FormatError
 from .formats import (
     CDF_COLUMNS,
     HIST_COLUMNS,
@@ -167,10 +167,7 @@ def evaluate_method(
     rows, head = rows[keep], head.take(keep)
     pred_dirs = correct_gaze_to_camera_frame(predictions.take(rows), head)
     estimate = gaze_point_on_surface(head, pred_dirs, plane)
-    errors = evaluate_frame(
-        pred_dirs, gt_dirs[keep], estimate, targets[keep],
-        frame_id=frames.frame_id[rows], tags=[frames.tags[k] for k in rows.tolist()],
-    )
+    errors = evaluate_frame(pred_dirs, gt_dirs[keep], estimate, targets[keep], frame_id=frames.frame_id[rows])
     bad = np.flatnonzero(reasons != "")
     skipped = list(zip(frames.frame_id[bad].tolist(), reasons[bad].tolist()))
     if skipped:
@@ -223,10 +220,9 @@ def evaluate_manifest(
         rep = reports[m]
         for tag in tag_filters:
             kept = masks[tag][rep.rows]
-            try:
-                s = summarize(rep.errors, tag, thresholds_cm, mask=kept)
-            except EmptySelectionError:
+            if not kept.any():
                 continue
+            s = summarize(rep.errors, thresholds_cm, mask=kept)
             summary_rows.append(
                 {
                     "method": m,
@@ -240,7 +236,7 @@ def evaluate_manifest(
                 }
             )
             for kind in ("angular", "distance"):
-                cdf_parts.append((m, tag or "", kind, *error_cdf(rep.errors, kind, tag, mask=kept)))
+                cdf_parts.append((m, tag or "", kind, *error_cdf(rep.errors, kind, mask=kept)))
         if rep.errors.frame_id.size:
             hist_parts.append(_hist_columns(m, yaw_pitch_histogram(rep.pred_directions)))
             hist_parts.append(_hist_columns(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions)))

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownTargetError
-
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -65,26 +63,16 @@ def corner_position(config: GridConfig, i, j) -> np.ndarray:
     return np.stack([s * i, s * j, np.zeros(i.shape)], axis=-1)
 
 
-def target_center(config: GridConfig, target_id: int) -> np.ndarray:
-    """Workspace-frame center of the numbered target square."""
-    try:
-        i, j = config.target_map[int(target_id)]
-    except (KeyError, ValueError) as exc:
-        raise UnknownTargetError(f"target id {target_id!r} not in grid config") from exc
-    s = config.square_size
-    return np.array([s * (i + 0.5), s * (j + 0.5), 0.0])
-
-
 def target_centers(config: GridConfig, target_ids) -> np.ndarray:
-    """Centers (N, 3) of the numbered target squares; NaN rows for ids not in the grid config."""
+    """Workspace-frame centers (N, 3) of the numbered target squares; NaN rows for ids not in the grid config."""
     ids = np.array(sorted(config.target_map), dtype=np.int64)
-    table = np.array([target_center(config, t) for t in ids.tolist()]).reshape(-1, 3)
-    target_ids = np.asarray(target_ids, dtype=np.int64)
+    cells = np.array([config.target_map[t] for t in ids.tolist()], dtype=float).reshape(-1, 2)
+    target_ids = np.asarray(target_ids, dtype=np.int64).reshape(-1)
     centers = np.full((target_ids.size, 3), np.nan)
     if ids.size:
         at = np.minimum(np.searchsorted(ids, target_ids), ids.size - 1)
         known = ids[at] == target_ids
-        centers[known] = table[at[known]]
+        centers[known] = corner_position(config, *(cells[at[known]] + 0.5).T)
     return centers
 
 

@@ -28,25 +28,22 @@ DEFAULT_PITCH_EDGES_DEG = np.arange(-120.0, 30.0 + 2.0, 2.0)
 class FrameErrors:
     """Per-frame errors of one method, as columns with one row per frame.
 
-    ``frame_id`` (N,), ``angular_deg`` (N,), ``distance_m`` (N,), +inf
-    where the gaze ray missed the surface, and one tag tuple per row
-    (``tags`` may be empty for rows without tags). Rows are stored in
-    frame-id order whatever order they come in, so every aggregate has the
-    same bits for any frame order.
+    ``frame_id`` (N,), ``angular_deg`` (N,) and ``distance_m`` (N,), +inf
+    where the gaze ray missed the surface. Rows are stored in frame-id
+    order whatever order they come in, so every aggregate has the same
+    bits for any frame order.
     """
 
     frame_id: np.ndarray
     angular_deg: np.ndarray
     distance_m: np.ndarray
-    tags: tuple = ()
 
     def __post_init__(self):
         frame_id = np.asarray(self.frame_id, dtype=str).reshape(-1)
         angles = np.asarray(self.angular_deg, dtype=float).reshape(-1)
         distances = np.asarray(self.distance_m, dtype=float).reshape(-1)
-        tags = list(self.tags) or [()] * len(frame_id)
-        if not len(frame_id) == len(angles) == len(distances) == len(tags):
-            raise ValueError("frame_id, angular_deg, distance_m and tags differ in length")
+        if not len(frame_id) == len(angles) == len(distances):
+            raise ValueError("frame_id, angular_deg and distance_m differ in length")
         # NaN fails both tests; a distance may be +inf but never -inf
         if not (np.all((angles >= 0.0) & (angles <= 180.0)) and np.all(distances >= 0.0)):
             raise ValueError("angular errors must lie in [0, 180] and surface distances be >= 0 or +inf")
@@ -54,7 +51,6 @@ class FrameErrors:
         object.__setattr__(self, "frame_id", frame_id[order])
         object.__setattr__(self, "angular_deg", angles[order])
         object.__setattr__(self, "distance_m", distances[order])
-        object.__setattr__(self, "tags", tuple(tuple(tags[k]) for k in order))
 
 
 @dataclass(frozen=True)
@@ -104,18 +100,18 @@ class Histogram2D:
 
 
 def evaluate_frame(pred_directions, gt_directions, estimate: SurfaceGazeEstimate, targets, *,
-                   frame_id, tags=()) -> FrameErrors:
+                   frame_id) -> FrameErrors:
     """Errors per frame: angle between directions, distance on the surface.
 
     Directions and targets are (N, 3), ``estimate`` has N rows, and
-    ``frame_id`` and ``tags`` (when given) hold one entry per row. The
-    surface distance is infinite whenever the intersection status is not
-    ok; the angular error is always finite.
+    ``frame_id`` holds one entry per row. The surface distance is infinite
+    whenever the intersection status is not ok; the angular error is
+    always finite.
     """
     angles = angular_error_deg(pred_directions, gt_directions)
     offset = estimate.point[:, :2] - as_vec3(targets)[:, :2]
     distances = np.where(estimate.status == STATUS_OK, norm(offset), math.inf)
-    return FrameErrors(frame_id, angles, distances, tags)
+    return FrameErrors(frame_id, angles, distances)
 
 
 def tag_masks(tags, names) -> dict[str, np.ndarray]:
@@ -130,28 +126,24 @@ def tag_masks(tags, names) -> dict[str, np.ndarray]:
     return masks
 
 
-def _select(errors: FrameErrors, tag_filter: str | None, mask):
-    """The rows a tag filter keeps, as an index into the columns: ``mask`` when the caller
-    already has the filter's rows, else computed here."""
-    if mask is None:
-        mask = slice(None) if tag_filter is None else tag_masks(errors.tags, [tag_filter])[tag_filter]
-    if not errors.angular_deg[mask].size:
-        raise EmptySelectionError(
-            "no records" if tag_filter is None else f"no records with tag {tag_filter!r}"
-        )
-    return mask
+def _select(errors: FrameErrors, mask):
+    """The rows ``mask`` (a boolean array over the rows) keeps, or all rows when it is None."""
+    keep = slice(None) if mask is None else mask
+    if not errors.angular_deg[keep].size:
+        raise EmptySelectionError("no records selected")
+    return keep
 
 
-def summarize(errors: FrameErrors, tag_filter: str | None = None,
-              thresholds_cm=DEFAULT_THRESHOLDS_CM, *, mask=None) -> MetricsSummary:
+def summarize(errors: FrameErrors, thresholds_cm=DEFAULT_THRESHOLDS_CM, *, mask=None) -> MetricsSummary:
     """Aggregate per-frame errors into the headline numbers.
 
     Mean over angular errors; median over distances with infinities
     participating as larger than any finite value; Precision@X = share of
-    frames with distance <= X cm (boundary inclusive). ``mask`` (a boolean
-    array over the rows), when given, is the rows ``tag_filter`` keeps.
+    frames with distance <= X cm (boundary inclusive). ``mask``, a boolean
+    array over the rows such as a :func:`tag_masks` entry, keeps only its
+    rows.
     """
-    keep = _select(errors, tag_filter, mask)
+    keep = _select(errors, mask)
     angles = errors.angular_deg[keep]
     dist_cm = errors.distance_m[keep] * 100.0
     n = len(angles)
@@ -168,8 +160,7 @@ def summarize(errors: FrameErrors, tag_filter: str | None = None,
     )
 
 
-def error_cdf(errors: FrameErrors, which: str,
-              tag_filter: str | None = None, *, mask=None) -> tuple[np.ndarray, np.ndarray]:
+def error_cdf(errors: FrameErrors, which: str, *, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF as columns: distinct thresholds ascending, and the fraction at each.
 
     ``which`` is "angular" (degrees) or "distance" (centimeters). Infinite
@@ -177,7 +168,7 @@ def error_cdf(errors: FrameErrors, which: str,
     the curve plateaus below 1 when failures exist. ``mask`` is as in
     :func:`summarize`.
     """
-    keep = _select(errors, tag_filter, mask)
+    keep = _select(errors, mask)
     if which == "angular":
         values = errors.angular_deg[keep]
     elif which == "distance":

@@ -38,7 +38,7 @@ from .geometry import (
     rotation_from_axis_angle,
     unit,
 )
-from .grid import GridConfig, corner_position, default_target_map, target_center
+from .grid import GridConfig, corner_position, default_target_map, target_centers
 from .metrics import FrameTable, evaluate_frame, summarize
 from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable, gaze_point_on_surface
 from .plane import PlanePose
@@ -359,13 +359,13 @@ def generate_scene(spec: SceneSpec) -> SyntheticDataset:
 
     rig = spec.rig
     target_ids = np.array(sorted(spec.grid.target_map))
-    target_cc = np.array([cam_from_plane.apply_point(target_center(spec.grid, t)) for t in target_ids])
+    target_cc = cam_from_plane.apply_points(target_centers(spec.grid, target_ids))
     head, target = _sample_heads(spec)
     right = rig.right_from_left.apply_points(head)
     identity = RigidTransform.identity()
     uv_left = project_points(rig.left, identity, head)
     uv_right = project_points(rig.right, identity, right)
-    direction = unit(target_cc.reshape(-1, 3)[target] - head)
+    direction = unit(target_cc[target] - head)
     target_id = target_ids[target]
 
     frame_id = np.array([f"f{i:05d}" for i in range(spec.frames)], dtype=str)
@@ -453,7 +453,6 @@ def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDatas
         shifts[present] = _rng(seed, _STREAM_PERTURB_FACES).normal(0.0, noise.face_px_sigma, (present.sum(), 2))
         faces = replace(faces, bbox=faces.bbox + np.tile(shifts[:, 0], 2), eye=faces.eye + shifts[:, 1])
 
-    frame_row = {fid: k for k, fid in enumerate(ds.frames.frame_id.tolist())}
     sigma_rad = math.radians(noise.gaze_angle_sigma_deg)
     bias = (math.radians(noise.gaze_bias_yaw_deg), math.radians(noise.gaze_bias_pitch_deg))
     methods = {m.name: m for m in ds.spec.methods}
@@ -462,7 +461,7 @@ def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDatas
     for k, (name, preds) in enumerate(sorted(ds.predictions.items())):
         yaw_pitch = np.column_stack([preds.yaw, preds.pitch])
         if sigma_rad > 0:
-            rows = [frame_row[fid] for fid in preds.frame_id.tolist()]
+            rows, _ = ds.frames.rows_of(preds.frame_id)
             draws = _rng(seed, _STREAM_PERTURB_PRED, k).normal(size=(len(rows), 4))
             d = ds.direction_cc[rows]
             noisy = _rotate_about(d, _perpendicular_axes(draws[:, :3], d), np.abs(sigma_rad * draws[:, 3]))
@@ -500,13 +499,13 @@ def amplification_study(
     dirs = ds.direction_cc
     axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
     heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), np.full(len(dirs), SOURCE_EYES), np.full(len(dirs), ""))
-    targets = np.array([target_center(spec.grid, t) for t in ds.frames.target_id.tolist()]).reshape(-1, 3)
+    targets = target_centers(spec.grid, ds.frames.target_id)
     frame_ids = ds.frames.frame_id
 
     rows = []
     for sigma in sigma_list:
         d = _rotate_about(dirs, axes, math.radians(float(sigma)) * units)
         estimate = gaze_point_on_surface(heads, d, spec.plane)
-        s = summarize(evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids), None, thresholds_cm)
+        s = summarize(evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids), thresholds_cm)
         rows.append(AmplificationRow(float(sigma), s.median_distance_cm, s.precision_at))
     return rows

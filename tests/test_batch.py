@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from planegaze import evaluation
 from planegaze.calibration import StereoRig
 from planegaze.camera import CameraIntrinsics, project_points
-from planegaze.errors import UnknownTargetError
 from planegaze.evaluation import evaluate_manifest, evaluate_method, frame_heads, read_method_predictions
 from planegaze.formats import (
     read_faces,
@@ -29,7 +28,7 @@ from planegaze.formats import (
     write_dataset,
 )
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, angular_error_deg
-from planegaze.grid import target_center
+from planegaze.grid import target_centers
 from planegaze.metrics import evaluate_frame
 from planegaze.pipeline import (
     CONVENTION_ABSOLUTE,
@@ -221,20 +220,20 @@ def test_pipeline_and_metrics_batch_rows_equal_one_row_batches():
     good = np.flatnonzero(np.isfinite(gt[:, 0]))
     frame_ids = [f"f{k}" for k in good]
     records = evaluate_frame(dirs[good], gt[good], take_estimate(estimate, good), targets[good],
-                             frame_id=frame_ids, tags=[("a",)] * len(good))
+                             frame_id=frame_ids)
     angles = angular_error_deg(dirs[good], gt[good])
     assert angles.shape == (len(good),)
     row_of = {fid: row for row, fid in enumerate(records.frame_id)}
     for i, k in enumerate(good):
         assert angular_error_deg(dirs[[k]], gt[[k]]).tobytes() == angles[[i]].tobytes()
         one = evaluate_frame(dirs[[k]], gt[[k]], take_estimate(estimate, [k]), targets[[k]],
-                             frame_id=[f"f{k}"], tags=[("a",)])
+                             frame_id=[f"f{k}"])
         assert_same_rows(records, [row_of[f"f{k}"]], one)
         assert records.angular_deg[row_of[f"f{k}"]] == angles[i]
 
 
 def _reference(manifest, method, rig, plane, grid):
-    """The stage functions composed frame by frame, as one-row batches."""
+    """The stage functions composed frame by frame, as one-row batches; each record comes with its frame's tags."""
     ref = manifest.predictions[method]
     table = read_predictions(ref.path)
     pred_row = {fid: k for k, fid in enumerate(table.frame_id.tolist())}
@@ -254,9 +253,8 @@ def _reference(manifest, method, rig, plane, grid):
         if head.failure[0]:
             skipped.append((fid, head.failure[0]))
             continue
-        try:
-            target = target_center(grid, target_id)[None]
-        except UnknownTargetError:
+        target = target_centers(grid, [target_id])
+        if np.isnan(target).any():
             skipped.append((fid, "UnknownTargetError"))
             continue
         gt = ground_truth_direction(head, plane, target)
@@ -265,7 +263,7 @@ def _reference(manifest, method, rig, plane, grid):
             continue
         direction = correct_gaze_to_camera_frame(table.take([pred_row[fid]]), head)
         estimate = gaze_point_on_surface(head, direction, plane)
-        records.append(evaluate_frame(direction, gt, estimate, target, frame_id=[fid], tags=[tags]))
+        records.append((evaluate_frame(direction, gt, estimate, target, frame_id=[fid]), tags))
         pred_dirs.append(direction[0])
         gt_dirs.append(gt[0])
     return records, skipped, pred_dirs, gt_dirs
@@ -305,8 +303,8 @@ def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
         assert (("f00007", "missing_prediction") in skipped) == (method == "oracle-offset")
         got = report.errors
         assert len(got.frame_id) == len(records) > 0
-        for k, want in enumerate(records):
-            assert (got.frame_id[k], got.tags[k]) == (want.frame_id[0], want.tags[0])
+        for k, (want, tags) in enumerate(records):
+            assert (got.frame_id[k], manifest.frames.tags[report.rows[k]]) == (want.frame_id[0], tags)
             assert got.angular_deg[k] == pytest.approx(want.angular_deg[0], rel=1e-9, abs=1e-9)
             assert got.distance_m[k] == pytest.approx(want.distance_m[0], rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(report.pred_directions, np.array(pred_dirs), rtol=0, atol=1e-9)
@@ -346,7 +344,7 @@ def test_shared_triangulation_matches_per_method_evaluation(tmp_path, monkeypatc
         alone = evaluate_manifest(manifest, methods=[method]).methods[method]
         got = together[method]
         assert got.skipped == alone.skipped and ("f00005", "missing_face_observation") in got.skipped
-        assert got.errors.frame_id.tolist() == alone.errors.frame_id.tolist() and got.errors.tags == alone.errors.tags
+        assert got.errors.frame_id.tolist() == alone.errors.frame_id.tolist() and got.rows.tolist() == alone.rows.tolist()
         for a, b in ((got.errors.angular_deg, alone.errors.angular_deg), (got.errors.distance_m, alone.errors.distance_m),
                      (got.pred_directions, alone.pred_directions), (got.gt_directions, alone.gt_directions)):
             assert a.tobytes() == b.tobytes() and a.shape == b.shape

@@ -800,7 +800,7 @@ class TestMalformedDatasetRows:
         assert f"pred_oracle-absolute.csv:{lineno}:" in err
         assert "prediction row for method 'oracle-offset' in file of 'oracle-absolute'" in err
 
-    @pytest.mark.parametrize("tags", ["glasses", [1], ["glasses", None], {"glasses": True}])
+    @pytest.mark.parametrize("tags", ["glasses", [1], ["glasses", None], {"glasses": True}, ["glasses", ""]])
     def test_tags_must_be_a_list_of_strings(self, dataset_dir, tmp_path, capsys, tags):
         import shutil
 

@@ -296,6 +296,7 @@ class TestDatasetAndManifest:
         ({3: {"target_id": 2**63}, 5: {"frame_id": "f00001"}}, "bad frame entry #3: "),
         ({1: None}, "bad frame entry #1: "),
         ({0: {"target_id": None}, 1: {"frame_id": "f00000"}}, "bad frame entry #0: target_id of frame 'f00000'"),
+        ({4: {"frame_id": "f00000"}, 3: {"tags": ["glasses", ""]}}, "bad frame entry #3: tags of frame 'f00003'"),
     ])
     def test_manifest_names_the_first_bad_entry_or_duplicate(self, tmp_path, edits, message):
         ds = generate_scene(default_scene(frames=6, seed=8, calib_views=2))

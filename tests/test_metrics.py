@@ -25,18 +25,17 @@ from planegaze.pipeline import STATUS_NO_INTERSECTION, STATUS_OK, SurfaceGazeEst
 INF = math.inf
 
 
-def record(distance_m, angle=5.0, frame="f0", tags=()):
-    return FrameErrors([frame], [angle], [distance_m], [tags])
+def record(distance_m, angle=5.0, frame="f0"):
+    return FrameErrors([frame], [angle], [distance_m])
 
 
-def records_cm(distances_cm, tags=()):
-    """One row per distance; ``tags`` is one tag tuple for every row or a list of one per row."""
+def records_cm(distances_cm):
+    """One row per distance, with frame ids in row order."""
     n = len(distances_cm)
     return FrameErrors(
         [f"f{k:04d}" for k in range(n)],
         [5.0] * n,
         [d / 100.0 if math.isfinite(d) else INF for d in distances_cm],
-        tags if isinstance(tags, list) else [tags] * n,
     )
 
 
@@ -93,11 +92,12 @@ class TestSummarize:
         with pytest.raises(EmptySelectionError):
             summarize(records_cm([]))
         with pytest.raises(EmptySelectionError):
-            summarize(records_cm([5.0]), tag_filter="nope")
+            summarize(records_cm([5.0]), mask=np.array([False]))
 
-    def test_tag_filter(self):
-        recs = records_cm([5, 15, 25, 60], tags=[("glasses",)] * 2 + [("no_glasses",)] * 2)
-        s = summarize(recs, "glasses")
+    def test_tag_mask(self):
+        recs = records_cm([5, 15, 25, 60])
+        masks = tag_masks([("glasses",)] * 2 + [("no_glasses",)] * 2, ["glasses"])
+        s = summarize(recs, mask=masks["glasses"])
         assert s.n_frames == 2
         assert s.median_distance_cm == pytest.approx(10.0)
 
@@ -106,8 +106,7 @@ class TestSummarize:
         recs = records_cm(list(rng.uniform(0, 80, 41)))
         a = summarize(recs)
         order = rng.permutation(41)
-        shuffled = FrameErrors(recs.frame_id[order], recs.angular_deg[order], recs.distance_m[order],
-                               [recs.tags[k] for k in order])
+        shuffled = FrameErrors(recs.frame_id[order], recs.angular_deg[order], recs.distance_m[order])
         assert list(shuffled.distance_m) == list(recs.distance_m)  # rows come back in frame-id order
         b = summarize(shuffled)
         assert a == b
@@ -120,13 +119,10 @@ class TestSummarize:
 
     def test_tag_partition_weighted_mean(self):
         rng = np.random.default_rng(2)
-        rows = []
-        for k in range(120):
-            tag = ("a",) if k % 3 else ("b",)
-            rows.append((f"f{k:03d}", float(rng.uniform(0, 40)), float(rng.uniform(0, 1)), tag))
-        recs = FrameErrors(*zip(*rows))
+        recs = FrameErrors([f"f{k:03d}" for k in range(120)], rng.uniform(0, 40, 120), rng.uniform(0, 1, 120))
+        masks = tag_masks([("a",) if k % 3 else ("b",) for k in range(120)], ["a", "b"])
         total = summarize(recs)
-        sa, sb = summarize(recs, "a"), summarize(recs, "b")
+        sa, sb = summarize(recs, mask=masks["a"]), summarize(recs, mask=masks["b"])
         combined = (sa.mean_angular_deg * sa.n_frames + sb.mean_angular_deg * sb.n_frames) / total.n_frames
         assert total.mean_angular_deg == pytest.approx(combined, rel=1e-12)
 
@@ -144,28 +140,28 @@ class TestSummarize:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tag_selection_equals_row_by_row_selection(tags, seed):
-    """Per-tag summaries and CDFs, from the tag masks or from the tag name, equal those of
-    the rows picked one by one with ``tag in tags``: frames with several tags or none."""
+    """Each tag mask holds the rows picked one by one with ``tag in tags`` (frames with several
+    tags or none), and the summaries and CDFs under a mask equal those of the picked rows alone."""
     rng = np.random.default_rng(seed)
     n = len(tags)
     distances = np.where(rng.random(n) < 0.2, INF, rng.uniform(0, 1, n))
-    errors = FrameErrors(rng.permutation([f"f{k:03d}" for k in range(n)]), rng.uniform(0, 90, n), distances, tags)
-    masks = tag_masks(errors.tags, ["a", "b", "c", "ab", "zz"])
+    frame_id = rng.permutation([f"f{k:03d}" for k in range(n)])
+    errors = FrameErrors(frame_id, rng.uniform(0, 90, n), distances)
+    row_tags = [tags[k] for k in np.argsort(frame_id, kind="stable")]  # in the rows' frame-id order
+    masks = tag_masks(row_tags, ["a", "b", "c", "ab", "zz"])
     for tag, mask in masks.items():
-        picked = [k for k, row in enumerate(errors.tags) if tag in row]
+        picked = [k for k, row in enumerate(row_tags) if tag in row]
         assert np.flatnonzero(mask).tolist() == picked
         if not picked:
-            for kwargs in ({}, {"mask": mask}):
-                with pytest.raises(EmptySelectionError):
-                    summarize(errors, tag, **kwargs)
+            with pytest.raises(EmptySelectionError):
+                summarize(errors, mask=mask)
             continue
-        alone = FrameErrors(errors.frame_id[picked], errors.angular_deg[picked], errors.distance_m[picked],
-                            [errors.tags[k] for k in picked])
-        assert summarize(errors, tag) == summarize(errors, tag, mask=mask) == summarize(alone)
+        alone = FrameErrors(errors.frame_id[picked], errors.angular_deg[picked], errors.distance_m[picked])
+        assert summarize(errors, mask=mask) == summarize(alone)
         for kind in ("angular", "distance"):
             want = error_cdf(alone, kind)
-            for got in (error_cdf(errors, kind, tag), error_cdf(errors, kind, tag, mask=mask)):
-                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            got = error_cdf(errors, kind, mask=mask)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_frame_table_rows_of():
@@ -286,11 +282,10 @@ def test_histogram_edges_must_increase():
 
 class TestFrameErrors:
     def test_rows_sorted_by_frame_id(self):
-        e = FrameErrors(["f2", "f10", "f1"], [1.0, 2.0, 3.0], [0.1, INF, 0.3], [("a",), (), ("b",)])
+        e = FrameErrors(["f2", "f10", "f1"], [1.0, 2.0, 3.0], [0.1, INF, 0.3])
         assert list(e.frame_id) == ["f1", "f10", "f2"]
         assert list(e.angular_deg) == [3.0, 2.0, 1.0]
         assert list(e.distance_m) == [0.3, INF, 0.1]
-        assert e.tags == (("b",), (), ("a",))
 
     @pytest.mark.parametrize("angle, distance", [
         (math.nan, 0.1), (-1.0, 0.1), (180.5, 0.1), (5.0, math.nan), (5.0, -0.01), (5.0, -INF),
@@ -303,4 +298,4 @@ class TestFrameErrors:
         with pytest.raises(ValueError):
             FrameErrors(["f0", "f1"], [5.0], [0.2, 0.3])
         with pytest.raises(ValueError):
-            FrameErrors(["f0", "f1"], [5.0, 6.0], [0.2, 0.3], [("a",)])
+            FrameErrors(["f0", "f1"], [5.0, 6.0], [0.2])

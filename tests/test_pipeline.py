@@ -140,12 +140,12 @@ class TestGazePointOnSurface:
         assert np.all(np.abs(est.point[ok, 2]) < 1e-9)
 
     def test_hits_target_with_exact_direction(self, small_dataset):
-        from planegaze.grid import target_center
+        from planegaze.grid import target_centers
 
         ds = small_dataset
         est = gaze_point_on_surface(heads_at(ds.head_cc[:20]), ds.direction_cc[:20], ds.plane)
         assert est.status.tolist() == [STATUS_OK] * 20
-        targets = np.array([target_center(ds.grid, t) for t in ds.frames.target_id[:20].tolist()])
+        targets = target_centers(ds.grid, ds.frames.target_id[:20])
         assert np.all(np.linalg.norm(est.point - targets, axis=1) < 1e-8)
 
 

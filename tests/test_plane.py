@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from planegaze.calibration import CornerTable
 from planegaze.camera import CameraIntrinsics, project_points
-from planegaze.errors import DegenerateConfigurationError, UnknownTargetError
+from planegaze.errors import DegenerateConfigurationError
 from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
-from planegaze.grid import GridConfig, corner_position, default_target_map, target_center
+from planegaze.grid import GridConfig, corner_position, default_target_map, target_centers
 from planegaze.plane import estimate_plane_pose
 
 from test_calibration import rotation_angle
@@ -47,22 +47,25 @@ class TestGrid:
         assert table.shape == (len(ij), len(ij), 3)
         assert table[np.arange(len(ij)), np.arange(len(ij))].tobytes() == batch.tobytes()
 
-    def test_target_center_cells(self):
+    def test_target_centers_cells(self):
         cfg = GridConfig(square_size=0.05, rows=4, cols=4, target_map={1: (0, 0), 2: (2, 3)})
-        np.testing.assert_allclose(target_center(cfg, 1), [0.025, 0.025, 0.0])
-        np.testing.assert_allclose(target_center(cfg, 2), [0.125, 0.175, 0.0])
+        centers = target_centers(cfg, [2, 1, 2])
+        np.testing.assert_allclose(centers, [[0.125, 0.175, 0.0], [0.025, 0.025, 0.0], [0.125, 0.175, 0.0]])
+        assert centers.tobytes() == np.array([[0.05 * 2.5, 0.05 * 3.5, 0.0], [0.05 * 0.5, 0.05 * 0.5, 0.0],
+                                              [0.05 * 2.5, 0.05 * 3.5, 0.0]]).tobytes()
 
-    def test_unknown_target(self):
+    def test_unknown_target_is_a_nan_row(self):
         cfg = GridConfig(square_size=0.05, rows=5, cols=8, target_map=default_target_map(5, 8, 20))
-        with pytest.raises(UnknownTargetError):
-            target_center(cfg, 21)
+        centers = target_centers(cfg, [21, 1, 0, -3, 20])
+        assert np.isnan(centers[[0, 2, 3]]).all() and np.isfinite(centers[[1, 4]]).all()
+        empty = GridConfig(square_size=0.05, rows=5, cols=8)
+        assert np.isnan(target_centers(empty, [1, 2])).all() and target_centers(empty, []).shape == (0, 3)
 
     def test_centers_strictly_inside_grid(self):
         cfg = GridConfig(square_size=0.06, rows=5, cols=8, target_map=default_target_map(5, 8, 20))
-        for tid in cfg.target_map:
-            c = target_center(cfg, tid)
-            assert 0 < c[0] < cfg.square_size * cfg.rows
-            assert 0 < c[1] < cfg.square_size * cfg.cols
+        c = target_centers(cfg, list(cfg.target_map))
+        assert np.all((0 < c[:, 0]) & (c[:, 0] < cfg.square_size * cfg.rows))
+        assert np.all((0 < c[:, 1]) & (c[:, 1] < cfg.square_size * cfg.cols))
 
     def test_default_layout_has_twenty_alternating_cells(self):
         mapping = default_target_map(5, 8, 20)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from planegaze.calibration import CAMERA_LEFT, CAMERA_RIGHT
 from planegaze.camera import project_points
 from planegaze.geometry import RigidTransform, angular_error_deg
-from planegaze.grid import target_center
+from planegaze.grid import target_centers
 from planegaze.pipeline import (
     correct_gaze_to_camera_frame,
     gaze_point_on_surface,
@@ -71,7 +71,7 @@ class TestGenerateScene:
         ds = small_dataset
         left, right = (ds.faces.take(ds.faces.camera == c) for c in (CAMERA_LEFT, CAMERA_RIGHT))
         assert left.frame_id.tolist() == right.frame_id.tolist() == ds.frames.frame_id.tolist()
-        targets = np.array([target_center(ds.grid, t) for t in ds.frames.target_id.tolist()])
+        targets = target_centers(ds.grid, ds.frames.target_id)
         methods = {m.name: m for m in ds.spec.methods}
         worst_dist, worst_ang = 0.0, 0.0
         for name, preds in ds.predictions.items():
