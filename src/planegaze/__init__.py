@@ -26,8 +26,6 @@ from .camera import (
     undistort_pixels,
 )
 from .geometry import (
-    FRAME_CAMERA,
-    FRAME_PLANE,
     RigidTransform,
     angular_error_deg,
     yaw_pitch_to_dir,

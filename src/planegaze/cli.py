@@ -90,9 +90,12 @@ def _seed(text: str) -> int:
 def _image_size(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"image size must look like 1280x720, got {text!r}")
+    if w <= 0 or h <= 0:
+        raise argparse.ArgumentTypeError(f"image size must be positive, got {text}")
+    return w, h
 
 
 def _add_globals(parser) -> None:
@@ -327,7 +330,7 @@ def cmd_report(args) -> int:
     if args.method is not None:
         rows = [r for r in rows if r[0] == args.method]
     if args.tag is not None:
-        rows = [r for r in rows if r[1] == args.tag]
+        rows = [r for r in rows if (r[1] or "all") == args.tag]
     if not rows:
         print("no frames matched", file=sys.stderr)
         return EXIT_DEGENERATE

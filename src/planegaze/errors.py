@@ -89,10 +89,6 @@ class DegenerateGeometryError(DegenerateDataError):
     """Geometric query undefined (coincident points, zero-length direction)."""
 
 
-class FrameMismatchError(DegenerateDataError):
-    """A ray or point is expressed in a different frame than required."""
-
-
 class ResampleExceededError(DegenerateDataError):
     """Scene sampling failed to produce a valid configuration."""
 

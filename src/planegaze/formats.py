@@ -27,7 +27,7 @@ from . import __version__
 from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, StereoRig
 from .camera import CameraIntrinsics
 from .errors import FormatError
-from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
+from .geometry import RigidTransform
 from .grid import GridConfig
 from .metrics import FrameTable
 from .pipeline import CONVENTION_OFFSET, CONVENTIONS, PredictionTable
@@ -326,6 +326,7 @@ def read_grid_config(path: Path) -> GridConfig:
 INTRINSICS_SCHEMA = "planegaze-intrinsics-v1"
 STEREO_SCHEMA = "planegaze-stereo-v1"
 PLANE_SCHEMA = "planegaze-plane-pose-v1"
+PLANE_FRAMES = {"src_frame": "camera", "dst_frame": "plane"}  # a plane pose maps camera -> workspace
 
 
 def _intrinsics_payload(K: CameraIntrinsics) -> dict:
@@ -370,10 +371,10 @@ def _transform_payload(T: RigidTransform) -> dict:
     }
 
 
-def _transform_from_payload(p: dict, path: Path, src=None, dst=None) -> RigidTransform:
+def _transform_from_payload(p: dict, path: Path) -> RigidTransform:
     try:
         return RigidTransform(np.array([_json_numbers(row, "rotation") for row in p["rotation"]]),
-                              np.array(_json_numbers(p["translation_m"], "translation_m")), src, dst)
+                              np.array(_json_numbers(p["translation_m"], "translation_m")))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad rigid transform block: {exc}", file=str(path)) from None
 
@@ -407,8 +408,7 @@ def write_plane_pose(path: Path, pose: PlanePose, *, prov: dict | None = None) -
         {
             "schema": PLANE_SCHEMA,
             **_transform_payload(pose.transform),
-            "src_frame": FRAME_CAMERA,
-            "dst_frame": FRAME_PLANE,
+            **PLANE_FRAMES,
             "rms_px": pose.rms_reprojection,
             "provenance": prov or provenance(),
         },
@@ -417,7 +417,10 @@ def write_plane_pose(path: Path, pose: PlanePose, *, prov: dict | None = None) -
 
 def read_plane_pose(path: Path) -> PlanePose:
     payload = _load_json(path, PLANE_SCHEMA)
-    T = _transform_from_payload(payload, Path(path), FRAME_CAMERA, FRAME_PLANE)
+    for key, frame in PLANE_FRAMES.items():
+        if payload.get(key, frame) != frame:
+            raise FormatError(f"{key} must be {frame!r}, got {payload[key]!r}", file=str(path))
+    T = _transform_from_payload(payload, Path(path))
     try:
         return PlanePose(T, _json_number(payload.get("rms_px", 0.0), "rms_px"))
     except (TypeError, ValueError) as exc:

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, FrameMismatchError
-
-FRAME_CAMERA = "camera"
-FRAME_PLANE = "plane"
+from .errors import DegenerateGeometryError
 
 ROTATION_TOL = 1e-9
 
@@ -208,16 +205,10 @@ def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rigid motion x -> R x + t, optionally labeled with frame names.
-
-    When both are labeled, :meth:`compose` checks that the inner transform
-    maps into this one's source frame; unlabeled transforms skip the check.
-    """
+    """Rigid motion x -> R x + t, with R checked to be a proper rotation."""
 
     rotation: np.ndarray
     translation: np.ndarray
-    src_frame: str | None = None
-    dst_frame: str | None = None
 
     def __post_init__(self):
         R = require_rotation(self.rotation).copy()
@@ -228,8 +219,8 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls, src_frame: str | None = None, dst_frame: str | None = None) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3), src_frame, dst_frame)
+    def identity(cls) -> "RigidTransform":
+        return cls(np.eye(3), np.zeros(3))
 
     def apply_point(self, p) -> np.ndarray:
         p = as_vec3(p)
@@ -245,16 +236,9 @@ class RigidTransform:
 
     def compose(self, inner: "RigidTransform") -> "RigidTransform":
         """Transform equivalent to applying ``inner`` first, then ``self``."""
-        if self.src_frame is not None and inner.dst_frame is not None:
-            if self.src_frame != inner.dst_frame:
-                raise FrameMismatchError(
-                    f"cannot compose: inner maps to {inner.dst_frame!r}, outer expects {self.src_frame!r}"
-                )
         return RigidTransform(
             self.rotation @ inner.rotation,
             self.rotation @ inner.translation + self.translation,
-            inner.src_frame,
-            self.dst_frame,
         )
 
     __matmul__ = compose
@@ -263,6 +247,4 @@ class RigidTransform:
         return RigidTransform(
             self.rotation.T,
             -(self.rotation.T @ self.translation),
-            self.dst_frame,
-            self.src_frame,
         )

@@ -15,7 +15,7 @@ import numpy as np
 from .calibration import CornerTable, estimate_homography, pose_from_homography, refine_pose
 from .camera import UNDISTORT_MAX_ITER, CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError, NotInvertibleError
-from .geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform
+from .geometry import RigidTransform
 from .grid import GridConfig, corner_position
 
 
@@ -25,15 +25,6 @@ class PlanePose:
 
     transform: RigidTransform
     rms_reprojection: float = 0.0
-
-    def __post_init__(self):
-        T = self.transform
-        if T.src_frame != FRAME_CAMERA or T.dst_frame != FRAME_PLANE:
-            object.__setattr__(
-                self,
-                "transform",
-                RigidTransform(T.rotation, T.translation, FRAME_CAMERA, FRAME_PLANE),
-            )
 
 
 def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntrinsics) -> PlanePose:

@@ -29,8 +29,6 @@ from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, StereoRig
 from .camera import CameraIntrinsics, project_points
 from .errors import BehindCameraError, ResampleExceededError
 from .geometry import (
-    FRAME_CAMERA,
-    FRAME_PLANE,
     RigidTransform,
     directions_to_yaw_pitch,
     dot,
@@ -190,7 +188,7 @@ def default_scene(frames: int = 200, seed: int = 0, calib_views: int = 15) -> Sc
     )
     camera_pos_plane = np.array([0.15, -0.15, 0.45])
     plane = PlanePose(
-        RigidTransform(plane_from_camera, camera_pos_plane, FRAME_CAMERA, FRAME_PLANE), 0.0
+        RigidTransform(plane_from_camera, camera_pos_plane), 0.0
     )
 
     participants = (((0.05, 0.65, 0.28), (0.25, 0.85, 0.45)),)

@@ -27,7 +27,7 @@ from planegaze.formats import (
     read_stereo,
     write_dataset,
 )
-from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, angular_error_deg
+from planegaze.geometry import RigidTransform, angular_error_deg
 from planegaze.grid import target_centers
 from planegaze.metrics import evaluate_frame
 from planegaze.pipeline import (
@@ -58,7 +58,7 @@ K_RIGHT = CameraIntrinsics(
 )
 # right camera 6 cm along the left camera's +X, no toe-in
 RIG = StereoRig(K_LEFT, K_RIGHT, RigidTransform(np.eye(3), [-0.06, 0.0, 0.0]))
-IDENTITY_PLANE = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
+IDENTITY_PLANE = PlanePose(RigidTransform.identity())
 
 
 def observed(frame_id, X, *, left_eyes=True, right_eyes=True, bbox=True):
@@ -166,7 +166,7 @@ def test_poisoned_rows_leave_every_other_row_bit_identical(heads, poison):
     assert_same_rows(dirty, rest, clean.take(rest))
 
     dirs, targets = np.tile([0.1, 0.0, -1.0], (len(X), 1)), np.zeros((len(X), 3))
-    plane = PlanePose(RigidTransform(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 2.0], FRAME_CAMERA, FRAME_PLANE))
+    plane = PlanePose(RigidTransform(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 2.0]))
     for f in (lambda h: gaze_point_on_surface(h, dirs, plane), lambda h: ground_truth_direction(h, plane, targets)):
         got, want = f(dirty), f(clean)
         if isinstance(want, np.ndarray):

@@ -166,6 +166,19 @@ class TestPlanePose:
         assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size, message", [
+    ("0x720", "image size must be positive, got 0x720"),
+    ("1280x-720", "image size must be positive, got 1280x-720"),
+    ("1280", "image size must look like 1280x720, got '1280'"),
+])
+def test_bad_image_size_is_usage_error(dataset_dir, tmp_path, capsys, size, message):
+    rc = main(["calibrate", "--corners", str(dataset_dir / "corners.csv"), "--grid", str(dataset_dir / "grid.json"),
+               "--image-size", size, "--out", str(tmp_path / "calib")])
+    assert rc == 1
+    assert f"argument --image-size: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "calib").exists()
+
+
 class TestEvaluateAndReport:
     def test_evaluate_writes_bundle(self, dataset_dir, tmp_path):
         report = tmp_path / "report"
@@ -227,6 +240,16 @@ class TestEvaluateAndReport:
         rc = main(["report", "--report", str(report), "--method", "nonexistent"])
         assert rc == 3
         assert "no frames matched" in capsys.readouterr().err
+
+    def test_report_tag_filter(self, dataset_dir, tmp_path, capsys):
+        report = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(report)]) == 0
+        rows = read_csv_rows(report / "summary.csv")[1:]
+        for tag, tag_filter in (("all", ""), ("glasses", "glasses")):
+            capsys.readouterr()
+            assert main(["report", "--report", str(report), "--tag", tag]) == 0
+            shown = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:]]
+            assert shown == [[r[0], tag] for r in rows if r[1] == tag_filter] and shown
 
     def test_method_filter(self, dataset_dir, tmp_path):
         report = tmp_path / "report"
@@ -512,6 +535,8 @@ class TestJsonShape:
         "grid-rows-float": ("plane-pose", "grid.json", lambda p: {**p, "rows": 4.0}),
         "intrinsics-string": ("plane-pose", "calib/intrinsics_left.json", lambda p: "a string"),
         "plane-rms-list": ("evaluate", "calib/plane.json", lambda p: {**p, "rms_px": [1]}),
+        "plane-frames-swapped": ("evaluate", "calib/plane.json",
+                                 lambda p: {**p, "src_frame": "plane", "dst_frame": "camera"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

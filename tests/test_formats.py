@@ -38,7 +38,7 @@ from planegaze.formats import (
     write_stereo,
     write_truth,
 )
-from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
+from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, default_target_map
 from planegaze.metrics import FrameTable
 from planegaze.pipeline import PredictionTable
@@ -93,10 +93,7 @@ class TestJsonRoundTrips:
         np.testing.assert_array_equal(back.right_from_left.translation, rel.translation)
 
     def test_plane_pose(self, tmp_path):
-        T = RigidTransform(
-            rotation_from_axis_angle([0.4, 0.1, -0.2]), np.array([0.15, -0.15, 0.45]),
-            FRAME_CAMERA, FRAME_PLANE,
-        )
+        T = RigidTransform(rotation_from_axis_angle([0.4, 0.1, -0.2]), np.array([0.15, -0.15, 0.45]))
         pose = PlanePose(T, 0.123456789)
         path = tmp_path / "plane.json"
         write_plane_pose(path, pose)
@@ -104,7 +101,28 @@ class TestJsonRoundTrips:
         np.testing.assert_array_equal(back.transform.rotation, T.rotation)
         np.testing.assert_array_equal(back.transform.translation, T.translation)
         assert back.rms_reprojection == pose.rms_reprojection
-        assert back.transform.src_frame == FRAME_CAMERA
+
+    @pytest.mark.parametrize("labels, message", [
+        ({"src_frame": "plane", "dst_frame": "camera"}, "src_frame must be 'camera', got 'plane'"),
+        ({"dst_frame": "world"}, "dst_frame must be 'plane', got 'world'"),
+        ({"src_frame": None}, "src_frame must be 'camera', got None"),
+        ({"src_frame": ..., "dst_frame": ...}, None),  # a file without the labels reads as camera -> plane
+    ])
+    def test_plane_pose_frame_labels(self, tmp_path, labels, message):
+        path = tmp_path / "plane.json"
+        write_plane_pose(path, PlanePose(RigidTransform.identity(), 0.5))
+        payload = json.loads(path.read_text())
+        for key, value in labels.items():
+            if value is ...:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload))
+        if message is None:
+            assert read_plane_pose(path).rms_reprojection == 0.5
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+                read_plane_pose(path)
 
     def test_wrong_schema_rejected(self, tmp_path, intrinsics):
         path = tmp_path / "k.json"

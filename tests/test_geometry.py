@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planegaze.geometry import (
-    FRAME_CAMERA,
-    FRAME_PLANE,
     RigidTransform,
     angular_error_deg,
     axis_angle_from_rotation,
@@ -161,7 +159,7 @@ def test_axis_angle_batch_rows_equal_single_calls():
 class TestRayPlaneIntersection:
     """Ray/plane cases on the one remaining intersection, with the plane at z = 0."""
 
-    plane = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
+    plane = PlanePose(RigidTransform.identity())
 
     def intersect(self, origin, direction):
         return gaze_point_on_surface(heads_at(origin), np.array([direction], dtype=float), self.plane)

@@ -1,8 +1,12 @@
-"""No planegaze module imports another module's private (``_``-prefixed) names.
+"""Boundaries between planegaze modules, checked on their source text.
 
-A private helper that two modules need is promoted to a public name in one
-of them, so each module's ``_`` names can change without reading the rest
-of the package.
+No planegaze module imports another module's private (``_``-prefixed)
+names: a private helper that two modules need is promoted to a public name
+in one of them, so each module's ``_`` names can change without reading the
+rest of the package.
+
+No error class is dead: each leaf class in ``errors.py`` is named by the
+package outside ``errors.py`` and by a test.
 """
 
 import ast
@@ -10,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "planegaze"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "planegaze"
 
 
 def _private(name: str) -> bool:
@@ -57,3 +62,46 @@ def test_no_private_names_cross_modules(path):
 ])
 def test_private_imports_are_found(source, expected):
     assert private_imports(source, "plane") == expected
+
+
+def leaf_classes(source: str) -> list[str]:
+    """The classes ``source`` defines at top level that no class there derives from."""
+    classes = [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    return [node.name for node in classes if node.name not in bases]
+
+
+def names_in(source: str) -> set[str]:
+    """Identifiers ``source`` uses, imports or reaches by attribute, and its whole-string constants.
+
+    A string counts because the batch stages report a failure by its error
+    class's name (``"NotInvertibleError"``) instead of raising it.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def names_in_files(paths) -> set[str]:
+    return set().union(*(names_in(path.read_text(encoding="utf-8")) for path in paths))
+
+
+@pytest.mark.parametrize("name", leaf_classes((PACKAGE / "errors.py").read_text(encoding="utf-8")))
+def test_every_leaf_error_is_used_and_tested(name):
+    assert name in names_in_files(p for p in PACKAGE.glob("*.py") if p.name != "errors.py"), "no module names it"
+    assert name in names_in_files(TESTS.glob("*.py")), "no test names it"
+
+
+def test_leaf_classes_and_names_are_found():
+    source = "class A(Exception): pass\nclass B(A): pass\nclass C(A): pass\nclass D(B): pass\n"
+    assert leaf_classes(source) == ["C", "D"]
+    names = names_in('"""Raises G in prose."""\nfrom .errors import C as c\nerrors.D\nx = "E"\ny = "F or G"')
+    assert {"C", "D", "E", "errors", "x"} <= names and not {"F", "G", "c"} & names

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from planegaze.geometry import (
-    FRAME_CAMERA,
-    FRAME_PLANE,
     RigidTransform,
     angular_error_deg,
     yaw_pitch_to_dir,
@@ -25,7 +23,7 @@ from planegaze.plane import PlanePose
 
 from conftest import heads_at, prediction_table, random_rotation, random_unit_vectors
 
-IDENTITY_PLANE = PlanePose(RigidTransform.identity(FRAME_CAMERA, FRAME_PLANE))
+IDENTITY_PLANE = PlanePose(RigidTransform.identity())
 
 
 def head_at(x, y, z):
@@ -172,9 +170,7 @@ class TestGroundTruthDirection:
             from planegaze.geometry import rotation_from_axis_angle
 
             R = rotation_from_axis_angle(axis * rng.uniform(0, 0.6))
-            plane = PlanePose(
-                RigidTransform(R, rng.normal(0, 0.3, 3), FRAME_CAMERA, FRAME_PLANE)
-            )
+            plane = PlanePose(RigidTransform(R, rng.normal(0, 0.3, 3)))
             target = np.array([[rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 0.0]])
             head_plane = rng.uniform([-0.3, -0.3, 0.2], [0.3, 0.3, 1.0])
             head = heads_at(plane.transform.inverse().apply_point(head_plane))

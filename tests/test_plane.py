@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from planegaze.calibration import CornerTable
 from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.errors import DegenerateConfigurationError
-from planegaze.geometry import FRAME_CAMERA, FRAME_PLANE, RigidTransform, rotation_from_axis_angle
+from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, corner_position, default_target_map, target_centers
 from planegaze.plane import estimate_plane_pose
 
@@ -114,8 +114,6 @@ class TestEstimatePlanePose:
         true_cam_to_plane = cam_from_plane.inverse()
         assert rotation_angle(pose.transform.rotation, true_cam_to_plane.rotation) < 1e-6
         assert np.linalg.norm(pose.transform.translation - true_cam_to_plane.translation) < 1e-6
-        assert pose.transform.src_frame == FRAME_CAMERA
-        assert pose.transform.dst_frame == FRAME_PLANE
 
     def test_oblique_view_noise_translation_within_2mm_median(self):
         R_tilt = rotation_from_axis_angle([math.radians(45.0), 0, 0])
