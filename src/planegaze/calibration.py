@@ -303,10 +303,10 @@ def refine_calibration(
     n_intr = xi0.size
     x0 = np.concatenate([xi0, np.hstack([axis_angle_from_rotation(init.rotation[k]), init.translation[k]]).ravel()])
 
-    def model(x: np.ndarray) -> tuple[np.ndarray, BlockJacobian]:
+    def model(x: np.ndarray):
         pose = x[n_intr:].reshape(-1, 6)
-        uv, d_xi, d_pose = project_packed_jacobian(x[:n_intr], pose[:, :3], pose[:, 3:], view_idx, obj)
-        return (uv - pix).ravel(), BlockJacobian(d_xi, d_pose, view_idx)
+        uv, jacobian = project_packed_jacobian(x[:n_intr], pose[:, :3], pose[:, 3:], view_idx, obj)
+        return (uv - pix).ravel(), lambda: BlockJacobian(*jacobian(), view_idx)
 
     result = levenberg_marquardt(model, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr))
     logger.debug("intrinsics refinement: %s", result.summary())
@@ -371,9 +371,9 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
     """
     view_idx = np.zeros(len(points), dtype=int)
 
-    def model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        uv, _, d_pose = project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)
-        return (uv - pixels).ravel(), d_pose.reshape(-1, 6)
+    def model(x: np.ndarray):
+        uv, jacobian = project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)
+        return (uv - pixels).ravel(), lambda: jacobian(with_xi=False)[1].reshape(-1, 6)
 
     x0 = np.concatenate([axis_angle_from_rotation(pose0.rotation), pose0.translation])
     result = levenberg_marquardt(model, x0, plus=retract_poses)

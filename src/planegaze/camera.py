@@ -75,15 +75,19 @@ class CameraIntrinsics:
         return cls(fx, fy, cx, cy, float(skew), tuple(xi[-5:]), tuple(image_size))
 
 
-def distort_normalized(xy: np.ndarray, dist) -> np.ndarray:
-    """Apply the distortion model to normalized coordinates, shape (..., 2)."""
+def _distort(x, y, dist):
+    """The distortion model at normalized coordinates ``x``, ``y``: (xd, yd, r2, radial)."""
     k1, k2, p1, p2, k3 = dist
-    x, y = xy[..., 0], xy[..., 1]
     r2 = x * x + y * y
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
     yd = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-    return np.stack([xd, yd], axis=-1)
+    return xd, yd, r2, radial
+
+
+def _pixels(xd, yd, fx, fy, cx, cy, skew) -> np.ndarray:
+    """Pixels (..., 2) of distorted normalized coordinates."""
+    return np.stack([fx * xd + skew * yd + cx, fy * yd + cy], axis=-1)
 
 
 def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
@@ -96,8 +100,8 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     z = Xc[..., 2]
     if np.any(z <= 1e-9):
         raise BehindCameraError("point behind camera (z <= 0 after pose transform)")
-    xd = distort_normalized(Xc[..., :2] / z[..., None], K.dist)
-    return _pixels(xd, K.fx, K.fy, K.cx, K.cy, K.skew)
+    xd, yd, _, _ = _distort(Xc[..., 0] / z, Xc[..., 1] / z, K.dist)
+    return _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy, K.skew)
 
 
 def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
@@ -109,75 +113,67 @@ def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
     are clamped to z = 1e-9 instead of raising, so a solver's excursions
     show as large residuals.
 
-    Returns ``(uv, d_xi, d_pose)``: the pixels (N, 2); d uv / d xi,
-    (N, 2, len(xi)); and d uv / d the increment of each point's own view
-    pose, (N, 2, 6). The increment (d rvec, d t) is the one
-    :func:`~planegaze.geometry.retract_poses` applies, R <- exp(d rvec) R
-    and t <- t + d t, under which the camera-frame point moves by
-    d rvec x (R X) + d t (Gallego & Yezzi 2015).
+    Returns ``(uv, jacobian)``: the pixels (N, 2), and a function that
+    builds the derivatives from this projection's intermediates, for a
+    solver to call only when it needs them. ``jacobian()`` returns
+    ``(d_xi, d_pose)``: d uv / d xi, (N, 2, len(xi)), and d uv / d the
+    increment of each point's own view pose, (N, 2, 6).
+    ``jacobian(with_xi=False)`` returns ``(None, d_pose)`` and builds no
+    d uv / d xi. Both are views of (2, k, N) buffers, so each entry is
+    computed as one contiguous (N,) row. The increment (d rvec, d t) is the
+    one :func:`~planegaze.geometry.retract_poses` applies,
+    R <- exp(d rvec) R and t <- t + d t, under which the camera-frame point
+    moves by d rvec x (R X) + d t (Gallego & Yezzi 2015).
     """
     p = np.einsum("nij,nj->ni", rotation_from_axis_angle(rvecs)[view_idx], obj)  # R X
     Xc = p + tvecs[view_idx]
     fx, fy, cx, cy = xi[:4]
-    k1, k2, p1, p2, k3 = xi[-5:]
+    k1, k2, p1, p2, k3 = dist = xi[-5:]
     skew = xi[4] if len(xi) == 10 else 0.0
     z = np.maximum(Xc[:, 2], 1e-9)
     xy = Xc[:, :2] / z[:, None]
-    xd = distort_normalized(xy, (k1, k2, p1, p2, k3))
-    uv = _pixels(xd, fx, fy, cx, cy, skew)
+    (x, y), n = xy.T, len(xy)
+    xd, yd, r2, radial = _distort(x, y, dist)
+    uv = _pixels(xd, yd, fx, fy, cx, cy, skew)
 
-    x, y = xy[:, 0], xy[:, 1]
-    r2 = x * x + y * y
-    r6 = r2 ** 3
-    xy2 = 2.0 * x * y
-    n = len(xy)
-    # d (xd, yd) / d (k1, k2, p1, p2, k3)
-    D_dist = np.empty((n, 2, 5))
-    D_dist[:, 0, 0] = x * r2
-    D_dist[:, 0, 1] = D_dist[:, 0, 0] * r2
-    D_dist[:, 0, 2] = D_dist[:, 1, 3] = xy2
-    D_dist[:, 0, 3] = r2 + 2.0 * x * x
-    D_dist[:, 0, 4] = x * r6
-    D_dist[:, 1, 0] = y * r2
-    D_dist[:, 1, 1] = D_dist[:, 1, 0] * r2
-    D_dist[:, 1, 2] = r2 + 2.0 * y * y
-    D_dist[:, 1, 4] = y * r6
-    # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
-    D_xy = np.empty((n, 2, 2))
-    D_xy[:, 0, 0] = radial + dr * x * x + 2.0 * p1 * y + 6.0 * p2 * x
-    D_xy[:, 0, 1] = D_xy[:, 1, 0] = dr * x * y + 2.0 * (p1 * x + p2 * y)
-    D_xy[:, 1, 1] = radial + dr * y * y + 6.0 * p1 * y + 2.0 * p2 * x
-    A = np.array([[fx, skew], [0.0, fy]])  # d (u, v) / d (xd, yd)
+    def jacobian(with_xi=True):
+        # A = d (u, v) / d (xd, yd). With skew = 0, A @ D is exactly D's rows times fx and fy; else
+        # the stacked matmul stays, since it rounds unlike the written-out sum
+        A = np.array([[fx, skew], [0.0, fy]])
+        d_xi = None
+        if with_xi:
+            r6, xy2 = r2 ** 3, 2.0 * x * y
+            # d (xd, yd) / d (k1, k2, p1, p2, k3)
+            D = np.array([[x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x, x * r6],
+                          [y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2, y * r6]])
+            J = np.zeros((2, len(xi), n))
+            J[0, 0], J[1, 1], J[0, 2], J[1, 3] = xd, yd, 1.0, 1.0
+            if len(xi) == 10:
+                J[0, 4] = yd
+            J[:, -5:] = (D * A.diagonal()[:, None, None] if skew == 0.0
+                         else (A @ D.transpose(2, 0, 1)).transpose(1, 2, 0))
+            d_xi = J.transpose(2, 0, 1)
+        # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
+        dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
+        drx, dry = dr * x, dr * y
+        off = drx * y + 2.0 * (p1 * x + p2 * y)
+        D_xy = np.stack([radial + drx * x + 2.0 * p1 * y + 6.0 * p2 * x, off,
+                         off, radial + dry * y + 6.0 * p1 * y + 2.0 * p2 * x], axis=1).reshape(n, 2, 2)
+        AD = D_xy * A.diagonal()[:, None] if skew == 0.0 else A @ D_xy
+        # d uv / d Xc = M: d (x, y) / d Xc is [I | -(x, y)] / z; d uv / d rvec = p x M, row by row.
+        # AD stays (N, 2, 2) C-ordered for the product with xy: the stacked matmul rounds by layout
+        J = np.empty((2, 6, n))
+        M = J[:, 3:]
+        M[:, :2] = AD.transpose(1, 2, 0)
+        np.negative((AD @ xy[:, :, None])[:, :, 0].T, out=M[:, 2])
+        M /= z
+        (px, py, pz), (mx, my, mz) = p.T, M.transpose(1, 0, 2)
+        np.subtract(py * mz, pz * my, out=J[:, 0])
+        np.subtract(pz * mx, px * mz, out=J[:, 1])
+        np.subtract(px * my, py * mx, out=J[:, 2])
+        return d_xi, J.transpose(2, 0, 1)
 
-    d_xi = np.zeros((n, 2, len(xi)))
-    d_xi[:, 0, 0] = xd[:, 0]
-    d_xi[:, 1, 1] = xd[:, 1]
-    d_xi[:, 0, 2] = d_xi[:, 1, 3] = 1.0
-    if len(xi) == 10:
-        d_xi[:, 0, 4] = xd[:, 1]
-    d_xi[:, :, -5:] = A @ D_dist
-
-    # d uv / d Xc = M: d (x, y) / d Xc is [I | -(x, y)] / z; d uv / d rvec = p x M, row by row
-    d_pose = np.empty((n, 2, 6))
-    M = d_pose[:, :, 3:]
-    AD = A @ D_xy
-    M[:, :, :2] = AD
-    M[:, :, 2:] = -(AD @ xy[:, :, None])
-    M /= z[:, None, None]
-    (px, py, pz), (mx, my, mz) = p.T[:, :, None], M.transpose(2, 0, 1)
-    d_pose[:, :, 0] = py * mz - pz * my
-    d_pose[:, :, 1] = pz * mx - px * mz
-    d_pose[:, :, 2] = px * my - py * mx
-    return uv, d_xi, d_pose
-
-
-def _pixels(xd: np.ndarray, fx, fy, cx, cy, skew) -> np.ndarray:
-    """Pixels of distorted normalized coordinates (..., 2)."""
-    u = fx * xd[..., 0] + skew * xd[..., 1] + cx
-    v = fy * xd[..., 1] + cy
-    return np.stack([u, v], axis=-1)
+    return uv, jacobian
 
 
 def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:

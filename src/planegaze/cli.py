@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 usage or parse error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -110,14 +112,16 @@ def _add_globals(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="planegaze", description=__doc__)
+    # the width argparse's HelpFormatter computes itself, once instead of in each of its ~50 formatters
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="planegaze", description=__doc__, formatter_class=formatter)
     parser.add_argument("--version", action="version", version=f"planegaze {__version__}")
     _add_globals(parser)
     parser.set_defaults(seed=0, threads=1, config=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
         _add_globals(p)
         return p
 
@@ -192,7 +196,7 @@ def main(argv=None) -> int:
 def cmd_calibrate(args) -> int:
     corners = CornerTable.concat(read_corners(path) for path in args.corners)
     grid = read_grid_config(args.grid)
-    inputs = {p.name: p for p in [*args.corners, args.grid]}
+    prov = provenance(inputs={p.name: p for p in [*args.corners, args.grid]}, config={"origin": "estimated"})
 
     results = {}
     for camera in (CAMERA_LEFT, CAMERA_RIGHT):
@@ -211,13 +215,12 @@ def cmd_calibrate(args) -> int:
             camera=camera,
             rms_px=result.rms_reprojection,
             per_view_rms=per_view_rms,
-            prov=provenance(inputs=inputs, config={"origin": "estimated"}),
+            prov=prov,
         )
 
     if len(results) == 2:
         rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], corners, grid)
-        write_stereo(args.out / "stereo.json", rig,
-                     prov=provenance(inputs=inputs, config={"origin": "estimated"}))
+        write_stereo(args.out / "stereo.json", rig, prov=prov)
         print(f"stereo: baseline {rig.baseline:.6g} m")
     elif not results:
         raise FormatError("corner files contain no observations")

@@ -704,8 +704,8 @@ def _frame_table(entries: list, path: Path) -> FrameTable:
         target_ids, tags = [e["target_id"] for e in entries], [e.get("tags") for e in entries]
         flat = [t for ts in tags if ts for t in ts]
         if ({type(t) for t in target_ids} <= {int} and {type(t) for t in tags} <= {list, type(None)}
-                and {type(t) for t in flat} <= {str} and "" not in flat and len(set(frame_ids)) == len(frame_ids)
-                and "\0" not in "".join(frame_ids)):
+                and {type(t) for t in flat} <= {str} and not {"", "all"} & set(flat)
+                and len(set(frame_ids)) == len(frame_ids) and "\0" not in "".join(frame_ids)):
             return FrameTable(np.array(frame_ids, dtype=str), np.array(target_ids, dtype=np.int64),
                               tuple(tuple(t or ()) for t in tags))
     except (KeyError, TypeError, OverflowError):
@@ -718,6 +718,8 @@ def _frame_table(entries: list, path: Path) -> FrameTable:
                 raise ValueError(f"frame_id {fid!r} holds a NUL character")
             if tags is not None and not (isinstance(tags, list) and all(isinstance(t, str) and t for t in tags)):
                 raise ValueError(f"tags of frame {fid!r} must be a list of strings, none of them empty, got {tags!r}")
+            if tags and "all" in tags:
+                raise ValueError(f"tag 'all' of frame {fid!r} is reserved for the overall split")
             np.int64(_json_int(entry["target_id"], f"target_id of frame {fid!r}"))  # not 3.7, "12", true or Infinity
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad frame entry #{k}: {exc}", file=str(path)) from None

@@ -198,8 +198,8 @@ def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
     moved = np.flatnonzero(np.any(drot != 0.0, axis=1))
     if moved.size:
         rot = x[offset:].reshape(-1, 6)[moved, :3]
-        R = rotation_from_axis_angle(drot[moved]) @ rotation_from_axis_angle(rot)
-        out[offset:].reshape(-1, 6)[moved, :3] = axis_angle_from_rotation(R)
+        R = rotation_from_axis_angle(np.concatenate([drot[moved], rot]))  # (increment, current), one call
+        out[offset:].reshape(-1, 6)[moved, :3] = axis_angle_from_rotation(R[:moved.size] @ R[moved.size:])
     return out
 
 

@@ -1,17 +1,17 @@
 """Damped least squares with analytic Jacobians, solved in block form.
 
 Shared by the intrinsics refinement, the stereo relative-pose refinement
-and the plane-pose refinement. Each passes one model, ``model(x) -> (r, J)``:
-the residual and its closed-form derivative from one projection (built on
-:func:`~planegaze.camera.project_packed_jacobian`). The solver calls it
-once at the start and once per trial step. An accepted trial's J is the
-next iteration's Jacobian, and its r is the one :class:`LMResult` returns,
-so a caller never projects again for its rms. The J of a rejected trial,
-and of a solve's last call, goes unused: over calib-rig's 24 rigs at seed
-7919 (95 solves, each ending on ``cost_plateau``; 665 model calls) LM
-rejected 4 trial steps mid-solve, so 99 of the 665 Jacobians were built
-for nothing. :func:`fd_jacobian`, central differences with a relative
-step of 1e-6, is the oracle the analytic Jacobians are tested against.
+and the plane-pose refinement. Each passes one model,
+``model(x) -> (r, jacobian)``: the residual from one projection (built on
+:func:`~planegaze.camera.project_packed_jacobian`) and a function that
+builds its closed-form derivative from that projection's intermediates.
+The solver calls the model once at the start and once per trial step, but
+builds J (calls ``jacobian()``) only once per iteration: at the start, and
+after an accepted step that does not end the solve. A rejected trial, or a
+solve's last step, builds none. An accepted trial's r is the one
+:class:`LMResult` returns, so a caller never projects again for its rms.
+:func:`fd_jacobian`, central differences with a relative step of 1e-6, is
+the oracle the analytic Jacobians are tested against.
 Damping starts at 1e-3, multiplies by 10 on a rejected step, divides by
 10 on an accepted one, clamped to [1e-12, 1e12].
 
@@ -120,7 +120,7 @@ def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable) -> np.ndarray
 
 
 def levenberg_marquardt(
-    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | BlockJacobian]],
+    model: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray | BlockJacobian]]],
     x0: np.ndarray,
     *,
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -128,11 +128,13 @@ def levenberg_marquardt(
     """Minimize sum of squared residuals starting from ``x0``.
 
     ``plus(x, dx)`` applies a local increment; defaults to addition.
-    ``model(x)`` returns the residual at ``x`` and its derivative with
-    respect to the increment: a dense (residuals, parameters) array, or a
-    :class:`BlockJacobian`, whose view index must not change between
-    calls. ``residual_evals`` counts the model calls: one, plus one per
-    trial step.
+    ``model(x)`` returns the residual at ``x`` and a function of no
+    arguments that builds its derivative with respect to the increment: a
+    dense (residuals, parameters) array, or a :class:`BlockJacobian`,
+    whose view index must not change between calls. That function is
+    called once per iteration, on the accepted x only.
+    ``residual_evals`` counts the model calls: one, plus one per trial
+    step.
     Stops on a gradient norm below 1e-10, a relative cost change below
     1e-12, a step below 1e-12 of ‖x‖, or after ``MAX_ITER`` sweeps. If the
     cost still increases with the damping clamped at its maximum, raises
@@ -141,7 +143,7 @@ def levenberg_marquardt(
     if plus is None:
         plus = _add
     x = np.asarray(x0, dtype=float).copy()
-    r, jac = model(x)
+    r, jacobian = model(x)
     evals = 1
     cost = float(r @ r)
     lam = DAMPING_INIT
@@ -154,13 +156,13 @@ def levenberg_marquardt(
         return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals, r)
 
     for n_iter in range(1, MAX_ITER + 1):
+        jac = jacobian()
         if not isinstance(jac, BlockJacobian):
             # every column shared: one view whose own block is empty
             jac = BlockJacobian(jac[:, None, :], jac[:, None, :0], np.zeros(len(jac), dtype=int))
         if slots is None:
             slots = _view_slots(jac, x.size)
         system = _BlockSystem(jac, r, slots)
-        jac = None  # the system holds what the trials need; J is freed before they build theirs
         if np.linalg.norm(system.gradient) < GRAD_TOL:
             reason = "gradient"
             break
@@ -169,13 +171,13 @@ def levenberg_marquardt(
             dx = system.step(lam)
             if dx is not None:
                 x_try = plus(x, dx)
-                r_try, jac_try = model(x_try)
+                r_try, jacobian_try = model(x_try)
                 evals += 1
                 cost_try = float(r_try @ r_try)
                 rel_change = abs(cost - cost_try) / max(cost, 1e-300)
                 small_step = np.linalg.norm(dx) <= STEP_REL_TOL * (np.linalg.norm(x) + STEP_REL_TOL)
                 if cost_try < cost:
-                    x, r, jac, cost = x_try, r_try, jac_try, cost_try
+                    x, r, jacobian, cost = x_try, r_try, jacobian_try, cost_try
                     lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
                     if cost <= floor:
                         reason = "cost_floor"

@@ -254,7 +254,7 @@ class TestRefineCalibration:
         def f(x):
             return x - 1.0
 
-        lm = levenberg_marquardt(lambda x: (f(x), fd_jacobian(f, x, lambda x, dx: x + dx)), np.ones(3))
+        lm = levenberg_marquardt(lambda x: (f(x), lambda: fd_jacobian(f, x, lambda x, dx: x + dx)), np.ones(3))
         assert lm.iterations <= 2
         assert lm.cost == 0.0
 

@@ -32,3 +32,24 @@ def test_calibration_digests(tmp_path):
     ]) == 0
     digests = {name: hashlib.sha256((est / name).read_bytes()).hexdigest() for name in CALIBRATION_DIGESTS}
     assert digests == CALIBRATION_DIGESTS
+
+
+# the same rig calibrated with --release-skew (10-entry intrinsics), pinned before the column-layout kernel
+RELEASE_SKEW_DIGESTS = {
+    "intrinsics_left.json": "e9eaa80b9bfe9a081a45f67e1a1c3c43b4a854ec0fff5ce924d8ebe576bf1ed5",
+    "intrinsics_right.json": "3d7feb166f6b59188db53b5e292b83613f62e86a9f45d48194ee78f2b03a3024",
+    "stereo.json": "42ac4141415b91d9e4e2f95068c4c2a9ec9727ae353b7bf60d44b84ae65559f9",
+    "plane.json": "c574d2e6c0306459798a20a430cb9c922435b37daea3ab423ce9a585b3a163e6",
+}
+
+
+def test_release_skew_calibration_digests(tmp_path):
+    rig, est = tmp_path / "rig", tmp_path / "rig" / "estimate"
+    grid = ["--grid", str(rig / "grid.json")]
+    assert main(["synth", "--out", str(rig), *SYNTH_ARGV]) == 0
+    assert main(["calibrate", "--corners", str(rig / "corners.csv"), *grid,
+                 "--image-size", "1280x720", "--out", str(est), "--release-skew"]) == 0
+    assert main(["plane-pose", "--corners", str(rig / "plane_corners.csv"), *grid,
+                 "--intrinsics", str(est / "intrinsics_left.json"), "--out", str(est / "plane.json")]) == 0
+    digests = {name: hashlib.sha256((est / name).read_bytes()).hexdigest() for name in RELEASE_SKEW_DIGESTS}
+    assert digests == RELEASE_SKEW_DIGESTS

@@ -840,6 +840,39 @@ class TestMalformedDatasetRows:
         err = capsys.readouterr().err
         assert f"{manifest}: bad frame entry #3" in err and "'f00003'" in err and "list of strings" in err
 
+    def test_tag_all_is_reserved(self, tmp_path, capsys):
+        """``all`` names the overall rows in ``report``; a frame tagged with it is a
+        parse error naming the manifest and its first such frame entry."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--frames", "30", "--calib-views", "4", "--seed", "3"]) == 0
+        manifest = data / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        for entry in payload["frames"][5:15]:
+            entry["tags"] = ["all"]
+        manifest.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        rc = main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: bad frame entry #5: tag 'all' of frame 'f00005' is reserved" in err
+        assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("columns", ["52", "131"])
+def test_help_text_is_argparse_default(monkeypatch, capsys, columns):
+    """The parser sizes its help text once; every --help prints what argparse's own formatter does."""
+    import argparse
+
+    from planegaze.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert subparsers
+    for argv, p in [([], parser), *(([name], sub) for name, sub in subparsers.items())]:
+        assert main([*argv, "--help"]) == 0
+        p.formatter_class = argparse.HelpFormatter
+        assert capsys.readouterr().out == p.format_help()
+
 
 def test_method_name_with_delimiter_and_quotes_round_trips(tmp_path, capsys):
     name = 'off,"set"'

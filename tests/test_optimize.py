@@ -79,8 +79,8 @@ def assert_jacobian_matches_fd(model, x0, plus):
     """The model's analytic J equals central differences of its r to 1e-6 of
     each column's largest entry, plus the differences' own rounding noise,
     eps |r| / step."""
-    r, jac = model(x0)
-    J = densify(jac, x0.size)
+    r, jacobian = model(x0)
+    J = densify(jacobian(), x0.size)
     J_fd = fd_jacobian(lambda x: model(x)[0], x0, plus)
     assert J.shape == J_fd.shape == (r.size, x0.size)
     step = FD_REL_STEP * np.maximum(np.abs(x0), 1.0)
@@ -170,11 +170,14 @@ def test_kernel_pixels_equal_project_points():
     obj = np.column_stack([rng.uniform(0, 0.2, (40, 2)), np.zeros(40)])
     for K in (random_intrinsics(rng), random_intrinsics(rng, skew=2.0)):
         xi = K.packed(with_skew=K.skew != 0.0)
-        uv, d_xi, d_pose = project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj)
+        uv, jacobian = project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj)
         for v, pose in enumerate(poses):
             rows = view_idx == v
             assert np.abs(uv[rows] - project_points(K, pose, obj[rows])).max() <= 1e-9
+        d_xi, d_pose = jacobian()
         assert d_xi.shape == (40, 2, xi.size) and d_pose.shape == (40, 2, 6)
+        no_xi, same_pose = jacobian(with_xi=False)
+        assert no_xi is None and np.array_equal(same_pose, d_pose)
 
 
 def test_jacobian_costs_no_residual_evaluations(rig):
@@ -217,8 +220,103 @@ def test_jacobian_costs_no_residual_evaluations(rig):
     assert projections[0] == sum(n["model"] for _, n in calls)
 
 
+def counting_builds(model, builds, costs):
+    """``model`` with each of its Jacobian builds counted in ``builds[0]``, and each
+    call's cost appended to ``costs``."""
+
+    def counted(x):
+        r, jacobian = model(x)
+        costs.append(float(r @ r))
+
+        def build():
+            builds[0] += 1
+            return jacobian()
+
+        return r, build
+
+    return counted
+
+
+def builds_expected(costs, reason):
+    """1 + the accepted steps that did not end the solve, replayed from the cost of each model call.
+
+    A trial is accepted when its cost is below the current one. Only a
+    ``gradient`` stop comes after a J built on the last accepted step.
+    """
+    current, accepted, last_accepted = costs[0], 0, False
+    for cost in costs[1:]:
+        last_accepted = cost < current
+        if last_accepted:
+            current, accepted = cost, accepted + 1
+    return 1 + accepted - (last_accepted and reason != "gradient")
+
+
+def test_jacobian_built_once_per_accepted_step(rig):
+    """Each solve of a rig builds J once at the start and once after each accepted step that
+    does not end it; rejected trials and the last step build none. The solves' model calls
+    and iterations are those of the solver that built J on every call."""
+    solves = []
+    real = calibration.levenberg_marquardt
+
+    def spy(model, x0, *, plus, **kwargs):
+        builds, costs = [0], []
+        result = real(counting_builds(model, builds, costs), x0, plus=plus, **kwargs)
+        solves.append((result, builds[0], costs))
+        return result
+
+    with mock.patch.object(calibration, "levenberg_marquardt", spy):
+        cams = [
+            calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == cam), rig.grid, (1280, 720))
+            for cam in ("left", "right")
+        ]
+        calibrate_stereo(*cams, rig.calib_corners, rig.grid)
+        estimate_plane_pose(rig.plane_corners, rig.grid, cams[0].intrinsics)
+
+    assert [(res.residual_evals, res.iterations) for res, _, _ in solves] == [(9, 8), (8, 7), (5, 4), (6, 5)]
+    for result, builds, costs in solves:
+        assert len(costs) == result.residual_evals
+        assert builds == builds_expected(costs, result.reason) == result.iterations
+
+
+def test_rejected_trials_build_no_jacobian():
+    """On a dense problem whose solve rejects trials, those trials build no J."""
+    builds, costs = [0], []
+    model = counting_builds(lambda x: (rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)), builds, costs)
+    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
+    assert result.reason != "max_iter"
+    assert builds[0] == builds_expected(costs, result.reason) < result.residual_evals - 1
+
+
+def test_pose_solves_build_no_intrinsics_jacobian(rig):
+    """Stereo and plane-pose solves hold the intrinsics fixed: their Jacobians never include d uv / d xi."""
+    asked = []
+    real_project = calibration.project_packed_jacobian
+
+    def project(*args):
+        uv, jacobian = real_project(*args)
+
+        def build(with_xi=True):
+            asked.append(with_xi)
+            return jacobian(with_xi=with_xi)
+
+        return uv, build
+
+    with mock.patch.object(calibration, "project_packed_jacobian", project):
+        left = calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == "left"), rig.grid, (1280, 720))
+        right = calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == "right"), rig.grid, (1280, 720))
+        assert asked and all(asked)
+        asked.clear()
+        calibrate_stereo(left, right, rig.calib_corners, rig.grid)
+        estimate_plane_pose(rig.plane_corners, rig.grid, left.intrinsics)
+    assert asked and not any(asked)
+
+
 def rosenbrock(x):
     return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+
+
+def _add(x, dx):
+    return x + dx
 
 
 def test_residual_evals_counted_on_dense_problem():
@@ -226,7 +324,7 @@ def test_residual_evals_counted_on_dense_problem():
 
     def model(x):
         evals[0] += 1
-        return rosenbrock(x), fd_jacobian(rosenbrock, x, lambda x, dx: x + dx)
+        return rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)
 
     result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
     assert result.reason != "max_iter"
@@ -238,7 +336,7 @@ def test_result_residual_is_the_model_residual_at_x():
     for a normal stop and for the best iterate a NoConvergenceError carries."""
 
     def model(x):
-        return rosenbrock(x), fd_jacobian(rosenbrock, x, lambda x, dx: x + dx)
+        return rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)
 
     result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
     assert result.reason != "diverged"
@@ -246,7 +344,7 @@ def test_result_residual_is_the_model_residual_at_x():
 
     def wrong_sign(x):
         # a Jacobian of the wrong sign makes every step uphill, down to the damping cap
-        return x - 1.0, -1e-3 * np.eye(3)
+        return x - 1.0, lambda: -1e-3 * np.eye(3)
 
     with pytest.raises(NoConvergenceError) as info:
         levenberg_marquardt(wrong_sign, np.array([0.0, 2.0, 5.0]))
@@ -322,4 +420,4 @@ def test_block_layout_must_cover_every_parameter():
     """Two views of 3 own entries after 2 shared ones make 8 parameters, not 9."""
     jac = BlockJacobian(np.ones((4, 2, 2)), np.ones((4, 2, 3)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="is not 9 parameters"):
-        levenberg_marquardt(lambda x: (x[:8] - 1.0, jac), np.zeros(9))
+        levenberg_marquardt(lambda x: (x[:8] - 1.0, lambda: jac), np.zeros(9))
