@@ -22,6 +22,7 @@ from .errors import (
     PlanegazeError,
 )
 from .formats import (
+    input_keys,
     precision_thresholds,
     provenance,
     read_config_thresholds,
@@ -32,7 +33,6 @@ from .formats import (
     read_plane_corners,
     read_scene_config,
     read_summary_csv,
-    sha256_file,
     write_cdf_csv,
     write_dataset,
     write_hist_csv,
@@ -196,7 +196,8 @@ def main(argv=None) -> int:
 def cmd_calibrate(args) -> int:
     corners = CornerTable.concat(read_corners(path) for path in args.corners)
     grid = read_grid_config(args.grid)
-    prov = provenance(inputs={p.name: p for p in [*args.corners, args.grid]}, config={"origin": "estimated"})
+    paths = [*args.corners, args.grid]
+    prov = provenance(inputs=dict(zip(input_keys(paths), paths)), config={"origin": "estimated"})
 
     results = {}
     for camera in (CAMERA_LEFT, CAMERA_RIGHT):
@@ -232,10 +233,12 @@ def cmd_plane_pose(args) -> int:
     grid = read_grid_config(args.grid)
     K = read_intrinsics(args.intrinsics)
     pose = estimate_plane_pose(corners, grid, K)
-    inputs = {p.name: p for p in [args.corners, args.grid, args.intrinsics]}
-    write_plane_pose(args.out, pose, prov=provenance(inputs=inputs, config={"origin": "estimated"}))
+    paths = [args.corners, args.grid, args.intrinsics]
+    keys = input_keys(paths)
+    prov = provenance(inputs=dict(zip(keys, paths)), config={"origin": "estimated"})
+    write_plane_pose(args.out, pose, prov=prov)
     print(f"plane pose: rms {pose.rms_reprojection:.6g} px")
-    print(f"grid config sha256: {sha256_file(args.grid)}")
+    print(f"grid config sha256: {prov['inputs'][keys[1]]}")
     return EXIT_OK
 
 
@@ -257,10 +260,10 @@ def cmd_evaluate(args) -> int:
         plane_override=args.plane,
     )
     out = Path(args.out)
-    input_hashes = bundle.provenance.get("inputs", {})
+    input_hashes = bundle.provenance["inputs"]
     prov_meta = {
         "manifest": str(args.manifest),
-        "manifest_sha256": sha256_file(args.manifest),
+        "manifest_sha256": input_hashes[manifest.path.name],  # keys are relative to the manifest's directory
         "inputs_sha256": ";".join(f"{k}={v}" for k, v in sorted(input_hashes.items())),
     }
     write_summary_csv(out / "summary.csv", bundle.summary_rows, bundle.thresholds_cm, prov_meta)

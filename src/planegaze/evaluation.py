@@ -24,6 +24,7 @@ from .formats import (
     CDF_COLUMNS,
     HIST_COLUMNS,
     DatasetManifest,
+    input_keys,
     precision_thresholds,
     provenance,
     read_faces,
@@ -241,8 +242,9 @@ def evaluate_manifest(
             hist_parts.append(_hist_columns(m, yaw_pitch_histogram(rep.pred_directions)))
             hist_parts.append(_hist_columns(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions)))
 
+    paths = [p for p in [manifest.path, *manifest.referenced_files()] if p.is_file()]
     prov = provenance(
-        inputs={p.name: p for p in [manifest.path, *manifest.referenced_files()] if p.is_file()},
+        inputs=dict(zip(input_keys(paths, base=manifest.path.parent), paths)),
         config={
             "methods": selected,
             "tag_filters": [t or "" for t in tag_filters],

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps's own C string encoder
 from pathlib import Path
@@ -40,12 +41,20 @@ TOOL_TAG = f"planegaze {__version__}"
 ANGLE_UNITS = ("radians", "degrees")
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file opened at ``path``'s ``.tmp`` sibling, renamed to ``path`` once it is complete."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as f:
+        yield f
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def sha256_file(path: Path) -> str:
@@ -54,6 +63,20 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def input_keys(paths: list[str | Path], base: Path | None = None) -> list[str]:
+    """Each input's key in a provenance block: its file name, or, where distinct files
+    share a name, its path relative to ``base`` (by default the deepest directory that
+    holds them all). No input's digest shadows another's, and no key depends on where
+    the files lie."""
+    paths = [Path(os.path.abspath(p)) for p in paths]
+    keys = []
+    for path in paths:
+        shared = {q for q in paths if q.name == path.name}
+        root = os.path.commonpath(shared) if base is None else base
+        keys.append(path.name if len(shared) == 1 else Path(os.path.relpath(path, root)).as_posix())
+    return keys
 
 
 def provenance(inputs: dict[str, str | Path] | None = None, config: dict | None = None) -> dict:
@@ -126,6 +149,8 @@ def _load_json(path: Path, schema: str) -> dict:
 # (finite), or "float?" (finite, or blank for a missing value: NaN in
 # memory). A final "*" column accepts any further header columns, as text.
 
+_BLOCK_ROWS = 1024  # rows a table writer gathers, joins and writes at a time
+
 
 @dataclass(frozen=True)
 class _Table:
@@ -150,15 +175,22 @@ def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]
     """Write one sequence per schema column below ``# key: value`` metadata lines.
 
     The bytes are csv.writer's (lineterminator "\\n"), with a missing
-    "float?" value as a blank cell; each distinct value is formatted once.
+    "float?" value as a blank cell. Each distinct value is formatted once for
+    the whole table; the rows are then gathered, joined and written
+    ``_BLOCK_ROWS`` at a time, so the text in memory is one block's.
     """
     cells = [_cells(kind, col) for kind, col in zip(columns.values(), data)]
     if len(cells) == 1:  # csv.writer quotes a lone empty field, so no row is blank
-        cells[0] = [c or '""' for c in cells[0]]
-    lines = [*(f"# {k}: {v}" for k, v in meta.items()), ",".join(map(_quote, columns)),
-             *map(",".join, zip(*cells)), ""]
-    del cells  # so the cells and the joined text are never held at once
-    atomic_write_text(path, "\n".join(lines))
+        text, index = cells[0]
+        cells[0] = np.array([c or '""' for c in text], dtype=object), index
+    n_rows = cells[0][1].size
+    with _atomic_open(path) as f:
+        f.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        f.write(",".join(map(_quote, columns)) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = [text[index[start:start + _BLOCK_ROWS]].tolist() for text, index in cells]
+            f.write("\n".join(map(",".join, zip(*block))))
+            f.write("\n")
 
 
 def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
@@ -166,10 +198,10 @@ def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
     return {"schema": schema, "tool": TOOL_TAG, **(meta or {})}
 
 
-def _cells(kind: str, col) -> list[str]:
+def _cells(kind: str, col) -> tuple[np.ndarray, np.ndarray]:
     """One column's cells as text: each run of equal text values, or each distinct
-    number, formatted once, then gathered. A text column given as an object array
-    of str is taken as it is."""
+    number, formatted once. Returns those cells as an object array and each row's
+    index into it. A text column given as an object array of str is taken as it is."""
     if kind == "text":
         values = col if isinstance(col, np.ndarray) and col.dtype == object else np.asarray(col, dtype=str)
         starts = np.r_[True, values[1:] != values[:-1]][:values.size]  # where each run starts
@@ -183,7 +215,8 @@ def _cells(kind: str, col) -> list[str]:
         text = list(map(repr, bits.view(values.dtype).tolist()))
         if kind == "float?":
             text = ["" if t == "nan" else t for t in text]
-    return np.array(text, dtype=object)[inverse].tolist()
+    # each row's index in the smallest unsigned type that holds it: one byte while there are under 256 cells
+    return np.array(text, dtype=object), inverse.astype(np.min_scalar_type(len(text)))
 
 
 def _quote(text: str) -> str:

@@ -209,8 +209,9 @@ def levenberg_marquardt(
     return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals, r)
 
 
-def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray]:
-    """Views, the longest view's group count, and each group's row in the views' zero-padded stack.
+def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray | None]:
+    """Views, the longest view's group count, and each group's row in the views' zero-padded stack:
+    None when the groups already are that stack, in view order with equal counts.
 
     A stable sort keeps each view's groups in input order.
     """
@@ -222,21 +223,26 @@ def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
     longest = counts.max(initial=0)
-    return counts.size, longest, jac.view * longest + slot
+    row = jac.view * longest + slot
+    if counts.size * longest == row.size and np.array_equal(row, np.arange(row.size)):
+        row = None
+    return counts.size, longest, row
 
 
 class _BlockSystem:
     """The block-arrow normal equations JᵀJ dx = -Jᵀr of one LM iteration."""
 
-    def __init__(self, jac: BlockJacobian, r: np.ndarray, slots: tuple[int, int, np.ndarray]):
+    def __init__(self, jac: BlockJacobian, r: np.ndarray, slots: tuple[int, int, np.ndarray | None]):
         n, k, m = jac.shared.shape
         p = jac.own.shape[2]
         n_views, longest, row = slots
         # view v's rows [B_v A_v r_v], zero-padded to the longest view
-        rows = np.zeros((n_views * longest, k, p + m + 1))
-        rows[row, :, :p] = jac.own
-        rows[row, :, p:-1] = jac.shared
-        rows[row, :, -1] = r.reshape(n, k)
+        packed = np.concatenate([jac.own, jac.shared, r.reshape(n, k, 1)], axis=2)
+        if row is None:
+            rows = packed
+        else:
+            rows = np.zeros((n_views * longest, k, p + m + 1))
+            rows[row] = packed
         rows = rows.reshape(n_views, -1, p + m + 1)
         M = rows.transpose(0, 2, 1) @ rows
         self.m, self.p = m, p

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from planegaze.cli import main
+from planegaze.formats import sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -660,6 +661,60 @@ class TestProvenance:
             assert any(l.startswith("# tool: planegaze") for l in head), name
             assert any(l.startswith("# manifest_sha256:") for l in head), name
             assert any("faces.csv=" in l for l in head if l.startswith("# inputs_sha256:")), name
+
+    def test_each_input_is_hashed_once(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        import planegaze.cli
+        import planegaze.formats
+
+        hashed = []
+        for module in (planegaze.formats, planegaze.cli):  # wherever the name is bound
+            monkeypatch.setattr(module, "sha256_file", lambda path: hashed.append(path) or sha256_file(path),
+                                raising=False)
+        grid = dataset_dir / "grid.json"
+        assert main(["plane-pose", "--corners", str(dataset_dir / "plane_corners.csv"), "--grid", str(grid),
+                     "--intrinsics", str(dataset_dir / "calib" / "intrinsics_left.json"),
+                     "--out", str(tmp_path / "plane.json")]) == 0
+        assert len(hashed) == 3 and f"grid config sha256: {sha256_file(grid)}" in capsys.readouterr().out
+        hashed.clear()
+        assert main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "r")]) == 0
+        inputs = json.loads((tmp_path / "r" / "report.json").read_text())["provenance"]["inputs"]
+        assert len(hashed) == len(inputs)
+
+    def test_calibrate_keeps_corner_files_that_share_a_name(self, dataset_dir, tmp_path):
+        lines = (dataset_dir / "corners.csv").read_text().splitlines(keepends=True)
+        head = [l for l in lines if l.startswith("#")] + ["view_id,camera,i,j,u,v\n"]
+        for sub, camera in (("a", "left"), ("b", "right")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "corners.csv").write_text("".join(
+                head + [l for l in lines if l.split(",")[1:2] == [camera]]))
+        a, b = tmp_path / "a" / "corners.csv", tmp_path / "b" / "corners.csv"
+        out = tmp_path / "calib"
+        assert main(["calibrate", "--corners", str(a), "--corners", str(b), "--grid", str(dataset_dir / "grid.json"),
+                     "--image-size", "1280x720", "--out", str(out)]) == 0
+        inputs = json.loads((out / "stereo.json").read_text())["provenance"]["inputs"]
+        assert inputs == {"a/corners.csv": sha256_file(a), "b/corners.csv": sha256_file(b),
+                          "grid.json": sha256_file(dataset_dir / "grid.json")}
+
+    def test_evaluate_keeps_prediction_files_that_share_a_name(self, dataset_dir, tmp_path):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        payload = json.loads((data / "manifest.json").read_text())
+        for sub, entry in zip(("a", "b/c"), payload["predictions"].values()):
+            (data / sub).mkdir(parents=True)
+            shutil.move(data / entry["path"], data / sub / "pred.csv")
+            entry["path"] = f"{sub}/pred.csv"
+        (data / "manifest.json").write_text(json.dumps(payload))
+        report = tmp_path / "report"
+        assert main(["evaluate", "--manifest", str(data / "manifest.json"), "--out", str(report)]) == 0
+        inputs = json.loads((report / "report.json").read_text())["provenance"]["inputs"]
+        assert inputs["a/pred.csv"] == sha256_file(data / "a" / "pred.csv")
+        assert inputs["b/c/pred.csv"] == sha256_file(data / "b" / "c" / "pred.csv")
+        assert inputs["manifest.json"] == sha256_file(data / "manifest.json") and "pred.csv" not in inputs
+        meta = dict(l[2:].split(": ", 1) for l in (report / "cdf.csv").read_text().splitlines() if l.startswith("# "))
+        assert meta["manifest_sha256"] == inputs["manifest.json"]
+        assert meta["inputs_sha256"] == ";".join(f"{k}={v}" for k, v in sorted(inputs.items()))
 
 
 class TestReportInputs:

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from planegaze.formats import (
     read_predictions,
     read_stereo,
     read_truth,
+    write_cdf_csv,
     write_corners,
     write_dataset,
     write_faces,
@@ -511,12 +514,14 @@ def csv_tables(draw, readable, chars="az#,\"é0. \x0c", specials=("", "#lead", '
 
 
 @settings(max_examples=150, deadline=None)
-@given(readable=st.booleans(), data=st.data())
-def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, readable, data):
+@given(readable=st.booleans(), data=st.data(), block_rows=st.integers(1, 3))
+def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, readable, data, block_rows):
+    """Blocks of 1-3 rows, so that a drawn table crosses block boundaries."""
     columns, cols = data.draw(csv_tables(readable))
     meta = {"schema": "planegaze-test-v1", "note": 'a, "quoted" note'}
     path = tmp_path_factory.mktemp("writer") / "t.csv"
-    _write_table(path, columns, cols, meta)
+    with patch("planegaze.formats._BLOCK_ROWS", block_rows):
+        _write_table(path, columns, cols, meta)
     assert path.read_bytes() == _oracle_csv(columns, cols, meta)
     if not readable:
         return
@@ -534,14 +539,15 @@ def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, 
 
 @settings(max_examples=100, deadline=None)
 @given(text=st.lists(st.text(st.sampled_from(list("f1,\"") + list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")),
-                             max_size=4), min_size=1, max_size=5))
-def test_text_with_unicode_line_separators_round_trips(tmp_path_factory, text):
+                             max_size=4), min_size=1, max_size=5), block_rows=st.integers(1, 3))
+def test_text_with_unicode_line_separators_round_trips(tmp_path_factory, text, block_rows):
     """A cell may hold the characters str.splitlines breaks at but csv.writer
-    leaves unquoted; rows keep the line numbers an editor shows."""
+    leaves unquoted; rows keep the line numbers an editor shows, across blocks of 1-3 rows."""
     columns = {"frame_id": "text", "n": "int"}
     meta = {"schema": "planegaze-test-v1"}
     path = tmp_path_factory.mktemp("separators") / "t.csv"
-    _write_table(path, columns, [text, list(range(len(text)))], meta)
+    with patch("planegaze.formats._BLOCK_ROWS", block_rows):
+        _write_table(path, columns, [text, list(range(len(text)))], meta)
     table = _read_table(path, columns)
     assert table["frame_id"].tolist() == text
     assert table.lines.tolist() == [3 + k for k in range(len(text))]
@@ -585,8 +591,32 @@ def test_quote_free_split_matches_csv_reader(tmp_path_factory, data):
 
 def test_text_cells_share_one_object_per_run():
     values = np.repeat(["oracle-offset", "offset-eyes", "absolute-bbox"], [6000, 5000, 5000])
-    cells = _cells("text", values)
+    text, index = _cells("text", values)
+    cells = text[index].tolist()
     assert cells == values.tolist() and len({id(c) for c in cells}) == 3
+
+
+def test_writer_memory_does_not_grow_with_the_text(tmp_path):
+    """A 200,000-row report table: the writer's traced peak stays below the file's size,
+    which building the whole text (or one string per line) in memory cannot do."""
+    n = 200_000
+    values = np.random.default_rng(5).random(64) * 100  # few distinct values: repr is not what is measured
+    cdf = {
+        "method": np.repeat(np.array(["oracle-offset", "offset-eyes"], dtype=object), n // 2),
+        "tag_filter": np.tile(np.repeat(np.array(["", "near"], dtype=object), n // 4), 2),
+        "kind": np.tile(np.repeat(np.array(["angular", "distance"], dtype=object), n // 8), 4),
+        "threshold": values[np.arange(n) % 64],
+        "fraction": values[::-1][np.arange(n) % 61],
+    }
+    path = tmp_path / "cdf.csv"
+    tracemalloc.start()
+    try:
+        write_cdf_csv(path, cdf, {"manifest": "m.json"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.read_bytes().splitlines()) == n + 4  # 3 metadata lines and the header
+    assert peak < path.stat().st_size
 
 
 FRAME_TEXT = st.text(alphabet=st.sampled_from(list('ab"\\/\x00\x01\x1f\x7f\n\t\u2028é€\U0001f600 ')), max_size=5)

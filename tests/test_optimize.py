@@ -380,6 +380,23 @@ def test_schur_step_equals_dense_step(m, counts, log_lam, seed):
     assert np.linalg.norm(system.step(lam) - want) <= 1e-9 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("m", [0, 9])
+def test_groups_in_view_order_skip_the_scatter(m):
+    """Groups already in view order with equal counts are the padded stack itself: no
+    scatter is needed, and the system is bit-identical to the scattered one."""
+    rng = np.random.default_rng(m)
+    view = np.repeat(np.arange(4), 30)
+    jac = BlockJacobian(rng.normal(size=(view.size, 2, m)), rng.normal(size=(view.size, 2, 6)), view)
+    r = rng.normal(size=2 * view.size)
+    n_views, longest, row = _view_slots(jac, m + 6 * 4)
+    assert (n_views, longest, row) == (4, 30, None)
+    assert _view_slots(jac._replace(view=view[::-1]), m + 6 * 4)[2] is not None
+    fast, scattered = (_BlockSystem(jac, r, (4, 30, rows)) for rows in (None, np.arange(view.size)))
+    for name in ("V", "Wt_g", "U", "gradient", "diag"):
+        assert getattr(fast, name).tobytes() == getattr(scattered, name).tobytes(), name
+    assert fast.step(1e-3).tobytes() == scattered.step(1e-3).tobytes()
+
+
 def test_calibration_is_independent_of_observation_order(rig):
     left = rig.calib_corners.take(rig.calib_corners.camera == "left")
     fit = calibrate_camera(left, rig.grid, (1280, 720))
