@@ -3,8 +3,8 @@
 Calibrate a two-camera rig from checkerboard corners, locate the work
 surface, triangulate 3D head points, map network gaze predictions onto the
 surface, and score them with angular and on-surface distance metrics. A
-built-in synthetic scene generator provides exact ground truth for all of
-it.
+built-in synthetic scene generator, :mod:`planegaze.synthetic`, provides
+exact ground truth for all of it; it is not imported with the package.
 """
 
 __version__ = "0.1.0"
@@ -50,17 +50,6 @@ from .pipeline import (
     ground_truth_direction,
 )
 from .plane import PlanePose, estimate_plane_pose
-from .synthetic import (
-    AmplificationRow,
-    MethodSpec,
-    NoiseSpec,
-    SceneSpec,
-    SyntheticDataset,
-    amplification_study,
-    default_scene,
-    generate_scene,
-    perturb,
-)
 from .triangulation import FaceTable, HeadPoint, head_point
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,7 +44,6 @@ from .formats import (
 )
 from .metrics import DEFAULT_THRESHOLDS_CM
 from .plane import estimate_plane_pose
-from .synthetic import NoiseSpec, default_scene, generate_scene, perturb
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -310,6 +309,8 @@ def _threshold_values(values, name: str, file: str | None = None) -> list[float]
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import NoiseSpec, default_scene, generate_scene, perturb
+
     if args.scene is not None:
         spec = read_scene_config(args.scene, frames=args.frames, seed=args.seed, calib_views=args.calib_views)
     else:

@@ -190,7 +190,9 @@ def evaluate_manifest(
     in the manifest. Output ordering is deterministic: methods and tags
     sorted unless given, thresholds ascending. A repeated method, tag filter
     or threshold counts once, at its first place; thresholds that share a
-    summary column name are a ValueError.
+    summary column name are a ValueError. A method the manifest has no
+    predictions for, or a tag filter no manifest frame carries, is a
+    FormatError.
     """
     thresholds_cm = precision_thresholds(thresholds_cm)
     grid = read_grid_config(manifest.grid_config)
@@ -201,10 +203,11 @@ def evaluate_manifest(
     for m in selected:
         if m not in manifest.predictions:
             raise FormatError(f"method {m!r} not in manifest predictions")
-    if tag_filters is None:
-        tags = sorted({t for tags in manifest.frames.tags for t in tags})
-        tag_filters = [None] + tags
-    tag_filters = list(dict.fromkeys(tag_filters))
+    tags = sorted({t for tags in manifest.frames.tags for t in tags})
+    tag_filters = [None] + tags if tag_filters is None else list(dict.fromkeys(tag_filters))
+    for t in tag_filters:
+        if t is not None and t not in tags:
+            raise FormatError(f"tag {t!r} not in manifest frames")
 
     faces = read_faces(manifest.faces)
     predictions = {m: read_method_predictions(manifest, m) for m in selected}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps's own C string encoder
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,8 +35,10 @@ from .grid import GridConfig
 from .metrics import FrameTable
 from .pipeline import CONVENTION_OFFSET, CONVENTIONS, PredictionTable
 from .plane import PlanePose
-from .synthetic import MethodSpec, SceneSpec, default_scene
 from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable
+
+if TYPE_CHECKING:  # synth alone needs the generator, so it is imported where read_scene_config runs
+    from .synthetic import SceneSpec
 
 TOOL_TAG = f"planegaze {__version__}"
 
@@ -149,7 +153,7 @@ def _load_json(path: Path, schema: str) -> dict:
 # (finite), or "float?" (finite, or blank for a missing value: NaN in
 # memory). A final "*" column accepts any further header columns, as text.
 
-_BLOCK_ROWS = 1024  # rows a table writer gathers, joins and writes at a time
+_BLOCK_ROWS = 1024  # rows a table writer joins and writes, or a table reader converts, at a time
 
 
 @dataclass(frozen=True)
@@ -230,18 +234,25 @@ def _quote(text: str) -> str:
 
 
 def _read_table(path: Path, columns: dict[str, str]) -> _Table:
-    """Read a CSV table: header check, one tokenising pass, whole-column conversion.
+    """Read a CSV table: header check, then tokenising and column conversion
+    ``_BLOCK_ROWS`` rows at a time, so the cells in memory are one block's.
 
     Any malformed header, row or cell is a FormatError naming the file and
-    the line. Of several bad cells, the first in file order is named.
+    the line. A quoted field that runs past its line comes first, then a bad
+    header, then the first wrong field count anywhere in the file, then the
+    first bad cell in file order.
     """
     path = Path(path)
     text = _read_text(path)
     if "\0" in text:  # np.array(..., dtype=str) would drop it from the end of a cell
         raise FormatError("NUL character", file=str(path), line=text.count("\n", 0, text.index("\0")) + 1)
+    quoted = '"' in text
     # read_text folded CR and CRLF to "\n"; splitlines would also break at form feeds,
     # \x1c-\x1e, \x85, \u2028 and \u2029, which csv.writer writes unquoted inside a cell
-    text_lines, meta = text.removesuffix("\n").split("\n"), {}
+    text_lines, meta = text.split("\n"), {}
+    del text  # the lines hold the text now
+    if not text_lines[-1]:  # the file's last line end starts no line
+        text_lines.pop()
     for start, line in enumerate(text_lines):  # blank lines and "#" comments lead the header
         if line.startswith("#"):
             key, colon, value = line[1:].partition(":")
@@ -252,36 +263,57 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     else:
         raise FormatError("missing header row", file=str(path))
     body, lines = text_lines[start:], np.arange(start + 1, len(text_lines) + 1)
+    del text_lines
     if "" in body:  # an empty line is no row; a whitespace-only one after the header is
         body, lines = [line for line in body if line], lines[[line != "" for line in body]]
-    if '"' not in text:  # without quotes, csv.reader splits each line at its commas
-        rows = [line.split(",") for line in body]
-    else:
-        reader, rows = csv.reader(body), []
-        for row in reader:
-            if reader.line_num != len(rows) + 1:
-                raise FormatError("quoted field runs past the end of the line",
-                                  file=str(path), line=int(lines[len(rows)]))
-            rows.append(row)
+    # without quotes, csv.reader splits each line at its commas
+    rows = _csv_rows(body, path, lines) if quoted else (line.split(",") for line in body)
 
-    header, rows = rows[0], rows[1:]
+    header = next(rows)
     names = [n for n in columns if n != "*"]
+    problem = None  # (line, message) of a bad header or of the first wrong field count
     if header[:len(names)] != names or (len(header) != len(names) and "*" not in columns):
-        raise FormatError(f"bad header {header!r}, expected {names!r}", file=str(path), line=int(lines[0]))
+        problem = int(lines[0]), f"bad header {header!r}, expected {names!r}"
     table = _Table(path, meta, {}, lines[1:])
-    counts = np.array([len(r) for r in rows], dtype=int)
-    table.check(counts != len(header), lambda k: f"expected {len(header)} fields, got {counts[k]}")
-
-    failures = []
-    for col, (name, cells) in enumerate(zip(header, zip(*rows) if rows else [()] * len(header))):
-        values, bad = _column(cells, columns.get(name, "text"))
-        table.columns[name] = values
-        if bad is not None:
-            failures.append((bad[0], col, f"field {name!r} {bad[1]}: {cells[bad[0]]!r}"))
-    if failures:
-        row, _, message = min(failures)
-        raise FormatError(message, file=str(path), line=int(table.lines[row]))
+    kinds = [columns.get(name, "text") for name in header]
+    parts, failure = [[] for _ in header], None  # each column's block arrays; the first bad cell
+    for first in itertools.count(0, _BLOCK_ROWS):
+        block = list(itertools.islice(rows, _BLOCK_ROWS))
+        if not block:
+            break
+        if problem:  # the rest is tokenised only for a quoted field that runs past its line
+            continue
+        counts = np.fromiter(map(len, block), dtype=int, count=len(block))
+        if (wrong := counts != len(header)).any():
+            k = int(np.argmax(wrong))
+            problem = int(table.lines[first + k]), f"expected {len(header)} fields, got {counts[k]}"
+        elif failure is None:  # after a bad cell the blocks are only counted
+            bad_cells = []
+            for col, cells in enumerate(zip(*block)):
+                values, bad = _column(cells, kinds[col])
+                parts[col].append(values)
+                if bad is not None:
+                    bad_cells.append((bad[0], col, f"field {header[col]!r} {bad[1]}: {cells[bad[0]]!r}"))
+            if bad_cells:
+                row, _, message = min(bad_cells)
+                failure = int(table.lines[first + row]), message
+    if problem or failure:
+        line, message = problem or failure
+        raise FormatError(message, file=str(path), line=line)
+    for name, kind, arrays in zip(header, kinds, parts):
+        table.columns[name] = np.concatenate(arrays) if arrays else _column((), kind)[0]
+        arrays.clear()
     return table
+
+
+def _csv_rows(body: list[str], path: Path, lines: np.ndarray):
+    """csv.reader's rows of ``body``, one line each; a quoted field that runs past its
+    line is a FormatError naming that line."""
+    reader = csv.reader(body)
+    for k, row in enumerate(reader):
+        if reader.line_num != k + 1:
+            raise FormatError("quoted field runs past the end of the line", file=str(path), line=int(lines[k]))
+        yield row
 
 
 def _column(cells: tuple[str, ...], kind: str):
@@ -773,6 +805,8 @@ def read_scene_config(path: Path, *, frames: int, seed: int, calib_views: int) -
     A ``grid`` block keeps GridConfig's default origin note. A malformed
     field is a FormatError naming the file.
     """
+    from .synthetic import MethodSpec, default_scene
+
     payload = _load_json(path, SCENE_SCHEMA)
     overrides = {}
     if "grid" in payload:

@@ -153,11 +153,22 @@ def summarize(errors: FrameErrors, thresholds_cm=DEFAULT_THRESHOLDS_CM, *, mask=
     }
     return MetricsSummary(
         mean_angular_deg=float(np.mean(angles)),
-        median_distance_cm=float(np.median(dist_cm)),
+        median_distance_cm=float(_median(dist_cm)),
         precision_at=precision,
         n_frames=n,
         n_failures=int(np.count_nonzero(np.isinf(dist_cm))),
     )
+
+
+def _median(values: np.ndarray) -> np.floating:
+    """``np.median`` of a non-empty 1-D float array, by its own arithmetic: a partition at the
+    middle one or two indices and at the last, the mean of the middle, and NaN when the
+    partition ends in NaN. ``np.median`` also checks its NaN mask for a masked array, and
+    that check imports ``numpy.ma`` into every process that takes a median."""
+    n = values.size
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(values, [*middle, -1])
+    return part[-1] if np.isnan(part[-1]) else np.mean(part[middle[0]:middle[-1] + 1])
 
 
 def error_cdf(errors: FrameErrors, which: str, *, mask=None) -> tuple[np.ndarray, np.ndarray]:

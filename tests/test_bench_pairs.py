@@ -5,6 +5,7 @@ import importlib.util
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,18 +132,26 @@ def test_main_runs_neither_side_in_the_repository(monkeypatch, capsys):
     assert bench_pairs.ROOT not in trees and trees[0].parent == trees[1].parent
 
 
-def test_both_trees_run_from_paths_of_equal_length(monkeypatch, capsys):
-    """The length of the path a tree runs from moves its peak RSS, so neither side gets a longer one."""
-    trees = set()
+def test_both_trees_run_from_one_path(monkeypatch, capsys):
+    """The path a tree runs from moves its peak RSS, so each side's tree is renamed to one
+    run path for each of its runs, and back afterwards."""
+    real_run, runs = subprocess.run, []
 
-    def fake_run(tree, workload, seed, seconds):
-        trees.add(tree)
-        return {"correct": True, "attempted": 1, "failed": 0,
-                "metrics": {m: {"value": 1.0} for m in ("ops_per_s", "setup_s", "peak_rss_mb")}}
+    def fake_subprocess_run(argv, **kwargs):
+        if argv[0] != sys.executable:  # git
+            return real_run(argv, **kwargs)
+        here = Path(kwargs["cwd"])
+        assert Path(argv[1]) == here / "perfbench" / "run.py" and Path(argv[1]).is_file()
+        runs.append((here, sorted(p.name for p in here.parent.iterdir())))
+        final = {"correct": True, "attempted": 1, "failed": 0, "metrics": {m: {"value": 1.0} for m in RECORD_METRICS}}
+        stdout = json.dumps({"detail": {"environment": {}}}) + "\n" + json.dumps(final) + "\n"
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
-    monkeypatch.setattr(bench_pairs, "run", fake_run)
-    assert bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "1"]) == 0
-    assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.main(["--pairs", "2", "--workload", "synth-write", "--seconds", "1"]) == 0
+    assert len(runs) == 4 and len({here for here, _ in runs}) == 1
+    # pair 1 runs the base first, pair 2 the change; the side not running keeps its own name
+    assert [names for _, names in runs] == [["run", "work"], ["base", "run"], ["base", "run"], ["run", "work"]]
 
 
 RECORD_METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -284,6 +287,15 @@ class TestEvaluateAndReport:
             assert read_csv_rows(once / name) == read_csv_rows(twice / name)
         config = json.loads((twice / "report.json").read_text())["provenance"]["config"]
         assert config["methods"] == ["oracle-offset"] and config["tag_filters"] == ["glasses"]
+
+    def test_tag_filter_no_frame_carries_is_a_parse_error(self, dataset_dir, tmp_path, capsys):
+        """As an unknown method is: no report without rows, and exit 0, for a misspelt tag."""
+        report = tmp_path / "report"
+        rc = main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                   "--tags", ",glases", "--out", str(report)])
+        assert rc == 1
+        assert "tag 'glases' not in manifest frames" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("values", ["12.5,12.500001", "0.1,1e-7,0.10000001", "1e6,1000000.4"])
     def test_thresholds_sharing_a_column_are_a_usage_error(self, dataset_dir, tmp_path, capsys, values):
@@ -1005,3 +1017,35 @@ class TestOsErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {blocker}") and err.count("\n") == 1
         assert blocker.read_text() == "a file, not a directory\n"
+
+
+def fresh_interpreter(code: str) -> list[str]:
+    """The lines ``code`` prints in a fresh interpreter that imports planegaze from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_the_generator_out():
+    """Only synth needs the scene generator, so importing the CLI does not load it."""
+    loaded = fresh_interpreter("import sys, planegaze.cli; print(*sorted(sys.modules), sep='\\n')")
+    assert "planegaze.cli" in loaded and "planegaze.synthetic" not in loaded
+
+
+def test_commands_on_a_dataset_never_import_numpy_ma(dataset_dir, tmp_path):
+    """np.median's masked-array check imports numpy.ma; no calibrate, plane-pose or evaluate
+    needs that module."""
+    d, out = dataset_dir, tmp_path
+    commands = [
+        ["calibrate", "--corners", d / "corners.csv", "--grid", d / "grid.json", "--image-size", "1280x720",
+         "--out", out / "calib"],
+        ["plane-pose", "--corners", d / "plane_corners.csv", "--grid", d / "grid.json",
+         "--intrinsics", out / "calib" / "intrinsics_left.json", "--out", out / "plane.json"],
+        ["evaluate", "--manifest", d / "manifest.json", "--out", out / "report"],
+    ]
+    code = ("import sys\nfrom planegaze.cli import main\n"
+            f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+            "    print('after', argv[0], main(argv), 'numpy.ma' in sys.modules)\n")
+    after = [line for line in fresh_interpreter(code) if line.startswith("after ")]
+    assert after == ["after calibrate 0 False", "after plane-pose 0 False", "after evaluate 0 False"]

@@ -47,6 +47,7 @@ from planegaze.metrics import FrameTable
 from planegaze.pipeline import PredictionTable
 from planegaze.plane import PlanePose
 from planegaze.synthetic import default_scene, generate_scene
+from planegaze.triangulation import FaceTable
 
 from conftest import assert_same_table, face_table
 
@@ -516,16 +517,16 @@ def csv_tables(draw, readable, chars="az#,\"é0. \x0c", specials=("", "#lead", '
 @settings(max_examples=150, deadline=None)
 @given(readable=st.booleans(), data=st.data(), block_rows=st.integers(1, 3))
 def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, readable, data, block_rows):
-    """Blocks of 1-3 rows, so that a drawn table crosses block boundaries."""
+    """Blocks of 1-3 rows, so that a drawn table crosses block boundaries as it is written and read."""
     columns, cols = data.draw(csv_tables(readable))
     meta = {"schema": "planegaze-test-v1", "note": 'a, "quoted" note'}
     path = tmp_path_factory.mktemp("writer") / "t.csv"
     with patch("planegaze.formats._BLOCK_ROWS", block_rows):
         _write_table(path, columns, cols, meta)
-    assert path.read_bytes() == _oracle_csv(columns, cols, meta)
-    if not readable:
-        return
-    table = _read_table(path, columns)
+        assert path.read_bytes() == _oracle_csv(columns, cols, meta)
+        if not readable:
+            return
+        table = _read_table(path, columns)
     assert table.meta == meta
     for (name, kind), col in zip(columns.items(), cols):
         got = table[name]
@@ -548,7 +549,7 @@ def test_text_with_unicode_line_separators_round_trips(tmp_path_factory, text, b
     path = tmp_path_factory.mktemp("separators") / "t.csv"
     with patch("planegaze.formats._BLOCK_ROWS", block_rows):
         _write_table(path, columns, [text, list(range(len(text)))], meta)
-    table = _read_table(path, columns)
+        table = _read_table(path, columns)
     assert table["frame_id"].tolist() == text
     assert table.lines.tolist() == [3 + k for k in range(len(text))]
 
@@ -617,6 +618,54 @@ def test_writer_memory_does_not_grow_with_the_text(tmp_path):
         tracemalloc.stop()
     assert len(path.read_bytes().splitlines()) == n + 4  # 3 metadata lines and the header
     assert peak < path.stat().st_size
+
+
+# --- the CSV reader, a block of rows at a time ----------------------------------------
+
+
+def test_text_columns_keep_the_whole_column_dtype_across_blocks(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("name,n\na,1\nbb,2\nccc,3\nd,4\n")
+    with patch("planegaze.formats._BLOCK_ROWS", 2):  # blocks of width 2 and 3
+        table = _read_table(path, {"name": "text", "n": "int"})
+    assert table["name"].dtype == np.dtype("<U3") and table["name"].tolist() == ["a", "bb", "ccc", "d"]
+    assert table["n"].tolist() == [1, 2, 3, 4] and table.lines.tolist() == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (["1,2", "3,4", "5,x"], 5, "field 'b' is not an integer: 'x'"),  # a bad cell in a later block
+    (["3,x", "y,6", "7,z"], 3, "field 'b' is not an integer: 'x'"),  # the first in file order, not in column order
+    (["1,x", "3,4", "5"], 5, "expected 2 fields, got 1"),  # a wrong count after a bad cell comes first
+    (["1,2", "3", "5,x", "7,8,9"], 4, "expected 2 fields, got 1"),
+])
+def test_blocks_name_the_first_problem_of_the_file(tmp_path, rows, line, message):
+    """Blocks of two rows: a wrong field count anywhere comes before a bad cell, and of the bad
+    cells the first in file order is named, with its own line."""
+    path = tmp_path / "t.csv"
+    path.write_text("# schema: x\na,b\n" + "\n".join(rows) + "\n")
+    with patch("planegaze.formats._BLOCK_ROWS", 2), pytest.raises(FormatError) as err:
+        _read_table(path, {"a": "int", "b": "int"})
+    assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: {message}")
+
+
+def test_reader_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """A 200,000-row face table: the reader's traced peak stays below 3.5x the file's size.
+    Holding every row's cells at once, as a list of lists of str, takes about 9.5x."""
+    n = 200_000
+    values = np.random.default_rng(7).random(64) * 1000  # few distinct values, so the writer is quick
+    corner = values[np.arange(2 * n).reshape(n, 2) % 61]
+    faces = FaceTable(np.char.add("f", np.arange(n // 2).repeat(2).astype(str)), np.tile(["left", "right"], n // 2),
+                      np.hstack([corner, corner + 50]), values[::-1][np.arange(2 * n).reshape(n, 2) % 59])
+    path = tmp_path / "faces.csv"
+    write_faces(path, faces)
+    tracemalloc.start()
+    try:
+        got = read_faces(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_table(got, faces)
+    assert peak < 3.5 * path.stat().st_size, peak / path.stat().st_size
 
 
 FRAME_TEXT = st.text(alphabet=st.sampled_from(list('ab"\\/\x00\x01\x1f\x7f\n\t\u2028é€\U0001f600 ')), max_size=5)

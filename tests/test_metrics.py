@@ -9,6 +9,7 @@ from planegaze.errors import EmptySelectionError
 from planegaze.geometry import yaw_pitch_to_dir
 from planegaze.metrics import (
     DEFAULT_PITCH_EDGES_DEG,
+    _median,
     DEFAULT_YAW_EDGES_DEG,
     FrameErrors,
     FrameTable,
@@ -132,6 +133,23 @@ class TestSummarize:
         s = summarize(records_cm(values), thresholds_cm=np.linspace(1, 120, 25))
         fractions = [s.precision_at[t] for t in sorted(s.precision_at)]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
+
+
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, -INF, math.nan, -math.nan, 1.0, 2.0]),  # ties, signed zeros, non-finite
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(MEDIAN_VALUES, min_size=1, max_size=12))
+def test_median_equals_numpy_median_bit_for_bit(values):
+    """Odd and even sizes, +-inf, NaN (either sign), -0.0 and ties: summarize's median has
+    np.median's bits."""
+    a = np.array(values)
+    with np.errstate(all="ignore"):  # inf + -inf at the middle, as np.median computes it
+        want, got = np.median(a), _median(a.copy())
+    assert type(got) is type(want) and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,13 +5,15 @@
 
 The base commit is exported with ``git archive`` into a temporary directory,
 and the working tree's files (tracked, or untracked and not ignored) are
-copied next to it, under a name of the same length. Neither copy holds a
-``__pycache__``, so both sides start from the same bytecode conditions: a
-working tree whose bytecode is already compiled would otherwise import
-faster than a fresh export, and read a better ``setup_s`` with no change
-to the code. For each workload,
+copied next to it. Neither copy holds a ``__pycache__``, so both sides start
+from the same bytecode conditions: a working tree whose bytecode is already
+compiled would otherwise import faster than a fresh export, and read a
+better ``setup_s`` with no change to the code. For each workload,
 ``perfbench/run.py`` then runs ``--pairs`` times on the base tree and as
-often on the working tree's copy, one pair after the other; which side
+often on the working tree's copy, one pair after the other. For each run
+its tree is renamed to one fixed run directory, and back afterwards, so both
+sides run from the same path: the path a tree runs from moves its peak RSS
+by tenths of a MiB, as much as a pair is meant to show. Which side
 runs first alternates from pair to pair, so a host that drifts in speed
 favours neither side. For every end-to-end metric of ``BENCHMARK.json`` it
 prints each side's median and quartiles, the change of the medians, and in
@@ -78,6 +80,7 @@ def export_worktree(dest: Path, root: Path = ROOT) -> Path:
 
 
 CODE = ("src", "perfbench", "BENCHMARK.json")  # what a perfbench run reads of a tree
+RUN_DIR = "run"  # the name each tree runs under, beside the trees
 
 
 def code_digest(tree: Path) -> str:
@@ -92,12 +95,17 @@ def code_digest(tree: Path) -> str:
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The final JSON object of one untraced perfbench run on ``tree``, with the host
-    settings (``environment``) of the detail line before it."""
-    proc = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
-    )
+    settings (``environment``) of the detail line before it. The run is made with
+    ``tree`` renamed to ``RUN_DIR`` beside it, whichever tree it is."""
+    here = tree.rename(tree.with_name(RUN_DIR))
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(here / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=here, capture_output=True, text=True,
+        )
+    finally:
+        here.rename(tree)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed on {tree} ({workload}), exit {proc.returncode}:\n{proc.stderr}")
     *_, detail, final = proc.stdout.strip().splitlines()
@@ -218,8 +226,6 @@ def main(argv=None) -> int:
 
     reasons, entries = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        # directory names of equal length: the length of the path a tree runs from moves peak RSS
-        # by about 0.6 MiB, as much as the differences in peak_rss_mb a pair is meant to show
         trees = {"base": export(args.base, Path(tmp) / "base"), "change": export_worktree(Path(tmp) / "work")}
         sides = {"base": {"ref": args.base, "sha": git_sha(args.base)},
                  "change": {"head": git_sha("HEAD"), "code_sha256": code_digest(trees["change"])}}
