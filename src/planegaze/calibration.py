@@ -25,14 +25,7 @@ from .errors import (
     InvalidPoseError,
     NoSharedViewsError,
 )
-from .geometry import (
-    RigidTransform,
-    axis_angle_from_rotation,
-    nearest_rotation,
-    norm,
-    retract_poses,
-    rotation_from_axis_angle,
-)
+from .geometry import RigidTransform, nearest_rotation, norm, rotation_from_axis_angle
 from .grid import GridConfig, corner_position
 from .optimize import BlockJacobian, levenberg_marquardt
 
@@ -278,6 +271,34 @@ def _corner_arrays(corners: CornerTable, grid: GridConfig) -> tuple[np.ndarray, 
     return corner_position(grid, i, j), corners.uv
 
 
+def _poses(x: np.ndarray, n_shared: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The rotations (V, 3, 3) and translations (V, 3) of a pose solver's state ``x``, as views of it.
+
+    The state is ``n_shared`` entries, then V rotation matrices of 9
+    entries each, then V translations.
+    """
+    poses = x[n_shared:]
+    n = poses.size // 12
+    return poses[:9 * n].reshape(n, 3, 3), poses[9 * n:].reshape(n, 3)
+
+
+def _retract(x: np.ndarray, dx: np.ndarray, n_shared: int = 0) -> np.ndarray:
+    """The pose solvers' retraction: state ``x`` (laid out as :func:`_poses` reads it) moved by ``dx``.
+
+    ``dx`` holds the steps of the shared entries, then one (d rvec, d t)
+    block of 6 per view. Shared entries and translations are added; each
+    rotation becomes exp(d rvec) R, the increment composed on the left,
+    with one Rodrigues map over every view's increment and no log map.
+    """
+    d = dx[n_shared:].reshape(-1, 6)
+    out = np.empty_like(x)
+    np.add(x[:n_shared], dx[:n_shared], out=out[:n_shared])
+    (R, t), (R_out, t_out) = _poses(x, n_shared), _poses(out, n_shared)
+    np.matmul(rotation_from_axis_angle(d[:, :3]), R, out=R_out)
+    np.add(t, d[:, 3:], out=t_out)
+    return out
+
+
 def refine_calibration(
     corners: CornerTable,
     grid: GridConfig,
@@ -301,23 +322,21 @@ def refine_calibration(
 
     xi0 = init.intrinsics.packed(with_skew=not fix_skew)
     n_intr = xi0.size
-    x0 = np.concatenate([xi0, np.hstack([axis_angle_from_rotation(init.rotation[k]), init.translation[k]]).ravel()])
+    x0 = np.concatenate([xi0, init.rotation[k].ravel(), init.translation[k].ravel()])
 
     def model(x: np.ndarray):
-        pose = x[n_intr:].reshape(-1, 6)
-        uv, jacobian = project_packed_jacobian(x[:n_intr], pose[:, :3], pose[:, 3:], view_idx, obj)
+        uv, jacobian = project_packed_jacobian(x[:n_intr], *_poses(x, n_intr), view_idx, obj)
         return (uv - pix).ravel(), lambda: BlockJacobian(*jacobian(), view_idx)
 
-    result = levenberg_marquardt(model, x0, plus=lambda x, dx: retract_poses(x, dx, n_intr))
+    result = levenberg_marquardt(model, x0, plus=lambda x, dx: _retract(x, dx, n_intr),
+                                 n_increments=n_intr + 6 * len(k))
     logger.debug("intrinsics refinement: %s", result.summary())
 
-    xi = result.x[:n_intr]
-    pose = result.x[n_intr:].reshape(-1, 6)
-    intr = CameraIntrinsics.from_packed(xi, init.intrinsics.image_size)
+    intr = CameraIntrinsics.from_packed(result.x[:n_intr], init.intrinsics.image_size)
     res = result.residual.reshape(-1, 2)
     view_rms = np.sqrt(np.bincount(view_idx, (res ** 2).sum(axis=1)) / (2 * np.bincount(view_idx)))
     rms = float(np.sqrt(np.mean(res ** 2)))
-    return CalibrationResult(intr, view_ids, rotation_from_axis_angle(pose[:, :3]), pose[:, 3:], rms, view_rms)
+    return CalibrationResult(intr, view_ids, *_poses(result.x, n_intr), rms, view_rms)
 
 
 def calibrate_camera(
@@ -372,14 +391,14 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
     view_idx = np.zeros(len(points), dtype=int)
 
     def model(x: np.ndarray):
-        uv, jacobian = project_packed_jacobian(xi, x[None, :3], x[None, 3:], view_idx, points)
+        uv, jacobian = project_packed_jacobian(xi, *_poses(x), view_idx, points)
         return (uv - pixels).ravel(), lambda: jacobian(with_xi=False)[1].reshape(-1, 6)
 
-    x0 = np.concatenate([axis_angle_from_rotation(pose0.rotation), pose0.translation])
-    result = levenberg_marquardt(model, x0, plus=retract_poses)
+    x0 = np.concatenate([pose0.rotation.ravel(), pose0.translation])
+    result = levenberg_marquardt(model, x0, plus=_retract, n_increments=6)
     logger.debug("%s refinement: %s", label, result.summary())
-    pose = RigidTransform(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    return pose, result.residual.reshape(-1, 2)
+    R, t = _poses(result.x)
+    return RigidTransform(R[0], t[0]), result.residual.reshape(-1, 2)
 
 
 # --- stereo ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError
-from .geometry import RigidTransform, as_vec3, rotation_from_axis_angle
+from .geometry import RigidTransform, as_vec3
 
 UNDISTORT_TOL = 1e-10
 UNDISTORT_MAX_ITER = 50
@@ -104,12 +104,12 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     return _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy, K.skew)
 
 
-def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
+def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
     """Project board points of many views under packed parameters, with derivatives, for the solvers.
 
     ``xi`` is laid out as :meth:`CameraIntrinsics.packed`. Point n lies at
-    ``obj[n]`` on the board of view ``view_idx[n]``, posed by axis-angle
-    ``rvecs`` and ``tvecs`` (one row per view). Points behind the camera
+    ``obj[n]`` on the board of view ``view_idx[n]``, posed by ``rotations``
+    (V, 3, 3) and ``tvecs`` (V, 3), one per view. Points behind the camera
     are clamped to z = 1e-9 instead of raising, so a solver's excursions
     show as large residuals.
 
@@ -121,11 +121,11 @@ def project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj):
     ``jacobian(with_xi=False)`` returns ``(None, d_pose)`` and builds no
     d uv / d xi. Both are views of (2, k, N) buffers, so each entry is
     computed as one contiguous (N,) row. The increment (d rvec, d t) is the
-    one :func:`~planegaze.geometry.retract_poses` applies,
-    R <- exp(d rvec) R and t <- t + d t, under which the camera-frame point
-    moves by d rvec x (R X) + d t (Gallego & Yezzi 2015).
+    one the solvers' retraction applies, R <- exp(d rvec) R and t <- t + d t,
+    under which the camera-frame point moves by d rvec x (R X) + d t
+    (Gallego & Yezzi 2015).
     """
-    p = np.einsum("nij,nj->ni", rotation_from_axis_angle(rvecs)[view_idx], obj)  # R X
+    p = np.einsum("nij,nj->ni", rotations[view_idx], obj)  # R X
     Xc = p + tvecs[view_idx]
     fx, fy, cx, cy = xi[:4]
     k1, k2, p1, p2, k3 = dist = xi[-5:]

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, calibrate_camera, calibrate_stereo
+from .calibration import CAMERA_LEFT, CAMERA_RIGHT, calibrate_camera, calibrate_stereo
 from .errors import (
     DegenerateDataError,
     FormatError,
@@ -26,7 +26,7 @@ from .formats import (
     precision_thresholds,
     provenance,
     read_config_thresholds,
-    read_corners,
+    read_corner_files,
     read_grid_config,
     read_intrinsics,
     read_manifest,
@@ -131,14 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", type=_image_size, required=True, help="sensor size, e.g. 1280x720")
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--release-skew", action="store_true", help="also estimate the skew term")
-    p.set_defaults(func=cmd_calibrate)
 
     p = add_parser("plane-pose", help="work-surface pose from display grid corners")
     p.add_argument("--corners", type=Path, required=True, help="plane corner CSV")
     p.add_argument("--grid", type=Path, required=True)
     p.add_argument("--intrinsics", type=Path, required=True, help="left-camera intrinsics JSON")
     p.add_argument("--out", type=Path, required=True, help="output plane-pose JSON path")
-    p.set_defaults(func=cmd_plane_pose)
 
     p = add_parser("evaluate", help="score prediction files against a manifest")
     p.add_argument("--manifest", type=Path, required=True)
@@ -147,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=str, default=None, help="comma-separated precision thresholds in cm")
     p.add_argument("--plane", type=Path, default=None, help="plane-pose JSON override")
     p.add_argument("--out", type=Path, required=True, help="report output directory")
-    p.set_defaults(func=cmd_evaluate)
 
     p = add_parser("synth", help="generate a synthetic dataset with known ground truth")
     p.add_argument("--out", type=Path, required=True)
@@ -162,26 +159,32 @@ def build_parser() -> argparse.ArgumentParser:
                    default=0.0, help="gaze angular noise sigma, degrees")
     p.add_argument("--gaze-bias", type=lambda s: _finite_float(s, "gaze-bias"), nargs=2, default=(0.0, 0.0),
                    metavar=("YAW_DEG", "PITCH_DEG"), help="fixed yaw/pitch bias, degrees")
-    p.set_defaults(func=cmd_synth)
 
     p = add_parser("report", help="print a report bundle as a fixed-width table")
     p.add_argument("--report", type=Path, required=True, help="report directory or summary CSV")
     p.add_argument("--method", type=str, default=None, help="only this method")
     p.add_argument("--tag", type=str, default=None, help="only this tag filter")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser(columns: int) -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per terminal width, the width its help text wraps to."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(shutil.get_terminal_size().columns)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # looked up at each call, not bound when the parser was built, so a patched cmd_* is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except OSError as exc:  # the readers raise FormatError for theirs, so this one came from writing
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        target = "standard output" if exc.filename is None else exc.filename  # a print to a closed pipe
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, PlanegazeError) as exc:  # FormatError among them
         print(f"error: {exc}", file=sys.stderr)
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    corners = CornerTable.concat(read_corners(path) for path in args.corners)
+    corners = read_corner_files(args.corners)
     grid = read_grid_config(args.grid)
     paths = [*args.corners, args.grid]
     prov = provenance(inputs=dict(zip(input_keys(paths), paths)), config={"origin": "estimated"})

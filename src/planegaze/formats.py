@@ -509,14 +509,41 @@ def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None 
 
 
 def _read_corner_table(path: Path) -> tuple[_Table, CornerTable]:
+    """A corner file's rows; a corner, (view_id, camera, i, j), may appear once."""
     t = _read_table(path, CORNERS_COLUMNS)
     _check_cameras(t)
-    ij, uv = np.column_stack([t["i"], t["j"]]), np.column_stack([t["u"], t["v"]])
-    return t, CornerTable(t["view_id"], t["camera"], ij, uv)
+    view, cam, i, j = t["view_id"], t["camera"], t["i"], t["j"]
+    t.check(_repeats(view, cam, i, j),
+            lambda k: f"second corner ({i[k]}, {j[k]}) for view {str(view[k])!r} camera {str(cam[k])!r}")
+    ij, uv = np.column_stack([i, j]), np.column_stack([t["u"], t["v"]])
+    return t, CornerTable(view, cam, ij, uv)
 
 
 def read_corners(path: Path) -> CornerTable:
     return _read_corner_table(path)[1]
+
+
+def read_corner_files(paths: list[Path]) -> CornerTable:
+    """The rows of every corner file in ``paths``, in order.
+
+    A corner that an earlier file holds too is a FormatError at its line in
+    the later file.
+    """
+    tables = [read_corners(path) for path in paths]
+    corners = CornerTable.concat(tables)
+    view, cam, ij = corners.view_id, corners.camera, corners.ij
+    if len(tables) > 1 and (repeat := _repeats(view, cam, *ij.T)).any():
+        row = int(np.argmax(repeat))  # no file repeats its own corners, so its twin is in an earlier file
+        file_of = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+        twin = int(np.argmax((view == view[row]) & (cam == cam[row]) & (ij == ij[row]).all(axis=1)))
+        later = file_of[row]
+        t, _ = _read_corner_table(paths[later])  # read again for its line numbers, on this error path only
+        raise FormatError(
+            f"corner {tuple(ij[row].tolist())} for view {str(view[row])!r} camera {str(cam[row])!r} "
+            f"is in {paths[file_of[twin]]} too",
+            file=str(paths[later]), line=int(t.lines[row - np.argmax(file_of == later)]),
+        )
+    return corners
 
 
 def read_plane_corners(path: Path) -> CornerTable:

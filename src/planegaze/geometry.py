@@ -139,8 +139,8 @@ def rotation_from_axis_angle(rvec) -> np.ndarray:
     """Rodrigues map. ``rvec`` may be (3,) or (N, 3); result (3,3) or (N,3,3).
 
     Uses series expansions of sin(t)/t and (1-cos t)/t^2 below 1e-8 so the
-    map is smooth through zero. The solvers differentiate it in closed form
-    (:func:`~planegaze.camera.project_packed_jacobian`); smoothness keeps
+    map is smooth through zero. The pose solvers' retraction applies it to
+    each step's rotation increments; smoothness keeps
     ``optimize.fd_jacobian``, their test oracle, accurate near zero.
     """
     r = np.asarray(rvec, dtype=float)
@@ -183,24 +183,6 @@ def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:
         axis[dot(axis, vee[near_pi]) < 0] *= -1.0
         out[near_pi] = theta[near_pi, None] * axis
     return out[0] if single else out
-
-
-def retract_poses(x: np.ndarray, dx: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Apply increment ``dx`` to packed poses: the solvers' retraction.
-
-    From index ``offset`` on, ``x`` holds poses as (rvec, t) blocks of 6.
-    Everything is added, except a pose whose rotation increment is nonzero:
-    its rvec becomes log(exp(d rvec) exp(rvec)), the increment composed on
-    the left.
-    """
-    out = x + dx
-    drot = dx[offset:].reshape(-1, 6)[:, :3]
-    moved = np.flatnonzero(np.any(drot != 0.0, axis=1))
-    if moved.size:
-        rot = x[offset:].reshape(-1, 6)[moved, :3]
-        R = rotation_from_axis_angle(np.concatenate([drot[moved], rot]))  # (increment, current), one call
-        out[offset:].reshape(-1, 6)[moved, :3] = axis_angle_from_rotation(R[:moved.size] @ R[moved.size:])
-    return out
 
 
 @dataclass(frozen=True)

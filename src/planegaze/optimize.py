@@ -46,10 +46,13 @@ changes, and only the step size tells convergence from divergence) and
 ``max_iter``. A rejected step with the damping at its cap raises
 NoConvergenceError.
 
-Rotation blocks are handled through an optional ``plus`` retraction so the
-solver steps in local increments composed onto the current estimate
+Rotation blocks are handled through an optional ``plus`` retraction, so
+the solver steps in local increments composed onto the current estimate
 instead of in a global singular parameterization; a Jacobian is taken
-with respect to that increment.
+with respect to that increment. The pose solvers' state holds each view's
+rotation matrix itself (9 entries, against its increment's 3), so the
+increment has ``n_increments`` entries, fewer than the state's ``x.size``:
+the block layout and :func:`fd_jacobian` count those.
 """
 
 from __future__ import annotations
@@ -104,11 +107,17 @@ class BlockJacobian(NamedTuple):
     view: np.ndarray
 
 
-def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable) -> np.ndarray:
-    """Dense central-difference Jacobian of ``residual`` at ``x`` under ``plus``: 2 evaluations per column."""
+def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable, n_increments: int | None = None) -> np.ndarray:
+    """Dense central-difference Jacobian of ``residual`` at ``x`` under ``plus``: 2 evaluations per column.
+
+    One column per increment entry, ``n_increments`` of them (``x.size`` by
+    default). Entry j steps by 1e-6 max(|x[j]|, 1): relative for the entries
+    an increment shares with ``x``, its leading ones, and 1e-6 where ``x[j]``
+    is a rotation-matrix entry, at most 1 in size.
+    """
     cols = []
-    dx = np.zeros(x.size)
-    for j in range(x.size):
+    dx = np.zeros(x.size if n_increments is None else n_increments)
+    for j in range(dx.size):
         h = FD_REL_STEP * max(abs(x[j]), 1.0)
         dx[j] = h
         rp = residual(plus(x, dx))
@@ -124,10 +133,12 @@ def levenberg_marquardt(
     x0: np.ndarray,
     *,
     plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    n_increments: int | None = None,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
-    ``plus(x, dx)`` applies a local increment; defaults to addition.
+    ``plus(x, dx)`` applies a local increment of ``n_increments`` entries
+    (``x0.size`` by default); defaults to addition.
     ``model(x)`` returns the residual at ``x`` and a function of no
     arguments that builds its derivative with respect to the increment: a
     dense (residuals, parameters) array, or a :class:`BlockJacobian`,
@@ -161,7 +172,7 @@ def levenberg_marquardt(
             # every column shared: one view whose own block is empty
             jac = BlockJacobian(jac[:, None, :], jac[:, None, :0], np.zeros(len(jac), dtype=int))
         if slots is None:
-            slots = _view_slots(jac, x.size)
+            slots = _view_slots(jac, x.size if n_increments is None else n_increments)
         system = _BlockSystem(jac, r, slots)
         if np.linalg.norm(system.gradient) < GRAD_TOL:
             reason = "gradient"

@@ -165,7 +165,11 @@ def check_record(record: dict) -> None:
     assert isinstance(record["seed"], int) and isinstance(record["seconds"], float)
     assert record["workloads"] and set(record["workloads"]) <= set(bench_pairs.WORKLOADS)
     for entry in record["workloads"].values():
-        assert set(entry) == {"pairs", "failed_share", "host", "metrics"} and entry["pairs"] >= 1
+        # "counts" (one traced run's counts per side) is absent from records written before --record kept them
+        assert set(entry) - {"counts"} == {"pairs", "failed_share", "host", "metrics"} and entry["pairs"] >= 1
+        for counts in ([entry["counts"]] if "counts" in entry else []):
+            assert set(counts) == {"base", "change"}
+            assert all(isinstance(v, (int, float)) for side in counts.values() for v in side.values())
         assert set(entry["failed_share"]) == set(entry["host"]) == {"base", "change"}
         assert all(0.0 <= share <= 1.0 for share in entry["failed_share"].values())
         assert set(entry["metrics"]) == set(RECORD_METRICS)
@@ -179,7 +183,9 @@ def check_record(record: dict) -> None:
 def test_record_schema_sorted_keys_repr_floats_and_merge(tmp_path, monkeypatch, capsys):
     """--record writes the pairs as JSON with sorted keys and repr floats; a second
     invocation for another workload merges into the same record. No perfbench run starts."""
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        if trace:
+            return TRACED
         return {"correct": True, "attempted": 10, "failed": 1 if workload == "calib-rig" else 0,
                 "environment": {"nproc": 2, "blas_threads": "1"},
                 "metrics": {m: {"value": 1.0 / 3.0} for m in RECORD_METRICS}}
@@ -197,6 +203,43 @@ def test_record_schema_sorted_keys_repr_floats_and_merge(tmp_path, monkeypatch, 
     assert record["workloads"]["calib-rig"]["pairs"] == 2 and record["workloads"]["calib-rig"]["failed_share"]["base"] == 0.1
     with pytest.raises(SystemExit, match="not merged"):
         bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "2", "--record", str(path)])
+
+
+TRACED = {"correct": True, "attempted": 3, "failed": 0, "environment": {}, "metrics": {
+    "optimize.lm_iterations": {"value": 73, "unit": "count"},
+    "optimize.residual_evals_per_iter": {"value": 1.125, "unit": "evals/iter"},
+    "triangulation.head_point.calls_per_frame": {"value": 2.0, "unit": "calls/frame"},
+    "camera.undistort_pixels.points_per_call": {"value": 54.0, "unit": "points/call"},
+    "optimize.residual.s": {"value": 0.03, "unit": "s"},
+    "formats.bytes_read": {"value": 5e5, "unit": "bytes-computed"},
+    "trace.overhead_ratio": {"value": 0.02, "unit": "ratio"},
+}}
+
+
+def test_record_keeps_one_traced_run_s_counts_per_side(tmp_path, monkeypatch, capsys):
+    """--record adds one --trace 1 run per side and workload, after its pairs, and keeps that run's
+    counts and no seconds; without --record no traced run is made."""
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, trace))
+        if trace:
+            return {**TRACED, "metrics": {**TRACED["metrics"], "trace.spans": {"value": len(calls), "unit": "count"}}}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {m: {"value": 1.0} for m in RECORD_METRICS}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(["--pairs", "1", "--workload", "calib-rig", "--seconds", "1"]) == 0
+    assert [trace for _, trace in calls] == [0, 0]
+    calls.clear()
+    path = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--pairs", "2", "--workload", "calib-rig", "--seconds", "1", "--record", str(path)]) == 0
+    assert calls[4:] == [("base", 1), ("work", 1)] and all(trace == 0 for _, trace in calls[:4])
+    record = json.loads(path.read_text())
+    check_record(record)
+    counts = record["workloads"]["calib-rig"]["counts"]
+    want = {"optimize.lm_iterations": 73, "optimize.residual_evals_per_iter": 1.125,
+            "triangulation.head_point.calls_per_frame": 2.0, "camera.undistort_pixels.points_per_call": 54.0}
+    assert counts == {"base": {**want, "trace.spans": 5}, "change": {**want, "trace.spans": 6}}
 
 
 @pytest.mark.parametrize("path", sorted(bench_pairs.ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -109,6 +109,25 @@ class TestCalibrate(object):
         assert "bad.csv" in err and ":2" in err
 
 
+    @pytest.mark.parametrize("case", ["row repeated", "file given twice"])
+    def test_repeated_corners_are_a_parse_error(self, dataset_dir, tmp_path, capsys, case):
+        """A repeated corner would count twice in the fit: rejected with its file and line, no output written."""
+        corners = dataset_dir / "corners.csv"
+        lines = corners.read_text().splitlines()
+        first = next(k for k, line in enumerate(lines) if line.startswith("calib"))
+        if case == "row repeated":
+            corners = tmp_path / "corners.csv"
+            corners.write_text("\n".join(lines + [lines[first]]) + "\n")
+            where = f"{corners}:{len(lines) + 1}: second corner"
+        else:
+            where = f"{corners}:{first + 1}: corner"
+        rc = main(["calibrate", *(["--corners", str(corners)] * (1 + (case == "file given twice"))),
+                   "--grid", str(dataset_dir / "grid.json"), "--image-size", "1280x720", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestPlanePose:
     def test_writes_pose(self, dataset_dir, capsys):
         rc = main([
@@ -939,6 +958,40 @@ def test_help_text_is_argparse_default(monkeypatch, capsys, columns):
         assert main([*argv, "--help"]) == 0
         p.formatter_class = argparse.HelpFormatter
         assert capsys.readouterr().out == p.format_help()
+
+
+def test_main_builds_one_parser_and_runs_the_command_it_finds(monkeypatch):
+    """Two main calls build one parser; each gets its own --corners list, and runs the
+    module's cmd_* as it is at the call, so a command patched after the first call is the one run."""
+    from planegaze import cli
+
+    built, seen = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(cli, "cmd_calibrate", lambda args: seen.append(args.corners) or 0)
+    cli._parser.cache_clear()
+    for name in ("a.csv", "b.csv"):
+        assert main(["calibrate", "--corners", name, "--grid", "g.json", "--image-size", "8x8", "--out", "o"]) == 0
+    assert len(built) == 1
+    assert seen == [[Path("a.csv")], [Path("b.csv")]]
+    cli._parser.cache_clear()
+
+
+def test_closed_stdout_is_named(dataset_dir, tmp_path, monkeypatch, capsys):
+    """A print to a closed pipe (``planegaze calibrate ... | head -1``) raises an OSError with no
+    file name: the error names standard output, and the exit code is 1."""
+    import errno
+    import io
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main(["calibrate", "--corners", str(dataset_dir / "corners.csv"), "--grid", str(dataset_dir / "grid.json"),
+               "--image-size", "1280x720", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot write standard output: Broken pipe\n"
 
 
 def test_method_name_with_delimiter_and_quotes_round_trips(tmp_path, capsys):

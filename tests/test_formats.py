@@ -19,6 +19,7 @@ from planegaze.formats import (
     _frames_json,
     _read_table,
     _write_table,
+    read_corner_files,
     read_corners,
     read_faces,
     read_grid_config,
@@ -227,6 +228,39 @@ class TestCsvRoundTrips:
         np.testing.assert_array_equal(direction_cc, ds.direction_cc)
 
 
+class TestRepeatedCorners:
+    """A corner, (view_id, camera, i, j), appears once in a file and once over the files read
+    together; a repeat is a FormatError at the later row's line (three header lines come first)."""
+
+    ROWS = [("v0", "left", (0, 0), (1.0, 2.0)), ("v0", "right", (0, 0), (3.0, 4.0)), ("v1", "left", (0, 0), (5.0, 6.0))]
+
+    def test_in_one_file(self, tmp_path):
+        path = tmp_path / "corners.csv"
+        write_corners(path, corner_table(self.ROWS + [("v0", "right", (0, 0), (7.0, 8.0))]))
+        with pytest.raises(FormatError, match=r"second corner \(0, 0\) for view 'v0' camera 'right'") as err:
+            read_corners(path)
+        assert (err.value.file, err.value.line) == (str(path), 7)
+
+    def test_in_plane_corners(self, tmp_path):
+        path = tmp_path / "plane.csv"
+        write_corners(path, corner_table([("p", "left", (0, k), (1.0, k)) for k in range(4)] + [("p", "left", (0, 2), (1, 2))]))
+        with pytest.raises(FormatError, match=r"second corner \(0, 2\)") as err:
+            read_plane_corners(path)
+        assert err.value.line == 8
+
+    def test_across_files(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_corners(a, corner_table(self.ROWS))
+        write_corners(b, corner_table([("v1", "right", (0, 0), (0.0, 0.0)), self.ROWS[2]]))
+        assert len(read_corner_files([a])) == 3
+        with pytest.raises(FormatError, match=rf"corner \(0, 0\) for view 'v1' camera 'left' is in {re.escape(str(a))} too") as err:
+            read_corner_files([a, b])
+        assert (err.value.file, err.value.line) == (str(b), 5)
+        with pytest.raises(FormatError) as err:
+            read_corner_files([a, a])
+        assert (err.value.file, err.value.line) == (str(a), 4)
+
+
 class TestUnreadableTables:
     def test_nul_in_a_text_cell_names_its_line(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -426,7 +460,7 @@ def corner_tables(draw):
     ints = st.integers(-(2**63), 2**63 - 1)
     return corner_table(draw(st.lists(st.tuples(
         IDS, CAMERAS, st.tuples(ints, ints), st.tuples(FLOATS, FLOATS)
-    ), max_size=6)))
+    ), unique_by=lambda row: row[:3], max_size=6)))
 
 
 def _write_tables(d, faces, preds, corners):

@@ -18,10 +18,11 @@ from planegaze.calibration import (
 )
 from planegaze.camera import CameraIntrinsics, project_packed_jacobian, project_points
 from planegaze.errors import NoConvergenceError
-from planegaze.geometry import RigidTransform, axis_angle_from_rotation, rotation_from_axis_angle
+from planegaze.geometry import RigidTransform, require_rotation, rotation_from_axis_angle
 from planegaze.grid import GridConfig
 from planegaze.optimize import (
     FD_REL_STEP,
+    MAX_ITER,
     BlockJacobian,
     _BlockSystem,
     _view_slots,
@@ -46,16 +47,16 @@ def rig():
 class Captured(Exception):
     """Raised by :func:`capture_problem` in place of solving."""
 
-    def __init__(self, model, x0, plus):
+    def __init__(self, model, x0, plus, n_increments):
         super().__init__("captured")
-        self.problem = (model, x0, plus)
+        self.problem = (model, x0, plus, n_increments)
 
 
 def capture_problem(solve):
-    """The (model, x0, plus) that ``solve()`` hands to the LM solver first."""
+    """The (model, x0, plus, n_increments) that ``solve()`` hands to the LM solver first."""
 
-    def capture(model, x0, *, plus=None, **kwargs):
-        raise Captured(model, x0, plus)
+    def capture(model, x0, *, plus=None, n_increments=None):
+        raise Captured(model, x0, plus, n_increments)
 
     with mock.patch.object(calibration, "levenberg_marquardt", capture):
         with pytest.raises(Captured) as info:
@@ -75,15 +76,15 @@ def densify(jac, n_params):
     return J.reshape(n * k, n_params)
 
 
-def assert_jacobian_matches_fd(model, x0, plus):
-    """The model's analytic J equals central differences of its r to 1e-6 of
-    each column's largest entry, plus the differences' own rounding noise,
-    eps |r| / step."""
+def assert_jacobian_matches_fd(model, x0, plus, n_increments):
+    """The model's analytic J equals central differences of its r, stepping each of the
+    ``n_increments`` increment entries, to 1e-6 of each column's largest entry, plus the
+    differences' own rounding noise, eps |r| / step."""
     r, jacobian = model(x0)
-    J = densify(jacobian(), x0.size)
-    J_fd = fd_jacobian(lambda x: model(x)[0], x0, plus)
-    assert J.shape == J_fd.shape == (r.size, x0.size)
-    step = FD_REL_STEP * np.maximum(np.abs(x0), 1.0)
+    J = densify(jacobian(), n_increments)
+    J_fd = fd_jacobian(lambda x: model(x)[0], x0, plus, n_increments)
+    assert J.shape == J_fd.shape == (r.size, n_increments)
+    step = FD_REL_STEP * np.maximum(np.abs(x0[:n_increments]), 1.0)
     tol = 1e-6 * np.abs(J_fd).max(axis=0) + 10 * np.finfo(float).eps * np.abs(r).max() / step
     assert np.all(np.abs(J - J_fd) <= tol)
 
@@ -122,9 +123,10 @@ def test_calibration_jacobian_equals_fd(fix_skew, seed, n_views):
     views = [f"v{k}" for k in range(n_views)]
     obs = CornerTable.concat([random_corners(rng, v, "left") for v in views])
     init = calibration_result(K, {v: random_pose(rng) for v in views})
-    model, x0, plus = capture_problem(lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew))
-    assert x0.size == (9 if fix_skew else 10) + 6 * n_views
-    assert_jacobian_matches_fd(model, x0, plus)
+    model, x0, plus, n_increments = capture_problem(lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew))
+    n_intr = 9 if fix_skew else 10
+    assert (x0.size, n_increments) == (n_intr + 12 * n_views, n_intr + 6 * n_views)
+    assert_jacobian_matches_fd(model, x0, plus, n_increments)
 
 
 @settings(max_examples=30, deadline=None)
@@ -140,9 +142,9 @@ def test_stereo_jacobian_equals_fd(seed, n_views):
         {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0,
     )
     obs = CornerTable.concat([random_corners(rng, v, "right") for v in views])
-    model, x0, plus = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
-    assert x0.size == 6
-    assert_jacobian_matches_fd(model, x0, plus)
+    model, x0, plus, n_increments = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
+    assert (x0.size, n_increments) == (12, 6)
+    assert_jacobian_matches_fd(model, x0, plus, n_increments)
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,23 +156,82 @@ def test_plane_jacobian_equals_fd(seed):
     ij = np.array(GRID.corner_indices())
     uv = project_points(K, pose, np.column_stack([GRID.square_size * ij, np.zeros(len(ij))]))
     corners = CornerTable(np.full(len(ij), "plane"), np.full(len(ij), "left"), ij, uv)
-    model, x0, plus = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
-    assert x0.size == 6
-    assert_jacobian_matches_fd(model, x0, plus)
+    model, x0, plus, n_increments = capture_problem(lambda: estimate_plane_pose(corners, GRID, K))
+    assert (x0.size, n_increments) == (12, 6)
+    assert_jacobian_matches_fd(model, x0, plus, n_increments)
+
+
+def skew_exp(w):
+    """exp([w]x) by its power series, independent of the Rodrigues formula."""
+    K = np.cross(np.eye(3), w)  # [w]x: row i is e_i x w, as e_i . (w x v) = v . (e_i x w)
+    term, out = np.eye(3), np.eye(3)
+    for k in range(1, 40):
+        term = term @ K / k
+        out = out + term
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_shared=st.sampled_from([0, 9, 10]), n_views=st.integers(1, 4))
+def test_retraction_composes_the_increment_on_the_left(seed, n_shared, n_views):
+    """One retraction turns each view's R = exp(rvec) into exp(d rvec) exp(rvec) to 1e-12, and
+    adds the shared entries' and the translations' steps."""
+    rng = np.random.default_rng(seed)
+    rvec = rng.normal(size=(n_views, 3))
+    x = np.concatenate([rng.normal(size=n_shared), rotation_from_axis_angle(rvec).ravel(),
+                        rng.normal(size=3 * n_views)])
+    dx = rng.normal(size=n_shared + 6 * n_views)
+    out = calibration._retract(x, dx, n_shared)
+    (R, t), (R_out, t_out) = calibration._poses(x, n_shared), calibration._poses(out, n_shared)
+    steps = dx[n_shared:].reshape(-1, 6)
+    want = np.array([skew_exp(d) @ skew_exp(w) for d, w in zip(steps[:, :3], rvec)])
+    assert np.abs(R_out - want).max() <= 1e-12
+    assert np.array_equal(t_out, t + steps[:, 3:])
+    assert np.array_equal(out[:n_shared], x[:n_shared] + dx[:n_shared])
+    assert np.array_equal(R, rotation_from_axis_angle(rvec))  # x itself is left as it was
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chained_retractions_stay_rotations(seed):
+    """MAX_ITER retractions in a row, each turning every view by 1e-8 to 1 rad, leave each
+    rotation orthonormal with determinant 1 to 1e-12, with no re-orthonormalization."""
+    rng = np.random.default_rng(seed)
+    n_views = 4
+    R0 = rotation_from_axis_angle(rng.normal(size=(n_views, 3)))
+    x = np.concatenate([rng.normal(size=9), R0.ravel(), rng.normal(size=3 * n_views)])
+    for _ in range(MAX_ITER):
+        dx = rng.normal(size=9 + 6 * n_views)
+        drot = dx[9:].reshape(-1, 6)[:, :3]
+        drot *= (10.0 ** rng.uniform(-8, 0, n_views) / np.linalg.norm(drot, axis=1))[:, None]
+        x = calibration._retract(x, dx, 9)
+    R, _ = calibration._poses(x, 9)
+    assert np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)).max() <= 1e-12
+    assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-12
+
+
+def test_refined_rotations_are_rotations(rig):
+    """The rotations refine_calibration returns are the solver's matrices as they are: each
+    passes require_rotation."""
+    for cam in ("left", "right"):
+        fit = calibrate_camera(rig.calib_corners.take(rig.calib_corners.camera == cam), rig.grid, (1280, 720))
+        assert fit.rotation.shape == (len(fit.view_id), 3, 3)
+        for R in fit.rotation:
+            require_rotation(R)
 
 
 def test_kernel_pixels_equal_project_points():
     """The kernel's pixels are each view's project_points to 1e-9 px; not bit for bit,
-    since the kernel poses through the axis-angle vector and rounds differently."""
+    since the kernel sums R X in another order than project_points does."""
     rng = np.random.default_rng(9)
     poses = [random_pose(rng) for _ in range(3)]
-    rvecs = np.array([axis_angle_from_rotation(T.rotation) for T in poses])
+    rotations = np.array([T.rotation for T in poses])
     tvecs = np.array([T.translation for T in poses])
     view_idx = rng.integers(0, 3, 40)
     obj = np.column_stack([rng.uniform(0, 0.2, (40, 2)), np.zeros(40)])
     for K in (random_intrinsics(rng), random_intrinsics(rng, skew=2.0)):
         xi = K.packed(with_skew=K.skew != 0.0)
-        uv, jacobian = project_packed_jacobian(xi, rvecs, tvecs, view_idx, obj)
+        uv, jacobian = project_packed_jacobian(xi, rotations, tvecs, view_idx, obj)
         for v, pose in enumerate(poses):
             rows = view_idx == v
             assert np.abs(uv[rows] - project_points(K, pose, obj[rows])).max() <= 1e-9

@@ -34,7 +34,10 @@ pairs' results as JSON (see :func:`record_entry`), with sorted keys and
 floats as ``repr`` writes them, so that one ``BENCH_<pr>.json`` per change
 diffs cleanly. A record that already exists at PATH for the same commits,
 seed and ``--seconds`` keeps its other workloads, so workloads that need
-different ``--pairs`` can share one file.
+different ``--pairs`` can share one file. With ``--record``, each side also
+makes one ``--trace 1`` run per workload, and the record keeps that run's
+counts (see :func:`trace_counts`): they do not depend on the host, so they
+show what a change did to the work, where the pairs show its speed.
 """
 
 from __future__ import annotations
@@ -93,15 +96,15 @@ def code_digest(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON object of one untraced perfbench run on ``tree``, with the host
-    settings (``environment``) of the detail line before it. The run is made with
-    ``tree`` renamed to ``RUN_DIR`` beside it, whichever tree it is."""
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The final JSON object of one perfbench run on ``tree``, untraced unless ``trace`` is 1,
+    with the host settings (``environment``) of the detail line before it. The run is made
+    with ``tree`` renamed to ``RUN_DIR`` beside it, whichever tree it is."""
     here = tree.rename(tree.with_name(RUN_DIR))
     try:
         proc = subprocess.run(
             [sys.executable, str(here / "perfbench" / "run.py"), "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
             cwd=here, capture_output=True, text=True,
         )
     finally:
@@ -110,6 +113,15 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"perfbench failed on {tree} ({workload}), exit {proc.returncode}:\n{proc.stderr}")
     *_, detail, final = proc.stdout.strip().splitlines()
     return {**json.loads(final), "environment": json.loads(detail)["detail"]["environment"]}
+
+
+COUNT_UNITS = ("count", "calls/frame", "points/call", "evals/iter")
+
+
+def trace_counts(traced: dict) -> dict[str, float]:
+    """The metrics of a traced run (:func:`run` with ``trace=1``) that count work: those in
+    ``COUNT_UNITS``, none in seconds."""
+    return {name: m["value"] for name, m in traced["metrics"].items() if m["unit"] in COUNT_UNITS}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -240,6 +252,11 @@ def main(argv=None) -> int:
                       f"base {values['base']:.6g}, change {values['change']:.6g}", file=sys.stderr, flush=True)
             workload_reasons, entries[workload] = report(workload, runs["base"], runs["change"], spec["end_to_end"])
             reasons += workload_reasons
+            if args.record is not None:
+                entries[workload]["counts"] = {
+                    side: trace_counts(run(trees[side], workload, args.seed, args.seconds, trace=1))
+                    for side in ("base", "change")
+                }
     if args.record is not None:
         write_record(args.record, {**sides, "seed": args.seed, "seconds": args.seconds, "workloads": entries})
     for reason in reasons:
