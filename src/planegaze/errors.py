@@ -1,9 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the reasons a batch row fails with.
 
 Three branches matter to callers: parse problems (bad input files, exit
 code 1 from the CLI), numerical failures (an estimator could not reach a
 usable answer, exit code 2) and degenerate data (the inputs admit no
-answer at all, exit code 3).
+answer at all, exit code 3). The batch stages raise none of these for a
+bad row: they mark it with one of ``ROW_FAILURES`` and go on.
 """
 
 from __future__ import annotations
@@ -65,20 +66,8 @@ class BehindCameraError(DegenerateDataError):
     """A point lies behind a camera where projection is undefined."""
 
 
-class ParallelRaysError(DegenerateDataError):
-    """Triangulation rays are parallel; no unique closest point."""
-
-
-class MissingObservationError(DegenerateDataError):
-    """A frame lacks the observation needed in one of the cameras."""
-
-
 class NoSharedViewsError(DegenerateDataError):
     """Stereo calibration requires at least one view seen by both cameras."""
-
-
-class UnknownTargetError(DegenerateDataError):
-    """Target id not present in the grid configuration."""
 
 
 class EmptySelectionError(DegenerateDataError):
@@ -92,3 +81,14 @@ class DegenerateGeometryError(DegenerateDataError):
 class ResampleExceededError(DegenerateDataError):
     """Scene sampling failed to produce a valid configuration."""
 
+
+# --- per-row failures ---------------------------------------------------
+
+# Every reason a batch stage marks a row with, and so every reason a frame is
+# skipped with in report.json. The CamelCase reasons read as error class
+# names; three of them (ParallelRaysError, MissingObservationError,
+# UnknownTargetError) name no class, since nothing raises them.
+ROW_FAILURES = (
+    "missing_prediction", "missing_face_observation", "NotInvertibleError", "ParallelRaysError",
+    "BehindCameraError", "MissingObservationError", "UnknownTargetError", "DegenerateGeometryError",
+)

@@ -364,6 +364,17 @@ def write_grid_config(path: Path, grid: GridConfig) -> None:
     )
 
 
+def _target_id(key: str) -> int:
+    """A grid target key as its id. Only the text ``str`` gives an integer is a key ("7", not "07",
+    "+7", "7_0" or a non-ASCII digit), so no two keys name the same target."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ValueError(f"target id must be a plain decimal integer such as '7', got {key!r}")
+
+
 def _grid_from_payload(p, path: Path, **extra) -> GridConfig:
     """The grid-config fields of ``p`` as a GridConfig; ``extra`` holds further GridConfig fields."""
     try:
@@ -373,7 +384,7 @@ def _grid_from_payload(p, path: Path, **extra) -> GridConfig:
             square_size=_json_number(p["square_size_m"], "square_size_m"),
             rows=_json_int(p["rows"], "rows"),
             cols=_json_int(p["cols"], "cols"),
-            target_map={int(k): tuple(_json_int(c, f"target {k} cell") for c in v)
+            target_map={_target_id(k): tuple(_json_int(c, f"target {k} cell") for c in v)
                         for k, v in p.get("targets", {}).items()},
             **extra,
         )
@@ -947,8 +958,10 @@ def read_config_thresholds(path: Path) -> list[float] | None:
 
 
 def precision_thresholds(thresholds_cm) -> tuple[float, ...]:
-    """The distinct thresholds, ascending; two that would share a summary column are a ValueError."""
-    thresholds = tuple(sorted({float(t) for t in thresholds_cm}))
+    """The distinct thresholds, ascending; two that would share a summary column are a ValueError.
+
+    Adding 0.0 turns -0.0 into 0.0, so both spellings name the column p_at_0cm."""
+    thresholds = tuple(sorted({float(t) + 0.0 for t in thresholds_cm}))
     for a, b in zip(thresholds, thresholds[1:]):  # {:g} rounds monotonically, so equal names are neighbours
         if f"{a:g}" == f"{b:g}":
             raise ValueError(f"thresholds {a!r} and {b!r} cm share the summary column 'p_at_{b:g}cm'")

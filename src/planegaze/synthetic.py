@@ -37,17 +37,16 @@ from .geometry import (
     unit,
 )
 from .grid import GridConfig, corner_position, default_target_map, target_centers
-from .metrics import FrameTable, evaluate_frame, summarize
-from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable, gaze_point_on_surface
+from .metrics import FrameTable
+from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable
 from .plane import PlanePose
-from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable, HeadPoint
+from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable
 
 MAX_RESAMPLE = 100
 
-# rng stream ids
+# rng stream ids: they key the draws, so each keeps its value (2 is retired)
 _STREAM_CALIB = 0
 _STREAM_FRAME = 1
-_STREAM_AMPLIFY = 2
 _STREAM_PERTURB_CORNERS = 3
 _STREAM_PERTURB_FACES = 4
 _STREAM_PERTURB_PRED = 5
@@ -231,14 +230,6 @@ def _uniforms(seed: int, stream: int, index: np.ndarray, attempt: int, m: int) -
         index[:, None], np.uint64(attempt), np.uint64(stream), blocks))
     bits = (words[0::2] << 32 | words[1::2]) >> 11
     return (bits.transpose(1, 2, 0) * 2.0**-53).reshape(len(index), 2 * len(blocks))[:, :m]
-
-
-def _normals(seed: int, stream: int, index: np.ndarray, m: int) -> np.ndarray:
-    """m standard normals for each frame index, shape (N, m), m even: Box-Muller on attempt 0's
-    uniforms, a pair of normals from each pair of uniforms (1 - u keeps the log finite)."""
-    u = _uniforms(seed, stream, index, 0, m)
-    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2])), 2.0 * math.pi * u[:, 1::2]
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(len(u), m)
 
 
 def _in_image(uv: np.ndarray, K: CameraIntrinsics, margin: float) -> np.ndarray:
@@ -472,38 +463,3 @@ def perturb(ds: SyntheticDataset, noise: NoiseSpec, seed: int) -> SyntheticDatas
         ds, calib_corners=corners, plane_corners=plane_corners, faces=faces, predictions=predictions
     )
 
-
-# --- angular-to-surface amplification --------------------------------------
-
-@dataclass(frozen=True)
-class AmplificationRow:
-    sigma_deg: float
-    median_distance_cm: float
-    precision_at: dict[float, float]
-
-
-def amplification_study(
-    spec: SceneSpec, sigma_list, thresholds_cm=(10.0, 20.0, 50.0)
-) -> list[AmplificationRow]:
-    """How angular noise maps to surface distance on this geometry.
-
-    Shares one unit-noise realization across all sigmas (each frame's
-    rotation angle is sigma * |N(0,1)| about a fixed axis), so per-frame
-    distances, and hence the medians, are non-decreasing in sigma.
-    """
-    ds = generate_scene(spec)
-    # per frame: three normals for the axis, then one for the unit angle
-    draws = _normals(spec.seed, _STREAM_AMPLIFY, np.arange(len(ds.frames)), 4)
-    dirs = ds.direction_cc
-    axes, units = _perpendicular_axes(draws[:, :3], dirs), np.abs(draws[:, 3])
-    heads = HeadPoint(ds.head_cc, np.zeros(len(dirs)), np.full(len(dirs), SOURCE_EYES), np.full(len(dirs), ""))
-    targets = target_centers(spec.grid, ds.frames.target_id)
-    frame_ids = ds.frames.frame_id
-
-    rows = []
-    for sigma in sigma_list:
-        d = _rotate_about(dirs, axes, math.radians(float(sigma)) * units)
-        estimate = gaze_point_on_surface(heads, d, spec.plane)
-        s = summarize(evaluate_frame(d, dirs, estimate, targets, frame_id=frame_ids), thresholds_cm)
-        rows.append(AmplificationRow(float(sigma), s.median_distance_cm, s.precision_at))
-    return rows

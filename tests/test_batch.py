@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from planegaze import evaluation
 from planegaze.calibration import StereoRig
 from planegaze.camera import CameraIntrinsics, project_points
+from planegaze.errors import ROW_FAILURES
 from planegaze.evaluation import evaluate_manifest, evaluate_method, frame_heads, read_method_predictions
 from planegaze.formats import (
     read_faces,
@@ -86,7 +87,9 @@ def take_estimate(est: SurfaceGazeEstimate, rows) -> SurfaceGazeEstimate:
     return SurfaceGazeEstimate(est.point[rows], est.alpha[rows], est.direction_cc[rows], est.status[rows])
 
 
-def test_head_point_batch_marks_exactly_the_failed_rows():
+def poisoned_heads():
+    """Left and right FaceTables of 12 visible heads with a parallel-ray, a behind-the-rig and an
+    unshared-source row among them, and each row's expected failure ("" for none)."""
     rng = np.random.default_rng(11)
     lefts, rights, expected = [], [], []
     for k in range(12):
@@ -115,8 +118,11 @@ def test_head_point_batch_marks_exactly_the_failed_rows():
         lefts.insert(at, left)
         rights.insert(at, right)
         expected.insert(at, failure)
+    return face_table(lefts), face_table(rights), expected
 
-    left, right = face_table(lefts), face_table(rights)
+
+def test_head_point_batch_marks_exactly_the_failed_rows():
+    left, right, expected = poisoned_heads()
     batch = head_point(left, right, RIG, SOURCE_EYES)
     assert list(batch.failure) == expected
     assert batch.position.shape == (len(expected), 3)
@@ -269,7 +275,9 @@ def _reference(manifest, method, rig, plane, grid):
     return records, skipped, pred_dirs, gt_dirs
 
 
-def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
+def poisoned_manifest(tmp_path):
+    """A noisy 16-frame dataset: f00003 has no right face, f00005 only a left bbox, f00007 no
+    oracle-offset prediction, and f00009 a target the grid does not have."""
     ds = generate_scene(default_scene(frames=16, seed=404, calib_views=2))
     ds = perturb(ds, NoiseSpec(face_px_sigma=1.5, gaze_angle_sigma_deg=25.0), seed=404)
     faces, eye = ds.faces, ds.faces.eye.copy()
@@ -281,8 +289,11 @@ def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
     predictions["oracle-offset"] = offset.take(offset.frame_id != "f00007")
     frames = replace(ds.frames, target_id=np.where(ds.frames.frame_id == "f00009", 999, ds.frames.target_id))
     ds = replace(ds, faces=faces, predictions=predictions, frames=frames)
-    manifest = read_manifest(write_dataset(ds, tmp_path / "data"))
+    return read_manifest(write_dataset(ds, tmp_path / "data"))
 
+
+def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
+    manifest = poisoned_manifest(tmp_path)
     rig = read_stereo(manifest.stereo)
     plane = read_plane_pose(manifest.plane_pose)
     grid = read_grid_config(manifest.grid_config)
@@ -309,6 +320,31 @@ def test_evaluate_method_matches_frame_by_frame_composition(tmp_path):
             assert got.distance_m[k] == pytest.approx(want.distance_m[0], rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(report.pred_directions, np.array(pred_dirs), rtol=0, atol=1e-9)
         np.testing.assert_allclose(report.gt_directions, np.array(gt_dirs), rtol=0, atol=1e-9)
+
+
+def test_every_row_failure_is_declared(tmp_path):
+    """Each reason the batch stages mark a row with on the poisoned inputs above is one of
+    ROW_FAILURES, and each of ROW_FAILURES but one is met there."""
+    left, right, _ = poisoned_heads()
+    reasons = set(head_point(left, right, RIG, SOURCE_EYES).failure.tolist())
+    right_eye = project_points(FOLD_RIG.right, FOLD_RIG.right_from_left, [[0.05, 0.0, 1.0]])[0]
+    for kind, (pixel_left, pixel_right, _) in POISON.items():
+        pixel_right = right_eye if pixel_right is None else pixel_right
+        left, right = face_table([(kind, "left", None, pixel_left)]), face_table([(kind, "right", None, pixel_right)])
+        reasons |= set(head_point(left, right, FOLD_RIG).failure.tolist())
+
+    manifest = poisoned_manifest(tmp_path)
+    plane, grid = read_plane_pose(manifest.plane_pose), read_grid_config(manifest.grid_config)
+    predictions = {m: read_method_predictions(manifest, m) for m in manifest.predictions}
+    heads = frame_heads(manifest, read_faces(manifest.faces), read_stereo(manifest.stereo), predictions)
+    reasons |= {r for head in heads.values() for r in head.failure.tolist()}
+    for method in manifest.predictions:
+        reasons |= {r for _, r in evaluate_method(manifest, method, predictions[method], heads, plane, grid).skipped}
+
+    reasons.discard("")
+    assert len(set(ROW_FAILURES)) == len(ROW_FAILURES) and reasons <= set(ROW_FAILURES)
+    # a head on its own target is poisoned one stage down, in ground_truth_direction's batch test
+    assert set(ROW_FAILURES) - reasons == {"DegenerateGeometryError"}
 
 
 def test_shared_triangulation_matches_per_method_evaluation(tmp_path, monkeypatch):

@@ -838,6 +838,18 @@ class TestThresholdChecks:
         assert [h for h in header if h.startswith("p_at_")] == ["p_at_10cm", "p_at_20cm"]
         assert json.loads((tmp_path / "r" / "report.json").read_text())["thresholds_cm"] == [10.0, 20.0]
 
+    def test_negative_zero_writes_the_bytes_of_zero(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "thresholds.json"
+        cfg.write_text('{"thresholds_cm": [-0.0, 10]}')
+        runs = {"zero": ["--thresholds=0,10"], "flag": ["--thresholds=-0,10"], "config": ["--config", str(cfg)]}
+        for name, args in runs.items():
+            assert main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--out", str(tmp_path / name), *args]) == 0
+        want = {p.name: p.read_bytes() for p in (tmp_path / "zero").iterdir()}
+        assert b"p_at_0cm" in want["summary.csv"] and b'"0.0"' in want["report.json"]
+        for name in ("flag", "config"):
+            assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == want
+
     @pytest.mark.parametrize("value", ["nan,10", "10,inf", "-5", "10,,20", "ten", ""])
     def test_bad_flag_value_rejected(self, dataset_dir, tmp_path, capsys, value):
         assert self._evaluate(dataset_dir, tmp_path, "--thresholds", value) == 1

@@ -28,6 +28,7 @@ from planegaze.formats import (
     read_plane_corners,
     read_plane_pose,
     read_predictions,
+    read_scene_config,
     read_stereo,
     read_truth,
     write_cdf_csv,
@@ -77,10 +78,25 @@ def intrinsics():
 
 class TestJsonRoundTrips:
     def test_grid(self, tmp_path):
-        grid = GridConfig(square_size=0.06, rows=5, cols=8, target_map=default_target_map(5, 8, 20))
+        for targets in (default_target_map(5, 8, 20), {-3: (0, 0), 0: (1, 1), 12: (2, 2)}):
+            grid = GridConfig(square_size=0.06, rows=5, cols=8, target_map=targets)
+            path = tmp_path / "grid.json"
+            write_grid_config(path, grid)
+            assert read_grid_config(path) == grid
+
+    @pytest.mark.parametrize("key", ["07", "9_0", "\u0663", "+7", " 7", "7.0", "None", ""])
+    @pytest.mark.parametrize("scene", [False, True], ids=["grid", "scene"])
+    def test_target_ids_must_be_an_integers_own_text(self, tmp_path, key, scene):
+        # int() reads each of these keys, or fails on it; only str(int(k)) == k keeps two keys apart
+        payload = {"schema": "planegaze-grid-v1", "square_size_m": 0.06, "rows": 5, "cols": 8,
+                   "targets": {"7": [0, 0], key: [1, 1]}}
+        if scene:
+            payload = {"schema": "planegaze-scene-v1", "grid": payload}
         path = tmp_path / "grid.json"
-        write_grid_config(path, grid)
-        assert read_grid_config(path) == grid
+        path.write_text(json.dumps(payload))
+        message = f"{path}: bad grid config: target id must be a plain decimal integer such as '7', got {key!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_scene_config(path, frames=1, seed=0, calib_views=0) if scene else read_grid_config(path)
 
     def test_intrinsics(self, tmp_path, intrinsics):
         path = tmp_path / "k.json"

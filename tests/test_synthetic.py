@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planegaze.calibration import CAMERA_LEFT, CAMERA_RIGHT
+from planegaze import cli
 from planegaze.camera import project_points
+from planegaze.evaluation import evaluate_manifest
+from planegaze.formats import read_manifest, read_summary_csv
 from planegaze.geometry import RigidTransform, angular_error_deg
 from planegaze.grid import target_centers
 from planegaze.pipeline import (
@@ -16,17 +19,14 @@ from planegaze.pipeline import (
     ground_truth_direction,
 )
 from planegaze.synthetic import (
-    _STREAM_AMPLIFY,
     _STREAM_FRAME,
     MAX_RESAMPLE,
     MethodSpec,
     NoiseSpec,
     _in_image,
-    _normals,
     _philox,
     _sample_heads,
     _uniforms,
-    amplification_study,
     default_scene,
     generate_scene,
     perturb,
@@ -141,25 +141,51 @@ class TestPerturb:
         assert (a.pitch - b.pitch).tolist() == pytest.approx([math.radians(-2.0)] * len(b.pitch))
 
 
-class TestAmplification:
-    def test_zero_sigma_is_exact(self):
-        spec = default_scene(frames=300, seed=30, calib_views=2)
-        rows = amplification_study(spec, [0.0])
-        assert rows[0].median_distance_cm < 1e-4
+SIGMAS = [0.0, 2.0, 5.0, 10.0, 15.0]
 
-    def test_median_monotone_and_in_band(self):
-        spec = default_scene(frames=800, seed=31, calib_views=2)
-        sigmas = [0.0, 2.0, 5.0, 10.0, 15.0]
-        rows = amplification_study(spec, sigmas)
-        medians = [r.median_distance_cm for r in rows]
-        assert all(a <= b for a, b in zip(medians, medians[1:]))
-        ten = dict(zip(sigmas, rows))[10.0]
-        assert 8.0 <= ten.median_distance_cm <= 30.0
 
-    def test_precision_columns_present(self):
-        spec = default_scene(frames=100, seed=32, calib_views=2)
-        rows = amplification_study(spec, [5.0])
-        assert set(rows[0].precision_at) == {10.0, 20.0, 50.0}
+@pytest.fixture(scope="module")
+def gaze_noise_sweep(tmp_path_factory):
+    """One `synth --gaze-noise` dataset per sigma at one seed, each with its evaluate_manifest bundle."""
+    sweep = {}
+    for sigma in SIGMAS:
+        data = tmp_path_factory.mktemp("sweep") / "data"
+        assert cli.main(["synth", "--out", str(data), "--frames", "400", "--seed", "31", "--calib-views", "2",
+                         "--gaze-noise", str(sigma)]) == 0
+        sweep[sigma] = (data / "manifest.json", evaluate_manifest(read_manifest(data / "manifest.json")))
+    return sweep
+
+
+class TestGazeNoiseThroughEvaluate:
+    """Gaze noise measured by the pipeline that scores real methods: synth, then evaluate."""
+
+    def _overall(self, bundle, method):
+        return next(r for r in bundle.summary_rows if r["method"] == method and r["tag_filter"] == "")
+
+    def test_zero_sigma_is_exact(self, gaze_noise_sweep):
+        bundle = gaze_noise_sweep[0.0][1]
+        for method in bundle.methods:
+            assert self._overall(bundle, method)["median_distance_cm"] < 1e-4
+
+    def test_frame_distances_do_not_decrease_with_sigma(self, gaze_noise_sweep):
+        # perturb draws one unit-noise realisation per method at a fixed seed, whatever sigma is
+        for method in gaze_noise_sweep[0.0][1].methods:
+            errors = [gaze_noise_sweep[s][1].methods[method].errors for s in SIGMAS]
+            assert all(e.frame_id.tolist() == errors[0].frame_id.tolist() for e in errors)
+            assert len(errors[0].frame_id) == 400
+            for a, b in zip(errors, errors[1:]):
+                assert (a.distance_m <= b.distance_m).all()  # inf <= inf holds
+
+    def test_ten_degree_median_in_band(self, gaze_noise_sweep):
+        bundle = gaze_noise_sweep[10.0][1]
+        for method in bundle.methods:
+            assert 8.0 <= self._overall(bundle, method)["median_distance_cm"] <= 30.0
+
+    def test_summary_csv_has_precision_columns(self, gaze_noise_sweep, tmp_path):
+        manifest = gaze_noise_sweep[5.0][0]
+        assert cli.main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path)]) == 0
+        header, rows = read_summary_csv(tmp_path / "summary.csv")
+        assert {"p_at_10cm", "p_at_20cm", "p_at_50cm"} <= set(header) and rows
 
 
 class TestSceneSpecValidation:
@@ -220,15 +246,6 @@ def test_uniforms_of_many_rows_equal_one_row_calls(seed, stream, attempt, m, ind
     want = np.array([_uniforms(seed, stream, np.array([i]), attempt, m)[0] for i in index]).reshape(len(index), m)
     assert got.tobytes() == want.tobytes()
     assert ((got >= 0.0) & (got < 1.0)).all()
-
-
-def test_amplification_draws_are_standard_normal():
-    # mean |N(0, 1)| is sqrt(2/pi) and mean N(0, 1) is 0; over 20,000 frames their standard
-    # errors are near 0.004 and 0.007 per column
-    draws = _normals(2026, _STREAM_AMPLIFY, np.arange(20_000), 4)
-    assert draws.shape == (20_000, 4) and np.isfinite(draws).all()
-    assert np.abs(np.abs(draws).mean(axis=0) - math.sqrt(2 / math.pi)).max() < 0.02
-    assert np.abs(draws.mean(axis=0)).max() < 0.03
 
 
 def _per_frame_heads(spec):
