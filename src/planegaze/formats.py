@@ -154,6 +154,12 @@ def _load_json(path: Path, schema: str) -> dict:
 # memory). A final "*" column accepts any further header columns, as text.
 
 _BLOCK_ROWS = 1024  # rows a table writer joins and writes, or a table reader converts, at a time
+# A table whose columns of one float kind hold fewer distinct values than _REPR_CROSSOVER formats them
+# with repr, one call each; more go to floatrepr.repr_floats, _REPR_CHUNK at a time. Below about 700
+# values the kernel's fixed cost per call makes it slower than repr, and past a few thousand its
+# scratch arrays (about 0.7 MB at 2,048) outgrow the caches; CHANGES.md has the measurements.
+_REPR_CROSSOVER = 1024
+_REPR_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -175,15 +181,33 @@ class _Table:
             raise FormatError(message(row), file=str(self.path), line=int(self.lines[row]))
 
 
-def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]) -> None:
+def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str], finite: bool = False) -> None:
     """Write one sequence per schema column below ``# key: value`` metadata lines.
 
     The bytes are csv.writer's (lineterminator "\\n"), with a missing
-    "float?" value as a blank cell. Each distinct value is formatted once for
-    the whole table; the rows are then gathered, joined and written
-    ``_BLOCK_ROWS`` at a time, so the text in memory is one block's.
+    "float?" value as a blank cell. Each distinct value of a column is
+    formatted once, the floats of all the columns of one kind in one pass
+    (:func:`_float_cells`); the rows are then gathered, joined and written
+    ``_BLOCK_ROWS`` at a time, so the text in memory is one block's. With
+    ``finite``, a value the reader rejects, one that is not finite in a
+    "float" column or infinite in a "float?" column, is a ValueError naming
+    the file, the column and the row, and no file is opened.
     """
-    cells = [_cells(kind, col) for kind, col in zip(columns.values(), data)]
+    names, kinds = list(columns), list(columns.values())
+    cells = [None if kind in ("float", "float?") else _cells(kind, col) for kind, col in zip(kinds, data)]
+    for kind in ("float", "float?"):
+        group = [k for k, kd in enumerate(kinds) if kd == kind]
+        if not group:
+            continue
+        group_cells, distinct = _float_cells(kind, [data[k] for k in group])
+        for k, column_cells in zip(group, group_cells):
+            cells[k] = column_cells
+        bad = [np.isinf(d) if kind == "float?" else ~np.isfinite(d) for d in distinct] if finite else []
+        if any(b.any() for b in bad):
+            rows = [b[index] for b, (_, index) in zip(bad, group_cells)]
+            row, j = min((int(np.argmax(r)), j) for j, r in enumerate(rows) if r.any())
+            raise ValueError(f"cannot write {path}: field {names[group[j]]!r} of data row {row + 1} "
+                             f"is not finite: {float(distinct[j][group_cells[j][1][row]])!r}")
     if len(cells) == 1:  # csv.writer quotes a lone empty field, so no row is blank
         text, index = cells[0]
         cells[0] = np.array([c or '""' for c in text], dtype=object), index
@@ -203,8 +227,8 @@ def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
 
 
 def _cells(kind: str, col) -> tuple[np.ndarray, np.ndarray]:
-    """One column's cells as text: each run of equal text values, or each distinct
-    number, formatted once. Returns those cells as an object array and each row's
+    """One text or int column's cells: each run of equal text values, or each distinct
+    integer, formatted once. Returns those cells as an object array and each row's
     index into it. A text column given as an object array of str is taken as it is."""
     if kind == "text":
         values = col if isinstance(col, np.ndarray) and col.dtype == object else np.asarray(col, dtype=str)
@@ -213,14 +237,41 @@ def _cells(kind: str, col) -> tuple[np.ndarray, np.ndarray]:
         if any(map("".join(text).__contains__, ',"\r\n')):  # one check over all the runs
             text = list(map(_quote, text))
     else:
-        values = np.asarray(col, dtype=np.int64 if kind == "int" else float).reshape(-1)
-        # distinct on the bit pattern, so -0.0 keeps its sign apart from 0.0
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = list(map(repr, bits.view(values.dtype).tolist()))
-        if kind == "float?":
-            text = ["" if t == "nan" else t for t in text]
-    # each row's index in the smallest unsigned type that holds it: one byte while there are under 256 cells
-    return np.array(text, dtype=object), inverse.astype(np.min_scalar_type(len(text)))
+        values = np.asarray(col, dtype=np.int64).reshape(-1)
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = list(map(repr, distinct.tolist()))
+    return np.array(text, dtype=object), _narrow(inverse, len(text))
+
+
+def _float_cells(kind: str, cols) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """The cells of a table's columns of one float kind, as :func:`_cells` gives them, and
+    each column's distinct values. The distinct values of all the columns are formatted
+    in one pass, NaN as a blank in a "float?" column, into one object array that each
+    column's cells are a slice of."""
+    distinct, indices = [], []
+    for col in cols:  # distinct on the bit pattern, so -0.0 keeps its sign apart from 0.0
+        bits, inverse = np.unique(np.asarray(col, dtype=float).reshape(-1).view(np.int64), return_inverse=True)
+        distinct.append(bits.view(float))
+        indices.append(_narrow(inverse.reshape(-1), bits.size))
+    starts = np.cumsum([0] + [d.size for d in distinct])
+    values = np.concatenate(distinct)
+    distinct = [values[a:b] for a, b in zip(starts, starts[1:])]  # views, so the column copies are freed
+    text = np.empty(values.size, dtype=object)
+    if values.size < _REPR_CROSSOVER:
+        text[:] = list(map(repr, values.tolist()))
+    else:
+        from .floatrepr import repr_floats  # only a table this large needs the kernel
+
+        for start in range(0, values.size, _REPR_CHUNK):
+            text[start:start + _REPR_CHUNK] = repr_floats(values[start:start + _REPR_CHUNK])
+    if kind == "float?":
+        text[np.isnan(values)] = ""
+    return [(text[a:b], index) for a, b, index in zip(starts, starts[1:], indices)], distinct
+
+
+def _narrow(index: np.ndarray, n_cells: int) -> np.ndarray:
+    """Each row's index in the smallest unsigned type that holds it: one byte while there are under 256 cells."""
+    return index.astype(np.min_scalar_type(n_cells))
 
 
 def _quote(text: str) -> str:
@@ -516,7 +567,7 @@ def _check_cameras(table: _Table) -> None:
 
 def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None = None) -> None:
     data = [corners.view_id, corners.camera, *corners.ij.T, *corners.uv.T]
-    _write_table(Path(path), CORNERS_COLUMNS, data, _header("planegaze-corners-v1", meta))
+    _write_table(Path(path), CORNERS_COLUMNS, data, _header("planegaze-corners-v1", meta), finite=True)
 
 
 def _read_corner_table(path: Path) -> tuple[_Table, CornerTable]:
@@ -578,7 +629,7 @@ FACES_COLUMNS = {
 
 def write_faces(path: Path, faces: FaceTable, meta: dict[str, str] | None = None) -> None:
     data = [faces.frame_id, faces.camera, *faces.bbox.T, *faces.eye.T]
-    _write_table(Path(path), FACES_COLUMNS, data, _header("planegaze-faces-v1", meta))
+    _write_table(Path(path), FACES_COLUMNS, data, _header("planegaze-faces-v1", meta), finite=True)
 
 
 def read_faces(path: Path) -> FaceTable:
@@ -629,7 +680,7 @@ def write_predictions(path: Path, predictions: PredictionTable, *, unit: str = "
     scale = 1.0 if unit == "radians" else 180.0 / np.pi
     data = [predictions.frame_id, predictions.method, predictions.yaw * scale, predictions.pitch * scale]
     _write_table(Path(path), PREDICTIONS_COLUMNS, data, _header(
-        "planegaze-predictions-v1", {"unit": unit, "convention": predictions.convention, **(meta or {})}))
+        "planegaze-predictions-v1", {"unit": unit, "convention": predictions.convention, **(meta or {})}), finite=True)
 
 
 def read_predictions(path: Path) -> PredictionTable:
@@ -670,7 +721,7 @@ def write_truth(path: Path, frames: FrameTable, head_cc, direction_cc, meta: dic
     """Each frame's annotation with its exact head and gaze direction, (N, 3) each."""
     data = [frames.frame_id, frames.target_id, [";".join(t) for t in frames.tags],
             *np.reshape(head_cc, (-1, 3)).T, *np.reshape(direction_cc, (-1, 3)).T]
-    _write_table(Path(path), TRUTH_COLUMNS, data, _header("planegaze-truth-v1", meta))
+    _write_table(Path(path), TRUTH_COLUMNS, data, _header("planegaze-truth-v1", meta), finite=True)
 
 
 def read_truth(path: Path) -> tuple[FrameTable, np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ slower beyond a metric's bound, and marks the gains it may claim."""
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -117,7 +118,23 @@ def test_both_sides_are_fresh_copies_without_bytecode(tmp_path):
     assert (change / "pkg" / "mod.py").read_text() == "X = 2\n"
 
 
-def test_main_runs_neither_side_in_the_repository(monkeypatch, capsys):
+@pytest.fixture()
+def repo(tmp_path, monkeypatch):
+    """A throwaway repository holding the files main reads, made ROOT: main exports its
+    commits, so the tests that run main need a repository even where the tree they run
+    from is not one."""
+    root = tmp_path / "repo"
+    for name in ("BENCHMARK.json", "perfbench/run.py", "src/planegaze/__init__.py"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(bench_pairs.ROOT / name, root / name)
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    return root
+
+
+def test_main_runs_neither_side_in_the_repository(repo, monkeypatch, capsys):
     trees = []
 
     def fake_run(tree, workload, seed, seconds):
@@ -132,7 +149,7 @@ def test_main_runs_neither_side_in_the_repository(monkeypatch, capsys):
     assert bench_pairs.ROOT not in trees and trees[0].parent == trees[1].parent
 
 
-def test_both_trees_run_from_one_path(monkeypatch, capsys):
+def test_both_trees_run_from_one_path(repo, monkeypatch, capsys):
     """The path a tree runs from moves its peak RSS, so each side's tree is renamed to one
     run path for each of its runs, and back afterwards."""
     real_run, runs = subprocess.run, []
@@ -180,7 +197,7 @@ def check_record(record: dict) -> None:
             assert 0 <= m["wins"] <= entry["pairs"] and isinstance(m["claimable"], bool)
 
 
-def test_record_schema_sorted_keys_repr_floats_and_merge(tmp_path, monkeypatch, capsys):
+def test_record_schema_sorted_keys_repr_floats_and_merge(repo, tmp_path, monkeypatch, capsys):
     """--record writes the pairs as JSON with sorted keys and repr floats; a second
     invocation for another workload merges into the same record. No perfbench run starts."""
     def fake_run(tree, workload, seed, seconds, trace=0):
@@ -216,7 +233,7 @@ TRACED = {"correct": True, "attempted": 3, "failed": 0, "environment": {}, "metr
 }}
 
 
-def test_record_keeps_one_traced_run_s_counts_per_side(tmp_path, monkeypatch, capsys):
+def test_record_keeps_one_traced_run_s_counts_per_side(repo, tmp_path, monkeypatch, capsys):
     """--record adds one --trace 1 run per side and workload, after its pairs, and keeps that run's
     counts and no seconds; without --record no traced run is made."""
     calls = []

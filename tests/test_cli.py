@@ -52,6 +52,21 @@ class TestSynth:
         assert f"{scene}: invalid scene config: method name" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["scene.json"]
 
+    @pytest.mark.parametrize("flag, table, fields", [
+        ("--corner-noise", "corners.csv", ("'u'", "'v'")),
+        ("--face-noise", "faces.csv", ("'u_min'", "'v_min'", "'u_max'", "'v_max'", "'eye_u'", "'eye_v'")),
+    ])
+    def test_a_table_its_reader_would_reject_is_not_written(self, tmp_path, capsys, flag, table, fields):
+        """Noise that overflows to infinity: synth exits 1 naming the table, its column and row,
+        and writes neither the table, nor its temp file, nor a manifest."""
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--frames", "5", flag, "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / table}: field ") and err.count("\n") == 1
+        assert err.split("field ")[1].split(" ")[0] in fields and "is not finite: " in err
+        assert not (out / table).exists() and not (out / (table + ".tmp")).exists()
+        assert not (out / "manifest.json").exists()
+
     def test_negative_sigma_rejected_with_field_name(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--gaze-noise", "-1"])
         assert rc == 1
@@ -1093,9 +1108,11 @@ def fresh_interpreter(code: str) -> list[str]:
 
 
 def test_cli_import_leaves_the_generator_out():
-    """Only synth needs the scene generator, so importing the CLI does not load it."""
+    """Only synth needs the scene generator, and only a large table the float formatting
+    kernel, so importing the CLI loads neither."""
     loaded = fresh_interpreter("import sys, planegaze.cli; print(*sorted(sys.modules), sep='\\n')")
     assert "planegaze.cli" in loaded and "planegaze.synthetic" not in loaded
+    assert "planegaze.floatrepr" not in loaded
 
 
 def test_commands_on_a_dataset_never_import_numpy_ma(dataset_dir, tmp_path):

@@ -15,6 +15,8 @@ from planegaze.calibration import CornerTable, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
 from planegaze.formats import (
+    _REPR_CHUNK,
+    _REPR_CROSSOVER,
     _cells,
     _frames_json,
     _read_table,
@@ -43,6 +45,7 @@ from planegaze.formats import (
     write_stereo,
     write_truth,
 )
+from planegaze.floatrepr import repr_floats
 from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, default_target_map
 from planegaze.metrics import FrameTable
@@ -586,6 +589,28 @@ def test_writer_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path_factory, 
             assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
         else:
             assert got.tolist() == col
+
+
+@pytest.mark.parametrize("n_rows", [_REPR_CROSSOVER - 1, _REPR_CROSSOVER, 2 * _REPR_CHUNK + 1])
+def test_writer_matches_csv_writer_either_side_of_the_repr_crossover(tmp_path, n_rows):
+    """Under _REPR_CROSSOVER distinct floats of a kind (summed over its columns), a table
+    formats them with repr; from there on with floatrepr's kernel, _REPR_CHUNK values a
+    call, the columns of the kind together. The bytes are the same."""
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(size=n_rows) * 10.0 ** rng.integers(-12, 20, n_rows)
+    values[:6] = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.0001]
+    optional = values[::-1].copy()
+    optional[::7] = math.nan
+    floats = [values, -values] if n_rows > _REPR_CHUNK else [values]
+    columns = {"id": "text", "y": "float?", **{f"x{k}": "float" for k in range(len(floats))}}
+    data = [[f"r{k}" for k in range(n_rows)], optional.tolist(), *(x.tolist() for x in floats)]
+    meta = {"schema": "planegaze-test-v1"}
+    with patch("planegaze.floatrepr.repr_floats", wraps=repr_floats) as kernel:
+        _write_table(tmp_path / "t.csv", columns, data, meta)
+    assert (tmp_path / "t.csv").read_bytes() == _oracle_csv(columns, data, meta)
+    distinct = [sum(np.unique(x.view(np.int64)).size for x in group) for group in ([optional], floats)]
+    assert kernel.call_count == sum(math.ceil(d / _REPR_CHUNK) for d in distinct if d >= _REPR_CROSSOVER)
+    assert kernel.call_count == {_REPR_CROSSOVER - 1: 0, _REPR_CROSSOVER: 1}.get(n_rows, 7)
 
 
 @settings(max_examples=100, deadline=None)

@@ -58,7 +58,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("eval-shared-faces", "calib-rig", "synth-write")
 
 
-def export(ref: str, dest: Path, root: Path = ROOT) -> Path:
+def export(ref: str, dest: Path, root: Path) -> Path:
     """The tree of commit ``ref`` of the repository at ``root``, unpacked under ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=root, check=True,
                          capture_output=True).stdout
@@ -68,7 +68,7 @@ def export(ref: str, dest: Path, root: Path = ROOT) -> Path:
     return dest
 
 
-def export_worktree(dest: Path, root: Path = ROOT) -> Path:
+def export_worktree(dest: Path, root: Path) -> Path:
     """The working tree at ``root``, copied under ``dest``: every file git tracks or would
     add (untracked and not ignored) that exists, and nothing under a ``__pycache__``."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
@@ -185,7 +185,7 @@ def write_record(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def git_sha(ref: str, root: Path = ROOT) -> str:
+def git_sha(ref: str, root: Path) -> str:
     return subprocess.run(["git", "rev-parse", "--verify", f"{ref}^{{commit}}"], cwd=root, check=True,
                           capture_output=True, text=True).stdout.strip()
 
@@ -238,9 +238,10 @@ def main(argv=None) -> int:
 
     reasons, entries = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"base": export(args.base, Path(tmp) / "base"), "change": export_worktree(Path(tmp) / "work")}
-        sides = {"base": {"ref": args.base, "sha": git_sha(args.base)},
-                 "change": {"head": git_sha("HEAD"), "code_sha256": code_digest(trees["change"])}}
+        trees = {"base": export(args.base, Path(tmp) / "base", ROOT),
+                 "change": export_worktree(Path(tmp) / "work", ROOT)}
+        sides = {"base": {"ref": args.base, "sha": git_sha(args.base, ROOT)},
+                 "change": {"head": git_sha("HEAD", ROOT), "code_sha256": code_digest(trees["change"])}}
         for workload in args.workload or WORKLOADS:
             runs = {"base": [], "change": []}
             for k in range(args.pairs):
