@@ -10,7 +10,6 @@ generator's ground truth.
 import numpy as np
 
 from planegaze import estimate_plane_pose, head_point
-from planegaze.geometry import axis_angle_from_rotation
 from planegaze.synthetic import default_scene, generate_scene
 
 
@@ -21,7 +20,10 @@ def main():
     print("-- plane pose from the displayed grid --")
     pose = estimate_plane_pose(ds.plane_corners, ds.grid, ds.rig.left)
     true_T = ds.plane.transform
-    rot_err = np.linalg.norm(axis_angle_from_rotation(pose.transform.rotation @ true_T.rotation.T))
+    dR = pose.transform.rotation @ true_T.rotation.T
+    # the angle of dR: atan2 of its skew part's norm and its trace stays exact near zero, unlike arccos
+    vee = np.array([dR[2, 1] - dR[1, 2], dR[0, 2] - dR[2, 0], dR[1, 0] - dR[0, 1]]) / 2.0
+    rot_err = np.arctan2(np.linalg.norm(vee), (np.trace(dR) - 1.0) / 2.0)
     t_err = np.linalg.norm(pose.transform.translation - true_T.translation)
     print(f"fit rms: {pose.rms_reprojection:.3g} px over {len(ds.plane_corners)} corners")
     print(f"rotation error {rot_err:.2e} rad, translation error {t_err:.2e} m")

@@ -392,7 +392,12 @@ def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):
 
     def model(x: np.ndarray):
         uv, jacobian = project_packed_jacobian(xi, *_poses(x), view_idx, points)
-        return (uv - pixels).ravel(), lambda: jacobian(with_xi=False)[1].reshape(-1, 6)
+
+        def pose_jacobian():  # the pose entries are the shared ones; the one view's own block is empty
+            d_pose = jacobian(with_xi=False)[1]
+            return BlockJacobian(d_pose, d_pose[:, :, :0], view_idx)
+
+        return (uv - pixels).ravel(), pose_jacobian
 
     x0 = np.concatenate([pose0.rotation.ravel(), pose0.translation])
     result = levenberg_marquardt(model, x0, plus=_retract, n_increments=6)

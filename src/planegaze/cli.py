@@ -201,13 +201,18 @@ def cmd_calibrate(args) -> int:
     paths = [*args.corners, args.grid]
     prov = provenance(inputs=dict(zip(input_keys(paths), paths)), config={"origin": "estimated"})
 
+    # every fit comes before the first write, so a failed one leaves --out as it was
     results = {}
     for camera in (CAMERA_LEFT, CAMERA_RIGHT):
         rows = corners.camera == camera
-        if not rows.any():
-            continue
-        result = calibrate_camera(corners.take(rows), grid, args.image_size, fix_skew=not args.release_skew)
-        results[camera] = result
+        if rows.any():
+            results[camera] = calibrate_camera(corners.take(rows), grid, args.image_size,
+                                               fix_skew=not args.release_skew)
+    if not results:
+        raise FormatError("corner files contain no observations")
+    rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], corners, grid) if len(results) == 2 else None
+
+    for camera, result in results.items():
         per_view_rms = dict(zip(result.view_id.tolist(), result.view_rms.tolist()))
         print(f"{camera}: rms {result.rms_reprojection:.6g} px over {len(per_view_rms)} views")
         for vid, rms in per_view_rms.items():
@@ -220,13 +225,9 @@ def cmd_calibrate(args) -> int:
             per_view_rms=per_view_rms,
             prov=prov,
         )
-
-    if len(results) == 2:
-        rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], corners, grid)
+    if rig is not None:
         write_stereo(args.out / "stereo.json", rig, prov=prov)
         print(f"stereo: baseline {rig.baseline:.6g} m")
-    elif not results:
-        raise FormatError("corner files contain no observations")
     return EXIT_OK
 
 

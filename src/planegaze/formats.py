@@ -189,25 +189,18 @@ def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]
     formatted once, the floats of all the columns of one kind in one pass
     (:func:`_float_cells`); the rows are then gathered, joined and written
     ``_BLOCK_ROWS`` at a time, so the text in memory is one block's. With
-    ``finite``, a value the reader rejects, one that is not finite in a
-    "float" column or infinite in a "float?" column, is a ValueError naming
-    the file, the column and the row, and no file is opened.
+    ``finite``, :func:`_check_finite` runs first, and a table it rejects
+    opens no file.
     """
-    names, kinds = list(columns), list(columns.values())
+    if finite:
+        _check_finite(path, columns, data)
+    kinds = list(columns.values())
     cells = [None if kind in ("float", "float?") else _cells(kind, col) for kind, col in zip(kinds, data)]
     for kind in ("float", "float?"):
         group = [k for k, kd in enumerate(kinds) if kd == kind]
-        if not group:
-            continue
-        group_cells, distinct = _float_cells(kind, [data[k] for k in group])
-        for k, column_cells in zip(group, group_cells):
-            cells[k] = column_cells
-        bad = [np.isinf(d) if kind == "float?" else ~np.isfinite(d) for d in distinct] if finite else []
-        if any(b.any() for b in bad):
-            rows = [b[index] for b, (_, index) in zip(bad, group_cells)]
-            row, j = min((int(np.argmax(r)), j) for j, r in enumerate(rows) if r.any())
-            raise ValueError(f"cannot write {path}: field {names[group[j]]!r} of data row {row + 1} "
-                             f"is not finite: {float(distinct[j][group_cells[j][1][row]])!r}")
+        if group:
+            for k, column_cells in zip(group, _float_cells(kind, [data[k] for k in group])):
+                cells[k] = column_cells
     if len(cells) == 1:  # csv.writer quotes a lone empty field, so no row is blank
         text, index = cells[0]
         cells[0] = np.array([c or '""' for c in text], dtype=object), index
@@ -219,6 +212,23 @@ def _write_table(path: Path, columns: dict[str, str], data, meta: dict[str, str]
             block = [text[index[start:start + _BLOCK_ROWS]].tolist() for text, index in cells]
             f.write("\n".join(map(",".join, zip(*block))))
             f.write("\n")
+
+
+def _check_finite(path: Path, columns: dict[str, str], data) -> None:
+    """Raise ValueError at the first data row holding a value the reader rejects, one that is
+    not finite in a "float" column or infinite in a "float?" column, naming the file, the
+    column, the row and the value."""
+    hits = []
+    for (name, kind), col in zip(columns.items(), data):
+        if kind in ("float", "float?"):
+            col = np.asarray(col, dtype=float).reshape(-1)
+            bad = np.isinf(col) if kind == "float?" else ~np.isfinite(col)
+            if bad.any():
+                hits.append((int(np.argmax(bad)), name, col))
+    if hits:
+        row, name, col = min(hits, key=lambda hit: hit[0])  # the leftmost column among those of that row
+        raise ValueError(f"cannot write {path}: field {name!r} of data row {row + 1} "
+                         f"is not finite: {float(col[row])!r}")
 
 
 def _header(schema: str, meta: dict[str, str] | None) -> dict[str, str]:
@@ -243,11 +253,10 @@ def _cells(kind: str, col) -> tuple[np.ndarray, np.ndarray]:
     return np.array(text, dtype=object), _narrow(inverse, len(text))
 
 
-def _float_cells(kind: str, cols) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """The cells of a table's columns of one float kind, as :func:`_cells` gives them, and
-    each column's distinct values. The distinct values of all the columns are formatted
-    in one pass, NaN as a blank in a "float?" column, into one object array that each
-    column's cells are a slice of."""
+def _float_cells(kind: str, cols) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The cells of a table's columns of one float kind, as :func:`_cells` gives them. The
+    distinct values of all the columns are formatted in one pass, NaN as a blank in a
+    "float?" column, into one object array that each column's cells are a slice of."""
     distinct, indices = [], []
     for col in cols:  # distinct on the bit pattern, so -0.0 keeps its sign apart from 0.0
         bits, inverse = np.unique(np.asarray(col, dtype=float).reshape(-1).view(np.int64), return_inverse=True)
@@ -255,7 +264,7 @@ def _float_cells(kind: str, cols) -> tuple[list[tuple[np.ndarray, np.ndarray]], 
         indices.append(_narrow(inverse.reshape(-1), bits.size))
     starts = np.cumsum([0] + [d.size for d in distinct])
     values = np.concatenate(distinct)
-    distinct = [values[a:b] for a, b in zip(starts, starts[1:])]  # views, so the column copies are freed
+    del distinct  # the column copies, which values now holds
     text = np.empty(values.size, dtype=object)
     if values.size < _REPR_CROSSOVER:
         text[:] = list(map(repr, values.tolist()))
@@ -266,7 +275,7 @@ def _float_cells(kind: str, cols) -> tuple[list[tuple[np.ndarray, np.ndarray]], 
             text[start:start + _REPR_CHUNK] = repr_floats(values[start:start + _REPR_CHUNK])
     if kind == "float?":
         text[np.isnan(values)] = ""
-    return [(text[a:b], index) for a, b, index in zip(starts, starts[1:], indices)], distinct
+    return [(text[a:b], index) for a, b, index in zip(starts, starts[1:], indices)]
 
 
 def _narrow(index: np.ndarray, n_cells: int) -> np.ndarray:
@@ -565,9 +574,13 @@ def _check_cameras(table: _Table) -> None:
                 lambda k: f"camera must be left or right, got {str(cams[k])!r}")
 
 
-def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None = None) -> None:
+def _corners_table(corners: CornerTable, meta: dict[str, str] | None):
     data = [corners.view_id, corners.camera, *corners.ij.T, *corners.uv.T]
-    _write_table(Path(path), CORNERS_COLUMNS, data, _header("planegaze-corners-v1", meta), finite=True)
+    return CORNERS_COLUMNS, data, _header("planegaze-corners-v1", meta)
+
+
+def write_corners(path: Path, corners: CornerTable, meta: dict[str, str] | None = None) -> None:
+    _write_table(Path(path), *_corners_table(corners, meta), finite=True)
 
 
 def _read_corner_table(path: Path) -> tuple[_Table, CornerTable]:
@@ -627,9 +640,13 @@ FACES_COLUMNS = {
 }
 
 
-def write_faces(path: Path, faces: FaceTable, meta: dict[str, str] | None = None) -> None:
+def _faces_table(faces: FaceTable, meta: dict[str, str] | None):
     data = [faces.frame_id, faces.camera, *faces.bbox.T, *faces.eye.T]
-    _write_table(Path(path), FACES_COLUMNS, data, _header("planegaze-faces-v1", meta), finite=True)
+    return FACES_COLUMNS, data, _header("planegaze-faces-v1", meta)
+
+
+def write_faces(path: Path, faces: FaceTable, meta: dict[str, str] | None = None) -> None:
+    _write_table(Path(path), *_faces_table(faces, meta), finite=True)
 
 
 def read_faces(path: Path) -> FaceTable:
@@ -669,18 +686,22 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
 PREDICTIONS_COLUMNS = {"frame_id": "text", "method": "text", "yaw": "float", "pitch": "float"}
 
 
+def _predictions_table(predictions: PredictionTable, unit: str, meta: dict[str, str] | None):
+    if unit not in ANGLE_UNITS:
+        raise ValueError(f"unit must be one of {ANGLE_UNITS}, got {unit!r}")
+    scale = 1.0 if unit == "radians" else 180.0 / np.pi
+    data = [predictions.frame_id, predictions.method, predictions.yaw * scale, predictions.pitch * scale]
+    return PREDICTIONS_COLUMNS, data, _header(
+        "planegaze-predictions-v1", {"unit": unit, "convention": predictions.convention, **(meta or {})})
+
+
 def write_predictions(path: Path, predictions: PredictionTable, *, unit: str = "radians",
                       meta: dict[str, str] | None = None) -> None:
     """Emit predictions with the mandatory unit and convention headers.
 
     Internal angles are radians; ``unit`` selects the on-disk unit.
     """
-    if unit not in ANGLE_UNITS:
-        raise ValueError(f"unit must be one of {ANGLE_UNITS}, got {unit!r}")
-    scale = 1.0 if unit == "radians" else 180.0 / np.pi
-    data = [predictions.frame_id, predictions.method, predictions.yaw * scale, predictions.pitch * scale]
-    _write_table(Path(path), PREDICTIONS_COLUMNS, data, _header(
-        "planegaze-predictions-v1", {"unit": unit, "convention": predictions.convention, **(meta or {})}), finite=True)
+    _write_table(Path(path), *_predictions_table(predictions, unit, meta), finite=True)
 
 
 def read_predictions(path: Path) -> PredictionTable:
@@ -717,11 +738,15 @@ TRUTH_COLUMNS = {
 }
 
 
-def write_truth(path: Path, frames: FrameTable, head_cc, direction_cc, meta: dict[str, str] | None = None) -> None:
-    """Each frame's annotation with its exact head and gaze direction, (N, 3) each."""
+def _truth_table(frames: FrameTable, head_cc, direction_cc, meta: dict[str, str] | None):
     data = [frames.frame_id, frames.target_id, [";".join(t) for t in frames.tags],
             *np.reshape(head_cc, (-1, 3)).T, *np.reshape(direction_cc, (-1, 3)).T]
-    _write_table(Path(path), TRUTH_COLUMNS, data, _header("planegaze-truth-v1", meta), finite=True)
+    return TRUTH_COLUMNS, data, _header("planegaze-truth-v1", meta)
+
+
+def write_truth(path: Path, frames: FrameTable, head_cc, direction_cc, meta: dict[str, str] | None = None) -> None:
+    """Each frame's annotation with its exact head and gaze direction, (N, 3) each."""
+    _write_table(Path(path), *_truth_table(frames, head_cc, direction_cc, meta), finite=True)
 
 
 def read_truth(path: Path) -> tuple[FrameTable, np.ndarray, np.ndarray]:
@@ -926,17 +951,27 @@ def write_dataset(ds, out_dir: Path) -> Path:
 
     The calibration and plane-pose files are seeded with the ground truth,
     at the same locations the calibrate/plane-pose commands later
-    overwrite with their estimates.
+    overwrite with their estimates. Every table is checked
+    (:func:`_check_finite`) before the first write, so a dataset that a
+    reader would reject leaves ``out_dir`` as it was.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     truth_prov = {"origin": "synthetic-ground-truth", "seed": str(ds.spec.seed)}
+    tables = {
+        "corners.csv": _corners_table(ds.calib_corners, truth_prov),
+        "plane_corners.csv": _corners_table(ds.plane_corners, truth_prov),
+        "faces.csv": _faces_table(ds.faces, truth_prov),
+        "truth.csv": _truth_table(ds.frames, ds.head_cc, ds.direction_cc, truth_prov),
+        **{f"pred_{name}.csv": _predictions_table(ds.predictions[name], "radians", truth_prov)
+           for name in sorted(ds.predictions)},
+    }
+    for fname, (columns, data, _) in tables.items():
+        _check_finite(out / fname, columns, data)
 
+    out.mkdir(parents=True, exist_ok=True)
     write_grid_config(out / "grid.json", ds.grid)
-    write_corners(out / "corners.csv", ds.calib_corners, truth_prov)
-    write_corners(out / "plane_corners.csv", ds.plane_corners, truth_prov)
-    write_faces(out / "faces.csv", ds.faces, truth_prov)
-    write_truth(out / "truth.csv", ds.frames, ds.head_cc, ds.direction_cc, truth_prov)
+    for fname, table in tables.items():
+        _write_table(out / fname, *table)
 
     prov = provenance(config=truth_prov)
     write_intrinsics(out / "calib" / "intrinsics_left.json", ds.rig.left, camera="left", prov=prov)
@@ -945,11 +980,8 @@ def write_dataset(ds, out_dir: Path) -> Path:
     write_plane_pose(out / "calib" / "plane.json", ds.plane, prov=prov)
 
     methods = {m.name: m for m in ds.spec.methods}
-    pred_entries = {}
-    for name in sorted(ds.predictions):
-        fname = f"pred_{name}.csv"
-        write_predictions(out / fname, ds.predictions[name], unit="radians", meta=truth_prov)
-        pred_entries[name] = {"path": fname, "head_source": methods[name].head_source}
+    pred_entries = {name: {"path": f"pred_{name}.csv", "head_source": methods[name].head_source}
+                    for name in sorted(ds.predictions)}
 
     manifest_path = out / "manifest.json"
     write_manifest(

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,33 +155,6 @@ def rotation_from_axis_angle(rvec) -> np.ndarray:
     K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = r[:, 2], -r[:, 1], r[:, 0]
     R = np.eye(3)[None] + a[:, None, None] * K + b[:, None, None] * (K @ K)
     return R[0] if single else R
-
-
-def axis_angle_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Inverse Rodrigues map; ``R`` may be (3, 3) or (N, 3, 3), rvecs with norm in [0, pi].
-
-    The angle is atan2(sin, cos), which stays accurate near pi, where
-    arccos of the trace loses half the digits.
-    """
-    R = np.asarray(R, dtype=float)
-    single = R.ndim == 2
-    R = R.reshape(-1, 3, 3)
-    vee = 0.5 * np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1)
-    sin_t = norm(vee)
-    theta = np.arctan2(sin_t, (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0)
-    near_pi = math.pi - theta < 1e-6
-    plain = (theta >= 1e-8) & ~near_pi
-    out = vee.copy()  # below 1e-8 rad, vee is the rvec
-    out[plain] *= (theta[plain] / sin_t[plain])[:, None]
-    if near_pi.any():
-        # near pi the skew part vanishes; (R + R^T + 2 I) / 4 is a a^T up to (pi - theta)^2
-        A = (R[near_pi] + R[near_pi].transpose(0, 2, 1) + 2.0 * np.eye(3)) / 4.0
-        k = np.argmax(np.diagonal(A, axis1=1, axis2=2), axis=1)
-        axis = A[np.arange(len(A)), :, k]  # a_k a, for the largest axis component a_k
-        axis /= np.maximum(norm(axis), 1e-300)[:, None]
-        axis[dot(axis, vee[near_pi]) < 0] *= -1.0
-        out[near_pi] = theta[near_pi, None] * axis
-    return out[0] if single else out
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ the oracle the analytic Jacobians are tested against.
 Damping starts at 1e-3, multiplies by 10 on a rejected step, divides by
 10 on an accepted one, clamped to [1e-12, 1e12].
 
-Block normal equations. The intrinsics refinement has m shared parameters
-(the intrinsics) and one 6-entry pose block per view, and each residual
-row depends on the shared ones and its own view's block only. Its
-Jacobian comes as a :class:`BlockJacobian`, and JᵀJ is block-arrow:
+Block normal equations. Every model's Jacobian is a :class:`BlockJacobian`:
+m shared parameters and one p-entry block per view, each residual row
+depending on the shared ones and its own view's block only. The
+intrinsics refinement shares the intrinsics and has one 6-entry pose
+block per view; a single-pose solve shares its 6 pose entries and has
+one view with an empty block. JᵀJ is block-arrow:
 
     [ U   W_1 ... W_V ]
     [ W_1ᵀ V_1        ]      U = Σ_v A_vᵀA_v,  W_v = A_vᵀB_v,  V_v = B_vᵀB_v
@@ -34,9 +36,7 @@ Marquardt diagonal λ·diag(JᵀJ) (floored at 1e-15 of its largest entry),
 eliminates the pose blocks by Schur complement (Triggs et al. 2000,
 "Bundle Adjustment — A Modern Synthesis", §6), solves the m × m system
 S = U − Σ_v W_v V_v⁻¹ W_vᵀ for the shared step, and back-substitutes the
-pose steps, with the V_v solved as one batch. A plain (residuals,
-parameters) array is the degenerate case, every column shared and no pose
-blocks, so S is the damped JᵀJ itself.
+pose steps, with the V_v solved as one batch.
 
 Stop reasons: ``gradient`` (‖Jᵀr‖ below 1e-10), ``cost_floor`` (rms below
 1e-12), ``cost_plateau`` (a step changes the cost by less than 1e-12 of
@@ -46,8 +46,8 @@ changes, and only the step size tells convergence from divergence) and
 ``max_iter``. A rejected step with the damping at its cap raises
 NoConvergenceError.
 
-Rotation blocks are handled through an optional ``plus`` retraction, so
-the solver steps in local increments composed onto the current estimate
+Rotation blocks are handled through the ``plus`` retraction, so the
+solver steps in local increments composed onto the current estimate
 instead of in a global singular parameterization; a Jacobian is taken
 with respect to that increment. The pose solvers' state holds each view's
 rotation matrix itself (9 entries, against its increment's 3), so the
@@ -107,16 +107,16 @@ class BlockJacobian(NamedTuple):
     view: np.ndarray
 
 
-def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable, n_increments: int | None = None) -> np.ndarray:
+def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable, n_increments: int) -> np.ndarray:
     """Dense central-difference Jacobian of ``residual`` at ``x`` under ``plus``: 2 evaluations per column.
 
-    One column per increment entry, ``n_increments`` of them (``x.size`` by
-    default). Entry j steps by 1e-6 max(|x[j]|, 1): relative for the entries
-    an increment shares with ``x``, its leading ones, and 1e-6 where ``x[j]``
-    is a rotation-matrix entry, at most 1 in size.
+    One column per increment entry, ``n_increments`` of them. Entry j steps
+    by 1e-6 max(|x[j]|, 1): relative for the entries an increment shares
+    with ``x``, its leading ones, and 1e-6 where ``x[j]`` is a
+    rotation-matrix entry, at most 1 in size.
     """
     cols = []
-    dx = np.zeros(x.size if n_increments is None else n_increments)
+    dx = np.zeros(n_increments)
     for j in range(dx.size):
         h = FD_REL_STEP * max(abs(x[j]), 1.0)
         dx[j] = h
@@ -129,21 +129,19 @@ def fd_jacobian(residual: Callable, x: np.ndarray, plus: Callable, n_increments:
 
 
 def levenberg_marquardt(
-    model: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray | BlockJacobian]]],
+    model: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], BlockJacobian]]],
     x0: np.ndarray,
     *,
-    plus: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    n_increments: int | None = None,
+    plus: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_increments: int,
 ) -> LMResult:
     """Minimize sum of squared residuals starting from ``x0``.
 
-    ``plus(x, dx)`` applies a local increment of ``n_increments`` entries
-    (``x0.size`` by default); defaults to addition.
+    ``plus(x, dx)`` applies a local increment of ``n_increments`` entries.
     ``model(x)`` returns the residual at ``x`` and a function of no
-    arguments that builds its derivative with respect to the increment: a
-    dense (residuals, parameters) array, or a :class:`BlockJacobian`,
-    whose view index must not change between calls. That function is
-    called once per iteration, on the accepted x only.
+    arguments that builds its derivative with respect to the increment, a
+    :class:`BlockJacobian` whose view index must not change between calls.
+    That function is called once per iteration, on the accepted x only.
     ``residual_evals`` counts the model calls: one, plus one per trial
     step.
     Stops on a gradient norm below 1e-10, a relative cost change below
@@ -151,8 +149,6 @@ def levenberg_marquardt(
     cost still increases with the damping clamped at its maximum, raises
     NoConvergenceError carrying the best iterate seen.
     """
-    if plus is None:
-        plus = _add
     x = np.asarray(x0, dtype=float).copy()
     r, jacobian = model(x)
     evals = 1
@@ -168,11 +164,8 @@ def levenberg_marquardt(
 
     for n_iter in range(1, MAX_ITER + 1):
         jac = jacobian()
-        if not isinstance(jac, BlockJacobian):
-            # every column shared: one view whose own block is empty
-            jac = BlockJacobian(jac[:, None, :], jac[:, None, :0], np.zeros(len(jac), dtype=int))
         if slots is None:
-            slots = _view_slots(jac, x.size if n_increments is None else n_increments)
+            slots = _view_slots(jac, n_increments)
         system = _BlockSystem(jac, r, slots)
         if np.linalg.norm(system.gradient) < GRAD_TOL:
             reason = "gradient"
@@ -284,7 +277,3 @@ class _BlockSystem:
 
 def _rms(cost: float, n_residuals: int) -> float:
     return float(np.sqrt(cost / max(n_residuals, 1)))
-
-
-def _add(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    return x + dx

@@ -9,6 +9,7 @@ import pytest
 
 from planegaze.calibration import CalibrationResult
 from planegaze.geometry import RigidTransform
+from planegaze.optimize import BlockJacobian
 from planegaze.pipeline import CONVENTION_OFFSET, PredictionTable
 from planegaze.synthetic import default_scene, generate_scene
 from planegaze.triangulation import FaceTable, HeadPoint
@@ -50,6 +51,12 @@ def calibration_result(K, poses, rms=float("nan")) -> CalibrationResult:
 def view_poses(result: CalibrationResult) -> dict:
     """A CalibrationResult's view poses as {view_id: RigidTransform}."""
     return {v: RigidTransform(R, t) for v, R, t in zip(result.view_id.tolist(), result.rotation, result.translation)}
+
+
+def all_shared(J) -> BlockJacobian:
+    """A dense (residuals, parameters) Jacobian as a BlockJacobian: every column shared, and
+    one view whose own block is empty."""
+    return BlockJacobian(J[:, None, :], J[:, None, :0], np.zeros(len(J), dtype=int))
 
 
 def face_table(rows) -> FaceTable:

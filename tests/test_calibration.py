@@ -24,7 +24,7 @@ from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 from planegaze.grid import GridConfig, corner_position
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
 
-from conftest import calibration_result, view_poses
+from conftest import all_shared, calibration_result, view_poses
 
 
 # --- forward synthesis oracle -------------------------------------------------
@@ -70,10 +70,10 @@ def residuals(K, poses, corners, grid=TEST_GRID):
 
 
 def rotation_angle(Ra, Rb) -> float:
-    # log-map norm: exact near zero, unlike arccos of the trace
-    from planegaze.geometry import axis_angle_from_rotation
-
-    return float(np.linalg.norm(axis_angle_from_rotation(Ra @ Rb.T)))
+    # atan2(|vee(R)|, (tr R - 1) / 2): exact near zero, unlike arccos of the trace
+    R = Ra @ Rb.T
+    vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
+    return float(np.arctan2(np.linalg.norm(vee), (np.trace(R) - 1.0) / 2.0))
 
 
 TRUE_K = CameraIntrinsics(fx=800.0, fy=810.0, cx=320.0, cy=240.0, image_size=(640, 480))
@@ -254,7 +254,11 @@ class TestRefineCalibration:
         def f(x):
             return x - 1.0
 
-        lm = levenberg_marquardt(lambda x: (f(x), lambda: fd_jacobian(f, x, lambda x, dx: x + dx)), np.ones(3))
+        def plus(x, dx):
+            return x + dx
+
+        lm = levenberg_marquardt(lambda x: (f(x), lambda: all_shared(fd_jacobian(f, x, plus, 3))), np.ones(3),
+                                 plus=plus, n_increments=3)
         assert lm.iterations <= 2
         assert lm.cost == 0.0
 

@@ -24,6 +24,13 @@ def read_csv_rows(path: Path):
     return [next(csv.reader([r])) for r in rows]
 
 
+def snapshot(root: Path):
+    """Every path under ``root``, with a file's bytes; None if ``root`` does not exist."""
+    if not root.exists():
+        return None
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 class TestSynth:
     def test_reproducible_directories(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -52,20 +59,24 @@ class TestSynth:
         assert f"{scene}: invalid scene config: method name" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["scene.json"]
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-out", "earlier-out"])
     @pytest.mark.parametrize("flag, table, fields", [
         ("--corner-noise", "corners.csv", ("'u'", "'v'")),
         ("--face-noise", "faces.csv", ("'u_min'", "'v_min'", "'u_max'", "'v_max'", "'eye_u'", "'eye_v'")),
     ])
-    def test_a_table_its_reader_would_reject_is_not_written(self, tmp_path, capsys, flag, table, fields):
+    def test_a_table_its_reader_would_reject_is_not_written(self, tmp_path, capsys, flag, table, fields, earlier):
         """Noise that overflows to infinity: synth exits 1 naming the table, its column and row,
-        and writes neither the table, nor its temp file, nor a manifest."""
+        and leaves --out as it was, whether it did not exist or held an earlier dataset."""
         out = tmp_path / "d"
+        if earlier:
+            assert main(["synth", "--out", str(out), "--frames", "4", "--seed", "9"]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
         assert main(["synth", "--out", str(out), "--frames", "5", flag, "1e308"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out / table}: field ") and err.count("\n") == 1
         assert err.split("field ")[1].split(" ")[0] in fields and "is not finite: " in err
-        assert not (out / table).exists() and not (out / (table + ".tmp")).exists()
-        assert not (out / "manifest.json").exists()
+        assert snapshot(out) == before
 
     def test_negative_sigma_rejected_with_field_name(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--gaze-noise", "-1"])
@@ -111,6 +122,28 @@ class TestCalibrate(object):
             "--image-size", "1280x720", "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-out", "earlier-out"])
+    def test_a_failed_fit_leaves_out_as_it_was(self, tmp_path, capsys, earlier):
+        """The left camera fits, but the right one has 3 corners of one view: calibrate exits 2
+        before it writes, so --out stays as it was, whether it did not exist or held an earlier
+        calibration."""
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--frames", "5", "--calib-views", "4", "--seed", "3"]) == 0
+        header, *body = read_csv_rows(data / "corners.csv")
+        right = [r for r in body if r[1] == "right"]
+        rows = [r for r in body if r[1] == "left"] + [r for r in right if r[0] == right[0][0]][:3]
+        corners = tmp_path / "few_right.csv"
+        corners.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        out = tmp_path / "calib"
+        argv = ["calibrate", "--grid", str(data / "grid.json"), "--image-size", "1280x720", "--out", str(out)]
+        if earlier:
+            assert main([*argv, "--corners", str(data / "corners.csv")]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([*argv, "--corners", str(corners)]) == 2
+        assert "need >= 2 views" in capsys.readouterr().err
+        assert snapshot(out) == before
 
     def test_malformed_corner_row(self, dataset_dir, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from planegaze.geometry import (
     RigidTransform,
     angular_error_deg,
-    axis_angle_from_rotation,
     directions_to_yaw_pitch,
+    require_rotation,
     rotation_from_axis_angle,
     yaw_pitch_to_dir,
 )
@@ -115,45 +115,49 @@ class TestRigidTransform:
         roundtrip = T1.inverse().apply_point(T1.apply_point(p))
         np.testing.assert_allclose(roundtrip, p, atol=1e-12)
 
-    def test_axis_angle_round_trip(self):
+    def test_exp_map_is_second_order_accurate_near_zero(self):
+        """Below and above the series switch at 1e-8 rad, exp([w]x) is I + [w]x + [w]x^2 / 2 to
+        |w|^3, so the map is smooth through zero; exp(0) is I exactly."""
         rng = np.random.default_rng(5)
-        for theta in [1e-12, 1e-9, 0.3, 1.5, math.pi - 1e-4]:
+        assert np.array_equal(rotation_from_axis_angle(np.zeros(3)), np.eye(3))
+        for theta in [1e-12, 1e-9, 1e-8 * (1 - 1e-9), 1e-8, 1e-8 * (1 + 1e-9), 1e-6, 1e-4]:
             axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            rvec = axis * theta
-            R = rotation_from_axis_angle(rvec)
-            back = axis_angle_from_rotation(R)
-            np.testing.assert_allclose(back, rvec, atol=1e-7)
+            w = axis / np.linalg.norm(axis) * theta
+            K = np.cross(np.eye(3), w)  # [w]x: row i is e_i x w
+            taylor = np.eye(3) + K + K @ K / 2.0
+            assert np.abs(rotation_from_axis_angle(w) - taylor).max() <= theta ** 3 + 4e-16
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    other=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
     angle=st.one_of(
         st.floats(0.0, math.pi), st.floats(math.pi - 1e-6, math.pi), st.floats(0.0, 1e-7)
     ),
 )
-def test_axis_angle_inverts_rotation_up_to_pi(axis, angle):
-    rvec = np.array(axis) / np.linalg.norm(axis) * angle
-    R = rotation_from_axis_angle(rvec)
-    back = axis_angle_from_rotation(R)
-    assert np.linalg.norm(back) <= math.pi + 1e-12
-    np.testing.assert_allclose(rotation_from_axis_angle(back), R, rtol=0, atol=1e-9)
-    if math.pi - angle > 1e-6:
-        np.testing.assert_allclose(back, rvec, rtol=0, atol=1e-9)
-    else:  # near a half turn only R's vanishing skew part fixes the sign; R is checked above
-        assert min(np.abs(back - rvec).max(), np.abs(back + rvec).max()) < 1e-9
+def test_exp_map_turns_about_its_axis_up_to_pi(axis, other, angle):
+    """exp(theta a) fixes a, turns u perpendicular to a into cos(theta) u + sin(theta) a x u,
+    has trace 1 + 2 cos(theta) and is a proper rotation, for every angle in [0, pi]."""
+    a = np.array(axis) / np.linalg.norm(axis)
+    u = np.cross(a, other)
+    R = rotation_from_axis_angle(a * angle)
+    require_rotation(R)
+    np.testing.assert_allclose(R @ a, a, rtol=0, atol=1e-12)
+    want = math.cos(angle) * u + math.sin(angle) * np.cross(a, u)
+    np.testing.assert_allclose(R @ u, want, rtol=0, atol=1e-12)
+    assert abs(np.trace(R) - (1.0 + 2.0 * math.cos(angle))) <= 1e-12
 
 
-def test_axis_angle_batch_rows_equal_single_calls():
+def test_exp_map_batch_rows_equal_single_calls():
     rng = np.random.default_rng(8)
     axes = random_unit_vectors(rng, 8)
     angles = [0.0, 1e-10, 1e-8, 0.4, 2.0, math.pi - 1e-6, math.pi - 1e-9, math.pi]
-    Rs = rotation_from_axis_angle(axes * np.array(angles)[:, None])
-    batch = axis_angle_from_rotation(Rs)
-    assert batch.shape == (8, 3)
-    for R, row in zip(Rs, batch):
-        assert np.array_equal(axis_angle_from_rotation(R), row)
+    rvecs = axes * np.array(angles)[:, None]
+    batch = rotation_from_axis_angle(rvecs)
+    assert batch.shape == (8, 3, 3)
+    for rvec, R in zip(rvecs, batch):
+        assert np.array_equal(rotation_from_axis_angle(rvec), R)
 
 
 class TestRayPlaneIntersection:

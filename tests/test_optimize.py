@@ -32,7 +32,7 @@ from planegaze.optimize import (
 from planegaze.plane import estimate_plane_pose
 from planegaze.synthetic import NoiseSpec, default_scene, generate_scene, perturb
 
-from conftest import calibration_result
+from conftest import all_shared, calibration_result
 
 GRID = GridConfig(square_size=0.03, rows=5, cols=7)
 
@@ -55,7 +55,7 @@ class Captured(Exception):
 def capture_problem(solve):
     """The (model, x0, plus, n_increments) that ``solve()`` hands to the LM solver first."""
 
-    def capture(model, x0, *, plus=None, n_increments=None):
+    def capture(model, x0, *, plus, n_increments):
         raise Captured(model, x0, plus, n_increments)
 
     with mock.patch.object(calibration, "levenberg_marquardt", capture):
@@ -65,9 +65,7 @@ def capture_problem(solve):
 
 
 def densify(jac, n_params):
-    """The dense (residuals, parameters) Jacobian of a :class:`BlockJacobian`; a dense one as it is."""
-    if not isinstance(jac, BlockJacobian):
-        return jac
+    """The dense (residuals, parameters) Jacobian of a :class:`BlockJacobian`."""
     n, k, m = jac.shared.shape
     p = jac.own.shape[2]
     J = np.zeros((n, k, n_params))
@@ -342,8 +340,8 @@ def test_jacobian_built_once_per_accepted_step(rig):
 def test_rejected_trials_build_no_jacobian():
     """On a dense problem whose solve rejects trials, those trials build no J."""
     builds, costs = [0], []
-    model = counting_builds(lambda x: (rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)), builds, costs)
-    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
+    model = counting_builds(rosenbrock_model, builds, costs)
+    result = levenberg_marquardt(model, np.array([-1.2, 1.0]), plus=_add, n_increments=2)
     assert result.reason != "max_iter"
     assert builds[0] == builds_expected(costs, result.reason) < result.residual_evals - 1
 
@@ -380,14 +378,18 @@ def _add(x, dx):
     return x + dx
 
 
+def rosenbrock_model(x):
+    return rosenbrock(x), lambda: all_shared(fd_jacobian(rosenbrock, x, _add, 2))
+
+
 def test_residual_evals_counted_on_dense_problem():
     evals = [0]
 
     def model(x):
         evals[0] += 1
-        return rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)
+        return rosenbrock_model(x)
 
-    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
+    result = levenberg_marquardt(model, np.array([-1.2, 1.0]), plus=_add, n_increments=2)
     assert result.reason != "max_iter"
     assert result.residual_evals == evals[0]
 
@@ -396,19 +398,16 @@ def test_result_residual_is_the_model_residual_at_x():
     """``LMResult.residual`` is the model's r at the returned x, bit for bit, both
     for a normal stop and for the best iterate a NoConvergenceError carries."""
 
-    def model(x):
-        return rosenbrock(x), lambda: fd_jacobian(rosenbrock, x, _add)
-
-    result = levenberg_marquardt(model, np.array([-1.2, 1.0]))
+    result = levenberg_marquardt(rosenbrock_model, np.array([-1.2, 1.0]), plus=_add, n_increments=2)
     assert result.reason != "diverged"
-    assert np.array_equal(result.residual, model(result.x)[0])
+    assert np.array_equal(result.residual, rosenbrock(result.x))
 
     def wrong_sign(x):
         # a Jacobian of the wrong sign makes every step uphill, down to the damping cap
-        return x - 1.0, lambda: -1e-3 * np.eye(3)
+        return x - 1.0, lambda: all_shared(-1e-3 * np.eye(3))
 
     with pytest.raises(NoConvergenceError) as info:
-        levenberg_marquardt(wrong_sign, np.array([0.0, 2.0, 5.0]))
+        levenberg_marquardt(wrong_sign, np.array([0.0, 2.0, 5.0]), plus=_add, n_increments=3)
     best = info.value.best
     assert best.reason == "diverged"
     assert np.array_equal(best.residual, wrong_sign(best.x)[0])
@@ -498,4 +497,4 @@ def test_block_layout_must_cover_every_parameter():
     """Two views of 3 own entries after 2 shared ones make 8 parameters, not 9."""
     jac = BlockJacobian(np.ones((4, 2, 2)), np.ones((4, 2, 3)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="is not 9 parameters"):
-        levenberg_marquardt(lambda x: (x[:8] - 1.0, lambda: jac), np.zeros(9))
+        levenberg_marquardt(lambda x: (x[:8] - 1.0, lambda: jac), np.zeros(9), plus=_add, n_increments=9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planegaze.geometry import (
     RigidTransform,
@@ -20,6 +22,7 @@ from planegaze.pipeline import (
     ground_truth_direction,
 )
 from planegaze.plane import PlanePose
+from planegaze.synthetic import MethodSpec, _encode_predictions
 
 from conftest import heads_at, prediction_table, random_rotation, random_unit_vectors
 
@@ -67,6 +70,26 @@ class TestCorrection:
         got = correct_gaze_to_camera_frame(table, heads_at(bad))
         assert np.isnan(got[[1, 3, 4]]).all()
         assert np.array_equal(got[[0, 2]], want[[0, 2]])
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.05, 3.0)),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+)
+@example(head=(0.3, 0.2, 0.5), direction=(1e-8, 1.0, 0.0))  # 1e-8 off a pole: the encoding's pitch is -pi/2
+def test_correction_inverts_the_generators_encoding(convention, head, direction):
+    """correct_gaze_to_camera_frame gives back the direction that synthetic's ideal network
+    encoded, for a head in front of the camera: to 1e-9 more than 1e-6 rad from the
+    pitch poles, and to 2e-8 at them, where the arcsin that gives the pitch loses half
+    its digits."""
+    d = np.array([direction]) / np.linalg.norm(direction)
+    heads = heads_at(head)
+    yaw_pitch = _encode_predictions(MethodSpec("m", convention), heads.position, d)
+    got = correct_gaze_to_camera_frame(prediction_table(*yaw_pitch.T, convention), heads)
+    tol = 1e-9 if math.hypot(d[0, 0], d[0, 2]) > 1e-6 else 2e-8
+    assert np.abs(got - d).max() <= tol
 
 
 class TestGazePointOnSurface:
