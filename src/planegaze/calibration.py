@@ -420,7 +420,8 @@ def calibrate_stereo(
     are averaged (chordal rotation mean, translation mean) and the single
     relative pose is then refined against the right-camera corners of all
     shared views, with the left poses held fixed. The views may come in any
-    order in either result.
+    order in either result. Raises :class:`NoSharedViewsError` when no view
+    is in both results, or ``corners`` holds no right-camera corner of one.
     """
     shared, il, ir = np.intersect1d(left.view_id, right.view_id, assume_unique=True, return_indices=True)
     if not len(shared):
@@ -435,7 +436,7 @@ def calibrate_stereo(
     obj, pix = _corner_arrays(corners, grid)
     rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared)
     if not rows.any():
-        return StereoRig(left.intrinsics, right.intrinsics, RigidTransform(R0, t0))
+        raise NoSharedViewsError("no right-camera corner lies in a view both cameras were calibrated on")
 
     # the right corners' board points in the left camera frame, fixed by the left poses
     view_idx = np.searchsorted(shared, corners.view_id[rows])

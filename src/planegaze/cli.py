@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -111,16 +110,14 @@ def _add_globals(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the width argparse's HelpFormatter computes itself, once instead of in each of its ~50 formatters
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(prog="planegaze", description=__doc__, formatter_class=formatter)
+    parser = _Parser(prog="planegaze", description=__doc__)
     parser.add_argument("--version", action="version", version=f"planegaze {__version__}")
     _add_globals(parser)
     parser.set_defaults(seed=0, threads=1, config=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
-        p = sub.add_parser(name, formatter_class=formatter, **kwargs)
+        p = sub.add_parser(name, **kwargs)
         _add_globals(p)
         return p
 
@@ -168,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=None)
-def _parser(columns: int) -> argparse.ArgumentParser:
-    """:func:`build_parser`, built once per terminal width, the width its help text wraps to."""
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process; argparse sizes its help text when it prints it."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _parser(shutil.get_terminal_size().columns)
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -74,10 +74,6 @@ class EmptySelectionError(DegenerateDataError):
     """A filter selected no records."""
 
 
-class DegenerateGeometryError(DegenerateDataError):
-    """Geometric query undefined (coincident points, zero-length direction)."""
-
-
 class ResampleExceededError(DegenerateDataError):
     """Scene sampling failed to produce a valid configuration."""
 
@@ -86,8 +82,9 @@ class ResampleExceededError(DegenerateDataError):
 
 # Every reason a batch stage marks a row with, and so every reason a frame is
 # skipped with in report.json. The CamelCase reasons read as error class
-# names; three of them (ParallelRaysError, MissingObservationError,
-# UnknownTargetError) name no class, since nothing raises them.
+# names; four of them (ParallelRaysError, MissingObservationError,
+# UnknownTargetError, DegenerateGeometryError) name no class, since nothing
+# raises them.
 ROW_FAILURES = (
     "missing_prediction", "missing_face_observation", "NotInvertibleError", "ParallelRaysError",
     "BehindCameraError", "MissingObservationError", "UnknownTargetError", "DegenerateGeometryError",

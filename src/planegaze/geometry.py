@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
-
 ROTATION_TOL = 1e-9
 
 
@@ -33,15 +31,6 @@ def as_vec3(v) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("vector has non-finite components")
     return a
-
-
-def normalized(v) -> np.ndarray:
-    """Unit vector along ``v``. Raises on (near-)zero input."""
-    a = as_vec3(v)
-    n = np.linalg.norm(a, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
-        raise DegenerateGeometryError("cannot normalize a zero-length vector")
-    return a / n
 
 
 def yaw_pitch_to_dir(yaw, pitch) -> np.ndarray:

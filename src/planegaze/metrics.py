@@ -115,15 +115,8 @@ def evaluate_frame(pred_directions, gt_directions, estimate: SurfaceGazeEstimate
 
 
 def tag_masks(tags, names) -> dict[str, np.ndarray]:
-    """Which rows carry each tag of ``names``, as boolean masks, from one pass over ``tags``
-    (one tag tuple per row)."""
-    owner = np.repeat(np.arange(len(tags)), [len(row) for row in tags])
-    flat = np.array([tag for row in tags for tag in row], dtype=str)
-    masks = {}
-    for name in names:
-        masks[name] = np.zeros(len(tags), dtype=bool)
-        masks[name][owner[flat == name]] = True
-    return masks
+    """Which rows carry each tag of ``names``, as boolean masks over ``tags`` (one tag tuple per row)."""
+    return {name: np.array([name in row for row in tags], dtype=bool) for name in names}
 
 
 def _select(errors: FrameErrors, mask):
@@ -231,18 +224,6 @@ def yaw_pitch_histogram(
     yp = continued_yaw_pitch_deg(d)
     yaw_edges = np.asarray(yaw_edges_deg, dtype=float)
     pitch_edges = np.asarray(pitch_edges_deg, dtype=float)
-    yaw, pitch = (_bins(np.clip(yp[:, k], e[0], e[-1]), e) for k, e in enumerate((yaw_edges, pitch_edges)))
-    shape = (yaw_edges.size - 1, pitch_edges.size - 1)
-    inside = (yaw < shape[0]) & (pitch < shape[1])  # a NaN angle lands in no bin
-    counts = np.bincount(yaw[inside] * shape[1] + pitch[inside], minlength=shape[0] * shape[1])
-    return Histogram2D(yaw_edges, pitch_edges, counts.reshape(shape))
-
-
-def _bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """The bin of each value in [edges[0], edges[-1]], or len(edges) - 1 for NaN. Bins are
-    half-open but the last, which is closed, as in ``np.histogram2d``."""
-    if np.any(edges[1:] < edges[:-1]):
-        raise ValueError("histogram edges must increase monotonically")
-    k = np.searchsorted(edges, values, side="right") - 1
-    k[values == edges[-1]] -= 1
-    return k
+    yaw, pitch = (np.clip(yp[:, k], e[0], e[-1]) for k, e in enumerate((yaw_edges, pitch_edges)))
+    counts = np.histogram2d(yaw, pitch, bins=(yaw_edges, pitch_edges))[0]
+    return Histogram2D(yaw_edges, pitch_edges, counts.astype(int))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import directions_to_yaw_pitch, norm, normalized, unit, vecmat, yaw_pitch_to_dir
+from .geometry import directions_to_yaw_pitch, norm, unit, vecmat, yaw_pitch_to_dir
 from .plane import PlanePose
 from .triangulation import HeadPoint
 
@@ -84,7 +84,8 @@ def _in_front(head: HeadPoint) -> np.ndarray:
 def camera_offset_angles(head: HeadPoint):
     """Yaw/pitch of the direction from the head to the camera center; NaN for a head not in front of it."""
     front = _in_front(head)
-    yp = directions_to_yaw_pitch(normalized(-np.where(front[:, None], head.position, 1.0)))
+    to_camera = -np.where(front[:, None], head.position, 1.0)
+    yp = directions_to_yaw_pitch(to_camera / np.linalg.norm(to_camera, axis=-1, keepdims=True))
     yp[~front] = np.nan
     return yp[..., 0], yp[..., 1]
 
@@ -123,7 +124,8 @@ def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> Su
     direction_cc = np.asarray(direction_cc, dtype=float)
     length = np.linalg.norm(direction_cc, axis=-1)
     aimed = np.isfinite(length) & (length >= 1e-12)
-    d_cc = normalized(np.where(aimed[:, None], direction_cc, 1.0))
+    d_cc = np.where(aimed[:, None], direction_cc, 1.0)
+    d_cc = d_cc / np.linalg.norm(d_cc, axis=-1, keepdims=True)
     T = plane.transform
     origin = T.apply_points(head.position)
     # renormalized around the rotation exactly as planegaze 0.1.0's per-ray

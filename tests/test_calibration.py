@@ -337,6 +337,15 @@ class TestCalibrateStereo:
         with pytest.raises(NoSharedViewsError):
             calibrate_stereo(left, renamed, obs, TEST_GRID)
 
+    def test_no_right_corner_of_a_shared_view(self):
+        """The results share every view, but the corner table holds only the left camera's
+        corners: there is nothing to refine the relative pose against."""
+        obs = stereo_problem(73, RigidTransform.identity(), n_views=4)
+        left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
+        right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
+        with pytest.raises(NoSharedViewsError, match="no right-camera corner"):
+            calibrate_stereo(left, right, obs.take(obs.camera == "left"), TEST_GRID)
+
     def test_frame_consistency(self):
         # composing left pose with the rig reprojects right corners about as
         # well as the right camera's own fit

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planegaze.cli import main
@@ -201,6 +202,40 @@ class TestPlanePose:
             "--out", str(tmp_path / "plane.json"),
         ])
         assert rc == 3
+
+    def test_corner_past_the_lens_fold_is_not_invertible(self, dataset_dir, tmp_path, capsys):
+        """With k3 = -0.048, a value fitted on a calibration whose corners stop short of the plane's,
+        the lens folds over at r_d ~0.80, inside the plane corners' reach of ~1.06. The corners past
+        the fold have no preimage, so the library raises NotInvertibleError and plane-pose exits 2
+        without writing, while the corners inside the fold alone still fit."""
+        from dataclasses import replace
+
+        from planegaze.camera import undistort_pixels
+        from planegaze.errors import NotInvertibleError
+        from planegaze.formats import read_grid_config, read_intrinsics, read_plane_corners, write_intrinsics
+        from planegaze.plane import estimate_plane_pose
+
+        true_lens = read_intrinsics(dataset_dir / "calib" / "intrinsics_left.json")
+        K = replace(true_lens, dist=(*true_lens.dist[:4], -0.048))
+        k1, k2, _, _, k3 = K.dist
+        s = min(r.real for r in np.roots([7 * k3, 5 * k2, 3 * k1, 1]) if abs(r.imag) < 1e-12 and r.real > 0)
+        fold = np.sqrt(s) * (1 + k1 * s + k2 * s ** 2 + k3 * s ** 3)
+        corners = read_plane_corners(dataset_dir / "plane_corners.csv")
+        past = np.hypot((corners.uv[:, 0] - K.cx) / K.fx, (corners.uv[:, 1] - K.cy) / K.fy) > fold
+        assert 0 < past.sum() < len(past)
+        assert np.array_equal(np.isnan(undistort_pixels(K, corners.uv)).any(axis=1), past)
+        grid = read_grid_config(dataset_dir / "grid.json")
+        with pytest.raises(NotInvertibleError):
+            estimate_plane_pose(corners, grid, K)
+        estimate_plane_pose(corners.take(~past), grid, K)
+
+        intrinsics, out = tmp_path / "intrinsics_left.json", tmp_path / "plane.json"
+        write_intrinsics(intrinsics, K, camera="left")
+        rc = main(["plane-pose", "--corners", str(dataset_dir / "plane_corners.csv"),
+                   "--grid", str(dataset_dir / "grid.json"), "--intrinsics", str(intrinsics), "--out", str(out)])
+        assert rc == 2
+        assert "distortion inversion did not converge" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["calibration_file", "right_camera", "second_view"])
     def test_corners_must_be_one_left_view(self, dataset_dir, tmp_path, capsys, case):
@@ -1005,7 +1040,7 @@ class TestMalformedDatasetRows:
 
 @pytest.mark.parametrize("columns", ["52", "131"])
 def test_help_text_is_argparse_default(monkeypatch, capsys, columns):
-    """The parser sizes its help text once; every --help prints what argparse's own formatter does."""
+    """Every --help prints what argparse's own formatter does at the width COLUMNS gives."""
     import argparse
 
     from planegaze.cli import build_parser
