@@ -203,14 +203,10 @@ def intrinsics_from_homographies(
         raise IllConditionedError(
             "board orientations are too similar: conic constraint system is rank-deficient"
         )
-    b = Vt[-1]
-    if fix_skew:
-        B11, B22, B13, B23, B33 = b
-        B12 = 0.0
-    else:
-        B11, B12, B22, B13, B23, B33 = b
-    if B11 < 0:
-        B11, B12, B22, B13, B23, B33 = -B11, -B12, -B22, -B13, -B23, -B33
+    b = np.insert(Vt[-1], 1, 0.0) if fix_skew else Vt[-1]  # skew fixed: B12 = 0 fills the dropped column
+    if b[0] < 0:
+        b = -b
+    B11, B12, B22, B13, B23, B33 = b
 
     denom = B11 * B22 - B12 * B12
     if denom <= 0 or B11 <= 0:
@@ -255,8 +251,8 @@ def pose_from_homography(K, H) -> tuple[np.ndarray, np.ndarray]:
 
 # --- joint refinement -----------------------------------------------------
 
-def _corner_arrays(corners: CornerTable, grid: GridConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Board points (N, 3) and pixels (N, 2) of a corner table, in row order.
+def board_points(corners: CornerTable, grid: GridConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Board points (N, 3) and pixels (N, 2) of a corner table, in row order: the one corner-to-board lookup.
 
     Raises ValueError naming the first corner, in row order, outside the grid lattice.
     """
@@ -312,7 +308,7 @@ def refine_calibration(
     least squares; never returns a result worse than the initialization.
     Raises NoConvergenceError (carrying the best iterate) on divergence.
     """
-    obj, pix = _corner_arrays(corners, grid)
+    obj, pix = board_points(corners, grid)
     view_ids, view_idx = np.unique(corners.view_id, return_inverse=True)
     # not np.isin: on arrays this small it calls np.unique, which imports numpy.ma (about 1 MB)
     found, _, k = np.intersect1d(view_ids, init.view_id, assume_unique=True, return_indices=True)
@@ -352,7 +348,7 @@ def calibrate_camera(
     homography (e.g. all on one lattice row), are dropped with a warning.
     Raises only when too few views remain to initialize the intrinsics.
     """
-    obj, pix = _corner_arrays(corners, grid)
+    obj, pix = board_points(corners, grid)
     view_ids, view_idx, counts = np.unique(corners.view_id, return_inverse=True, return_counts=True)
     # each view's rows in input order: this fixes the residual row order
     order = np.argsort(view_idx, kind="stable")
@@ -433,7 +429,7 @@ def calibrate_stereo(
     R0 = nearest_rotation(np.mean(R_r @ R_lt, axis=0))
     t0 = np.mean((R_r @ -(R_lt @ t_l))[:, :, 0] + right.translation[ir], axis=0)
 
-    obj, pix = _corner_arrays(corners, grid)
+    obj, pix = board_points(corners, grid)
     rows = (corners.camera == CAMERA_RIGHT) & np.isin(corners.view_id, shared)
     if not rows.any():
         raise NoSharedViewsError("no right-camera corner lies in a view both cameras were calibrated on")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError
 from .geometry import RigidTransform, as_vec3
 
 UNDISTORT_TOL = 1e-10
@@ -93,15 +92,16 @@ def _pixels(xd, yd, fx, fy, cx, cy, skew) -> np.ndarray:
 def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     """Project camera- or world-frame points through ``pose`` into pixels.
 
-    ``X`` has shape (..., 3); result has shape (..., 2). Raises
-    BehindCameraError if any point lands at z <= 1e-9 after the pose.
+    ``X`` has shape (..., 3); result has shape (..., 2). A point that
+    lands at z <= 1e-9 after the pose, behind the camera, gets a NaN row.
     """
     Xc = pose.apply_point(as_vec3(X))
-    z = Xc[..., 2]
-    if np.any(z <= 1e-9):
-        raise BehindCameraError("point behind camera (z <= 0 after pose transform)")
+    behind = Xc[..., 2] <= 1e-9
+    z = np.where(behind, 1.0, Xc[..., 2])
     xd, yd, _, _ = _distort(Xc[..., 0] / z, Xc[..., 1] / z, K.dist)
-    return _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy, K.skew)
+    uv = _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy, K.skew)
+    uv[behind] = np.nan
+    return uv
 
 
 def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
@@ -110,8 +110,8 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
     ``xi`` is laid out as :meth:`CameraIntrinsics.packed`. Point n lies at
     ``obj[n]`` on the board of view ``view_idx[n]``, posed by ``rotations``
     (V, 3, 3) and ``tvecs`` (V, 3), one per view. Points behind the camera
-    are clamped to z = 1e-9 instead of raising, so a solver's excursions
-    show as large residuals.
+    are clamped to z = 1e-9, not marked NaN as :func:`project_points`
+    marks them, so a solver's excursions show as large residuals.
 
     Returns ``(uv, jacobian)``: the pixels (N, 2), and a function that
     builds the derivatives from this projection's intermediates, for a

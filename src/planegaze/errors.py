@@ -62,10 +62,6 @@ class InvalidPoseError(DegenerateDataError):
     """Recovered pose is physically impossible (plane not in front of camera)."""
 
 
-class BehindCameraError(DegenerateDataError):
-    """A point lies behind a camera where projection is undefined."""
-
-
 class NoSharedViewsError(DegenerateDataError):
     """Stereo calibration requires at least one view seen by both cameras."""
 
@@ -82,9 +78,9 @@ class ResampleExceededError(DegenerateDataError):
 
 # Every reason a batch stage marks a row with, and so every reason a frame is
 # skipped with in report.json. The CamelCase reasons read as error class
-# names; four of them (ParallelRaysError, MissingObservationError,
-# UnknownTargetError, DegenerateGeometryError) name no class, since nothing
-# raises them.
+# names; five of them (ParallelRaysError, BehindCameraError,
+# MissingObservationError, UnknownTargetError, DegenerateGeometryError) name
+# no class, since nothing raises them.
 ROW_FAILURES = (
     "missing_prediction", "missing_face_observation", "NotInvertibleError", "ParallelRaysError",
     "BehindCameraError", "MissingObservationError", "UnknownTargetError", "DegenerateGeometryError",

@@ -43,8 +43,11 @@ Stop reasons: ``gradient`` (‖Jᵀr‖ below 1e-10), ``cost_floor`` (rms below
 itself), ``step_floor`` (a step no longer than 1e-12 (‖x‖ + 1e-12), as
 MINPACK's xtol: at a tiny residual rounding noise swamps relative cost
 changes, and only the step size tells convergence from divergence) and
-``max_iter``. A rejected step with the damping at its cap raises
-NoConvergenceError.
+``max_iter``. Every trial, accepted or rejected, picks its stop reason in
+one place, testing ``cost_floor``, ``cost_plateau`` and ``step_floor`` in
+that order; only an accepted step can reach the floor, since the cost is
+above it when each iteration starts. A rejected step with the damping at
+its cap raises NoConvergenceError.
 
 Rotation blocks are handled through the ``plus`` retraction, so the
 solver steps in local increments composed onto the current estimate
@@ -155,12 +158,14 @@ def levenberg_marquardt(
     cost = float(r @ r)
     lam = DAMPING_INIT
     n_iter = 0
-    reason = "max_iter"
     floor = r.size * RMS_FLOOR * RMS_FLOOR
     slots = None
 
+    def result(reason: str) -> LMResult:
+        return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals, r)
+
     if cost <= floor:
-        return LMResult(x, cost, _rms(cost, r.size), 0, "cost_floor", evals, r)
+        return result("cost_floor")
 
     for n_iter in range(1, MAX_ITER + 1):
         jac = jacobian()
@@ -168,8 +173,7 @@ def levenberg_marquardt(
             slots = _view_slots(jac, n_increments)
         system = _BlockSystem(jac, r, slots)
         if np.linalg.norm(system.gradient) < GRAD_TOL:
-            reason = "gradient"
-            break
+            return result("gradient")
 
         while True:
             dx = system.step(lam)
@@ -180,37 +184,28 @@ def levenberg_marquardt(
                 cost_try = float(r_try @ r_try)
                 rel_change = abs(cost - cost_try) / max(cost, 1e-300)
                 small_step = np.linalg.norm(dx) <= STEP_REL_TOL * (np.linalg.norm(x) + STEP_REL_TOL)
-                if cost_try < cost:
+                accepted = cost_try < cost
+                if accepted:
                     x, r, jacobian, cost = x_try, r_try, jacobian_try, cost_try
                     lam = max(lam / DAMPING_FACTOR, DAMPING_MIN)
-                    if cost <= floor:
-                        reason = "cost_floor"
-                    elif rel_change < COST_REL_TOL:
-                        reason = "cost_plateau"
-                    elif small_step:
-                        reason = "step_floor"
-                    break
+                # every iteration starts above the floor, so only an accepted step reaches it
+                if cost <= floor:
+                    return result("cost_floor")
                 if rel_change < COST_REL_TOL:
-                    # step no longer changes the cost: converged at a plateau
-                    reason = "cost_plateau"
-                    break
+                    return result("cost_plateau")
                 if small_step:
                     # x no longer moves; what the cost does is rounding noise
-                    reason = "step_floor"
+                    return result("step_floor")
+                if accepted:
                     break
             if lam >= DAMPING_MAX:
-                best = LMResult(x, cost, _rms(cost, r.size), n_iter, "diverged", evals, r)
                 raise NoConvergenceError(
                     "refinement failed: cost still increases with damping at its cap",
-                    best=best,
+                    best=result("diverged"),
                 )
             lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
 
-        # the inner loop ends without an accepted step only on cost_plateau or step_floor
-        if reason in ("cost_plateau", "cost_floor", "step_floor"):
-            break
-
-    return LMResult(x, cost, _rms(cost, r.size), n_iter, reason, evals, r)
+    return result("max_iter")
 
 
 def _view_slots(jac: BlockJacobian, n_params: int) -> tuple[int, int, np.ndarray | None]:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CornerTable, estimate_homography, pose_from_homography, refine_pose
+from .calibration import CornerTable, board_points, estimate_homography, pose_from_homography, refine_pose
 from .camera import UNDISTORT_MAX_ITER, CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError, NotInvertibleError
 from .geometry import RigidTransform
-from .grid import GridConfig, corner_position
+from .grid import GridConfig
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,7 @@ def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntri
     if len(ij) < 4:
         raise DegenerateConfigurationError(f"plane pose needs >= 4 corners, got {len(ij)}")
     order = np.lexsort((pixels[:, 1], pixels[:, 0], ij[:, 1], ij[:, 0]))
-    (i, j), pixels = ij[order].T, pixels[order]
-    outside = ~config.in_bounds(i, j)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"corner index ({i[k]}, {j[k]}) outside grid lattice")
-
-    obj = corner_position(config, i, j)
+    obj, pixels = board_points(corners.take(order), config)
     normalized = undistort_pixels(K, pixels)
     if np.isnan(normalized).any():
         raise NotInvertibleError(f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calibration import CAMERA_LEFT, CAMERA_RIGHT, CornerTable, StereoRig
 from .camera import CameraIntrinsics, project_points
-from .errors import BehindCameraError, ResampleExceededError
+from .errors import ResampleExceededError
 from .geometry import (
     RigidTransform,
     directions_to_yaw_pitch,
@@ -264,11 +264,9 @@ def _sample_board_view(spec: SceneSpec, view: int) -> CornerTable:
             ]
         )
         pose_left = RigidTransform(R, pos - R @ center)
-        try:
-            uv_left = project_points(rig.left, pose_left, pts)
-            uv_right = project_points(rig.right, rig.right_from_left.compose(pose_left), pts)
-        except BehindCameraError:
-            continue
+        uv_left = project_points(rig.left, pose_left, pts)
+        uv_right = project_points(rig.right, rig.right_from_left.compose(pose_left), pts)
+        # a point behind a camera projects to NaN, which no image holds
         if not (_in_image(uv_left, rig.left, 12.0).all() and _in_image(uv_right, rig.right, 12.0).all()):
             continue
         n = len(idx)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planegaze.camera import CameraIntrinsics, project_points, undistort_pixels
-from planegaze.errors import BehindCameraError
-from planegaze.geometry import RigidTransform
+from planegaze.geometry import RigidTransform, rotation_from_axis_angle
 
 
 def plain_camera(**kwargs) -> CameraIntrinsics:
@@ -31,9 +34,32 @@ class TestProjection:
         assert u == pytest.approx(640.0 + 1000.0 * 0.1 * 0.998, abs=1e-12)
         assert v == pytest.approx(360.0)
 
-    def test_point_behind_camera(self):
-        with pytest.raises(BehindCameraError):
-            project_points(plain_camera(), IDENTITY, [[0, 0, -1.0]])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.one_of(
+            st.floats(-2, 2), st.sampled_from([0.0, 1e-9, np.nextafter(1e-9, 1.0), 1e-9 * (1 - 1e-15)]))),
+            min_size=1, max_size=12),
+        rvec=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+        t=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+        posed=st.booleans(),
+    )
+    def test_point_behind_camera_marks_its_row(self, points, rvec, t, posed):
+        """A point at z <= 1e-9 after the pose gets a NaN row, without a warning; every
+        other row equals the one-row call on its camera-frame point, bit for bit (the
+        one-row call on ``X[k]`` itself where the pose is the identity). A rotating pose is
+        one matrix product over the batch, which can round a row differently from the
+        same product over that row alone, so a posed row is compared after the pose."""
+        K = plain_camera(dist=(-0.2, 0.05, 1e-3, -1e-3, 0.01))
+        pose = RigidTransform(rotation_from_axis_angle(np.array(rvec)), t) if posed else IDENTITY
+        X = np.array(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uv = project_points(K, pose, X)
+        Xc = pose.apply_point(X)
+        behind = Xc[:, 2] <= 1e-9
+        assert np.array_equal(np.isnan(uv).any(axis=1), behind) and np.isnan(uv[behind]).all()
+        for k in np.flatnonzero(~behind):
+            assert uv[k].tobytes() == project_points(K, IDENTITY, Xc[k:k + 1])[0].tobytes()
 
     def test_scale_invariance_without_distortion(self):
         K = plain_camera()

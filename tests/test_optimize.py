@@ -498,3 +498,45 @@ def test_block_layout_must_cover_every_parameter():
     jac = BlockJacobian(np.ones((4, 2, 2)), np.ones((4, 2, 3)), np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="is not 9 parameters"):
         levenberg_marquardt(lambda x: (x[:8] - 1.0, lambda: jac), np.zeros(9), plus=_add, n_increments=9)
+
+
+def linear_toy(A, b, J=None):
+    """r = A x + b, whose Jacobian is reported as ``J`` (A if None): a J too large makes short
+    steps, one of the wrong sign makes every step uphill."""
+    A = np.asarray(A, dtype=float)
+    J = A if J is None else np.asarray(J, dtype=float)
+    return lambda x: (A @ x + b, lambda: all_shared(J))
+
+
+# (toy, x0, reason, iterations, residual_evals, whether x moved: the stopping trial was accepted)
+STOPS = {
+    "cost_floor-at-start": (linear_toy([[1.0]], [0.0]), [0.0], "cost_floor", 0, 1, False),
+    "gradient": (linear_toy([[1.0], [1.0]], [1.0, -1.0]), [0.0], "gradient", 1, 1, False),
+    # rms 1e-11 falls by the damping's 1e-3 in one step, below the 1e-12 floor
+    "cost_floor": (linear_toy([[100.0]], [0.0]), [1e-13], "cost_floor", 1, 2, True),
+    # a constant 1 swamps the 1e-14 change of the cost
+    "cost_plateau-accepted": (linear_toy([[0.0], [1.0]], [1.0, 0.0]), [1e-7], "cost_plateau", 1, 2, True),
+    "cost_plateau-rejected": (linear_toy([[0.0], [1.0]], [1.0, 0.0], [[0.0], [-1.0]]), [1e-7],
+                              "cost_plateau", 1, 2, False),
+    # a step of 1e-7 is below 1e-12 of ‖x‖ = 1e6, held by an entry no residual depends on
+    "step_floor-accepted": (linear_toy([[0.0, 1e4]], [0.0]), [1e6, 1e-7], "step_floor", 1, 2, True),
+    "step_floor-rejected": (linear_toy([[0.0, 1e4]], [0.0], [[0.0, -1e4]]), [1e6, 1e-7], "step_floor", 1, 2, False),
+    # each step is 1e-3 of the exact one: the cost falls by 0.2% an iteration, never stopping
+    "max_iter": (linear_toy([[1.0]], [0.0], [[1e3]]), [1.0], "max_iter", MAX_ITER, MAX_ITER + 1, True),
+    # 16 uphill trials raise the damping from 1e-3 to its cap
+    "diverged": (linear_toy(np.eye(3), -1.0, -1e-3 * np.eye(3)), [0.0, 2.0, 5.0], "diverged", 1, 17, False),
+}
+
+
+@pytest.mark.parametrize("name", list(STOPS))
+def test_every_stop_reason(name):
+    """Each stop reason a toy problem reaches, with its iteration and residual-evaluation
+    counts, and whether the solve ended on an accepted trial."""
+    model, x0, reason, iterations, evals, moved = STOPS[name]
+    x0 = np.array(x0)
+    try:
+        result = levenberg_marquardt(model, x0, plus=_add, n_increments=x0.size)
+    except NoConvergenceError as error:
+        result = error.best
+    assert (result.reason, result.iterations, result.residual_evals) == (reason, iterations, evals)
+    assert (not np.array_equal(result.x, x0)) == moved
