@@ -27,7 +27,7 @@ def main():
     t_err = np.linalg.norm(pose.transform.translation - true_T.translation)
     print(f"fit rms: {pose.rms_reprojection:.3g} px over {len(ds.plane_corners)} corners")
     print(f"rotation error {rot_err:.2e} rad, translation error {t_err:.2e} m")
-    cam_in_plane = pose.transform.apply_point(np.zeros(3))
+    cam_in_plane = pose.transform.apply_points(np.zeros(3))
     print(f"left camera sits at {np.round(cam_in_plane, 4)} in workspace coordinates "
           f"({cam_in_plane[2]*100:.1f} cm above the surface)")
 

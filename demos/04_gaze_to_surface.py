@@ -34,7 +34,7 @@ def main():
           f"(center {np.round(target[0], 3)} in workspace coords)")
     print(f"triangulated head (camera frame): {np.round(head.position[0], 4)} m")
 
-    (yaw_h,), (pitch_h,) = camera_offset_angles(head)
+    (yaw_h,), (pitch_h,) = camera_offset_angles(head.position)
     print(f"head-to-camera angles: yaw {math.degrees(yaw_h):+.2f} deg, pitch {math.degrees(pitch_h):+.2f} deg")
 
     pred = ds.predictions["oracle-offset"].take([0])

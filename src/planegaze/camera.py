@@ -95,7 +95,7 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     ``X`` has shape (..., 3); result has shape (..., 2). A point that
     lands at z <= 1e-9 after the pose, behind the camera, gets a NaN row.
     """
-    Xc = pose.apply_point(as_vec3(X))
+    Xc = pose.apply_points(as_vec3(X))
     behind = Xc[..., 2] <= 1e-9
     z = np.where(behind, 1.0, Xc[..., 2])
     xd, yd, _, _ = _distort(Xc[..., 0] / z, Xc[..., 1] / z, K.dist)

@@ -132,14 +132,21 @@ def _json_numbers(values, name: str) -> tuple[float, ...]:
     return tuple(_json_number(v, name) for v in values)
 
 
-def _load_json(path: Path, schema: str) -> dict:
-    path = Path(path)
+def _json_object(path: Path) -> dict:
+    """A JSON file's top-level object; text that is not UTF-8 or not JSON (named with its line), or
+    another top-level value, is a FormatError naming the file."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
     if not isinstance(payload, dict):
         raise FormatError(f"expected a JSON object, found {type(payload).__name__}", file=str(path))
+    return payload
+
+
+def _load_json(path: Path, schema: str) -> dict:
+    path = Path(path)
+    payload = _json_object(path)
     if payload.get("schema") != schema:
         raise FormatError(
             f"expected schema {schema!r}, found {payload.get('schema')!r}", file=str(path)
@@ -1023,15 +1030,10 @@ def read_config_thresholds(path: Path) -> list[float] | None:
     """The ``thresholds_cm`` of a tool config (``--config``), or None when it sets none.
 
     A file that is not a UTF-8 JSON object, or thresholds that are not a
-    list of finite JSON numbers, is a FormatError naming the file.
+    list of finite JSON numbers, is a FormatError naming the file, as
+    every other JSON input's is.
     """
-    try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad config file: {exc}", file=str(path)) from None
-    if not isinstance(cfg, dict):
-        raise FormatError("config must be a JSON object", file=str(path))
-    values = cfg.get("thresholds_cm")
+    values = _json_object(Path(path)).get("thresholds_cm")
     if values is not None and not isinstance(values, list):
         raise FormatError(f"thresholds_cm must be a list of numbers, got {values!r}", file=str(path))
     try:

@@ -51,14 +51,15 @@ def yaw_pitch_to_dir(yaw, pitch) -> np.ndarray:
 def directions_to_yaw_pitch(dirs) -> np.ndarray:
     """Canonical (yaw, pitch) in radians for unit direction(s), shape (..., 2).
 
-    yaw in (-pi, pi], pitch in [-pi/2, pi/2]. Directions within 1e-12 of the
-    pitch poles get yaw = 0.
+    yaw in (-pi, pi], pitch in [-pi/2, pi/2]. The pitch is
+    atan2(-dy, hypot(dx, dz)), which keeps its digits at the poles too.
+    Directions within 1e-12 of the pitch poles get yaw = 0.
     """
     d = as_vec3(dirs)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
-    pitch = np.arcsin(np.clip(-dy, -1.0, 1.0))
-    gimbal = np.hypot(dx, dz) < 1e-12
-    yaw = np.where(gimbal, 0.0, np.arctan2(-dx, -dz))
+    h = np.hypot(dx, dz)
+    pitch = np.arctan2(-dy, h)
+    yaw = np.where(h < 1e-12, 0.0, np.arctan2(-dx, -dz))
     return np.stack([yaw, pitch], axis=-1)
 
 
@@ -165,16 +166,8 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    def apply_point(self, p) -> np.ndarray:
-        p = as_vec3(p)
-        return p @ self.rotation.T + self.translation
-
     def apply_points(self, P) -> np.ndarray:
-        """:meth:`apply_point` for every row of ``P`` (..., 3), each rounded as for one point.
-
-        ``apply_point`` on a batch is one matrix product, whose rounding can
-        differ from the same points transformed one at a time.
-        """
+        """R p + t for every row p of ``P`` (..., 3), each rounded as for one point."""
         return vecmat(np.asarray(P, dtype=float), self.rotation.T) + self.translation
 
     def compose(self, inner: "RigidTransform") -> "RigidTransform":
@@ -183,8 +176,6 @@ class RigidTransform:
             self.rotation @ inner.rotation,
             self.rotation @ inner.translation + self.translation,
         )
-
-    __matmul__ = compose
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(

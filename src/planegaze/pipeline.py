@@ -76,16 +76,16 @@ class SurfaceGazeEstimate:
     status: np.ndarray
 
 
-def _in_front(head: HeadPoint) -> np.ndarray:
-    """Which heads (N,) are finite and at z > 0, in front of the camera."""
-    return np.isfinite(head.position).all(axis=1) & (head.position[:, 2] > 0)
+def _in_front(position: np.ndarray) -> np.ndarray:
+    """Which head positions (N, 3) are finite and at z > 0, in front of the camera."""
+    return np.isfinite(position).all(axis=1) & (position[:, 2] > 0)
 
 
-def camera_offset_angles(head: HeadPoint):
-    """Yaw/pitch of the direction from the head to the camera center; NaN for a head not in front of it."""
-    front = _in_front(head)
-    to_camera = -np.where(front[:, None], head.position, 1.0)
-    yp = directions_to_yaw_pitch(to_camera / np.linalg.norm(to_camera, axis=-1, keepdims=True))
+def camera_offset_angles(position: np.ndarray):
+    """Yaw/pitch of the direction from each head position (N, 3) to the camera center; NaN for a head not
+    in front of it."""
+    front = _in_front(position)
+    yp = directions_to_yaw_pitch(unit(-np.where(front[:, None], position, 1.0)))
     yp[~front] = np.nan
     return yp[..., 0], yp[..., 1]
 
@@ -99,14 +99,14 @@ def correct_gaze_to_camera_frame(table: PredictionTable, head: HeadPoint) -> np.
     """
     yaw, pitch = table.yaw, table.pitch
     if table.convention == CONVENTION_OFFSET:
-        yaw_h, pitch_h = camera_offset_angles(head)
+        yaw_h, pitch_h = camera_offset_angles(head.position)
         large = (np.abs(yaw_h) > LARGE_OFFSET_RAD) | (np.abs(pitch_h) > LARGE_OFFSET_RAD)
         if large.any():
             logger.warning("%d of %d frames have head offset angles over 30 deg; additive correction "
                            "degrades", np.count_nonzero(large), large.size)
         yaw, pitch = yaw + yaw_h, pitch + pitch_h
     d = yaw_pitch_to_dir(yaw, pitch)
-    d[~_in_front(head)] = np.nan
+    d[~_in_front(head.position)] = np.nan
     return d
 
 
@@ -122,15 +122,12 @@ def gaze_point_on_surface(head: HeadPoint, direction_cc, plane: PlanePose) -> Su
     above.
     """
     direction_cc = np.asarray(direction_cc, dtype=float)
-    length = np.linalg.norm(direction_cc, axis=-1)
+    length = norm(direction_cc)
     aimed = np.isfinite(length) & (length >= 1e-12)
-    d_cc = np.where(aimed[:, None], direction_cc, 1.0)
-    d_cc = d_cc / np.linalg.norm(d_cc, axis=-1, keepdims=True)
+    d_cc = unit(np.where(aimed[:, None], direction_cc, 1.0))
     T = plane.transform
     origin = T.apply_points(head.position)
-    # renormalized around the rotation exactly as planegaze 0.1.0's per-ray
-    # path did, so surface points keep their bits
-    d = unit(unit(vecmat(unit(d_cc), T.rotation.T)))
+    d = vecmat(d_cc, T.rotation.T)
     oz, dz = origin[:, 2], d[:, 2]
     parallel = np.abs(dz) < 1e-12
     hit = aimed & ~parallel & (dz < 0) & (oz > 0)

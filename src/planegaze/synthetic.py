@@ -38,7 +38,7 @@ from .geometry import (
 )
 from .grid import GridConfig, corner_position, default_target_map, target_centers
 from .metrics import FrameTable
-from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable
+from .pipeline import CONVENTION_ABSOLUTE, CONVENTION_OFFSET, CONVENTIONS, PredictionTable, camera_offset_angles
 from .plane import PlanePose
 from .triangulation import SOURCE_BBOX, SOURCE_EYES, FaceTable
 
@@ -329,7 +329,7 @@ def _encode_predictions(method: MethodSpec, head_cc: np.ndarray, direction_cc: n
     """
     yaw_pitch = directions_to_yaw_pitch(direction_cc)
     if method.convention == CONVENTION_OFFSET:
-        yaw_pitch = yaw_pitch - directions_to_yaw_pitch(-head_cc / norm(head_cc)[:, None])
+        yaw_pitch = yaw_pitch - np.stack(camera_offset_angles(head_cc), axis=-1)
     return yaw_pitch
 
 

@@ -90,9 +90,7 @@ class HeadPoint:
 
 def _pixel_directions(K: CameraIntrinsics, pixels) -> np.ndarray:
     xy = undistort_pixels(K, pixels)
-    # normalized twice: the rounding of planegaze 0.1.0's per-pixel rays,
-    # which keeps every head point, and so every report, bit-identical
-    return unit(unit(np.concatenate([xy, np.ones((len(xy), 1))], axis=-1)))
+    return unit(np.concatenate([xy, np.ones((len(xy), 1))], axis=-1))
 
 
 def triangulate_midpoint(rig: StereoRig, pixel_left, pixel_right) -> HeadPoint:

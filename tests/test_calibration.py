@@ -297,7 +297,7 @@ RIGHT_K = CameraIntrinsics(
 def stereo_problem(seed, rel: RigidTransform, sigma=0.0, n_views=15):
     rng = np.random.default_rng(seed)
     left_poses = {f"v{k:02d}": sample_pose(rng) for k in range(n_views)}
-    right_poses = {vid: rel @ pose for vid, pose in left_poses.items()}
+    right_poses = {vid: rel.compose(pose) for vid, pose in left_poses.items()}
     obs = synth_observations(DIST_K, left_poses, "left", sigma, rng)
     return CornerTable.concat([obs, synth_observations(RIGHT_K, right_poses, "right", sigma, rng)])
 
@@ -354,7 +354,7 @@ class TestCalibrateStereo:
         left = calibrate_camera(obs.take(obs.camera == "left"), TEST_GRID, (640, 480))
         right = calibrate_camera(obs.take(obs.camera == "right"), TEST_GRID, (640, 480))
         rig = calibrate_stereo(left, right, obs, TEST_GRID)
-        through_rig = {vid: rig.right_from_left @ pose for vid, pose in view_poses(left).items()}
+        through_rig = {vid: rig.right_from_left.compose(pose) for vid, pose in view_poses(left).items()}
         rms_through_rig = np.sqrt(np.mean(residuals(rig.right, through_rig, obs.take(obs.camera == "right")) ** 2))
         assert rms_through_rig <= 2.0 * max(right.rms_reprojection, 0.15)
 

@@ -45,21 +45,18 @@ class TestProjection:
     )
     def test_point_behind_camera_marks_its_row(self, points, rvec, t, posed):
         """A point at z <= 1e-9 after the pose gets a NaN row, without a warning; every
-        other row equals the one-row call on its camera-frame point, bit for bit (the
-        one-row call on ``X[k]`` itself where the pose is the identity). A rotating pose is
-        one matrix product over the batch, which can round a row differently from the
-        same product over that row alone, so a posed row is compared after the pose."""
+        other row equals the one-row call on its own point, under the same pose, bit for bit."""
         K = plain_camera(dist=(-0.2, 0.05, 1e-3, -1e-3, 0.01))
         pose = RigidTransform(rotation_from_axis_angle(np.array(rvec)), t) if posed else IDENTITY
         X = np.array(points)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             uv = project_points(K, pose, X)
-        Xc = pose.apply_point(X)
+        Xc = pose.apply_points(X)
         behind = Xc[:, 2] <= 1e-9
         assert np.array_equal(np.isnan(uv).any(axis=1), behind) and np.isnan(uv[behind]).all()
         for k in np.flatnonzero(~behind):
-            assert uv[k].tobytes() == project_points(K, IDENTITY, Xc[k:k + 1])[0].tobytes()
+            assert uv[k].tobytes() == project_points(K, pose, X[k:k + 1])[0].tobytes()
 
     def test_scale_invariance_without_distortion(self):
         K = plain_camera()

@@ -947,6 +947,13 @@ class TestThresholdChecks:
         assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
         assert f"{cfg}: " in capsys.readouterr().err
 
+    def test_malformed_config_names_its_line(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "thresholds.json"
+        cfg.write_text('{\n  "thresholds_cm": [10, 20],\n  oops\n}\n')
+        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
+        assert f"error: {cfg}:3: invalid JSON: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestMalformedDatasetRows:
     """Repeated prediction rows and non-list manifest tags are parse errors."""
@@ -1138,7 +1145,7 @@ class TestNonUtf8Input:
         rc = main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--config", str(cfg),
                    "--out", str(tmp_path / "r")])
         assert rc == 1
-        assert f"error: {cfg}: bad config file: " in capsys.readouterr().err
+        assert f"error: {cfg}:1: not UTF-8 text: " in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 

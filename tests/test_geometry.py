@@ -110,9 +110,9 @@ class TestRigidTransform:
         T2 = RigidTransform(random_rotation(rng), rng.normal(size=3))
         p = rng.normal(size=3)
         np.testing.assert_allclose(
-            (T2 @ T1).apply_point(p), T2.apply_point(T1.apply_point(p)), atol=1e-12
+            T2.compose(T1).apply_points(p), T2.apply_points(T1.apply_points(p)), atol=1e-12
         )
-        roundtrip = T1.inverse().apply_point(T1.apply_point(p))
+        roundtrip = T1.inverse().apply_points(T1.apply_points(p))
         np.testing.assert_allclose(roundtrip, p, atol=1e-12)
 
     def test_exp_map_is_second_order_accurate_near_zero(self):

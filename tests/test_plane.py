@@ -134,8 +134,8 @@ class TestEstimatePlanePose:
         pose = estimate_plane_pose(observed_corners(cam_from_plane), GRID, K)
         idx = GRID.corner_indices()
         pts_plane = np.array([corner_position(GRID, i, j) for i, j in idx])
-        pts_cam = cam_from_plane.apply_point(pts_plane)
-        z = pose.transform.apply_point(pts_cam)[:, 2]
+        pts_cam = cam_from_plane.apply_points(pts_plane)
+        z = pose.transform.apply_points(pts_cam)[:, 2]
         assert np.abs(z).max() < 1e-6
 
     def test_single_row_degenerate(self):

@@ -91,7 +91,7 @@ def test_stereo_does_not_depend_on_view_order(seed, n_shared):
     right_ids = [f"v{k}" for k in range(n_shared)] + ["right_only"]
     shared = range(n_shared)
     left_poses = {v: RigidTransform(R[k], t[k]) for k, v in zip([*shared, n_shared], left_ids)}
-    right_poses = {v: rel @ RigidTransform(R_noisy[k], t[k]) for k, v in zip([*shared, n_shared + 1], right_ids)}
+    right_poses = {v: rel.compose(RigidTransform(R_noisy[k], t[k])) for k, v in zip([*shared, n_shared + 1], right_ids)}
     left, right = calibration_result(K, left_poses, 0.0), calibration_result(K, right_poses, 0.0)
 
     ij = np.array(GRID.corner_indices())

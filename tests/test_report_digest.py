@@ -2,8 +2,11 @@
 
 The digests were taken when the frame draws became Philox streams, with
 the `evaluate` of the commit before that switch, run on the new synth
-tree, so evaluation itself did not move them. A change here is a change
-of the report format and must be called out as one.
+tree, so evaluation itself did not move them. They were re-pinned when
+per-row rounding became the package's only rule (poses applied per row,
+one normalization per ray, the pitch by atan2): every count and P@X value
+was kept, and the mean angle and median distance moved in the last digits.
+A change here is a change of the report format and must be called out as one.
 `evaluate` runs from the dataset's parent directory with a relative
 ``--manifest``, because summary.csv records the manifest path as given.
 """
@@ -23,16 +26,16 @@ SYNTH_ARGV = [
 REPORT_FILES = ("summary.csv", "cdf.csv", "histogram.csv", "report.json")
 REPORT_DIGESTS = {
     "data": {
-        "summary.csv": "1132ff46048d9734c5ff6046b46ced26e1184096624ce4bd616b874a52f94e11",
-        "cdf.csv": "38f44928684061140255a413efb877ef8e8a2909198c3746359c7d767164aed8",
-        "histogram.csv": "7862fe3602677cc1635f7f9e6526d42735edf27dc244278da4dd9863f2ec4abe",
-        "report.json": "c84f54e6d6adb67b838500cf09fc3c36d7ac8729050b4db9425274e342d95083",
+        "summary.csv": "ff8b98493066f6e3acb978ec83f93c08b13a459560f4aa303db016d52ad65391",
+        "cdf.csv": "59855f3b98e70a360864e84006a247b4d59bbc894f33655bd287707ea81260df",
+        "histogram.csv": "6360ced4c6ce09a2e8fcd9fe09ffa44dfd7aea241d78523fae5a8ca77bba86ac",
+        "report.json": "1f088969f730eba8f09da13967c5c39b72e8320bbbc51f6fa2258bf6742e3778",
     },
     "data_shuffled": {
-        "summary.csv": "9f85abba541d96961935892d0bfd1391bca574e7318a8749390d1f6f9c4cf69c",
-        "cdf.csv": "649a005401e87192d1a9647cbf202010c602e734a59907728fe4da60f0b09e38",
-        "histogram.csv": "ce1c14190c8d1c07db82d7bcd2ac15373fd3a4d3149c2a51b7b8eadcd58f3729",
-        "report.json": "65e0d6f2d789c3ca5242436f8f2a69ee20ad1264a6884a73983eeeaeae777b72",
+        "summary.csv": "685b73aa98d70b6f48704deb8881b7e156b8a955668fd199fafc30048190c023",
+        "cdf.csv": "9a1816d0d31dec3556dd70099b2be67c81f06bcd86eb3f1d92e4481737f93a42",
+        "histogram.csv": "a89686ecfb37296ae04a39afdc173ce0ab69f85ced637dd75cebc6684e0dd591",
+        "report.json": "35fc05c85a86f0c9e9adbc1fb30492006532669c72cc3a3aad097fda72c1eac5",
     },
 }
 

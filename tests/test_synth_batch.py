@@ -26,7 +26,9 @@ from conftest import assert_same_table
 # sha256 of every file `synth` writes for SYNTH_ARGV. The calibration, corner
 # and grid files keep the bytes of the per-frame implementation this batch path
 # replaced; the frame files (faces, truth, predictions and the manifest that
-# hashes them) were re-taken when the frame draws became Philox streams. A
+# lists them) were re-taken when the frame draws became Philox streams. The
+# corners were re-taken when project_points came to apply its pose one row at a
+# time, and the predictions when the pitch became atan2(-dy, hypot(dx, dz)). A
 # change here is a change of the dataset format and must be called out as one.
 SYNTH_ARGV = [
     "--frames", "120", "--calib-views", "4", "--seed", "7919",
@@ -37,13 +39,13 @@ SYNTH_DIGESTS = {
     "calib/intrinsics_right.json": "8ccd81fb5cbd5564f010466fa8b757fc9a479f3245f1aac0a779d6dcbfa2a582",
     "calib/plane.json": "3c8b547b44e44f05b6d350a655a89158e88984b08359b0625ff08febaffe6db7",
     "calib/stereo.json": "85f248b5ae43b6f83e3dc803d494fbe2f10411e7de2dd1438ac1cf7237ea1af2",
-    "corners.csv": "077cb73e0bbb1a0eb6004190bac6a0f40b111bce6a569189dd7651225acda163",
+    "corners.csv": "ea09c3d07233780eebad1072d90b4880918edfde6111ac8a74a80b953ebcd233",
     "faces.csv": "47a45eb8cab2af3340cc94be45b3cfbc30b3bdce75c277aade8af1763311655d",
     "grid.json": "de1df207aef7b80d4de9d9979e3f0e987f9f5a51aa62fa31a3292ea14aed7bc1",
     "manifest.json": "2f02672f043e925e81c03a84cd1b36e5c0453f8973837e82a9f83e85edbdfcba",
     "plane_corners.csv": "baddd0db8f43d1213be9d4f9af80ecb6678d9ce1dbf564d5e7196fab60784584",
-    "pred_oracle-absolute.csv": "d9bf9ae9fef354b64dfe6bb497933838f0f72e10891de00c6ec591c63edc3882",
-    "pred_oracle-offset.csv": "350e4a9d2d4a87536184accfa4b6455815e51d24db8850e3a6a31cdb13979a24",
+    "pred_oracle-absolute.csv": "cab1186cdb67fc79941cc9a293988eaf89660c50060925c9289665b4e525d097",
+    "pred_oracle-offset.csv": "6873dd547de97ca1fd819a6ad8977575f4c5b7f1a0d08d3b3009dc619250d94d",
     "truth.csv": "a8fcaa66d1b828f935cb9735cce27b75a3944d32187d0d41fa1ca1516db139df",
 }
 

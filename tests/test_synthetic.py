@@ -57,7 +57,7 @@ class TestGenerateScene:
     def test_heads_sampled_inside_boxes(self, small_scene, small_dataset):
         (lo, hi), = small_scene.participants
         for head_cc in small_dataset.head_cc:
-            head_plane = small_scene.plane.transform.apply_point(head_cc)
+            head_plane = small_scene.plane.transform.apply_points(head_cc)
             assert np.all(head_plane >= np.asarray(lo) - 1e-9)
             assert np.all(head_plane <= np.asarray(hi) + 1e-9)
 

@@ -99,7 +99,7 @@ class TestTriangulateMidpoint:
         pl, pr = project_pair(rig, X)
         a = triangulate_midpoint(rig, pl, pr).position
         b_right_frame = triangulate_midpoint(swapped, pr, pl).position
-        b = rig.right_from_left.inverse().apply_point(b_right_frame)
+        b = rig.right_from_left.inverse().apply_points(b_right_frame)
         assert np.all(np.linalg.norm(a - b, axis=1) < 1e-9)
 
     def test_depth_decreases_with_disparity(self):
