@@ -169,58 +169,46 @@ def estimate_homography(plane_pts, pixels) -> np.ndarray:
 
 # --- closed-form intrinsics (absolute-conic constraints) -----------------
 
-def intrinsics_from_homographies(
-    homographies,
-    image_size: tuple[int, int],
-    *,
-    fix_skew: bool = True,
-) -> CameraIntrinsics:
+def intrinsics_from_homographies(homographies, image_size: tuple[int, int]) -> CameraIntrinsics:
     """Closed-form pinhole parameters from plane-to-image homographies.
 
-    Needs >= 3 views in distinct orientations, or >= 2 with skew fixed at
-    zero. Distortion is initialized to zero. Raises IllConditionedError
-    when the constraint system is too close to rank-deficient (parallel
-    board orientations) to invert reliably.
+    Needs >= 2 views in distinct orientations. Distortion is initialized
+    to zero. Raises IllConditionedError when the constraint system is too
+    close to rank-deficient (parallel board orientations) to invert reliably.
     """
     H = np.asarray(homographies, dtype=float).reshape(-1, 3, 3)
-    min_views = 2 if fix_skew else 3
-    if len(H) < min_views:
-        raise IllConditionedError(
-            f"need >= {min_views} views for intrinsics initialization, got {len(H)}"
-        )
-    # v_ij of columns (h_i, h_j) = (1, 2), (1, 1), (2, 2); each view gives rows v_12 and v_11 - v_22
+    if len(H) < 2:
+        raise IllConditionedError(f"need >= 2 views for intrinsics initialization, got {len(H)}")
+    # v_ij of columns (h_i, h_j) = (1, 2), (1, 1), (2, 2) over (B11, B22, B13, B23, B33): K[0, 1] = 0
+    # makes B12 = 0. Each view gives rows v_12 and v_11 - v_22
     a, b = H[:, :, [0, 0, 1]], H[:, :, [1, 0, 1]]
-    v = np.stack([a[:, 0] * b[:, 0], a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0], a[:, 1] * b[:, 1],
-                  a[:, 2] * b[:, 0] + a[:, 0] * b[:, 2], a[:, 2] * b[:, 1] + a[:, 1] * b[:, 2],
-                  a[:, 2] * b[:, 2]], axis=2)
-    V = np.stack([v[:, 0], v[:, 1] - v[:, 2]], axis=1).reshape(-1, 6)
-    if fix_skew:
-        V = V[:, [0, 2, 3, 4, 5]]  # drop the B12 column
+    v = np.stack([a[:, 0] * b[:, 0], a[:, 1] * b[:, 1], a[:, 2] * b[:, 0] + a[:, 0] * b[:, 2],
+                  a[:, 2] * b[:, 1] + a[:, 1] * b[:, 2], a[:, 2] * b[:, 2]], axis=2)
+    V = np.stack([v[:, 0], v[:, 1] - v[:, 2]], axis=1).reshape(-1, 5)
 
     _, s, Vt = np.linalg.svd(V, full_matrices=True)
-    m = V.shape[1]
-    if s[m - 2] <= 0 or s[0] / s[m - 2] > CONDITION_LIMIT:
+    if s[3] <= 0 or s[0] / s[3] > CONDITION_LIMIT:
         raise IllConditionedError(
             "board orientations are too similar: conic constraint system is rank-deficient"
         )
-    b = np.insert(Vt[-1], 1, 0.0) if fix_skew else Vt[-1]  # skew fixed: B12 = 0 fills the dropped column
+    b = Vt[-1]
     if b[0] < 0:
         b = -b
-    B11, B12, B22, B13, B23, B33 = b
+    B11, B22, B13, B23, B33 = b
 
-    denom = B11 * B22 - B12 * B12
+    # Zhang's formulas at B12 = 0. v0 keeps B11 above and below the line: -B23 / B22 rounds differently
+    denom = B11 * B22
     if denom <= 0 or B11 <= 0:
         raise IllConditionedError("recovered conic is not positive definite")
-    v0 = (B12 * B13 - B11 * B23) / denom
-    lam = B33 - (B13 * B13 + v0 * (B12 * B13 - B11 * B23)) / B11
+    v0 = -B11 * B23 / denom
+    lam = B33 - (B13 * B13 - v0 * (B11 * B23)) / B11
     if lam <= 0:
         raise IllConditionedError("recovered conic is not positive definite")
     fx = float(np.sqrt(lam / B11))
     fy = float(np.sqrt(lam * B11 / denom))
-    skew = 0.0 if fix_skew else float(-B12 * fx * fx * fy / lam)
-    u0 = float(skew * v0 / fy - B13 * fx * fx / lam)
+    u0 = float(-B13 * fx * fx / lam)
     return CameraIntrinsics(
-        fx=fx, fy=fy, cx=u0, cy=float(v0), skew=skew, dist=(0.0, 0.0, 0.0, 0.0, 0.0), image_size=tuple(image_size)
+        fx=fx, fy=fy, cx=u0, cy=float(v0), dist=(0.0, 0.0, 0.0, 0.0, 0.0), image_size=tuple(image_size)
     )
 
 
@@ -299,8 +287,6 @@ def refine_calibration(
     corners: CornerTable,
     grid: GridConfig,
     init: CalibrationResult,
-    *,
-    fix_skew: bool = True,
 ) -> CalibrationResult:
     """Jointly refine intrinsics, distortion and all per-view poses.
 
@@ -316,7 +302,7 @@ def refine_calibration(
         missing = sorted(set(view_ids.tolist()) - set(found.tolist()))
         raise ValueError(f"initialization lacks poses for views: {missing}")
 
-    xi0 = init.intrinsics.packed(with_skew=not fix_skew)
+    xi0 = init.intrinsics.packed()
     n_intr = xi0.size
     x0 = np.concatenate([xi0, init.rotation[k].ravel(), init.translation[k].ravel()])
 
@@ -339,8 +325,6 @@ def calibrate_camera(
     corners: CornerTable,
     grid: GridConfig,
     image_size: tuple[int, int],
-    *,
-    fix_skew: bool = True,
 ) -> CalibrationResult:
     """Full single-camera chain: homographies -> closed-form K -> poses -> refinement.
 
@@ -369,12 +353,12 @@ def calibrate_camera(
         else:
             kept.append(k)
 
-    K0 = intrinsics_from_homographies(H[kept], image_size, fix_skew=fix_skew)
+    K0 = intrinsics_from_homographies(H[kept], image_size)
     # refinement starts from K0 and the poses; it reads no initial rms
     R0, t0 = pose_from_homography(K0, H[kept])
     init = CalibrationResult(K0, view_ids[kept], R0, t0, float("nan"), np.full(len(kept), np.nan))
     rows = order[np.isin(view_idx[order], kept)]
-    return refine_calibration(corners.take(rows), grid, init, fix_skew=fix_skew)
+    return refine_calibration(corners.take(rows), grid, init)
 
 
 def refine_pose(xi, points, pixels, pose0: RigidTransform, label: str):

@@ -6,7 +6,7 @@ The distortion model, applied to normalized coordinates (x, y) = (X/Z, Y/Z):
     radial = 1 + k1 r2 + k2 r2^2 + k3 r2^3
     xd = x * radial + 2 p1 x y + p2 (r2 + 2 x^2)
     yd = y * radial + p1 (r2 + 2 y^2) + 2 p2 x y
-    u = fx xd + skew yd + cx
+    u = fx xd + cx
     v = fy yd + cy
 
 Point-level only: the pipeline never remaps whole images.
@@ -35,7 +35,6 @@ class CameraIntrinsics:
     fy: float
     cx: float
     cy: float
-    skew: float = 0.0
     dist: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
     image_size: tuple[int, int] = (1280, 720)
 
@@ -55,23 +54,21 @@ class CameraIntrinsics:
         """3x3 calibration matrix K."""
         return np.array(
             [
-                [self.fx, self.skew, self.cx],
+                [self.fx, 0.0, self.cx],
                 [0.0, self.fy, self.cy],
                 [0.0, 0.0, 1.0],
             ]
         )
 
-    def packed(self, with_skew: bool = True) -> np.ndarray:
-        """(fx, fy, cx, cy, [skew,] k1, k2, p1, p2, k3): the layout of :func:`project_packed_jacobian`."""
-        skew = [self.skew] if with_skew else []
-        return np.array([self.fx, self.fy, self.cx, self.cy, *skew, *self.dist])
+    def packed(self) -> np.ndarray:
+        """(fx, fy, cx, cy, k1, k2, p1, p2, k3): the layout of :func:`project_packed_jacobian`."""
+        return np.array([self.fx, self.fy, self.cx, self.cy, *self.dist])
 
     @classmethod
     def from_packed(cls, xi, image_size) -> "CameraIntrinsics":
-        """Inverse of :meth:`packed`; 9 entries mean zero skew."""
-        skew = xi[4] if len(xi) == 10 else 0.0
+        """Inverse of :meth:`packed`."""
         fx, fy, cx, cy = (float(v) for v in xi[:4])
-        return cls(fx, fy, cx, cy, float(skew), tuple(xi[-5:]), tuple(image_size))
+        return cls(fx, fy, cx, cy, tuple(xi[4:]), tuple(image_size))
 
 
 def _distort(x, y, dist):
@@ -84,9 +81,9 @@ def _distort(x, y, dist):
     return xd, yd, r2, radial
 
 
-def _pixels(xd, yd, fx, fy, cx, cy, skew) -> np.ndarray:
+def _pixels(xd, yd, fx, fy, cx, cy) -> np.ndarray:
     """Pixels (..., 2) of distorted normalized coordinates."""
-    return np.stack([fx * xd + skew * yd + cx, fy * yd + cy], axis=-1)
+    return np.stack([fx * xd + cx, fy * yd + cy], axis=-1)
 
 
 def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
@@ -99,7 +96,7 @@ def project_points(K: CameraIntrinsics, pose: RigidTransform, X) -> np.ndarray:
     behind = Xc[..., 2] <= 1e-9
     z = np.where(behind, 1.0, Xc[..., 2])
     xd, yd, _, _ = _distort(Xc[..., 0] / z, Xc[..., 1] / z, K.dist)
-    uv = _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy, K.skew)
+    uv = _pixels(xd, yd, K.fx, K.fy, K.cx, K.cy)
     uv[behind] = np.nan
     return uv
 
@@ -116,7 +113,7 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
     Returns ``(uv, jacobian)``: the pixels (N, 2), and a function that
     builds the derivatives from this projection's intermediates, for a
     solver to call only when it needs them. ``jacobian()`` returns
-    ``(d_xi, d_pose)``: d uv / d xi, (N, 2, len(xi)), and d uv / d the
+    ``(d_xi, d_pose)``: d uv / d xi, (N, 2, 9), and d uv / d the
     increment of each point's own view pose, (N, 2, 6).
     ``jacobian(with_xi=False)`` returns ``(None, d_pose)`` and builds no
     d uv / d xi. Both are views of (2, k, N) buffers, so each entry is
@@ -128,30 +125,24 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
     p = np.einsum("nij,nj->ni", rotations[view_idx], obj)  # R X
     Xc = p + tvecs[view_idx]
     fx, fy, cx, cy = xi[:4]
-    k1, k2, p1, p2, k3 = dist = xi[-5:]
-    skew = xi[4] if len(xi) == 10 else 0.0
+    k1, k2, p1, p2, k3 = dist = xi[4:]
     z = np.maximum(Xc[:, 2], 1e-9)
     xy = Xc[:, :2] / z[:, None]
     (x, y), n = xy.T, len(xy)
     xd, yd, r2, radial = _distort(x, y, dist)
-    uv = _pixels(xd, yd, fx, fy, cx, cy, skew)
+    uv = _pixels(xd, yd, fx, fy, cx, cy)
 
     def jacobian(with_xi=True):
-        # A = d (u, v) / d (xd, yd). With skew = 0, A @ D is exactly D's rows times fx and fy; else
-        # the stacked matmul stays, since it rounds unlike the written-out sum
-        A = np.array([[fx, skew], [0.0, fy]])
+        f = np.array([fx, fy])  # d (u, v) / d (xd, yd) is diag(fx, fy)
         d_xi = None
         if with_xi:
             r6, xy2 = r2 ** 3, 2.0 * x * y
             # d (xd, yd) / d (k1, k2, p1, p2, k3)
             D = np.array([[x * r2, x * r2 * r2, xy2, r2 + 2.0 * x * x, x * r6],
                           [y * r2, y * r2 * r2, r2 + 2.0 * y * y, xy2, y * r6]])
-            J = np.zeros((2, len(xi), n))
+            J = np.zeros((2, 9, n))
             J[0, 0], J[1, 1], J[0, 2], J[1, 3] = xd, yd, 1.0, 1.0
-            if len(xi) == 10:
-                J[0, 4] = yd
-            J[:, -5:] = (D * A.diagonal()[:, None, None] if skew == 0.0
-                         else (A @ D.transpose(2, 0, 1)).transpose(1, 2, 0))
+            J[:, 4:] = D * f[:, None, None]
             d_xi = J.transpose(2, 0, 1)
         # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
         dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
@@ -159,13 +150,13 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
         off = drx * y + 2.0 * (p1 * x + p2 * y)
         D_xy = np.stack([radial + drx * x + 2.0 * p1 * y + 6.0 * p2 * x, off,
                          off, radial + dry * y + 6.0 * p1 * y + 2.0 * p2 * x], axis=1).reshape(n, 2, 2)
-        AD = D_xy * A.diagonal()[:, None] if skew == 0.0 else A @ D_xy
+        D_uv = D_xy * f[:, None]  # d uv / d (x, y)
         # d uv / d Xc = M: d (x, y) / d Xc is [I | -(x, y)] / z; d uv / d rvec = p x M, row by row.
-        # AD stays (N, 2, 2) C-ordered for the product with xy: the stacked matmul rounds by layout
+        # D_uv stays (N, 2, 2) C-ordered for the product with xy: the stacked matmul rounds by layout
         J = np.empty((2, 6, n))
         M = J[:, 3:]
-        M[:, :2] = AD.transpose(1, 2, 0)
-        np.negative((AD @ xy[:, :, None])[:, :, 0].T, out=M[:, 2])
+        M[:, :2] = D_uv.transpose(1, 2, 0)
+        np.negative((D_uv @ xy[:, :, None])[:, :, 0].T, out=M[:, 2])
         M /= z
         (px, py, pz), (mx, my, mz) = p.T, M.transpose(1, 0, 2)
         np.subtract(py * mz, pz * my, out=J[:, 0])
@@ -190,7 +181,7 @@ def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     if px.shape[-1] != 2:
         raise ValueError(f"expected pixel array with last axis 2, got {px.shape}")
     yd = (px[..., 1] - K.cy) / K.fy
-    xd = (px[..., 0] - K.cx - K.skew * yd) / K.fx
+    xd = (px[..., 0] - K.cx) / K.fx
     k1, k2, p1, p2, k3 = K.dist
     x, y = xd.copy(), yd.copy()
     finite = np.isfinite(xd) & np.isfinite(yd)

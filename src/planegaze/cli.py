@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=Path, required=True, help="grid config JSON")
     p.add_argument("--image-size", type=_image_size, required=True, help="sensor size, e.g. 1280x720")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--release-skew", action="store_true", help="also estimate the skew term")
 
     p = add_parser("plane-pose", help="work-surface pose from display grid corners")
     p.add_argument("--corners", type=Path, required=True, help="plane corner CSV")
@@ -203,8 +202,7 @@ def cmd_calibrate(args) -> int:
     for camera in (CAMERA_LEFT, CAMERA_RIGHT):
         rows = corners.camera == camera
         if rows.any():
-            results[camera] = calibrate_camera(corners.take(rows), grid, args.image_size,
-                                               fix_skew=not args.release_skew)
+            results[camera] = calibrate_camera(corners.take(rows), grid, args.image_size)
     if not results:
         raise FormatError("corner files contain no observations")
     rig = calibrate_stereo(results[CAMERA_LEFT], results[CAMERA_RIGHT], corners, grid) if len(results) == 2 else None

@@ -474,17 +474,19 @@ PLANE_FRAMES = {"src_frame": "camera", "dst_frame": "plane"}  # a plane pose map
 
 def _intrinsics_payload(K: CameraIntrinsics) -> dict:
     return {
-        "fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy, "skew": K.skew,
+        "fx": K.fx, "fy": K.fy, "cx": K.cx, "cy": K.cy, "skew": 0.0,
         "dist": list(K.dist), "image_size": list(K.image_size),
     }
 
 
 def _intrinsics_from_payload(p: dict, path: Path) -> CameraIntrinsics:
     try:
+        if _json_number(p.get("skew", 0.0), "skew") != 0.0:
+            raise ValueError(f"skew must be 0 (the camera model has no skew term), got {p['skew']!r}")
         return CameraIntrinsics(
             fx=_json_number(p["fx"], "fx"), fy=_json_number(p["fy"], "fy"),
             cx=_json_number(p["cx"], "cx"), cy=_json_number(p["cy"], "cy"),
-            skew=_json_number(p.get("skew", 0.0), "skew"), dist=_json_numbers(p["dist"], "dist"),
+            dist=_json_numbers(p["dist"], "dist"),
             image_size=tuple(_json_int(v, "image_size") for v in p["image_size"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -163,11 +163,11 @@ def default_scene(frames: int = 200, seed: int = 0, calib_views: int = 15) -> Sc
     sampled 0.4-0.8 m from the targets on the far side of the display.
     """
     left = CameraIntrinsics(
-        fx=350.0, fy=350.0, cx=640.0, cy=360.0, skew=0.0,
+        fx=350.0, fy=350.0, cx=640.0, cy=360.0,
         dist=(-0.20, 0.04, 4e-4, -3e-4, 0.002), image_size=(1280, 720),
     )
     right = CameraIntrinsics(
-        fx=355.0, fy=354.0, cx=636.0, cy=363.0, skew=0.0,
+        fx=355.0, fy=354.0, cx=636.0, cy=363.0,
         dist=(-0.21, 0.045, -2e-4, 3.5e-4, 0.002), image_size=(1280, 720),
     )
     # right camera 6 cm to the left camera's right with a slight toe-in

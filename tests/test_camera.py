@@ -68,12 +68,6 @@ class TestProjection:
         X, c = np.array(X), np.array(c)
         np.testing.assert_allclose(project_points(K, IDENTITY, X), project_points(K, IDENTITY, c[:, None] * X), atol=1e-9)
 
-    def test_skew_term(self):
-        K = plain_camera(skew=20.0)
-        (u, v), = project_points(K, IDENTITY, [[0.0, 0.1, 1.0]])
-        assert u == pytest.approx(640.0 + 20.0 * 0.1)
-        assert v == pytest.approx(460.0)
-
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             plain_camera(fx=-1.0)

@@ -99,19 +99,6 @@ class TestCalibrate(object):
         assert abs(payload["fx"] - 350.0) / 350.0 < 1e-6
         assert payload["rms_px"] < 1e-8
 
-    def test_release_skew(self, dataset_dir, tmp_path):
-        rc = main([
-            "calibrate", "--corners", str(dataset_dir / "corners.csv"),
-            "--grid", str(dataset_dir / "grid.json"), "--image-size", "1280x720",
-            "--out", str(tmp_path / "calib"), "--release-skew",
-        ])
-        assert rc == 0
-        for camera, fx in (("left", 350.0), ("right", 355.0)):
-            payload = json.loads((tmp_path / "calib" / f"intrinsics_{camera}.json").read_text())
-            assert "skew" in payload
-            assert abs(payload["skew"]) < 1e-6 * fx
-            assert abs(payload["fx"] - fx) / fx < 1e-6
-
     def test_single_view_ill_conditioned(self, dataset_dir, tmp_path):
         rows = read_csv_rows(dataset_dir / "corners.csv")
         header, body = rows[0], rows[1:]
@@ -691,7 +678,8 @@ def _set(path: str, value):
 
 class TestJsonNumbers:
     """A number read from JSON must be a finite JSON number: true, a string such as "0.06",
-    NaN or Infinity is a parse error naming the file, while an integer such as 350 stays valid."""
+    NaN or Infinity is a parse error naming the file, while an integer such as 350 stays valid.
+    An intrinsics block's skew must be 0: the camera model has no skew term."""
 
     @staticmethod
     def _copy_with(dataset_dir, tmp_path, name, edit):
@@ -720,7 +708,7 @@ class TestJsonNumbers:
 
     @pytest.mark.parametrize("field, value", [
         ("fx", str), ("cy", True), ("skew", "0"), ("dist.0", float("nan")), ("dist.4", float("-inf")),
-        ("image_size.0", 1280.0),
+        ("image_size.0", 1280.0), ("skew", 0.5),
     ])
     def test_intrinsics(self, dataset_dir, tmp_path, capsys, field, value):
         data, target = self._copy_with(dataset_dir, tmp_path, "calib/intrinsics_left.json", _set(field, value))
@@ -729,6 +717,7 @@ class TestJsonNumbers:
 
     @pytest.mark.parametrize("field, value", [
         ("right_from_left.translation_m.0", True), ("right_from_left.rotation.0.0", str), ("left.fy", str),
+        ("right.skew", 0.5),
     ])
     def test_stereo(self, dataset_dir, tmp_path, capsys, field, value):
         data, target = self._copy_with(dataset_dir, tmp_path, "calib/stereo.json", _set(field, value))

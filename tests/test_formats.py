@@ -74,7 +74,7 @@ def prediction_rows(rows, convention) -> PredictionTable:
 @pytest.fixture()
 def intrinsics():
     return CameraIntrinsics(
-        fx=350.125, fy=351.5, cx=640.25, cy=360.75, skew=0.5,
+        fx=350.125, fy=351.5, cx=640.25, cy=360.75,
         dist=(-0.2, 0.04, 4e-4, -3e-4, 0.002), image_size=(1280, 720),
     )
 

@@ -87,10 +87,10 @@ def assert_jacobian_matches_fd(model, x0, plus, n_increments):
     assert np.all(np.abs(J - J_fd) <= tol)
 
 
-def random_intrinsics(rng, skew=0.0, k1=(-0.4, 0.4)):
+def random_intrinsics(rng, k1=(-0.4, 0.4)):
     return CameraIntrinsics(
         fx=rng.uniform(300, 1500), fy=rng.uniform(300, 1500),
-        cx=rng.uniform(560, 720), cy=rng.uniform(300, 420), skew=skew,
+        cx=rng.uniform(560, 720), cy=rng.uniform(300, 420),
         dist=(rng.uniform(*k1), rng.uniform(-0.2, 0.2), rng.uniform(-0.01, 0.01),
               rng.uniform(-0.01, 0.01), rng.uniform(-0.1, 0.1)),
         image_size=(1280, 720),
@@ -112,18 +112,16 @@ def random_corners(rng, view_id, camera_id):
     return CornerTable(np.full(n, view_id), np.full(n, camera_id), lattice[keep], rng.uniform(0, 700, (n, 2)))
 
 
-@pytest.mark.parametrize("fix_skew", [True, False], ids=["9-entry", "10-entry"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(1, 4))
-def test_calibration_jacobian_equals_fd(fix_skew, seed, n_views):
+def test_calibration_jacobian_equals_fd(seed, n_views):
     rng = np.random.default_rng(seed)
-    K = random_intrinsics(rng, skew=0.0 if fix_skew else rng.uniform(-3, 3))
+    K = random_intrinsics(rng)
     views = [f"v{k}" for k in range(n_views)]
     obs = CornerTable.concat([random_corners(rng, v, "left") for v in views])
     init = calibration_result(K, {v: random_pose(rng) for v in views})
-    model, x0, plus, n_increments = capture_problem(lambda: refine_calibration(obs, GRID, init, fix_skew=fix_skew))
-    n_intr = 9 if fix_skew else 10
-    assert (x0.size, n_increments) == (n_intr + 12 * n_views, n_intr + 6 * n_views)
+    model, x0, plus, n_increments = capture_problem(lambda: refine_calibration(obs, GRID, init))
+    assert (x0.size, n_increments) == (9 + 12 * n_views, 9 + 6 * n_views)
     assert_jacobian_matches_fd(model, x0, plus, n_increments)
 
 
@@ -135,10 +133,7 @@ def test_stereo_jacobian_equals_fd(seed, n_views):
     views = [f"v{k}" for k in range(n_views)]
     left_poses = {v: random_pose(rng, max_angle=1.0) for v in views}
     left = calibration_result(random_intrinsics(rng), left_poses, 0.0)
-    right = calibration_result(
-        random_intrinsics(rng, skew=rng.uniform(-3, 3)),
-        {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0,
-    )
+    right = calibration_result(random_intrinsics(rng), {v: rel.compose(pose) for v, pose in left_poses.items()}, 0.0)
     obs = CornerTable.concat([random_corners(rng, v, "right") for v in views])
     model, x0, plus, n_increments = capture_problem(lambda: calibrate_stereo(left, right, obs, GRID))
     assert (x0.size, n_increments) == (12, 6)
@@ -149,7 +144,7 @@ def test_stereo_jacobian_equals_fd(seed, n_views):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_plane_jacobian_equals_fd(seed):
     rng = np.random.default_rng(seed)
-    K = random_intrinsics(rng, skew=rng.uniform(-3, 3), k1=(-0.1, 0.1))
+    K = random_intrinsics(rng, k1=(-0.1, 0.1))
     pose = random_pose(rng, max_angle=0.8)
     ij = np.array(GRID.corner_indices())
     uv = project_points(K, pose, np.column_stack([GRID.square_size * ij, np.zeros(len(ij))]))
@@ -227,14 +222,14 @@ def test_kernel_pixels_equal_project_points():
     tvecs = np.array([T.translation for T in poses])
     view_idx = rng.integers(0, 3, 40)
     obj = np.column_stack([rng.uniform(0, 0.2, (40, 2)), np.zeros(40)])
-    for K in (random_intrinsics(rng), random_intrinsics(rng, skew=2.0)):
-        xi = K.packed(with_skew=K.skew != 0.0)
+    for K in (random_intrinsics(rng), random_intrinsics(rng)):
+        xi = K.packed()
         uv, jacobian = project_packed_jacobian(xi, rotations, tvecs, view_idx, obj)
         for v, pose in enumerate(poses):
             rows = view_idx == v
             assert np.abs(uv[rows] - project_points(K, pose, obj[rows])).max() <= 1e-9
         d_xi, d_pose = jacobian()
-        assert d_xi.shape == (40, 2, xi.size) and d_pose.shape == (40, 2, 6)
+        assert d_xi.shape == (40, 2, 9) and d_pose.shape == (40, 2, 6)
         no_xi, same_pose = jacobian(with_xi=False)
         assert no_xi is None and np.array_equal(same_pose, d_pose)
 

@@ -20,7 +20,7 @@ from planegaze.grid import GridConfig, corner_position
 from conftest import calibration_result
 
 GRID = GridConfig(square_size=0.03, rows=5, cols=7)
-K = CameraIntrinsics(fx=910.0, fy=905.0, cx=640.0, cy=360.0, skew=0.5,
+K = CameraIntrinsics(fx=910.0, fy=905.0, cx=640.0, cy=360.0,
                      dist=(-0.1, 0.02, 1e-4, -2e-4, 0.0), image_size=(1280, 720))
 
 
