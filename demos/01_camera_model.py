@@ -35,20 +35,18 @@ def main():
     print(f"off-axis point {off_axis} -> {np.round(with_dist, 2)}")
     print(f"barrel distortion pulled it {pull:.1f} px toward the center")
 
-    print("\n-- undistortion (fixed-point inversion) --")
+    print("\n-- undistortion (Newton inversion inside the lens fold) --")
     ((x, y),) = undistort_pixels(K, [with_dist])
     print(f"undistorted normalized coordinates: ({x:.6f}, {y:.6f})")
     print(f"true direction x/z, y/z:            ({off_axis[0]/off_axis[2]:.6f}, {off_axis[1]/off_axis[2]:.6f})")
 
     print("\n-- round trip over the whole image --")
     rng = np.random.default_rng(0)
-    xy = rng.uniform(-0.8, 0.8, size=(2000, 2))
-    pts = np.column_stack([xy, np.ones(len(xy))])
-    pixels = project_points(K, IDENTITY, pts)
+    pixels = rng.uniform(0.0, 1.0, size=(2000, 2)) * K.image_size
     normalized = undistort_pixels(K, pixels)
-    back = project_points(K, IDENTITY, np.column_stack([normalized, np.ones(len(xy))]))
+    back = project_points(K, IDENTITY, np.column_stack([normalized, np.ones(len(pixels))]))
     err = np.abs(back - pixels).max()
-    print(f"project -> undistort -> reproject on 2000 points: max error {err:.2e} px")
+    print(f"undistort -> reproject on 2000 pixels spread over the image: max error {err:.2e} px")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ refinement of intrinsics, distortion and all view poses against pixel
 reprojection. Stereo: per-shared-view relative-pose candidates averaged,
 then the single relative pose refined against the right-camera corners.
 
-Skew is constrained to 0 unless explicitly released, which also allows
-initialization from only two views.
+The camera model has no skew term, so the closed-form initialization
+needs only two views.
 """
 
 from __future__ import annotations

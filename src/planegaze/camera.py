@@ -14,6 +14,7 @@ Point-level only: the pipeline never remaps whole images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,38 @@ def _distort(x, y, dist):
     return xd, yd, r2, radial
 
 
+def _distort_jacobian(x, y, r2, radial, dist):
+    """d (xd, yd) / d (x, y) of :func:`_distort`, from its ``r2`` and ``radial``: the
+    symmetric block [[a, b], [b, d]], returned as (a, b, d)."""
+    k1, k2, p1, p2, k3 = dist
+    dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # 2 d radial / d r2
+    drx, dry = dr * x, dr * y
+    b = drx * y + 2.0 * (p1 * x + p2 * y)
+    return radial + drx * x + 2.0 * p1 * y + 6.0 * p2 * x, b, radial + dry * y + 6.0 * p1 * y + 2.0 * p2 * x
+
+
+def _inside_fold(r2, dist):
+    """Whether ``r2`` lies inside the radial fold: below s, the smallest positive root of
+    g(s) = 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3, the slope of r radial(r^2) at r^2 = s.
+
+    g(0) = 1, so that holds where g > 0 at ``r2`` and at each turning point of g below
+    it. The turning points, the roots of g'(s) = a s^2 + b s + c, come from the quadratic
+    formula in its form without cancellation: c / q and q / a.
+    """
+    k1, k2, _, _, k3 = dist
+
+    def g(s):
+        return 1.0 + s * (3.0 * k1 + s * (5.0 * k2 + s * 7.0 * k3))
+
+    a, b, c = 21.0 * k3, 10.0 * k2, 3.0 * k1
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + math.copysign(math.sqrt(max(disc, 0.0)), b))
+    # disc < 0: no real root; q = 0: none but s = 0; a = 0: only the linear root c / q
+    turns = [c / q] + ([q / a] if a else []) if disc >= 0.0 and q else []
+    limit = min([t for t in turns if t > 0.0 and g(t) <= 0.0], default=math.inf)
+    return (g(r2) > 0.0) & (r2 < limit)
+
+
 def _pixels(xd, yd, fx, fy, cx, cy) -> np.ndarray:
     """Pixels (..., 2) of distorted normalized coordinates."""
     return np.stack([fx * xd + cx, fy * yd + cy], axis=-1)
@@ -124,8 +157,7 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
     """
     p = np.einsum("nij,nj->ni", rotations[view_idx], obj)  # R X
     Xc = p + tvecs[view_idx]
-    fx, fy, cx, cy = xi[:4]
-    k1, k2, p1, p2, k3 = dist = xi[4:]
+    (fx, fy, cx, cy), dist = xi[:4], xi[4:]
     z = np.maximum(Xc[:, 2], 1e-9)
     xy = Xc[:, :2] / z[:, None]
     (x, y), n = xy.T, len(xy)
@@ -144,13 +176,8 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
             J[0, 0], J[1, 1], J[0, 2], J[1, 3] = xd, yd, 1.0, 1.0
             J[:, 4:] = D * f[:, None, None]
             d_xi = J.transpose(2, 0, 1)
-        # d (xd, yd) / d (x, y); dr = 2 d radial / d r2
-        dr = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))
-        drx, dry = dr * x, dr * y
-        off = drx * y + 2.0 * (p1 * x + p2 * y)
-        D_xy = np.stack([radial + drx * x + 2.0 * p1 * y + 6.0 * p2 * x, off,
-                         off, radial + dry * y + 6.0 * p1 * y + 2.0 * p2 * x], axis=1).reshape(n, 2, 2)
-        D_uv = D_xy * f[:, None]  # d uv / d (x, y)
+        a, b, d = _distort_jacobian(x, y, r2, radial, dist)
+        D_uv = np.stack([a, b, b, d], axis=1).reshape(n, 2, 2) * f[:, None]  # d uv / d (x, y)
         # d uv / d Xc = M: d (x, y) / d Xc is [I | -(x, y)] / z; d uv / d rvec = p x M, row by row.
         # D_uv stays (N, 2, 2) C-ordered for the product with xy: the stacked matmul rounds by layout
         J = np.empty((2, 6, n))
@@ -170,35 +197,32 @@ def project_packed_jacobian(xi, rotations, tvecs, view_idx, obj):
 def undistort_pixels(K: CameraIntrinsics, pixels) -> np.ndarray:
     """Invert distortion for pixels, returning normalized coordinates (..., 2).
 
-    Fixed-point iteration on the distorted normalized coordinates,
-    tolerance 1e-10, at most 50 iterations. Each pixel stops at its own
-    first step under the tolerance, so its result does not depend on the
-    other pixels passed with it. A pixel that does not settle (pathological
-    distortion, far outside the calibrated field of view, or not finite)
-    gets a NaN row; the others go through.
+    Newton's method on :func:`_distort` and its Jacobian, started at the
+    distorted point, tolerance 1e-10 on the step, at most 50 iterations.
+    Each pixel stops at its own first step under the tolerance, so its
+    result does not depend on the other pixels passed with it. A pixel
+    whose preimage lies past the radial fold (see :func:`_inside_fold`),
+    where r radial(r^2) turns over and the model stops being one-to-one,
+    gets a NaN row, as does one that does not settle or is not finite;
+    the others go through.
     """
     px = np.asarray(pixels, dtype=float)
     if px.shape[-1] != 2:
         raise ValueError(f"expected pixel array with last axis 2, got {px.shape}")
-    yd = (px[..., 1] - K.cy) / K.fy
-    xd = (px[..., 0] - K.cx) / K.fx
-    k1, k2, p1, p2, k3 = K.dist
-    x, y = xd.copy(), yd.copy()
+    x, y = xd, yd = (px[..., 0] - K.cx) / K.fx, (px[..., 1] - K.cy) / K.fy
     finite = np.isfinite(xd) & np.isfinite(yd)
     moving = finite.copy()
-    for _ in range(UNDISTORT_MAX_ITER):
-        if not moving.any():
-            break
-        r2 = x * x + y * y
-        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-        dx = 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-        dy = p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-        x_new = (xd - dx) / radial
-        y_new = (yd - dy) / radial
-        settled = (np.abs(x_new - x) < UNDISTORT_TOL) & (np.abs(y_new - y) < UNDISTORT_TOL)
-        x, y = np.where(moving, x_new, x), np.where(moving, y_new, y)
-        moving &= ~settled
+    with np.errstate(all="ignore"):  # a pixel with no preimage may run off to inf; it never settles
+        for _ in range(UNDISTORT_MAX_ITER):
+            if not moving.any():
+                break
+            ex, ey, r2, radial = _distort(x, y, K.dist)
+            a, b, d = _distort_jacobian(x, y, r2, radial, K.dist)
+            ex, ey, det = ex - xd, ey - yd, a * d - b * b
+            step_x, step_y = (d * ex - b * ey) / det, (a * ey - b * ex) / det
+            x, y = np.where(moving, x - step_x, x), np.where(moving, y - step_y, y)
+            moving &= ~((np.abs(step_x) < UNDISTORT_TOL) & (np.abs(step_y) < UNDISTORT_TOL))
+        inside = _inside_fold(x * x + y * y, K.dist)
     xy = np.stack([x, y], axis=-1)
-    xy[moving | ~finite] = np.nan
+    xy[moving | ~finite | ~inside] = np.nan
     return xy
-

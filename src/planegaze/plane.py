@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CornerTable, board_points, estimate_homography, pose_from_homography, refine_pose
-from .camera import UNDISTORT_MAX_ITER, CameraIntrinsics, undistort_pixels
+from .camera import CameraIntrinsics, undistort_pixels
 from .errors import DegenerateConfigurationError, NotInvertibleError
 from .geometry import RigidTransform
 from .grid import GridConfig
@@ -40,8 +40,10 @@ def estimate_plane_pose(corners: CornerTable, config: GridConfig, K: CameraIntri
     order = np.lexsort((pixels[:, 1], pixels[:, 0], ij[:, 1], ij[:, 0]))
     obj, pixels = board_points(corners.take(order), config)
     normalized = undistort_pixels(K, pixels)
-    if np.isnan(normalized).any():
-        raise NotInvertibleError(f"distortion inversion did not converge within {UNDISTORT_MAX_ITER} iterations")
+    k = np.isnan(normalized).any(axis=1).argmax()  # the first corner that does not undistort, if any
+    if np.isnan(normalized[k]).any():
+        raise NotInvertibleError(f"plane corner (i, j) = {tuple(ij[order[k]].tolist())} at pixel "
+                                 f"{tuple(pixels[k].tolist())} has no preimage inside the lens fold")
     R, t = pose_from_homography(np.eye(3), estimate_homography(obj[:, :2], normalized)[None])
     refined, res = refine_pose(K.packed(), obj, pixels, RigidTransform(R[0], t[0]), "plane pose")
     return PlanePose(refined.inverse(), float(np.sqrt(np.mean(res ** 2))))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from planegaze.camera import CameraIntrinsics, project_points, undistort_pixels
 from planegaze.geometry import RigidTransform, rotation_from_axis_angle
+from planegaze.synthetic import default_scene
 
 
 def plain_camera(**kwargs) -> CameraIntrinsics:
@@ -16,6 +17,14 @@ def plain_camera(**kwargs) -> CameraIntrinsics:
 
 
 IDENTITY = RigidTransform.identity()
+DEFAULT_RIG = default_scene().rig
+
+
+def fold(k1, k2, k3) -> float:
+    """s, the smallest positive root of 1 + 3 k1 s + 5 k2 s^2 + 7 k3 s^3 (inf if none): past
+    r^2 = s the radial map r (1 + k1 r^2 + k2 r^4 + k3 r^6) turns over."""
+    roots = np.roots([7 * k3, 5 * k2, 3 * k1, 1])
+    return min((r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0), default=np.inf)
 
 
 class TestProjection:
@@ -107,3 +116,36 @@ class TestUndistortion:
         assert both.shape == (2, 2) and np.isnan(both[0]).all()
         assert both[1].tobytes() == undistort_pixels(K, [good])[0].tobytes()
         assert np.isnan(undistort_pixels(K, [(np.nan, 360.0)])).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(camera=st.sampled_from(["left", "right"]), uv=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=50))
+    def test_round_trip_over_the_full_image_of_the_default_lenses(self, camera, uv):
+        """Every pixel of either default lens's image, its corners included, undistorts
+        to a point that projects back onto it to 1e-6 px, without a warning."""
+        K = getattr(DEFAULT_RIG, camera)
+        pixels = np.array(uv) * K.image_size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normalized = undistort_pixels(K, pixels)
+        assert not np.isnan(normalized).any()
+        back = project_points(K, IDENTITY, np.column_stack([normalized, np.ones(len(pixels))]))
+        assert np.abs(back - pixels).max() <= 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.tuples(*[st.floats(-1.0, 1.0).map(lambda v: round(v, 4))] * 3),  # keeps np.roots finite
+           p=st.tuples(*[st.floats(-0.01, 0.01)] * 2),
+           xy=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=20))
+    def test_every_returned_row_lies_inside_the_fold(self, k, p, xy):
+        """For any lens, a row that comes back lies inside the radial fold, r^2 < s, with s
+        found by an eigensolver here, and projects back onto its pixel."""
+        (k1, k2, k3), (p1, p2) = k, p
+        K = plain_camera(fx=200.0, fy=200.0, dist=(k1, k2, p1, p2, k3))
+        pixels = np.array(xy) * 200.0 + (640.0, 360.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normalized = undistort_pixels(K, pixels)
+        returned = ~np.isnan(normalized).any(axis=1)
+        assert np.all((normalized[returned] ** 2).sum(axis=1) < fold(k1, k2, k3))
+        back = project_points(K, IDENTITY, np.column_stack([normalized[returned], np.ones(returned.sum())]))
+        assert np.abs(back - pixels[returned]).max(initial=0.0) <= 1e-6

@@ -221,7 +221,9 @@ class TestPlanePose:
         rc = main(["plane-pose", "--corners", str(dataset_dir / "plane_corners.csv"),
                    "--grid", str(dataset_dir / "grid.json"), "--intrinsics", str(intrinsics), "--out", str(out)])
         assert rc == 2
-        assert "distortion inversion did not converge" in capsys.readouterr().err
+        i, j = min(map(tuple, corners.ij[past].tolist()))  # the first corner past the fold, as sorted
+        err = capsys.readouterr().err
+        assert f"plane corner (i, j) = ({i}, {j}) at pixel" in err and "no preimage inside the lens fold" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["calibration_file", "right_camera", "second_view"])

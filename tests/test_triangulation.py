@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planegaze.calibration import StereoRig
 from planegaze.camera import CameraIntrinsics, project_points
 from planegaze.geometry import RigidTransform, rotation_from_axis_angle
+from planegaze.synthetic import default_scene
 from planegaze.triangulation import (
     SOURCE_BBOX,
     SOURCE_EYES,
@@ -110,6 +115,26 @@ class TestTriangulateMidpoint:
                                   np.column_stack([640.0 - disparity, np.full(12, 360.0)]))
         depths = hp.position[:, 2]
         assert np.all(depths[:-1] > depths[1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-2.2, 2.2), st.floats(-1.5, 1.5), st.floats(0.1, 5.0)),
+                           min_size=5, max_size=40))
+    def test_inverts_projection_over_the_field_both_default_cameras_see(self, points):
+        """Exact projections of a point into both default cameras triangulate back to it, over the
+        whole field the two images share: the points are drawn at depths of 0.1-5 m along left
+        normalized coordinates |x| <= 2.2, |y| <= 1.5, which hold the left image's whole border
+        (|x| <= 1.96, |y| <= 1.34), and each one both images see is kept."""
+        rig = default_scene().rig
+        x, y, z = np.array(points).T
+        X = np.column_stack([x * z, y * z, z])
+        pl, pr = project_pair(rig, X)
+        seen = np.all((pl >= 0) & (pl <= rig.left.image_size) & (pr >= 0) & (pr <= rig.right.image_size), axis=1)
+        assume(seen.any())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hp = triangulate_midpoint(rig, pl[seen], pr[seen])
+        assert hp.failure.tolist() == [""] * seen.sum()
+        assert np.all(np.linalg.norm(hp.position - X[seen], axis=1) <= 1e-9 * np.linalg.norm(X[seen], axis=1))
 
 
 def faces(frame="f0", camera="left", bbox=(600.0, 300.0, 700.0, 420.0), eyes=(650.0, 340.0)):
