@@ -24,7 +24,6 @@ from .formats import (
     input_keys,
     precision_thresholds,
     provenance,
-    read_config_thresholds,
     read_corner_files,
     read_grid_config,
     read_intrinsics,
@@ -105,15 +104,13 @@ def _add_globals(parser) -> None:
                         help="seed for anything stochastic (default 0)")
     parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted and ignored; kept so existing command lines still run")
-    parser.add_argument("--config", type=Path, default=argparse.SUPPRESS,
-                        help="JSON config with defaults (thresholds_cm)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="planegaze", description=__doc__)
     parser.add_argument("--version", action="version", version=f"planegaze {__version__}")
     _add_globals(parser)
-    parser.set_defaults(seed=0, threads=1, config=None)
+    parser.set_defaults(seed=0, threads=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -139,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=str, default=None, help="comma-separated method subset")
     p.add_argument("--tags", type=str, default=None, help="comma-separated tag filters (default: all)")
     p.add_argument("--thresholds", type=str, default=None, help="comma-separated precision thresholds in cm")
-    p.add_argument("--plane", type=Path, default=None, help="plane-pose JSON override")
     p.add_argument("--out", type=Path, required=True, help="report output directory")
 
     p = add_parser("synth", help="generate a synthetic dataset with known ground truth")
@@ -255,7 +251,6 @@ def cmd_evaluate(args) -> int:
         methods=methods,
         tag_filters=tag_filters,
         thresholds_cm=thresholds,
-        plane_override=args.plane,
     )
     out = Path(args.out)
     input_hashes = bundle.provenance["inputs"]
@@ -287,24 +282,17 @@ def cmd_evaluate(args) -> int:
 
 
 def _thresholds(args):
-    """Precision thresholds in cm: --thresholds, else the config's thresholds_cm, else the defaults.
+    """Precision thresholds in cm: --thresholds, else the defaults.
 
     Every value must be a finite number >= 0, and no two may share a summary
     column; duplicates are dropped.
     """
-    thresholds = list(DEFAULT_THRESHOLDS_CM)
-    if args.config is not None and (extra := read_config_thresholds(args.config)) is not None:
-        thresholds = _threshold_values(extra, "thresholds_cm", file=str(args.config))
-    if getattr(args, "thresholds", None) is not None:  # "" too: an empty list is a bad value, not "unset"
-        thresholds = _threshold_values(args.thresholds.split(","), "--thresholds")
-    return precision_thresholds(thresholds)
-
-
-def _threshold_values(values, name: str, file: str | None = None) -> list[float]:
+    if args.thresholds is None:  # not "": an empty list is a bad value, not "unset"
+        return precision_thresholds(DEFAULT_THRESHOLDS_CM)
     try:
-        return [_nonnegative_float(v, name) for v in values]
+        return precision_thresholds([_nonnegative_float(v, "--thresholds") for v in args.thresholds.split(",")])
     except argparse.ArgumentTypeError as exc:
-        raise FormatError(f"bad threshold: {exc}", file=file) from None
+        raise FormatError(f"bad threshold: {exc}") from None
 
 
 def cmd_synth(args) -> int:

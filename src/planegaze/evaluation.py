@@ -29,7 +29,6 @@ from .formats import (
     provenance,
     read_faces,
     read_grid_config,
-    read_plane_corners,
     read_plane_pose,
     read_predictions,
     read_stereo,
@@ -50,7 +49,7 @@ from .pipeline import (
     gaze_point_on_surface,
     ground_truth_direction,
 )
-from .plane import PlanePose, estimate_plane_pose
+from .plane import PlanePose
 from .triangulation import FaceTable, HeadPoint, head_point
 
 logger = logging.getLogger(__name__)
@@ -76,16 +75,6 @@ class ReportBundle:
     thresholds_cm: tuple[float, ...]
     provenance: dict
     methods: dict[str, MethodReport] = field(default_factory=dict)
-
-
-def load_plane(manifest: DatasetManifest, rig: StereoRig, grid: GridConfig,
-               plane_override=None) -> PlanePose:
-    """Plane pose from the manifest's pose file, an override, or the corners."""
-    if plane_override is not None:
-        return read_plane_pose(plane_override)
-    if manifest.plane_pose is not None:
-        return read_plane_pose(manifest.plane_pose)
-    return estimate_plane_pose(read_plane_corners(manifest.plane_corners), grid, rig.left)
 
 
 def read_method_predictions(manifest: DatasetManifest, method: str) -> PredictionTable:
@@ -182,7 +171,6 @@ def evaluate_manifest(
     methods=None,
     tag_filters=None,
     thresholds_cm=DEFAULT_THRESHOLDS_CM,
-    plane_override=None,
 ) -> ReportBundle:
     """Run the full evaluation and assemble the report bundle.
 
@@ -197,7 +185,7 @@ def evaluate_manifest(
     thresholds_cm = precision_thresholds(thresholds_cm)
     grid = read_grid_config(manifest.grid_config)
     rig = read_stereo(manifest.stereo)
-    plane = load_plane(manifest, rig, grid, plane_override)
+    plane = read_plane_pose(manifest.plane_pose)
 
     selected = sorted(manifest.predictions) if methods is None else list(dict.fromkeys(methods))
     for m in selected:

@@ -132,21 +132,16 @@ def _json_numbers(values, name: str) -> tuple[float, ...]:
     return tuple(_json_number(v, name) for v in values)
 
 
-def _json_object(path: Path) -> dict:
-    """A JSON file's top-level object; text that is not UTF-8 or not JSON (named with its line), or
-    another top-level value, is a FormatError naming the file."""
+def _load_json(path: Path, schema: str) -> dict:
+    """A JSON file's top-level object, tagged ``schema``. Text that is not UTF-8 or not JSON (named
+    with its line), another top-level value or another schema is a FormatError naming the file."""
+    path = Path(path)
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
     if not isinstance(payload, dict):
         raise FormatError(f"expected a JSON object, found {type(payload).__name__}", file=str(path))
-    return payload
-
-
-def _load_json(path: Path, schema: str) -> dict:
-    path = Path(path)
-    payload = _json_object(path)
     if payload.get("schema") != schema:
         raise FormatError(
             f"expected schema {schema!r}, found {payload.get('schema')!r}", file=str(path)
@@ -305,9 +300,10 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     ``_BLOCK_ROWS`` rows at a time, so the cells in memory are one block's.
 
     Any malformed header, row or cell is a FormatError naming the file and
-    the line. A quoted field that runs past its line comes first, then a bad
-    header, then the first wrong field count anywhere in the file, then the
-    first bad cell in file order.
+    the line. Malformed quoting (a quoted field that runs past its line, or
+    text after a closing quote) comes first, then a bad header, then the
+    first wrong field count anywhere in the file, then the first bad cell in
+    file order.
     """
     path = Path(path)
     text = _read_text(path)
@@ -348,7 +344,7 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
         block = list(itertools.islice(rows, _BLOCK_ROWS))
         if not block:
             break
-        if problem:  # the rest is tokenised only for a quoted field that runs past its line
+        if problem:  # the rest is tokenised only for malformed quoting
             continue
         counts = np.fromiter(map(len, block), dtype=int, count=len(block))
         if (wrong := counts != len(header)).any():
@@ -374,12 +370,20 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
 
 
 def _csv_rows(body: list[str], path: Path, lines: np.ndarray):
-    """csv.reader's rows of ``body``, one line each; a quoted field that runs past its
-    line is a FormatError naming that line."""
-    reader = csv.reader(body)
-    for k, row in enumerate(reader):
+    """csv.reader's rows of ``body``, one line each. A row csv.reader rejects in strict
+    mode (text after a closing quote, a field over its size limit), or a quoted field
+    that runs past its line, the last line's too, is a FormatError naming the line the
+    row starts on."""
+    reader = csv.reader(itertools.chain(body, [""]), strict=True)  # a quote left open on the last line runs into ""
+    for k in range(len(body)):
+        try:
+            row, problem = next(reader), None
+        except csv.Error as exc:
+            row, problem = None, f"malformed CSV: {exc}"
         if reader.line_num != k + 1:
-            raise FormatError("quoted field runs past the end of the line", file=str(path), line=int(lines[k]))
+            problem = "quoted field runs past the end of the line"
+        if problem:
+            raise FormatError(problem, file=str(path), line=int(lines[k]))
         yield row
 
 
@@ -788,7 +792,7 @@ class DatasetManifest:
     intrinsics_right: Path
     stereo: Path
     plane_corners: Path
-    plane_pose: Path | None
+    plane_pose: Path
     faces: Path
     predictions: dict[str, PredictionRef]
     frames: FrameTable
@@ -796,9 +800,10 @@ class DatasetManifest:
     truth: Path | None = None
 
     def referenced_files(self) -> list[Path]:
-        optional = (self.plane_pose, self.calibration_corners, self.truth)
+        optional = (self.calibration_corners, self.truth)
         return [self.grid_config, self.intrinsics_left, self.intrinsics_right, self.stereo, self.plane_corners,
-                self.faces, *(p for p in optional if p is not None), *(ref.path for ref in self.predictions.values())]
+                self.plane_pose, self.faces, *(p for p in optional if p is not None),
+                *(ref.path for ref in self.predictions.values())]
 
 
 def write_manifest(path: Path, manifest_payload: dict, frames: FrameTable) -> None:
@@ -868,7 +873,7 @@ def read_manifest(path: Path) -> DatasetManifest:
         intrinsics_right=resolve("right", parent=calib),
         stereo=resolve("stereo", parent=calib),
         plane_corners=resolve("plane_corners"),
-        plane_pose=resolve("plane_pose", required=False),
+        plane_pose=resolve("plane_pose"),
         faces=resolve("faces"),
         predictions=preds,
         frames=frames,
@@ -1026,22 +1031,6 @@ HIST_COLUMNS = {
     "method": "text", "yaw_lo_deg": "float", "yaw_hi_deg": "float", "pitch_lo_deg": "float",
     "pitch_hi_deg": "float", "count": "int",
 }
-
-
-def read_config_thresholds(path: Path) -> list[float] | None:
-    """The ``thresholds_cm`` of a tool config (``--config``), or None when it sets none.
-
-    A file that is not a UTF-8 JSON object, or thresholds that are not a
-    list of finite JSON numbers, is a FormatError naming the file, as
-    every other JSON input's is.
-    """
-    values = _json_object(Path(path)).get("thresholds_cm")
-    if values is not None and not isinstance(values, list):
-        raise FormatError(f"thresholds_cm must be a list of numbers, got {values!r}", file=str(path))
-    try:
-        return None if values is None else list(_json_numbers(values, "thresholds_cm"))
-    except TypeError as exc:
-        raise FormatError(f"bad threshold: {exc}", file=str(path)) from None
 
 
 def precision_thresholds(thresholds_cm) -> tuple[float, ...]:

@@ -193,7 +193,11 @@ def check_record(record: dict) -> None:
         for m in entry["metrics"].values():
             assert set(m) == {"base", "change", "better", "median_change", "wins", "regressed", "claimable"}
             for side in ("base", "change"):
-                assert set(m[side]) == {"q1", "median", "q3"} and m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
+                # "runs" (each run's value) is absent from records written before --record kept them
+                assert set(m[side]) - {"runs"} == {"q1", "median", "q3"}
+                assert m[side]["q1"] <= m[side]["median"] <= m[side]["q3"]
+                for values in ([m[side]["runs"]] if "runs" in m[side] else []):
+                    assert len(values) == entry["pairs"] and all(isinstance(v, (int, float)) for v in values)
             assert 0 <= m["wins"] <= entry["pairs"] and isinstance(m["claimable"], bool)
 
 
@@ -220,6 +224,15 @@ def test_record_schema_sorted_keys_repr_floats_and_merge(repo, tmp_path, monkeyp
     assert record["workloads"]["calib-rig"]["pairs"] == 2 and record["workloads"]["calib-rig"]["failed_share"]["base"] == 0.1
     with pytest.raises(SystemExit, match="not merged"):
         bench_pairs.main(["--pairs", "1", "--workload", "synth-write", "--seconds", "2", "--record", str(path)])
+
+
+def test_record_keeps_each_side_s_value_in_every_run():
+    """The record keeps each run's value next to the quartiles, in pair order, so a reader can
+    see where the change's runs fall in the base's range."""
+    entry = bench_pairs.record_entry(runs("ops_per_s", [3.0, 1.0, 2.0]), runs("ops_per_s", [4.0, 6.0, 5.0]), OPS)
+    metric = entry["metrics"]["ops_per_s"]
+    assert metric["base"]["runs"] == [3.0, 1.0, 2.0] and metric["base"]["median"] == 2.0
+    assert metric["change"]["runs"] == [4.0, 6.0, 5.0] and metric["change"]["median"] == 5.0
 
 
 TRACED = {"correct": True, "attempted": 3, "failed": 0, "environment": {}, "metrics": {

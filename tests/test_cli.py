@@ -414,6 +414,16 @@ class TestVersionAndUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [["evaluate", "--plane", "{data}/calib/plane.json"],
+                                      ["--config", "{data}/grid.json", "evaluate"],
+                                      ["evaluate", "--config", "{data}/grid.json"]])
+    def test_removed_evaluate_flags_are_usage_errors(self, dataset_dir, tmp_path, capsys, argv):
+        """The plane pose comes from the manifest alone, and the thresholds from --thresholds alone."""
+        argv = [a.format(data=dataset_dir) for a in argv]
+        assert main([*argv, "--manifest", str(dataset_dir / "manifest.json"), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith("usage: planegaze")
+        assert not (tmp_path / "r").exists()
+
 
 class TestMultipleFacesRejected:
     def test_duplicate_face_rows_error(self, dataset_dir, tmp_path, capsys):
@@ -450,18 +460,6 @@ class TestOrderIndependence:
         # because the reordered manifest hashes differently
         for name in ("summary.csv", "cdf.csv", "histogram.csv"):
             assert read_csv_rows(rep_a / name) == read_csv_rows(rep_b / name), name
-
-    def test_config_file_sets_thresholds(self, dataset_dir, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"thresholds_cm": [7.5, 15]}))
-        report = tmp_path / "report"
-        rc = main([
-            "evaluate", "--manifest", str(dataset_dir / "manifest.json"),
-            "--config", str(cfg), "--out", str(report),
-        ])
-        assert rc == 0
-        header = read_csv_rows(report / "summary.csv")[0]
-        assert "p_at_7.5cm" in header and "p_at_15cm" in header
 
     def test_tag_filter_flag(self, dataset_dir, tmp_path):
         report = tmp_path / "report"
@@ -662,6 +660,13 @@ class TestJsonShape:
         assert main(argv) == 1
         assert f"{target}: " in capsys.readouterr().err
 
+    def test_malformed_json_names_its_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{\n  "schema": "planegaze-manifest-v1",\n  oops\n}\n')
+        assert main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {manifest}:3: invalid JSON: " in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 def _set(path: str, value):
     """An edit of a JSON object that sets the entry at ``path`` (keys and list indices, dot-separated)
@@ -741,14 +746,6 @@ class TestJsonNumbers:
         assert f"{scene}: " in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("thresholds", [[True], ["10"], [10, "20"]])
-    def test_tool_config(self, dataset_dir, tmp_path, capsys, thresholds):
-        cfg = tmp_path / "thresholds.json"
-        cfg.write_text(json.dumps({"thresholds_cm": thresholds}))
-        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
-        assert f"{cfg}: " in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
     def test_integer_values_stay_valid(self, dataset_dir, tmp_path):
         def round_k(p):
             return {**p, "fx": round(p["fx"]), "fy": round(p["fy"]), "skew": 0}
@@ -820,6 +817,62 @@ class TestProvenance:
         meta = dict(l[2:].split(": ", 1) for l in (report / "cdf.csv").read_text().splitlines() if l.startswith("# "))
         assert meta["manifest_sha256"] == inputs["manifest.json"]
         assert meta["inputs_sha256"] == ";".join(f"{k}={v}" for k, v in sorted(inputs.items()))
+
+
+def _json_edit(edit):
+    """A text edit of a JSON file: ``edit`` of its payload, as JSON."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+def _without(key: str):
+    """A text edit of a JSON file that drops its top-level ``key``."""
+    return _json_edit(lambda p: {k: v for k, v in p.items() if k != key})
+
+
+def _comments_only(text: str) -> str:
+    """A CSV file's leading comment lines, without its header and rows."""
+    return "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+
+
+def _comments_and_header(text: str) -> str:
+    """A CSV file's text up to and including its header row."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1 + next(k for k, line in enumerate(lines) if not line.startswith("#"))])
+
+
+class TestInputErrors:
+    """Each input error exits 1 with its message and creates no --out."""
+
+    EVALUATE = ["evaluate", "--manifest", "{data}/manifest.json"]
+    CASES = {
+        "file-not-found": (None, ["evaluate", "--manifest", "{data}/absent.json"], "{data}/absent.json: file not found"),
+        "missing-header-row": (("faces.csv", _comments_only), EVALUATE, "{data}/faces.csv: missing header row"),
+        "manifest-missing-faces": (("manifest.json", _without("faces")), EVALUATE,
+                                   "{data}/manifest.json: manifest missing 'faces'"),
+        "manifest-missing-plane-pose": (("manifest.json", _without("plane_pose")), EVALUATE,
+                                        "{data}/manifest.json: manifest missing 'plane_pose'"),
+        "prediction-without-path": (("manifest.json", _json_edit(_set("predictions.oracle-offset", {}))), EVALUATE,
+                                    "{data}/manifest.json: prediction entry 'oracle-offset' needs a 'path'"),
+        "method-not-in-manifest": (None, [*EVALUATE, "--methods", "zzz"], "method 'zzz' not in manifest predictions"),
+        "header-only-corner-file": (("corners.csv", _comments_and_header),
+                                    ["calibrate", "--corners", "{data}/corners.csv", "--grid", "{data}/grid.json",
+                                     "--image-size", "1280x720"], "corner files contain no observations"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_with_its_message(self, dataset_dir, tmp_path, capsys, case):
+        import shutil
+
+        edit, argv, message = self.CASES[case]
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        if edit is not None:
+            name, change = edit
+            (data / name).write_text(change((data / name).read_text()))
+        out = tmp_path / "out"
+        assert main([*(a.format(data=data) for a in argv), "--out", str(out)]) == 1
+        assert f"error: {message.format(data=data)}\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportInputs:
@@ -900,7 +953,7 @@ class TestNonFiniteInputs:
 
 
 class TestThresholdChecks:
-    """Precision thresholds: one column per distinct value, finite and >= 0, bad config named."""
+    """Precision thresholds: one column per distinct value, finite and >= 0."""
 
     def _evaluate(self, dataset_dir, tmp_path, *args):
         return main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
@@ -913,16 +966,12 @@ class TestThresholdChecks:
         assert json.loads((tmp_path / "r" / "report.json").read_text())["thresholds_cm"] == [10.0, 20.0]
 
     def test_negative_zero_writes_the_bytes_of_zero(self, dataset_dir, tmp_path):
-        cfg = tmp_path / "thresholds.json"
-        cfg.write_text('{"thresholds_cm": [-0.0, 10]}')
-        runs = {"zero": ["--thresholds=0,10"], "flag": ["--thresholds=-0,10"], "config": ["--config", str(cfg)]}
-        for name, args in runs.items():
+        for name, value in {"zero": "0,10", "flag": "-0,10"}.items():
             assert main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"),
-                         "--out", str(tmp_path / name), *args]) == 0
+                         "--out", str(tmp_path / name), f"--thresholds={value}"]) == 0
         want = {p.name: p.read_bytes() for p in (tmp_path / "zero").iterdir()}
         assert b"p_at_0cm" in want["summary.csv"] and b'"0.0"' in want["report.json"]
-        for name in ("flag", "config"):
-            assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == want
+        assert {p.name: p.read_bytes() for p in (tmp_path / "flag").iterdir()} == want
 
     @pytest.mark.parametrize("value", ["nan,10", "10,inf", "-5", "10,,20", "ten", ""])
     def test_bad_flag_value_rejected(self, dataset_dir, tmp_path, capsys, value):
@@ -930,20 +979,6 @@ class TestThresholdChecks:
         assert "--thresholds" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("payload", [{"thresholds_cm": 5}, {"thresholds_cm": ["abc"]},
-                                         {"thresholds_cm": [10, None]}, {"thresholds_cm": [-1]}, [10]])
-    def test_bad_config_names_the_file(self, dataset_dir, tmp_path, capsys, payload):
-        cfg = tmp_path / "thresholds.json"
-        cfg.write_text(json.dumps(payload))
-        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
-        assert f"{cfg}: " in capsys.readouterr().err
-
-    def test_malformed_config_names_its_line(self, dataset_dir, tmp_path, capsys):
-        cfg = tmp_path / "thresholds.json"
-        cfg.write_text('{\n  "thresholds_cm": [10, 20],\n  oops\n}\n')
-        assert self._evaluate(dataset_dir, tmp_path, "--config", str(cfg)) == 1
-        assert f"error: {cfg}:3: invalid JSON: " in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
 
 
 class TestMalformedDatasetRows:
@@ -1129,15 +1164,6 @@ class TestNonUtf8Input:
                    "--image-size", "1280x720", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert f"error: {grid}:1: not UTF-8 text: " in capsys.readouterr().err
-
-    def test_evaluate_config(self, dataset_dir, tmp_path, capsys):
-        cfg = tmp_path / "thresholds.json"
-        cfg.write_bytes(b'{"thresholds_cm": [10, 20]}\xff\n')
-        rc = main(["evaluate", "--manifest", str(dataset_dir / "manifest.json"), "--config", str(cfg),
-                   "--out", str(tmp_path / "r")])
-        assert rc == 1
-        assert f"error: {cfg}:1: not UTF-8 text: " in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
 
 
 class TestOsErrors:

@@ -295,6 +295,32 @@ class TestUnreadableTables:
         assert err.value.file == str(tmp_path)
 
 
+class TestMalformedQuoting:
+    """Quoting csv.reader rejects in strict mode, or a quoted field that runs past its line,
+    is a FormatError naming the line its row starts on, ahead of any other problem."""
+
+    HEADER = "# schema: planegaze-corners-v1\nview_id,camera,i,j,u,v\n"
+    PAST = "quoted field runs past the end of the line"
+
+    @pytest.mark.parametrize("header, rows, line, message", [
+        (HEADER, 'calib000,left,0,0,1,2\ncalib000,left,0,1,1,"2', 4, PAST),  # the last line, without a line end
+        (HEADER, 'calib000,left,0,0,1,2\ncalib000,left,0,1,1,"2\n', 4, PAST),
+        (HEADER, 'calib000,left,0,0,1,"2\ncalib000,left,0,1,1,2"\ncalib000,left,0,2,1,2\n', 3, PAST),
+        (HEADER, 'calib000,left,0,0,1,2\ncalib000,left,0,1,1,"2"3\n', 4, "malformed CSV: "),
+        (HEADER, 'calib000,left,0,0,"1"2,3\ncalib000,left,0,1,1,2\n', 3, "malformed CSV: "),
+        (HEADER.replace(",v", ",w"), 'calib000,left,0,0,1,2\ncalib000,left,0,1,1,"2"3\n', 4, "malformed CSV: "),
+        (HEADER, f'"{"x" * csv.field_size_limit()}x",left,0,0,1,2\n', 3, "malformed CSV: field larger than"),
+    ], ids=["unterminated-last-line", "unterminated-last-row", "runs-into-next-line", "text-after-closing-quote",
+            "text-after-closing-quote-mid-row", "before-a-bad-header", "field-over-csv-s-size-limit"])
+    def test_names_the_line(self, tmp_path, header, rows, line, message):
+        path = tmp_path / "corners.csv"
+        path.write_text(header + rows)
+        with pytest.raises(FormatError) as err:
+            read_corners(path)
+        assert (err.value.file, err.value.line) == (str(path), line)
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
 class TestBlankLines:
     def test_whitespace_only_text_cell_is_a_row(self, tmp_path):
         path = tmp_path / "t.csv"

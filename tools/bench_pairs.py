@@ -152,9 +152,10 @@ def failed_share(runs: list[dict]) -> float:
 
 def record_entry(base: list[dict], change: list[dict], metrics: list[dict]) -> dict:
     """One workload's pairs as a record: the pair count, each side's failed share and host
-    settings, and per end-to-end metric each side's median and quartiles, the relative
-    change of the medians, the pairs the change won, and whether it regressed beyond the
-    metric's bound or may claim a gain (the rules of :func:`verdict`)."""
+    settings, and per end-to-end metric each side's median and quartiles with its value in
+    each run (``runs``, in pair order), the relative change of the medians, the pairs the
+    change won, and whether it regressed beyond the metric's bound or may claim a gain (the
+    rules of :func:`verdict`)."""
     entry = {
         "pairs": len(base),
         "failed_share": {"base": failed_share(base), "change": failed_share(change)},
@@ -167,7 +168,8 @@ def record_entry(base: list[dict], change: list[dict], metrics: list[dict]) -> d
         b = [r["metrics"][name]["value"] for r in change]
         wins, delta, regressed, claimable = verdict(a, b, metric["better"], metric["bound"])
         entry["metrics"][name] = {
-            **{side: dict(zip(("q1", "median", "q3"), quartiles(v))) for side, v in (("base", a), ("change", b))},
+            **{side: {**dict(zip(("q1", "median", "q3"), quartiles(v))), "runs": v}
+               for side, v in (("base", a), ("change", b))},
             "better": metric["better"], "median_change": delta, "wins": wins, "regressed": regressed,
             "claimable": claimable,
         }
