@@ -233,7 +233,7 @@ def evaluate_manifest(
             hist_parts.append(_hist_columns(m, yaw_pitch_histogram(rep.pred_directions)))
             hist_parts.append(_hist_columns(f"{m}:ground_truth", yaw_pitch_histogram(rep.gt_directions)))
 
-    paths = [p for p in [manifest.path, *manifest.referenced_files()] if p.is_file()]
+    paths = [manifest.path, *manifest.referenced_files()]
     prov = provenance(
         inputs=dict(zip(input_keys(paths, base=manifest.path.parent), paths)),
         config={

@@ -62,10 +62,14 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def sha256_file(path: Path) -> str:
+    """A file's SHA-256; a file that cannot be read is a FormatError naming it, as in :func:`_read_text`."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     return h.hexdigest()
 
 
@@ -103,13 +107,16 @@ def _read_text(path: Path) -> str:
     """A file's text; a file that cannot be read, or is not UTF-8, is a FormatError naming it."""
     try:
         return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError("file not found", file=str(path)) from None
     except OSError as exc:
-        raise FormatError(f"cannot read file: {exc.strerror}", file=str(path)) from None
+        raise _unreadable(path, exc) from None
     except UnicodeDecodeError as exc:  # its object is the file's bytes; lines end as read_text ends them
         line = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", file=str(path), line=line) from None
+
+
+def _unreadable(path: Path, exc: OSError) -> FormatError:
+    message = "file not found" if isinstance(exc, FileNotFoundError) else f"cannot read file: {exc.strerror}"
+    return FormatError(message, file=str(path))
 
 
 def _json_int(value, name: str) -> int:
@@ -301,7 +308,8 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
 
     Any malformed header, row or cell is a FormatError naming the file and
     the line. Malformed quoting (a quoted field that runs past its line, or
-    text after a closing quote) comes first, then a bad header, then the
+    text after a closing quote) and a field over csv's field limit, in a
+    file with quotes or without, come first, then a bad header, then the
     first wrong field count anywhere in the file, then the first bad cell in
     file order.
     """
@@ -309,7 +317,8 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     text = _read_text(path)
     if "\0" in text:  # np.array(..., dtype=str) would drop it from the end of a cell
         raise FormatError("NUL character", file=str(path), line=text.count("\n", 0, text.index("\0")) + 1)
-    quoted = '"' in text
+    quoted, limit = '"' in text, csv.field_size_limit()  # the limit is read, not set
+    long = len(text) > limit  # only a file this long can hold a line over the limit
     # read_text folded CR and CRLF to "\n"; splitlines would also break at form feeds,
     # \x1c-\x1e, \x85, \u2028 and \u2029, which csv.writer writes unquoted inside a cell
     text_lines, meta = text.split("\n"), {}
@@ -329,8 +338,10 @@ def _read_table(path: Path, columns: dict[str, str]) -> _Table:
     del text_lines
     if "" in body:  # an empty line is no row; a whitespace-only one after the header is
         body, lines = [line for line in body if line], lines[[line != "" for line in body]]
-    # without quotes, csv.reader splits each line at its commas
-    rows = _csv_rows(body, path, lines) if quoted else (line.split(",") for line in body)
+    # without quotes, csv.reader splits each line at its commas; a line over its field limit goes
+    # through it all the same, so that a field over the limit is one error with quotes or without
+    by_csv = quoted or long and max(map(len, body)) > limit
+    rows = _csv_rows(body, path, lines) if by_csv else (line.split(",") for line in body)
 
     header = next(rows)
     names = [n for n in columns if n != "*"]

@@ -12,8 +12,13 @@ solve's last step, builds none. An accepted trial's r is the one
 :class:`LMResult` returns, so a caller never projects again for its rms.
 :func:`fd_jacobian`, central differences with a relative step of 1e-6, is
 the oracle the analytic Jacobians are tested against.
-Damping starts at 1e-3, multiplies by 10 on a rejected step, divides by
-10 on an accepted one, clamped to [1e-12, 1e12].
+Damping starts at 1e-6, multiplies by 10 on a rejected step, divides by
+10 on an accepted one, clamped to [1e-12, 1e12]. Every caller starts from a
+closed-form estimate (Zhang's conic, homography poses, the chordal-mean
+stereo pose, the homography plane pose), and Madsen, Nielsen & Tingleff,
+"Methods for Non-Linear Least Squares Problems" (2004, §3.2), start at
+τ = 1e-6 when x0 is believed good; here λ scales Marquardt's per-parameter
+diagonal rather than their μ₀ = τ max diag(JᵀJ).
 
 Block normal equations. Every model's Jacobian is a :class:`BlockJacobian`:
 m shared parameters and one p-entry block per view, each residual row
@@ -39,15 +44,22 @@ S = U − Σ_v W_v V_v⁻¹ W_vᵀ for the shared step, and back-substitutes the
 pose steps, with the V_v solved as one batch.
 
 Stop reasons: ``gradient`` (‖Jᵀr‖ below 1e-10), ``cost_floor`` (rms below
-1e-12), ``cost_plateau`` (a step changes the cost by less than 1e-12 of
-itself), ``step_floor`` (a step no longer than 1e-12 (‖x‖ + 1e-12), as
-MINPACK's xtol: at a tiny residual rounding noise swamps relative cost
-changes, and only the step size tells convergence from divergence) and
-``max_iter``. Every trial, accepted or rejected, picks its stop reason in
-one place, testing ``cost_floor``, ``cost_plateau`` and ``step_floor`` in
-that order; only an accepted step can reach the floor, since the cost is
-above it when each iteration starts. A rejected step with the damping at
-its cap raises NoConvergenceError.
+1e-12), ``cost_plateau`` (a step changes the cost by less than 1e-6 of
+itself: near the optimum the cost falls by the squared distance to it in
+units of σ̂² = cost / (m − n), so with m − n ≈ 1,500 corner residuals 1e-6
+is about 0.04 sd, a digit no corner noise resolves; Ceres Solver's
+``function_tolerance`` is 1e-6 too), ``step_floor`` (a step no longer
+than 1e-12 (‖x‖ + 1e-12), as MINPACK's xtol: at a tiny residual rounding
+noise swamps relative cost changes, and only the step size tells
+convergence from divergence) and ``max_iter``. Every trial, accepted or
+rejected, picks its stop reason in one place, testing ``cost_floor``,
+``cost_plateau`` and ``step_floor`` in that order; only an accepted step
+can reach the floor, since the cost is above it when each iteration
+starts. A rejected trial that changes the cost by less than 1e-6 of
+itself ends the solve as ``cost_plateau`` too, so a Jacobian of the wrong
+sign reads as divergence only while its uphill trials move the cost by
+more than that. A rejected step with the damping at its cap raises
+NoConvergenceError.
 
 Rotation blocks are handled through the ``plus`` retraction, so the
 solver steps in local increments composed onto the current estimate
@@ -68,11 +80,11 @@ import numpy as np
 from .errors import NoConvergenceError
 
 FD_REL_STEP = 1e-6
-DAMPING_INIT = 1e-3
+DAMPING_INIT = 1e-6
 DAMPING_MIN = 1e-12
 DAMPING_MAX = 1e12
 DAMPING_FACTOR = 10.0
-COST_REL_TOL = 1e-12
+COST_REL_TOL = 1e-6
 STEP_REL_TOL = 1e-12
 GRAD_TOL = 1e-10
 MAX_ITER = 200
@@ -147,10 +159,14 @@ def levenberg_marquardt(
     That function is called once per iteration, on the accepted x only.
     ``residual_evals`` counts the model calls: one, plus one per trial
     step.
-    Stops on a gradient norm below 1e-10, a relative cost change below
-    1e-12, a step below 1e-12 of ‖x‖, or after ``MAX_ITER`` sweeps. If the
-    cost still increases with the damping clamped at its maximum, raises
-    NoConvergenceError carrying the best iterate seen.
+    Starts with damping 1e-6, as for an x0 believed good, since every
+    caller's x0 is a closed-form estimate. Stops on a gradient norm below
+    1e-10, a relative cost change below 1e-6 (about 0.04 sd of a corner
+    fit), a step below 1e-12 of ‖x‖, or after ``MAX_ITER`` sweeps; a
+    rejected trial within the cost tolerance stops it as ``cost_plateau``
+    as an accepted one does, leaving x where it was. If the cost still
+    increases by more than that with the damping clamped at its maximum,
+    raises NoConvergenceError carrying the best iterate seen.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jacobian = model(x)

@@ -43,8 +43,9 @@ def test_cli_binds_report_writer(name):
 
 
 def test_solver_takes_model_positionally_and_plus_by_keyword():
-    """The tracer's stand-in is ``solve(model, x0, *, plus=None, **kwargs)``: the solver and
-    every call of it in the package must fit that shape."""
+    """The tracer's stand-in takes the model and x0 by position and ``plus``, the retraction it
+    counts, by keyword: the solver and every call of it in the package must fit that shape,
+    and every call passes ``plus``, which the solver requires."""
     from planegaze.optimize import levenberg_marquardt
 
     P = inspect.Parameter

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from planegaze.calibration import CornerTable, StereoRig
 from planegaze.camera import CameraIntrinsics
 from planegaze.errors import FormatError
+from planegaze.evaluation import evaluate_manifest
 from planegaze.formats import (
     _REPR_CHUNK,
     _REPR_CROSSOVER,
@@ -320,6 +321,24 @@ class TestMalformedQuoting:
         assert (err.value.file, err.value.line) == (str(path), line)
         assert str(err.value).startswith(f"{path}:{line}: {message}")
 
+    @pytest.mark.parametrize("note", ["", '# note: "x"\n'], ids=["quote-free", "quote-in-a-note"])
+    def test_a_field_over_csv_s_limit_is_one_error_with_quotes_or_without(self, tmp_path, note):
+        """A frame id of csv's field limit reads, and one character more is the same error at
+        the same line, whether or not a quote elsewhere in the file sends it through csv.reader."""
+        limit, path = csv.field_size_limit(), tmp_path / "p.csv"
+
+        def write(frame_id):
+            path.write_text(f"# unit: radians\n# convention: camera_offset\n{note}frame_id,method,yaw,pitch\n"
+                            f"f00000,m,0.1,0.2\n{frame_id},m,0.1,0.2\n")
+
+        write("f" * limit)
+        assert read_predictions(path).frame_id[1] == "f" * limit
+        write("f" * (limit + 1))
+        with pytest.raises(FormatError) as err:
+            read_predictions(path)
+        line = 6 if note else 5
+        assert str(err.value) == f"{path}:{line}: malformed CSV: field larger than field limit ({limit})"
+
 
 class TestBlankLines:
     def test_whitespace_only_text_cell_is_a_row(self, tmp_path):
@@ -368,6 +387,16 @@ class TestDatasetAndManifest:
         (tmp_path / "data" / "faces.csv").unlink()
         with pytest.raises(FormatError, match="missing"):
             read_manifest(manifest_path)
+
+    def test_a_file_gone_after_reading_the_manifest_stops_evaluate(self, tmp_path):
+        """Every file the manifest names is hashed into the report's provenance; one removed
+        after the manifest was read is a FormatError naming it, not a digest left out."""
+        manifest = read_manifest(write_dataset(generate_scene(default_scene(frames=2, seed=8, calib_views=2)),
+                                               tmp_path / "data"))
+        manifest.truth.unlink()
+        with pytest.raises(FormatError, match="file not found") as err:
+            evaluate_manifest(manifest)
+        assert err.value.file == str(manifest.truth)
 
     def test_manifest_duplicate_frames_rejected(self, tmp_path):
         ds = generate_scene(default_scene(frames=2, seed=8, calib_views=2))
